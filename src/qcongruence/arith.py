@@ -148,17 +148,6 @@ class PadicInt:
             return self.inverse() ** (-e)
         return PadicInt(self.p, self.precision, pow(self.residue, e, self.p**self.precision))
 
-    def unit_valuation(self) -> int:
-        """Valuation of the residue, capped by the precision."""
-        if self.residue == 0:
-            return self.precision
-        v = 0
-        r = self.residue
-        while r % self.p == 0:
-            r //= self.p
-            v += 1
-        return v
-
     def truncate(self, precision: int) -> "PadicInt":
         """Forget digits down to a smaller precision."""
         if precision > self.precision:

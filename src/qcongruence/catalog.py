@@ -29,7 +29,7 @@ from .errors import (
     UnknownKind,
 )
 from .expr import eval_expr, parse_expr
-from .qseries import TermSpec, qma, truncated_sum, truncated_sum_prefixes
+from .qseries import TermSpec, qma, truncated_sum_prefixes
 
 __all__ = [
     "CongruenceInstance",
@@ -1270,15 +1270,42 @@ def _select_choices(m_choices, m_policy: str):
     raise UnknownKind(f"unknown m_choice policy {m_policy!r}")
 
 
-def _decide(plan: _Plan, lhs, rhs):
-    """Return (status, witness) for one evaluated pair."""
-    if plan.kind == "equality":
-        diff = lhs - rhs
-        if diff.num.is_zero():
-            return "verified", {"difference": "0"}
-        return "failed", {"difference_degree": diff.num.degree}
-    result = congruent(lhs, rhs, plan.modulus)
-    return ("verified" if result.verified else "failed"), result.witness
+def _fallback_slot(m_policy: str) -> str:
+    """The slot named by a record that no evaluated truncation produced."""
+    return m_policy if m_policy in ("first", "second") else "first"
+
+
+def _label(modulus: Modulus | None) -> str:
+    return "exact" if modulus is None else modulus.label
+
+
+def _bind_symbols(stmt: Statement, bindings: dict, seed: int) -> dict:
+    """bindings plus a draw at seed for every free symbol it does not give."""
+    n = _int_param(bindings, "n")
+    t_scale = bindings.get("t", 1) if isinstance(bindings.get("t", 1), int) else 1
+    sample = sample_params(stmt.symbols, n, t=t_scale, seed=seed)
+    merged = dict(bindings)
+    for sym, value in sample.assignments.items():
+        merged.setdefault(sym, value)
+    return merged
+
+
+def _evaluate(plan: _Plan, m_policy: str):
+    """Evaluate a plan: (rhs, [(slot, m, lhs)]) for the slots m_policy selects.
+
+    Sum statements share one pass over the series for all selected
+    truncations; the others have a single slot, "first", with m None.
+    """
+    if plan.kind == "sum":
+        chosen = _select_choices(plan.m_choices, m_policy)
+        rhs = eval_expr(parse_expr(plan.rhs_text), plan.env)
+        prefixes = truncated_sum_prefixes(plan.spec, sorted({m for _, m in chosen}))
+        return rhs, [(slot, m, prefixes[m]) for slot, m in chosen]
+    if m_policy == "second":
+        raise SideConditionViolated("statement offers a single evaluation; no 'second' choice")
+    lhs = eval_expr(parse_expr(plan.lhs_text), plan.env)
+    rhs = eval_expr(parse_expr(plan.rhs_text), plan.env)
+    return rhs, [("first", None, lhs)]
 
 
 class _Stopwatch:
@@ -1308,7 +1335,7 @@ def _run_q_once(
     """Evaluate one fully bound q-side case; one record per truncation."""
     plan = stmt.build(bindings)
     params = _serialize_params(plan.env, stmt.symbols)
-    label = plan.modulus.label if plan.modulus is not None else "exact"
+    label = _label(plan.modulus)
     watch = _Stopwatch(timestamps)
     records = []
 
@@ -1320,38 +1347,18 @@ def _run_q_once(
         )
 
     try:
-        if plan.kind == "sum":
-            chosen = _select_choices(plan.m_choices, m_policy)
-            rhs = eval_expr(parse_expr(plan.rhs_text), plan.env)
-            prefixes = truncated_sum_prefixes(plan.spec, sorted({m for _, m in chosen}))
-            for slot, m in chosen:
-                status, witness = _decide(plan, prefixes[m], rhs)
-                emit(slot, status, witness)
-        else:
-            if m_policy == "second":
-                raise SideConditionViolated(
-                    "statement offers a single evaluation; no 'second' choice"
-                )
-            lhs = eval_expr(parse_expr(plan.lhs_text), plan.env)
-            rhs = eval_expr(parse_expr(plan.rhs_text), plan.env)
-            status, witness = _decide(plan, lhs, rhs)
-            emit("first", status, witness)
+        rhs, slots = _evaluate(plan, m_policy)
+        for slot, _, lhs in slots:
+            result = congruent(lhs, rhs, plan.modulus)
+            emit(slot, result.status, result.witness)
     except DenominatorNotUnit:
         if resample_on_bad_denominator:
             raise
-        emit(
-            m_policy if m_policy in ("first", "second") else "first",
-            "error",
-            {"error": "DenominatorNotUnit"},
-        )
+        emit(_fallback_slot(m_policy), "error", {"error": "DenominatorNotUnit"})
     except (QCongruenceError, ZeroDivisionError) as exc:
         if isinstance(exc, (SideConditionViolated, NonIntegerBound, UnknownKind)):
             raise
-        emit(
-            m_policy if m_policy in ("first", "second") else "first",
-            "error",
-            {"error": type(exc).__name__, "detail": str(exc)},
-        )
+        emit(_fallback_slot(m_policy), "error", {"error": type(exc).__name__, "detail": str(exc)})
     return records
 
 
@@ -1363,15 +1370,10 @@ def _run_q_trial(
     timestamps: bool,
 ) -> list[VerificationRecord]:
     """Sample the statement's free symbols and verify; resample on unlucky draws."""
-    n = _int_param(bindings, "n")
-    t_scale = bindings.get("t", 1) if isinstance(bindings.get("t", 1), int) else 1
     last = None
     for attempt in range(_MAX_RESAMPLES):
         sample_seed = trial_seed + attempt * _RESAMPLE_STRIDE
-        sample = sample_params(stmt.symbols, n, t=t_scale, seed=sample_seed)
-        merged = dict(bindings)
-        for sym, value in sample.assignments.items():
-            merged.setdefault(sym, value)
+        merged = _bind_symbols(stmt, bindings, sample_seed)
         try:
             return _run_q_once(stmt, merged, m_policy, sample_seed, timestamps, True)
         except DenominatorNotUnit as exc:
@@ -1381,7 +1383,7 @@ def _run_q_trial(
             stmt.stmt_id,
             _serialize_params(bindings, stmt.symbols),
             "",
-            m_policy if m_policy in ("first", "second") else "first",
+            _fallback_slot(m_policy),
             "error",
             {"error": "DenominatorNotUnit", "detail": str(last)},
             0,
@@ -1416,7 +1418,7 @@ def _run_classical(
                 stmt.stmt_id,
                 _serialize_params({"p": p, "s": s, "d": d, "r": r}, ()),
                 "",
-                m_policy if m_policy in ("first", "second") else "first",
+                _fallback_slot(m_policy),
                 "error",
                 {"error": type(exc).__name__, "detail": str(exc)},
                 0,
@@ -1484,26 +1486,11 @@ def instantiate(
         raise UnknownKind(
             f"{stmt_id} is a classical statement; use run_statement instead"
         )
-    bindings = dict(bindings)
     if any(sym not in bindings for sym in stmt.symbols):
-        n = _int_param(bindings, "n")
-        t_scale = bindings.get("t", 1) if isinstance(bindings.get("t", 1), int) else 1
-        sample = sample_params(stmt.symbols, n, t=t_scale, seed=seed)
-        for sym, value in sample.assignments.items():
-            bindings.setdefault(sym, value)
+        bindings = _bind_symbols(stmt, bindings, seed)
     plan = stmt.build(bindings)
-    if plan.kind == "sum":
-        selected = _select_choices(plan.m_choices, m_choice)
-        slot, m = selected[0]
-        lhs = truncated_sum(plan.spec, m)
-    else:
-        if m_choice == "second":
-            raise SideConditionViolated(
-                "statement offers a single evaluation; no 'second' choice"
-            )
-        slot, m = "first", None
-        lhs = eval_expr(parse_expr(plan.lhs_text), plan.env)
-    rhs = eval_expr(parse_expr(plan.rhs_text), plan.env)
+    # "both" instantiates the first slot only, so only that prefix is summed.
+    rhs, [(slot, m, lhs)] = _evaluate(plan, "first" if m_choice == "both" else m_choice)
     return CongruenceInstance(
         stmt_id,
         _serialize_params(plan.env, stmt.symbols),
@@ -1520,25 +1507,14 @@ def instantiate(
 def verify_instance(inst: CongruenceInstance, timestamps: bool = False) -> VerificationRecord:
     """Decide one evaluated instance; failures are recorded, not raised."""
     watch = _Stopwatch(timestamps)
-    if inst.kind == "equality":
-        diff = inst.lhs - inst.rhs
-        if diff.num.is_zero():
-            status, witness = "verified", {"difference": "0"}
-        else:
-            status, witness = "failed", {"difference_degree": diff.num.degree}
-        label = "exact"
-    else:
-        result = congruent(inst.lhs, inst.rhs, inst.modulus)
-        status = "verified" if result.verified else "failed"
-        witness = result.witness
-        label = inst.modulus.label
+    result = congruent(inst.lhs, inst.rhs, inst.modulus)
     return VerificationRecord(
         inst.stmt_id,
         inst.params,
-        label,
+        _label(inst.modulus),
         inst.m_choice,
-        status,
-        witness,
+        result.status,
+        result.witness,
         watch.lap(),
         inst.seed,
     )

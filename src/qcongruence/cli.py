@@ -183,7 +183,21 @@ def _case_key(case: dict):
     return tuple(sorted(case.items()))
 
 
+def _task_record(task, status: str, witness: dict) -> dict:
+    """The one record a task yields when its statement produced none."""
+    stmt_id, case, m_policy, seed = task[:4]
+    slot = catalog._fallback_slot(m_policy)
+    record = catalog.VerificationRecord(stmt_id, case, "", slot, status, witness, 0, seed)
+    return record.to_json_dict()
+
+
 def _run_verify_task(task) -> list[dict]:
+    """Run one (statement, case) task; it never raises for a bad point.
+
+    Points outside the side conditions give a skipped record; any other
+    exception gives an error record naming it, so one task cannot discard
+    the rest of the batch.
+    """
     stmt_id, case, m_policy, seed, trials, budget, timestamps = task
     try:
         records = catalog.run_statement(
@@ -197,19 +211,9 @@ def _run_verify_task(task) -> list[dict]:
         )
         return [rec.to_json_dict() for rec in records]
     except (SideConditionViolated, NonIntegerBound) as exc:
-        slot = m_policy if m_policy in ("first", "second") else "first"
-        return [
-            {
-                "id": stmt_id,
-                "params": catalog._json_safe(dict(case)),
-                "modulus": "",
-                "m_choice": slot,
-                "status": "skipped",
-                "witness": {"reason": str(exc)},
-                "elapsed_ms": 0,
-                "seed": seed,
-            }
-        ]
+        return [_task_record(task, "skipped", {"reason": str(exc)})]
+    except Exception as exc:
+        return [_task_record(task, "error", {"error": type(exc).__name__, "detail": str(exc)})]
 
 
 def _run_tasks(tasks: list, jobs: int) -> list[dict]:
@@ -398,41 +402,21 @@ def _cmd_check(args) -> int:
     records = []
     for spec in specs:
         env = dict(spec.bindings)
-        params = catalog._json_safe(dict(spec.bindings))
         try:
             lhs = eval_expr(spec.lhs, env)
             rhs = eval_expr(spec.rhs, env)
-            if spec.modulus is None:
-                diff = lhs - rhs
-                if diff.num.is_zero():
-                    status, witness, label = "verified", {"difference": "0"}, "exact"
-                else:
-                    status, witness, label = (
-                        "failed",
-                        {"difference_degree": diff.num.degree},
-                        "exact",
-                    )
-            else:
-                modulus = _modulus_from_node(spec.modulus, env)
-                result = congruent(lhs, rhs, modulus)
-                status = "verified" if result.verified else "failed"
-                witness, label = result.witness, modulus.label
+            modulus = None if spec.modulus is None else _modulus_from_node(spec.modulus, env)
+            result = congruent(lhs, rhs, modulus)
+            status, witness = result.status, result.witness
+            label = catalog._label(modulus)
         except (QCongruenceError, ZeroDivisionError) as exc:
             status = "error"
             witness = {"error": type(exc).__name__, "detail": str(exc)}
             label = ""
-        records.append(
-            {
-                "id": spec.spec_id,
-                "params": params,
-                "modulus": label,
-                "m_choice": "first",
-                "status": status,
-                "witness": catalog._json_safe(witness),
-                "elapsed_ms": 0,
-                "seed": None,
-            }
+        record = catalog.VerificationRecord(
+            spec.spec_id, spec.bindings, label, "first", status, witness, 0, None
         )
+        records.append(record.to_json_dict())
     fmt = args.format if args.format is not None else "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise UsageError(f"format must be jsonl or csv, got {fmt!r}")

@@ -150,6 +150,10 @@ class CongruenceResult:
     def __bool__(self):
         return self.verified
 
+    @property
+    def status(self) -> str:
+        return "verified" if self.verified else "failed"
+
 
 def _smallest_failing_factor(num: QPoly, m: Modulus) -> str:
     candidates = []
@@ -168,17 +172,24 @@ def _smallest_failing_factor(num: QPoly, m: Modulus) -> str:
     return min(candidates)[1]
 
 
-def congruent(lhs, rhs, m: Modulus) -> CongruenceResult:
+def congruent(lhs, rhs, m: Modulus | None) -> CongruenceResult:
     """Decide lhs = rhs (mod m) over rational functions of q.
 
-    Returns a CongruenceResult whose witness carries the quotient degree on
-    success, or the remainder shape and smallest failing factor.  Raises
-    DenominatorNotUnit when the reduced denominator shares a factor with the
-    modulus, which makes the congruence meaningless rather than false.
+    m=None asks for exact equality: the witness is the difference "0" or the
+    degree of its numerator.  A trivial modulus (every factor constant) is
+    "mod 1" and holds for any pair.  Otherwise the witness carries the
+    quotient degree on success, or the remainder shape and smallest failing
+    factor.  Raises DenominatorNotUnit when the reduced denominator shares a
+    factor with the modulus, which makes the congruence meaningless rather
+    than false.
     """
-    if m.is_trivial():
+    if m is not None and m.is_trivial():
         return CongruenceResult(True, {"quotient_degree": -1, "trivial": True})
     diff = QRat.from_value(lhs) - QRat.from_value(rhs)
+    if m is None:
+        if diff.num.is_zero():
+            return CongruenceResult(True, {"difference": "0"})
+        return CongruenceResult(False, {"difference_degree": diff.num.degree})
     p = m.monic_product
     num, den = diff.num, diff.den
     while not den.is_one():

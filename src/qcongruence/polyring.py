@@ -34,7 +34,6 @@ __all__ = [
     "poly_gcd",
     "poly_gcd_ext",
     "q_integer",
-    "ratfun_normalize",
 ]
 
 _KARATSUBA_THRESHOLD = 32
@@ -713,11 +712,6 @@ class QRat:
 
 _QRAT_ZERO = QRat._raw(_ZERO, _ONE)
 _QRAT_ONE = QRat._raw(_ONE, _ONE)
-
-
-def ratfun_normalize(num: QPoly, den: QPoly) -> QRat:
-    """Reduced form with monic denominator; DivisionByZeroPoly on zero den."""
-    return QRat(num, den)
 
 
 def crt_combine(r1: QRat, m1: QPoly, r2: QRat, m2: QPoly) -> QRat:

@@ -45,7 +45,6 @@ __all__ = [
     "QMonomialArg",
     "TermSpec",
     "check_terminating_identity",
-    "hyper_term",
     "pochhammer",
     "q_binomial",
     "truncated_sum",
@@ -298,16 +297,6 @@ def truncated_sum_prefixes(spec: TermSpec, orders) -> dict[int, QRat]:
 def truncated_sum(spec: TermSpec, order: int) -> QRat:
     """Reduced partial sum of the series through k = order."""
     return truncated_sum_prefixes(spec, [order])[order]
-
-
-def hyper_term(spec: TermSpec, k: int) -> QRat:
-    """The k-th term alone, as a reduced rational function."""
-    if k < 0:
-        raise NegativeLength(f"term index {k} is negative")
-    if k == 0:
-        return truncated_sum(spec, 0)
-    pref = truncated_sum_prefixes(spec, [k - 1, k])
-    return pref[k] - pref[k - 1]
 
 
 # -- terminating identities --------------------------------------------------

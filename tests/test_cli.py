@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qcongruence import catalog
 from qcongruence.cli import main
 
 FIELD_ORDER = ["id", "params", "modulus", "m_choice", "status", "witness", "elapsed_ms", "seed"]
@@ -102,6 +103,32 @@ def test_verify_desk_cases_when_no_ranges(capsys):
     assert all(rec["status"] == "verified" for rec in records)
 
 
+def test_unexpected_task_exception_becomes_error_record(tmp_path, capsys, monkeypatch):
+    real = catalog.run_statement
+
+    def run_statement(stmt_id, *args, **kwargs):
+        if stmt_id == "THM_C":
+            raise RuntimeError("boom")
+        return real(stmt_id, *args, **kwargs)
+
+    expected = tmp_path / "expected.jsonl"
+    assert main(["verify", "--id", "GS_16", "--n", "2", "--jobs", "1", "--out", str(expected)]) == 0
+    monkeypatch.setattr(catalog, "run_statement", run_statement)
+    out = tmp_path / "report.jsonl"
+    argv = ["verify", "--id", "GS_16,THM_C", "--n", "2", "--jobs", "1", "--out", str(out)]
+    code = main(argv)
+    capsys.readouterr()
+    assert code == 1
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert "".join(lines[:-1]) == expected.read_text(encoding="utf-8")
+    record = json.loads(lines[-1])
+    assert list(record) == FIELD_ORDER
+    assert record["id"] == "THM_C"
+    assert record["params"] == {"n": 2}
+    assert record["status"] == "error"
+    assert record["witness"] == {"error": "RuntimeError", "detail": "boom"}
+
+
 def test_padic_subcommand(capsys):
     code, out, _ = run_cli(capsys, "padic", "--id", "SUN_H2", "--p", "5,7")
     assert code == 0
@@ -140,14 +167,18 @@ def test_check_spec_file(tmp_path, capsys):
         "GOOD : qint(n)^2 * poch(q^3; q^4; (n-1)/2) / poch(q^5; q^4; (n-1)/2)"
         " == 0 mod qint(n) with n = 5\n"
         "EXACT : poch(q; q^2; t) * poch(q^2; q^2; t) == poch(q; q; 2*t) with t = 4\n"
-        "WRONG : qint(n) == 1 mod phi(n) with n = 4\n",
+        "WRONG : qint(n) == 1 mod phi(n) with n = 4\n"
+        "UNEQUAL : poch(q; q^2; t) * poch(q^2; q^2; t) == poch(q; q; 2*t) + q^2 with t = 2\n",
         encoding="utf-8",
     )
     code, out, _ = run_cli(capsys, "check", "--spec", str(spec))
     assert code == 1
     records = [json.loads(line) for line in out.strip().splitlines()]
-    assert [rec["status"] for rec in records] == ["verified", "verified", "failed"]
+    assert [rec["status"] for rec in records] == ["verified", "verified", "failed", "failed"]
+    assert records[1]["modulus"] == "exact"
     assert records[2]["witness"]["failing_factor"] == "(q^2+1)"
+    assert records[3]["modulus"] == "exact"
+    assert records[3]["witness"] == {"difference_degree": 2}
 
 
 def test_check_spec_error_record(tmp_path, capsys):

@@ -65,6 +65,28 @@ def test_congruent_simple_verified():
     assert congruent(QRat.from_value(QPoly.monomial(2)), 1, m).verified
 
 
+def test_congruent_exact_mode():
+    x = QRat(QPoly([-1, 0, 1]), QPoly([-1, 1]))  # (q^2 - 1)/(q - 1)
+    r = congruent(x, QPoly([1, 1]), None)
+    assert r == CongruenceResult(True, {"difference": "0"})
+    assert r.status == "verified"
+    # x - q^3 = 1 + q - q^3: unequal, so the witness is the difference degree
+    r = congruent(x, QPoly.monomial(3), None)
+    assert r == CongruenceResult(False, {"difference_degree": 3})
+    assert r.status == "failed"
+    # no modulus is not the trivial modulus: "mod 1" holds for any pair
+    assert congruent(x, QPoly.monomial(3), Modulus([])).verified
+
+
+def test_congruence_result_status():
+    assert CongruenceResult(True, {}).status == "verified"
+    assert CongruenceResult(False, {}).status == "failed"
+    m = build_modulus("QINT_PHI_POW", 5, {"k": 2})
+    assert congruent(QRat.from_value(QPoly.monomial(1)), 0, m).status == "failed"
+    with pytest.raises(AttributeError):
+        CongruenceResult(True, {}).status = "failed"
+
+
 def test_congruent_denominator_not_unit():
     m = Modulus([(QPoly([1, 1]), 1)])
     with pytest.raises(DenominatorNotUnit):

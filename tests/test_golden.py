@@ -1,0 +1,46 @@
+"""Golden reports: the CLI must reproduce the checked-in bytes exactly.
+
+The files under tests/data/ were written by the same commands before the
+verdict, sampling and evaluation paths were merged; any change to a verdict,
+a witness, a label or the record layout shows up here as a byte difference.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qcongruence.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+_Q_IDS = "THM_A,GWY,THM_B,THM_C,GS_16,LEM_WEI_K,LEM_WEI_M,LEM_WEI_N,LEM_PP,PROP_2_1,THM_2_2"
+
+CASES = [
+    ("golden_verify.jsonl", ["verify", "--id", _Q_IDS, "--n", "1..7", "--trials", "1"], 0),
+    (
+        "golden_verify.csv",
+        ["verify", "--id", _Q_IDS, "--n", "1..7", "--trials", "1", "--format", "csv"],
+        0,
+    ),
+    ("golden_lem_rel.jsonl", ["verify", "--id", "LEM_REL", "--t", "0..4"], 0),
+    (
+        "golden_padic.jsonl",
+        ["padic", "--id", "COR_1_4,SUN_H2,PROP_1_7", "--p", "3,5,7,11,13"],
+        0,
+    ),
+]
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_golden_report(tmp_path, capsys, name, argv, code):
+    out = tmp_path / name
+    assert main(argv + ["--jobs", "1", "--out", str(out)]) == code
+    capsys.readouterr()
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_golden_check_report(tmp_path, capsys):
+    out = tmp_path / "golden_check.jsonl"
+    assert main(["check", "--spec", str(DATA / "golden.qcs"), "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert out.read_bytes() == (DATA / "golden_check.jsonl").read_bytes()

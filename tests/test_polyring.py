@@ -16,7 +16,6 @@ from qcongruence.polyring import (
     poly_gcd,
     poly_gcd_ext,
     q_integer,
-    ratfun_normalize,
 )
 
 
@@ -167,7 +166,7 @@ def test_qrat_reduction_and_eval():
     x = QRat(QPoly([-1, 0, 1]), QPoly([-1, 1]))
     assert x.is_poly()
     assert x.as_poly() == QPoly([1, 1])
-    y = ratfun_normalize(QPoly([1, 1]), QPoly([2]))
+    y = QRat(QPoly([1, 1]), QPoly([2]))
     assert y == QRat(QPoly([Fraction(1, 2), Fraction(1, 2)]), QPoly.one())
     assert y.eval_at(3) == 2
     with pytest.raises(DivisionByZeroPoly):

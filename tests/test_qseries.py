@@ -17,7 +17,6 @@ from qcongruence.qseries import (
     QMonomialArg,
     TermSpec,
     check_terminating_identity,
-    hyper_term,
     pochhammer,
     q_binomial,
     qma,
@@ -136,14 +135,6 @@ def test_truncated_sum_matches_reference():
         spec = sample_spec(rng)
         order = rng.randint(0, 5)
         assert truncated_sum(spec, order) == reference_sum(spec, order)
-
-
-def test_hyper_term_matches_reference():
-    rng = random.Random(8)
-    for _ in range(10):
-        spec = sample_spec(rng)
-        k = rng.randint(0, 4)
-        assert hyper_term(spec, k) == reference_term(spec, k)
 
 
 def test_truncated_sum_prefixes_consistent():

@@ -8,9 +8,16 @@ coefficients and Kronecker substitution above, which delegates the work to
 CPython's C-level big-integer multiplication.
 
 QRat is a reduced rational function: numerator and monic denominator with
-gcd 1, normalized at construction.  Polynomial gcd is a primitive PRS over the
-integers, which is fast here because every denominator this package ever
-reduces against is monic.
+gcd 1, normalized at construction.  Both kernels under it work on the integer
+cores.  Division is one fraction-free loop for every divisor: it scales the
+remainder by lc / gcd(lc, top) only when the leading coefficient of the
+divisor does not divide the top coefficient, so a monic integer divisor never
+scales.  Polynomial gcd is GCDHEU (Char, Geddes and Gonnet, J. Symbolic
+Comput. 7, 1989): the integer gcd of the primitive cores evaluated at
+xi >= 2 min(|f|, |g|) + 2, read back as symmetric base-xi digits.  Its
+primitive part is the gcd exactly when trial division shows that it divides
+both cores; after a few failed points the gcd falls back to a primitive PRS
+(polynomial remainder sequence) over the integers.
 
 Cyclotomic polynomials are computed by exact division of q^n - 1 by the
 lower-order cyclotomics and memoized for the life of the process (the cache
@@ -36,7 +43,7 @@ __all__ = [
     "q_integer",
 ]
 
-_KARATSUBA_THRESHOLD = 32
+_KRONECKER_THRESHOLD = 32
 
 
 def _content(nums) -> int:
@@ -65,37 +72,48 @@ def _mul_schoolbook(a, b):
     return out
 
 
+def _pack(nums, width: int) -> int:
+    """Value of the integer polynomial at q = 2**width."""
+    return sum(c << (i * width) for i, c in enumerate(nums) if c)
+
+
+def _unpack(value: int, width: int) -> list[int]:
+    """Symmetric base-2**width digits of value, low order first.
+
+    Inverts _pack for every coefficient list whose entries lie in
+    [-2**(width-1), 2**(width-1)) and whose last entry is nonzero.  Needs
+    width >= 2: with one-bit digits in {-1, 0} a positive value never ends.
+    """
+    out = []
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    neg = value < 0
+    if neg:
+        value = -value
+    while value:
+        d = value & mask
+        value >>= width
+        if d >= half:
+            d -= 1 << width
+            value += 1
+        out.append(-d if neg else d)
+    return out
+
+
 def _mul_kronecker(a, b):
-    # Pack signed coefficients into one big integer per operand; the digit
-    # width is chosen so every convolution coefficient fits with a sign bit.
+    # The digit width is chosen so every convolution coefficient fits with a
+    # sign bit.
     max_a = max(abs(c) for c in a)
     max_b = max(abs(c) for c in b)
     bound = max_a * max_b * min(len(a), len(b))
     width = bound.bit_length() + 2
-    pa = sum(c << (i * width) for i, c in enumerate(a) if c)
-    pb = sum(c << (i * width) for i, c in enumerate(b) if c)
-    prod = pa * pb
-    n = len(a) + len(b) - 1
-    out = []
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    neg = prod < 0
-    if neg:
-        prod = -prod
-    for _ in range(n):
-        d = prod & mask
-        prod >>= width
-        if d >= half:
-            d -= 1 << width
-            prod += 1
-        out.append(-d if neg else d)
-    return out
+    return _unpack(_pack(a, width) * _pack(b, width), width)
 
 
 def _mul_lists(a, b):
     if not a or not b:
         return []
-    if len(a) < _KARATSUBA_THRESHOLD or len(b) < _KARATSUBA_THRESHOLD:
+    if len(a) < _KRONECKER_THRESHOLD or len(b) < _KRONECKER_THRESHOLD:
         return _mul_schoolbook(a, b)
     return _mul_kronecker(a, b)
 
@@ -109,11 +127,18 @@ class QPoly:
         """Build from an iterable of int/Fraction coefficients, low order first.
 
         The two-argument form takes integer coefficients over a common
-        denominator and is the representation used internally.
+        denominator and is the representation used internally; it raises
+        TypeError for a coefficient that is not an integer.
         """
         if den != 1:
-            nums = _strip([int(c) for c in coeffs])
-            self._init_canonical(nums, den)
+            nums = []
+            for c in coeffs:
+                if isinstance(c, Fraction) and c.denominator == 1:
+                    c = c.numerator
+                if not isinstance(c, int):
+                    raise TypeError(f"QPoly(coeffs, den) needs integer coefficients, got {c!r}")
+                nums.append(c)
+            self._init_canonical(_strip(nums), den)
             return
         nums: list[int] = []
         lcm = 1
@@ -357,43 +382,44 @@ def poly_divrem(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly]:
         raise DivisionByZeroPoly("polynomial division by zero")
     if f.degree < g.degree:
         return _ZERO, f
-    if g._den == 1 and g._nums[-1] == 1:
-        return _divrem_monic_int(f, g)
-    return _divrem_general(f, g)
+    quot, rem, scale = _divrem_int(f._nums, g._nums)
+    # scale*F = quot*G + rem on the cores F = f*f._den, G = g*g._den.
+    den = scale * f._den
+    if g._den != 1:
+        quot = [c * g._den for c in quot]
+    return QPoly._make(quot, den), QPoly._make(rem, den)
 
 
-def _divrem_monic_int(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly]:
-    # Divisor monic with integer coefficients: the loop stays in integers and
-    # the shared denominator of f carries through unchanged.
-    rem = list(f._nums)
-    gn = g._nums
-    dg = len(gn) - 1
-    quot = [0] * (len(rem) - dg)
-    for i in range(len(rem) - 1, dg - 1, -1):
+def _divrem_int(a, b) -> tuple[list[int], list[int], int]:
+    """Fraction-free division of integer cores: (quot, rem, scale) with
+    scale*a == quot*b + rem and len(rem) <= len(b) - 1.
+
+    The remainder (and the quotient so far) is scaled by lc / gcd(lc, top)
+    only when the leading coefficient lc of b does not divide the top
+    coefficient, so scale is 1 whenever b divides a over the integers.
+    """
+    db = len(b) - 1
+    lc = b[-1]
+    terms = [(j, y) for j, y in enumerate(b[:db]) if y]  # skips the zeros of sparse divisors
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    scale = 1
+    for i in range(len(a) - 1, db - 1, -1):
         c = rem[i]
-        if c:
-            quot[i - dg] = c
-            rem[i] = 0
-            for j in range(dg):
-                rem[i - dg + j] -= c * gn[j]
-    return QPoly._make(quot, f._den), QPoly._make(rem[:dg], f._den)
-
-
-def _divrem_general(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly]:
-    rem = [Fraction(c, f._den) for c in f._nums]
-    gc = [Fraction(c, g._den) for c in g._nums]
-    dg = len(gc) - 1
-    lead = gc[-1]
-    quot = [Fraction(0)] * (len(rem) - dg)
-    for i in range(len(rem) - 1, dg - 1, -1):
-        c = rem[i]
-        if c:
-            c /= lead
-            quot[i - dg] = c
-            rem[i] = Fraction(0)
-            for j in range(dg):
-                rem[i - dg + j] -= c * gc[j]
-    return QPoly(quot), QPoly(rem[:dg])
+        if not c:
+            continue
+        t, r = divmod(c, lc)
+        if r:
+            m = abs(lc) // igcd(lc, c)
+            scale *= m
+            rem = [x * m for x in rem[:i]]
+            quot = [x * m for x in quot]
+            t = c * m // lc
+        k = i - db
+        quot[k] = t
+        for j, y in terms:
+            rem[k + j] -= t * y
+    return quot, rem[:db], scale
 
 
 def poly_exact_div(f: QPoly, g: QPoly) -> QPoly:
@@ -432,30 +458,58 @@ def _pseudo_rem_int(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
-def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
-    """Monic gcd via a primitive polynomial remainder sequence over Z."""
-    if f.is_zero():
-        return g.monic() if not g.is_zero() else _ZERO
-    if g.is_zero():
-        return f.monic()
-    a = list(f._nums)
-    b = list(g._nums)
-    ga, gb = _content(a), _content(b)
-    if ga > 1:
-        a = [c // ga for c in a]
-    if gb > 1:
-        b = [c // gb for c in b]
+def _primitive(nums) -> list[int]:
+    g = _content(nums)
+    return [c // g for c in nums] if g > 1 else list(nums)
+
+
+def _gcd_prs(a: list[int], b: list[int]) -> list[int]:
+    """Gcd of two nonzero primitive integer cores by a primitive PRS."""
     if len(a) < len(b):
         a, b = b, a
     while b:
         r = _pseudo_rem_int(a, b)
-        if r:
-            gr = _content(r)
-            if gr > 1:
-                r = [c // gr for c in r]
-        a, b = b, r
-    lead = a[-1]
-    return QPoly._make([c * (1 if lead > 0 else -1) for c in a], abs(lead))
+        a, b = b, _primitive(r)
+    return a
+
+
+_HEU_POINTS = 6
+
+
+def _gcd_heu(a: list[int], b: list[int]):
+    """GCDHEU on two nonzero primitive integer cores; None if every point fails.
+
+    With xi >= 2 min(|a|, |b|) + 2, the primitive part h of the symmetric
+    base-xi digits of gcd(a(xi), b(xi)) is the gcd of a and b if and only if
+    h divides both (Char, Geddes and Gonnet 1989), so an accepted result is
+    proved, not guessed.  xi is a power of two, so evaluation and
+    interpolation are shifts.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    bound = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    width = (bound - 1).bit_length()
+    for _ in range(_HEU_POINTS):
+        h = _primitive(_unpack(igcd(_pack(a, width), _pack(b, width)), width))
+        if len(h) == 1:
+            return h
+        if not any(_divrem_int(a, h)[1]) and not any(_divrem_int(b, h)[1]):
+            return h
+        width += width // 4 + 2
+    return None
+
+
+def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
+    """Monic gcd: GCDHEU on the primitive integer cores, PRS as the fallback."""
+    if f.is_zero():
+        return g.monic() if not g.is_zero() else _ZERO
+    if g.is_zero():
+        return f.monic()
+    a = _primitive(f._nums)
+    b = _primitive(g._nums)
+    h = _gcd_heu(a, b) or _gcd_prs(a, b)
+    lead = h[-1]
+    return QPoly._make([c * (1 if lead > 0 else -1) for c in h], abs(lead))
 
 
 def poly_gcd_ext(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly, QPoly]:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcongruence import polyring
 from qcongruence.errors import DivisionByZeroPoly, ModuliNotCoprime
 from qcongruence.polyring import (
     QPoly,
@@ -47,6 +48,14 @@ def test_qpoly_construction_and_views():
     assert QPoly.monomial(3, 2) == QPoly([0, 0, 0, 2])
 
 
+def test_qpoly_two_argument_form_takes_integers_only():
+    assert QPoly([Fraction(2), 1], 3) == QPoly([Fraction(2, 3), Fraction(1, 3)])
+    with pytest.raises(TypeError):
+        QPoly([Fraction(1, 2), 1], 3)
+    with pytest.raises(TypeError):
+        QPoly([1, 0.5], 2)
+
+
 def test_qpoly_ring_operations():
     one_plus_q = QPoly([1, 1])
     assert one_plus_q**2 == QPoly([1, 2, 1])
@@ -85,6 +94,99 @@ def test_poly_divrem_roundtrip_random():
         assert rem.is_zero() or rem.degree < g.degree
     with pytest.raises(DivisionByZeroPoly):
         poly_divrem(QPoly([1]), QPoly.zero())
+
+
+def divrem_fraction_reference(f, g):
+    """Schoolbook long division over Fractions, the independent reference."""
+    rem = list(f.coeffs())
+    gc = g.coeffs()
+    dg = len(gc) - 1
+    quot = [Fraction(0)] * max(len(rem) - dg, 0)
+    for i in range(len(rem) - 1, dg - 1, -1):
+        c = rem[i] / gc[-1]
+        quot[i - dg] = c
+        for j in range(dg + 1):
+            rem[i - dg + j] -= c * gc[j]
+    return QPoly(quot), QPoly(rem[:dg])
+
+
+def test_poly_divrem_matches_fraction_reference():
+    rng = random.Random(80)
+    for trial in range(300):
+        big = trial % 4 == 0
+        f = rand_poly(rng, rng.randint(0, 40))
+        if big:
+            f = f + QPoly([rng.randint(-(2**200), 2**200) for _ in range(rng.randint(1, 30))])
+        kind = trial % 3
+        if kind == 0:  # monic with integer coefficients
+            g = QPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 8))] + [1])
+        elif kind == 1:  # monic with rational coefficients
+            g = rand_poly(rng, rng.randint(1, 8), zero_ok=False).monic()
+        else:  # not monic
+            g = rand_poly(rng, rng.randint(0, 8), zero_ok=False)
+            if big:
+                g = g * (2**201 + 1)
+        quot, rem = poly_divrem(f, g)
+        assert (quot, rem) == divrem_fraction_reference(f, g)
+
+
+def gcd_prs_reference(f, g):
+    """Monic gcd through the PRS fallback alone."""
+    if f.is_zero() and g.is_zero():
+        return QPoly.zero()
+    h = polyring._gcd_prs(polyring._primitive(f._nums), polyring._primitive(g._nums))
+    return QPoly(h).monic()
+
+
+def gcd_pairs(rng):
+    x = QPoly([0, 1])
+
+    def binomial(e):
+        return 1 - QPoly.monomial(e, Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
+
+    for _ in range(40):
+        d = rng.choice([1, 2, 3, 4, 5, 6, 8, 10, 12, 15])
+        common = cyclotomic(d) ** rng.randint(1, 4) * binomial(rng.randint(1, 6))
+        yield common * rand_poly(rng, rng.randint(0, 6)), common * rand_poly(rng, rng.randint(0, 6))
+    for _ in range(20):
+        common = binomial(rng.randint(1, 8)) ** rng.randint(1, 3) * x ** rng.randint(0, 3)
+        yield common * cyclotomic(rng.randint(1, 20)), common * binomial(rng.randint(1, 8))
+    for _ in range(20):  # coefficients of 200 bits and more
+        big = QPoly([rng.randint(-(2**220), 2**220) for _ in range(rng.randint(1, 6))])
+        yield big * rand_poly(rng, rng.randint(0, 5)), big * (2**200 + rng.randint(1, 99))
+        yield rand_poly(rng, rng.randint(1, 6)) * (2**210 + 3), big
+    for _ in range(20):  # coprime pairs
+        yield binomial(rng.randint(1, 8)), cyclotomic(rng.randint(1, 30)) ** rng.randint(1, 3)
+        yield rand_poly(rng, rng.randint(1, 8)), rand_poly(rng, rng.randint(1, 8))
+    yield QPoly.const(Fraction(3, 7)), cyclotomic(9)
+    yield cyclotomic(9), QPoly.const(-5)
+    yield QPoly.const(4), QPoly.const(6)
+    yield QPoly.zero(), cyclotomic(5) * 3
+    yield binomial(3) * 2, QPoly.zero()
+    # gcd(f(8), g(8)) = 5 reads back as q - 3, which does not divide q^2 + 6:
+    # the first evaluation point fails and the next one succeeds.
+    yield QPoly([-3, 1]), QPoly([6, 0, 1])
+    # Below the bound, at xi = 4, 3 - q evaluates to -1 and the candidate 1
+    # would pass trial division; the bound puts xi at 8.
+    yield QPoly([3, -1]), QPoly([3, -1]) * QPoly([1, 1])
+
+
+def test_poly_gcd_matches_prs():
+    rng = random.Random(81)
+    for f, g in gcd_pairs(rng):
+        expected = gcd_prs_reference(f, g)
+        assert poly_gcd(f, g) == expected
+        assert poly_gcd(g, f) == expected
+
+
+def test_poly_gcd_falls_back_to_prs(monkeypatch):
+    monkeypatch.setattr(polyring, "_HEU_POINTS", 0)
+    common = cyclotomic(6) ** 2 * (1 - QPoly.monomial(2, Fraction(2, 3)))
+    f = common * QPoly([1, 2, 3])
+    g = common * QPoly([5, 0, -1, 7])
+    assert polyring._gcd_heu(polyring._primitive(f._nums), polyring._primitive(g._nums)) is None
+    assert poly_gcd(f, g) == common.monic()
+    assert polyring._gcd_prs([-1, 0, 1], [1, 2, 1]) in ([1, 1], [-1, -1])
 
 
 def test_poly_gcd_properties():

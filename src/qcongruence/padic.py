@@ -5,18 +5,24 @@ digits via the product formula: pick the integer representative r in
 [1, p**N] of the argument and form (-1)^r * prod of k < r prime to p.  The
 function is 1-Lipschitz in the p-adic metric, so N digits of the argument
 give N exact digits of the value; guard digits requested on top of that are
-pure safety margin and are trimmed before comparison.
+pure safety margin and are trimmed before comparison.  For prime p the
+product runs over the shorter of r and p**N + 1 - r, the representative of
+1 - x, and Morita's reflection formula Gamma_p(x) Gamma_p(1 - x) = (-1)^x0
+(x0 in 1..p, x0 = x mod p) gives the other value by one modular inverse.
 
 The classical (q -> 1) statements are pure rational-number congruences; each
 side is computed exactly as a Fraction (with p-adic Gamma products reduced to
-residues) and compared by p-adic valuation of the difference.
+residues) and compared by p-adic valuation of the difference.  The truncated
+sums, harmonic numbers and shifted factorials are evaluated over integers by
+binary splitting and product trees, so each comes out of a single final
+Fraction reduction instead of one gcd per term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, prod
 
 from .arith import BigRat, PadicInt, padic_valuation, residue_of_rational
 from .congruence import CongruenceResult
@@ -51,18 +57,81 @@ def harmonic(m: int, ell: int) -> BigRat:
         raise ValueError(f"harmonic upper index must be nonnegative, got {m}")
     if ell < 1:
         raise ValueError(f"harmonic order must be positive, got {ell}")
-    return sum((Fraction(1, k**ell) for k in range(1, m + 1)), Fraction(0))
+    return Fraction(*_fraction_sum(1, m + 1, lambda k: (1, k**ell)))
 
 
 def rising(x: BigRat, k: int) -> BigRat:
     """Shifted factorial (x)_k = x (x+1) ... (x+k-1)."""
     if k < 0:
         raise ValueError(f"shifted-factorial length must be nonnegative, got {k}")
-    out = Fraction(1)
     x = Fraction(x)
-    for i in range(k):
-        out *= x + i
-    return out
+    a, b = x.numerator, x.denominator
+    return Fraction(_product(0, k, lambda i: a + i * b), b**k)
+
+
+# -- integer kernels for exact sums ----------------------------------------------
+#
+# A hypergeometric sum  sum_{k<=m} a(k) t_k  with t_0 = 1 and
+# t_{k+1} = t_k p(k) / q(k)  is evaluated by binary splitting (Haible and
+# Papanikolaou, "Fast multiprecision evaluation of series of rational
+# numbers", ANTS 1998).  Over a range lo <= k < hi it keeps three integers
+#   P = prod p(k),  Q = prod q(k),  T = Q * sum_k a(k) prod_{lo<=j<k} p(j)/q(j);
+# two adjacent ranges merge as P = P1 P2, Q = Q1 Q2, T = T1 Q2 + P1 T2, and
+# the sum is T/Q over 0 <= k <= m, reduced once at the end.
+
+
+def _product(lo: int, hi: int, f) -> int:
+    """prod f(k) for lo <= k < hi, as a balanced product tree."""
+    if hi - lo <= 8:
+        return prod(f(k) for k in range(lo, hi))
+    mid = (lo + hi) // 2
+    return _product(lo, mid, f) * _product(mid, hi, f)
+
+
+def _fraction_sum(lo: int, hi: int, f) -> tuple[int, int]:
+    """(num, den) with num/den = sum f(k) for lo <= k < hi; f(k) = (num, den)."""
+    if hi - lo <= 1:
+        return f(lo) if hi > lo else (0, 1)
+    mid = (lo + hi) // 2
+    a, b = _fraction_sum(lo, mid, f)
+    c, d = _fraction_sum(mid, hi, f)
+    return a * d + c * b, b * d
+
+
+def _series(lo: int, hi: int, term) -> tuple[int, int, int]:
+    """(P, Q, T) over lo <= k < hi, hi > lo, where term(k) = (p(k), q(k), a(k))."""
+    if hi - lo == 1:
+        p, q, a = term(lo)
+        return p, q, a * q
+    mid = (lo + hi) // 2
+    p1, q1, t1 = _series(lo, mid, term)
+    p2, q2, t2 = _series(mid, hi, term)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _series_harmonic(lo: int, hi: int, term) -> tuple[int, int, int, int, int, int]:
+    """(P, Q, T, G, D, W) over lo <= k < hi, hi > lo, with weight a(k) = 1.
+
+    term(k) = (p(k), q(k), u(k), v(k)) with g(k) = u(k)/v(k).  P, Q and T are
+    as in _series; G/D = sum g(k) over the range; and W/(Q D) is the
+    weighted tail sum_k h(k) prod_{lo<=j<k} p(j)/q(j) with
+    h(k) = sum_{lo<=j<=k} g(j).  Two adjacent ranges merge by
+    W = W1 Q2 D2 + P1 (G1 T2 D2 + W2 D1).
+    """
+    if hi - lo == 1:
+        p, q, u, v = term(lo)
+        return p, q, q, u, v, q * u
+    mid = (lo + hi) // 2
+    p1, q1, t1, g1, d1, w1 = _series_harmonic(lo, mid, term)
+    p2, q2, t2, g2, d2, w2 = _series_harmonic(mid, hi, term)
+    return (
+        p1 * p2,
+        q1 * q2,
+        t1 * q2 + p1 * t2,
+        g1 * d2 + g2 * d1,
+        d1 * d2,
+        w1 * q2 * d2 + p1 * (g1 * t2 * d2 + w2 * d1),
+    )
 
 
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
@@ -88,8 +157,29 @@ def bernoulli(n: int) -> BigRat:
 _GAMMA_CACHE: dict[tuple[int, int, int], int] = {}
 
 
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % k for k in range(2, isqrt(n) + 1))
+
+
+def _gamma_integer(r: int, p: int, modulus: int) -> int:
+    """Gamma_p(r) = (-1)^r prod_{k<r, p prime to k} k, reduced mod modulus."""
+    acc = 1
+    for k in range(1, r):
+        if k % p:
+            acc = acc * k % modulus
+    if r % 2 == 1:
+        acc = modulus - acc
+    return acc % modulus
+
+
 def gamma_p(x: BigRat, p: int, precision: int, budget: int | None = DEFAULT_GAMMA_BUDGET) -> PadicInt:
-    """Gamma_p(x) to `precision` digits, for a p-integral rational x."""
+    """Gamma_p(x) to `precision` digits, for a p-integral rational x.
+
+    The product formula runs on the shorter of the representatives r of x and
+    p**precision + 1 - r of 1 - x.  When the second is shorter and p is prime,
+    Gamma_p(x) = (-1)^x0 / Gamma_p(1 - x) with x0 in 1..p, x0 = x mod p.  For
+    composite p that inverse need not exist, so the full product is taken.
+    """
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {p}")
     if precision < 1:
@@ -108,13 +198,16 @@ def gamma_p(x: BigRat, p: int, precision: int, budget: int | None = DEFAULT_GAMM
     key = (p, precision, r)
     cached = _GAMMA_CACHE.get(key)
     if cached is None:
-        acc = 1
-        for k in range(1, r):
-            if k % p:
-                acc = acc * k % modulus
-        if r % 2 == 1:
-            acc = modulus - acc
-        cached = acc % modulus
+        mirror = modulus + 1 - r
+        if mirror < r and _is_prime(p):
+            mirror_key = (p, precision, mirror)
+            other = _GAMMA_CACHE.get(mirror_key)
+            if other is None:
+                other = _GAMMA_CACHE[mirror_key] = _gamma_integer(mirror, p, modulus)
+            sign = -1 if (r - 1) % p % 2 == 0 else 1
+            cached = sign * pow(other, -1, modulus) % modulus
+        else:
+            cached = _gamma_integer(r, p, modulus)
         _GAMMA_CACHE[key] = cached
     return PadicInt(p, precision, cached)
 
@@ -189,77 +282,61 @@ def _gamma_congruent(
 
 def _sum_quartic(m: int) -> Fraction:
     """sum_{k<=m} (-1)^k (4k+1) ((1/2)_k / k!)^5."""
-    total = Fraction(0)
-    t = Fraction(1)
-    for k in range(m + 1):
-        total += (4 * k + 1) * t if k % 2 == 0 else -(4 * k + 1) * t
-        t *= ((_HALF + k) / (k + 1)) ** 5
-    return total
+    return _sum_fifth_alt(2, 1, m)
 
 
 def _sum_cubic(m: int) -> Fraction:
     """sum_{k<=m} (6k+1) ((1/3)_k / k!)^6."""
-    total = Fraction(0)
-    t = Fraction(1)
-    for k in range(m + 1):
-        total += (6 * k + 1) * t
-        t *= ((_THIRD + k) / (k + 1)) ** 6
-    return total
+    return _sum_sixth(3, 1, m)
 
 
 def _sum_sixth(d: int, r: int, m: int) -> Fraction:
-    """sum_{k<=m} (2dk+r) ((r/d)_k / k!)^6."""
-    total = Fraction(0)
-    t = Fraction(1)
-    for k in range(m + 1):
-        total += (2 * d * k + r) * t
-        t *= ((Fraction(r, d) + k) / (k + 1)) ** 6
-    return total
+    """sum_{k<=m} (2dk+r) ((r/d)_k / k!)^6, for m >= 0."""
+    _, q, t = _series(0, m + 1, lambda k: ((r + d * k) ** 6, (d * k + d) ** 6, 2 * d * k + r))
+    return Fraction(t, q)
 
 
 def _sum_fifth_alt(d: int, r: int, m: int) -> Fraction:
-    """sum_{k<=m} (-1)^k (2dk+r) ((r/d)_k / k!)^5."""
-    total = Fraction(0)
-    t = Fraction(1)
-    for k in range(m + 1):
-        term = (2 * d * k + r) * t
-        total += term if k % 2 == 0 else -term
-        t *= ((Fraction(r, d) + k) / (k + 1)) ** 5
-    return total
+    """sum_{k<=m} (-1)^k (2dk+r) ((r/d)_k / k!)^5, for m >= 0."""
+    _, q, t = _series(0, m + 1, lambda k: (-((r + d * k) ** 5), (d * k + d) ** 5, 2 * d * k + r))
+    return Fraction(t, q)
 
 
-def _inner_double(d: int, r: int, length: int, scale: Fraction, cube: Fraction) -> Fraction:
+def _harmonic_tail_sum(d: int, r: int, length: int, scale: int, cube: int, term) -> Fraction:
+    """sum_{k<=length} t_k (scale - cube * h_k), with t_0 = 1 and
+    t_{k+1} / t_k = p(k) / q(k) for term(k) = (p(k), q(k)), and
+    h_k = sum_{1<=j<=k} (1/(dj)^2 + 1/(dj-d+r)^2).
+    """
+
+    def with_g(k):
+        p, q = term(k)
+        if k == 0:
+            return p, q, 0, 1
+        a, b = (d * k) ** 2, (d * k - d + r) ** 2
+        return p, q, a + b, a * b
+
+    _, q, t, _, den, w = _series_harmonic(0, length + 1, with_g)
+    return Fraction(scale * t * den - cube * w, q * den)
+
+
+def _inner_double(d: int, r: int, length: int, scale: int, cube: int) -> Fraction:
     """sum_{k<=length} (r/d)_k^3 (1-r/d)_k / (k!^3 (2r/d)_k) {scale - cube * h_k}
 
     with h_k = sum_{j<=k} (1/(dj)^2 + 1/(dj-d+r)^2), the q -> 1 image of the
     double-series right-hand sides.
     """
-    total = Fraction(0)
-    t = Fraction(1)
-    h = Fraction(0)
-    for k in range(length + 1):
-        if k:
-            h += Fraction(1, (d * k) ** 2) + Fraction(1, (d * k - d + r) ** 2)
-        total += t * (scale - cube * h)
-        t *= (
-            (Fraction(r, d) + k) ** 3
-            * (Fraction(d - r, d) + k)
-            / ((k + 1) ** 3 * (Fraction(2 * r, d) + k))
-        )
-    return total
+    return _harmonic_tail_sum(
+        d, r, length, scale, cube,
+        lambda k: ((r + d * k) ** 3 * (d - r + d * k), (d * k + d) ** 3 * (2 * r + d * k)),
+    )
 
 
-def _inner_double_bare(d: int, r: int, length: int, scale: Fraction, cube: Fraction) -> Fraction:
+def _inner_double_bare(d: int, r: int, length: int, scale: int, cube: int) -> Fraction:
     """Like _inner_double but with term (r/d)_k^2 (1-r/d)_k / k!^3."""
-    total = Fraction(0)
-    t = Fraction(1)
-    h = Fraction(0)
-    for k in range(length + 1):
-        if k:
-            h += Fraction(1, (d * k) ** 2) + Fraction(1, (d * k - d + r) ** 2)
-        total += t * (scale - cube * h)
-        t *= (Fraction(r, d) + k) ** 2 * (Fraction(d - r, d) + k) / (k + 1) ** 3
-    return total
+    return _harmonic_tail_sum(
+        d, r, length, scale, cube,
+        lambda k: ((r + d * k) ** 2 * (d - r + d * k), (d * k + d) ** 3),
+    )
 
 
 # -- one checker per statement ------------------------------------------------
@@ -280,6 +357,11 @@ def _require_odd_prime(p: int):
 
 def _require_s1(stmt_id: str, s: int):
     _require(s == 1, f"{stmt_id} is a single-power statement; s must be 1, got {s}")
+
+
+def _cubic_correction(n: int) -> Fraction:
+    """sum_{j<=n} (1/(3j-1)^2 - 1/(3j)^2), each term (6j-1) / (3j (3j-1))^2."""
+    return Fraction(*_fraction_sum(1, n + 1, lambda j: (6 * j - 1, (3 * j * (3 * j - 1)) ** 2)))
 
 
 def _check_cor_1_4(p: int, s: int):
@@ -311,11 +393,7 @@ def _check_cor_1_5(p: int, s: int):
     _require(P % 3 == 1, f"p^s must be 1 mod 3, got {P} = {P % 3} mod 3")
     third = (P - 1) // 3
     ratio = (rising(Fraction(2, 3), third) / rising(Fraction(1), third)) ** 3
-    correction = sum(
-        (Fraction(1, (3 * j - 1) ** 2) - Fraction(1, (3 * j) ** 2) for j in range(1, third + 1)),
-        Fraction(0),
-    )
-    rhs = ratio * (P + P**3 * correction)
+    rhs = ratio * (P + P**3 * _cubic_correction(third))
     return s + 4, [
         ("(p^s-1)/3", _sum_cubic(third), rhs),
         ("p^s-1", _sum_cubic(P - 1), rhs),
@@ -360,15 +438,8 @@ def _check_prop_1_8(p: int, s: int):
     gamma = ((_THIRD, 9),)
     if p % 6 == 1:
         third = (p - 1) // 3
-        correction = sum(
-            (
-                Fraction(1, (3 * j - 1) ** 2) - Fraction(1, (3 * j) ** 2)
-                for j in range(1, third + 1)
-            ),
-            Fraction(0),
-        )
         lhs = (rising(Fraction(2, 3), third) / rising(Fraction(1), third)) ** 3 * (
-            1 + p**2 * correction
+            1 + p**2 * _cubic_correction(third)
         )
         return 4, [("single", lhs, _GammaForm(0, Fraction(-1), gamma))]
     length = (2 * p - 1) // 3
@@ -431,9 +502,13 @@ def _check_cor_5_e(p: int, s: int, d: int, r: int):
     _require(s >= 1, f"s must be positive, got {s}")
     P = p**s
     _require_window(P, d, r)
+    _require(
+        2 * r > 0 or 2 * r % d,
+        f"2r/d = {Fraction(2 * r, d)} is a non-positive integer, so (2r/d)_k vanishes in a denominator",
+    )
     length = (P - r) // d
     pref = rising(Fraction(2 * r, d), length) / rising(Fraction(1), length)
-    rhs = pref * _inner_double(d, r, length, Fraction(P), Fraction(P**3))
+    rhs = pref * _inner_double(d, r, length, P, P**3)
     return s + 4, [
         ("(p^s-r)/d", _sum_sixth(d, r, length), rhs),
         ("p^s-1", _sum_sixth(d, r, P - 1), rhs),
@@ -447,7 +522,7 @@ def _check_cor_5_g(p: int, s: int, d: int, r: int):
     _require_window(P, d, r)
     length = (P - r) // d
     sign = Fraction(-1) if ((r - P) // d) % 2 else Fraction(1)
-    rhs = sign * _inner_double_bare(d, r, length, Fraction(P), Fraction(P**3))
+    rhs = sign * _inner_double_bare(d, r, length, P, P**3)
     return s + 4, [
         ("(p^s-r)/d", _sum_fifth_alt(d, r, length), rhs),
         ("p^s-1", _sum_fifth_alt(d, r, P - 1), rhs),
@@ -465,9 +540,7 @@ def _check_cor_5_h(p: int, s: int, d: int, r: int):
     _require((P + r) % d == 0, f"p^s = {P} must be -r mod d = {d}")
     length = (d * P - P - r) // d
     pref = rising(Fraction(2 * r, d), length) / rising(Fraction(1), length)
-    rhs = pref * _inner_double(
-        d, r, length, Fraction((d - 1) * P), Fraction((d - 1) ** 3 * P**3)
-    )
+    rhs = pref * _inner_double(d, r, length, (d - 1) * P, (d - 1) ** 3 * P**3)
     return s + 5, [
         ("(dp^s-p^s-r)/d", _sum_sixth(d, r, length), rhs),
         ("p^s-1", _sum_sixth(d, r, P - 1), rhs),
@@ -624,7 +697,8 @@ _register(
     ClassicalStatement(
         "COR_5_E",
         "degree-d sixth-power sum vs double sum with harmonic tails mod p^(s+4)",
-        "p odd prime, s >= 1, gcd(p,d) = 1, p^s = r mod d, d+p^s-dp^s <= r <= p^s",
+        "p odd prime, s >= 1, gcd(p,d) = 1, p^s = r mod d, d+p^s-dp^s <= r <= p^s, "
+        "2r/d not a non-positive integer",
         True,
         True,
         _check_cor_5_e,

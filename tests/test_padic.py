@@ -11,12 +11,18 @@ from qcongruence.errors import (
     SideConditionViolated,
     UnknownKind,
 )
+from qcongruence import padic
 from qcongruence.padic import (
     CLASSICAL_IDS,
     _GammaForm,
+    _cubic_correction,
     _gamma_congruent,
+    _inner_double,
+    _inner_double_bare,
+    _sum_cubic,
     _sum_fifth_alt,
     _sum_quartic,
+    _sum_sixth,
     bernoulli,
     gamma_p,
     harmonic,
@@ -290,3 +296,182 @@ def test_q_to_one_bridge_matches_classical_sum():
     lhs = truncated_sum(catalog._lhs_cubic(), 1)
     assert lhs.eval_at(1) == _sum_cubic(1)
     assert _sum_cubic(1) == 1 + 7 * Fraction(1, 3) ** 6
+
+
+# -- reference oracles: the term-by-term Fraction loops and the plain Gamma_p
+# product, kept here to check the integer kernels against -------------------
+
+
+def _ref_sum_quartic(m):
+    total, t = Fraction(0), Fraction(1)
+    for k in range(m + 1):
+        total += (4 * k + 1) * t if k % 2 == 0 else -(4 * k + 1) * t
+        t *= ((Fraction(1, 2) + k) / (k + 1)) ** 5
+    return total
+
+
+def _ref_sum_cubic(m):
+    total, t = Fraction(0), Fraction(1)
+    for k in range(m + 1):
+        total += (6 * k + 1) * t
+        t *= ((Fraction(1, 3) + k) / (k + 1)) ** 6
+    return total
+
+
+def _ref_sum_sixth(d, r, m):
+    total, t = Fraction(0), Fraction(1)
+    for k in range(m + 1):
+        total += (2 * d * k + r) * t
+        t *= ((Fraction(r, d) + k) / (k + 1)) ** 6
+    return total
+
+
+def _ref_sum_fifth_alt(d, r, m):
+    total, t = Fraction(0), Fraction(1)
+    for k in range(m + 1):
+        term = (2 * d * k + r) * t
+        total += term if k % 2 == 0 else -term
+        t *= ((Fraction(r, d) + k) / (k + 1)) ** 5
+    return total
+
+
+def _ref_inner_double(d, r, length, scale, cube, bare=False):
+    total, t, h = Fraction(0), Fraction(1), Fraction(0)
+    for k in range(length + 1):
+        if k:
+            h += Fraction(1, (d * k) ** 2) + Fraction(1, (d * k - d + r) ** 2)
+        total += t * (scale - cube * h)
+        if bare:
+            t *= (Fraction(r, d) + k) ** 2 * (Fraction(d - r, d) + k) / (k + 1) ** 3
+        else:
+            t *= (
+                (Fraction(r, d) + k) ** 3
+                * (Fraction(d - r, d) + k)
+                / ((k + 1) ** 3 * (Fraction(2 * r, d) + k))
+            )
+    return total
+
+
+def _ref_harmonic(m, ell):
+    return sum((Fraction(1, k**ell) for k in range(1, m + 1)), Fraction(0))
+
+
+def _ref_rising(x, k):
+    out, x = Fraction(1), Fraction(x)
+    for i in range(k):
+        out *= x + i
+    return out
+
+
+def _ref_gamma_residue(x, p, precision):
+    """The plain product loop behind gamma_p, with gamma_p's argument checks."""
+    if p < 3 or p % 2 == 0:
+        raise ValueError(f"p must be an odd prime, got {p}")
+    x = Fraction(x)
+    if padic_valuation(x, p) < 0:
+        raise NotPIntegral(f"Gamma_p argument {x} is not p-integral at p = {p}")
+    modulus = p**precision
+    r = residue_of_rational(x, p, precision) or modulus
+    acc = 1
+    for k in range(1, r):
+        if k % p:
+            acc = acc * k % modulus
+    return (modulus - acc) % modulus if r % 2 else acc
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error class and message must match too
+        return (type(exc).__name__, str(exc))
+
+
+# Truncation lengths: the small ones, and the ones s = 2 uses at P = 13^2, 17^2.
+SMALL_LENGTHS = (0, 1, 2, 3, 4, 5, 7, 10)
+S2_LENGTHS = ((169 - 1) // 2, 169 - 1, (289 - 1) // 2, 289 - 1)
+DR_SHAPES = tuple(
+    (d, r) for d in (3, 4, 5) for r in (-4, -3, -2, -1, 1, 2, 3, 4) if r % d and abs(r) < d + 1
+)
+
+
+def test_single_sums_match_fraction_loops():
+    for m in SMALL_LENGTHS + S2_LENGTHS:
+        assert _sum_quartic(m) == _ref_sum_quartic(m), m
+        assert _sum_cubic(m) == _ref_sum_cubic(m), m
+    for d, r in DR_SHAPES:
+        for m in SMALL_LENGTHS + ((169 - r) // d, (289 - r) // d):
+            assert _sum_sixth(d, r, m) == _ref_sum_sixth(d, r, m), (d, r, m)
+            assert _sum_fifth_alt(d, r, m) == _ref_sum_fifth_alt(d, r, m), (d, r, m)
+
+
+def test_double_sums_match_fraction_loops():
+    for d, r in DR_SHAPES:
+        if 2 * r % d == 0 and r < 0:
+            continue  # (2r/d)_k vanishes: COR_5_E skips these points
+        for P in (169, 289):
+            lengths = SMALL_LENGTHS + ((P - r) // d, (d * P - P - r) // d)
+            scales = ((P, P**3), ((d - 1) * P, (d - 1) ** 3 * P**3))
+            for m in lengths:
+                for scale, cube in scales:
+                    got = _inner_double(d, r, m, scale, cube)
+                    assert got == _ref_inner_double(d, r, m, scale, cube), (d, r, m)
+                    got = _inner_double_bare(d, r, m, scale, cube)
+                    assert got == _ref_inner_double(d, r, m, scale, cube, bare=True), (d, r, m)
+
+
+def test_harmonic_rising_and_correction_match_fraction_loops():
+    for m in SMALL_LENGTHS + S2_LENGTHS:
+        for ell in (1, 2, 3):
+            assert harmonic(m, ell) == _ref_harmonic(m, ell), (m, ell)
+        for x in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 4),
+                  Fraction(-7, 3), Fraction(-2), Fraction(1), 0):
+            assert rising(x, m) == _ref_rising(x, m), (x, m)
+        expected = sum(
+            (Fraction(1, (3 * j - 1) ** 2) - Fraction(1, (3 * j) ** 2) for j in range(1, m + 1)),
+            Fraction(0),
+        )
+        assert _cubic_correction(m) == expected, m
+
+
+def test_gamma_p_matches_plain_loop_at_every_residue():
+    # Every residue r in 1..p^N with p^N <= 3000, the cache cleared each time,
+    # so that both the direct product and the reflection are taken.
+    for p in (3, 5, 7, 11, 13):
+        precision = 1
+        while p**precision <= 3000:
+            for r in range(1, p**precision + 1):
+                padic._GAMMA_CACHE.clear()
+                expected = _ref_gamma_residue(r, p, precision)
+                assert gamma_p(r, p, precision).residue == expected, (p, precision, r)
+            precision += 1
+
+
+def test_gamma_p_reflection_fills_the_cache_consistently():
+    # A reflected value stores its mirror's product; both must match the loop.
+    padic._GAMMA_CACHE.clear()
+    for r in (2400, 2, 1500, 902, 1):
+        assert gamma_p(r, 7, 4).residue == _ref_gamma_residue(r, 7, 4), r
+
+
+def test_gamma_p_composite_moduli_unchanged():
+    # Composite p has no reflection: values and raised errors are those of
+    # the plain loop, at every integer residue and at rational arguments.
+    args = [Fraction(a, b) for b in (1, 2, 3, 4, 5) for a in (-3, -1, 1, 2, 3, 5, 7)]
+    for p in (9, 15, 25):
+        precision = 1
+        while p**precision <= 3000:
+            points = list(range(1, p**precision + 1)) + args
+            for x in points:
+                padic._GAMMA_CACHE.clear()
+                got = _outcome(lambda: gamma_p(x, p, precision).residue)
+                assert got == _outcome(_ref_gamma_residue, x, p, precision), (p, precision, x)
+            precision += 1
+
+
+def test_cor_5_e_pole_of_denominator_is_skipped():
+    # d | 2r with r < 0 makes (2r/d)_k vanish in the double sum's denominator.
+    with pytest.raises(SideConditionViolated, match="non-positive integer"):
+        verify_classical("COR_5_E", 5, d=2, r=-1)
+    with pytest.raises(SideConditionViolated, match="non-positive integer"):
+        verify_classical("COR_5_E", 3, s=2, d=2, r=-7)
+    assert all(rec["status"] == "verified" for rec in verify_classical("COR_5_E", 5, d=2, r=1))

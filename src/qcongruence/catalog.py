@@ -28,7 +28,7 @@ from .errors import (
     SideConditionViolated,
     UnknownKind,
 )
-from .expr import eval_expr, parse_expr
+from .expr import Node, eval_expr, parse_expr
 from .qseries import TermSpec, qma, truncated_sum_prefixes
 
 __all__ = [
@@ -1290,6 +1290,17 @@ def _bind_symbols(stmt: Statement, bindings: dict, seed: int) -> dict:
     return merged
 
 
+_PARSED: dict[str, Node] = {}
+
+
+def _parsed(text: str) -> Node:
+    """Tree of a catalog expression text, parsed on first use only."""
+    tree = _PARSED.get(text)
+    if tree is None:
+        tree = _PARSED[text] = parse_expr(text)
+    return tree
+
+
 def _evaluate(plan: _Plan, m_policy: str):
     """Evaluate a plan: (rhs, [(slot, m, lhs)]) for the slots m_policy selects.
 
@@ -1298,13 +1309,13 @@ def _evaluate(plan: _Plan, m_policy: str):
     """
     if plan.kind == "sum":
         chosen = _select_choices(plan.m_choices, m_policy)
-        rhs = eval_expr(parse_expr(plan.rhs_text), plan.env)
+        rhs = eval_expr(_parsed(plan.rhs_text), plan.env)
         prefixes = truncated_sum_prefixes(plan.spec, sorted({m for _, m in chosen}))
         return rhs, [(slot, m, prefixes[m]) for slot, m in chosen]
     if m_policy == "second":
         raise SideConditionViolated("statement offers a single evaluation; no 'second' choice")
-    lhs = eval_expr(parse_expr(plan.lhs_text), plan.env)
-    rhs = eval_expr(parse_expr(plan.rhs_text), plan.env)
+    lhs = eval_expr(_parsed(plan.lhs_text), plan.env)
+    rhs = eval_expr(_parsed(plan.rhs_text), plan.env)
     return rhs, [("first", None, lhs)]
 
 

@@ -12,6 +12,15 @@ partial sum is accumulated over a *factored* common denominator: coefficient
 binomial.  The final reduction is trial division by those factors, so no
 large-degree polynomial gcd is ever needed.
 
+truncated_sum_prefixes, the entry point of every sum, keeps a per-process
+cache of engines keyed on the (frozen, hashable) TermSpec, beside polyring's
+_CYCLOTOMIC_CACHE.  Catalog statements share a few series across n and slots,
+so a sweep extends one engine instead of summing again from k = 0, and a
+repeated (spec, order) is a lookup.  The cache is a bounded LRU over specs
+(sampled parameters make every spec new), holds nothing at import, and lives
+per process, hence per pool worker.  Sums are exact, so cached and fresh
+results are equal.
+
 check_terminating_identity verifies the four closed summation formulas the
 congruence proofs rest on (q-Chu-Vandermonde, and the very-well-poised
 specializations whose parameters are pinned to q-powers), as exact equalities
@@ -21,6 +30,8 @@ of rational functions.
 from __future__ import annotations
 
 import random
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -278,20 +289,72 @@ class _SumEngine:
         return QRat._raw(num, den)
 
 
+class _EngineCache:
+    """Per-process LRU of (engine, snapshots by order), keyed on TermSpec.
+
+    A call takes its entry out of the dict and puts it back only when it
+    returns normally, so two threads never advance one engine, and a call
+    that raises (say at a vanishing denominator factor) leaves no
+    half-advanced engine behind: the next call starts again and raises the
+    same error at the same term.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._entries: OrderedDict[TermSpec, tuple[_SumEngine, dict[int, QRat]]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def take(self, spec: TermSpec):
+        with self._lock:
+            return self._entries.pop(spec, None)
+
+    def put(self, spec: TermSpec, entry: tuple[_SumEngine, dict[int, QRat]]):
+        # Hashing a TermSpec costs more than the dict operation, and
+        # popitem reuses the stored hash where a plain dict would hash again.
+        with self._lock:
+            self._entries[spec] = entry
+            if len(self._entries) > self.size:
+                self._entries.popitem(last=False)
+
+
+# Catalog statements share a handful of series (THM_A and GWY the quartic,
+# THM_B, THM_C, GS_16 and LEM_OO the cubic), while sampled parameters make
+# every spec new, so the cache must be bounded.  On the perfbench q_closed
+# case lists a spec comes back at most five other specs later.
+_ENGINES = _EngineCache(8)
+
+
+def _advance(engine: _SumEngine, orders: list[int], out: dict[int, QRat]):
+    """Add terms through max(orders), snapshotting each of orders into out."""
+    wanted = set(orders)
+    while engine.k <= orders[-1]:
+        engine.add_next_term()
+        if engine.k - 1 in wanted:
+            out[engine.k - 1] = engine.snapshot()
+
+
 def truncated_sum_prefixes(spec: TermSpec, orders) -> dict[int, QRat]:
-    """Partial sums sum_{k=0}^{M} term_k for each M in orders, in one pass."""
+    """Partial sums sum_{k=0}^{M} term_k for each M in orders.
+
+    The engine for spec and its snapshots are cached (see _EngineCache): a
+    higher order extends the engine from where it stopped, a repeated order
+    is a lookup, and an order behind the engine that was never snapshotted
+    gets one private pass from k = 0.
+    """
     orders = sorted(set(orders))
     if not orders:
         return {}
     if orders[0] < 0:
         raise NegativeLength(f"truncation order {orders[0]} is negative")
-    engine = _SumEngine(spec)
-    out: dict[int, QRat] = {}
-    for m in range(orders[-1] + 1):
-        engine.add_next_term()
-        if m in orders:
-            out[m] = engine.snapshot()
-    return out
+    engine, known = _ENGINES.take(spec) or (_SumEngine(spec), {})
+    missing = [m for m in orders if m not in known]
+    behind = [m for m in missing if m < engine.k]
+    if behind:
+        _advance(_SumEngine(spec), behind, known)
+    if len(behind) < len(missing):
+        _advance(engine, missing[len(behind) :], known)
+    _ENGINES.put(spec, (engine, known))
+    return {m: known[m] for m in orders}
 
 
 def truncated_sum(spec: TermSpec, order: int) -> QRat:

@@ -1,6 +1,8 @@
 """Tests for q-shifted factorials and truncated hypergeometric sums."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from qcongruence.errors import (
     OutOfRange,
     ZeroDenominatorFactor,
 )
+from qcongruence import catalog, qseries
 from qcongruence.polyring import QPoly, QRat, q_integer
 from qcongruence.qseries import (
     QMonomialArg,
@@ -249,3 +252,168 @@ def test_identity_params_deterministic():
     assert a.params == b.params
     with pytest.raises(KeyError):
         check_terminating_identity("NOT_AN_IDENTITY")
+
+
+# -- engine cache behind truncated_sum_prefixes --------------------------------
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """A fresh, empty engine cache of the production size, for one test."""
+    cache = qseries._EngineCache(qseries._ENGINES.size)
+    monkeypatch.setattr(qseries, "_ENGINES", cache)
+    return cache
+
+
+def fresh_prefixes(spec, orders):
+    """One uncached _SumEngine pass: the oracle for cached results."""
+    engine = qseries._SumEngine(spec)
+    out = {}
+    for m in range(max(orders) + 1):
+        engine.add_next_term()
+        if m in orders:
+            out[m] = engine.snapshot()
+    return out
+
+
+def assert_same_prefixes(got, want):
+    assert sorted(got) == sorted(want)
+    for m, value in want.items():
+        # snapshots are not canonicalised, so compare the stored pair too
+        assert (got[m].num, got[m].den) == (value.num, value.den), m
+
+
+CACHED_SPECS = {
+    "quartic": catalog._lhs_quartic(),
+    "cubic": catalog._lhs_cubic(),
+    "thm_e": catalog._lhs_sixth(3, -1),
+    "thm_d_c": catalog._lhs_sixth_c(Fraction(-3, 2), 3, -1),
+}
+
+ORDER_SEQUENCES = {
+    "increasing": [[0], [2], [5], [7]],
+    "decreasing": [[7], [5], [2], [0]],
+    "repeated": [[4], [4], [4, 4], [4]],
+    # a sweep over n: the first slot, the second, then both
+    "slots": [[1], [2], [1, 2], [2, 4], [3], [3, 6], [6], [0, 5]],
+}
+
+
+@pytest.mark.parametrize("sequence", sorted(ORDER_SEQUENCES))
+@pytest.mark.parametrize("name", sorted(CACHED_SPECS))
+def test_cached_prefixes_match_fresh_pass(engines, name, sequence):
+    spec = CACHED_SPECS[name]
+    for orders in ORDER_SEQUENCES[sequence]:
+        assert_same_prefixes(truncated_sum_prefixes(spec, orders), fresh_prefixes(spec, orders))
+    assert truncated_sum(spec, 3) == fresh_prefixes(spec, [3])[3]
+
+
+def test_engine_cache_is_bounded_lru(engines):
+    rng = random.Random(4242)
+    specs = []
+    while len(specs) < engines.size + 3:
+        spec = sample_spec(rng)
+        if spec not in specs:
+            specs.append(spec)
+    for spec in specs[: engines.size]:
+        truncated_sum_prefixes(spec, [2])
+    assert list(engines._entries) == specs[: engines.size]
+    truncated_sum_prefixes(specs[0], [3])  # touch the oldest
+    for spec in specs[engines.size :]:
+        truncated_sum_prefixes(spec, [1])
+        assert len(engines._entries) <= engines.size
+    assert list(engines._entries) == (
+        specs[4 : engines.size] + [specs[0]] + specs[engines.size :]
+    )
+    # requests after eviction start again and still agree with a fresh pass
+    for spec in specs[1:4] + specs[:1]:
+        assert_same_prefixes(truncated_sum_prefixes(spec, [1, 3]), fresh_prefixes(spec, [1, 3]))
+        assert len(engines._entries) <= engines.size
+
+
+def test_evicted_catalog_spec_resumes_correctly(engines):
+    cubic = CACHED_SPECS["cubic"]
+    truncated_sum_prefixes(cubic, [2, 4])
+    rng = random.Random(99)
+    others = set()
+    while len(others) < engines.size:
+        others.add(sample_spec(rng))
+    for spec in others:
+        truncated_sum_prefixes(spec, [1])
+    assert cubic not in engines._entries
+    for orders in ([3], [4, 6], [2]):
+        assert_same_prefixes(truncated_sum_prefixes(cubic, orders), fresh_prefixes(cubic, orders))
+
+
+def test_cache_forgets_engine_that_raised(engines):
+    spec = TermSpec(
+        d=1,
+        r=1,
+        numer=(),
+        denom=(((qma(1, -2)), 2),),  # (q^-2; q^2)_k hits 1 - q^0 at term 2
+        z=qma(1, 1),
+    )
+    low = truncated_sum_prefixes(spec, [0, 1])
+    with pytest.raises(ZeroDenominatorFactor) as first:
+        truncated_sum_prefixes(spec, [1, 3])
+    assert spec not in engines._entries
+    for orders in ([2], [3], [0, 5]):
+        with pytest.raises(ZeroDenominatorFactor) as again:
+            truncated_sum_prefixes(spec, orders)
+        assert str(again.value) == str(first.value)
+    assert_same_prefixes(truncated_sum_prefixes(spec, [1]), {1: low[1]})
+    assert_same_prefixes(truncated_sum_prefixes(spec, [0, 1]), low)
+
+
+def test_cache_forgets_engine_interrupted_mid_snapshot(engines, monkeypatch):
+    spec = CACHED_SPECS["quartic"]
+    truncated_sum_prefixes(spec, [2])
+    real = qseries.poly_try_div
+
+    def interrupted(*args):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(qseries, "poly_try_div", interrupted)
+    with pytest.raises(RuntimeError):
+        truncated_sum_prefixes(spec, [3, 5])
+    assert spec not in engines._entries
+    monkeypatch.setattr(qseries, "poly_try_div", real)
+    for orders in ([4], [3, 5], [2]):
+        assert_same_prefixes(truncated_sum_prefixes(spec, orders), fresh_prefixes(spec, orders))
+
+
+def test_threads_never_share_an_engine(engines):
+    specs = [CACHED_SPECS["cubic"], CACHED_SPECS["thm_e"]]
+    plans = [[[1], [3], [2, 5], [6], [0, 4]], [[5], [2], [6], [1, 3]]]
+    want = {
+        (i, m): value
+        for i, spec in enumerate(specs)
+        for m, value in fresh_prefixes(spec, range(7)).items()
+    }
+    errors = []
+
+    def work(shift):
+        try:
+            for step in range(12):
+                i = (shift + step) % 2
+                orders = plans[i][(shift + step) % len(plans[i])]
+                got = truncated_sum_prefixes(specs[i], orders)
+                for m in orders:
+                    if (got[m].num, got[m].den) != (want[i, m].num, want[i, m].den):
+                        errors.append((i, m))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(engines._entries) <= engines.size

@@ -40,7 +40,6 @@ __all__ = [
     "list_statements",
     "run_statement",
     "verify_instance",
-    "weaker_moduli",
 ]
 
 _RESAMPLE_STRIDE = 1_000_003
@@ -189,19 +188,6 @@ def _serialize_params(bindings: dict, symbols: tuple[str, ...]) -> dict:
     for sym in symbols:
         if sym in bindings:
             out[sym] = str(Fraction(bindings[sym]))
-    return out
-
-
-def weaker_moduli(m: Modulus) -> list[Modulus]:
-    """All moduli obtained by dropping exactly one factor multiplicity."""
-    out = []
-    for i, (f, mult) in enumerate(m.factors):
-        factors = list(m.factors)
-        if mult > 1:
-            factors[i] = (f, mult - 1)
-        else:
-            factors.pop(i)
-        out.append(Modulus(tuple(factors)))
     return out
 
 

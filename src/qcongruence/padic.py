@@ -6,9 +6,14 @@ digits via the product formula: pick the integer representative r in
 function is 1-Lipschitz in the p-adic metric, so N digits of the argument
 give N exact digits of the value; guard digits requested on top of that are
 pure safety margin and are trimmed before comparison.  For prime p the
-product runs over the shorter of r and p**N + 1 - r, the representative of
-1 - x, and Morita's reflection formula Gamma_p(x) Gamma_p(1 - x) = (-1)^x0
-(x0 in 1..p, x0 = x mod p) gives the other value by one modular inverse.
+product is not multiplied out: with r - 1 = M p + s it is
+(p-1)!^M * exp(L) * prod_{j<=s} (M p + j), where L, the p-adic logarithm of
+the M full blocks divided by (p-1)!^M, is a short series in power sums of
+0..M-1 (Faulhaber's formula).  Both series are cut by monotone valuation
+bounds, exp's at N digits and L's at N plus the digits that exp's division
+by t! costs, so the cost is O(N^2) operations whatever r is.  For odd
+composite p the logarithm does not apply and the product is taken term by
+term.
 
 The classical (q -> 1) statements are pure rational-number congruences; each
 side is computed exactly as a Fraction (with p-adic Gamma products reduced to
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import comb, factorial, gcd, isqrt, prod
 
 from .arith import BigRat, PadicInt, padic_valuation, residue_of_rational
 from .congruence import CongruenceResult
@@ -153,8 +158,26 @@ def bernoulli(n: int) -> BigRat:
 
 
 # -- p-adic Gamma --------------------------------------------------------------
+#
+# For prime p the product over k < r prime to p is taken in blocks of p - 1
+# consecutive units.  Write r - 1 = M p + s with 0 <= s < p.  Block m < M is
+# prod_{0<j<p} (m p + j) = (p-1)! prod_j (1 + m p / j), and the logarithms of
+# the second factors add up, over all M blocks, to
+#   L = sum_{i>=1} (-1)^(i+1) (p^i / i) H_i S_i(M),
+#   H_i = sum_{0<j<p} j^-i,   S_i(M) = sum_{0<=m<M} m^i,
+# so the product is (p-1)!^M exp(L) prod_{0<j<=s} (M p + j), the block-product
+# form of the expansions of Gamma_p in Cohen, Number Theory II (GTM 240),
+# section 11.5.  v_p(L) >= 1 and p is odd, so exp converges.
+#
+# Precision: the term L^t / t! has valuation >= t - v_p(t!) >= t - (t-1)/(p-1),
+# a bound that grows with t, so exp stops at the first t where it reaches N.
+# Dividing by t! costs v_p(t!) digits, so L is needed modulo p^W with
+# W = N + v_p(t!) for the last t kept.  The i-th term of L has valuation
+# >= i - v_p(i) >= i - floor(log_p i), again growing with i, so the log series
+# stops where that reaches W.
 
 _GAMMA_CACHE: dict[tuple[int, int, int], int] = {}
+_GAMMA_SERIES: dict[tuple[int, int], tuple] = {}
 
 
 def _is_prime(n: int) -> bool:
@@ -172,13 +195,91 @@ def _gamma_integer(r: int, p: int, modulus: int) -> int:
     return acc % modulus
 
 
+def _split_power(n: int, p: int) -> tuple[int, int]:
+    """(e, u) with n = p^e u and p not dividing u, for n >= 1."""
+    e = 0
+    while n % p == 0:
+        e, n = e + 1, n // p
+    return e, n
+
+
+def _power_sum(i: int, m: int) -> int:
+    """sum_{0<=k<m} k**i by Faulhaber's formula (B_1 = -1/2)."""
+    total = sum(comb(i + 1, j) * bernoulli(j) * m ** (i + 1 - j) for j in range(i + 1))
+    return int(total / (i + 1))
+
+
+def _gamma_series(p: int, precision: int) -> tuple:
+    """(W, log coefficients, exp coefficients, (p-1)! mod p^N) for prime p.
+
+    The i-th log coefficient is (-1)^(i+1) (p^i / i) H_i mod p^W; the t-th exp
+    coefficient is (p^v, u^-1 mod p^N) with t! = p^v u.
+    """
+    key = (p, precision)
+    series = _GAMMA_SERIES.get(key)
+    if series is None:
+        modulus = p**precision
+        exp_coefs = [(1, 1)]
+        t, v, unit = 1, 0, 1  # t! = p^v * unit
+        while t * (p - 2) + 1 < precision * (p - 1):  # t - (t-1)/(p-1) < N
+            e, u = _split_power(t, p)
+            v, unit = v + e, unit * u
+            exp_coefs.append((p**v, pow(unit, -1, modulus)))
+            t += 1
+        work = precision + v
+        mod_w = p**work
+        inverses = [pow(j, -1, mod_w) for j in range(1, p)]
+        powers = [1] * (p - 1)
+        log_coefs = []
+        i, log_floor = 1, 0  # log_floor = floor(log_p i)
+        while i - log_floor < work:
+            powers = [a * b % mod_w for a, b in zip(powers, inverses)]
+            e, u = _split_power(i, p)
+            c = p ** (i - e) * pow(u, -1, mod_w) * sum(powers)
+            log_coefs.append((c if i % 2 else -c) % mod_w)
+            i += 1
+            if i == p ** (log_floor + 1):
+                log_floor += 1
+        series = _GAMMA_SERIES[key] = (
+            work,
+            tuple(log_coefs),
+            tuple(exp_coefs),
+            factorial(p - 1) % modulus,
+        )
+    return series
+
+
+def _block_log(m: int, p: int, precision: int) -> int:
+    """L over the first m blocks, modulo p^W."""
+    work, log_coefs, _, _ = _gamma_series(p, precision)
+    return sum(c * _power_sum(i, m) for i, c in enumerate(log_coefs, 1)) % p**work
+
+
+def _gamma_prime(r: int, p: int, precision: int) -> int:
+    """Gamma_p(r) mod p^precision for prime p, by the block product above."""
+    work, _, exp_coefs, block = _gamma_series(p, precision)
+    modulus, mod_w = p**precision, p**work
+    m, s = divmod(r - 1, p)
+    ell = _block_log(m, p, precision)
+    exp_l, power = 0, 1  # power = ell^t mod p^W
+    for fact_p, fact_unit_inverse in exp_coefs:
+        exp_l += power // fact_p * fact_unit_inverse
+        power = power * ell % mod_w
+    acc = pow(block, m, modulus) * exp_l % modulus
+    for j in range(1, s + 1):
+        acc = acc * (m * p + j) % modulus
+    return -acc % modulus if r % 2 else acc
+
+
 def gamma_p(x: BigRat, p: int, precision: int, budget: int | None = DEFAULT_GAMMA_BUDGET) -> PadicInt:
     """Gamma_p(x) to `precision` digits, for a p-integral rational x.
 
-    The product formula runs on the shorter of the representatives r of x and
-    p**precision + 1 - r of 1 - x.  When the second is shorter and p is prime,
-    Gamma_p(x) = (-1)^x0 / Gamma_p(1 - x) with x0 in 1..p, x0 = x mod p.  For
-    composite p that inverse need not exist, so the full product is taken.
+    Gamma_p(x) = Gamma_p(r) = (-1)^r prod_{0<k<r, p prime to k} k for the
+    representative r of x in 1..p**precision.  For prime p that product is
+    (p-1)!^M exp(L) prod_{j<=s} (M p + j) with r - 1 = M p + s, L a p-adic
+    logarithm summed in closed form (see the comment above), so the cost does
+    not depend on r.  For odd composite p the logarithm does not apply and the
+    product is taken term by term.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -198,14 +299,8 @@ def gamma_p(x: BigRat, p: int, precision: int, budget: int | None = DEFAULT_GAMM
     key = (p, precision, r)
     cached = _GAMMA_CACHE.get(key)
     if cached is None:
-        mirror = modulus + 1 - r
-        if mirror < r and _is_prime(p):
-            mirror_key = (p, precision, mirror)
-            other = _GAMMA_CACHE.get(mirror_key)
-            if other is None:
-                other = _GAMMA_CACHE[mirror_key] = _gamma_integer(mirror, p, modulus)
-            sign = -1 if (r - 1) % p % 2 == 0 else 1
-            cached = sign * pow(other, -1, modulus) % modulus
+        if _is_prime(p):
+            cached = _gamma_prime(r, p, precision)
         else:
             cached = _gamma_integer(r, p, modulus)
         _GAMMA_CACHE[key] = cached
@@ -342,8 +437,10 @@ def _inner_double_bare(d: int, r: int, length: int, scale: int, cube: int) -> Fr
 # -- one checker per statement ------------------------------------------------
 #
 # Each checker validates side conditions, then returns
-#   (modulus exponent k, [(m_choice label, lhs Fraction, rhs)])
-# where rhs is a Fraction (pure rational congruence) or a _GammaForm.
+#   (modulus exponent k, [(m_choice label, lhs, rhs)])
+# where lhs is a thunk returning the left side as a Fraction, so that only the
+# selected truncation slots are summed, and rhs is a Fraction (pure rational
+# congruence) or a _GammaForm.
 
 
 def _require(cond: bool, message: str):
@@ -381,8 +478,8 @@ def _check_cor_1_4(p: int, s: int):
         half = (P - 1) // 2
         rhs = Fraction(p ** (2 * s)) * rising(Fraction(3, 4), half) / rising(Fraction(5, 4), half)
     return s + 4, [
-        ("(p^s-1)/2", _sum_quartic((P - 1) // 2), rhs),
-        ("p^s-1", _sum_quartic(P - 1), rhs),
+        ("(p^s-1)/2", lambda: _sum_quartic((P - 1) // 2), rhs),
+        ("p^s-1", lambda: _sum_quartic(P - 1), rhs),
     ]
 
 
@@ -395,8 +492,8 @@ def _check_cor_1_5(p: int, s: int):
     ratio = (rising(Fraction(2, 3), third) / rising(Fraction(1), third)) ** 3
     rhs = ratio * (P + P**3 * _cubic_correction(third))
     return s + 4, [
-        ("(p^s-1)/3", _sum_cubic(third), rhs),
-        ("p^s-1", _sum_cubic(P - 1), rhs),
+        ("(p^s-1)/3", lambda: _sum_cubic(third), rhs),
+        ("p^s-1", lambda: _sum_cubic(P - 1), rhs),
     ]
 
 
@@ -408,8 +505,8 @@ def _check_cor_1_6(p: int, s: int):
     length = (2 * P - 1) // 3
     rhs = 10 * P * (rising(Fraction(2, 3), length) / rising(Fraction(1), length)) ** 3
     return s + 5, [
-        ("(2p^s-1)/3", _sum_cubic(length), rhs),
-        ("p^s-1", _sum_cubic(P - 1), rhs),
+        ("(2p^s-1)/3", lambda: _sum_cubic(length), rhs),
+        ("p^s-1", lambda: _sum_cubic(P - 1), rhs),
     ]
 
 
@@ -420,15 +517,23 @@ def _check_prop_1_7(p: int, s: int):
     gamma = ((Fraction(1, 4), 4),)
     if p % 4 == 1:
         quarter = (p - 1) // 4
-        lhs = (rising(_HALF, quarter) / rising(Fraction(1), quarter)) ** 2 * (
-            1
-            + Fraction(p**2, 4) * harmonic((p - 1) // 2, 2)
-            - Fraction(p**2, 8) * harmonic(quarter, 2)
-        )
+
+        def lhs():
+            return (rising(_HALF, quarter) / rising(Fraction(1), quarter)) ** 2 * (
+                1
+                + Fraction(p**2, 4) * harmonic((p - 1) // 2, 2)
+                - Fraction(p**2, 8) * harmonic(quarter, 2)
+            )
+
         return 4, [("single", lhs, _GammaForm(0, Fraction(-1), gamma))]
     half = (p - 1) // 2
-    lhs = rising(Fraction(3, 4), half) / rising(Fraction(5, 4), half)
-    return 3, [("single", lhs, _GammaForm(1, Fraction(-1, 16), gamma))]
+    return 3, [
+        (
+            "single",
+            lambda: rising(Fraction(3, 4), half) / rising(Fraction(5, 4), half),
+            _GammaForm(1, Fraction(-1, 16), gamma),
+        )
+    ]
 
 
 def _check_prop_1_8(p: int, s: int):
@@ -438,53 +543,65 @@ def _check_prop_1_8(p: int, s: int):
     gamma = ((_THIRD, 9),)
     if p % 6 == 1:
         third = (p - 1) // 3
-        lhs = (rising(Fraction(2, 3), third) / rising(Fraction(1), third)) ** 3 * (
-            1 + p**2 * _cubic_correction(third)
-        )
+
+        def lhs():
+            return (rising(Fraction(2, 3), third) / rising(Fraction(1), third)) ** 3 * (
+                1 + p**2 * _cubic_correction(third)
+            )
+
         return 4, [("single", lhs, _GammaForm(0, Fraction(-1), gamma))]
     length = (2 * p - 1) // 3
-    lhs = (rising(Fraction(2, 3), length) / rising(Fraction(1), length)) ** 3
-    return 5, [("single", lhs, _GammaForm(3, Fraction(-1, 27), gamma))]
+    return 5, [
+        (
+            "single",
+            lambda: (rising(Fraction(2, 3), length) / rising(Fraction(1), length)) ** 3,
+            _GammaForm(3, Fraction(-1, 27), gamma),
+        )
+    ]
 
 
 def _check_vh_a2(p: int, s: int):
     _require_s1("VH_A2", s)
     _require_odd_prime(p)
-    lhs = _sum_quartic((p - 1) // 2)
     if p % 4 == 1:
         rhs = _GammaForm(1, Fraction(-1), ((Fraction(3, 4), -4),))
     else:
         rhs = Fraction(0)
-    return 3, [("(p-1)/2", lhs, rhs)]
+    return 3, [("(p-1)/2", lambda: _sum_quartic((p - 1) // 2), rhs)]
 
 
 def _check_vh_d2(p: int, s: int):
     _require_s1("VH_D2", s)
     _require_odd_prime(p)
     _require(p % 6 == 1, f"p must be 1 mod 6, got {p}")
-    lhs = _sum_cubic((p - 1) // 3)
-    return 4, [("(p-1)/3", lhs, _GammaForm(1, Fraction(-1), ((_THIRD, 9),)))]
+    return 4, [
+        ("(p-1)/3", lambda: _sum_cubic((p - 1) // 3), _GammaForm(1, Fraction(-1), ((_THIRD, 9),)))
+    ]
 
 
 def _check_liu(p: int, s: int):
     _require_s1("LIU", s)
     _require_odd_prime(p)
     _require(p > 5 and p % 4 == 3, f"p must be 3 mod 4 and exceed 5, got {p}")
-    lhs = _sum_quartic((p - 1) // 2)
-    return 4, [("(p-1)/2", lhs, _GammaForm(3, Fraction(-1, 16), ((Fraction(1, 4), 4),)))]
+    return 4, [
+        (
+            "(p-1)/2",
+            lambda: _sum_quartic((p - 1) // 2),
+            _GammaForm(3, Fraction(-1, 16), ((Fraction(1, 4), 4),)),
+        )
+    ]
 
 
 def _check_lr(p: int, s: int):
     _require_s1("LR", s)
     _require_odd_prime(p)
     _require(p != 3, "p = 3 makes 1/3 non-integral")
-    lhs = _sum_cubic(p - 1)
     gamma = ((_THIRD, 9),)
     if p % 6 == 1:
         rhs = _GammaForm(1, Fraction(-1), gamma)
     else:
         rhs = _GammaForm(4, Fraction(-10, 27), gamma)
-    return 6, [("p-1", lhs, rhs)]
+    return 6, [("p-1", lambda: _sum_cubic(p - 1), rhs)]
 
 
 def _require_window(P: int, d: int, r: int):
@@ -510,8 +627,8 @@ def _check_cor_5_e(p: int, s: int, d: int, r: int):
     pref = rising(Fraction(2 * r, d), length) / rising(Fraction(1), length)
     rhs = pref * _inner_double(d, r, length, P, P**3)
     return s + 4, [
-        ("(p^s-r)/d", _sum_sixth(d, r, length), rhs),
-        ("p^s-1", _sum_sixth(d, r, P - 1), rhs),
+        ("(p^s-r)/d", lambda: _sum_sixth(d, r, length), rhs),
+        ("p^s-1", lambda: _sum_sixth(d, r, P - 1), rhs),
     ]
 
 
@@ -524,8 +641,8 @@ def _check_cor_5_g(p: int, s: int, d: int, r: int):
     sign = Fraction(-1) if ((r - P) // d) % 2 else Fraction(1)
     rhs = sign * _inner_double_bare(d, r, length, P, P**3)
     return s + 4, [
-        ("(p^s-r)/d", _sum_fifth_alt(d, r, length), rhs),
-        ("p^s-1", _sum_fifth_alt(d, r, P - 1), rhs),
+        ("(p^s-r)/d", lambda: _sum_fifth_alt(d, r, length), rhs),
+        ("p^s-1", lambda: _sum_fifth_alt(d, r, P - 1), rhs),
     ]
 
 
@@ -542,8 +659,8 @@ def _check_cor_5_h(p: int, s: int, d: int, r: int):
     pref = rising(Fraction(2 * r, d), length) / rising(Fraction(1), length)
     rhs = pref * _inner_double(d, r, length, (d - 1) * P, (d - 1) ** 3 * P**3)
     return s + 5, [
-        ("(dp^s-p^s-r)/d", _sum_sixth(d, r, length), rhs),
-        ("p^s-1", _sum_sixth(d, r, P - 1), rhs),
+        ("(dp^s-p^s-r)/d", lambda: _sum_sixth(d, r, length), rhs),
+        ("p^s-1", lambda: _sum_sixth(d, r, P - 1), rhs),
     ]
 
 
@@ -551,7 +668,7 @@ def _check_sun_h2(p: int, s: int):
     _require_s1("SUN_H2", s)
     _require_odd_prime(p)
     _require(p > 3, f"p must exceed 3, got {p}")
-    return 2, [("single", harmonic(p - 1, 2), Fraction(2 * p, 3) * bernoulli(p - 3))]
+    return 2, [("single", lambda: harmonic(p - 1, 2), Fraction(2 * p, 3) * bernoulli(p - 3))]
 
 
 def _check_sun_h2half(p: int, s: int):
@@ -559,7 +676,7 @@ def _check_sun_h2half(p: int, s: int):
     _require_odd_prime(p)
     _require(p > 3, f"p must exceed 3, got {p}")
     return 2, [
-        ("single", harmonic((p - 1) // 2, 2), Fraction(7 * p, 3) * bernoulli(p - 3))
+        ("single", lambda: harmonic((p - 1) // 2, 2), Fraction(7 * p, 3) * bernoulli(p - 3))
     ]
 
 
@@ -567,7 +684,7 @@ def _check_sun_h3(p: int, s: int):
     _require_s1("SUN_H3", s)
     _require_odd_prime(p)
     _require(p > 5, f"p must exceed 5, got {p}")
-    return 1, [("single", harmonic(p // 4, 3), Fraction(-9) * bernoulli(p - 3))]
+    return 1, [("single", lambda: harmonic(p // 4, 3), Fraction(-9) * bernoulli(p - 3))]
 
 
 @dataclass(frozen=True)
@@ -817,9 +934,9 @@ def verify_classical(
     records = []
     for slot, (_, lhs, rhs) in selected:
         if isinstance(rhs, _GammaForm):
-            result = _gamma_congruent(lhs, rhs, p, k, budget)
+            result = _gamma_congruent(lhs(), rhs, p, k, budget)
         else:
-            result = rational_congruent(lhs, rhs, p, k)
+            result = rational_congruent(lhs(), rhs, p, k)
         records.append(
             {
                 "id": stmt_id,

@@ -1,5 +1,6 @@
 """Tests for the p-adic Gamma function and the classical congruence checkers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -203,7 +204,8 @@ def test_gamma_statements():
 def test_gamma_congruent_negative_control():
     # Flipping the sign of the Gamma-product coefficient must be detected.
     (_, checks) = CLASSICAL_IDS["PROP_1_7"].checker(13, 1)
-    _, lhs, form = checks[0]
+    _, lhs_thunk, form = checks[0]
+    lhs = lhs_thunk()
     good = _gamma_congruent(lhs, form, 13, 4, 10**7)
     assert good.verified
     bad = _gamma_congruent(lhs, _GammaForm(0, Fraction(1), form.factors), 13, 4, 10**7)
@@ -435,7 +437,7 @@ def test_harmonic_rising_and_correction_match_fraction_loops():
 
 def test_gamma_p_matches_plain_loop_at_every_residue():
     # Every residue r in 1..p^N with p^N <= 3000, the cache cleared each time,
-    # so that both the direct product and the reflection are taken.
+    # so that every value is computed afresh.
     for p in (3, 5, 7, 11, 13):
         precision = 1
         while p**precision <= 3000:
@@ -446,16 +448,17 @@ def test_gamma_p_matches_plain_loop_at_every_residue():
             precision += 1
 
 
-def test_gamma_p_reflection_fills_the_cache_consistently():
-    # A reflected value stores its mirror's product; both must match the loop.
+def test_gamma_p_cache_is_consistent_in_any_order():
+    # Values at r and at its mirror p^N + 1 - r, asked in a mixed order with the
+    # cache kept, must match the loop.
     padic._GAMMA_CACHE.clear()
     for r in (2400, 2, 1500, 902, 1):
         assert gamma_p(r, 7, 4).residue == _ref_gamma_residue(r, 7, 4), r
 
 
 def test_gamma_p_composite_moduli_unchanged():
-    # Composite p has no reflection: values and raised errors are those of
-    # the plain loop, at every integer residue and at rational arguments.
+    # Composite p keeps the term-by-term product: values and raised errors are
+    # those of the plain loop, at every integer residue and at rational arguments.
     args = [Fraction(a, b) for b in (1, 2, 3, 4, 5) for a in (-3, -1, 1, 2, 3, 5, 7)]
     for p in (9, 15, 25):
         precision = 1
@@ -466,6 +469,105 @@ def test_gamma_p_composite_moduli_unchanged():
                 got = _outcome(lambda: gamma_p(x, p, precision).residue)
                 assert got == _outcome(_ref_gamma_residue, x, p, precision), (p, precision, x)
             precision += 1
+
+
+def _ref_gamma_residues(p, precision, rs):
+    """_ref_gamma_residue at each integer r in rs, from one pass of its loop."""
+    modulus = p**precision
+    out, acc, start = {}, 1, 1  # acc = prod of the k < start prime to p
+    for r in sorted(set(rs)):
+        for k in range(start, r):
+            if k % p:
+                acc = acc * k % modulus
+        start = r
+        out[r] = (modulus - acc) % modulus if r % 2 else acc
+    return out
+
+
+ODD_PRIMES_TO_61 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+def test_gamma_p_block_product_at_the_budget_edge():
+    # Every odd prime p <= 61 at the largest N with p^N <= 10^7 (N = 14 at
+    # p = 3): the boundary residues and 20 seeded random ones.
+    rng = random.Random(20211)
+    largest = {}
+    for p in ODD_PRIMES_TO_61:
+        precision = 1
+        while p ** (precision + 1) <= padic.DEFAULT_GAMMA_BUDGET:
+            precision += 1
+        largest[p] = precision
+        modulus = p**precision
+        edges = [1, 2, p, p + 1, modulus - 1, modulus]
+        rs = edges + [rng.randint(1, modulus) for _ in range(20)]
+        expected = _ref_gamma_residues(p, precision, rs)
+        for r in edges[:4]:
+            assert expected[r] == _ref_gamma_residue(r, p, precision), (p, r)
+        padic._GAMMA_CACHE.clear()
+        for r in rs:
+            assert gamma_p(r, p, precision).residue == expected[r], (p, precision, r)
+    assert largest[3] == 14 and largest[61] == 3
+
+
+def _ref_block_log(m, p, work):
+    """sum over blocks k < m and units j < p of log(1 + k p / j), mod p^work."""
+    total = Fraction(0)
+    for k in range(m):
+        for j in range(1, p):
+            x = Fraction(k * p, j)  # term i has valuation >= i - log_3(i): these are enough
+            total += sum(Fraction((-1) ** (i + 1), i) * x**i for i in range(1, 3 * work + 3))
+    return residue_of_rational(total, p, work)
+
+
+def test_gamma_p_block_log_matches_termwise_logarithms():
+    # L modulo the working precision p^W, against the logarithm of every unit
+    # factor of every block summed term by term.
+    for p in (3, 5, 7):
+        for precision in range(1, 7):
+            work = padic._gamma_series(p, precision)[0]
+            assert work >= precision
+            for m in range(9):
+                got = padic._block_log(m, p, precision)
+                assert got == _ref_block_log(m, p, work), (p, precision, m)
+
+
+def test_gamma_p_power_sums():
+    for i in range(12):
+        for m in range(8):
+            assert padic._power_sum(i, m) == sum(k**i for k in range(m)), (i, m)
+
+
+def test_m_choice_sums_only_the_selected_slot(monkeypatch):
+    calls = []
+
+    def counting(name):
+        inner = getattr(padic, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(padic, "_sum_sixth", counting("_sum_sixth"))
+    monkeypatch.setattr(padic, "_sum_fifth_alt", counting("_sum_fifth_alt"))
+    for stmt, p, d, r, name in (("COR_5_H", 41, 5, -1, "_sum_sixth"), ("COR_5_G", 5, 4, 1, "_sum_fifth_alt")):
+        for m_choice, expected in (("first", 1), ("second", 1), (None, 2)):
+            calls.clear()
+            verify_classical(stmt, p, d=d, r=r, m_choice=m_choice)
+            assert calls == [name] * expected, (stmt, m_choice)
+
+
+def test_m_choice_records_match_both_slots():
+    for stmt in padic.classical_statements():
+        for case in stmt.desk_cases:
+            both = verify_classical(stmt.stmt_id, **case)
+            one_by_one = [
+                rec
+                for m_choice in ("first", "second")[: len(both)]
+                for rec in verify_classical(stmt.stmt_id, **case, m_choice=m_choice)
+            ]
+            assert one_by_one == both, (stmt.stmt_id, case)
 
 
 def test_cor_5_e_pole_of_denominator_is_skipped():

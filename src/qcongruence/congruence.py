@@ -4,7 +4,10 @@ A congruence A = B (mod P) over the field of rational functions in q means:
 write A - B = N/D in lowest terms; then D must be coprime to P and P must
 divide N.  The decision procedure below also accepts under-reduced N/D (as
 produced by fast rational addition): common factors of D and P are cancelled
-against N first, so only structurally small gcds are ever computed.
+against N first, after reducing D modulo P, so only structurally small gcds
+are ever computed.  Whether P divides N is one poly_try_div, which takes
+polyring's binomial passes when P is a product of q-integers and cyclotomics;
+long division of N by P runs only to build the witness of a failure.
 
 Moduli keep their factored shape ([n], Phi_n(q)^k, specialization binomials)
 both for readable reports and so a failure can name the smallest factor that
@@ -21,10 +24,12 @@ from .errors import DenominatorNotUnit, SamplingExhausted, UnknownKind
 from .polyring import (
     QPoly,
     QRat,
+    binomial_product,
     cyclotomic,
     poly_divrem,
     poly_exact_div,
     poly_gcd,
+    poly_try_div,
     q_integer,
 )
 
@@ -71,14 +76,15 @@ class Modulus:
 
     def __init__(self, factors, label: str = ""):
         kept = []
-        product = QPoly.one()
         for f, mult in factors:
             if mult < 0:
                 raise ValueError("factor multiplicity must be nonnegative")
             if mult == 0 or f.is_constant():
                 continue
             kept.append((f, mult))
-            product = product * f**mult
+        # A product of q-integers and cyclotomics is indexed with its binomial
+        # form, so dividing by it takes polyring's binomial passes.
+        product = binomial_product(kept)
         object.__setattr__(self, "factors", tuple(kept))
         object.__setattr__(self, "product", product)
         object.__setattr__(
@@ -161,12 +167,11 @@ def _smallest_failing_factor(num: QPoly, m: Modulus) -> str:
         fm = f.monic()
         rem = num
         for j in range(1, mult + 1):
-            quotient, r = poly_divrem(rem, fm)
-            if not r.is_zero():
+            rem = poly_try_div(rem, fm)
+            if rem is None:
                 text = _poly_text(f)
                 candidates.append((fm.degree * j, text if j == 1 else f"{text}^{j}"))
                 break
-            rem = quotient
     if not candidates:
         return ""
     return min(candidates)[1]
@@ -205,9 +210,10 @@ def congruent(lhs, rhs, m: Modulus | None) -> CongruenceResult:
             )
         num = poly_exact_div(num, g)
         den = poly_exact_div(den, g)
-    quotient, rem = poly_divrem(num, p)
-    if rem.is_zero():
+    quotient = poly_try_div(num, p)
+    if quotient is not None:
         return CongruenceResult(True, {"quotient_degree": quotient.degree})
+    rem = poly_divrem(num, p)[1]
     return CongruenceResult(
         False,
         {

@@ -8,38 +8,54 @@ coefficients and Kronecker substitution above, which delegates the work to
 CPython's C-level big-integer multiplication.
 
 QRat is a reduced rational function: numerator and monic denominator with
-gcd 1, normalized at construction.  Both kernels under it work on the integer
-cores.  Division is one fraction-free loop for every divisor: it scales the
-remainder by lc / gcd(lc, top) only when the leading coefficient of the
-divisor does not divide the top coefficient, so a monic integer divisor never
-scales.  Polynomial gcd is GCDHEU (Char, Geddes and Gonnet, J. Symbolic
+gcd 1, normalized at construction.  The kernels under it work on the integer
+cores.  Polynomial gcd is GCDHEU (Char, Geddes and Gonnet, J. Symbolic
 Comput. 7, 1989): the integer gcd of the primitive cores evaluated at
 xi >= 2 min(|f|, |g|) + 2, read back as symmetric base-xi digits.  Its
 primitive part is the gcd exactly when trial division shows that it divides
-both cores; after a few failed points the gcd falls back to a primitive PRS
-(polynomial remainder sequence) over the integers.
+both cores, and those trial divisions are the cofactors QRat reduces by;
+after a few failed points the gcd falls back to a primitive PRS (polynomial
+remainder sequence) over the integers.
 
-Cyclotomic polynomials are computed by exact division of q^n - 1 by the
-lower-order cyclotomics and memoized for the life of the process (the cache
-is only ever extended, so concurrent readers are safe).
+Exact division has two kernels, and poly_try_div is the one place that picks
+one.  A divisor of known binomial form prod_e (q^e - 1)^x_e -- every Phi_n,
+every q-integer [n] and every product of them built by binomial_product, as
+Modulus does -- is divided by binomial passes: one shifted subtraction per
+unit of x_e < 0, then per unit of x_e > 0 a running sum over each residue
+class mod e, exact iff the top e sums vanish.  That is O(2^omega(d) deg f)
+element steps in C for Phi_d.  Every other divisor, and every remainder,
+goes through one fraction-free long-division loop: it scales the remainder
+by lc / gcd(lc, top) only when the leading coefficient of the divisor does
+not divide the top coefficient, so a monic integer divisor never scales.
+
+Cyclotomic polynomials are built by the binomial passes of their Moebius
+form, Phi_n = prod_{e | n} (q^e - 1)^mu(n/e), and memoized for the life of
+the process beside the form index (both are only ever extended, so
+concurrent readers are safe).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import gcd as igcd
 from math import lcm as ilcm
+from operator import neg, sub
 
 from .errors import DivisionByZeroPoly, DenominatorNotUnit, ModuliNotCoprime
 
 __all__ = [
     "QPoly",
     "QRat",
+    "binomial_product",
+    "binomial_reducible",
     "crt_combine",
     "cyclotomic",
     "poly_divrem",
     "poly_gcd",
     "poly_gcd_ext",
+    "poly_product",
     "q_integer",
 ]
 
@@ -422,17 +438,78 @@ def _divrem_int(a, b) -> tuple[list[int], list[int], int]:
     return quot, rem[:db], scale
 
 
-def poly_exact_div(f: QPoly, g: QPoly) -> QPoly:
+def _binomial_div(nums, form) -> list[int] | None:
+    """Integer core nums divided by prod_e (q^e - 1)^x_e, or None if inexact.
+
+    form is a tuple of (e, x_e) pairs.  Each factor with x_e < 0 multiplies
+    by (1 - q^e) once per unit of -x_e, one shifted subtraction.  Each factor
+    with x_e > 0 then divides by (1 - q^e): the quotient h of f = (1 - q^e) h
+    is h[i] = f[i] + h[i - e], a running sum over every residue class mod e,
+    and the division is exact iff the top e sums vanish.  The sign of
+    (q^e - 1) = -(1 - q^e) is applied once at the end.
+    """
+    out = list(nums)
+    if not out:
+        return out
+    flips = 0
+    for e, x in form:
+        flips += x
+        for _ in range(-x):
+            pad = [0] * e
+            out = list(map(sub, out + pad, pad + out))
+    for e, x in form:
+        for _ in range(x):
+            n = len(out) - e
+            if n <= 0:
+                return None
+            if e == 1:
+                out = list(accumulate(out))
+            else:
+                for r in range(e):
+                    out[r::e] = accumulate(out[r::e])
+            if any(out[n:]):
+                return None
+            del out[n:]
+    return list(map(neg, out)) if flips & 1 else out
+
+
+def poly_try_div(f: QPoly, g: QPoly):
+    """Quotient if g divides f exactly, else None.
+
+    This is where every exact division picks its kernel: a divisor with an
+    indexed binomial form (see _BINOMIAL_FORMS) goes through the binomial
+    passes of _binomial_div, any other through _divrem_int.
+    """
+    form = _BINOMIAL_FORMS.get(g)
+    if form is not None:
+        nums = _binomial_div(f._nums, form)
+        return None if nums is None else QPoly._make(nums, f._den)
     q, r = poly_divrem(f, g)
-    if not r.is_zero():
+    return q if r.is_zero() else None
+
+
+def poly_exact_div(f: QPoly, g: QPoly) -> QPoly:
+    q = poly_try_div(f, g)
+    if q is None:
         raise DivisionByZeroPoly(f"{g!r} does not divide exactly")
     return q
 
 
-def poly_try_div(f: QPoly, g: QPoly):
-    """Quotient if g divides f exactly, else None."""
-    q, r = poly_divrem(f, g)
-    return q if r.is_zero() else None
+def poly_product(polys) -> QPoly:
+    """Product of the given polynomials by a balanced tree.
+
+    Pairing operands of similar size keeps Kronecker multiplication busy on
+    large operands instead of growing one product by a small factor at a time.
+    """
+    polys = list(polys)
+    if not polys:
+        return _ONE
+    while len(polys) > 1:
+        paired = [a * b for a, b in zip(polys[::2], polys[1::2])]
+        if len(polys) % 2:
+            paired.append(polys[-1])
+        polys = paired
+    return polys[0]
 
 
 def _pseudo_rem_int(a: list[int], b: list[int]) -> list[int]:
@@ -483,20 +560,56 @@ def _gcd_heu(a: list[int], b: list[int]):
     base-xi digits of gcd(a(xi), b(xi)) is the gcd of a and b if and only if
     h divides both (Char, Geddes and Gonnet 1989), so an accepted result is
     proved, not guessed.  xi is a power of two, so evaluation and
-    interpolation are shifts.
+    interpolation are shifts.  Returns (h, a / h, b / h) with h[-1] > 0: the
+    trial divisions that prove h also give the cofactors.
     """
     if len(a) == 1 or len(b) == 1:
-        return [1]
+        return [1], a, b
     bound = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
     width = (bound - 1).bit_length()
     for _ in range(_HEU_POINTS):
         h = _primitive(_unpack(igcd(_pack(a, width), _pack(b, width)), width))
         if len(h) == 1:
-            return h
-        if not any(_divrem_int(a, h)[1]) and not any(_divrem_int(b, h)[1]):
-            return h
+            return [1], a, b
+        if h[-1] < 0:
+            h = [-c for c in h]
+        # h is primitive, so it divides a over Q only if it does over Z, and
+        # then _divrem_int never scales: the quotient is a / h exactly.
+        qa, ra, _ = _divrem_int(a, h)
+        if not any(ra):
+            qb, rb, _ = _divrem_int(b, h)
+            if not any(rb):
+                return h, qa, qb
         width += width // 4 + 2
     return None
+
+
+def _gcd_cofactors(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly, QPoly]:
+    """(d, f / d, g / d) for the monic gcd d of two nonzero polynomials.
+
+    GCDHEU on the primitive integer cores, with a primitive PRS as the
+    fallback; the PRS gets its cofactors by one exact division each.
+    """
+    ca, cb = _content(f._nums), _content(g._nums)
+    a = [c // ca for c in f._nums] if ca > 1 else list(f._nums)
+    b = [c // cb for c in g._nums] if cb > 1 else list(g._nums)
+    found = _gcd_heu(a, b)
+    if found is None:
+        h = _gcd_prs(a, b)
+        if h[-1] < 0:
+            h = [-c for c in h]
+        found = h, _divrem_int(a, h)[0], _divrem_int(b, h)[0]
+    h, qa, qb = found
+    if len(h) == 1:
+        return _ONE, f, g
+    # f = (ca / f._den) a and d = h / lead, so f / d = (ca * lead / f._den) (a / h).
+    lead = h[-1]
+    sa, sb = ca * lead, cb * lead
+    return (
+        QPoly._make(h, lead),
+        QPoly._make([c * sa for c in qa] if sa != 1 else qa, f._den),
+        QPoly._make([c * sb for c in qb] if sb != 1 else qb, g._den),
+    )
 
 
 def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
@@ -505,11 +618,7 @@ def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
         return g.monic() if not g.is_zero() else _ZERO
     if g.is_zero():
         return f.monic()
-    a = _primitive(f._nums)
-    b = _primitive(g._nums)
-    h = _gcd_heu(a, b) or _gcd_prs(a, b)
-    lead = h[-1]
-    return QPoly._make([c * (1 if lead > 0 else -1) for c in h], abs(lead))
+    return _gcd_cofactors(f, g)[0]
 
 
 def poly_gcd_ext(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly, QPoly]:
@@ -541,11 +650,81 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _rational_root(c: Fraction, p: int) -> bool:
+    """Whether c is the p-th power of a rational."""
+    if c < 0 and p % 2 == 0:
+        return False
+    for n in (abs(c.numerator), c.denominator):
+        root = _iroot(n, p)
+        if root**p != n:
+            return False
+    return True
+
+
+def _iroot(n: int, p: int) -> int:
+    """floor(n ** (1/p)) for n >= 0, by integer Newton steps from above."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // p)
+    while True:
+        y = ((p - 1) * x + n // x ** (p - 1)) // p
+        if y >= x:
+            return x
+        x = y
+
+
+@lru_cache(maxsize=256)
+def binomial_reducible(c: Fraction, e: int) -> bool:
+    """Whether q^e - c (equivalently 1 - c q^e) is reducible over Q.
+
+    By Capelli's theorem it is reducible exactly when c = b^p for a prime
+    p | e, or when 4 | e and c = -4 b^4.
+    """
+    if e % 4 == 0 and _rational_root(-c / 4, 4):
+        return True
+    return any(_rational_root(c, p) for p in _prime_factors(e))
+
+
 _CYCLOTOMIC_CACHE: dict[int, QPoly] = {}
+
+# Binomial forms beside the cyclotomic cache: f -> ((e, x_e), ...) with
+# f = prod_e (q^e - 1)^x_e, for every Phi_n built, every q-integer [n] with
+# n >= 2 handed out, and every product of such factors passed through
+# binomial_product.  poly_try_div looks a divisor up here.  Like the cache it
+# is only ever extended.
+_BINOMIAL_FORMS: dict[QPoly, tuple[tuple[int, int], ...]] = {}
+
+
+def _cyclotomic_form(n: int) -> tuple[tuple[int, int], ...]:
+    # Phi_n = prod_{e | n} (q^e - 1)^mu(n/e): one e per squarefree n/e.
+    primes = _prime_factors(n)
+    pairs = []
+    for mask in range(1 << len(primes)):
+        e, x = n, 1
+        for i, p in enumerate(primes):
+            if mask >> i & 1:
+                e //= p
+                x = -x
+        pairs.append((e, x))
+    return tuple(sorted(pairs))
 
 
 def cyclotomic(n: int) -> QPoly:
-    """n-th cyclotomic polynomial Phi_n, by exact division of q^n - 1.
+    """n-th cyclotomic polynomial Phi_n, by the binomial passes of its form.
 
     Memoized; the cache is only appended to, never mutated in place.
     """
@@ -554,12 +733,35 @@ def cyclotomic(n: int) -> QPoly:
     hit = _CYCLOTOMIC_CACHE.get(n)
     if hit is not None:
         return hit
-    result = QPoly._make([-1] + [0] * (n - 1) + [1], 1)  # q^n - 1
-    for d in _divisors(n):
-        if d < n:
-            result = poly_exact_div(result, cyclotomic(d))
+    form = _cyclotomic_form(n)
+    # Phi_n = 1 / prod_e (q^e - 1)^(-mu(n/e)), an exact division of 1.
+    result = QPoly._make(_binomial_div([1], tuple((e, -x) for e, x in form)), 1)
+    _BINOMIAL_FORMS[result] = form
     _CYCLOTOMIC_CACHE[n] = result
     return result
+
+
+def _merge_forms(forms):
+    """Binomial form of a product, from (form, multiplicity) pairs."""
+    total: dict[int, int] = {}
+    for form, mult in forms:
+        for e, x in form:
+            total[e] = total.get(e, 0) + x * mult
+    return tuple(sorted((e, x) for e, x in total.items() if x))
+
+
+def binomial_product(factors) -> QPoly:
+    """prod f**mult over (f, mult) pairs, by a balanced product tree.
+
+    When every factor has a binomial form, the product's form is indexed
+    too, so that dividing by the product takes the binomial passes.
+    """
+    factors = list(factors)
+    product = poly_product(f for f, mult in factors for _ in range(mult))
+    forms = [(_BINOMIAL_FORMS.get(f), mult) for f, mult in factors]
+    if not product.is_constant() and all(form is not None for form, _ in forms):
+        _BINOMIAL_FORMS[product] = _merge_forms(forms)
+    return product
 
 
 def power_minus_one_factors(e: int) -> list[QPoly]:
@@ -575,7 +777,10 @@ def power_plus_one_factors(e: int) -> list[QPoly]:
 def q_integer(r: int):
     """q-integer [r] = (1 - q^r)/(1 - q); QPoly for r >= 0, QRat for r < 0."""
     if r >= 0:
-        return QPoly._make([1] * r, 1)
+        result = QPoly._make([1] * r, 1)
+        if r >= 2:
+            _BINOMIAL_FORMS[result] = ((1, -1), (r, 1))
+        return result
     j = -r
     return QRat._raw(QPoly._make([-1] * j, 1), QPoly.monomial(j))
 
@@ -595,10 +800,9 @@ class QRat:
         if den.is_zero():
             raise DivisionByZeroPoly("rational function with zero denominator")
         if not den.is_one() and not num.is_zero():
-            g = poly_gcd(num, den)
+            g, num_r, den_r = _gcd_cofactors(num, den)
             if g.degree > 0:
-                num = poly_exact_div(num, g)
-                den = poly_exact_div(den, g)
+                num, den = num_r, den_r
         if num.is_zero():
             den = _ONE
         elif not den.is_monic():
@@ -668,16 +872,15 @@ class QRat:
             return QRat._raw(a1 * b2 + a2, b2)
         if b2.is_one():
             return QRat._raw(a1 + a2 * b1, b1)
-        g = poly_gcd(b1, b2)
+        g, b1r, b2r = _gcd_cofactors(b1, b2)
         if g.degree == 0:
             return QRat._raw(a1 * b2 + a2 * b1, b1 * b2)
-        b1r = poly_exact_div(b1, g)
-        b2r = poly_exact_div(b2, g)
         num = a1 * b2r + a2 * b1r
-        h = poly_gcd(num, g)
+        if num.is_zero():
+            return _QRAT_ZERO
+        h, num_r, g_r = _gcd_cofactors(num, g)
         if h.degree > 0:
-            num = poly_exact_div(num, h)
-            g = poly_exact_div(g, h)
+            num, g = num_r, g_r
         return QRat._raw(num, g * b1r * b2r)
 
     __radd__ = __add__
@@ -703,16 +906,14 @@ class QRat:
         a1, b1, a2, b2 = self.num, self.den, other.num, other.den
         if a1.is_zero() or a2.is_zero():
             return _QRAT_ZERO
-        if not b2.is_one() and not a1.is_zero():
-            g = poly_gcd(a1, b2)
+        if not b2.is_one():
+            g, a1_r, b2_r = _gcd_cofactors(a1, b2)
             if g.degree > 0:
-                a1 = poly_exact_div(a1, g)
-                b2 = poly_exact_div(b2, g)
-        if not b1.is_one() and not a2.is_zero():
-            g = poly_gcd(a2, b1)
+                a1, b2 = a1_r, b2_r
+        if not b1.is_one():
+            g, a2_r, b1_r = _gcd_cofactors(a2, b1)
             if g.degree > 0:
-                a2 = poly_exact_div(a2, g)
-                b1 = poly_exact_div(b1, g)
+                a2, b1 = a2_r, b1_r
         return QRat._raw(a1 * a2, b1 * b2)
 
     __rmul__ = __mul__

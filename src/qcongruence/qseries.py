@@ -9,8 +9,12 @@ where every Pochhammer argument and z is a rational multiple of a q-power
 exactly.  Terms are built incrementally (term_{k+1} = term_k * ratio) and the
 partial sum is accumulated over a *factored* common denominator: coefficient
 +-1 binomials split into cyclotomics and everything else stays a monic
-binomial.  The final reduction is trial division by those factors, so no
-large-degree polynomial gcd is ever needed.
+binomial.  The final reduction is trial division by those factors (binomial
+passes for the cyclotomics, see polyring), and the leftover denominator is
+multiplied out by a balanced product tree.  Trial division is complete for
+irreducible factors; a binomial part that Capelli's theorem shows reducible
+can share a proper factor with the numerator, so those parts alone pay a
+gcd each.
 
 truncated_sum_prefixes, the entry point of every sum, keeps a per-process
 cache of engines keyed on the (frozen, hashable) TermSpec, beside polyring's
@@ -45,6 +49,11 @@ from .errors import (
 from .polyring import (
     QPoly,
     QRat,
+    binomial_reducible,
+    poly_divrem,
+    poly_exact_div,
+    poly_gcd,
+    poly_product,
     poly_try_div,
     power_minus_one_factors,
     power_plus_one_factors,
@@ -94,6 +103,15 @@ class TermSpec:
     z: QMonomialArg
     linear_factor: bool = True
     sign: int = 1
+
+    def __hash__(self):
+        # The engine cache hashes a spec on every lookup and store, and the
+        # field hash walks every nested argument, so it is computed once.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.d, self.r, self.numer, self.denom, self.z, self.linear_factor, self.sign))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 def _binomial_poly(c: Fraction, e: int) -> QPoly:
@@ -189,6 +207,7 @@ class _SumEngine:
         self.S = QPoly.zero()
         self.C = QPoly.one()
         self.factors: dict[QPoly, int] = {}
+        self.reducible: set[QPoly] = set()  # factors that are reducible binomials
         self.qpow = 0
         self.k = 0  # next term index
 
@@ -227,6 +246,8 @@ class _SumEngine:
                 scale /= unit
             cshift += j
             new_parts.extend(parts)
+            if parts and arg.coeff not in (1, -1) and binomial_reducible(arg.coeff, abs(e)):
+                self.reducible.update(parts)
         if spec.z.coeff == 0:
             raise DegenerateParameters("z coefficient is zero")
         scale *= spec.z.coeff
@@ -275,18 +296,30 @@ class _SumEngine:
         if cancel:
             num = num.shift(-cancel)
             qpow -= cancel
-        den = QPoly.monomial(qpow) if qpow else QPoly.one()
-        for f in sorted(self.factors, key=lambda p: (p.degree, p.coeffs())):
-            mult = self.factors[f]
+        kept: list[QPoly] = []
+        shared: list[QPoly] = []
+        for f, mult in self.factors.items():
             while mult > 0:
                 quotient = poly_try_div(num, f)
                 if quotient is None:
                     break
                 num = quotient
                 mult -= 1
-            if mult:
-                den = den * f**mult
-        return QRat._raw(num, den)
+            (shared if f in self.reducible else kept).extend([f] * mult)
+        den = poly_product(kept)
+        if shared:
+            # Trial division by a whole reducible part misses a proper factor
+            # that it shares with num.  Cancelling gcd(num, f) one part at a
+            # time leaves num coprime to what remains of every part, and
+            # reducing num modulo the small part f first keeps the gcd small.
+            rest = []
+            for f in shared:
+                g = poly_gcd(poly_divrem(num, f)[1], f)
+                if g.degree > 0:
+                    num, f = poly_exact_div(num, g), poly_exact_div(f, g)
+                rest.append(f)
+            den = den * poly_product(rest)
+        return QRat._raw(num, den.shift(qpow))
 
 
 class _EngineCache:
@@ -309,8 +342,6 @@ class _EngineCache:
             return self._entries.pop(spec, None)
 
     def put(self, spec: TermSpec, entry: tuple[_SumEngine, dict[int, QRat]]):
-        # Hashing a TermSpec costs more than the dict operation, and
-        # popitem reuses the stored hash where a plain dict would hash again.
         with self._lock:
             self._entries[spec] = entry
             if len(self._entries) > self.size:

@@ -8,16 +8,20 @@ import pytest
 from qcongruence.congruence import (
     CongruenceResult,
     Modulus,
+    _poly_text,
     build_modulus,
     congruent,
     sample_params,
 )
 from qcongruence.errors import DenominatorNotUnit, SamplingExhausted, UnknownKind
+from qcongruence import polyring
 from qcongruence.polyring import (
     QPoly,
     QRat,
     crt_combine,
     cyclotomic,
+    poly_divrem,
+    poly_exact_div,
     q_integer,
 )
 from qcongruence.qseries import TermSpec, qma, truncated_sum
@@ -110,6 +114,54 @@ def test_congruent_under_reduced_input():
     value = QRat._raw(n, d)  # under-reduced on purpose: equals -Phi_3
     m = Modulus([(cyclotomic(3), 1)])
     assert congruent(value, 0, m).verified
+
+
+def long_division_witness(num, m):
+    """congruent's witness for a polynomial num, by long division alone."""
+    quot, rem = poly_divrem(num, m.monic_product)
+    if rem.is_zero():
+        return {"quotient_degree": quot.degree}
+    candidates = []
+    for f, mult in m.factors:
+        left = num
+        for j in range(1, mult + 1):
+            left, r = poly_divrem(left, f.monic())
+            if not r.is_zero():
+                text = _poly_text(f)
+                candidates.append((f.degree * j, text if j == 1 else f"{text}^{j}"))
+                break
+    return {
+        "remainder_degree": rem.degree,
+        "remainder_leading": str(rem.leading),
+        "failing_factor": min(candidates)[1] if candidates else "",
+    }
+
+
+def test_congruent_witness_matches_long_division():
+    # Moduli of q-integers and cyclotomics are indexed with their binomial
+    # form and divided by the binomial passes; the witnesses are unchanged.
+    rng = random.Random(91)
+    failing = set()
+    for n in range(2, 16):
+        for kind, k in (("QINT", 1), ("PHI_POW", 2), ("QINT_PHI_POW", 1), ("QINT_PHI_POW", 3)):
+            m = build_modulus(kind, n, {"k": k})
+            assert m.monic_product in polyring._BINOMIAL_FORMS
+            assert all(f in polyring._BINOMIAL_FORMS for f, _ in m.factors)
+            small = QPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 6))])
+            for num in (
+                small * m.monic_product,
+                small * m.monic_product + QPoly.monomial(rng.randint(0, 5)),
+                small * poly_exact_div(m.monic_product, cyclotomic(n)) * QPoly([1, 1]),
+                small * q_integer(n - 1),
+                small,
+                QPoly.zero(),
+            ):
+                got = congruent(num, 0, m)
+                want = long_division_witness(num, m)
+                assert got.witness == want
+                assert got.verified == ("quotient_degree" in want)
+                failing.add(want.get("failing_factor"))
+    assert "" in failing and len(failing) > 10  # every branch of the witness ran
 
 
 def test_congruent_thm_c_style_frozen():

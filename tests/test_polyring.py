@@ -10,12 +10,16 @@ from qcongruence.errors import DivisionByZeroPoly, ModuliNotCoprime
 from qcongruence.polyring import (
     QPoly,
     QRat,
+    binomial_product,
+    binomial_reducible,
     crt_combine,
     cyclotomic,
     poly_divrem,
     poly_exact_div,
     poly_gcd,
     poly_gcd_ext,
+    poly_product,
+    poly_try_div,
     q_integer,
 )
 
@@ -177,6 +181,9 @@ def test_poly_gcd_matches_prs():
         expected = gcd_prs_reference(f, g)
         assert poly_gcd(f, g) == expected
         assert poly_gcd(g, f) == expected
+        if not f.is_zero() and not g.is_zero():
+            d, f_r, g_r = polyring._gcd_cofactors(f, g)
+            assert d == expected and d * f_r == f and d * g_r == g
 
 
 def test_poly_gcd_falls_back_to_prs(monkeypatch):
@@ -186,6 +193,9 @@ def test_poly_gcd_falls_back_to_prs(monkeypatch):
     g = common * QPoly([5, 0, -1, 7])
     assert polyring._gcd_heu(polyring._primitive(f._nums), polyring._primitive(g._nums)) is None
     assert poly_gcd(f, g) == common.monic()
+    d, f_r, g_r = polyring._gcd_cofactors(f, g)
+    assert d == common.monic()
+    assert f_r == poly_exact_div(f, d) and g_r == poly_exact_div(g, d)
     assert polyring._gcd_prs([-1, 0, 1], [1, 2, 1]) in ([1, 1], [-1, -1])
 
 
@@ -234,7 +244,8 @@ def test_cyclotomic_small_values():
 
 
 def test_cyclotomic_product_identities():
-    for n in range(1, 61):
+    # prod_{d | n} Phi_d = q^n - 1 determines every Phi_d, however built.
+    for n in range(1, 211):
         product = QPoly.one()
         qint_product = QPoly.one()
         for d in range(1, n + 1):
@@ -244,6 +255,141 @@ def test_cyclotomic_product_identities():
                     qint_product = qint_product * cyclotomic(d)
         assert product == QPoly.monomial(n) - 1
         assert qint_product == q_integer(n)
+
+
+def form_polynomial(form):
+    """prod (q^e - 1)^x_e, by multiplication and one _divrem_int division."""
+    up = poly_product(QPoly.monomial(e) - 1 for e, x in form for _ in range(x))
+    down = poly_product(QPoly.monomial(e) - 1 for e, x in form for _ in range(-x))
+    quot, rem = poly_divrem(up, down)
+    assert rem.is_zero()
+    return quot
+
+
+def dividends(rng, divisor):
+    """Dividends for divisor: divisible or not, lower degree, zero, with a
+    rational denominator and with 200-bit coefficients."""
+    x = QPoly([0, 1])
+    small = QPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [rng.randint(1, 9)])
+    big = QPoly([rng.randint(-(2**200), 2**200) for _ in range(rng.randint(1, 6))])
+    out = [
+        small * divisor,
+        big * divisor,
+        small * divisor * Fraction(rng.randint(1, 50), rng.randint(2, 50)),
+        small * divisor + x ** rng.randint(0, divisor.degree + 3),
+        big * divisor + QPoly([1]) * (2**199 + 1),
+        (small * divisor + 1) * Fraction(1, 7),
+        QPoly.zero(),
+        divisor,
+        divisor * divisor * small,
+    ]
+    if divisor.degree > 0:
+        out.append(rand_poly(rng, rng.randint(0, divisor.degree - 1), zero_ok=False))
+    return out
+
+
+def assert_kernel_agrees(f, divisor):
+    quot, rem = poly_divrem(f, divisor)  # always _divrem_int
+    assert poly_try_div(f, divisor) == (quot if rem.is_zero() else None)
+
+
+def test_binomial_kernel_matches_divrem_on_every_cyclotomic_to_210():
+    rng = random.Random(83)
+    for d in range(1, 211):
+        phi = cyclotomic(d)
+        assert form_polynomial(polyring._BINOMIAL_FORMS[phi]) == phi
+        for f in dividends(rng, phi):
+            assert_kernel_agrees(f, phi)
+
+
+def test_binomial_kernel_on_q_integers_and_modulus_products():
+    rng = random.Random(84)
+    divisors = []
+    for n in range(2, 41):
+        divisors.append(q_integer(n))
+        for k in (1, 2, 3):
+            divisors.append(binomial_product([(q_integer(n), 1), (cyclotomic(n), k)]))
+    divisors.append(binomial_product([(cyclotomic(3), 2), (q_integer(4), 1), (cyclotomic(10), 3)]))
+    divisors.append(binomial_product([(cyclotomic(1), 3), (cyclotomic(30), 2), (cyclotomic(105), 1)]))
+    for divisor in divisors:
+        form = polyring._BINOMIAL_FORMS[divisor]
+        assert form_polynomial(form) == divisor
+        for f in dividends(rng, divisor):
+            assert_kernel_agrees(f, divisor)
+
+
+def test_indexed_divisors_never_reach_divrem(monkeypatch):
+    def refuse(f, g):
+        raise AssertionError("poly_divrem called for an indexed divisor")
+
+    divisors = [cyclotomic(12), q_integer(9), binomial_product([(q_integer(6), 1), (cyclotomic(6), 2)])]
+    monkeypatch.setattr(polyring, "poly_divrem", refuse)
+    for divisor in divisors:
+        assert poly_exact_div(divisor * QPoly([3, 0, 1]), divisor) == QPoly([3, 0, 1])
+        assert poly_try_div(divisor * QPoly([3, 0, 1]) + 1, divisor) is None
+
+
+def test_unindexed_divisors_keep_divrem():
+    # A scaled cyclotomic, a rational binomial and a product with a factor of
+    # unknown shape have no binomial form, and divide as before.
+    rng = random.Random(85)
+    divisors = [
+        cyclotomic(7) * 2,
+        QPoly([Fraction(-1, 2), 0, 1]),
+        binomial_product([(cyclotomic(5), 1), (QPoly([Fraction(-1, 3), 1]), 2)]),
+    ]
+    for divisor in divisors:
+        assert divisor not in polyring._BINOMIAL_FORMS
+        for f in dividends(rng, divisor):
+            assert_kernel_agrees(f, divisor)
+    with pytest.raises(DivisionByZeroPoly):
+        poly_exact_div(cyclotomic(5), cyclotomic(7))
+    with pytest.raises(DivisionByZeroPoly):
+        poly_try_div(QPoly.one(), QPoly.zero())
+
+
+def test_product_tree_equals_chained_product():
+    rng = random.Random(86)
+    for size in range(10):
+        polys = [rand_poly(rng, rng.randint(0, 40), zero_ok=False) for _ in range(size)]
+        chained = QPoly.one()
+        for f in polys:
+            chained = chained * f
+        assert poly_product(polys) == chained
+    factors = [(cyclotomic(d), rng.randint(1, 3)) for d in (1, 4, 9, 12, 35)]
+    chained = QPoly.one()
+    for f, mult in factors:
+        chained = chained * f**mult
+    assert binomial_product(factors) == chained
+
+
+def test_binomial_reducible_follows_capelli():
+    x = QPoly([0, 1])
+    cases = {
+        (Fraction(4), 2): True,  # q^2 - 4 = (q - 2)(q + 2)
+        (Fraction(1, 4), 2): True,
+        (Fraction(2), 2): False,
+        (Fraction(-4), 2): False,  # q^2 + 4
+        (Fraction(8), 3): True,
+        (Fraction(-27, 8), 3): True,
+        (Fraction(27, 8), 6): True,
+        (Fraction(4), 6): True,  # 4 = 2^2 and 2 | 6
+        (Fraction(2), 6): False,
+        (Fraction(-4), 4): True,  # q^4 + 4 = (q^2 + 2q + 2)(q^2 - 2q + 2)
+        (Fraction(-1, 4), 4): True,
+        (Fraction(-1), 4): False,  # Phi_8
+        (Fraction(16), 4): True,
+        (Fraction(3), 5): False,
+        (Fraction(7), 1): False,
+        (Fraction(1), 2): True,
+    }
+    for (c, e), reducible in cases.items():
+        assert binomial_reducible(c, e) is reducible, (c, e)
+    # Each reducible case shows a factor: q^(e/p) - b for c = b^p, or the
+    # Sophie Germain factor q^(e/2) + 2b q^(e/4) + 2b^2 for c = -4b^4.
+    assert poly_try_div(x**6 - Fraction(27, 8), x**2 - Fraction(3, 2)) is not None
+    assert poly_try_div(x**4 + 4, x**2 + 2 * x + 2) is not None
+    assert poly_try_div(x**4 + Fraction(1, 4), x**2 + x + Fraction(1, 2)) is not None
 
 
 def test_qrat_field_axioms_random():

@@ -140,6 +140,67 @@ def test_truncated_sum_matches_reference():
         assert truncated_sum(spec, order) == reference_sum(spec, order)
 
 
+def chained_snapshot(engine):
+    """The engine's partial sum reduced by one full gcd over the chained
+    denominator q^qpow * prod f^mult: the oracle for snapshot."""
+    den = QPoly.monomial(engine.qpow)
+    for f, mult in engine.factors.items():
+        den = den * f**mult
+    return QRat(engine.S, den)
+
+
+def test_snapshot_is_reduced_over_the_chained_denominator():
+    rng = random.Random(78)
+    powers = [4, Fraction(1, 4), 9, 8, -8, -4, 16, Fraction(-1, 4), 2, 1, -1]
+    specs = [sample_spec(rng) for _ in range(15)]
+
+    def arg():
+        return qma(rng.choice(powers), rng.randint(1, 4))
+
+    for _ in range(15):
+        specs.append(
+            TermSpec(
+                d=1,
+                r=rng.randint(0, 2),
+                numer=tuple((arg(), rng.randint(1, 2)) for _ in range(rng.randint(1, 2))),
+                denom=tuple((arg(), rng.randint(1, 2)) for _ in range(rng.randint(1, 2))),
+                z=qma(rng.choice([1, -1, 2]), rng.randint(0, 1)),
+                linear_factor=bool(rng.randint(0, 1)),
+            )
+        )
+    for spec in specs:
+        engine = qseries._SumEngine(spec)
+        for _ in range(5):
+            try:
+                engine.add_next_term()
+            except ZeroDenominatorFactor:
+                break
+            got, want = engine.snapshot(), chained_snapshot(engine)
+            assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_snapshot_reduces_a_reducible_binomial_part():
+    # 1 + (1 - 2q)/(1 - 4q^2) = (q + 1)/(q + 1/2): trial division by the
+    # whole part q^2 - 1/4 cannot remove the q - 1/2 it shares with the sum.
+    spec = TermSpec(
+        d=1, r=0, numer=((qma(2, 1), 1),), denom=((qma(4, 2), 1),), z=qma(1, 0), linear_factor=False
+    )
+    got = truncated_sum(spec, 1)
+    assert (got.num, got.den) == (QPoly([1, 1]), QPoly([Fraction(1, 2), 1]))
+
+
+def test_termspec_hash_is_computed_once():
+    spec = catalog._lhs_quartic()
+    fields = (spec.d, spec.r, spec.numer, spec.denom, spec.z, spec.linear_factor, spec.sign)
+    assert "_hash" not in vars(spec)
+    assert hash(spec) == hash(fields)
+    assert vars(spec)["_hash"] == hash(fields)
+    twin = catalog._lhs_quartic()
+    assert twin == spec and hash(twin) == hash(spec)
+    assert {spec: 1}[twin] == 1
+    assert catalog._lhs_cubic() != spec
+
+
 def test_truncated_sum_prefixes_consistent():
     rng = random.Random(77)
     spec = sample_spec(rng)

@@ -1,9 +1,9 @@
 """Declarative inventory of verifiable congruence statements, plus the runner.
 
-Each q-side entry binds a truncated-sum shape (TermSpec) or an expression text
-for its left side, an expression text for its right side, a factored modulus,
-side conditions, and the truncation choices the statement offers.  Classical
-(q -> 1) entries delegate to the padic module.  Statement ids are stable
+Each q-side entry binds a truncated-sum shape (a qseries.well_poised_spec) or
+an expression text for its left side, an expression text for its right side,
+a factored modulus, side conditions, and the truncation choices the statement
+offers.  Classical (q -> 1) entries delegate to the padic module.  Statement ids are stable
 strings forming the CLI contract.
 
 Truncation slots are reported as "first" and "second" in records; what each
@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import Callable
 
@@ -29,7 +30,7 @@ from .errors import (
     UnknownKind,
 )
 from .expr import Node, eval_expr, parse_expr
-from .qseries import TermSpec, qma, truncated_sum_prefixes
+from .qseries import TermSpec, truncated_sum_prefixes, well_poised_spec
 
 __all__ = [
     "CongruenceInstance",
@@ -176,10 +177,6 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return num // den
 
 
-def _u(exp: int):
-    return qma(1, exp)
-
-
 def _serialize_params(bindings: dict, symbols: tuple[str, ...]) -> dict:
     out = {}
     for key in ("n", "t", "d", "r", "p", "s"):
@@ -189,127 +186,6 @@ def _serialize_params(bindings: dict, symbols: tuple[str, ...]) -> dict:
         if sym in bindings:
             out[sym] = str(Fraction(bindings[sym]))
     return out
-
-
-# -- left-hand sum shapes ----------------------------------------------------
-
-
-def _lhs_quartic() -> TermSpec:
-    numer = ((_u(1), 2),) * 4 + ((_u(2), 4),)
-    denom = ((_u(2), 2),) * 4 + ((_u(4), 4),)
-    return TermSpec(2, 1, numer, denom, _u(1), sign=-1)
-
-
-def _lhs_cubic() -> TermSpec:
-    return TermSpec(3, 1, ((_u(1), 3),) * 6, ((_u(3), 3),) * 6, _u(3))
-
-
-def _lhs_quartic_ab(a: Fraction, b: Fraction) -> TermSpec:
-    numer = (
-        (qma(a, 1), 2),
-        (qma(1 / a, 1), 2),
-        (qma(b, 1), 2),
-        (qma(1 / b, 1), 2),
-        (_u(2), 4),
-    )
-    denom = (
-        (qma(1 / a, 2), 2),
-        (qma(a, 2), 2),
-        (qma(1 / b, 2), 2),
-        (qma(b, 2), 2),
-        (_u(4), 4),
-    )
-    return TermSpec(2, 1, numer, denom, _u(1), sign=-1)
-
-
-def _lhs_cubic_ab(a: Fraction, b: Fraction) -> TermSpec:
-    numer = (
-        (qma(a, 1), 3),
-        (qma(1 / a, 1), 3),
-        (qma(b, 1), 3),
-        (qma(1 / b, 1), 3),
-        (_u(1), 3),
-        (_u(1), 3),
-    )
-    denom = (
-        (qma(1 / a, 3), 3),
-        (qma(a, 3), 3),
-        (qma(1 / b, 3), 3),
-        (qma(b, 3), 3),
-        (_u(3), 3),
-        (_u(3), 3),
-    )
-    return TermSpec(3, 1, numer, denom, _u(3))
-
-
-def _lhs_nw_abc(a: Fraction, b: Fraction, c: Fraction, d: int, r: int) -> TermSpec:
-    numer = (
-        (qma(a, r), d),
-        (qma(1 / a, r), d),
-        (qma(b, r), d),
-        (qma(1 / b, r), d),
-        (qma(1 / c, r), d),
-        (_u(r), d),
-    )
-    denom = (
-        (qma(1 / a, d), d),
-        (qma(a, d), d),
-        (qma(1 / b, d), d),
-        (qma(b, d), d),
-        (qma(c, d), d),
-        (_u(d), d),
-    )
-    return TermSpec(d, r, numer, denom, qma(c, 2 * d - 3 * r))
-
-
-def _lhs_nw_ab(a: Fraction, b: Fraction, d: int, r: int) -> TermSpec:
-    numer = (
-        (qma(a, r), d),
-        (qma(1 / a, r), d),
-        (qma(b, r), d),
-        (qma(1 / b, r), d),
-        (_u(r), d),
-        (_u(r), d),
-    )
-    denom = (
-        (qma(1 / a, d), d),
-        (qma(a, d), d),
-        (qma(1 / b, d), d),
-        (qma(b, d), d),
-        (_u(d), d),
-        (_u(d), d),
-    )
-    return TermSpec(d, r, numer, denom, _u(2 * d - 3 * r))
-
-
-def _lhs_sixth_c(c: Fraction, d: int, r: int) -> TermSpec:
-    numer = ((_u(r), d),) * 5 + ((qma(c, r), d),)
-    denom = ((_u(d), d),) * 5 + ((qma(1 / c, d), d),)
-    return TermSpec(d, r, numer, denom, qma(1 / c, 2 * d - 3 * r))
-
-
-def _lhs_sixth(d: int, r: int) -> TermSpec:
-    return TermSpec(d, r, ((_u(r), d),) * 6, ((_u(d), d),) * 6, _u(2 * d - 3 * r))
-
-
-def _lhs_54_abc(a: Fraction, b: Fraction, c: Fraction, d: int, r: int) -> TermSpec:
-    numer = (
-        (qma(a, r), d),
-        (qma(1 / a, r), d),
-        (qma(b, r), d),
-        (qma(1 / b, r), d),
-        (qma(c, r), d),
-        (_u(r), d),
-    )
-    denom = (
-        (qma(1 / a, d), d),
-        (qma(a, d), d),
-        (qma(1 / b, d), d),
-        (qma(b, d), d),
-        (qma(1 / c, d), d),
-        (_u(d), d),
-    )
-    return TermSpec(d, r, numer, denom, qma(1 / c, 2 * d - 3 * r))
 
 
 # -- right-hand expression texts ---------------------------------------------
@@ -474,32 +350,17 @@ _THM_5_5_RHS = (
 # -- per-statement builders ---------------------------------------------------
 
 
-def _build_thm_a(b: dict) -> _Plan:
+def _build_quartic(b: dict, k: int, rhs_1: str, rhs_3: str) -> _Plan:
+    """THM_A and GWY: the quartic sum modulo [n]*Phi(n)^k, rhs by n mod 4."""
     n = _int_param(b, "n")
     _require(n >= 1 and n % 2 == 1, f"n must be a positive odd integer, got {n}")
-    rhs = _THM_A_RHS_1 if n % 4 == 1 else _THM_A_RHS_3
     return _Plan(
         "sum",
-        build_modulus("QINT_PHI_POW", n, {"k": 4}),
+        build_modulus("QINT_PHI_POW", n, {"k": k}),
         (("first", (n - 1) // 2), ("second", n - 1)),
-        _lhs_quartic(),
+        well_poised_spec(2, 1, c=-1),
         None,
-        rhs,
-        {"n": n},
-    )
-
-
-def _build_gwy(b: dict) -> _Plan:
-    n = _int_param(b, "n")
-    _require(n >= 1 and n % 2 == 1, f"n must be a positive odd integer, got {n}")
-    rhs = _GWY_RHS_1 if n % 4 == 1 else "0"
-    return _Plan(
-        "sum",
-        build_modulus("QINT_PHI_POW", n, {"k": 2}),
-        (("first", (n - 1) // 2), ("second", n - 1)),
-        _lhs_quartic(),
-        None,
-        rhs,
+        rhs_1 if n % 4 == 1 else rhs_3,
         {"n": n},
     )
 
@@ -511,23 +372,24 @@ def _build_thm_b(b: dict) -> _Plan:
         "sum",
         build_modulus("QINT_PHI_POW", n, {"k": 4}),
         (("first", (n - 1) // 3), ("second", n - 1)),
-        _lhs_cubic(),
+        well_poised_spec(3, 1),
         None,
         _THM_B_RHS,
         {"n": n},
     )
 
 
-def _build_thm_c(b: dict) -> _Plan:
+def _build_cubic_2n(b: dict, rhs: str) -> _Plan:
+    """THM_C and LEM_OO: the cubic sum at n = 2 mod 3 modulo [n]*Phi(n)^5."""
     n = _int_param(b, "n")
     _require(n >= 2 and n % 3 == 2, f"n must be 2 mod 3, got {n}")
     return _Plan(
         "sum",
         build_modulus("QINT_PHI_POW", n, {"k": 5}),
         (("first", (2 * n - 1) // 3), ("second", n - 1)),
-        _lhs_cubic(),
+        well_poised_spec(3, 1),
         None,
-        _THM_C_RHS,
+        rhs,
         {"n": n},
     )
 
@@ -540,36 +402,21 @@ def _build_gs_16(b: dict) -> _Plan:
     else:
         modulus = build_modulus("QINT_PHI_POW", n, {"k": 1})
     return _Plan(
-        "sum", modulus, (("first", n - 1),), _lhs_cubic(), None, "0", {"n": n}
+        "sum", modulus, (("first", n - 1),), well_poised_spec(3, 1), None, "0", {"n": n}
     )
 
 
-def _build_prop_2_1(b: dict) -> _Plan:
+def _build_quartic_ab(b: dict, kind: str) -> _Plan:
+    """PROP_2_1 and THM_2_2: the parametric quartic sum, modulus by kind."""
     n = _int_param(b, "n")
     _require(n >= 1 and n % 2 == 1, f"n must be a positive odd integer, got {n}")
     a, bb = _frac_param(b, "a"), _frac_param(b, "b")
     rhs = _QUARTIC_AB_RHS_1 if n % 4 == 1 else _QUARTIC_AB_RHS_3
     return _Plan(
         "sum",
-        build_modulus("SPECIALIZED", n, {"a": a, "b": bb}),
+        build_modulus(kind, n, {"a": a, "b": bb}),
         (("first", (n - 1) // 2), ("second", n - 1)),
-        _lhs_quartic_ab(a, bb),
-        None,
-        rhs,
-        {"n": n, "a": a, "b": bb},
-    )
-
-
-def _build_thm_2_2(b: dict) -> _Plan:
-    n = _int_param(b, "n")
-    _require(n >= 1 and n % 2 == 1, f"n must be a positive odd integer, got {n}")
-    a, bb = _frac_param(b, "a"), _frac_param(b, "b")
-    rhs = _QUARTIC_AB_RHS_1 if n % 4 == 1 else _QUARTIC_AB_RHS_3
-    return _Plan(
-        "sum",
-        build_modulus("QINT_SPECIALIZED", n, {"a": a, "b": bb}),
-        (("first", (n - 1) // 2), ("second", n - 1)),
-        _lhs_quartic_ab(a, bb),
+        well_poised_spec(2, 1, a, bb, -1),
         None,
         rhs,
         {"n": n, "a": a, "b": bb},
@@ -587,7 +434,7 @@ def _build_prop_3_1(b: dict) -> _Plan:
         "sum",
         build_modulus("SPECIALIZED", n, {"t": t, "a": a, "b": bb}),
         (("first", (t * n - 1) // 3), ("second", n - 1)),
-        _lhs_cubic_ab(a, bb),
+        well_poised_spec(3, 1, a, bb),
         None,
         _CUBIC_AB_RHS,
         {"n": n, "t": t, "a": a, "b": bb},
@@ -602,7 +449,7 @@ def _build_thm_3_2(b: dict) -> _Plan:
         "sum",
         build_modulus("QINT_SPECIALIZED", n, {"a": a, "b": bb}),
         (("first", (n - 1) // 3), ("second", n - 1)),
-        _lhs_cubic_ab(a, bb),
+        well_poised_spec(3, 1, a, bb),
         None,
         _CUBIC_AB_RHS,
         {"n": n, "t": 1, "a": a, "b": bb},
@@ -617,43 +464,30 @@ def _build_thm_3_3(b: dict) -> _Plan:
         "sum",
         build_modulus("QINT_PHI_SPECIALIZED", n, {"k": 1, "t": 2, "a": a, "b": bb}),
         (("first", (2 * n - 1) // 3), ("second", n - 1)),
-        _lhs_cubic_ab(a, bb),
+        well_poised_spec(3, 1, a, bb),
         None,
         _CUBIC_AB_RHS,
         {"n": n, "t": 2, "a": a, "b": bb},
     )
 
 
-def _nw_common(b: dict) -> tuple[int, int, int, Fraction, Fraction, Fraction]:
+def _build_nw(b: dict, at_mu: bool) -> _Plan:
+    """NW_A (truncated at mu, where d*mu = -r mod n) and NW_B (at n - 1)."""
     n = _int_param(b, "n")
     d = _int_param(b, "d")
     r = _int_param(b, "r")
     _require(n >= 1 and d >= 1, f"n and d must be positive, got n={n}, d={d}")
     _require(gcd(n, d) == 1, f"gcd(n, d) must be 1, got gcd({n}, {d})")
-    return n, d, r, _frac_param(b, "a"), _frac_param(b, "b"), _frac_param(b, "c")
-
-
-def _build_nw_a(b: dict) -> _Plan:
-    n, d, r, a, bb, c = _nw_common(b)
-    mu = (-r) * pow(d, -1, n) % n if n > 1 else 0
+    a, bb, c = _frac_param(b, "a"), _frac_param(b, "b"), _frac_param(b, "c")
+    if at_mu:
+        m = (-r) * pow(d, -1, n) % n if n > 1 else 0
+    else:
+        m = n - 1
     return _Plan(
         "sum",
         build_modulus("QINT", n),
-        (("first", mu),),
-        _lhs_nw_abc(a, bb, c, d, r),
-        None,
-        "0",
-        {"n": n, "d": d, "r": r, "a": a, "b": bb, "c": c},
-    )
-
-
-def _build_nw_b(b: dict) -> _Plan:
-    n, d, r, a, bb, c = _nw_common(b)
-    return _Plan(
-        "sum",
-        build_modulus("QINT", n),
-        (("first", n - 1),),
-        _lhs_nw_abc(a, bb, c, d, r),
+        (("first", m),),
+        well_poised_spec(d, r, a, bb, 1 / c),
         None,
         "0",
         {"n": n, "d": d, "r": r, "a": a, "b": bb, "c": c},
@@ -675,7 +509,7 @@ def _build_nw_23(b: dict) -> _Plan:
         "sum",
         build_modulus("QINT_PHI_POW", n, {"k": 1}),
         (("first", nu), ("second", n - 1)),
-        _lhs_nw_ab(a, bb, d, r),
+        well_poised_spec(d, r, a, bb),
         None,
         "0",
         {"n": n, "d": d, "r": r, "a": a, "b": bb},
@@ -688,11 +522,12 @@ def _build_lem_rel(b: dict) -> _Plan:
     return _Plan("equality", None, (), None, _LEM_REL_LHS, _LEM_REL_RHS, {"t": t})
 
 
-def _build_lem_wei_k(b: dict) -> _Plan:
+def _build_wei_cube(b: dict, kind: str, bindings: dict | None, rhs: str) -> _Plan:
+    """LEM_WEI_K and LEM_WEI_N: the cubed [n] ratio, modulus and rhs given."""
     n = _int_param(b, "n")
     _require(n >= 3 and n % 4 == 3, f"n must be 3 mod 4, got {n}")
     return _Plan(
-        "expr", build_modulus("QINT", n), (), None, _WEI_CUBE_LHS, "0", {"n": n}
+        "expr", build_modulus(kind, n, bindings), (), None, _WEI_CUBE_LHS, rhs, {"n": n}
     )
 
 
@@ -701,34 +536,6 @@ def _build_lem_wei_m(b: dict) -> _Plan:
     _require(n >= 1 and n % 2 == 1, f"n must be a positive odd integer, got {n}")
     return _Plan(
         "expr", build_modulus("QINT", n), (), None, _WEI_RATIO_LHS, "0", {"n": n}
-    )
-
-
-def _build_lem_wei_n(b: dict) -> _Plan:
-    n = _int_param(b, "n")
-    _require(n >= 3 and n % 4 == 3, f"n must be 3 mod 4, got {n}")
-    return _Plan(
-        "expr",
-        build_modulus("QINT_PHI_POW", n, {"k": 4}),
-        (),
-        None,
-        _WEI_CUBE_LHS,
-        _THM_A_RHS_3,
-        {"n": n},
-    )
-
-
-def _build_lem_oo(b: dict) -> _Plan:
-    n = _int_param(b, "n")
-    _require(n >= 2 and n % 3 == 2, f"n must be 2 mod 3, got {n}")
-    return _Plan(
-        "sum",
-        build_modulus("QINT_PHI_POW", n, {"k": 5}),
-        (("first", (2 * n - 1) // 3), ("second", n - 1)),
-        _lhs_cubic(),
-        None,
-        _LEM_OO_RHS,
-        {"n": n},
     )
 
 
@@ -765,7 +572,7 @@ def _build_thm_d(b: dict) -> _Plan:
         "sum",
         build_modulus("QINT_PHI_POW", n, {"k": 4}),
         (("first", m1), ("second", n - 1)),
-        _lhs_sixth_c(c, d, r),
+        well_poised_spec(d, r, c=c),
         None,
         _THM_D_RHS,
         {"n": n, "d": d, "r": r, "c": c},
@@ -789,7 +596,7 @@ def _build_thm_e(b: dict) -> _Plan:
         "sum",
         build_modulus("QINT_PHI_POW", n, {"k": 5}),
         (("first", m1), ("second", n - 1)),
-        _lhs_sixth(d, r),
+        well_poised_spec(d, r),
         None,
         _THM_E_RHS,
         {"n": n, "d": d, "r": r},
@@ -813,7 +620,7 @@ def _build_prop_5_3(b: dict) -> _Plan:
         "sum",
         build_modulus("SPECIALIZED", n, {"t": t, "a": a, "b": bb}),
         (("first", m1), ("second", n - 1)),
-        _lhs_54_abc(a, bb, c, d, r),
+        well_poised_spec(d, r, a, bb, c),
         None,
         _PROP_5_3_RHS,
         {"n": n, "t": t, "d": d, "r": r, "a": a, "b": bb, "c": c},
@@ -829,7 +636,7 @@ def _build_thm_5_4(b: dict) -> _Plan:
         "sum",
         build_modulus("QINT_SPECIALIZED", n, {"a": a, "b": bb}),
         (("first", m1), ("second", n - 1)),
-        _lhs_54_abc(a, bb, c, d, r),
+        well_poised_spec(d, r, a, bb, c),
         None,
         _PROP_5_3_RHS,
         {"n": n, "t": 1, "d": d, "r": r, "a": a, "b": bb, "c": c},
@@ -847,7 +654,7 @@ def _build_thm_5_5(b: dict) -> _Plan:
             "QINT_PHI_SPECIALIZED", n, {"k": 1, "t": d - 1, "a": a, "b": bb}
         ),
         (("first", m1), ("second", n - 1)),
-        _lhs_nw_ab(a, bb, d, r),
+        well_poised_spec(d, r, a, bb),
         None,
         _THM_5_5_RHS,
         {"n": n, "d": d, "r": r, "a": a, "b": bb},
@@ -864,7 +671,7 @@ _register(
         "n: positive odd integer",
         "n odd; branch by n mod 4",
         "first: M=(n-1)/2; second: M=n-1",
-        build=_build_thm_a,
+        build=partial(_build_quartic, k=4, rhs_1=_THM_A_RHS_1, rhs_3=_THM_A_RHS_3),
         desk=tuple({"n": n} for n in (1, 3, 5, 7, 9, 11, 13, 15)),
     )
 )
@@ -888,7 +695,7 @@ _register(
         "n: positive integer, n = 2 mod 3",
         "n = 2 mod 3",
         "first: M=(2n-1)/3; second: M=n-1",
-        build=_build_thm_c,
+        build=partial(_build_cubic_2n, rhs=_THM_C_RHS),
         desk=tuple({"n": n} for n in (2, 5, 8, 11)),
     )
 )
@@ -912,7 +719,7 @@ _register(
         "n: positive odd integer",
         "n odd; RHS is 0 when n = 3 mod 4",
         "first: M=(n-1)/2; second: M=n-1",
-        build=_build_gwy,
+        build=partial(_build_quartic, k=2, rhs_1=_GWY_RHS_1, rhs_3="0"),
         desk=tuple({"n": n} for n in (1, 3, 5, 7, 9, 11, 13, 15)),
     )
 )
@@ -925,7 +732,7 @@ _register(
         "n odd; a, b avoid degenerate products",
         "first: M=(n-1)/2; second: M=n-1",
         symbols=("a", "b"),
-        build=_build_prop_2_1,
+        build=partial(_build_quartic_ab, kind="SPECIALIZED"),
         desk=tuple({"n": n} for n in (3, 5, 7)),
     )
 )
@@ -938,7 +745,7 @@ _register(
         "n odd; a, b avoid degenerate products",
         "first: M=(n-1)/2; second: M=n-1",
         symbols=("a", "b"),
-        build=_build_thm_2_2,
+        build=partial(_build_quartic_ab, kind="QINT_SPECIALIZED"),
         desk=tuple({"n": n} for n in (3, 5, 7)),
     )
 )
@@ -951,7 +758,7 @@ _register(
         "gcd(n, d) = 1; truncation mu solves d*mu = -r mod n",
         "first: M=mu",
         symbols=("a", "b", "c"),
-        build=_build_nw_a,
+        build=partial(_build_nw, at_mu=True),
         desk=(
             {"n": 5, "d": 3, "r": 1},
             {"n": 5, "d": 3, "r": -1},
@@ -972,7 +779,7 @@ _register(
         "gcd(n, d) = 1",
         "first: M=n-1",
         symbols=("a", "b", "c"),
-        build=_build_nw_b,
+        build=partial(_build_nw, at_mu=False),
         desk=(
             {"n": 5, "d": 3, "r": 1},
             {"n": 5, "d": 3, "r": -1},
@@ -1004,7 +811,7 @@ _register(
         "n: positive integer, n = 3 mod 4",
         "n = 3 mod 4",
         "single expression; no truncation",
-        build=_build_lem_wei_k,
+        build=partial(_build_wei_cube, kind="QINT", bindings=None, rhs="0"),
         desk=tuple({"n": n} for n in (3, 7, 11, 15)),
     )
 )
@@ -1028,7 +835,7 @@ _register(
         "n: positive integer, n = 3 mod 4",
         "n = 3 mod 4",
         "single expression; no truncation",
-        build=_build_lem_wei_n,
+        build=partial(_build_wei_cube, kind="QINT_PHI_POW", bindings={"k": 4}, rhs=_THM_A_RHS_3),
         desk=tuple({"n": n} for n in (3, 7, 11, 15)),
     )
 )
@@ -1099,7 +906,7 @@ _register(
         "n: positive integer, n = 2 mod 3",
         "n = 2 mod 3",
         "first: M=(2n-1)/3; second: M=n-1",
-        build=_build_lem_oo,
+        build=partial(_build_cubic_2n, rhs=_LEM_OO_RHS),
         desk=tuple({"n": n} for n in (2, 5, 8, 11)),
     )
 )

@@ -244,12 +244,11 @@ def _power_collision(x: Fraction, y: Fraction, bound: int = 6) -> bool:
     return False
 
 
-def sample_params(symbols, n: int, t: int = 1, seed=0, guard=None) -> ParamSample:
+def sample_params(symbols, n: int, t: int = 1, seed=0) -> ParamSample:
     """Deterministic generic rationals u/v (|u|, v <= 9) for the free symbols.
 
     Guards: no value in {0, 1, -1}; pairwise distinct; for any pair x, y:
-    x*y != 1, x != y +- 1, and no small power relation x^i = y^j.  The
-    optional guard callable can reject an assignment dict (return False).
+    x*y != 1, x != y +- 1, and no small power relation x^i = y^j.
     Raises SamplingExhausted after 1000 rejected draws.
     """
     symbols = list(symbols)
@@ -278,8 +277,6 @@ def sample_params(symbols, n: int, t: int = 1, seed=0, guard=None) -> ParamSampl
             if not ok:
                 break
             assignment[sym] = x
-        if ok and guard is not None and not guard(assignment):
-            ok = False
         if ok:
             return ParamSample(seed=seed, assignments=assignment, rejection_count=rejections)
         rejections += 1

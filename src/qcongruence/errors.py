@@ -77,10 +77,6 @@ class NonIntegerBound(QCongruenceError):
     """An exponent, bound or length expression did not evaluate to an exact integer."""
 
 
-class DivisionByZero(QCongruenceError):
-    """Expression evaluation divided by an expression that is identically zero."""
-
-
 class UnknownKind(QCongruenceError):
     """Unknown modulus kind or statement identifier."""
 

@@ -436,7 +436,9 @@ def _inner_double_bare(d: int, r: int, length: int, scale: int, cube: int) -> Fr
 
 # -- one checker per statement ------------------------------------------------
 #
-# Each checker validates side conditions, then returns
+# verify_classical checks p and s first (odd p and s >= 1 for statements that
+# take s, s = 1 for the others).  Each checker validates the side conditions
+# left, then returns
 #   (modulus exponent k, [(m_choice label, lhs, rhs)])
 # where lhs is a thunk returning the left side as a Fraction, so that only the
 # selected truncation slots are summed, and rhs is a Fraction (pure rational
@@ -462,8 +464,6 @@ def _cubic_correction(n: int) -> Fraction:
 
 
 def _check_cor_1_4(p: int, s: int):
-    _require_odd_prime(p)
-    _require(s >= 1, f"s must be positive, got {s}")
     P = p**s
     if P % 4 == 1:
         quarter = (P - 1) // 4
@@ -484,8 +484,6 @@ def _check_cor_1_4(p: int, s: int):
 
 
 def _check_cor_1_5(p: int, s: int):
-    _require_odd_prime(p)
-    _require(s >= 1, f"s must be positive, got {s}")
     P = p**s
     _require(P % 3 == 1, f"p^s must be 1 mod 3, got {P} = {P % 3} mod 3")
     third = (P - 1) // 3
@@ -498,8 +496,6 @@ def _check_cor_1_5(p: int, s: int):
 
 
 def _check_cor_1_6(p: int, s: int):
-    _require_odd_prime(p)
-    _require(s >= 1, f"s must be positive, got {s}")
     P = p**s
     _require(P % 3 == 2, f"p^s must be 2 mod 3, got {P} = {P % 3} mod 3")
     length = (2 * P - 1) // 3
@@ -511,8 +507,6 @@ def _check_cor_1_6(p: int, s: int):
 
 
 def _check_prop_1_7(p: int, s: int):
-    _require_s1("PROP_1_7", s)
-    _require_odd_prime(p)
     _require(p > 5, f"p must exceed 5, got {p}")
     gamma = ((Fraction(1, 4), 4),)
     if p % 4 == 1:
@@ -537,8 +531,6 @@ def _check_prop_1_7(p: int, s: int):
 
 
 def _check_prop_1_8(p: int, s: int):
-    _require_s1("PROP_1_8", s)
-    _require_odd_prime(p)
     _require(p != 3, "p = 3 makes 1/3 non-integral")
     gamma = ((_THIRD, 9),)
     if p % 6 == 1:
@@ -561,8 +553,6 @@ def _check_prop_1_8(p: int, s: int):
 
 
 def _check_vh_a2(p: int, s: int):
-    _require_s1("VH_A2", s)
-    _require_odd_prime(p)
     if p % 4 == 1:
         rhs = _GammaForm(1, Fraction(-1), ((Fraction(3, 4), -4),))
     else:
@@ -571,8 +561,6 @@ def _check_vh_a2(p: int, s: int):
 
 
 def _check_vh_d2(p: int, s: int):
-    _require_s1("VH_D2", s)
-    _require_odd_prime(p)
     _require(p % 6 == 1, f"p must be 1 mod 6, got {p}")
     return 4, [
         ("(p-1)/3", lambda: _sum_cubic((p - 1) // 3), _GammaForm(1, Fraction(-1), ((_THIRD, 9),)))
@@ -580,8 +568,6 @@ def _check_vh_d2(p: int, s: int):
 
 
 def _check_liu(p: int, s: int):
-    _require_s1("LIU", s)
-    _require_odd_prime(p)
     _require(p > 5 and p % 4 == 3, f"p must be 3 mod 4 and exceed 5, got {p}")
     return 4, [
         (
@@ -593,8 +579,6 @@ def _check_liu(p: int, s: int):
 
 
 def _check_lr(p: int, s: int):
-    _require_s1("LR", s)
-    _require_odd_prime(p)
     _require(p != 3, "p = 3 makes 1/3 non-integral")
     gamma = ((_THIRD, 9),)
     if p % 6 == 1:
@@ -615,8 +599,6 @@ def _require_window(P: int, d: int, r: int):
 
 
 def _check_cor_5_e(p: int, s: int, d: int, r: int):
-    _require_odd_prime(p)
-    _require(s >= 1, f"s must be positive, got {s}")
     P = p**s
     _require_window(P, d, r)
     _require(
@@ -633,8 +615,6 @@ def _check_cor_5_e(p: int, s: int, d: int, r: int):
 
 
 def _check_cor_5_g(p: int, s: int, d: int, r: int):
-    _require_odd_prime(p)
-    _require(s >= 1, f"s must be positive, got {s}")
     P = p**s
     _require_window(P, d, r)
     length = (P - r) // d
@@ -647,8 +627,6 @@ def _check_cor_5_g(p: int, s: int, d: int, r: int):
 
 
 def _check_cor_5_h(p: int, s: int, d: int, r: int):
-    _require_odd_prime(p)
-    _require(s >= 1, f"s must be positive, got {s}")
     _require(r in (1, -1), f"r must be +-1, got {r}")
     P = p**s
     _require(d >= 3, f"d must be at least 3, got {d}")
@@ -665,15 +643,11 @@ def _check_cor_5_h(p: int, s: int, d: int, r: int):
 
 
 def _check_sun_h2(p: int, s: int):
-    _require_s1("SUN_H2", s)
-    _require_odd_prime(p)
     _require(p > 3, f"p must exceed 3, got {p}")
     return 2, [("single", lambda: harmonic(p - 1, 2), Fraction(2 * p, 3) * bernoulli(p - 3))]
 
 
 def _check_sun_h2half(p: int, s: int):
-    _require_s1("SUN_H2HALF", s)
-    _require_odd_prime(p)
     _require(p > 3, f"p must exceed 3, got {p}")
     return 2, [
         ("single", lambda: harmonic((p - 1) // 2, 2), Fraction(7 * p, 3) * bernoulli(p - 3))
@@ -681,8 +655,6 @@ def _check_sun_h2half(p: int, s: int):
 
 
 def _check_sun_h3(p: int, s: int):
-    _require_s1("SUN_H3", s)
-    _require_odd_prime(p)
     _require(p > 5, f"p must exceed 5, got {p}")
     return 1, [("single", lambda: harmonic(p // 4, 3), Fraction(-9) * bernoulli(p - 3))]
 
@@ -910,13 +882,20 @@ def verify_classical(
     if stmt.takes_dr:
         if d is None or r is None:
             raise SideConditionViolated(f"{stmt_id} needs both d and r")
-        k, checks = stmt.checker(p, s, d, r)
+        dr = (d, r)
         params = {"p": p, "s": s, "d": d, "r": r}
     else:
         if d is not None or r is not None:
             raise SideConditionViolated(f"{stmt_id} does not take d or r")
-        k, checks = stmt.checker(p, s)
+        dr = ()
         params = {"p": p, "s": s}
+    if stmt.takes_s:
+        _require_odd_prime(p)
+        _require(s >= 1, f"s must be positive, got {s}")
+    else:
+        _require_s1(stmt_id, s)
+        _require_odd_prime(p)
+    k, checks = stmt.checker(p, s, *dr)
     slots = ("first", "second")
     if m_choice is not None:
         if m_choice not in slots:

@@ -2,10 +2,12 @@
 
 A TermSpec describes the k-th summand of a truncated series
 
-    sign^k * [2dk + r] * prod_i (x_i; q^s_i)_k / prod_j (y_j; q^t_j)_k * z^k
+    [2dk + r] * prod_i (x_i; q^s_i)_k / prod_j (y_j; q^t_j)_k * z^k
 
 where every Pochhammer argument and z is a rational multiple of a q-power
-(possibly with negative exponent).  truncated_sum evaluates partial sums
+(possibly with negative exponent).  well_poised_spec builds the one
+very-well-poised family that every catalog sum and every identity but
+q-Chu-Vandermonde truncates.  truncated_sum evaluates partial sums
 exactly.  Terms are built incrementally (term_{k+1} = term_k * ratio) and the
 partial sum is accumulated over a *factored* common denominator: coefficient
 +-1 binomials split into cyclotomics and everything else stays a monic
@@ -69,6 +71,7 @@ __all__ = [
     "q_binomial",
     "truncated_sum",
     "truncated_sum_prefixes",
+    "well_poised_spec",
 ]
 
 
@@ -102,16 +105,40 @@ class TermSpec:
     denom: tuple[tuple[QMonomialArg, int], ...]
     z: QMonomialArg
     linear_factor: bool = True
-    sign: int = 1
 
     def __hash__(self):
         # The engine cache hashes a spec on every lookup and store, and the
         # field hash walks every nested argument, so it is computed once.
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.d, self.r, self.numer, self.denom, self.z, self.linear_factor, self.sign))
+            h = hash((self.d, self.r, self.numer, self.denom, self.z, self.linear_factor))
             object.__setattr__(self, "_hash", h)
         return h
+
+
+def well_poised_spec(d: int, r: int, a=1, b=1, c=1) -> TermSpec:
+    """The very-well-poised term of which every catalog sum is a truncation:
+
+        [2dk + r] * prod_{x=a,b} (x q^r, q^r/x; q^d)_k / (q^d/x, x q^d; q^d)_k
+                  * (c q^r, q^r; q^d)_k / (q^d/c, q^d; q^d)_k * (q^(2d-3r)/c)^k
+
+    a, b and c are nonzero rationals or QMonomialArgs, so a = q^-n makes the
+    series terminate.  c = -1 gives the alternating quartic shape at
+    (d, r) = (2, 1), since (-q, q; q^2)_k = (q^2; q^4)_k.
+    """
+    a, b, c = (x if isinstance(x, QMonomialArg) else qma(x, 0) for x in (a, b, c))
+
+    def times(x, e):  # x q^e
+        return qma(x.coeff, x.exp + e)
+
+    def over(x, e):  # q^e / x
+        return qma(1 / x.coeff, e - x.exp)
+
+    numer = (times(a, r), over(a, r), times(b, r), over(b, r), times(c, r), qma(1, r))
+    denom = (over(a, d), times(a, d), over(b, d), times(b, d), over(c, d), qma(1, d))
+    return TermSpec(
+        d, r, tuple((x, d) for x in numer), tuple((x, d) for x in denom), over(c, 2 * d - 3 * r)
+    )
 
 
 def _binomial_poly(c: Fraction, e: int) -> QPoly:
@@ -280,8 +307,6 @@ class _SumEngine:
                 self.C = self.C.shift(j)
         else:
             term = self.C
-        if spec.sign == -1 and k % 2 == 1:
-            term = -term
         self.S = self.S + term
         self.k = k + 1
 
@@ -428,27 +453,12 @@ def _check_qchu(n: int, b: Fraction, c: Fraction) -> tuple[QRat, QRat]:
     return lhs, rhs
 
 
-def _whipple_lhs_spec(n: int, b: Fraction) -> TermSpec:
-    return TermSpec(
-        d=2,
-        r=1,
-        numer=(
-            (qma(1, 1 - n), 2),
-            (qma(1, 1 + n), 2),
-            (qma(b, 1), 2),
-            (qma(Fraction(1) / b, 1), 2),
-            (qma(1, 2), 4),
-        ),
-        denom=(
-            (qma(1, 2 + n), 2),
-            (qma(1, 2 - n), 2),
-            (qma(Fraction(1) / b, 2), 2),
-            (qma(b, 2), 2),
-            (qma(1, 4), 4),
-        ),
-        z=qma(1, 1),
-        sign=-1,
-    )
+def _terminating_sum(spec: TermSpec, m: int) -> QRat:
+    """The sum through k = m of a series whose term m + 1 must vanish."""
+    sums = truncated_sum_prefixes(spec, [m, m + 1] if m else [m])
+    if m + 1 in sums and sums[m + 1] != sums[m]:
+        raise NonTerminating(f"term {m + 1} did not vanish")
+    return sums[m]
 
 
 def _whipple_rhs(n: int, b: Fraction) -> QRat:
@@ -469,37 +479,8 @@ def _check_whipple(n: int, b: Fraction) -> tuple[QRat, QRat]:
     if n < 1 or n % 2 == 0:
         raise NonTerminating(f"series terminates only for odd n, got {n}")
     _require(b not in (0, 1, -1), "b must avoid 0 and +-1")
-    spec = _whipple_lhs_spec(n, b)
-    m = (n - 1) // 2
-    sums = truncated_sum_prefixes(spec, [m, m + 1] if m else [m])
-    if m + 1 in sums and sums[m + 1] != sums[m]:
-        raise NonTerminating(f"term {m + 1} did not vanish")
-    return sums[m], _whipple_rhs(n, b)
-
-
-def _jackson_lhs_spec(nu: int, b: Fraction) -> TermSpec:
-    binv = Fraction(1) / b
-    return TermSpec(
-        d=3,
-        r=1,
-        numer=(
-            (qma(1, 1 - nu), 3),
-            (qma(1, 1 + nu), 3),
-            (qma(b, 1), 3),
-            (qma(binv, 1), 3),
-            (qma(1, 1), 3),
-            (qma(1, 1), 3),
-        ),
-        denom=(
-            (qma(1, 3 + nu), 3),
-            (qma(1, 3 - nu), 3),
-            (qma(binv, 3), 3),
-            (qma(b, 3), 3),
-            (qma(1, 3), 3),
-            (qma(1, 3), 3),
-        ),
-        z=qma(1, 3),
-    )
+    lhs = _terminating_sum(well_poised_spec(2, 1, qma(1, -n), b, -1), (n - 1) // 2)
+    return lhs, _whipple_rhs(n, b)
 
 
 def _jackson_rhs(nu: int, b: Fraction) -> QRat:
@@ -514,37 +495,8 @@ def _check_jackson(nu: int, b: Fraction) -> tuple[QRat, QRat]:
     if nu < 1 or nu % 3 != 1:
         raise NonTerminating(f"series terminates only for tn = 1 (mod 3), got {nu}")
     _require(b not in (0, 1, -1), "b must avoid 0 and +-1")
-    spec = _jackson_lhs_spec(nu, b)
-    m = (nu - 1) // 3
-    sums = truncated_sum_prefixes(spec, [m, m + 1] if m else [m])
-    if m + 1 in sums and sums[m + 1] != sums[m]:
-        raise NonTerminating(f"term {m + 1} did not vanish")
-    return sums[m], _jackson_rhs(nu, b)
-
-
-def _watson_lhs_spec(nu: int, d: int, r: int, b: Fraction, c: Fraction) -> TermSpec:
-    binv = Fraction(1) / b
-    return TermSpec(
-        d=d,
-        r=r,
-        numer=(
-            (qma(1, r - nu), d),
-            (qma(1, r + nu), d),
-            (qma(b, r), d),
-            (qma(binv, r), d),
-            (qma(c, r), d),
-            (qma(1, r), d),
-        ),
-        denom=(
-            (qma(1, d + nu), d),
-            (qma(1, d - nu), d),
-            (qma(binv, d), d),
-            (qma(b, d), d),
-            (qma(Fraction(1) / c, d), d),
-            (qma(1, d), d),
-        ),
-        z=qma(Fraction(1) / c, 2 * d - 3 * r),
-    )
+    lhs = _terminating_sum(well_poised_spec(3, 1, qma(1, -nu), b), (nu - 1) // 3)
+    return lhs, _jackson_rhs(nu, b)
 
 
 def _watson_rhs(nu: int, d: int, r: int, b: Fraction, c: Fraction) -> QRat:
@@ -582,12 +534,8 @@ def _check_watson(nu: int, d: int, r: int, b: Fraction, c: Fraction) -> tuple[QR
         raise DegenerateParameters("d divides nu: a denominator factor vanishes")
     _require(b not in (0, 1, -1) and c not in (0, 1, -1), "b, c must avoid 0 and +-1")
     _require(b != c and b * c != 1, "b and c must be independent")
-    spec = _watson_lhs_spec(nu, d, r, b, c)
-    m = (nu - r) // d
-    sums = truncated_sum_prefixes(spec, [m, m + 1] if m else [m])
-    if m + 1 in sums and sums[m + 1] != sums[m]:
-        raise NonTerminating(f"term {m + 1} did not vanish")
-    return sums[m], _watson_rhs(nu, d, r, b, c)
+    lhs = _terminating_sum(well_poised_spec(d, r, qma(1, -nu), b, c), (nu - r) // d)
+    return lhs, _watson_rhs(nu, d, r, b, c)
 
 
 def _sample_fraction(rng: random.Random, forbid=()) -> Fraction:

@@ -23,7 +23,7 @@ from qcongruence.polyring import (
     poly_divrem,
     q_integer,
 )
-from qcongruence.qseries import check_terminating_identity, truncated_sum
+from qcongruence.qseries import check_terminating_identity, truncated_sum, well_poised_spec
 
 
 def _assert_all_verified(records, context):
@@ -52,7 +52,7 @@ def test_c01_quartic_family_both_branches_and_subsumption():
         " * poch(q^3; q^4; (n-1)/2) / poch(q^5; q^4; (n-1)/2)"
     )
     for n in (3, 7, 11, 15):
-        lhs = truncated_sum(catalog._lhs_quartic(), n - 1)
+        lhs = truncated_sum(well_poised_spec(2, 1, c=-1), n - 1)
         wei = eval_expr(parse_expr(historical), {"n": n})
         assert congruent(lhs, wei, build_modulus("QINT_PHI_POW", n, {"k": 3})).verified, n
     _run_all("GWY", cases)
@@ -352,7 +352,7 @@ def test_c10_property_suites():
     # q -> 1 bridge
     from qcongruence.padic import _sum_cubic
 
-    lhs = truncated_sum(catalog._lhs_cubic(), 1)
+    lhs = truncated_sum(well_poised_spec(3, 1), 1)
     assert lhs.eval_at(1) == _sum_cubic(1)
 
     # specialization unit relation, both orientations

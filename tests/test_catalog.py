@@ -8,7 +8,7 @@ from qcongruence import catalog
 from qcongruence.congruence import Modulus, build_modulus, congruent, sample_params
 from qcongruence.errors import SideConditionViolated, UnknownKind
 from qcongruence.expr import eval_expr, parse_expr
-from qcongruence.qseries import truncated_sum
+from qcongruence.qseries import truncated_sum, well_poised_spec
 
 
 def test_inventory_shape():
@@ -128,7 +128,7 @@ def test_subsumption_of_historical_weaker_forms():
         " * poch(q^3; q^4; (n-1)/2) / poch(q^5; q^4; (n-1)/2)"
     )
     for n in (3, 7):
-        lhs = truncated_sum(catalog._lhs_quartic(), n - 1)
+        lhs = truncated_sum(well_poised_spec(2, 1, c=-1), n - 1)
         wei = eval_expr(parse_expr(historical), {"n": n})
         cube = build_modulus("QINT_PHI_POW", n, {"k": 3})
         assert congruent(lhs, wei, cube).verified

@@ -296,5 +296,7 @@ def test_sample_params_empty():
 
 
 def test_sample_params_exhaustion():
+    # x and 1/x exclude each other, so at most 54 of the admissible u/v can
+    # be drawn together, and 60 symbols can never all be assigned.
     with pytest.raises(SamplingExhausted):
-        sample_params(["a", "b"], 2, 1, seed=0, guard=lambda m: False)
+        sample_params([f"s{i}" for i in range(60)], 2, 1, seed=0)

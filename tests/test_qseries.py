@@ -14,7 +14,7 @@ from qcongruence.errors import (
     OutOfRange,
     ZeroDenominatorFactor,
 )
-from qcongruence import catalog, qseries
+from qcongruence import qseries
 from qcongruence.polyring import QPoly, QRat, q_integer
 from qcongruence.qseries import (
     QMonomialArg,
@@ -25,6 +25,7 @@ from qcongruence.qseries import (
     qma,
     truncated_sum,
     truncated_sum_prefixes,
+    well_poised_spec,
 )
 
 
@@ -44,8 +45,6 @@ def reference_term(spec, k):
     value = value * qrat_monomial(spec.z.coeff, spec.z.exp) ** k
     if spec.linear_factor:
         value = value * QRat.from_value(q_integer(2 * spec.d * k + spec.r))
-    if spec.sign == -1 and k % 2 == 1:
-        value = -value
     return value
 
 
@@ -121,15 +120,11 @@ def sample_spec(rng):
         while a.coeff == 1 and a.exp <= 0 and (-a.exp) % step == 0:
             a = arg()
         denom.append((a, step))
-    return TermSpec(
-        d=rng.randint(1, 3),
-        r=rng.randint(-2, 3),
-        numer=numer,
-        denom=tuple(denom),
-        z=arg(-2, 2),
-        linear_factor=bool(rng.randint(0, 1)),
-        sign=rng.choice([1, -1]),
-    )
+    d, r = rng.randint(1, 3), rng.randint(-2, 3)
+    z = arg(-2, 2)
+    linear_factor = bool(rng.randint(0, 1))
+    sign = rng.choice([1, -1])  # an alternating sign is a negated z
+    return TermSpec(d, r, numer, tuple(denom), qma(sign * z.coeff, z.exp), linear_factor)
 
 
 def test_truncated_sum_matches_reference():
@@ -190,15 +185,15 @@ def test_snapshot_reduces_a_reducible_binomial_part():
 
 
 def test_termspec_hash_is_computed_once():
-    spec = catalog._lhs_quartic()
-    fields = (spec.d, spec.r, spec.numer, spec.denom, spec.z, spec.linear_factor, spec.sign)
+    spec = well_poised_spec(2, 1, c=-1)
+    fields = (spec.d, spec.r, spec.numer, spec.denom, spec.z, spec.linear_factor)
     assert "_hash" not in vars(spec)
     assert hash(spec) == hash(fields)
     assert vars(spec)["_hash"] == hash(fields)
-    twin = catalog._lhs_quartic()
+    twin = well_poised_spec(2, 1, c=-1)
     assert twin == spec and hash(twin) == hash(spec)
     assert {spec: 1}[twin] == 1
-    assert catalog._lhs_cubic() != spec
+    assert well_poised_spec(3, 1) != spec
 
 
 def test_truncated_sum_prefixes_consistent():
@@ -344,11 +339,40 @@ def assert_same_prefixes(got, want):
         assert (got[m].num, got[m].den) == (value.num, value.den), m
 
 
+def test_well_poised_spec_matches_literal_shapes():
+    # the cubic sum of THM_B and THM_C, field for field
+    cubic = TermSpec(3, 1, ((qma(1, 1), 3),) * 6, ((qma(1, 3), 3),) * 6, qma(1, 3))
+    assert well_poised_spec(3, 1) == cubic
+    # Watson's left side at nu = 7, (d, r) = (3, 1), b = 2, c = -3/2: a = q^-7
+    b, c = Fraction(2), Fraction(-3, 2)
+    watson = TermSpec(
+        3,
+        1,
+        tuple((x, 3) for x in (qma(1, -6), qma(1, 8), qma(b, 1), qma(1 / b, 1), qma(c, 1), qma(1, 1))),
+        tuple((x, 3) for x in (qma(1, 10), qma(1, -4), qma(1 / b, 3), qma(b, 3), qma(1 / c, 3), qma(1, 3))),
+        qma(1 / c, 3),
+    )
+    assert well_poised_spec(3, 1, qma(1, -7), b, c) == watson
+
+
+def test_quartic_is_the_c_minus_one_case():
+    # (-q, q; q^2)_k = (q^2; q^4)_k and (-q^2, q^2; q^2)_k = (q^4; q^4)_k, so
+    # c = -1 is the alternating quartic sum of THM_A and GWY written with
+    # step-4 factors and z = -q.
+    numer = ((qma(1, 1), 2),) * 4 + ((qma(1, 2), 4),)
+    denom = ((qma(1, 2), 2),) * 4 + ((qma(1, 4), 4),)
+    quartic = TermSpec(2, 1, numer, denom, qma(-1, 1))
+    orders = list(range(7))
+    assert_same_prefixes(
+        truncated_sum_prefixes(well_poised_spec(2, 1, c=-1), orders), fresh_prefixes(quartic, orders)
+    )
+
+
 CACHED_SPECS = {
-    "quartic": catalog._lhs_quartic(),
-    "cubic": catalog._lhs_cubic(),
-    "thm_e": catalog._lhs_sixth(3, -1),
-    "thm_d_c": catalog._lhs_sixth_c(Fraction(-3, 2), 3, -1),
+    "quartic": well_poised_spec(2, 1, c=-1),
+    "cubic": well_poised_spec(3, 1),
+    "thm_e": well_poised_spec(3, -1),
+    "thm_d_c": well_poised_spec(3, -1, c=Fraction(-3, 2)),
 }
 
 ORDER_SEQUENCES = {

@@ -1,10 +1,12 @@
 """Declarative inventory of verifiable congruence statements, plus the runner.
 
-Each q-side entry binds a truncated-sum shape (a qseries.well_poised_spec) or
-an expression text for its left side, an expression text for its right side,
-a factored modulus, side conditions, and the truncation choices the statement
-offers.  Classical (q -> 1) entries delegate to the padic module.  Statement ids are stable
-strings forming the CLI contract.
+Each q-side entry binds one left side, a truncated-sum shape (a
+qseries.well_poised_spec) or an expression text; an expression text for its
+right side, built from its family's template where the paper's theorems come
+in families; a factored modulus, side conditions, and the truncation choices
+the statement offers.  An entry's kind is its Statement.kind alone.
+Classical (q -> 1) entries delegate to the padic module.  Statement ids are
+stable strings forming the CLI contract.
 
 Truncation slots are reported as "first" and "second" in records; what each
 slot means (for example (n-1)/2 versus n-1) is part of the statement's
@@ -100,13 +102,15 @@ class CongruenceInstance:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Everything needed to evaluate one q-side statement instance."""
+    """Everything needed to evaluate one q-side statement instance.
 
-    kind: str  # sum | expr | equality
+    lhs is the truncated sum's TermSpec for a "sum" statement, whose slots
+    m_choices lists, and an expression text otherwise.
+    """
+
     modulus: Modulus | None
     m_choices: tuple[tuple[str, int], ...]
-    spec: TermSpec | None
-    lhs_text: str | None
+    lhs: TermSpec | str
     rhs_text: str
     env: dict
 
@@ -189,50 +193,44 @@ def _serialize_params(bindings: dict, symbols: tuple[str, ...]) -> dict:
 
 
 # -- right-hand expression texts ---------------------------------------------
+#
+# Each closed form is written once: a family's template takes the text of its
+# bound m ("n", "2*n", "t*n" or "(d*n-n)") and, for degree d, its weight c.
 
 _CENTER_SUM = (
     "sum(j, 1, (n-1)/2, (-1)^(j+1) * q^(2*j-n) / qint(2*j)^2)"
 )
 
-_THM_A_RHS_1 = (
-    "qint(n) * (poch(q^2; q^4; (n-1)/4) / poch(q^4; q^4; (n-1)/4))^2"
-    f" * (1 + qint(n)^2 * {_CENTER_SUM})"
-)
-_THM_A_RHS_3 = (
-    "qint(n)^2 * q^((1-n)/2)"
-    " * poch(q^3; q^4; (n-1)/2) / poch(q^5; q^4; (n-1)/2)"
-)
 _GWY_RHS_1 = "qint(n) * (poch(q^2; q^4; (n-1)/4) / poch(q^4; q^4; (n-1)/4))^2"
+_WEI_RATIO = "poch(q^3; q^4; (n-1)/2) / poch(q^5; q^4; (n-1)/2)"
+_WEI_RATIO_LHS = "qint(n)^2 * " + _WEI_RATIO
+_THM_A_RHS_1 = _GWY_RHS_1 + f" * (1 + qint(n)^2 * {_CENTER_SUM})"
+_THM_A_RHS_3 = "qint(n)^2 * q^((1-n)/2) * " + _WEI_RATIO
 
-_CUBIC_TAIL = (
-    "sum(j, 1, {upper}, q^(3*j-1) / qint(3*j-1)^2 - q^(3*j) / qint(3*j)^2)"
-)
 
-_THM_B_RHS = (
-    "qint(n) * (poch(q^2; q^3; (n-1)/3) / poch(q^3; q^3; (n-1)/3))^3"
-    " * (1 + qint(n)^2 * (2 - q^n) * "
-    + _CUBIC_TAIL.format(upper="(n-1)/3")
-    + ")"
-)
-_THM_C_RHS = (
-    "5 * qint(2*n) * (poch(q^2; q^3; (2*n-1)/3) / poch(q^3; q^3; (2*n-1)/3))^3"
-)
-_LEM_OO_RHS = (
-    "qint(2*n) * (poch(q^2; q^3; (2*n-1)/3) / poch(q^3; q^3; (2*n-1)/3))^3"
-    " * (1 + qint(2*n)^2 * (2 - q^(2*n)) * "
-    + _CUBIC_TAIL.format(upper="(2*n-1)/3")
-    + ")"
-)
-_LEM_PP_LHS = (
-    "1 + qint(2*n)^2 * (2 - q^(2*n)) * " + _CUBIC_TAIL.format(upper="(2*n-1)/3")
-)
+def _cubic_factor(m: str) -> str:
+    """[m] ((q^2; q^3)_L / (q^3; q^3)_L)^3 with L = (m-1)/3."""
+    length = f"({m}-1)/3"
+    return f"qint({m}) * (poch(q^2; q^3; {length}) / poch(q^3; q^3; {length}))^3"
+
+
+def _cubic_bracket(m: str) -> str:
+    """1 + [m]^2 (2 - q^m) sum_{j<=(m-1)/3} (q^(3j-1)/[3j-1]^2 - q^(3j)/[3j]^2)."""
+    power = f"q^{m}" if m.isidentifier() else f"q^({m})"
+    return (
+        f"1 + qint({m})^2 * (2 - {power}) * "
+        f"sum(j, 1, ({m}-1)/3, q^(3*j-1) / qint(3*j-1)^2 - q^(3*j) / qint(3*j)^2)"
+    )
+
+
+_THM_B_RHS = _cubic_factor("n") + " * (" + _cubic_bracket("n") + ")"
+_THM_C_RHS = "5 * " + _cubic_factor("2*n")
+_LEM_OO_RHS = _cubic_factor("2*n") + " * (" + _cubic_bracket("2*n") + ")"
+_LEM_PP_LHS = _cubic_bracket("2*n")
 
 _WEI_CUBE_LHS = (
     "-(qint(n)^3) * q^(1-n) / (1+q)^2"
     " * poch(q^4; q^4; (n-3)/4)^2 / poch(q^6; q^4; (n-3)/4)^2"
-)
-_WEI_RATIO_LHS = (
-    "qint(n)^2 * poch(q^3; q^4; (n-1)/2) / poch(q^5; q^4; (n-1)/2)"
 )
 
 _LEM_REL_LHS = "poch(q; q^2; t) / poch(q^2; q^2; t)"
@@ -290,61 +288,51 @@ _CUBIC_AB_RHS = _cubic_term("a", "b") + " + " + _cubic_term("b", "a")
 
 _HARMONIC_PAIR = "q^(d*j) / qint(d*j)^2 + q^(d*j-d+r) / qint(d*j-d+r)^2"
 
-_THM_D_RHS = (
-    "qint(n) * (c*q^r)^((r-n)/d)"
-    " * poch(c*q^(2*r); q^d; (n-r)/d) / poch(q^d/c; q^d; (n-r)/d)"
-    " * sum(k, 0, (n-r)/d,"
-    " poch(q^r; q^d; k)^2 * poch(q^(d-r); q^d; k) * poch(c*q^r; q^d; k)"
-    " * q^(d*k) / (poch(q^d; q^d; k)^3 * poch(c*q^(2*r); q^d; k))"
-    " * (1 - qint(n)^2 * (2 - q^n)"
-    f" * sum(j, 1, k, {_HARMONIC_PAIR})))"
-)
 
-_THM_E_RHS = (
-    "qint(d*n-n) * q^((r*(r+n-d*n))/d)"
-    " * poch(q^(2*r); q^d; (d*n-n-r)/d) / poch(q^d; q^d; (d*n-n-r)/d)"
-    " * sum(k, 0, (d*n-n-r)/d,"
-    " poch(q^r; q^d; k)^3 * poch(q^(d-r); q^d; k)"
-    " * q^(d*k) / (poch(q^d; q^d; k)^3 * poch(q^(2*r); q^d; k))"
-    " * (1 - qint(d*n-n)^2 * (2 - q^(d*n-n))"
-    f" * sum(j, 1, k, {_HARMONIC_PAIR})))"
-)
-
-
-def _p53_inner(x: str, y: str) -> str:
+def _degree_d_prefix(m: str, c: str) -> str:
+    """[m] (c q^r)^((r-m)/d) (c q^(2r); q^d)_L / (q^d/c; q^d)_L with L = (m-r)/d."""
+    length = f"({m}-r)/d"
     return (
-        "sum(k, 0, (t*n-r)/d,"
-        f" poch({x}*q^r; q^d; k) * poch(q^r/{x}; q^d; k)"
-        " * poch(c*q^r; q^d; k) * poch(q^(d-r); q^d; k) * q^(d*k)"
-        f" / (poch({y}*q^d; q^d; k) * poch(q^d/{y}; q^d; k)"
-        " * poch(c*q^(2*r); q^d; k) * poch(q^d; q^d; k)))"
+        f"qint({m}) * ({c}*q^r)^((r-{m})/d)"
+        f" * poch({c}*q^(2*r); q^d; {length}) / poch(q^d/{c}; q^d; {length})"
     )
 
 
-_PROP_5_3_RHS = (
-    "qint(t*n) * (c*q^r)^((r-t*n)/d)"
-    " * poch(c*q^(2*r); q^d; (t*n-r)/d) / poch(q^d/c; q^d; (t*n-r)/d)"
-    " * (" + _theta("a", "b", "t*n") + " * " + _p53_inner("a", "b")
-    + " + " + _theta("b", "a", "t*n") + " * " + _p53_inner("b", "a") + ")"
-)
-
-
-def _t55_inner(x: str, y: str) -> str:
+def _double_series_rhs(m: str, c: str) -> str:
+    """THM_D's closed form at bound m and weight c; THM_E's is m = dn - n, c = 1."""
     return (
-        "sum(k, 0, (d*n-n-r)/d,"
-        f" poch({x}*q^r; q^d; k) * poch(q^r/{x}; q^d; k)"
-        " * poch(q^r; q^d; k) * poch(q^(d-r); q^d; k) * q^(d*k)"
-        f" / (poch({y}*q^d; q^d; k) * poch(q^d/{y}; q^d; k)"
-        " * poch(q^(2*r); q^d; k) * poch(q^d; q^d; k)))"
+        _degree_d_prefix(m, c)
+        + f" * sum(k, 0, ({m}-r)/d,"
+        f" poch(q^r; q^d; k)^2 * poch(q^(d-r); q^d; k) * poch({c}*q^r; q^d; k)"
+        f" * q^(d*k) / (poch(q^d; q^d; k)^3 * poch({c}*q^(2*r); q^d; k))"
+        f" * (1 - qint({m})^2 * (2 - q^{m})"
+        f" * sum(j, 1, k, {_HARMONIC_PAIR})))"
     )
 
 
-_THM_5_5_RHS = (
-    "qint(d*n-n) * q^((r*(r+n-d*n))/d)"
-    " * poch(q^(2*r); q^d; (d*n-n-r)/d) / poch(q^d; q^d; (d*n-n-r)/d)"
-    " * (" + _theta("a", "b", "d*n-n") + " * " + _t55_inner("a", "b")
-    + " + " + _theta("b", "a", "d*n-n") + " * " + _t55_inner("b", "a") + ")"
-)
+def _theta_inner(x: str, y: str, m: str, c: str) -> str:
+    return (
+        f"sum(k, 0, ({m}-r)/d,"
+        f" poch({x}*q^r; q^d; k) * poch(q^r/{x}; q^d; k)"
+        f" * poch({c}*q^r; q^d; k) * poch(q^(d-r); q^d; k) * q^(d*k)"
+        f" / (poch({y}*q^d; q^d; k) * poch(q^d/{y}; q^d; k)"
+        f" * poch({c}*q^(2*r); q^d; k) * poch(q^d; q^d; k)))"
+    )
+
+
+def _theta_series_rhs(m: str, c: str) -> str:
+    """PROP_5_3's closed form at bound m and weight c; THM_5_5's is m = dn - n, c = 1."""
+    return (
+        _degree_d_prefix(m, c)
+        + " * (" + _theta("a", "b", m) + " * " + _theta_inner("a", "b", m, c)
+        + " + " + _theta("b", "a", m) + " * " + _theta_inner("b", "a", m, c) + ")"
+    )
+
+
+_THM_D_RHS = _double_series_rhs("n", "c")
+_THM_E_RHS = _double_series_rhs("(d*n-n)", "1")
+_PROP_5_3_RHS = _theta_series_rhs("t*n", "c")
+_THM_5_5_RHS = _theta_series_rhs("(d*n-n)", "1")
 
 
 # -- per-statement builders ---------------------------------------------------
@@ -355,11 +343,9 @@ def _build_quartic(b: dict, k: int, rhs_1: str, rhs_3: str) -> _Plan:
     n = _int_param(b, "n")
     _require(n >= 1 and n % 2 == 1, f"n must be a positive odd integer, got {n}")
     return _Plan(
-        "sum",
         build_modulus("QINT_PHI_POW", n, {"k": k}),
         (("first", (n - 1) // 2), ("second", n - 1)),
         well_poised_spec(2, 1, c=-1),
-        None,
         rhs_1 if n % 4 == 1 else rhs_3,
         {"n": n},
     )
@@ -369,11 +355,9 @@ def _build_thm_b(b: dict) -> _Plan:
     n = _int_param(b, "n")
     _require(n >= 1 and n % 3 == 1, f"n must be 1 mod 3, got {n}")
     return _Plan(
-        "sum",
         build_modulus("QINT_PHI_POW", n, {"k": 4}),
         (("first", (n - 1) // 3), ("second", n - 1)),
         well_poised_spec(3, 1),
-        None,
         _THM_B_RHS,
         {"n": n},
     )
@@ -384,11 +368,9 @@ def _build_cubic_2n(b: dict, rhs: str) -> _Plan:
     n = _int_param(b, "n")
     _require(n >= 2 and n % 3 == 2, f"n must be 2 mod 3, got {n}")
     return _Plan(
-        "sum",
         build_modulus("QINT_PHI_POW", n, {"k": 5}),
         (("first", (2 * n - 1) // 3), ("second", n - 1)),
         well_poised_spec(3, 1),
-        None,
         rhs,
         {"n": n},
     )
@@ -401,9 +383,7 @@ def _build_gs_16(b: dict) -> _Plan:
         modulus = build_modulus("QINT", n)
     else:
         modulus = build_modulus("QINT_PHI_POW", n, {"k": 1})
-    return _Plan(
-        "sum", modulus, (("first", n - 1),), well_poised_spec(3, 1), None, "0", {"n": n}
-    )
+    return _Plan(modulus, (("first", n - 1),), well_poised_spec(3, 1), "0", {"n": n})
 
 
 def _build_quartic_ab(b: dict, kind: str) -> _Plan:
@@ -413,11 +393,9 @@ def _build_quartic_ab(b: dict, kind: str) -> _Plan:
     a, bb = _frac_param(b, "a"), _frac_param(b, "b")
     rhs = _QUARTIC_AB_RHS_1 if n % 4 == 1 else _QUARTIC_AB_RHS_3
     return _Plan(
-        "sum",
         build_modulus(kind, n, {"a": a, "b": bb}),
         (("first", (n - 1) // 2), ("second", n - 1)),
         well_poised_spec(2, 1, a, bb, -1),
-        None,
         rhs,
         {"n": n, "a": a, "b": bb},
     )
@@ -431,11 +409,9 @@ def _build_prop_3_1(b: dict) -> _Plan:
     _require(n % 3 == t % 3, f"n = {n} must be congruent to t = {t} mod 3")
     a, bb = _frac_param(b, "a"), _frac_param(b, "b")
     return _Plan(
-        "sum",
         build_modulus("SPECIALIZED", n, {"t": t, "a": a, "b": bb}),
         (("first", (t * n - 1) // 3), ("second", n - 1)),
         well_poised_spec(3, 1, a, bb),
-        None,
         _CUBIC_AB_RHS,
         {"n": n, "t": t, "a": a, "b": bb},
     )
@@ -446,11 +422,9 @@ def _build_thm_3_2(b: dict) -> _Plan:
     _require(n >= 1 and n % 3 == 1, f"n must be 1 mod 3, got {n}")
     a, bb = _frac_param(b, "a"), _frac_param(b, "b")
     return _Plan(
-        "sum",
         build_modulus("QINT_SPECIALIZED", n, {"a": a, "b": bb}),
         (("first", (n - 1) // 3), ("second", n - 1)),
         well_poised_spec(3, 1, a, bb),
-        None,
         _CUBIC_AB_RHS,
         {"n": n, "t": 1, "a": a, "b": bb},
     )
@@ -461,11 +435,9 @@ def _build_thm_3_3(b: dict) -> _Plan:
     _require(n >= 2 and n % 3 == 2, f"n must be 2 mod 3, got {n}")
     a, bb = _frac_param(b, "a"), _frac_param(b, "b")
     return _Plan(
-        "sum",
         build_modulus("QINT_PHI_SPECIALIZED", n, {"k": 1, "t": 2, "a": a, "b": bb}),
         (("first", (2 * n - 1) // 3), ("second", n - 1)),
         well_poised_spec(3, 1, a, bb),
-        None,
         _CUBIC_AB_RHS,
         {"n": n, "t": 2, "a": a, "b": bb},
     )
@@ -484,11 +456,9 @@ def _build_nw(b: dict, at_mu: bool) -> _Plan:
     else:
         m = n - 1
     return _Plan(
-        "sum",
         build_modulus("QINT", n),
         (("first", m),),
         well_poised_spec(d, r, a, bb, 1 / c),
-        None,
         "0",
         {"n": n, "d": d, "r": r, "a": a, "b": bb, "c": c},
     )
@@ -506,11 +476,9 @@ def _build_nw_23(b: dict) -> _Plan:
     a, bb = _frac_param(b, "a"), _frac_param(b, "b")
     nu = _exact_div(d * n - n - r, d, "(dn-n-r)/d")
     return _Plan(
-        "sum",
         build_modulus("QINT_PHI_POW", n, {"k": 1}),
         (("first", nu), ("second", n - 1)),
         well_poised_spec(d, r, a, bb),
-        None,
         "0",
         {"n": n, "d": d, "r": r, "a": a, "b": bb},
     )
@@ -519,38 +487,26 @@ def _build_nw_23(b: dict) -> _Plan:
 def _build_lem_rel(b: dict) -> _Plan:
     t = _int_param(b, "t")
     _require(t >= 0, f"t must be nonnegative, got {t}")
-    return _Plan("equality", None, (), None, _LEM_REL_LHS, _LEM_REL_RHS, {"t": t})
+    return _Plan(None, (), _LEM_REL_LHS, _LEM_REL_RHS, {"t": t})
 
 
 def _build_wei_cube(b: dict, kind: str, bindings: dict | None, rhs: str) -> _Plan:
     """LEM_WEI_K and LEM_WEI_N: the cubed [n] ratio, modulus and rhs given."""
     n = _int_param(b, "n")
     _require(n >= 3 and n % 4 == 3, f"n must be 3 mod 4, got {n}")
-    return _Plan(
-        "expr", build_modulus(kind, n, bindings), (), None, _WEI_CUBE_LHS, rhs, {"n": n}
-    )
+    return _Plan(build_modulus(kind, n, bindings), (), _WEI_CUBE_LHS, rhs, {"n": n})
 
 
 def _build_lem_wei_m(b: dict) -> _Plan:
     n = _int_param(b, "n")
     _require(n >= 1 and n % 2 == 1, f"n must be a positive odd integer, got {n}")
-    return _Plan(
-        "expr", build_modulus("QINT", n), (), None, _WEI_RATIO_LHS, "0", {"n": n}
-    )
+    return _Plan(build_modulus("QINT", n), (), _WEI_RATIO_LHS, "0", {"n": n})
 
 
 def _build_lem_pp(b: dict) -> _Plan:
     n = _int_param(b, "n")
     _require(n >= 2 and n % 3 == 2, f"n must be 2 mod 3, got {n}")
-    return _Plan(
-        "expr",
-        build_modulus("PHI_POW", n, {"k": 2}),
-        (),
-        None,
-        _LEM_PP_LHS,
-        "5",
-        {"n": n},
-    )
+    return _Plan(build_modulus("PHI_POW", n, {"k": 2}), (), _LEM_PP_LHS, "5", {"n": n})
 
 
 def _thm_d_window(n: int, d: int, r: int):
@@ -569,11 +525,9 @@ def _build_thm_d(b: dict) -> _Plan:
     c = _frac_param(b, "c")
     m1 = _exact_div(n - r, d, "(n-r)/d")
     return _Plan(
-        "sum",
         build_modulus("QINT_PHI_POW", n, {"k": 4}),
         (("first", m1), ("second", n - 1)),
         well_poised_spec(d, r, c=c),
-        None,
         _THM_D_RHS,
         {"n": n, "d": d, "r": r, "c": c},
     )
@@ -593,11 +547,9 @@ def _build_thm_e(b: dict) -> _Plan:
     _thm_e_window(n, d, r)
     m1 = _exact_div(d * n - n - r, d, "(dn-n-r)/d")
     return _Plan(
-        "sum",
         build_modulus("QINT_PHI_POW", n, {"k": 5}),
         (("first", m1), ("second", n - 1)),
         well_poised_spec(d, r),
-        None,
         _THM_E_RHS,
         {"n": n, "d": d, "r": r},
     )
@@ -617,11 +569,9 @@ def _build_prop_5_3(b: dict) -> _Plan:
     a, bb, c = _frac_param(b, "a"), _frac_param(b, "b"), _frac_param(b, "c")
     m1 = _exact_div(t * n - r, d, "(tn-r)/d")
     return _Plan(
-        "sum",
         build_modulus("SPECIALIZED", n, {"t": t, "a": a, "b": bb}),
         (("first", m1), ("second", n - 1)),
         well_poised_spec(d, r, a, bb, c),
-        None,
         _PROP_5_3_RHS,
         {"n": n, "t": t, "d": d, "r": r, "a": a, "b": bb, "c": c},
     )
@@ -633,11 +583,9 @@ def _build_thm_5_4(b: dict) -> _Plan:
     a, bb, c = _frac_param(b, "a"), _frac_param(b, "b"), _frac_param(b, "c")
     m1 = _exact_div(n - r, d, "(n-r)/d")
     return _Plan(
-        "sum",
         build_modulus("QINT_SPECIALIZED", n, {"a": a, "b": bb}),
         (("first", m1), ("second", n - 1)),
         well_poised_spec(d, r, a, bb, c),
-        None,
         _PROP_5_3_RHS,
         {"n": n, "t": 1, "d": d, "r": r, "a": a, "b": bb, "c": c},
     )
@@ -649,19 +597,29 @@ def _build_thm_5_5(b: dict) -> _Plan:
     a, bb = _frac_param(b, "a"), _frac_param(b, "b")
     m1 = _exact_div(d * n - n - r, d, "(dn-n-r)/d")
     return _Plan(
-        "sum",
         build_modulus(
             "QINT_PHI_SPECIALIZED", n, {"k": 1, "t": d - 1, "a": a, "b": bb}
         ),
         (("first", m1), ("second", n - 1)),
         well_poised_spec(d, r, a, bb),
-        None,
         _THM_5_5_RHS,
         {"n": n, "d": d, "r": r, "a": a, "b": bb},
     )
 
 
 # -- inventory -----------------------------------------------------------------
+
+_ODD_N_DESK = tuple({"n": n} for n in (1, 3, 5, 7, 9, 11, 13, 15))
+_TWO_MOD_3_DESK = tuple({"n": n} for n in (2, 5, 8, 11))
+_NW_DESK = (
+    {"n": 5, "d": 3, "r": 1},
+    {"n": 5, "d": 3, "r": -1},
+    {"n": 7, "d": 3, "r": -2},
+    {"n": 7, "d": 4, "r": 1},
+    {"n": 3, "d": 4, "r": -1},
+    {"n": 6, "d": 5, "r": 1},
+    {"n": 7, "d": 5, "r": -3},
+)
 
 _register(
     Statement(
@@ -672,7 +630,7 @@ _register(
         "n odd; branch by n mod 4",
         "first: M=(n-1)/2; second: M=n-1",
         build=partial(_build_quartic, k=4, rhs_1=_THM_A_RHS_1, rhs_3=_THM_A_RHS_3),
-        desk=tuple({"n": n} for n in (1, 3, 5, 7, 9, 11, 13, 15)),
+        desk=_ODD_N_DESK,
     )
 )
 _register(
@@ -696,7 +654,7 @@ _register(
         "n = 2 mod 3",
         "first: M=(2n-1)/3; second: M=n-1",
         build=partial(_build_cubic_2n, rhs=_THM_C_RHS),
-        desk=tuple({"n": n} for n in (2, 5, 8, 11)),
+        desk=_TWO_MOD_3_DESK,
     )
 )
 _register(
@@ -720,7 +678,7 @@ _register(
         "n odd; RHS is 0 when n = 3 mod 4",
         "first: M=(n-1)/2; second: M=n-1",
         build=partial(_build_quartic, k=2, rhs_1=_GWY_RHS_1, rhs_3="0"),
-        desk=tuple({"n": n} for n in (1, 3, 5, 7, 9, 11, 13, 15)),
+        desk=_ODD_N_DESK,
     )
 )
 _register(
@@ -759,15 +717,7 @@ _register(
         "first: M=mu",
         symbols=("a", "b", "c"),
         build=partial(_build_nw, at_mu=True),
-        desk=(
-            {"n": 5, "d": 3, "r": 1},
-            {"n": 5, "d": 3, "r": -1},
-            {"n": 7, "d": 3, "r": -2},
-            {"n": 7, "d": 4, "r": 1},
-            {"n": 3, "d": 4, "r": -1},
-            {"n": 6, "d": 5, "r": 1},
-            {"n": 7, "d": 5, "r": -3},
-        ),
+        desk=_NW_DESK,
     )
 )
 _register(
@@ -780,15 +730,7 @@ _register(
         "first: M=n-1",
         symbols=("a", "b", "c"),
         build=partial(_build_nw, at_mu=False),
-        desk=(
-            {"n": 5, "d": 3, "r": 1},
-            {"n": 5, "d": 3, "r": -1},
-            {"n": 7, "d": 3, "r": -2},
-            {"n": 7, "d": 4, "r": 1},
-            {"n": 3, "d": 4, "r": -1},
-            {"n": 6, "d": 5, "r": 1},
-            {"n": 7, "d": 5, "r": -3},
-        ),
+        desk=_NW_DESK,
     )
 )
 _register(
@@ -824,7 +766,7 @@ _register(
         "n odd",
         "single expression; no truncation",
         build=_build_lem_wei_m,
-        desk=tuple({"n": n} for n in (1, 3, 5, 7, 9, 11, 13, 15)),
+        desk=_ODD_N_DESK,
     )
 )
 _register(
@@ -907,7 +849,7 @@ _register(
         "n = 2 mod 3",
         "first: M=(2n-1)/3; second: M=n-1",
         build=partial(_build_cubic_2n, rhs=_LEM_OO_RHS),
-        desk=tuple({"n": n} for n in (2, 5, 8, 11)),
+        desk=_TWO_MOD_3_DESK,
     )
 )
 _register(
@@ -919,7 +861,7 @@ _register(
         "n = 2 mod 3",
         "single expression; no truncation",
         build=_build_lem_pp,
-        desk=tuple({"n": n} for n in (2, 5, 8, 11)),
+        desk=_TWO_MOD_3_DESK,
     )
 )
 _register(
@@ -1100,14 +1042,14 @@ def _evaluate(plan: _Plan, m_policy: str):
     Sum statements share one pass over the series for all selected
     truncations; the others have a single slot, "first", with m None.
     """
-    if plan.kind == "sum":
+    if isinstance(plan.lhs, TermSpec):
         chosen = _select_choices(plan.m_choices, m_policy)
         rhs = eval_expr(_parsed(plan.rhs_text), plan.env)
-        prefixes = truncated_sum_prefixes(plan.spec, sorted({m for _, m in chosen}))
+        prefixes = truncated_sum_prefixes(plan.lhs, sorted({m for _, m in chosen}))
         return rhs, [(slot, m, prefixes[m]) for slot, m in chosen]
     if m_policy == "second":
         raise SideConditionViolated("statement offers a single evaluation; no 'second' choice")
-    lhs = eval_expr(_parsed(plan.lhs_text), plan.env)
+    lhs = eval_expr(_parsed(plan.lhs), plan.env)
     rhs = eval_expr(_parsed(plan.rhs_text), plan.env)
     return rhs, [("first", None, lhs)]
 
@@ -1303,7 +1245,7 @@ def instantiate(
         lhs,
         rhs,
         plan.modulus,
-        plan.kind,
+        stmt.kind,
         seed,
     )
 

@@ -401,8 +401,10 @@ def _parse_declaration(parser: _Parser) -> CongruenceSpec:
                 dtok = parser.current
                 if dtok.kind != "INT":
                     parser._fail("expected a denominator")
-                parser.advance()
                 den = int(dtok.text)
+                if den == 0:
+                    parser._fail(f"zero denominator in the value of {sym!r}")
+                parser.advance()
             bindings[sym] = Fraction(-num if neg else num, den)
             if not parser.accept(","):
                 break

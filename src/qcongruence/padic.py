@@ -10,10 +10,10 @@ product is not multiplied out: with r - 1 = M p + s it is
 (p-1)!^M * exp(L) * prod_{j<=s} (M p + j), where L, the p-adic logarithm of
 the M full blocks divided by (p-1)!^M, is a short series in power sums of
 0..M-1 (Faulhaber's formula).  Both series are cut by monotone valuation
-bounds, exp's at N digits and L's at N plus the digits that exp's division
-by t! costs, so the cost is O(N^2) operations whatever r is.  For odd
-composite p the logarithm does not apply and the product is taken term by
-term.
+bounds, exp's after its last term that can be nonzero modulo p^N and L's at
+N plus the digits that exp's division by t! costs, so the cost is O(N^2)
+operations whatever r is.  For odd composite p the logarithm does not apply
+and the product is taken term by term.
 
 The classical (q -> 1) statements are pure rational-number congruences; each
 side is computed exactly as a Fraction (with p-adic Gamma products reduced to
@@ -53,7 +53,10 @@ __all__ = [
 DEFAULT_GAMMA_BUDGET = 10**7
 
 _HALF = Fraction(1, 2)
-_THIRD = Fraction(1, 3)
+# Gamma_p(1/4)^4 and Gamma_p(1/3)^9, the Gamma_p products of the quartic and
+# cubic statements.
+_GAMMA_QUARTER = ((Fraction(1, 4), 4),)
+_GAMMA_THIRD = ((Fraction(1, 3), 9),)
 
 
 def harmonic(m: int, ell: int) -> BigRat:
@@ -170,11 +173,12 @@ def bernoulli(n: int) -> BigRat:
 # section 11.5.  v_p(L) >= 1 and p is odd, so exp converges.
 #
 # Precision: the term L^t / t! has valuation >= t - v_p(t!) >= t - (t-1)/(p-1),
-# a bound that grows with t, so exp stops at the first t where it reaches N.
-# Dividing by t! costs v_p(t!) digits, so L is needed modulo p^W with
-# W = N + v_p(t!) for the last t kept.  The i-th term of L has valuation
-# >= i - v_p(i) >= i - floor(log_p i), again growing with i, so the log series
-# stops where that reaches W.
+# a bound that grows with t.  A valuation is an integer, so the term vanishes
+# modulo p^N once the bound exceeds N - 1: exp keeps t only while
+# t (p-2) + 1 <= (N-1)(p-1).  Dividing by t! costs v_p(t!) digits, so L is
+# needed modulo p^W with W = N + v_p(t!) for the last t kept.  The i-th term
+# of L has valuation >= i - v_p(i) >= i - floor(log_p i), again growing with
+# i, so the log series stops where that reaches W.
 
 _GAMMA_CACHE: dict[tuple[int, int, int], int] = {}
 _GAMMA_SERIES: dict[tuple[int, int], tuple] = {}
@@ -221,7 +225,7 @@ def _gamma_series(p: int, precision: int) -> tuple:
         modulus = p**precision
         exp_coefs = [(1, 1)]
         t, v, unit = 1, 0, 1  # t! = p^v * unit
-        while t * (p - 2) + 1 < precision * (p - 1):  # t - (t-1)/(p-1) < N
+        while t * (p - 2) + 1 <= (precision - 1) * (p - 1):  # t - (t-1)/(p-1) <= N - 1
             e, u = _split_power(t, p)
             v, unit = v + e, unit * u
             exp_coefs.append((p**v, pow(unit, -1, modulus)))
@@ -463,20 +467,40 @@ def _cubic_correction(n: int) -> Fraction:
     return Fraction(*_fraction_sum(1, n + 1, lambda j: (6 * j - 1, (3 * j * (3 * j - 1)) ** 2)))
 
 
-def _check_cor_1_4(p: int, s: int):
-    P = p**s
+def _quartic_closed(P: int) -> Fraction:
+    """PROP_1_7's left side at p = P; COR_1_4's right side is P or P^2 times it."""
     if P % 4 == 1:
         quarter = (P - 1) // 4
-        ratio = (rising(_HALF, quarter) / rising(Fraction(1), quarter)) ** 2
-        brace = (
-            P
-            + Fraction(P**3, 4) * harmonic((P - 1) // 2, 2)
-            - Fraction(P**3, 8) * harmonic(quarter, 2)
+        return (rising(_HALF, quarter) / rising(Fraction(1), quarter)) ** 2 * (
+            1
+            + Fraction(P**2, 4) * harmonic((P - 1) // 2, 2)
+            - Fraction(P**2, 8) * harmonic(quarter, 2)
         )
-        rhs = ratio * brace
-    else:
-        half = (P - 1) // 2
-        rhs = Fraction(p ** (2 * s)) * rising(Fraction(3, 4), half) / rising(Fraction(5, 4), half)
+    half = (P - 1) // 2
+    return rising(Fraction(3, 4), half) / rising(Fraction(5, 4), half)
+
+
+def _cubic_closed(P: int) -> Fraction:
+    """PROP_1_8's left side at p = P; COR_1_5's and COR_1_6's are P and 10P times it."""
+    if P % 3 == 1:
+        third = (P - 1) // 3
+        return (rising(Fraction(2, 3), third) / rising(Fraction(1), third)) ** 3 * (
+            1 + P**2 * _cubic_correction(third)
+        )
+    length = (2 * P - 1) // 3
+    return (rising(Fraction(2, 3), length) / rising(Fraction(1), length)) ** 3
+
+
+def _double_closed(d: int, r: int, N: int) -> Fraction:
+    """COR_5_E's right side at N = p^s, and COR_5_H's at N = (d-1) p^s."""
+    length = (N - r) // d
+    pref = rising(Fraction(2 * r, d), length) / rising(Fraction(1), length)
+    return pref * _inner_double(d, r, length, N, N**3)
+
+
+def _check_cor_1_4(p: int, s: int):
+    P = p**s
+    rhs = (P if P % 4 == 1 else P**2) * _quartic_closed(P)
     return s + 4, [
         ("(p^s-1)/2", lambda: _sum_quartic((P - 1) // 2), rhs),
         ("p^s-1", lambda: _sum_quartic(P - 1), rhs),
@@ -487,8 +511,7 @@ def _check_cor_1_5(p: int, s: int):
     P = p**s
     _require(P % 3 == 1, f"p^s must be 1 mod 3, got {P} = {P % 3} mod 3")
     third = (P - 1) // 3
-    ratio = (rising(Fraction(2, 3), third) / rising(Fraction(1), third)) ** 3
-    rhs = ratio * (P + P**3 * _cubic_correction(third))
+    rhs = P * _cubic_closed(P)
     return s + 4, [
         ("(p^s-1)/3", lambda: _sum_cubic(third), rhs),
         ("p^s-1", lambda: _sum_cubic(P - 1), rhs),
@@ -499,7 +522,7 @@ def _check_cor_1_6(p: int, s: int):
     P = p**s
     _require(P % 3 == 2, f"p^s must be 2 mod 3, got {P} = {P % 3} mod 3")
     length = (2 * P - 1) // 3
-    rhs = 10 * P * (rising(Fraction(2, 3), length) / rising(Fraction(1), length)) ** 3
+    rhs = 10 * P * _cubic_closed(P)
     return s + 5, [
         ("(2p^s-1)/3", lambda: _sum_cubic(length), rhs),
         ("p^s-1", lambda: _sum_cubic(P - 1), rhs),
@@ -508,84 +531,37 @@ def _check_cor_1_6(p: int, s: int):
 
 def _check_prop_1_7(p: int, s: int):
     _require(p > 5, f"p must exceed 5, got {p}")
-    gamma = ((Fraction(1, 4), 4),)
-    if p % 4 == 1:
-        quarter = (p - 1) // 4
-
-        def lhs():
-            return (rising(_HALF, quarter) / rising(Fraction(1), quarter)) ** 2 * (
-                1
-                + Fraction(p**2, 4) * harmonic((p - 1) // 2, 2)
-                - Fraction(p**2, 8) * harmonic(quarter, 2)
-            )
-
-        return 4, [("single", lhs, _GammaForm(0, Fraction(-1), gamma))]
-    half = (p - 1) // 2
-    return 3, [
-        (
-            "single",
-            lambda: rising(Fraction(3, 4), half) / rising(Fraction(5, 4), half),
-            _GammaForm(1, Fraction(-1, 16), gamma),
-        )
-    ]
+    k, j, coef = (4, 0, Fraction(-1)) if p % 4 == 1 else (3, 1, Fraction(-1, 16))
+    return k, [("single", lambda: _quartic_closed(p), _GammaForm(j, coef, _GAMMA_QUARTER))]
 
 
 def _check_prop_1_8(p: int, s: int):
     _require(p != 3, "p = 3 makes 1/3 non-integral")
-    gamma = ((_THIRD, 9),)
-    if p % 6 == 1:
-        third = (p - 1) // 3
-
-        def lhs():
-            return (rising(Fraction(2, 3), third) / rising(Fraction(1), third)) ** 3 * (
-                1 + p**2 * _cubic_correction(third)
-            )
-
-        return 4, [("single", lhs, _GammaForm(0, Fraction(-1), gamma))]
-    length = (2 * p - 1) // 3
-    return 5, [
-        (
-            "single",
-            lambda: (rising(Fraction(2, 3), length) / rising(Fraction(1), length)) ** 3,
-            _GammaForm(3, Fraction(-1, 27), gamma),
-        )
-    ]
+    k, j, coef = (4, 0, Fraction(-1)) if p % 6 == 1 else (5, 3, Fraction(-1, 27))
+    return k, [("single", lambda: _cubic_closed(p), _GammaForm(j, coef, _GAMMA_THIRD))]
 
 
 def _check_vh_a2(p: int, s: int):
-    if p % 4 == 1:
-        rhs = _GammaForm(1, Fraction(-1), ((Fraction(3, 4), -4),))
-    else:
-        rhs = Fraction(0)
+    rhs = _GammaForm(1, Fraction(-1), ((Fraction(3, 4), -4),)) if p % 4 == 1 else Fraction(0)
     return 3, [("(p-1)/2", lambda: _sum_quartic((p - 1) // 2), rhs)]
 
 
 def _check_vh_d2(p: int, s: int):
     _require(p % 6 == 1, f"p must be 1 mod 6, got {p}")
-    return 4, [
-        ("(p-1)/3", lambda: _sum_cubic((p - 1) // 3), _GammaForm(1, Fraction(-1), ((_THIRD, 9),)))
-    ]
+    rhs = _GammaForm(1, Fraction(-1), _GAMMA_THIRD)
+    return 4, [("(p-1)/3", lambda: _sum_cubic((p - 1) // 3), rhs)]
 
 
 def _check_liu(p: int, s: int):
     _require(p > 5 and p % 4 == 3, f"p must be 3 mod 4 and exceed 5, got {p}")
-    return 4, [
-        (
-            "(p-1)/2",
-            lambda: _sum_quartic((p - 1) // 2),
-            _GammaForm(3, Fraction(-1, 16), ((Fraction(1, 4), 4),)),
-        )
-    ]
+    rhs = _GammaForm(3, Fraction(-1, 16), _GAMMA_QUARTER)
+    return 4, [("(p-1)/2", lambda: _sum_quartic((p - 1) // 2), rhs)]
 
 
 def _check_lr(p: int, s: int):
     _require(p != 3, "p = 3 makes 1/3 non-integral")
-    gamma = ((_THIRD, 9),)
-    if p % 6 == 1:
-        rhs = _GammaForm(1, Fraction(-1), gamma)
-    else:
-        rhs = _GammaForm(4, Fraction(-10, 27), gamma)
-    return 6, [("p-1", lambda: _sum_cubic(p - 1), rhs)]
+    j, coef = (1, Fraction(-1)) if p % 6 == 1 else (4, Fraction(-10, 27))
+    return 6, [("p-1", lambda: _sum_cubic(p - 1), _GammaForm(j, coef, _GAMMA_THIRD))]
 
 
 def _require_window(P: int, d: int, r: int):
@@ -606,8 +582,7 @@ def _check_cor_5_e(p: int, s: int, d: int, r: int):
         f"2r/d = {Fraction(2 * r, d)} is a non-positive integer, so (2r/d)_k vanishes in a denominator",
     )
     length = (P - r) // d
-    pref = rising(Fraction(2 * r, d), length) / rising(Fraction(1), length)
-    rhs = pref * _inner_double(d, r, length, P, P**3)
+    rhs = _double_closed(d, r, P)
     return s + 4, [
         ("(p^s-r)/d", lambda: _sum_sixth(d, r, length), rhs),
         ("p^s-1", lambda: _sum_sixth(d, r, P - 1), rhs),
@@ -634,8 +609,7 @@ def _check_cor_5_h(p: int, s: int, d: int, r: int):
     _require(gcd(P, d) == 1, f"gcd(p, d) must be 1, got d = {d}")
     _require((P + r) % d == 0, f"p^s = {P} must be -r mod d = {d}")
     length = (d * P - P - r) // d
-    pref = rising(Fraction(2 * r, d), length) / rising(Fraction(1), length)
-    rhs = pref * _inner_double(d, r, length, (d - 1) * P, (d - 1) ** 3 * P**3)
+    rhs = _double_closed(d, r, (d - 1) * P)
     return s + 5, [
         ("(dp^s-p^s-r)/d", lambda: _sum_sixth(d, r, length), rhs),
         ("p^s-1", lambda: _sum_sixth(d, r, P - 1), rhs),

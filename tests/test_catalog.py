@@ -191,6 +191,24 @@ def test_rhs_cross_consistency_between_families():
         assert congruent(e_rhs, c_rhs, modulus).verified, n
 
 
+def test_family_closed_forms_share_one_template():
+    # THM_E's right side is THM_D's at bound dn - n and c = 1, and THM_5_5's is
+    # PROP_5_3's at t = d - 1 and c = 1.
+    a, b = Fraction(2), Fraction(-3, 5)
+    for n, d, r in ((2, 3, 1), (4, 3, -1), (3, 4, 1)):
+        thm_e = eval_expr(parse_expr(catalog._THM_E_RHS), {"n": n, "d": d, "r": r})
+        thm_d = eval_expr(
+            parse_expr(catalog._THM_D_RHS), {"n": d * n - n, "d": d, "r": r, "c": Fraction(1)}
+        )
+        assert thm_e == thm_d, (n, d, r)
+        env = {"n": n, "d": d, "r": r, "a": a, "b": b}
+        thm_5_5 = eval_expr(parse_expr(catalog._THM_5_5_RHS), env)
+        prop_5_3 = eval_expr(
+            parse_expr(catalog._PROP_5_3_RHS), {**env, "t": d - 1, "c": Fraction(1)}
+        )
+        assert thm_5_5 == prop_5_3, (n, d, r)
+
+
 def test_equality_statement_records():
     for t in (0, 1, 4):
         records = catalog.run_statement("LEM_REL", {"t": t})

@@ -191,6 +191,35 @@ def test_check_spec_error_record(tmp_path, capsys):
     assert record["witness"]["error"]
 
 
+def test_check_value_error_is_an_error_record(tmp_path, capsys):
+    spec = tmp_path / "value.qcs"
+    spec.write_text(
+        "GOOD : qint(n) == 0 mod qint(n) with n = 3\n"
+        "PHI0 : phi(0) == 0\n"
+        "STEP0 : poch(q; q^0; 2) == 1\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(capsys, "check", "--spec", str(spec))
+    assert code == 1
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [rec["status"] for rec in records] == ["verified", "error", "error"]
+    assert [rec["witness"]["error"] for rec in records[1:]] == ["ValueError", "ValueError"]
+    assert "step must be at least 1" in records[2]["witness"]["detail"]
+
+
+def test_check_zero_denominator_binding_exit_two(tmp_path, capsys):
+    spec = tmp_path / "zero.qcs"
+    spec.write_text(
+        "GOOD : qint(n) == 0 mod qint(n) with n = 3\n"
+        "ZERO : qint(n) == a with n = 3, a = 1/0\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "check", "--spec", str(spec))
+    assert code == 2
+    assert out == ""
+    assert "line 2, col 39: zero denominator" in err
+
+
 def test_check_spec_modulus_powers(tmp_path, capsys):
     spec = tmp_path / "pow.qcs"
     spec.write_text(

@@ -15,6 +15,9 @@ DATA = Path(__file__).parent / "data"
 
 _Q_IDS = "THM_A,GWY,THM_B,THM_C,GS_16,LEM_WEI_K,LEM_WEI_M,LEM_WEI_N,LEM_PP,PROP_2_1,THM_2_2"
 
+_FAMILY_IDS = "THM_D,THM_E,PROP_5_3,THM_5_4,THM_5_5,LEM_OO,NW_A,NW_B"
+_FAMILY_CLASSICAL_IDS = "COR_1_5,COR_1_6,COR_5_E,COR_5_G,COR_5_H,PROP_1_8,LR,VH_A2,VH_D2,LIU"
+
 CASES = [
     ("golden_verify.jsonl", ["verify", "--id", _Q_IDS, "--n", "1..7", "--trials", "1"], 0),
     (
@@ -28,6 +31,12 @@ CASES = [
         ["padic", "--id", "COR_1_4,SUN_H2,PROP_1_7", "--p", "3,5,7,11,13"],
         0,
     ),
+    # Desk cases of the statements whose closed forms or desks come from a
+    # shared template or constant (THM_E from THM_D's, THM_5_5 from
+    # PROP_5_3's, COR_5_H from COR_5_E's, COR_1_5/COR_1_6 from PROP_1_8's),
+    # written before those were merged.
+    ("golden_desk_verify.jsonl", ["verify", "--id", _FAMILY_IDS, "--trials", "1"], 0),
+    ("golden_desk_padic.jsonl", ["padic", "--id", _FAMILY_CLASSICAL_IDS], 0),
 ]
 
 

@@ -6,6 +6,10 @@ carried together with its context (p, precision N), i.e. an element of
 Z/p^N Z viewed as a truncated p-adic integer.  Operations between PadicInt
 values require identical contexts and raise ValueError otherwise; silent
 coercion between precisions is a bug factory in congruence work.
+
+binary_split is the one summation kernel of the package: padic sums
+classical series over the integers with it, and qseries sums q-series over
+polynomials in q.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ BigRat = Fraction
 __all__ = [
     "BigRat",
     "PadicInt",
+    "binary_split",
     "inv_mod_prime_power",
     "padic_valuation",
     "residue_of_rational",
@@ -49,6 +54,25 @@ def padic_valuation(x: BigRat | int, p: int):
         den //= p
         v -= 1
     return v
+
+
+def binary_split(lo: int, hi: int, leaf):
+    """(P, Q, T) over lo <= k < hi, hi > lo, by binary splitting.
+
+    leaf(k) is the one-term triple (p_k, q_k, t_k), and two adjacent ranges
+    merge as P = P1 P2, Q = Q1 Q2, T = T1 Q2 + P1 T2 (Haible and Papanikolaou,
+    "Fast multiprecision evaluation of series of rational numbers", ANTS
+    1998).  So T/Q = sum_k t_k/q_k * prod_{lo<=i<k} p_i/q_i over one common
+    denominator Q = prod q_k.  The entries may be integers or polynomials.
+    Leaves are evaluated in increasing k, so the first one to raise is the
+    lowest.
+    """
+    if hi - lo == 1:
+        return leaf(lo)
+    mid = (lo + hi) // 2
+    p1, q1, t1 = binary_split(lo, mid, leaf)
+    p2, q2, t2 = binary_split(mid, hi, leaf)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 def inv_mod_prime_power(a: int, p: int, n: int) -> int:

@@ -11,10 +11,17 @@ stable strings forming the CLI contract.
 Truncation slots are reported as "first" and "second" in records; what each
 slot means (for example (n-1)/2 versus n-1) is part of the statement's
 documentation returned by list_statements.
+
+check_terminating_identity verifies the four closed summation formulas the
+congruence proofs rest on (q-Chu-Vandermonde, and the very-well-poised
+specializations whose parameters are pinned to q-powers) as exact
+equalities; their right sides are the statements' templates at y = b, so
+every closed form is written once, here.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,19 +32,23 @@ from typing import Callable
 from . import padic
 from .congruence import Modulus, build_modulus, congruent, sample_params
 from .errors import (
+    DegenerateParameters,
     DenominatorNotUnit,
     NonIntegerBound,
+    NonTerminating,
     QCongruenceError,
     SideConditionViolated,
     UnknownKind,
 )
 from .expr import Node, eval_expr, parse_expr
-from .qseries import TermSpec, truncated_sum_prefixes, well_poised_spec
+from .qseries import TermSpec, qma, truncated_sum_prefixes, well_poised_spec
 
 __all__ = [
     "CongruenceInstance",
+    "IdentityCheck",
     "Statement",
     "VerificationRecord",
+    "check_terminating_identity",
     "get_statement",
     "instantiate",
     "list_statements",
@@ -151,9 +162,9 @@ def get_statement(stmt_id: str) -> Statement:
 # -- small helpers ---------------------------------------------------------
 
 
-def _require(cond: bool, message: str):
+def _require(cond: bool, message: str, error=SideConditionViolated):
     if not cond:
-        raise SideConditionViolated(message)
+        raise error(message)
 
 
 def _int_param(bindings: dict, name: str, default=None) -> int:
@@ -244,22 +255,31 @@ def _omega(x: str, y: str) -> str:
     )
 
 
-def _quartic_term_1(x: str, y: str) -> str:
+def _quartic_ratio_1(y: str) -> str:
+    """(y q^2, q^2/y; q^4)_L / (q^4/y, y q^4; q^4)_L with L = (n-1)/4."""
     length = "(n-1)/4"
     return (
-        f"{_omega(x, y)}"
-        f" * poch({y}*q^2; q^4; {length}) * poch(q^2/{y}; q^4; {length})"
+        f"poch({y}*q^2; q^4; {length}) * poch(q^2/{y}; q^4; {length})"
         f" / (poch(q^4/{y}; q^4; {length}) * poch({y}*q^4; q^4; {length}))"
     )
 
 
-def _quartic_term_3(x: str, y: str) -> str:
+def _quartic_ratio_3(y: str) -> str:
+    """-q (y, 1/y; q^4)_L / (q^2/y, y q^2; q^4)_L with L = (n+1)/4."""
     length = "(n+1)/4"
     return (
-        f"{_omega(x, y)} * (-(q))"
+        "(-(q))"
         f" * poch({y}; q^4; {length}) * poch(1/{y}; q^4; {length})"
         f" / (poch(q^2/{y}; q^4; {length}) * poch({y}*q^2; q^4; {length}))"
     )
+
+
+def _quartic_term_1(x: str, y: str) -> str:
+    return f"{_omega(x, y)} * {_quartic_ratio_1(y)}"
+
+
+def _quartic_term_3(x: str, y: str) -> str:
+    return f"{_omega(x, y)} * {_quartic_ratio_3(y)}"
 
 
 _QUARTIC_AB_RHS_1 = _quartic_term_1("a", "b") + " + " + _quartic_term_1("b", "a")
@@ -273,15 +293,19 @@ def _theta(x: str, y: str, e: str) -> str:
     )
 
 
-def _cubic_term(x: str, y: str) -> str:
-    length = "(t*n-1)/3"
+def _cubic_ratio(y: str, m: str) -> str:
+    """(y q^2, q^2/y, q^2; q^3)_L / (q^3/y, y q^3, q^3; q^3)_L with L = (m-1)/3."""
+    length = f"({m}-1)/3"
     return (
-        f"qint(t*n) * {_theta(x, y, 't*n')}"
-        f" * poch({y}*q^2; q^3; {length}) * poch(q^2/{y}; q^3; {length})"
+        f"poch({y}*q^2; q^3; {length}) * poch(q^2/{y}; q^3; {length})"
         f" * poch(q^2; q^3; {length})"
         f" / (poch(q^3/{y}; q^3; {length}) * poch({y}*q^3; q^3; {length})"
         f" * poch(q^3; q^3; {length}))"
     )
+
+
+def _cubic_term(x: str, y: str) -> str:
+    return f"qint(t*n) * {_theta(x, y, 't*n')} * {_cubic_ratio(y, 't*n')}"
 
 
 _CUBIC_AB_RHS = _cubic_term("a", "b") + " + " + _cubic_term("b", "a")
@@ -328,6 +352,13 @@ def _theta_series_rhs(m: str, c: str) -> str:
         + " + " + _theta("b", "a", m) + " * " + _theta_inner("b", "a", m, c) + ")"
     )
 
+
+# The terminating identities' right sides, at n = nu and y = b.
+_QCHU_RHS = "poch(c/b; q; n) / poch(c; q; n)"
+_WHIPPLE_RHS_1 = "qint(n) * " + _quartic_ratio_1("b")
+_WHIPPLE_RHS_3 = "qint(n) * " + _quartic_ratio_3("b")
+_JACKSON_RHS = "qint(n) * " + _cubic_ratio("b", "n")
+_WATSON_RHS = _degree_d_prefix("n", "c") + " * " + _theta_inner("q^n", "b", "n", "c")
 
 _THM_D_RHS = _double_series_rhs("n", "c")
 _THM_E_RHS = _double_series_rhs("(d*n-n)", "1")
@@ -1264,3 +1295,121 @@ def verify_instance(inst: CongruenceInstance, timestamps: bool = False) -> Verif
         watch.lap(),
         inst.seed,
     )
+
+
+# -- terminating identities --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class IdentityCheck:
+    identity_id: str
+    params: dict
+    equal: bool
+    detail: str = ""
+
+
+def _terminating_sum(spec: TermSpec, m: int):
+    """The sum through k = m of a series whose term m + 1 must vanish."""
+    sums = truncated_sum_prefixes(spec, [m, m + 1] if m else [m])
+    if m + 1 in sums and sums[m + 1] != sums[m]:
+        raise NonTerminating(f"term {m + 1} did not vanish")
+    return sums[m]
+
+
+def _check_qchu(n: int, b: Fraction, c: Fraction):
+    _require(b not in (0, 1) and c not in (0, 1), "b, c must avoid 0 and 1", DegenerateParameters)
+    spec = TermSpec(
+        d=1,
+        r=0,
+        numer=((qma(1, -n), 1), (qma(b, 0), 1)),
+        denom=((qma(1, 1), 1), (qma(c, 0), 1)),
+        z=qma(c / b, n),
+        linear_factor=False,
+    )
+    lhs = truncated_sum_prefixes(spec, [n])[n]
+    return lhs, eval_expr(_parsed(_QCHU_RHS), {"n": n, "b": b, "c": c})
+
+
+def _check_whipple(n: int, b: Fraction):
+    if n < 1 or n % 2 == 0:
+        raise NonTerminating(f"series terminates only for odd n, got {n}")
+    _require(b not in (0, 1, -1), "b must avoid 0 and +-1", DegenerateParameters)
+    lhs = _terminating_sum(well_poised_spec(2, 1, qma(1, -n), b, -1), (n - 1) // 2)
+    rhs = _WHIPPLE_RHS_1 if n % 4 == 1 else _WHIPPLE_RHS_3
+    return lhs, eval_expr(_parsed(rhs), {"n": n, "b": b})
+
+
+def _check_jackson(nu: int, b: Fraction):
+    if nu < 1 or nu % 3 != 1:
+        raise NonTerminating(f"series terminates only for tn = 1 (mod 3), got {nu}")
+    _require(b not in (0, 1, -1), "b must avoid 0 and +-1", DegenerateParameters)
+    lhs = _terminating_sum(well_poised_spec(3, 1, qma(1, -nu), b), (nu - 1) // 3)
+    return lhs, eval_expr(_parsed(_JACKSON_RHS), {"n": nu, "b": b})
+
+
+def _check_watson(nu: int, d: int, r: int, b: Fraction, c: Fraction):
+    if d < 1 or nu < 1 or (nu - r) % d != 0 or nu < r:
+        raise NonTerminating(f"series terminates only for nu = r (mod d), nu >= r")
+    if nu % d == 0:
+        raise DegenerateParameters("d divides nu: a denominator factor vanishes")
+    _require(b not in (0, 1, -1) and c not in (0, 1, -1), "b, c must avoid 0 and +-1", DegenerateParameters)
+    _require(b != c and b * c != 1, "b and c must be independent", DegenerateParameters)
+    lhs = _terminating_sum(well_poised_spec(d, r, qma(1, -nu), b, c), (nu - r) // d)
+    return lhs, eval_expr(_parsed(_WATSON_RHS), {"n": nu, "d": d, "r": r, "b": b, "c": c})
+
+
+def _sample_fraction(rng: random.Random, forbid=()) -> Fraction:
+    for _ in range(1000):
+        u = rng.randint(-9, 9)
+        v = rng.randint(1, 9)
+        x = Fraction(u, v)
+        if x in (0, 1, -1) or x in forbid:
+            continue
+        return x
+    raise DegenerateParameters("sampler could not find an admissible value")
+
+
+def check_terminating_identity(identity_id: str, params: dict | None = None, rng_seed=0) -> IdentityCheck:
+    """Exact check of one terminating summation identity.
+
+    The left side is a truncated sum, the right side its closed form from
+    the catalog templates, and the verdict congruent's exact check.
+    Unsupplied free parameters are sampled deterministically from rng_seed.
+    Raises NonTerminating / DegenerateParameters for inadmissible parameters.
+    """
+    params = dict(params or {})
+    rng = random.Random(f"identity:{identity_id}:{rng_seed}")
+    if identity_id == "QCHU":
+        n = params.setdefault("n", rng.randint(0, 9))
+        b = params.setdefault("b", _sample_fraction(rng))
+        c = params.setdefault("c", _sample_fraction(rng, forbid=(b,)))
+        lhs, rhs = _check_qchu(n, Fraction(b), Fraction(c))
+    elif identity_id == "WHIPPLE_SPEC":
+        n = params.setdefault("n", rng.choice([1, 3, 5, 7, 9, 11]))
+        b = params.setdefault("b", _sample_fraction(rng))
+        lhs, rhs = _check_whipple(n, Fraction(b))
+    elif identity_id == "JACKSON_SPEC":
+        if "n" not in params:
+            params["n"] = rng.choice([1, 4, 7, 10])
+        n = params["n"]
+        b = params.setdefault("b", _sample_fraction(rng))
+        lhs, rhs = _check_jackson(n, Fraction(b))
+    elif identity_id == "WATSON_SPEC":
+        if "d" not in params:
+            params["d"] = rng.choice([3, 4, 5])
+        d = params["d"]
+        if "r" not in params:
+            params["r"] = rng.choice([1, 1, -1])
+        r = params["r"]
+        if "n" not in params:
+            k = rng.randint(max(1, (1 - r) // d + 1), 3)
+            params["n"] = r + d * k
+        n = params["n"]
+        b = params.setdefault("b", _sample_fraction(rng))
+        c = params.setdefault("c", _sample_fraction(rng, forbid=(b, 1 / Fraction(b))))
+        lhs, rhs = _check_watson(n, d, r, Fraction(b), Fraction(c))
+    else:
+        raise KeyError(f"unknown identity id {identity_id!r}")
+    equal = congruent(lhs, rhs, None).verified
+    detail = "" if equal else f"lhs != rhs, difference {(lhs - rhs)!r}"
+    return IdentityCheck(identity_id, params, equal, detail)

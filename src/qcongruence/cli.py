@@ -34,7 +34,6 @@ from .errors import (
     UnknownKind,
 )
 from .expr import Mul, Pow, eval_expr, eval_int, load_spec_file
-from .qseries import check_terminating_identity
 
 __all__ = ["main"]
 
@@ -340,7 +339,7 @@ def _cmd_identity(args) -> int:
     any_unequal = False
     for i in range(count):
         try:
-            check = check_terminating_identity(args.id, dict(params), rng_seed=seed + i)
+            check = catalog.check_terminating_identity(args.id, dict(params), rng_seed=seed + i)
         except KeyError as exc:
             raise UsageError(str(exc))
         except QCongruenceError as exc:

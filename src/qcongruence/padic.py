@@ -20,7 +20,8 @@ side is computed exactly as a Fraction (with p-adic Gamma products reduced to
 residues) and compared by p-adic valuation of the difference.  The truncated
 sums, harmonic numbers and shifted factorials are evaluated over integers by
 binary splitting and product trees, so each comes out of a single final
-Fraction reduction instead of one gcd per term.
+Fraction reduction instead of one gcd per term; the truncated sums use
+arith.binary_split, the kernel that qseries sums its q-series with.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, prod
 
-from .arith import BigRat, PadicInt, padic_valuation, residue_of_rational
+from .arith import BigRat, PadicInt, binary_split, padic_valuation, residue_of_rational
 from .congruence import CongruenceResult
 from .errors import (
     NotPIntegral,
@@ -80,12 +81,8 @@ def rising(x: BigRat, k: int) -> BigRat:
 # -- integer kernels for exact sums ----------------------------------------------
 #
 # A hypergeometric sum  sum_{k<=m} a(k) t_k  with t_0 = 1 and
-# t_{k+1} = t_k p(k) / q(k)  is evaluated by binary splitting (Haible and
-# Papanikolaou, "Fast multiprecision evaluation of series of rational
-# numbers", ANTS 1998).  Over a range lo <= k < hi it keeps three integers
-#   P = prod p(k),  Q = prod q(k),  T = Q * sum_k a(k) prod_{lo<=j<k} p(j)/q(j);
-# two adjacent ranges merge as P = P1 P2, Q = Q1 Q2, T = T1 Q2 + P1 T2, and
-# the sum is T/Q over 0 <= k <= m, reduced once at the end.
+# t_{k+1} = t_k p(k) / q(k)  is arith.binary_split over 0 <= k <= m with the
+# leaves (p(k), q(k), a(k) q(k)): the sum is T/Q, reduced once at the end.
 
 
 def _product(lo: int, hi: int, f) -> int:
@@ -106,22 +103,11 @@ def _fraction_sum(lo: int, hi: int, f) -> tuple[int, int]:
     return a * d + c * b, b * d
 
 
-def _series(lo: int, hi: int, term) -> tuple[int, int, int]:
-    """(P, Q, T) over lo <= k < hi, hi > lo, where term(k) = (p(k), q(k), a(k))."""
-    if hi - lo == 1:
-        p, q, a = term(lo)
-        return p, q, a * q
-    mid = (lo + hi) // 2
-    p1, q1, t1 = _series(lo, mid, term)
-    p2, q2, t2 = _series(mid, hi, term)
-    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
-
-
 def _series_harmonic(lo: int, hi: int, term) -> tuple[int, int, int, int, int, int]:
     """(P, Q, T, G, D, W) over lo <= k < hi, hi > lo, with weight a(k) = 1.
 
     term(k) = (p(k), q(k), u(k), v(k)) with g(k) = u(k)/v(k).  P, Q and T are
-    as in _series; G/D = sum g(k) over the range; and W/(Q D) is the
+    those of binary_split; G/D = sum g(k) over the range; and W/(Q D) is the
     weighted tail sum_k h(k) prod_{lo<=j<k} p(j)/q(j) with
     h(k) = sum_{lo<=j<=k} g(j).  Two adjacent ranges merge by
     W = W1 Q2 D2 + P1 (G1 T2 D2 + W2 D1).
@@ -391,13 +377,21 @@ def _sum_cubic(m: int) -> Fraction:
 
 def _sum_sixth(d: int, r: int, m: int) -> Fraction:
     """sum_{k<=m} (2dk+r) ((r/d)_k / k!)^6, for m >= 0."""
-    _, q, t = _series(0, m + 1, lambda k: ((r + d * k) ** 6, (d * k + d) ** 6, 2 * d * k + r))
+    def leaf(k):
+        q = (d * k + d) ** 6
+        return (r + d * k) ** 6, q, (2 * d * k + r) * q
+
+    _, q, t = binary_split(0, m + 1, leaf)
     return Fraction(t, q)
 
 
 def _sum_fifth_alt(d: int, r: int, m: int) -> Fraction:
     """sum_{k<=m} (-1)^k (2dk+r) ((r/d)_k / k!)^5, for m >= 0."""
-    _, q, t = _series(0, m + 1, lambda k: (-((r + d * k) ** 5), (d * k + d) ** 5, 2 * d * k + r))
+    def leaf(k):
+        q = (d * k + d) ** 5
+        return -((r + d * k) ** 5), q, (2 * d * k + r) * q
+
+    _, q, t = binary_split(0, m + 1, leaf)
     return Fraction(t, q)
 
 

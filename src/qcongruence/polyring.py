@@ -512,29 +512,6 @@ def poly_product(polys) -> QPoly:
     return polys[0]
 
 
-def _pseudo_rem_int(a: list[int], b: list[int]) -> list[int]:
-    # Remainder of a scaled multiple of a by b, over the integers.  Content is
-    # stripped by the caller, so the extra lc factors are harmless.
-    db = len(b) - 1
-    lc = b[-1]
-    rem = list(a)
-    steps = 0
-    while len(rem) - 1 >= db and rem:
-        top = rem[-1]
-        if lc != 1:
-            rem = [c * lc for c in rem]
-        shiftn = len(rem) - 1 - db
-        for j in range(db + 1):
-            rem[shiftn + j] -= top * b[j]
-        rem = _strip(rem)
-        steps += 1
-        if steps % 32 == 0 and rem:
-            g = _content(rem)
-            if g > 1:
-                rem = [c // g for c in rem]
-    return rem
-
-
 def _primitive(nums) -> list[int]:
     g = _content(nums)
     return [c // g for c in nums] if g > 1 else list(nums)
@@ -545,8 +522,7 @@ def _gcd_prs(a: list[int], b: list[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _pseudo_rem_int(a, b)
-        a, b = b, _primitive(r)
+        a, b = b, _primitive(_strip(_divrem_int(a, b)[1]))
     return a
 
 

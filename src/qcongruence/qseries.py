@@ -8,43 +8,40 @@ where every Pochhammer argument and z is a rational multiple of a q-power
 (possibly with negative exponent).  well_poised_spec builds the one
 very-well-poised family that every catalog sum and every identity but
 q-Chu-Vandermonde truncates.  truncated_sum evaluates partial sums
-exactly.  Terms are built incrementally (term_{k+1} = term_k * ratio) and the
-partial sum is accumulated over a *factored* common denominator: coefficient
-+-1 binomials split into cyclotomics and everything else stays a monic
-binomial.  The final reduction is trial division by those factors (binomial
-passes for the cyclotomics, see polyring), and the leftover denominator is
-multiplied out by a balanced product tree.  Trial division is complete for
-irreducible factors; a binomial part that Capelli's theorem shows reducible
-can share a proper factor with the numerator, so those parts alone pay a
-gcd each.
+exactly, and this module does nothing else: closed forms live in catalog.
+
+A partial sum is summed by binary splitting (arith.binary_split, the kernel
+padic sums classical series with) over a *factored* common denominator:
+coefficient +-1 binomials split into cyclotomics and everything else stays a
+monic binomial.  The final reduction is trial division by those factors
+(binomial passes for the cyclotomics, see polyring), and the leftover
+denominator is multiplied out by a balanced product tree.  Trial division is
+complete for irreducible factors; a binomial part that Capelli's theorem
+shows reducible can share a proper factor with the numerator, so those parts
+alone pay a gcd each.
 
 truncated_sum_prefixes, the entry point of every sum, keeps a per-process
-cache of engines keyed on the (frozen, hashable) TermSpec, beside polyring's
-_CYCLOTOMIC_CACHE.  Catalog statements share a few series across n and slots,
-so a sweep extends one engine instead of summing again from k = 0, and a
-repeated (spec, order) is a lookup.  The cache is a bounded LRU over specs
-(sampled parameters make every spec new), holds nothing at import, and lives
-per process, hence per pool worker.  Sums are exact, so cached and fresh
+cache of partial sums keyed on the (frozen, hashable) TermSpec, beside
+polyring's _CYCLOTOMIC_CACHE.  Catalog statements share a few series across
+n and slots, so a sweep extends one partial sum by merging it with the next
+range instead of summing again from k = 0, and a repeated (spec, order) is a
+lookup.  The cache is a bounded LRU over specs (sampled parameters make
+every spec new), holds nothing at import, and lives per process, hence per
+pool worker.  Sums are exact and reduced values unique, so cached and fresh
 results are equal.
-
-check_terminating_identity verifies the four closed summation formulas the
-congruence proofs rest on (q-Chu-Vandermonde, and the very-well-poised
-specializations whose parameters are pinned to q-powers), as exact equalities
-of rational functions.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import binary_split
 from .errors import (
     DegenerateParameters,
     NegativeLength,
-    NonTerminating,
     OutOfRange,
     ZeroDenominatorFactor,
 )
@@ -59,14 +56,11 @@ from .polyring import (
     poly_try_div,
     power_minus_one_factors,
     power_plus_one_factors,
-    q_integer,
 )
 
 __all__ = [
-    "IdentityCheck",
     "QMonomialArg",
     "TermSpec",
-    "check_terminating_identity",
     "pochhammer",
     "q_binomial",
     "truncated_sum",
@@ -96,7 +90,7 @@ class TermSpec:
     """Shape of the k-th summand; see the module docstring.
 
     numer/denom pair each argument with its own step.  d and r drive the
-    [2dk + r] linear factor when linear_factor is set.
+    [2dk + r] linear factor when linear_factor is set, for d >= 0.
     """
 
     d: int
@@ -107,7 +101,7 @@ class TermSpec:
     linear_factor: bool = True
 
     def __hash__(self):
-        # The engine cache hashes a spec on every lookup and store, and the
+        # The sum cache hashes a spec on every lookup and store, and the
         # field hash walks every nested argument, so it is computed once.
         h = self.__dict__.get("_hash")
         if h is None:
@@ -141,16 +135,6 @@ def well_poised_spec(d: int, r: int, a=1, b=1, c=1) -> TermSpec:
     )
 
 
-def _binomial_poly(c: Fraction, e: int) -> QPoly:
-    """1 - c*q^e as a polynomial (e >= 0)."""
-    if e == 0:
-        return QPoly.const(1 - c)
-    coeffs = [0] * (e + 1)
-    coeffs[0] = 1
-    coeffs[e] = -c
-    return QPoly(coeffs)
-
-
 def _split_denominator_binomial(c: Fraction, e: int):
     """Decompose (1 - c*q^e) = unit * q^(-j) * prod(monic parts), j >= 0.
 
@@ -178,6 +162,15 @@ def _split_denominator_binomial(c: Fraction, e: int):
     return Fraction(1), j, [QPoly([-c] + [0] * (j - 1) + [1])]
 
 
+def _binomial_over_qpow(c: Fraction, e: int) -> tuple[QPoly, int]:
+    """1 - c*q^e as (f, j) with f a polynomial and 1 - c*q^e = f / q^j."""
+    if e < 0:
+        return QPoly([-c] + [0] * (-e - 1) + [1]), -e
+    if e == 0:
+        return QPoly.const(1 - c), 0
+    return QPoly([1] + [0] * (e - 1) + [-c]), 0
+
+
 def pochhammer(arg: QMonomialArg, step: int, k: int):
     """(x; q^step)_k = prod_{i<k} (1 - x q^(step*i)) for x = coeff*q^exp.
 
@@ -190,13 +183,9 @@ def pochhammer(arg: QMonomialArg, step: int, k: int):
     num = QPoly.one()
     qpow = 0
     for i in range(k):
-        e = arg.exp + step * i
-        if e >= 0:
-            num = num * _binomial_poly(arg.coeff, e)
-        else:
-            j = -e
-            num = num * QPoly([-arg.coeff] + [0] * (j - 1) + [1])
-            qpow += j
+        f, j = _binomial_over_qpow(arg.coeff, arg.exp + step * i)
+        num = num * f
+        qpow += j
     if num.is_zero() or qpow == 0:
         return num
     cancel = min(num.trailing_order(), qpow)
@@ -221,103 +210,81 @@ def q_binomial(t: int, s: int) -> QPoly:
     return q
 
 
-class _SumEngine:
-    """Incremental evaluator of TermSpec partial sums.
+class _PartialSum:
+    """The partial sum over 0 <= k < self.k of a TermSpec series.
 
-    Invariant between steps: partial_sum = S / (prod(factors) * q^qpow) and the
-    current term core (without the [2dk+r] factor) is C over that same
-    denominator.  All bookkeeping constants are folded into S and C.
+    Term k is a_k * prod_{0<i<=k} p_i/q_i: p_i/q_i folds the factors with
+    index i - 1, and a_k = q^J [2dk + r], J = max(0, -r), has no negative
+    q-power.  binary_split over the leaves (p_k, q_k, a_k p_k), p_0 = q_0 = 1,
+    gives sum = T / (q^qpow * prod f^mult over factors), q^J included.
     """
 
     def __init__(self, spec: TermSpec):
+        if spec.linear_factor and spec.d < 0:
+            raise ValueError(f"d must be nonnegative with a linear factor, got {spec.d}")
         self.spec = spec
-        self.S = QPoly.zero()
-        self.C = QPoly.one()
+        self.P = QPoly.one()
+        self.T = QPoly.zero()
         self.factors: dict[QPoly, int] = {}
         self.reducible: set[QPoly] = set()  # factors that are reducible binomials
-        self.qpow = 0
+        self.qpow = max(0, -spec.r) if spec.linear_factor else 0
         self.k = 0  # next term index
 
-    def _grow_denominator(self, parts: list[QPoly], qshift: int):
-        if qshift:
-            self.qpow += qshift
-            self.S = self.S.shift(qshift)
-        if parts:
-            combined = QPoly.one()
-            for f in parts:
-                self.factors[f] = self.factors.get(f, 0) + 1
-                combined = combined * f
-            self.S = self.S * combined
-
-    def _advance_core(self):
-        # Fold the factors with index k-1 (the new ones of the k-th term).
+    def _ratio(self, i: int) -> tuple[QPoly, QPoly]:
+        """(p, q) of the factors with index i; records q's parts and q-power."""
         spec = self.spec
-        i = self.k - 1
-        num_mult = QPoly.one()
+        nums: list[QPoly] = []
+        parts: list[QPoly] = []
         scale = Fraction(1)
-        cshift = 0
-        new_parts: list[QPoly] = []
-        den_qshift = 0
+        pshift = qshift = 0
         for arg, step in spec.numer:
-            e = arg.exp + step * i
-            if e >= 0:
-                num_mult = num_mult * _binomial_poly(arg.coeff, e)
-            else:
-                j = -e
-                num_mult = num_mult * QPoly([-arg.coeff] + [0] * (j - 1) + [1])
-                den_qshift += j
+            f, j = _binomial_over_qpow(arg.coeff, arg.exp + step * i)
+            nums.append(f)
+            qshift += j
         for arg, step in spec.denom:
             e = arg.exp + step * i
-            unit, j, parts = _split_denominator_binomial(arg.coeff, e)
-            if unit != 1:
-                scale /= unit
-            cshift += j
-            new_parts.extend(parts)
-            if parts and arg.coeff not in (1, -1) and binomial_reducible(arg.coeff, abs(e)):
-                self.reducible.update(parts)
+            unit, j, split = _split_denominator_binomial(arg.coeff, e)
+            scale /= unit
+            pshift += j
+            parts.extend(split)
+            if split and arg.coeff not in (1, -1) and binomial_reducible(arg.coeff, abs(e)):
+                self.reducible.update(split)
         if spec.z.coeff == 0:
             raise DegenerateParameters("z coefficient is zero")
         scale *= spec.z.coeff
         if spec.z.exp >= 0:
-            cshift += spec.z.exp
+            pshift += spec.z.exp
         else:
-            den_qshift += -spec.z.exp
-        self._grow_denominator(new_parts, den_qshift)
-        c = self.C * num_mult
-        if scale != 1:
-            c = c * scale
-        if cshift:
-            c = c.shift(cshift)
-        self.C = c
+            qshift -= spec.z.exp
+        for f in parts:
+            self.factors[f] = self.factors.get(f, 0) + 1
+        self.qpow += qshift
+        return (poly_product(nums) * scale).shift(pshift), poly_product(parts).shift(qshift)
 
-    def add_next_term(self):
+    def _leaf(self, k: int) -> tuple[QPoly, QPoly, QPoly]:
         spec = self.spec
-        k = self.k
-        if k > 0:
-            self._advance_core()
-        if spec.linear_factor:
-            m = 2 * spec.d * k + spec.r
-            if m >= 0:
-                term = self.C * QPoly([1] * m) if m else QPoly.zero()
-            else:
-                j = -m
-                term = self.C * QPoly([-1] * j)
-                self.qpow += j
-                self.S = self.S.shift(j)
-                self.C = self.C.shift(j)
-        else:
-            term = self.C
-        self.S = self.S + term
-        self.k = k + 1
+        p, q = self._ratio(k - 1) if k else (QPoly.one(), QPoly.one())
+        if not spec.linear_factor:
+            return p, q, p
+        # q^J [m] = +-(q^lo + ... + q^(hi-1)), with [m] = -q^m [-m] for m < 0
+        m = 2 * spec.d * k + spec.r
+        lo, hi = sorted((max(0, -spec.r), max(0, -spec.r) + m))
+        return p, q, QPoly([0] * lo + [1 if m > 0 else -1] * (hi - lo)) * p
 
-    def snapshot(self) -> QRat:
-        """Reduced value of the current partial sum; does not disturb state."""
-        num = self.S
+    def extend(self, hi: int):
+        """Add the terms self.k <= k < hi, hi > self.k."""
+        p, q, t = binary_split(self.k, hi, self._leaf)
+        self.T = self.T * q + self.P * t
+        self.P = self.P * p
+        self.k = hi
+
+    def value(self) -> QRat:
+        """Reduced value of the partial sum; does not disturb state."""
+        num = self.T
         qpow = self.qpow
         if num.is_zero():
             return QRat.from_value(0)
-        t = num.trailing_order()
-        cancel = min(t, qpow)
+        cancel = min(num.trailing_order(), qpow)
         if cancel:
             num = num.shift(-cancel)
             qpow -= cancel
@@ -348,25 +315,25 @@ class _SumEngine:
 
 
 class _EngineCache:
-    """Per-process LRU of (engine, snapshots by order), keyed on TermSpec.
+    """Per-process LRU of (partial sum, values by order), keyed on TermSpec.
 
     A call takes its entry out of the dict and puts it back only when it
-    returns normally, so two threads never advance one engine, and a call
-    that raises (say at a vanishing denominator factor) leaves no
-    half-advanced engine behind: the next call starts again and raises the
+    returns normally, so two threads never extend one partial sum, and a
+    call that raises (say at a vanishing denominator factor) leaves no
+    half-extended state behind: the next call starts again and raises the
     same error at the same term.
     """
 
     def __init__(self, size: int):
         self.size = size
-        self._entries: OrderedDict[TermSpec, tuple[_SumEngine, dict[int, QRat]]] = OrderedDict()
+        self._entries: OrderedDict[TermSpec, tuple[_PartialSum, dict[int, QRat]]] = OrderedDict()
         self._lock = threading.Lock()
 
     def take(self, spec: TermSpec):
         with self._lock:
             return self._entries.pop(spec, None)
 
-    def put(self, spec: TermSpec, entry: tuple[_SumEngine, dict[int, QRat]]):
+    def put(self, spec: TermSpec, entry: tuple[_PartialSum, dict[int, QRat]]):
         with self._lock:
             self._entries[spec] = entry
             if len(self._entries) > self.size:
@@ -380,214 +347,36 @@ class _EngineCache:
 _ENGINES = _EngineCache(8)
 
 
-def _advance(engine: _SumEngine, orders: list[int], out: dict[int, QRat]):
-    """Add terms through max(orders), snapshotting each of orders into out."""
-    wanted = set(orders)
-    while engine.k <= orders[-1]:
-        engine.add_next_term()
-        if engine.k - 1 in wanted:
-            out[engine.k - 1] = engine.snapshot()
+def _advance(state: _PartialSum, orders: list[int], out: dict[int, QRat]):
+    """Extend state through each of orders in turn, storing its value in out."""
+    for m in orders:
+        state.extend(m + 1)
+        out[m] = state.value()
 
 
 def truncated_sum_prefixes(spec: TermSpec, orders) -> dict[int, QRat]:
     """Partial sums sum_{k=0}^{M} term_k for each M in orders.
 
-    The engine for spec and its snapshots are cached (see _EngineCache): a
-    higher order extends the engine from where it stopped, a repeated order
-    is a lookup, and an order behind the engine that was never snapshotted
-    gets one private pass from k = 0.
+    The partial sum for spec and its values are cached (see _EngineCache): a
+    higher order extends the cached sum from where it stopped, a repeated
+    order is a lookup, and an order behind it that was never asked for gets
+    one private pass from k = 0.
     """
     orders = sorted(set(orders))
     if not orders:
         return {}
     if orders[0] < 0:
         raise NegativeLength(f"truncation order {orders[0]} is negative")
-    engine, known = _ENGINES.take(spec) or (_SumEngine(spec), {})
+    state, known = _ENGINES.take(spec) or (_PartialSum(spec), {})
     missing = [m for m in orders if m not in known]
-    behind = [m for m in missing if m < engine.k]
+    behind = [m for m in missing if m < state.k]
     if behind:
-        _advance(_SumEngine(spec), behind, known)
-    if len(behind) < len(missing):
-        _advance(engine, missing[len(behind) :], known)
-    _ENGINES.put(spec, (engine, known))
+        _advance(_PartialSum(spec), behind, known)
+    _advance(state, missing[len(behind) :], known)
+    _ENGINES.put(spec, (state, known))
     return {m: known[m] for m in orders}
 
 
 def truncated_sum(spec: TermSpec, order: int) -> QRat:
     """Reduced partial sum of the series through k = order."""
     return truncated_sum_prefixes(spec, [order])[order]
-
-
-# -- terminating identities --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    identity_id: str
-    params: dict
-    equal: bool
-    detail: str = ""
-
-
-def _poch_rat(coeff, exp: int, step: int, k: int) -> QRat:
-    return QRat.from_value(pochhammer(qma(coeff, exp), step, k))
-
-
-def _require(cond: bool, message: str):
-    if not cond:
-        raise DegenerateParameters(message)
-
-
-def _check_qchu(n: int, b: Fraction, c: Fraction) -> tuple[QRat, QRat]:
-    _require(b not in (0, 1) and c not in (0, 1), "b, c must avoid 0 and 1")
-    spec = TermSpec(
-        d=1,
-        r=0,
-        numer=((qma(1, -n), 1), (qma(b, 0), 1)),
-        denom=((qma(1, 1), 1), (qma(c, 0), 1)),
-        z=qma(c / b, n),
-        linear_factor=False,
-    )
-    lhs = truncated_sum(spec, n)
-    rhs = _poch_rat(c / b, 0, 1, n) / _poch_rat(c, 0, 1, n)
-    return lhs, rhs
-
-
-def _terminating_sum(spec: TermSpec, m: int) -> QRat:
-    """The sum through k = m of a series whose term m + 1 must vanish."""
-    sums = truncated_sum_prefixes(spec, [m, m + 1] if m else [m])
-    if m + 1 in sums and sums[m + 1] != sums[m]:
-        raise NonTerminating(f"term {m + 1} did not vanish")
-    return sums[m]
-
-
-def _whipple_rhs(n: int, b: Fraction) -> QRat:
-    binv = Fraction(1) / b
-    if n % 4 == 1:
-        m = (n - 1) // 4
-        num = _poch_rat(b, 2, 4, m) * _poch_rat(binv, 2, 4, m)
-        den = _poch_rat(binv, 4, 4, m) * _poch_rat(b, 4, 4, m)
-    else:
-        m = (n + 1) // 4
-        num = _poch_rat(b, 0, 4, m) * _poch_rat(binv, 0, 4, m)
-        num = num * QRat(QPoly([0, -1]))  # the -q prefactor
-        den = _poch_rat(binv, 2, 4, m) * _poch_rat(b, 2, 4, m)
-    return QRat.from_value(q_integer(n)) * num / den
-
-
-def _check_whipple(n: int, b: Fraction) -> tuple[QRat, QRat]:
-    if n < 1 or n % 2 == 0:
-        raise NonTerminating(f"series terminates only for odd n, got {n}")
-    _require(b not in (0, 1, -1), "b must avoid 0 and +-1")
-    lhs = _terminating_sum(well_poised_spec(2, 1, qma(1, -n), b, -1), (n - 1) // 2)
-    return lhs, _whipple_rhs(n, b)
-
-
-def _jackson_rhs(nu: int, b: Fraction) -> QRat:
-    binv = Fraction(1) / b
-    m = (nu - 1) // 3
-    num = _poch_rat(b, 2, 3, m) * _poch_rat(binv, 2, 3, m) * _poch_rat(1, 2, 3, m)
-    den = _poch_rat(binv, 3, 3, m) * _poch_rat(b, 3, 3, m) * _poch_rat(1, 3, 3, m)
-    return QRat.from_value(q_integer(nu)) * num / den
-
-
-def _check_jackson(nu: int, b: Fraction) -> tuple[QRat, QRat]:
-    if nu < 1 or nu % 3 != 1:
-        raise NonTerminating(f"series terminates only for tn = 1 (mod 3), got {nu}")
-    _require(b not in (0, 1, -1), "b must avoid 0 and +-1")
-    lhs = _terminating_sum(well_poised_spec(3, 1, qma(1, -nu), b), (nu - 1) // 3)
-    return lhs, _jackson_rhs(nu, b)
-
-
-def _watson_rhs(nu: int, d: int, r: int, b: Fraction, c: Fraction) -> QRat:
-    m = (nu - r) // d
-    inner = TermSpec(
-        d=d,
-        r=r,
-        numer=(
-            (qma(1, d - r), d),
-            (qma(c, r), d),
-            (qma(1, r + nu), d),
-            (qma(1, r - nu), d),
-        ),
-        denom=(
-            (qma(1, d), d),
-            (qma(Fraction(1) / b, d), d),
-            (qma(b, d), d),
-            (qma(c, 2 * r), d),
-        ),
-        z=qma(1, d),
-        linear_factor=False,
-    )
-    inner_sum = truncated_sum(inner, m)
-    e = (r - nu) // d
-    cq_pow = (QRat(QPoly.monomial(r, c)) if r >= 0 else QRat(QPoly.const(c), QPoly.monomial(-r))) ** e
-    pref = QRat.from_value(q_integer(nu)) * cq_pow
-    pref = pref * _poch_rat(c, 2 * r, d, m) / _poch_rat(Fraction(1) / c, d, d, m)
-    return pref * inner_sum
-
-
-def _check_watson(nu: int, d: int, r: int, b: Fraction, c: Fraction) -> tuple[QRat, QRat]:
-    if d < 1 or nu < 1 or (nu - r) % d != 0 or nu < r:
-        raise NonTerminating(f"series terminates only for nu = r (mod d), nu >= r")
-    if nu % d == 0:
-        raise DegenerateParameters("d divides nu: a denominator factor vanishes")
-    _require(b not in (0, 1, -1) and c not in (0, 1, -1), "b, c must avoid 0 and +-1")
-    _require(b != c and b * c != 1, "b and c must be independent")
-    lhs = _terminating_sum(well_poised_spec(d, r, qma(1, -nu), b, c), (nu - r) // d)
-    return lhs, _watson_rhs(nu, d, r, b, c)
-
-
-def _sample_fraction(rng: random.Random, forbid=()) -> Fraction:
-    for _ in range(1000):
-        u = rng.randint(-9, 9)
-        v = rng.randint(1, 9)
-        x = Fraction(u, v)
-        if x in (0, 1, -1) or x in forbid:
-            continue
-        return x
-    raise DegenerateParameters("sampler could not find an admissible value")
-
-
-def check_terminating_identity(identity_id: str, params: dict | None = None, rng_seed=0) -> IdentityCheck:
-    """Exact check of one terminating summation identity.
-
-    Unsupplied free parameters are sampled deterministically from rng_seed.
-    Raises NonTerminating / DegenerateParameters for inadmissible parameters.
-    """
-    params = dict(params or {})
-    rng = random.Random(f"identity:{identity_id}:{rng_seed}")
-    if identity_id == "QCHU":
-        n = params.setdefault("n", rng.randint(0, 9))
-        b = params.setdefault("b", _sample_fraction(rng))
-        c = params.setdefault("c", _sample_fraction(rng, forbid=(b,)))
-        lhs, rhs = _check_qchu(n, Fraction(b), Fraction(c))
-    elif identity_id == "WHIPPLE_SPEC":
-        n = params.setdefault("n", rng.choice([1, 3, 5, 7, 9, 11]))
-        b = params.setdefault("b", _sample_fraction(rng))
-        lhs, rhs = _check_whipple(n, Fraction(b))
-    elif identity_id == "JACKSON_SPEC":
-        if "n" not in params:
-            params["n"] = rng.choice([1, 4, 7, 10])
-        n = params["n"]
-        b = params.setdefault("b", _sample_fraction(rng))
-        lhs, rhs = _check_jackson(n, Fraction(b))
-    elif identity_id == "WATSON_SPEC":
-        if "d" not in params:
-            params["d"] = rng.choice([3, 4, 5])
-        d = params["d"]
-        if "r" not in params:
-            params["r"] = rng.choice([1, 1, -1])
-        r = params["r"]
-        if "n" not in params:
-            k = rng.randint(max(1, (1 - r) // d + 1), 3)
-            params["n"] = r + d * k
-        n = params["n"]
-        b = params.setdefault("b", _sample_fraction(rng))
-        c = params.setdefault("c", _sample_fraction(rng, forbid=(b, 1 / Fraction(b))))
-        lhs, rhs = _check_watson(n, d, r, Fraction(b), Fraction(c))
-    else:
-        raise KeyError(f"unknown identity id {identity_id!r}")
-    equal = lhs == rhs
-    detail = "" if equal else f"lhs != rhs, difference {(lhs - rhs)!r}"
-    return IdentityCheck(identity_id, params, equal, detail)

@@ -23,7 +23,8 @@ from qcongruence.polyring import (
     poly_divrem,
     q_integer,
 )
-from qcongruence.qseries import check_terminating_identity, truncated_sum, well_poised_spec
+from qcongruence.catalog import check_terminating_identity
+from qcongruence.qseries import truncated_sum, well_poised_spec
 
 
 def _assert_all_verified(records, context):

@@ -48,6 +48,22 @@ def test_golden_report(tmp_path, capsys, name, argv, code):
     assert out.read_bytes() == (DATA / name).read_bytes()
 
 
+_IDENTITY_IDS = ("QCHU", "WHIPPLE_SPEC", "JACKSON_SPEC", "WATSON_SPEC")
+
+
+def test_golden_identity_report(tmp_path, capsys):
+    # identity takes one id and no --jobs, so the four reports are written
+    # one after another and compared as one file.
+    got = b""
+    for identity_id in _IDENTITY_IDS:
+        out = tmp_path / f"{identity_id}.jsonl"
+        argv = ["identity", "--id", identity_id, "--random", "25", "--seed", "0"]
+        assert main(argv + ["--out", str(out)]) == 0
+        got += out.read_bytes()
+    capsys.readouterr()
+    assert got == (DATA / "golden_identity.jsonl").read_bytes()
+
+
 def test_golden_check_report(tmp_path, capsys):
     out = tmp_path / "golden_check.jsonl"
     assert main(["check", "--spec", str(DATA / "golden.qcs"), "--out", str(out)]) == 1

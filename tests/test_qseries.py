@@ -15,11 +15,11 @@ from qcongruence.errors import (
     ZeroDenominatorFactor,
 )
 from qcongruence import qseries
+from qcongruence.catalog import check_terminating_identity
 from qcongruence.polyring import QPoly, QRat, q_integer
 from qcongruence.qseries import (
     QMonomialArg,
     TermSpec,
-    check_terminating_identity,
     pochhammer,
     q_binomial,
     qma,
@@ -141,7 +141,7 @@ def chained_snapshot(engine):
     den = QPoly.monomial(engine.qpow)
     for f, mult in engine.factors.items():
         den = den * f**mult
-    return QRat(engine.S, den)
+    return QRat(engine.T, den)
 
 
 def test_snapshot_is_reduced_over_the_chained_denominator():
@@ -164,13 +164,13 @@ def test_snapshot_is_reduced_over_the_chained_denominator():
             )
         )
     for spec in specs:
-        engine = qseries._SumEngine(spec)
+        engine = qseries._PartialSum(spec)
         for _ in range(5):
             try:
-                engine.add_next_term()
+                engine.extend(engine.k + 1)
             except ZeroDenominatorFactor:
                 break
-            got, want = engine.snapshot(), chained_snapshot(engine)
+            got, want = engine.value(), chained_snapshot(engine)
             assert (got.num, got.den) == (want.num, want.den)
 
 
@@ -223,6 +223,22 @@ def test_zero_denominator_factor_detected():
     )
     with pytest.raises(ZeroDenominatorFactor):
         truncated_sum(spec, 3)
+
+
+def test_negative_d_with_linear_factor_rejected():
+    # q^J [2dk + r] with J = max(0, -r) has no negative q-power only for d >= 0
+    with pytest.raises(ValueError):
+        truncated_sum(TermSpec(d=-1, r=1, numer=(), denom=(), z=qma(1, 1)), 3)
+    spec = TermSpec(d=-1, r=1, numer=(), denom=(), z=qma(1, 1), linear_factor=False)
+    assert truncated_sum(spec, 2) == reference_sum(spec, 2)
+
+
+def test_zero_z_raises_from_term_one_on():
+    # z enters the sum only from term 1 on, so order 0 is [2] = 1 + q.
+    spec = TermSpec(d=1, r=2, numer=(), denom=(), z=qma(0, 1))
+    assert truncated_sum(spec, 0) == QRat.from_value(QPoly([1, 1]))
+    with pytest.raises(DegenerateParameters, match="^z coefficient is zero$"):
+        truncated_sum(spec, 1)
 
 
 def test_negative_order_rejected():
@@ -322,13 +338,13 @@ def engines(monkeypatch):
 
 
 def fresh_prefixes(spec, orders):
-    """One uncached _SumEngine pass: the oracle for cached results."""
-    engine = qseries._SumEngine(spec)
+    """One uncached pass, a term at a time: the oracle for cached results."""
+    engine = qseries._PartialSum(spec)
     out = {}
     for m in range(max(orders) + 1):
-        engine.add_next_term()
+        engine.extend(m + 1)
         if m in orders:
-            out[m] = engine.snapshot()
+            out[m] = engine.value()
     return out
 
 

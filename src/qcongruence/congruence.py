@@ -232,16 +232,18 @@ class ParamSample:
 
 
 def _power_collision(x: Fraction, y: Fraction, bound: int = 6) -> bool:
-    # Reject pairs tied by x^i = y^j (small i, j): such relations can make
-    # nominally distinct specialization binomials share polynomial factors.
-    for i in range(1, bound + 1):
-        xi = x**i
-        yj = Fraction(1)
-        for _ in range(bound):
-            yj *= y
-            if xi == yj or xi * yj == 1:
-                return True
-    return False
+    # Reject pairs tied by x^i = y^j or x^i y^j = 1 (small i, j): such
+    # relations can make nominally distinct specialization binomials share
+    # polynomial factors.  Powers of a reduced fraction are reduced, so each
+    # is compared as its (numerator, positive denominator) pair.
+    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+    ties = set()
+    for j in range(1, bound + 1):
+        cj, dj = c**j, d**j
+        ties.add((cj, dj))
+        if cj:
+            ties.add((dj, cj) if cj > 0 else (-dj, -cj))
+    return any((a**i, b**i) in ties for i in range(1, bound + 1))
 
 
 def sample_params(symbols, n: int, t: int = 1, seed=0) -> ParamSample:

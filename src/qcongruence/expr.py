@@ -19,6 +19,13 @@ Declaration lines for spec files:
 '#' starts a comment.  Integer-valued subexpressions (exponents, Pochhammer
 lengths, sum bounds) are evaluated exactly; a fractional value raises
 NonIntegerBound.  Empty sums (lower bound above upper) are zero.
+
+eval_expr evaluates every node in polyring's cyclotomic-factored QFactored
+form, where products and quotients of q-integers, cyclotomics, q-powers and
+Pochhammers with arguments +-q^e take no gcd.  Where QFactored falls back
+(a division by a non-cyclotomic factor, such as a Pochhammer with another
+rational argument), the evaluation continues in QRat arithmetic.  Either
+way eval_expr returns the reduced QRat, the same value as before.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonIntegerBound, SpecSyntaxError, UnboundSymbol
-from .polyring import QPoly, QRat, cyclotomic, q_integer
-from .qseries import QMonomialArg, pochhammer
+from .polyring import QFactored, QRat
+from .qseries import QMonomialArg
 
 __all__ = [
     "Add",
@@ -522,49 +529,56 @@ def _monomial_value(node: Node, env: dict) -> QMonomialArg:
 
 
 def eval_expr(node: Node, env: dict | None = None) -> QRat:
-    """Exact value of an expression as a rational function of q."""
-    env = env or {}
+    """Exact value of an expression as a reduced rational function of q."""
+    value = _eval(node, env or {})
+    return value.to_qrat() if isinstance(value, QFactored) else value
+
+
+def _eval(node: Node, env: dict) -> QFactored | QRat:
+    """Value of node in cyclotomic-factored form, or a QRat past a fallback."""
     if isinstance(node, RationalLit):
-        return QRat.from_value(node.value)
+        return QFactored(node.value)
     if isinstance(node, SymbolRef):
         if node.name not in env:
             raise UnboundSymbol(f"symbol {node.name!r} is not bound")
-        return QRat.from_value(env[node.name])
+        v = env[node.name]
+        return QFactored(v) if isinstance(v, (int, Fraction)) else QRat.from_value(v)
     if isinstance(node, QMonomial):
-        e = eval_int(node.exp, env)
-        if e >= 0:
-            return QRat.from_value(QPoly.monomial(e, node.coeff))
-        return QRat(QPoly.const(node.coeff), QPoly.monomial(-e))
+        return QFactored(node.coeff, eval_int(node.exp, env))
     if isinstance(node, QInt):
-        return QRat.from_value(q_integer(eval_int(node.arg, env)))
+        return QFactored.q_integer(eval_int(node.arg, env))
     if isinstance(node, Phi):
-        return QRat.from_value(cyclotomic(eval_int(node.arg, env)))
+        return QFactored.cyclotomic(eval_int(node.arg, env))
     if isinstance(node, Pochhammer):
         arg = _monomial_value(node.arg, env)
         step = eval_int(node.step, env)
         length = eval_int(node.length, env)
-        return QRat.from_value(pochhammer(arg, step, length))
+        return QFactored.pochhammer(arg.coeff, arg.exp, step, length)
     if isinstance(node, Sum):
         lo = eval_int(node.lower, env)
         hi = eval_int(node.upper, env)
-        total = QRat.from_value(0)
+        terms = []
         inner = dict(env)
         for j in range(lo, hi + 1):
             inner[node.index] = j
-            total = total + eval_expr(node.body, inner)
-        return total
+            terms.append(_eval(node.body, inner))
+        # A balanced tree of Adds expands operands of similar size.
+        while len(terms) > 1:
+            paired = [a + b for a, b in zip(terms[::2], terms[1::2])]
+            terms = paired + terms[len(paired) * 2 :]
+        return terms[0] if terms else QFactored(0)
     if isinstance(node, Neg):
-        return -eval_expr(node.a, env)
+        return -_eval(node.a, env)
     if isinstance(node, Add):
-        return eval_expr(node.a, env) + eval_expr(node.b, env)
+        return _eval(node.a, env) + _eval(node.b, env)
     if isinstance(node, Sub):
-        return eval_expr(node.a, env) - eval_expr(node.b, env)
+        return _eval(node.a, env) - _eval(node.b, env)
     if isinstance(node, Mul):
-        return eval_expr(node.a, env) * eval_expr(node.b, env)
+        return _eval(node.a, env) * _eval(node.b, env)
     if isinstance(node, Div):
-        return eval_expr(node.a, env) / eval_expr(node.b, env)
+        return _eval(node.a, env) / _eval(node.b, env)
     if isinstance(node, Pow):
-        return eval_expr(node.base, env) ** eval_int(node.exp, env)
+        return _eval(node.base, env) ** eval_int(node.exp, env)
     raise TypeError(f"cannot evaluate {node!r}")
 
 

@@ -32,6 +32,16 @@ Cyclotomic polynomials are built by the binomial passes of their Moebius
 form, Phi_n = prod_{e | n} (q^e - 1)^mu(n/e), and memoized for the life of
 the process beside the form index (both are only ever extended, so
 concurrent readers are safe).
+
+QFactored keeps a rational function as c * q^j * N * prod_d Phi_d^e_d, the
+form closed forms are written in.  Distinct Phi_d are coprime, so products,
+quotients and powers add or scale the exponent map and take no gcd; a sum
+expands both N over the smaller exponents.  to_qrat materialises the
+canonical QRat without a gcd: trial division of N by the denominator's
+Phi_d, then products by binomial passes.  Division by a value whose N is not
+constant, and any operation with a QRat, continue in QRat arithmetic.
+cyclotomic_split is the one decomposition of 1 - c*q^e, c = +-1, into a
+unit, a q-power and cyclotomic indices; qseries splits its denominators by it.
 """
 
 from __future__ import annotations
@@ -43,9 +53,10 @@ from math import gcd as igcd
 from math import lcm as ilcm
 from operator import neg, sub
 
-from .errors import DivisionByZeroPoly, DenominatorNotUnit, ModuliNotCoprime
+from .errors import DivisionByZeroPoly, DenominatorNotUnit, ModuliNotCoprime, NegativeLength
 
 __all__ = [
+    "QFactored",
     "QPoly",
     "QRat",
     "binomial_product",
@@ -318,9 +329,8 @@ class QPoly:
         if isinstance(other, int):
             return QPoly._make([c * other for c in self._nums], self._den)
         if isinstance(other, Fraction):
-            return QPoly._make(
-                [c * other.numerator for c in self._nums], self._den * other.denominator
-            )
+            num = other.numerator
+            return QPoly._make([c * num for c in self._nums], self._den * other.denominator)
         if not isinstance(other, QPoly):
             return NotImplemented
         if not self._nums or not other._nums:
@@ -685,6 +695,7 @@ _CYCLOTOMIC_CACHE: dict[int, QPoly] = {}
 _BINOMIAL_FORMS: dict[QPoly, tuple[tuple[int, int], ...]] = {}
 
 
+@lru_cache(maxsize=1024)
 def _cyclotomic_form(n: int) -> tuple[tuple[int, int], ...]:
     # Phi_n = prod_{e | n} (q^e - 1)^mu(n/e): one e per squarefree n/e.
     primes = _prime_factors(n)
@@ -699,13 +710,17 @@ def _cyclotomic_form(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
+def _require_index(n: int):
+    if n < 1:
+        raise ValueError(f"cyclotomic index must be positive, got {n}")
+
+
 def cyclotomic(n: int) -> QPoly:
     """n-th cyclotomic polynomial Phi_n, by the binomial passes of its form.
 
     Memoized; the cache is only appended to, never mutated in place.
     """
-    if n < 1:
-        raise ValueError(f"cyclotomic index must be positive, got {n}")
+    _require_index(n)
     hit = _CYCLOTOMIC_CACHE.get(n)
     if hit is not None:
         return hit
@@ -740,14 +755,31 @@ def binomial_product(factors) -> QPoly:
     return product
 
 
-def power_minus_one_factors(e: int) -> list[QPoly]:
-    """Monic irreducible factors of q^e - 1 (with multiplicity one each)."""
-    return [cyclotomic(d) for d in _divisors(e)]
+@lru_cache(maxsize=1024)
+def cyclotomic_split(c: int, e: int) -> tuple[int, int, tuple[int, ...]]:
+    """1 - c*q^e for c = +-1 as (unit, j, indices), j >= 0:
+
+        1 - c*q^e = unit * q^(-j) * prod_{d in indices} Phi_d.
+
+    For e > 0, 1 - q^e = -prod_{d | e} Phi_d and 1 + q^e = prod Phi_d over
+    the d | 2e that do not divide e; for e < 0, 1 - c*q^e = q^e (q^-e - c).
+    At e = 0 the value is the unit 1 - c, which is 0 for c = 1.
+    """
+    if e == 0:
+        return 1 - c, 0, ()
+    f = abs(e)
+    if c == 1:
+        return (-1 if e > 0 else 1), max(0, -e), tuple(_divisors(f))
+    return 1, max(0, -e), tuple(d for d in _divisors(2 * f) if f % d)
 
 
-def power_plus_one_factors(e: int) -> list[QPoly]:
-    """Monic irreducible factors of q^e + 1."""
-    return [cyclotomic(d) for d in _divisors(2 * e) if e % d != 0]
+def binomial_over_qpow(c: Fraction, e: int) -> tuple[QPoly, int]:
+    """1 - c*q^e as (f, j) with f a polynomial and 1 - c*q^e = f / q^j."""
+    if e < 0:
+        return QPoly([-c] + [0] * (-e - 1) + [1]), -e
+    if e == 0:
+        return QPoly.const(1 - c), 0
+    return QPoly([1] + [0] * (e - 1) + [-c]), 0
 
 
 def q_integer(r: int):
@@ -943,6 +975,244 @@ class QRat:
 
 _QRAT_ZERO = QRat._raw(_ZERO, _ONE)
 _QRAT_ONE = QRat._raw(_ONE, _ONE)
+
+
+def _times_phis(f: QPoly, exps: dict) -> QPoly:
+    """f * prod Phi_d^k over exps, every k >= 0, by binomial passes.
+
+    The product's form prod_e (q^e - 1)^x_e merges the Moebius forms of the
+    Phi_d; _binomial_div by its negation multiplies by every factor with
+    x_e > 0 before it divides by those with x_e < 0, so every division is
+    exact.
+    """
+    form = _merge_forms((_cyclotomic_form(d), k) for d, k in exps.items())
+    if not form:
+        return f
+    return QPoly._make(_binomial_div(f._nums, tuple((e, -x) for e, x in form)), f._den)
+
+
+def _add_exps(a: dict, b: dict) -> dict:
+    """Exponent map of a product, zero exponents dropped."""
+    out = dict(a)
+    for d, e in b.items():
+        total = out.get(d, 0) + e
+        if total:
+            out[d] = total
+        else:
+            del out[d]
+    return out
+
+
+class QFactored:
+    """A rational function kept as c * q^j * N * prod_d Phi_d^e_d.
+
+    c is a Fraction, j an integer, N a QPoly with N(0) != 0 (the constant 1
+    unless an Add or a Pochhammer factor 1 - c*q^e with c != +-1 made it),
+    and exps maps each index d to its exponent e_d != 0.  Distinct Phi_d are
+    coprime, so Mul, Div and Pow add or scale exponent maps and take no gcd.
+    Add expands both N over the smaller exponent of each Phi_d and q.
+
+    Division by, or a negative power of, a value whose N is not constant, and
+    any operation with a QRat, continue in QRat arithmetic: _coerce and the
+    N checks below are the one place that makes that choice.  to_qrat gives
+    the canonical reduced QRat of the value.
+    """
+
+    __slots__ = ("c", "j", "N", "exps")
+
+    def __init__(self, c, j: int = 0, N: QPoly = _ONE, exps=None):
+        """Normalized value: N carries no q-power, a constant N is folded
+        into c, and a binomial N = a(1 - c'q^f), c' = +-1, is split into
+        cyclotomics."""
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        exps = {} if exps is None else exps
+        if not c or N.is_zero():
+            c, j, N, exps = Fraction(0), 0, _ONE, {}
+        elif N is not _ONE:
+            shift = N.trailing_order()
+            if shift:
+                N, j = N.shift(-shift), j + shift
+            nonzero = [i for i, x in enumerate(N._nums) if x]
+            if len(nonzero) == 1:
+                c, N = c * N.coefficient(0), _ONE
+            elif len(nonzero) == 2 and abs(N._nums[0]) == abs(N._nums[-1]):
+                unit, _, indices = cyclotomic_split(-N._nums[-1] // N._nums[0], N.degree)
+                c, N = c * unit * N.coefficient(0), _ONE
+                exps = _add_exps(exps, dict.fromkeys(indices, 1))
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "exps", exps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QFactored is immutable")
+
+    @classmethod
+    def q_integer(cls, r: int) -> "QFactored":
+        """[r] = prod_{d | r, d > 1} Phi_d, and [r] = -q^r [-r] for r < 0."""
+        if not r:
+            return _FACTORED_ZERO
+        return cls(-1 if r < 0 else 1, min(r, 0), _ONE, {d: 1 for d in _divisors(abs(r)) if d > 1})
+
+    @classmethod
+    def cyclotomic(cls, n: int) -> "QFactored":
+        _require_index(n)
+        return cls(1, 0, _ONE, {n: 1})
+
+    @classmethod
+    def pochhammer(cls, coeff: Fraction, exp: int, step: int, k: int) -> "QFactored":
+        """(x; q^step)_k = prod_{i<k} (1 - x q^(step*i)) for x = coeff*q^exp.
+
+        Factors with coeff = +-1 go into the exponent map; any other
+        coefficient makes polynomial factors, multiplied out into N.
+        """
+        if step < 1:
+            raise ValueError(f"step must be at least 1, got {step}")
+        if k < 0:
+            raise NegativeLength(f"Pochhammer length {k} is negative")
+        c, j = Fraction(1), 0
+        exps: dict[int, int] = {}
+        polys = []
+        for i in range(k):
+            e = exp + step * i
+            if coeff in (1, -1):
+                unit, shift, indices = cyclotomic_split(int(coeff), e)
+                c *= unit
+                for d in indices:
+                    exps[d] = exps.get(d, 0) + 1
+            else:
+                f, shift = binomial_over_qpow(coeff, e)
+                polys.append(f)
+            j -= shift
+        return cls(c, j, poly_product(polys), exps)
+
+    @staticmethod
+    def _coerce(other):
+        return other if isinstance(other, (QFactored, QRat)) else None
+
+    def __neg__(self):
+        return QFactored(-self.c, self.j, self.N, self.exps)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if isinstance(other, QRat):
+            return self.to_qrat() + other
+        if not other.c:
+            return self
+        if not self.c:
+            return other
+        if self.j == other.j and self.N is other.N is _ONE and self.exps == other.exps:
+            return QFactored(self.c + other.c, self.j, _ONE, self.exps)
+        j = min(self.j, other.j)
+        exps = {}
+        for d in self.exps.keys() | other.exps.keys():
+            e = min(self.exps.get(d, 0), other.exps.get(d, 0))
+            if e:
+                exps[d] = e
+        return QFactored(1, j, self._expand(j, exps) + other._expand(j, exps), exps)
+
+    __radd__ = __add__
+
+    def _expand(self, j: int, exps: dict) -> QPoly:
+        """self / (q^j prod Phi_d^exps_d) as one polynomial; needs the
+        exponents of self to be at least j and exps."""
+        N = self.N
+        if self.exps != exps:
+            keys = self.exps.keys() | exps.keys()
+            N = _times_phis(N, {d: self.exps.get(d, 0) - exps.get(d, 0) for d in keys})
+        return (N * self.c).shift(self.j - j)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if isinstance(other, QRat):
+            return self.to_qrat() * other
+        if not self.c or not other.c:
+            return _FACTORED_ZERO
+        N = other.N if self.N.is_one() else self.N if other.N.is_one() else self.N * other.N
+        return QFactored(self.c * other.c, self.j + other.j, N, _add_exps(self.exps, other.exps))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if isinstance(other, QFactored):
+            if other.N.is_one():
+                return self * other**-1
+            other = other.to_qrat()
+        return self.to_qrat() / other
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / (self.to_qrat() if isinstance(other, QRat) else self)
+
+    def __pow__(self, e: int):
+        if e == 0:
+            return _FACTORED_ONE
+        if e < 0:
+            if not self.c:
+                raise DivisionByZeroPoly("inverse of zero rational function")
+            if not self.N.is_one():
+                return self.to_qrat() ** e
+        exps = {d: x * e for d, x in self.exps.items()}
+        return QFactored(self.c**e, self.j * e, self.N if self.N.is_one() else self.N**e, exps)
+
+    def to_qrat(self) -> QRat:
+        """The reduced QRat, with no gcd.
+
+        N is trial-divided by every Phi_d of the denominator with binomial
+        passes; what is left of the denominator is a product of q and monic
+        irreducibles that do not divide N, and the numerator's Phi_d are
+        coprime to it, so the fraction is reduced.
+        """
+        if not self.c:
+            return _QRAT_ZERO
+        num = self.N
+        numer: dict[int, int] = {}
+        denom: dict[int, int] = {}
+        for d, e in self.exps.items():
+            if e > 0:
+                numer[d] = e
+                continue
+            e = -e
+            while e and not num.is_one():
+                quotient = poly_try_div(num, cyclotomic(d))
+                if quotient is None:
+                    break
+                num, e = quotient, e - 1
+            denom[d] = e
+        numerator = _times_phis(num, numer)
+        if self.c != 1:
+            numerator = numerator * self.c
+        denominator = _times_phis(_ONE, denom)
+        return QRat._raw(numerator.shift(max(self.j, 0)), denominator.shift(max(-self.j, 0)))
+
+    def __repr__(self):
+        return f"QFactored({self.c}, q^{self.j}, {self.N!r}, {self.exps})"
+
+
+_FACTORED_ZERO = QFactored(0)
+_FACTORED_ONE = QFactored(1)
 
 
 def crt_combine(r1: QRat, m1: QPoly, r2: QRat, m2: QPoly) -> QRat:

@@ -46,16 +46,18 @@ from .errors import (
     ZeroDenominatorFactor,
 )
 from .polyring import (
+    QFactored,
     QPoly,
     QRat,
+    binomial_over_qpow,
     binomial_reducible,
+    cyclotomic,
+    cyclotomic_split,
     poly_divrem,
     poly_exact_div,
     poly_gcd,
     poly_product,
     poly_try_div,
-    power_minus_one_factors,
-    power_plus_one_factors,
 )
 
 __all__ = [
@@ -139,36 +141,23 @@ def _split_denominator_binomial(c: Fraction, e: int):
     """Decompose (1 - c*q^e) = unit * q^(-j) * prod(monic parts), j >= 0.
 
     Returns (unit, j, parts).  Coefficient +-1 binomials split into
-    cyclotomics so the later trial-division reduction is complete.
+    cyclotomics (polyring.cyclotomic_split) so the later trial-division
+    reduction is complete.
     """
+    if e == 0 and c == 1:
+        raise ZeroDenominatorFactor("denominator factor 1 - q^0 is zero")
+    if c in (1, -1):
+        unit, j, indices = cyclotomic_split(int(c), e)
+        return unit, j, [cyclotomic(d) for d in indices]
     if e == 0:
-        if c == 1:
-            raise ZeroDenominatorFactor("denominator factor 1 - q^0 is zero")
         return 1 - c, 0, []
     if c == 0:
         return Fraction(1), 0, []
     if e > 0:
-        if c == 1:
-            return Fraction(-1), 0, power_minus_one_factors(e)
-        if c == -1:
-            return Fraction(1), 0, power_plus_one_factors(e)
         return -c, 0, [QPoly([-1 / c] + [0] * (e - 1) + [1])]
     j = -e
     # 1 - c*q^-j = q^-j * (q^j - c)
-    if c == 1:
-        return Fraction(1), j, power_minus_one_factors(j)
-    if c == -1:
-        return Fraction(1), j, power_plus_one_factors(j)
     return Fraction(1), j, [QPoly([-c] + [0] * (j - 1) + [1])]
-
-
-def _binomial_over_qpow(c: Fraction, e: int) -> tuple[QPoly, int]:
-    """1 - c*q^e as (f, j) with f a polynomial and 1 - c*q^e = f / q^j."""
-    if e < 0:
-        return QPoly([-c] + [0] * (-e - 1) + [1]), -e
-    if e == 0:
-        return QPoly.const(1 - c), 0
-    return QPoly([1] + [0] * (e - 1) + [-c]), 0
 
 
 def pochhammer(arg: QMonomialArg, step: int, k: int):
@@ -176,38 +165,19 @@ def pochhammer(arg: QMonomialArg, step: int, k: int):
 
     Returns a QPoly when the result is a polynomial, else a QRat.
     """
-    if step < 1:
-        raise ValueError(f"step must be at least 1, got {step}")
-    if k < 0:
-        raise NegativeLength(f"Pochhammer length {k} is negative")
-    num = QPoly.one()
-    qpow = 0
-    for i in range(k):
-        f, j = _binomial_over_qpow(arg.coeff, arg.exp + step * i)
-        num = num * f
-        qpow += j
-    if num.is_zero() or qpow == 0:
-        return num
-    cancel = min(num.trailing_order(), qpow)
-    if cancel:
-        num = num.shift(-cancel)
-        qpow -= cancel
-    if qpow == 0:
-        return num
-    return QRat._raw(num, QPoly.monomial(qpow))
+    value = QFactored.pochhammer(arg.coeff, arg.exp, step, k).to_qrat()
+    return value.num if value.is_poly() else value
 
 
 def q_binomial(t: int, s: int) -> QPoly:
     """Gaussian binomial [t choose s] as a polynomial."""
     if s < 0 or s > t:
         raise OutOfRange(f"q-binomial index s={s} outside 0..{t}")
-    one = QMonomialArg(Fraction(1), 1)
-    num = pochhammer(one, 1, t)
-    den = pochhammer(one, 1, s) * pochhammer(one, 1, t - s)
-    q = poly_try_div(num, den)
-    if q is None:  # pragma: no cover - the division is always exact
-        raise ArithmeticError("q-binomial division failed")
-    return q
+
+    def factorial(m):  # (q; q)_m
+        return QFactored.pochhammer(Fraction(1), 1, 1, m)
+
+    return (factorial(t) / (factorial(s) * factorial(t - s))).to_qrat().num
 
 
 class _PartialSum:
@@ -238,7 +208,7 @@ class _PartialSum:
         scale = Fraction(1)
         pshift = qshift = 0
         for arg, step in spec.numer:
-            f, j = _binomial_over_qpow(arg.coeff, arg.exp + step * i)
+            f, j = binomial_over_qpow(arg.coeff, arg.exp + step * i)
             nums.append(f)
             qshift += j
         for arg, step in spec.denom:

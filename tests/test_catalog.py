@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcongruence import catalog
+from qcongruence import catalog, padic
 from qcongruence.congruence import Modulus, build_modulus, congruent, sample_params
 from qcongruence.errors import SideConditionViolated, UnknownKind
 from qcongruence.expr import eval_expr, parse_expr
@@ -239,3 +239,63 @@ def test_parametric_degree_d_statement_with_scale():
     assert all(r.status == "verified" for r in records)
     with pytest.raises(SideConditionViolated):
         catalog.run_statement("PROP_5_3", {"n": 4, "d": 3, "r": 1, "t": 2}, trials=1)
+
+
+# -- the q -> 1 bridge: catalog right sides against padic's closed forms ------
+
+_BRIDGE = (
+    [
+        (
+            "THM_A/COR_1_4",
+            catalog._THM_A_RHS_1 if n % 4 == 1 else catalog._THM_A_RHS_3,
+            {"n": n},
+            lambda n=n: (n if n % 4 == 1 else n**2) * padic._quartic_closed(n),
+        )
+        for n in range(3, 24, 2)
+    ]
+    + [
+        ("THM_B/COR_1_5", catalog._THM_B_RHS, {"n": n}, lambda n=n: n * padic._cubic_closed(n))
+        for n in (4, 7, 10, 13)
+    ]
+    + [
+        ("THM_C/COR_1_6", catalog._THM_C_RHS, {"n": n}, lambda n=n: 10 * n * padic._cubic_closed(n))
+        for n in (2, 5, 8, 11)
+    ]
+    + [
+        (
+            "THM_D/COR_5_E",
+            catalog._THM_D_RHS,
+            {"n": n, "d": d, "r": r, "c": Fraction(1)},
+            lambda n=n, d=d, r=r: padic._double_closed(d, r, n),
+        )
+        for n, d, r in ((4, 3, 1), (7, 3, 1), (5, 4, 1), (9, 4, 1), (6, 5, 1), (4, 3, -2))
+    ]
+    + [
+        (
+            "THM_E/COR_5_H",
+            catalog._THM_E_RHS,
+            {"n": n, "d": d, "r": r},
+            lambda n=n, d=d, r=r: padic._double_closed(d, r, (d - 1) * n),
+        )
+        for n, d, r in ((2, 3, 1), (5, 3, 1), (3, 4, 1), (4, 3, -1))
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "text, env, closed",
+    [case[1:] for case in _BRIDGE],
+    ids=[f"{case[0]}-{case[2]}" for case in _BRIDGE],
+)
+def test_q_to_one_bridge_right_sides(text, env, closed):
+    assert eval_expr(parse_expr(text), env).eval_at(1) == closed()
+
+
+@pytest.mark.parametrize("d, r", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2)])
+def test_q_to_one_bridge_sums(d, r):
+    # [2dk+r] (q^r; q^d)_k^6 / (q^d; q^d)_k^6 q^((2d-3r)k) -> (2dk+r) ((r/d)_k / k!)^6,
+    # and c = -1 makes the alternating fifth power.
+    for m in range(5):
+        assert truncated_sum(well_poised_spec(d, r), m).eval_at(1) == padic._sum_sixth(d, r, m)
+        alternating = truncated_sum(well_poised_spec(d, r, c=-1), m).eval_at(1)
+        assert alternating == padic._sum_fifth_alt(d, r, m)

@@ -9,6 +9,7 @@ from qcongruence.congruence import (
     CongruenceResult,
     Modulus,
     _poly_text,
+    _power_collision,
     build_modulus,
     congruent,
     sample_params,
@@ -300,3 +301,26 @@ def test_sample_params_exhaustion():
     # be drawn together, and 60 symbols can never all be assigned.
     with pytest.raises(SamplingExhausted):
         sample_params([f"s{i}" for i in range(60)], 2, 1, seed=0)
+
+
+def _fraction_power_collision(x, y, bound=6):
+    """The sampler's power test in Fraction arithmetic, as a reference."""
+    for i in range(1, bound + 1):
+        xi = x**i
+        yj = Fraction(1)
+        for _ in range(bound):
+            yj *= y
+            if xi == yj or xi * yj == 1:
+                return True
+    return False
+
+
+def test_power_collision_matches_fraction_reference_on_sampler_grid():
+    grid = sorted({Fraction(u, v) for u in range(-9, 10) for v in range(1, 10)})
+    hits = 0
+    for x in grid:
+        for y in grid:
+            expected = _fraction_power_collision(x, y)
+            assert _power_collision(x, y) == expected, (x, y)
+            hits += expected
+    assert 0 < hits < len(grid) ** 2

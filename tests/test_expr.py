@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from qcongruence import catalog
 from qcongruence.errors import (
+    NegativeLength,
     NonIntegerBound,
+    SideConditionViolated,
     SpecSyntaxError,
     UnboundSymbol,
 )
@@ -16,6 +19,7 @@ from qcongruence.expr import (
     Div,
     Mul,
     Neg,
+    Phi,
     Pochhammer,
     Pow,
     QInt,
@@ -24,6 +28,7 @@ from qcongruence.expr import (
     Sub,
     Sum,
     SymbolRef,
+    _monomial_value,
     eval_expr,
     eval_int,
     load_spec_file,
@@ -205,3 +210,174 @@ def test_load_spec_file_rejects_bare_expression(tmp_path):
     path.write_text("qint(2) + 1\n", encoding="utf-8")
     with pytest.raises(SpecSyntaxError):
         load_spec_file(path)
+
+
+# -- differential check against plain QRat arithmetic --------------------------
+
+
+def _reference_poch(arg, step: int, k: int) -> QRat:
+    """(x; q^step)_k as a product of QRat factors 1 - x q^(step*i)."""
+    if step < 1:
+        raise ValueError(f"step must be at least 1, got {step}")
+    if k < 0:
+        raise NegativeLength(f"Pochhammer length {k} is negative")
+    value = QRat.from_value(1)
+    for i in range(k):
+        e = arg.exp + step * i
+        value = value * QRat(
+            QPoly.monomial(max(-e, 0)) - QPoly.monomial(max(e, 0), arg.coeff),
+            QPoly.monomial(max(-e, 0)),
+        )
+    return value
+
+
+def reference_eval(node, env: dict) -> QRat:
+    """The value of node, every operation a reduced QRat operation."""
+    if isinstance(node, RationalLit):
+        return QRat.from_value(node.value)
+    if isinstance(node, SymbolRef):
+        if node.name not in env:
+            raise UnboundSymbol(f"symbol {node.name!r} is not bound")
+        return QRat.from_value(env[node.name])
+    if isinstance(node, QMonomial):
+        e = eval_int(node.exp, env)
+        return QRat(QPoly.monomial(max(e, 0), node.coeff), QPoly.monomial(max(-e, 0)))
+    if isinstance(node, QInt):
+        return QRat.from_value(q_integer(eval_int(node.arg, env)))
+    if isinstance(node, Phi):
+        return QRat.from_value(cyclotomic(eval_int(node.arg, env)))
+    if isinstance(node, Pochhammer):
+        arg = _monomial_value(node.arg, env)
+        return _reference_poch(arg, eval_int(node.step, env), eval_int(node.length, env))
+    if isinstance(node, Sum):
+        total = QRat.from_value(0)
+        for j in range(eval_int(node.lower, env), eval_int(node.upper, env) + 1):
+            total = total + reference_eval(node.body, {**env, node.index: j})
+        return total
+    if isinstance(node, Neg):
+        return -reference_eval(node.a, env)
+    if isinstance(node, Add):
+        return reference_eval(node.a, env) + reference_eval(node.b, env)
+    if isinstance(node, Sub):
+        return reference_eval(node.a, env) - reference_eval(node.b, env)
+    if isinstance(node, Mul):
+        return reference_eval(node.a, env) * reference_eval(node.b, env)
+    if isinstance(node, Div):
+        return reference_eval(node.a, env) / reference_eval(node.b, env)
+    if isinstance(node, Pow):
+        return reference_eval(node.base, env) ** eval_int(node.exp, env)
+    raise TypeError(f"cannot evaluate {node!r}")
+
+
+def _outcome(evaluate, node, env):
+    """(num, den) of the value, or (exception class, message)."""
+    try:
+        value = evaluate(node, env)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return value.num, value.den
+
+
+def _assert_same_as_reference(text: str, env: dict):
+    node = parse_expr(text)
+    got = _outcome(eval_expr, node, env)
+    assert got == _outcome(reference_eval, node, env), (text, env)
+    return got
+
+
+# q_closed pool sizes: LEM_REL t <= 21, THM_A and GWY n <= 21, THM_E at d in {3, 4, 5}.
+_POOL_POINTS = (
+    [("LEM_REL", {"t": t}) for t in range(22)]
+    + [(sid, {"n": n}) for sid in ("THM_A", "GWY") for n in range(1, 22, 2)]
+    + [
+        ("THM_E", {"n": n, "d": d, "r": r})
+        for n, d, r in ((2, 3, 1), (4, 3, -1), (5, 3, 1), (7, 3, -1), (8, 3, 1),
+                        (3, 4, 1), (5, 4, -1), (4, 5, 1))
+    ]
+)
+
+
+def _template_points():
+    """(text, env) for every catalog template at every desk and pool point."""
+    points = [
+        (s.stmt_id, dict(case)) for s in catalog.list_statements() if s.build for case in s.desk
+    ]
+    for stmt_id, bindings in points + _POOL_POINTS:
+        stmt = catalog.get_statement(stmt_id)
+        for seed in (0, 1) if stmt.symbols else (None,):
+            try:
+                bound = catalog._bind_symbols(stmt, bindings, seed) if stmt.symbols else bindings
+                plan = stmt.build(bound)
+            except SideConditionViolated:
+                continue
+            for text in (plan.lhs, plan.rhs_text):
+                if isinstance(text, str):
+                    yield text, plan.env
+    b, c = Fraction(-7, 3), Fraction(5, 2)
+    for n in range(6):
+        yield catalog._QCHU_RHS, {"n": n, "b": b, "c": c}
+    for n in (1, 3, 5, 7, 9):
+        yield catalog._WHIPPLE_RHS_1 if n % 4 == 1 else catalog._WHIPPLE_RHS_3, {"n": n, "b": b}
+    for n in (1, 4, 7, 10):
+        yield catalog._JACKSON_RHS, {"n": n, "b": b}
+    for n, d, r in ((4, 3, 1), (7, 3, 1), (5, 4, 1), (2, 3, -1), (9, 5, -1)):
+        yield catalog._WATSON_RHS, {"n": n, "d": d, "r": r, "b": b, "c": c}
+
+
+def test_eval_expr_matches_qrat_reference_on_catalog_templates():
+    texts = set()
+    for text, env in _template_points():
+        texts.add(text)
+        num, _den = _assert_same_as_reference(text, env)
+        assert isinstance(num, QPoly), (text, env)
+    templates = {
+        name: text
+        for name, text in vars(catalog).items()
+        if name.endswith(("_LHS", "_RHS", "_RHS_1", "_RHS_3")) and isinstance(text, str)
+    }
+    assert len(templates) >= 20
+    assert [name for name, text in templates.items() if text not in texts] == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/qint(0)",
+        "qint(n - 3)^(-2)",
+        "1/poch(q^(-2); q; 3)",
+        "poch(1; q; 2)^(-1)",
+        "1/(q - q)",
+        "0^(-1)",
+        "phi(0)",
+        "phi(n - 4)",
+        "poch(q; q^0; 2)",
+        "poch(q; q; -1)",
+        "q^(1/2)",
+        "qint(m)",
+    ],
+)
+def test_eval_expr_raises_like_qrat_reference(text):
+    got = _assert_same_as_reference(text, {"n": 3, "x": Fraction(2)})
+    assert isinstance(got[0], type) and issubclass(got[0], Exception), text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "qint(-3)^(-2) * phi(6)",
+        "(1 + q)^(-3) * phi(2)^3",
+        "(q^2 + 2*q + 1) / (1 + q)",
+        "(2 - 2*q^3) / (1 - q)",
+        "q^(-3) * (q^3 + q^5) - q^2",
+        "poch(-q^(-3); q^2; 4) / poch(q; q; 3)",
+        "poch(2*q^(-1); q; 3) / poch(q; q; 2)",
+        "poch(q^(-n); q; n) + qint(n)",
+        "sum(j, 3, 1, q)",
+        "sum(j, 1, 5, q^j / qint(j)^2) * qint(4)^2 - 1/phi(3)",
+        "(1 - q^6) / ((1 - q^2) * (1 - q^3)) - phi(6) * (1 - q) / (1 - q)",
+        "x * (1 - x*q^2) / (1 - x*q^2) + 1/x",
+        "(1 + q) / (x - q) * (x - q)^2",
+    ],
+)
+def test_eval_expr_matches_qrat_reference_on_edge_shapes(text):
+    _assert_same_as_reference(text, {"n": 3, "x": Fraction(-2, 3)})

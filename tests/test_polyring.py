@@ -1,5 +1,6 @@
 """Tests for exact polynomial and rational-function arithmetic in q."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -8,12 +9,14 @@ import pytest
 from qcongruence import polyring
 from qcongruence.errors import DivisionByZeroPoly, ModuliNotCoprime
 from qcongruence.polyring import (
+    QFactored,
     QPoly,
     QRat,
     binomial_product,
     binomial_reducible,
     crt_combine,
     cyclotomic,
+    cyclotomic_split,
     poly_divrem,
     poly_exact_div,
     poly_gcd,
@@ -453,3 +456,106 @@ def test_crt_combine_rejects_shared_factor():
         crt_combine(
             QRat.from_value(0), q_integer(6), QRat.from_value(1), q_integer(4)
         )
+
+
+# -- cyclotomic-factored values ------------------------------------------------
+
+
+def _same(factored, expected: QRat):
+    got = factored.to_qrat()
+    assert (got.num, got.den) == (expected.num, expected.den), (factored, expected)
+
+
+def test_cyclotomic_split_of_binomials():
+    for c in (1, -1):
+        for e in range(-12, 13):
+            unit, j, indices = cyclotomic_split(c, e)
+            product = poly_product(cyclotomic(d) for d in indices) * unit
+            binomial = QPoly.monomial(max(-e, 0)) - QPoly.monomial(max(e, 0), c)
+            assert j == max(-e, 0)
+            assert QRat(product, QPoly.monomial(j)) == QRat(binomial, QPoly.monomial(j)), (c, e)
+    assert cyclotomic_split(1, 0) == (0, 0, ())
+    assert cyclotomic_split(-1, 0) == (2, 0, ())
+
+
+def test_factored_materialises_cancelling_phi_and_q_powers():
+    # N = Phi_2 Phi_3 q^2 (1 + 2q) over Phi_3^2 Phi_5 q^5
+    N = cyclotomic(2) * cyclotomic(3) * QPoly([0, 0, 1, 2])
+    value = QFactored(Fraction(3, 7), -5, N, {3: -2, 5: -1, 6: 2})
+    assert value.j == -3 and value.N.coefficient(0) != 0
+    expected = QRat(
+        N * cyclotomic(6) ** 2 * Fraction(3, 7),
+        cyclotomic(3) ** 2 * cyclotomic(5) * QPoly.monomial(5),
+    )
+    _same(value, expected)
+    got = value.to_qrat()
+    assert got.den == cyclotomic(3) * cyclotomic(5) * QPoly.monomial(3)
+    # every Phi_d of the denominator divides N: a polynomial
+    _same(QFactored(1, 0, cyclotomic(4) ** 2 * QPoly([1, 2]), {4: -2}), QRat(QPoly([1, 2])))
+
+
+def test_factored_zero():
+    for zero in (QFactored(0), QFactored(5, 3, QPoly.zero(), {2: 1}), QFactored.q_integer(0)):
+        assert zero.c == 0 and zero.exps == {}
+        _same(zero, QRat.from_value(0))
+    one = QFactored.cyclotomic(3)
+    _same(one * QFactored(0), QRat.from_value(0))
+    _same(QFactored(0) / one, QRat.from_value(0))
+    _same(one - one, QRat.from_value(0))
+    for inverse in (lambda: one / QFactored(0), lambda: QFactored(0) ** -2):
+        with pytest.raises(DivisionByZeroPoly, match="inverse of zero rational function"):
+            inverse()
+
+
+def test_factored_q_integers_and_negative_powers():
+    for r in range(-9, 10):
+        _same(QFactored.q_integer(r), QRat.from_value(q_integer(r)))
+    value = QFactored.q_integer(-4) * QFactored(Fraction(-2, 3), 2) / QFactored.cyclotomic(5)
+    reference = (
+        QRat.from_value(q_integer(-4))
+        * QRat(QPoly.monomial(2, Fraction(-2, 3)))
+        / QRat(cyclotomic(5))
+    )
+    for e in (-3, -1, 0, 1, 2):
+        _same(value**e, reference**e)
+    # a non-cyclotomic N has no exponent map to negate: QRat takes over
+    bumped = value + QFactored(1)
+    assert not bumped.N.is_one()
+    inverse = bumped**-2
+    assert isinstance(inverse, QRat)
+    assert inverse == (reference + 1) ** -2
+
+
+def test_factored_binomial_n_splits_into_cyclotomics():
+    one_plus_q = QFactored(1) + QFactored(1, 1)
+    assert one_plus_q.N.is_one() and one_plus_q.exps == {2: 1}
+    two_minus = QFactored(2) - QFactored(2, 6)  # 2 (1 - q^6)
+    assert two_minus.c == -2 and two_minus.exps == {1: 1, 2: 1, 3: 1, 6: 1}
+    _same(QFactored(3) / one_plus_q**2, QRat(QPoly.const(3), QPoly([1, 1]) ** 2))
+
+
+def test_factored_arithmetic_matches_qrat_random():
+    rng = random.Random(1101)
+    atoms = [
+        lambda: QFactored.q_integer(rng.randint(-6, 8)),
+        lambda: QFactored.cyclotomic(rng.randint(1, 12)),
+        lambda: QFactored(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-3, 3)),
+        lambda: QFactored.pochhammer(
+            Fraction(rng.choice([1, -1, 2, Fraction(-1, 3)])),
+            rng.randint(-2, 3),
+            rng.randint(1, 3),
+            rng.randint(0, 3),
+        ),
+    ]
+    for _ in range(150):
+        x, y = rng.choice(atoms)(), rng.choice(atoms)()
+        rx, ry = x.to_qrat(), y.to_qrat()
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            if op is operator.truediv and not ry:
+                continue
+            got, want = op(x, y), op(rx, ry)
+            got = got.to_qrat() if isinstance(got, QFactored) else got
+            assert (got.num, got.den) == (want.num, want.den), (x, op, y)
+        # mixed with a QRat: the QRat arithmetic takes over, same value
+        mixed = x * ry + rx
+        assert isinstance(mixed, QRat) and mixed == rx * ry + rx

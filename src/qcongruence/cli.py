@@ -217,7 +217,9 @@ def _run_verify_task(task) -> list[dict]:
 
 def _run_tasks(tasks: list, jobs: int) -> list[dict]:
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The fork start method launches every worker up front, so never
+        # ask for more workers than there are tasks.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(_run_verify_task, tasks))
     else:
         chunks = [_run_verify_task(task) for task in tasks]

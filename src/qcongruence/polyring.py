@@ -33,15 +33,19 @@ form, Phi_n = prod_{e | n} (q^e - 1)^mu(n/e), and memoized for the life of
 the process beside the form index (both are only ever extended, so
 concurrent readers are safe).
 
-QFactored keeps a rational function as c * q^j * N * prod_d Phi_d^e_d, the
-form closed forms are written in.  Distinct Phi_d are coprime, so products,
-quotients and powers add or scale the exponent map and take no gcd; a sum
-expands both N over the smaller exponents.  to_qrat materialises the
-canonical QRat without a gcd: trial division of N by the denominator's
-Phi_d, then products by binomial passes.  Division by a value whose N is not
-constant, and any operation with a QRat, continue in QRat arithmetic.
-cyclotomic_split is the one decomposition of 1 - c*q^e, c = +-1, into a
-unit, a q-power and cyclotomic indices; qseries splits its denominators by it.
+QFactored keeps a rational function as c * q^j * N * prod key^e_key, the
+form closed forms and partial sums are written in.  A key is an index d for
+Phi_d or a monic binomial q^e - c, c != +-1, keyed by its polynomial.
+binomial_parts is the one split of a factor 1 - c*q^e into a unit, a
+q-power and such keys; Pochhammer products and qseries' sum denominators
+are built from it.  Products, quotients and powers add or scale the exponent
+map and take no gcd; a sum expands both N over the smaller exponents.
+to_qrat is the one reduction of a factored fraction: trial division of N by
+every key of the denominator (binomial passes for the Phi_d), a gcd only for
+the binomial keys that Capelli's theorem (binomial_reducible) shows
+reducible, and the leftover denominator multiplied out.  Division by a value
+whose N is not constant, and any operation with a QRat, continue in QRat
+arithmetic.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ __all__ = [
     "QFactored",
     "QPoly",
     "QRat",
+    "binomial_parts",
     "binomial_product",
     "binomial_reducible",
     "crt_combine",
@@ -756,21 +761,28 @@ def binomial_product(factors) -> QPoly:
 
 
 @lru_cache(maxsize=1024)
-def cyclotomic_split(c: int, e: int) -> tuple[int, int, tuple[int, ...]]:
-    """1 - c*q^e for c = +-1 as (unit, j, indices), j >= 0:
+def binomial_parts(c: Fraction, e: int) -> tuple[Fraction, int, tuple]:
+    """1 - c*q^e as (unit, j, keys), j >= 0, the one split of such a factor:
 
-        1 - c*q^e = unit * q^(-j) * prod_{d in indices} Phi_d.
+        1 - c*q^e = unit * q^(-j) * prod_{key in keys} key.
 
-    For e > 0, 1 - q^e = -prod_{d | e} Phi_d and 1 + q^e = prod Phi_d over
-    the d | 2e that do not divide e; for e < 0, 1 - c*q^e = q^e (q^-e - c).
-    At e = 0 the value is the unit 1 - c, which is 0 for c = 1.
+    A key is an index d, standing for Phi_d, when c = +-1, and otherwise the
+    monic binomial q^|e| - c' itself, a QPoly: the exponent-map keys of
+    QFactored.  For e > 0, 1 - q^e = -prod_{d | e} Phi_d, 1 + q^e = prod Phi_d
+    over the d | 2e that do not divide e, and 1 - c*q^e = -c (q^e - 1/c); for
+    e < 0, 1 - c*q^e = q^e (q^-e - c).  At e = 0 or c = 0 the value is the
+    unit 1 - c*q^e, which is 0 for e = 0, c = 1.
     """
-    if e == 0:
-        return 1 - c, 0, ()
-    f = abs(e)
+    if e == 0 or c == 0:
+        return 1 - c if e == 0 else 1, 0, ()
+    f, j = abs(e), max(0, -e)
     if c == 1:
-        return (-1 if e > 0 else 1), max(0, -e), tuple(_divisors(f))
-    return 1, max(0, -e), tuple(d for d in _divisors(2 * f) if f % d)
+        return (-1 if e > 0 else 1), j, tuple(_divisors(f))
+    if c == -1:
+        return 1, j, tuple(d for d in _divisors(2 * f) if f % d)
+    if e > 0:
+        return -c, 0, (QPoly([-1 / c] + [0] * (f - 1) + [1]),)
+    return 1, j, (QPoly([-c] + [0] * (f - 1) + [1]),)
 
 
 def binomial_over_qpow(c: Fraction, e: int) -> tuple[QPoly, int]:
@@ -977,15 +989,21 @@ _QRAT_ZERO = QRat._raw(_ZERO, _ONE)
 _QRAT_ONE = QRat._raw(_ONE, _ONE)
 
 
-def _times_phis(f: QPoly, exps: dict) -> QPoly:
-    """f * prod Phi_d^k over exps, every k >= 0, by binomial passes.
+def _times_keys(f: QPoly, exps: dict) -> QPoly:
+    """f * prod key^k over exps, every k >= 0.
 
-    The product's form prod_e (q^e - 1)^x_e merges the Moebius forms of the
-    Phi_d; _binomial_div by its negation multiplies by every factor with
-    x_e > 0 before it divides by those with x_e < 0, so every division is
-    exact.
+    Binomial keys are multiplied in by a product tree.  The Phi_d go in by
+    binomial passes: their product's form prod_e (q^e - 1)^x_e merges their
+    Moebius forms, and _binomial_div by its negation multiplies by every
+    factor with x_e > 0 before it divides by those with x_e < 0, so every
+    division is exact.
     """
-    form = _merge_forms((_cyclotomic_form(d), k) for d, k in exps.items())
+    binomials = [key for key, k in exps.items() if isinstance(key, QPoly) for _ in range(k)]
+    if binomials:
+        f = f * poly_product(binomials)
+    form = _merge_forms(
+        (_cyclotomic_form(d), k) for d, k in exps.items() if not isinstance(d, QPoly)
+    )
     if not form:
         return f
     return QPoly._make(_binomial_div(f._nums, tuple((e, -x) for e, x in form)), f._den)
@@ -1004,13 +1022,14 @@ def _add_exps(a: dict, b: dict) -> dict:
 
 
 class QFactored:
-    """A rational function kept as c * q^j * N * prod_d Phi_d^e_d.
+    """A rational function kept as c * q^j * N * prod_key key^e_key.
 
     c is a Fraction, j an integer, N a QPoly with N(0) != 0 (the constant 1
-    unless an Add or a Pochhammer factor 1 - c*q^e with c != +-1 made it),
-    and exps maps each index d to its exponent e_d != 0.  Distinct Phi_d are
-    coprime, so Mul, Div and Pow add or scale exponent maps and take no gcd.
-    Add expands both N over the smaller exponent of each Phi_d and q.
+    unless an Add made it), and exps maps each key to its exponent e != 0:
+    an int d stands for Phi_d, a QPoly for a monic binomial q^e - c, c != +-1,
+    as binomial_parts makes them.  Mul, Div and Pow add or scale exponent
+    maps and take no gcd.  Add expands both N over the smaller exponent of
+    each key and q.
 
     Division by, or a negative power of, a value whose N is not constant, and
     any operation with a QRat, continue in QRat arithmetic: _coerce and the
@@ -1023,7 +1042,8 @@ class QFactored:
     def __init__(self, c, j: int = 0, N: QPoly = _ONE, exps=None):
         """Normalized value: N carries no q-power, a constant N is folded
         into c, and a binomial N = a(1 - c'q^f), c' = +-1, is split into
-        cyclotomics."""
+        cyclotomics.  Other binomials stay in N: as keys, every later Add
+        would multiply them out again."""
         if not isinstance(c, Fraction):
             c = Fraction(c)
         exps = {} if exps is None else exps
@@ -1033,13 +1053,13 @@ class QFactored:
             shift = N.trailing_order()
             if shift:
                 N, j = N.shift(-shift), j + shift
-            nonzero = [i for i, x in enumerate(N._nums) if x]
-            if len(nonzero) == 1:
+            terms = len(N._nums) - N._nums.count(0)
+            if terms == 1:
                 c, N = c * N.coefficient(0), _ONE
-            elif len(nonzero) == 2 and abs(N._nums[0]) == abs(N._nums[-1]):
-                unit, _, indices = cyclotomic_split(-N._nums[-1] // N._nums[0], N.degree)
+            elif terms == 2 and abs(N._nums[0]) == abs(N._nums[-1]):
+                unit, _, keys = binomial_parts(-N._nums[-1] // N._nums[0], N.degree)
                 c, N = c * unit * N.coefficient(0), _ONE
-                exps = _add_exps(exps, dict.fromkeys(indices, 1))
+                exps = _add_exps(exps, dict.fromkeys(keys, 1))
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "N", N)
@@ -1062,30 +1082,21 @@ class QFactored:
 
     @classmethod
     def pochhammer(cls, coeff: Fraction, exp: int, step: int, k: int) -> "QFactored":
-        """(x; q^step)_k = prod_{i<k} (1 - x q^(step*i)) for x = coeff*q^exp.
-
-        Factors with coeff = +-1 go into the exponent map; any other
-        coefficient makes polynomial factors, multiplied out into N.
-        """
+        """(x; q^step)_k = prod_{i<k} (1 - x q^(step*i)) for x = coeff*q^exp,
+        every factor split by binomial_parts into the exponent map."""
         if step < 1:
             raise ValueError(f"step must be at least 1, got {step}")
         if k < 0:
             raise NegativeLength(f"Pochhammer length {k} is negative")
         c, j = Fraction(1), 0
-        exps: dict[int, int] = {}
-        polys = []
+        exps: dict = {}
         for i in range(k):
-            e = exp + step * i
-            if coeff in (1, -1):
-                unit, shift, indices = cyclotomic_split(int(coeff), e)
-                c *= unit
-                for d in indices:
-                    exps[d] = exps.get(d, 0) + 1
-            else:
-                f, shift = binomial_over_qpow(coeff, e)
-                polys.append(f)
+            unit, shift, keys = binomial_parts(coeff, exp + step * i)
+            c *= unit
             j -= shift
-        return cls(c, j, poly_product(polys), exps)
+            for key in keys:
+                exps[key] = exps.get(key, 0) + 1
+        return cls(c, j, _ONE, exps)
 
     @staticmethod
     def _coerce(other):
@@ -1117,12 +1128,12 @@ class QFactored:
     __radd__ = __add__
 
     def _expand(self, j: int, exps: dict) -> QPoly:
-        """self / (q^j prod Phi_d^exps_d) as one polynomial; needs the
+        """self / (q^j prod key^exps_key) as one polynomial; needs the
         exponents of self to be at least j and exps."""
         N = self.N
         if self.exps != exps:
             keys = self.exps.keys() | exps.keys()
-            N = _times_phis(N, {d: self.exps.get(d, 0) - exps.get(d, 0) for d in keys})
+            N = _times_keys(N, {d: self.exps.get(d, 0) - exps.get(d, 0) for d in keys})
         return (N * self.c).shift(self.j - j)
 
     def __sub__(self, other):
@@ -1178,33 +1189,49 @@ class QFactored:
         return QFactored(self.c**e, self.j * e, self.N if self.N.is_one() else self.N**e, exps)
 
     def to_qrat(self) -> QRat:
-        """The reduced QRat, with no gcd.
+        """The reduced QRat.
 
-        N is trial-divided by every Phi_d of the denominator with binomial
-        passes; what is left of the denominator is a product of q and monic
-        irreducibles that do not divide N, and the numerator's Phi_d are
-        coprime to it, so the fraction is reduced.
+        The binomial keys of the numerator are multiplied into N, and N is
+        trial-divided by every key of the denominator, the Phi_d by binomial
+        passes.  Trial division is complete for irreducible keys, and the
+        numerator's Phi_d are coprime to the denominator.  A binomial key that
+        Capelli's theorem (binomial_reducible) shows reducible can share a
+        proper factor with N, so those keys alone pay a gcd each: cancelling
+        gcd(N, f) one key at a time leaves N coprime to what remains of every
+        key, since binomials q^e - c are squarefree, and reducing N modulo
+        the small key first keeps the gcd small.
         """
         if not self.c:
             return _QRAT_ZERO
-        num = self.N
-        numer: dict[int, int] = {}
-        denom: dict[int, int] = {}
-        for d, e in self.exps.items():
+        numer = {key: e for key, e in self.exps.items() if e > 0}
+        num = _times_keys(self.N, {key: e for key, e in numer.items() if isinstance(key, QPoly)})
+        denom: dict = {}
+        shared: list[QPoly] = []
+        for key, e in self.exps.items():
             if e > 0:
-                numer[d] = e
                 continue
             e = -e
+            binomial = isinstance(key, QPoly)
+            f = key if binomial else cyclotomic(key)
             while e and not num.is_one():
-                quotient = poly_try_div(num, cyclotomic(d))
+                quotient = poly_try_div(num, f)
                 if quotient is None:
                     break
                 num, e = quotient, e - 1
-            denom[d] = e
-        numerator = _times_phis(num, numer)
+            if e and binomial and binomial_reducible(-key.coefficient(0), key.degree):
+                shared.extend([key] * e)
+            elif e:
+                denom[key] = e
+        rest = []
+        for f in shared:
+            g = poly_gcd(poly_divrem(num, f)[1], f)
+            if g.degree > 0:
+                num, f = poly_exact_div(num, g), poly_exact_div(f, g)
+            rest.append(f)
+        numerator = _times_keys(num, {d: e for d, e in numer.items() if not isinstance(d, QPoly)})
         if self.c != 1:
             numerator = numerator * self.c
-        denominator = _times_phis(_ONE, denom)
+        denominator = _times_keys(poly_product(rest), denom)
         return QRat._raw(numerator.shift(max(self.j, 0)), denominator.shift(max(-self.j, 0)))
 
     def __repr__(self):

@@ -12,13 +12,12 @@ exactly, and this module does nothing else: closed forms live in catalog.
 
 A partial sum is summed by binary splitting (arith.binary_split, the kernel
 padic sums classical series with) over a *factored* common denominator:
-coefficient +-1 binomials split into cyclotomics and everything else stays a
-monic binomial.  The final reduction is trial division by those factors
-(binomial passes for the cyclotomics, see polyring), and the leftover
-denominator is multiplied out by a balanced product tree.  Trial division is
-complete for irreducible factors; a binomial part that Capelli's theorem
-shows reducible can share a proper factor with the numerator, so those parts
-alone pay a gcd each.
+polyring.binomial_parts splits every denominator factor into the keys of
+QFactored, cyclotomic indices for coefficients +-1 and monic binomials
+otherwise.  The reduction is QFactored.to_qrat, the one reduction of a
+factored fraction: trial division by the keys, a gcd only for binomials
+that Capelli's theorem shows reducible, and the leftover denominator
+multiplied out.
 
 truncated_sum_prefixes, the entry point of every sum, keeps a per-process
 cache of partial sums keyed on the (frozen, hashable) TermSpec, beside
@@ -50,14 +49,9 @@ from .polyring import (
     QPoly,
     QRat,
     binomial_over_qpow,
-    binomial_reducible,
+    binomial_parts,
     cyclotomic,
-    cyclotomic_split,
-    poly_divrem,
-    poly_exact_div,
-    poly_gcd,
     poly_product,
-    poly_try_div,
 )
 
 __all__ = [
@@ -137,29 +131,6 @@ def well_poised_spec(d: int, r: int, a=1, b=1, c=1) -> TermSpec:
     )
 
 
-def _split_denominator_binomial(c: Fraction, e: int):
-    """Decompose (1 - c*q^e) = unit * q^(-j) * prod(monic parts), j >= 0.
-
-    Returns (unit, j, parts).  Coefficient +-1 binomials split into
-    cyclotomics (polyring.cyclotomic_split) so the later trial-division
-    reduction is complete.
-    """
-    if e == 0 and c == 1:
-        raise ZeroDenominatorFactor("denominator factor 1 - q^0 is zero")
-    if c in (1, -1):
-        unit, j, indices = cyclotomic_split(int(c), e)
-        return unit, j, [cyclotomic(d) for d in indices]
-    if e == 0:
-        return 1 - c, 0, []
-    if c == 0:
-        return Fraction(1), 0, []
-    if e > 0:
-        return -c, 0, [QPoly([-1 / c] + [0] * (e - 1) + [1])]
-    j = -e
-    # 1 - c*q^-j = q^-j * (q^j - c)
-    return Fraction(1), j, [QPoly([-c] + [0] * (j - 1) + [1])]
-
-
 def pochhammer(arg: QMonomialArg, step: int, k: int):
     """(x; q^step)_k = prod_{i<k} (1 - x q^(step*i)) for x = coeff*q^exp.
 
@@ -186,7 +157,8 @@ class _PartialSum:
     Term k is a_k * prod_{0<i<=k} p_i/q_i: p_i/q_i folds the factors with
     index i - 1, and a_k = q^J [2dk + r], J = max(0, -r), has no negative
     q-power.  binary_split over the leaves (p_k, q_k, a_k p_k), p_0 = q_0 = 1,
-    gives sum = T / (q^qpow * prod f^mult over factors), q^J included.
+    gives sum = T / (q^qpow * prod key^mult over den), q^J included, with
+    the keys of QFactored: an index d for Phi_d or a monic binomial.
     """
 
     def __init__(self, spec: TermSpec):
@@ -195,30 +167,28 @@ class _PartialSum:
         self.spec = spec
         self.P = QPoly.one()
         self.T = QPoly.zero()
-        self.factors: dict[QPoly, int] = {}
-        self.reducible: set[QPoly] = set()  # factors that are reducible binomials
+        self.den: dict = {}
         self.qpow = max(0, -spec.r) if spec.linear_factor else 0
         self.k = 0  # next term index
 
     def _ratio(self, i: int) -> tuple[QPoly, QPoly]:
-        """(p, q) of the factors with index i; records q's parts and q-power."""
+        """(p, q) of the factors with index i; records q's keys and q-power."""
         spec = self.spec
         nums: list[QPoly] = []
-        parts: list[QPoly] = []
         scale = Fraction(1)
         pshift = qshift = 0
         for arg, step in spec.numer:
             f, j = binomial_over_qpow(arg.coeff, arg.exp + step * i)
             nums.append(f)
             qshift += j
+        keys = []
         for arg, step in spec.denom:
-            e = arg.exp + step * i
-            unit, j, split = _split_denominator_binomial(arg.coeff, e)
+            unit, j, split = binomial_parts(arg.coeff, arg.exp + step * i)
+            if not unit:
+                raise ZeroDenominatorFactor("denominator factor 1 - q^0 is zero")
             scale /= unit
             pshift += j
-            parts.extend(split)
-            if split and arg.coeff not in (1, -1) and binomial_reducible(arg.coeff, abs(e)):
-                self.reducible.update(split)
+            keys.extend(split)
         if spec.z.coeff == 0:
             raise DegenerateParameters("z coefficient is zero")
         scale *= spec.z.coeff
@@ -226,10 +196,11 @@ class _PartialSum:
             pshift += spec.z.exp
         else:
             qshift -= spec.z.exp
-        for f in parts:
-            self.factors[f] = self.factors.get(f, 0) + 1
+        for key in keys:
+            self.den[key] = self.den.get(key, 0) + 1
         self.qpow += qshift
-        return (poly_product(nums) * scale).shift(pshift), poly_product(parts).shift(qshift)
+        parts = poly_product(key if isinstance(key, QPoly) else cyclotomic(key) for key in keys)
+        return (poly_product(nums) * scale).shift(pshift), parts.shift(qshift)
 
     def _leaf(self, k: int) -> tuple[QPoly, QPoly, QPoly]:
         spec = self.spec
@@ -250,38 +221,8 @@ class _PartialSum:
 
     def value(self) -> QRat:
         """Reduced value of the partial sum; does not disturb state."""
-        num = self.T
-        qpow = self.qpow
-        if num.is_zero():
-            return QRat.from_value(0)
-        cancel = min(num.trailing_order(), qpow)
-        if cancel:
-            num = num.shift(-cancel)
-            qpow -= cancel
-        kept: list[QPoly] = []
-        shared: list[QPoly] = []
-        for f, mult in self.factors.items():
-            while mult > 0:
-                quotient = poly_try_div(num, f)
-                if quotient is None:
-                    break
-                num = quotient
-                mult -= 1
-            (shared if f in self.reducible else kept).extend([f] * mult)
-        den = poly_product(kept)
-        if shared:
-            # Trial division by a whole reducible part misses a proper factor
-            # that it shares with num.  Cancelling gcd(num, f) one part at a
-            # time leaves num coprime to what remains of every part, and
-            # reducing num modulo the small part f first keeps the gcd small.
-            rest = []
-            for f in shared:
-                g = poly_gcd(poly_divrem(num, f)[1], f)
-                if g.degree > 0:
-                    num, f = poly_exact_div(num, g), poly_exact_div(f, g)
-                rest.append(f)
-            den = den * poly_product(rest)
-        return QRat._raw(num, den.shift(qpow))
+        den = {key: -mult for key, mult in self.den.items()}
+        return QFactored(1, -self.qpow, self.T, den).to_qrat()
 
 
 class _EngineCache:

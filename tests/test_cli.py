@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qcongruence import catalog
+from qcongruence import catalog, cli
 from qcongruence.cli import main
 
 FIELD_ORDER = ["id", "params", "modulus", "m_choice", "status", "witness", "elapsed_ms", "seed"]
@@ -71,6 +71,33 @@ def test_verify_deterministic_and_parallel_merge(tmp_path, capsys):
     blobs = [path.read_bytes() for path in paths]
     assert blobs[0] == blobs[1]
     assert blobs[0] == blobs[2]
+
+
+def test_verify_pool_never_exceeds_task_count(capsys, monkeypatch):
+    seen = []
+
+    class InlineExecutor:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            seen.append(len(tasks))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    code, out, _ = run_cli(capsys, "verify", "--id", "THM_A", "--n", "5,7", "--jobs", "16")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 4  # both m choices at each n
+    assert seen == [2, 2]  # two workers for two tasks
 
 
 def test_verify_csv_format(capsys):

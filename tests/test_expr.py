@@ -377,6 +377,10 @@ def test_eval_expr_raises_like_qrat_reference(text):
         "(1 - q^6) / ((1 - q^2) * (1 - q^3)) - phi(6) * (1 - q) / (1 - q)",
         "x * (1 - x*q^2) / (1 - x*q^2) + 1/x",
         "(1 + q) / (x - q) * (x - q)^2",
+        "poch(2/3*q; q; 1) / poch(4/9*q^2; q^2; 1)",
+        "(2 + 2*q + q^2) / poch(-1/4*q^4; q; 1)",
+        "(q^2 - 2*q + 2) / poch(-4*q^(-4); q; 1)",
+        "poch(2*q; q^2; 2)^2 / poch(8*q^3; q^3; 2)",
     ],
 )
 def test_eval_expr_matches_qrat_reference_on_edge_shapes(text):

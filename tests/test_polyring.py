@@ -12,11 +12,11 @@ from qcongruence.polyring import (
     QFactored,
     QPoly,
     QRat,
+    binomial_parts,
     binomial_product,
     binomial_reducible,
     crt_combine,
     cyclotomic,
-    cyclotomic_split,
     poly_divrem,
     poly_exact_div,
     poly_gcd,
@@ -466,16 +466,22 @@ def _same(factored, expected: QRat):
     assert (got.num, got.den) == (expected.num, expected.den), (factored, expected)
 
 
-def test_cyclotomic_split_of_binomials():
-    for c in (1, -1):
+def test_binomial_parts_of_binomials():
+    for c in (1, -1, 0, 2, Fraction(-1, 3), Fraction(9, 4)):
         for e in range(-12, 13):
-            unit, j, indices = cyclotomic_split(c, e)
-            product = poly_product(cyclotomic(d) for d in indices) * unit
-            binomial = QPoly.monomial(max(-e, 0)) - QPoly.monomial(max(e, 0), c)
-            assert j == max(-e, 0)
-            assert QRat(product, QPoly.monomial(j)) == QRat(binomial, QPoly.monomial(j)), (c, e)
-    assert cyclotomic_split(1, 0) == (0, 0, ())
-    assert cyclotomic_split(-1, 0) == (2, 0, ())
+            unit, j, keys = binomial_parts(Fraction(c), e)
+            if c in (1, -1):
+                assert all(isinstance(key, int) for key in keys)
+            else:
+                assert all(key.is_monic() and key.coeffs().count(0) == key.degree - 1 for key in keys)
+            factors = (key if isinstance(key, QPoly) else cyclotomic(key) for key in keys)
+            product = poly_product(factors) * unit
+            shift = max(-e, 0)
+            binomial = QPoly.monomial(shift) - QPoly.monomial(max(e, 0), c)
+            assert j == (shift if c else 0)
+            assert QRat(product, QPoly.monomial(j)) == QRat(binomial, QPoly.monomial(shift)), (c, e)
+    assert binomial_parts(1, 0) == (0, 0, ())
+    assert binomial_parts(-1, 0) == (2, 0, ())
 
 
 def test_factored_materialises_cancelling_phi_and_q_powers():
@@ -546,9 +552,31 @@ def test_factored_arithmetic_matches_qrat_random():
             rng.randint(1, 3),
             rng.randint(0, 3),
         ),
+        # binomial keys that Capelli's theorem shows reducible: c = b^p with
+        # p | e, and c = -4 b^4 with 4 | e, beside keys that share their factors
+        lambda: QFactored.pochhammer(
+            Fraction(rng.choice([4, Fraction(4, 9), 8, Fraction(-1, 4), -4, Fraction(1, 2)])),
+            rng.choice([-4, -2, -1, 1, 2, 3, 4]),
+            rng.choice([1, 2, 4]),
+            rng.randint(0, 2),
+        ),
     ]
-    for _ in range(150):
-        x, y = rng.choice(atoms)(), rng.choice(atoms)()
+    shared = [
+        # (1 - 2/3 q) / (1 - 4/9 q^2), its key q - 3/2 a factor of q^2 - 9/4
+        (
+            QFactored.pochhammer(Fraction(2, 3), 1, 1, 1),
+            QFactored.pochhammer(Fraction(4, 9), 2, 2, 1),
+        ),
+        # q^2 - 2q + 2 is a factor of q^4 + 4, the key of 1 + 4 q^-4
+        (QFactored(1, 0, QPoly([2, -2, 1])), QFactored.pochhammer(Fraction(-4), -4, 1, 1)),
+        # the numerator key q - 1/2, squared, is a factor of q^3 - 1/8
+        (
+            QFactored.pochhammer(Fraction(2), 1, 2, 2) ** 2,
+            QFactored.pochhammer(Fraction(8), 3, 3, 2),
+        ),
+    ]
+    draws = [(rng.choice(atoms)(), rng.choice(atoms)()) for _ in range(150)]
+    for x, y in draws + shared:
         rx, ry = x.to_qrat(), y.to_qrat()
         for op in (operator.add, operator.sub, operator.mul, operator.truediv):
             if op is operator.truediv and not ry:

@@ -14,9 +14,9 @@ from qcongruence.errors import (
     OutOfRange,
     ZeroDenominatorFactor,
 )
-from qcongruence import qseries
+from qcongruence import polyring, qseries
 from qcongruence.catalog import check_terminating_identity
-from qcongruence.polyring import QPoly, QRat, q_integer
+from qcongruence.polyring import QPoly, QRat, cyclotomic, q_integer
 from qcongruence.qseries import (
     QMonomialArg,
     TermSpec,
@@ -137,10 +137,10 @@ def test_truncated_sum_matches_reference():
 
 def chained_snapshot(engine):
     """The engine's partial sum reduced by one full gcd over the chained
-    denominator q^qpow * prod f^mult: the oracle for snapshot."""
+    denominator q^qpow * prod key^mult: the oracle for snapshot."""
     den = QPoly.monomial(engine.qpow)
-    for f, mult in engine.factors.items():
-        den = den * f**mult
+    for key, mult in engine.den.items():
+        den = den * (cyclotomic(key) if isinstance(key, int) else key) ** mult
     return QRat(engine.T, den)
 
 
@@ -469,16 +469,16 @@ def test_cache_forgets_engine_that_raised(engines):
 def test_cache_forgets_engine_interrupted_mid_snapshot(engines, monkeypatch):
     spec = CACHED_SPECS["quartic"]
     truncated_sum_prefixes(spec, [2])
-    real = qseries.poly_try_div
+    real = polyring.poly_try_div
 
     def interrupted(*args):
         raise RuntimeError("interrupted")
 
-    monkeypatch.setattr(qseries, "poly_try_div", interrupted)
+    monkeypatch.setattr(polyring, "poly_try_div", interrupted)
     with pytest.raises(RuntimeError):
         truncated_sum_prefixes(spec, [3, 5])
     assert spec not in engines._entries
-    monkeypatch.setattr(qseries, "poly_try_div", real)
+    monkeypatch.setattr(polyring, "poly_try_div", real)
     for orders in ([4], [3, 5], [2]):
         assert_same_prefixes(truncated_sum_prefixes(spec, orders), fresh_prefixes(spec, orders))
 

@@ -3,11 +3,14 @@
 A congruence A = B (mod P) over the field of rational functions in q means:
 write A - B = N/D in lowest terms; then D must be coprime to P and P must
 divide N.  The decision procedure below also accepts under-reduced N/D (as
-produced by fast rational addition): common factors of D and P are cancelled
-against N first, after reducing D modulo P, so only structurally small gcds
-are ever computed.  Whether P divides N is one poly_try_div, which takes
-polyring's binomial passes when P is a product of q-integers and cyclotomics;
-long division of N by P runs only to build the witness of a failure.
+produced by fast rational addition): the common factor h = gcd(D, P) is
+cancelled against N first.  When P is a product of q-integers and
+cyclotomics, Modulus records its exponents P = prod Phi_d^k_d once, and h =
+prod Phi_d^min(k_d, nu_d(D)) comes from trial divisions of D by each Phi_d
+with polyring's binomial passes, no gcd taken; any other P pays one long
+division D mod P and a gcd.  Whether P divides N is one poly_try_div, which
+also takes the binomial passes for such a P; long division of N by P runs
+only to build the witness of a failure.
 
 Moduli keep their factored shape ([n], Phi_n(q)^k, specialization binomials)
 both for readable reports and so a failure can name the smallest factor that
@@ -26,6 +29,7 @@ from .polyring import (
     QRat,
     binomial_product,
     cyclotomic,
+    cyclotomic_exponents,
     poly_divrem,
     poly_exact_div,
     poly_gcd,
@@ -72,7 +76,7 @@ def _poly_text(f: QPoly) -> str:
 class Modulus:
     """Product of nonconstant polynomial factors with multiplicities."""
 
-    __slots__ = ("factors", "label", "product", "monic_product")
+    __slots__ = ("factors", "label", "product", "monic_product", "phi_exponents")
 
     def __init__(self, factors, label: str = ""):
         kept = []
@@ -83,10 +87,12 @@ class Modulus:
                 continue
             kept.append((f, mult))
         # A product of q-integers and cyclotomics is indexed with its binomial
-        # form, so dividing by it takes polyring's binomial passes.
+        # form, so dividing by it takes polyring's binomial passes, and its
+        # Phi_d exponents ((d, k_d), ...) serve congruent's unit check.
         product = binomial_product(kept)
         object.__setattr__(self, "factors", tuple(kept))
         object.__setattr__(self, "product", product)
+        object.__setattr__(self, "phi_exponents", cyclotomic_exponents(product))
         object.__setattr__(
             self, "monic_product", product.monic() if not product.is_constant() else QPoly.one()
         )
@@ -177,6 +183,30 @@ def _smallest_failing_factor(num: QPoly, m: Modulus) -> str:
     return min(candidates)[1]
 
 
+def _shared_with_modulus(den: QPoly, m: Modulus) -> QPoly:
+    """gcd(den, P) for the monic product P of m.
+
+    For P = prod Phi_d^k_d the gcd is prod Phi_d^min(k_d, nu_d(den)), each
+    nu_d found by trial division with binomial passes; any other P pays one
+    long division den mod P and a gcd.
+    """
+    p = m.monic_product
+    if m.phi_exponents is None:
+        dr = poly_divrem(den, p)[1]
+        return p if dr.is_zero() else poly_gcd(dr, p)
+    shared = []
+    for d, k in m.phi_exponents:
+        phi, j = cyclotomic(d), 0
+        while j < k:
+            quotient = poly_try_div(den, phi)
+            if quotient is None:
+                break
+            den, j = quotient, j + 1
+        if j:
+            shared.append((phi, j))
+    return binomial_product(shared)
+
+
 def congruent(lhs, rhs, m: Modulus | None) -> CongruenceResult:
     """Decide lhs = rhs (mod m) over rational functions of q.
 
@@ -198,8 +228,7 @@ def congruent(lhs, rhs, m: Modulus | None) -> CongruenceResult:
     p = m.monic_product
     num, den = diff.num, diff.den
     while not den.is_one():
-        dr = poly_divrem(den, p)[1]
-        h = p if dr.is_zero() else poly_gcd(dr, p)
+        h = _shared_with_modulus(den, m)
         if h.degree == 0:
             break
         nr = poly_divrem(num, h)[1]

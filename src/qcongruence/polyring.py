@@ -3,15 +3,20 @@
 QPoly is represented as an integer coefficient array with one shared positive
 denominator (canonical: no trailing zero coefficients, gcd(content, den) = 1).
 This keeps the hot loops in pure integer arithmetic; Fractions appear only at
-the API surface.  Multiplication uses schoolbook convolution below 32
+the API surface.  Multiplication uses schoolbook convolution below 24
 coefficients and Kronecker substitution above, which delegates the work to
-CPython's C-level big-integer multiplication.
+CPython's C-level big-integer multiplication.  Its digit width is a whole
+number of bytes (Harvey, J. Symbolic Comput. 44, 2009), so packing and
+unpacking are one int.to_bytes and int.from_bytes pass each, linear in the
+length: every coefficient is offset by 2**(width-1) into an unsigned digit.
 
 QRat is a reduced rational function: numerator and monic denominator with
 gcd 1, normalized at construction.  The kernels under it work on the integer
 cores.  Polynomial gcd is GCDHEU (Char, Geddes and Gonnet, J. Symbolic
 Comput. 7, 1989): the integer gcd of the primitive cores evaluated at
-xi >= 2 min(|f|, |g|) + 2, read back as symmetric base-xi digits.  Its
+xi >= 2 min(|f|, |g|) + 2, read back as symmetric base-xi digits.  xi is
+2**width with the width rounded up to whole bytes, so the same packing
+serves, and rounding up keeps xi above the bound.  The candidate's
 primitive part is the gcd exactly when trial division shows that it divides
 both cores, and those trial divisions are the cofactors QRat reduces by;
 after a few failed points the gcd falls back to a primitive PRS (polynomial
@@ -68,6 +73,7 @@ __all__ = [
     "binomial_reducible",
     "crt_combine",
     "cyclotomic",
+    "cyclotomic_exponents",
     "poly_divrem",
     "poly_gcd",
     "poly_gcd_ext",
@@ -75,7 +81,7 @@ __all__ = [
     "q_integer",
 ]
 
-_KRONECKER_THRESHOLD = 32
+_KRONECKER_THRESHOLD = 24
 
 
 def _content(nums) -> int:
@@ -104,42 +110,58 @@ def _mul_schoolbook(a, b):
     return out
 
 
-def _pack(nums, width: int) -> int:
-    """Value of the integer polynomial at q = 2**width."""
-    return sum(c << (i * width) for i, c in enumerate(nums) if c)
+def _offset(step: int, count: int) -> int:
+    """2**(width-1) at each of count digit positions, width = 8 * step bits:
+    the offset that turns symmetric digits into unsigned ones."""
+    return int.from_bytes((bytes(step - 1) + b"\x80") * count, "little")
+
+
+def _pack(nums, width: int, top: int) -> int:
+    """Value of the integer polynomial at q = 2**width, width a multiple of 8.
+
+    top bounds |c| over nums.  When top < 2**(width-1), every c + 2**(width-1)
+    is one unsigned width-bit digit: the digits are joined by int.to_bytes,
+    read by one int.from_bytes, and the offset is subtracted again.  Wider
+    coefficients (GCDHEU's larger operand) are split by index mod k, with
+    k * width > top.bit_length(): each class packs at width k * width and is
+    shifted into place.  Linear in the size of nums either way.
+    """
+    k = top.bit_length() // width + 1
+    if k > 1:
+        return sum(_pack(nums[r::k], k * width, top) << (r * width) for r in range(k))
+    step = width >> 3
+    half = 1 << (width - 1)
+    data = b"".join([(c + half).to_bytes(step, "little") for c in nums])
+    return int.from_bytes(data, "little") - _offset(step, len(nums))
 
 
 def _unpack(value: int, width: int) -> list[int]:
-    """Symmetric base-2**width digits of value, low order first.
+    """Symmetric base-2**width digits of value, low order first, width a
+    multiple of 8, trailing zeros stripped.
 
-    Inverts _pack for every coefficient list whose entries lie in
-    [-2**(width-1), 2**(width-1)) and whose last entry is nonzero.  Needs
-    width >= 2: with one-bit digits in {-1, 0} a positive value never ends.
+    The digits lie in [-2**(width-1), 2**(width-1)), so _unpack inverts _pack
+    for every coefficient list in that range whose last entry is nonzero.
+    Adding the offset makes every digit an unsigned byte string of one
+    int.to_bytes, each read back by int.from_bytes.  A top nonzero digit at
+    position i means |value| > 2**(i width - 2), so (value.bit_length() + 1)
+    // width + 1 positions hold every digit.
     """
-    out = []
-    mask = (1 << width) - 1
+    step = width >> 3
+    count = (value.bit_length() + 1) // width + 1
+    data = (value + _offset(step, count)).to_bytes(step * count, "little")
     half = 1 << (width - 1)
-    neg = value < 0
-    if neg:
-        value = -value
-    while value:
-        d = value & mask
-        value >>= width
-        if d >= half:
-            d -= 1 << width
-            value += 1
-        out.append(-d if neg else d)
-    return out
+    from_bytes = int.from_bytes
+    return _strip([from_bytes(data[i : i + step], "little") - half for i in range(0, len(data), step)])
 
 
 def _mul_kronecker(a, b):
-    # The digit width is chosen so every convolution coefficient fits with a
-    # sign bit.
-    max_a = max(abs(c) for c in a)
-    max_b = max(abs(c) for c in b)
+    # The digit width, a whole number of bytes, is chosen so every
+    # convolution coefficient fits with a sign bit.
+    max_a = max(map(abs, a))
+    max_b = max(map(abs, b))
     bound = max_a * max_b * min(len(a), len(b))
-    width = bound.bit_length() + 2
-    return _unpack(_pack(a, width) * _pack(b, width), width)
+    width = (bound.bit_length() + 9) & -8
+    return _unpack(_pack(a, width, max_a) * _pack(b, width, max_b), width)
 
 
 def _mul_lists(a, b):
@@ -550,16 +572,19 @@ def _gcd_heu(a: list[int], b: list[int]):
     With xi >= 2 min(|a|, |b|) + 2, the primitive part h of the symmetric
     base-xi digits of gcd(a(xi), b(xi)) is the gcd of a and b if and only if
     h divides both (Char, Geddes and Gonnet 1989), so an accepted result is
-    proved, not guessed.  xi is a power of two, so evaluation and
-    interpolation are shifts.  Returns (h, a / h, b / h) with h[-1] > 0: the
-    trial divisions that prove h also give the cofactors.
+    proved, not guessed.  xi = 2**width with width a whole number of bytes,
+    rounded up from the bound at the first point and at every widening, so
+    evaluation and interpolation are _pack and _unpack.  Returns (h, a / h,
+    b / h) with h[-1] > 0: the trial divisions that prove h also give the
+    cofactors.
     """
     if len(a) == 1 or len(b) == 1:
         return [1], a, b
-    bound = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
-    width = (bound - 1).bit_length()
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    bound = 2 * min(top_a, top_b) + 2
+    width = ((bound - 1).bit_length() + 7) & -8
     for _ in range(_HEU_POINTS):
-        h = _primitive(_unpack(igcd(_pack(a, width), _pack(b, width)), width))
+        h = _primitive(_unpack(igcd(_pack(a, width, top_a), _pack(b, width, top_b)), width))
         if len(h) == 1:
             return [1], a, b
         if h[-1] < 0:
@@ -571,7 +596,7 @@ def _gcd_heu(a: list[int], b: list[int]):
             qb, rb, _ = _divrem_int(b, h)
             if not any(rb):
                 return h, qa, qb
-        width += width // 4 + 2
+        width = (width + width // 4 + 9) & -8
     return None
 
 
@@ -758,6 +783,19 @@ def binomial_product(factors) -> QPoly:
     if not product.is_constant() and all(form is not None for form, _ in forms):
         _BINOMIAL_FORMS[product] = _merge_forms(forms)
     return product
+
+
+def cyclotomic_exponents(f: QPoly) -> tuple[tuple[int, int], ...] | None:
+    """((d, k_d), ...) with f = prod Phi_d^k_d, or None if f has no indexed
+    binomial form.  For f = prod_e (q^e - 1)^x_e, k_d = sum_{d | e} x_e."""
+    form = _BINOMIAL_FORMS.get(f)
+    if form is None:
+        return None
+    exps: dict[int, int] = {}
+    for e, x in form:
+        for d in _divisors(e):
+            exps[d] = exps.get(d, 0) + x
+    return tuple((d, k) for d, k in sorted(exps.items()) if k)
 
 
 @lru_cache(maxsize=1024)

@@ -15,7 +15,7 @@ from qcongruence.congruence import (
     sample_params,
 )
 from qcongruence.errors import DenominatorNotUnit, SamplingExhausted, UnknownKind
-from qcongruence import polyring
+from qcongruence import congruence, polyring
 from qcongruence.polyring import (
     QPoly,
     QRat,
@@ -23,6 +23,7 @@ from qcongruence.polyring import (
     cyclotomic,
     poly_divrem,
     poly_exact_div,
+    poly_gcd,
     q_integer,
 )
 from qcongruence.qseries import TermSpec, qma, truncated_sum
@@ -115,6 +116,86 @@ def test_congruent_under_reduced_input():
     value = QRat._raw(n, d)  # under-reduced on purpose: equals -Phi_3
     m = Modulus([(cyclotomic(3), 1)])
     assert congruent(value, 0, m).verified
+
+
+def reference_unit_check(num, den, p):
+    """The unit check by long division: cancel gcd(den mod p, p) against num.
+
+    Returns the DenominatorNotUnit detail, or the numerator left to divide.
+    """
+    while not den.is_one():
+        dr = poly_divrem(den, p)[1]
+        h = p if dr.is_zero() else poly_gcd(dr, p)
+        if h.degree == 0:
+            break
+        nr = poly_divrem(num, h)[1]
+        g = h if nr.is_zero() else poly_gcd(nr, h)
+        if g.degree == 0:
+            return f"denominator shares the factor {_poly_text(h)} with the modulus"
+        num = poly_exact_div(num, g)
+        den = poly_exact_div(den, g)
+    return num
+
+
+def test_phi_exponents_of_indexed_moduli():
+    assert build_modulus("QINT", 12).phi_exponents == ((2, 1), (3, 1), (4, 1), (6, 1), (12, 1))
+    assert build_modulus("PHI_POW", 9, {"k": 3}).phi_exponents == ((9, 3),)
+    assert build_modulus("QINT_PHI_POW", 6, {"k": 2}).phi_exponents == ((2, 1), (3, 1), (6, 3))
+    assert build_modulus("QINT_SPECIALIZED", 4, {"a": Fraction(2, 3)}).phi_exponents is None
+    assert Modulus([(QPoly([2, 1]), 1)]).phi_exponents is None
+
+
+def test_unit_check_matches_long_division_reference():
+    # Denominators sharing Phi_d^j, j up to k + 1, with [n], Phi_n^k and
+    # [n] Phi_n^k: the binomial passes cancel the same factors and raise with
+    # the same detail as gcd(den mod P, P).
+    rng = random.Random(93)
+    raised = verified = 0
+    for n in range(2, 31):
+        for kind, k in (("QINT", 1), ("PHI_POW", 1), ("PHI_POW", 3), ("QINT_PHI_POW", 2), ("QINT_PHI_POW", 3)):
+            m = build_modulus(kind, n, {"k": k})
+            p = m.monic_product
+            d = rng.choice([d for d, _ in m.phi_exponents])
+            for j in range(1, k + 2):
+                den = cyclotomic(d) ** j * QPoly([-2, 1]) * cyclotomic(rng.choice((1, 2 * n + 1)))
+                shared = rng.randint(0, j)
+                for num in (
+                    QPoly([rng.randint(1, 9), rng.randint(-9, 9), 1]) * cyclotomic(d) ** shared,
+                    p * cyclotomic(d) ** j * QPoly([1, 3]),
+                ):
+                    want = reference_unit_check(num, den, p)
+                    value = QRat._raw(num, den)  # under-reduced on purpose
+                    if isinstance(want, str):
+                        with pytest.raises(DenominatorNotUnit) as info:
+                            congruent(value, 0, m)
+                        assert str(info.value) == want
+                        raised += 1
+                    else:
+                        got = congruent(value, 0, m)
+                        assert got.witness == long_division_witness(want, m)
+                        verified += got.verified
+    assert raised > 100 and verified > 100
+
+
+def test_indexed_modulus_never_reaches_divrem_on_success(monkeypatch):
+    calls = []
+    real = congruence.poly_divrem
+
+    def counted(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(congruence, "poly_divrem", counted)
+    coprime = QPoly([-2, 1]) * cyclotomic(7)
+    for kind, n, k in (("QINT", 12, 1), ("PHI_POW", 5, 3), ("QINT_PHI_POW", 9, 2)):
+        m = build_modulus(kind, n, {"k": k})
+        value = QRat(m.monic_product * QPoly([1, 4, 1]), coprime)
+        assert congruent(value, 0, m).verified
+    assert calls == []
+    # A specialization binomial has no binomial form: den mod P as before.
+    m = build_modulus("QINT_SPECIALIZED", 3, {"a": Fraction(2, 5)})
+    assert congruent(QRat(m.monic_product, coprime), 0, m).verified
+    assert len(calls) == 1 and calls[0][1] == m.monic_product
 
 
 def long_division_witness(num, m):

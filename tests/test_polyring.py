@@ -170,11 +170,12 @@ def gcd_pairs(rng):
     yield QPoly.const(4), QPoly.const(6)
     yield QPoly.zero(), cyclotomic(5) * 3
     yield binomial(3) * 2, QPoly.zero()
-    # gcd(f(8), g(8)) = 5 reads back as q - 3, which does not divide q^2 + 6:
-    # the first evaluation point fails and the next one succeeds.
-    yield QPoly([-3, 1]), QPoly([6, 0, 1])
+    # gcd(f(256), g(256)) = 253 reads back as q - 3, which does not divide
+    # q^2 + 244: the first evaluation point fails and the next one succeeds.
+    yield QPoly([-3, 1]), QPoly([244, 0, 1])
     # Below the bound, at xi = 4, 3 - q evaluates to -1 and the candidate 1
-    # would pass trial division; the bound puts xi at 8.
+    # would pass trial division; the bound, rounded up to a byte, puts xi at
+    # 256.
     yield QPoly([3, -1]), QPoly([3, -1]) * QPoly([1, 1])
 
 
@@ -187,6 +188,99 @@ def test_poly_gcd_matches_prs():
         if not f.is_zero() and not g.is_zero():
             d, f_r, g_r = polyring._gcd_cofactors(f, g)
             assert d == expected and d * f_r == f and d * g_r == g
+
+
+def horner(nums, width):
+    value = 0
+    for c in reversed(nums):
+        value = (value << width) + c
+    return value
+
+
+def test_pack_unpack_roundtrip_at_byte_widths():
+    rng = random.Random(87)
+    for width in range(8, 257, 8):
+        half = 1 << (width - 1)
+        lists = [
+            [],
+            [rng.randint(-half, half - 1) or 1],
+            [-half, half - 1, 0, 0, -half, 1],
+            [half - 1, -half] * 3,
+            [5, 0, 0, 0, -half],  # a negative top coefficient
+            [-half, -half, 1],  # |value| < 2**(2 width - 1): one more digit than its bits say
+            [0, 0, half - 1],
+        ]
+        for _ in range(6):
+            nums = [rng.choice((0, -half, half - 1, rng.randint(-half, half - 1))) for _ in range(rng.randint(1, 40))]
+            lists.append(polyring._strip(nums) or [1])
+        for nums in lists:
+            value = polyring._pack(nums, width, max(map(abs, nums), default=0))
+            assert value == horner(nums, width)
+            assert polyring._unpack(value, width) == nums
+
+
+def test_pack_wide_coefficients_matches_horner():
+    # GCDHEU packs its larger operand at the smaller one's width.
+    rng = random.Random(88)
+    for width in (8, 16, 24, 64, 136):
+        for _ in range(20):
+            nums = [rng.randint(-(1 << 600), 1 << 600) >> rng.randint(0, 600) for _ in range(rng.randint(1, 60))]
+            top = max(map(abs, nums))
+            assert polyring._pack(nums, width, top) == horner(nums, width)
+
+
+def test_mul_kronecker_matches_schoolbook():
+    rng = random.Random(89)
+    threshold = polyring._KRONECKER_THRESHOLD
+    shapes = [(rng.randint(1, 200), rng.randint(1, 200)) for _ in range(30)]
+    shapes += [(threshold + da, threshold + db) for da in (-1, 0, 1) for db in (-1, 0, 1)]
+    shapes += [(1, 150), (threshold, 200), (180, threshold - 1), (2, 2)]
+    for la, lb in shapes:
+        bits = rng.randint(1, 600)
+        a = [rng.randint(-(1 << bits), 1 << bits) for _ in range(la)]
+        b = [rng.choice((0, rng.randint(-(1 << bits), 1 << bits))) for _ in range(lb)]
+        a[-1] = a[-1] or 1
+        b[-1] = b[-1] or -1
+        want = polyring._mul_schoolbook(a, b)
+        assert polyring._mul_kronecker(a, b) == want
+        assert polyring._mul_lists(a, b) == want
+
+
+def test_gcd_heu_matches_prs_at_byte_widths(monkeypatch):
+    widths = []
+    unpack = polyring._unpack
+
+    def recording(value, width):
+        widths.append(width)
+        return unpack(value, width)
+
+    monkeypatch.setattr(polyring, "_unpack", recording)
+    rng = random.Random(90)
+    pairs = [
+        (polyring._primitive(f._nums), polyring._primitive(g._nums))
+        for f, g in gcd_pairs(rng)
+        if not f.is_constant() and not g.is_constant()
+    ]
+    for _ in range(10):  # a wide operand against a narrow one
+        common = [rng.randint(-99, 99) for _ in range(rng.randint(1, 8))] + [rng.randint(1, 9)]
+        wide = polyring._mul_lists(common, [rng.randint(-(1 << 500), 1 << 500) for _ in range(rng.randint(1, 30))])
+        narrow = polyring._mul_lists(common, [rng.randint(-9, 9) for _ in range(rng.randint(1, 30))] + [1])
+        pairs.append((polyring._primitive(wide), polyring._primitive(narrow)))
+    for a, b in pairs:
+        widths.clear()
+        found = polyring._gcd_heu(a, b)
+        assert found is not None
+        h, qa, qb = found
+        want = polyring._gcd_prs(a, b)
+        if want[-1] < 0:
+            want = [-c for c in want]
+        assert h == want
+        assert polyring._mul_lists(h, qa) == a and polyring._mul_lists(h, qb) == b
+        bound = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+        assert all(w % 8 == 0 and 1 << w >= bound for w in widths)
+    widths.clear()
+    assert polyring._gcd_heu([-3, 1], [244, 0, 1]) == ([1], [-3, 1], [244, 0, 1])
+    assert widths == [8, 16]  # the first point, xi = 256, fails
 
 
 def test_poly_gcd_falls_back_to_prs(monkeypatch):

@@ -25,13 +25,18 @@ remainder sequence) over the integers.
 Exact division has two kernels, and poly_try_div is the one place that picks
 one.  A divisor of known binomial form prod_e (q^e - 1)^x_e -- every Phi_n,
 every q-integer [n] and every product of them built by binomial_product, as
-Modulus does -- is divided by binomial passes: one shifted subtraction per
+Modulus does, which also recognises a monic integer Phi_d or [n] typed by
+hand -- is divided by binomial passes: one shifted subtraction per
 unit of x_e < 0, then per unit of x_e > 0 a running sum over each residue
 class mod e, exact iff the top e sums vanish.  That is O(2^omega(d) deg f)
-element steps in C for Phi_d.  Every other divisor, and every remainder,
-goes through one fraction-free long-division loop: it scales the remainder
-by lc / gcd(lc, top) only when the leading coefficient of the divisor does
-not divide the top coefficient, so a monic integer divisor never scales.
+element steps in C for Phi_d.  Every other divisor divides its primitive
+part through _divexact_int, which GCDHEU's candidates use too.  By Gauss's
+lemma a primitive divisor divides over Q only if it divides over Z, so the
+leading coefficient divides the top coefficient at every step of an exact
+division: the first step where it does not ends the attempt, and nothing is
+rescaled.  Only a remainder that is wanted (poly_divrem, the PRS) goes
+through the fraction-free long-division loop, which scales the remainder by
+lc / gcd(lc, top) where the leading coefficient does not divide the top one.
 
 Cyclotomic polynomials are built by the binomial passes of their Moebius
 form, Phi_n = prod_{e | n} (q^e - 1)^mu(n/e), and memoized for the life of
@@ -510,19 +515,56 @@ def _binomial_div(nums, form) -> list[int] | None:
     return list(map(neg, out)) if flips & 1 else out
 
 
+def _divexact_int(a, b) -> list[int] | None:
+    """Exact quotient a / b of integer cores, or None if b does not divide a.
+
+    b must be primitive.  By Gauss's lemma a primitive b divides a over Q
+    only if it divides it over Z, so then every quotient coefficient is an
+    integer and lc(b) divides the top coefficient at every step: the first
+    step where it does not proves that b does not divide a.  Nothing is ever
+    rescaled.
+    """
+    db = len(b) - 1
+    lc = b[-1]
+    terms = [(j, y) for j, y in enumerate(b[:db]) if y]  # skips the zeros of sparse divisors
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        t, r = divmod(c, lc)
+        if r:
+            return None
+        k = i - db
+        quot[k] = t
+        for j, y in terms:
+            rem[k + j] -= t * y
+    return None if any(rem[:db]) else quot
+
+
 def poly_try_div(f: QPoly, g: QPoly):
     """Quotient if g divides f exactly, else None.
 
     This is where every exact division picks its kernel: a divisor with an
     indexed binomial form (see _BINOMIAL_FORMS) goes through the binomial
-    passes of _binomial_div, any other through _divrem_int.
+    passes of _binomial_div, any other divides its primitive part through
+    _divexact_int.  With f = F / df and g = cg G / dg, G primitive, the
+    quotient is (F / G) dg / (df cg).
     """
     form = _BINOMIAL_FORMS.get(g)
     if form is not None:
         nums = _binomial_div(f._nums, form)
         return None if nums is None else QPoly._make(nums, f._den)
-    q, r = poly_divrem(f, g)
-    return q if r.is_zero() else None
+    if g.is_zero():
+        raise DivisionByZeroPoly("polynomial division by zero")
+    cg = _content(g._nums)
+    quot = _divexact_int(f._nums, [c // cg for c in g._nums] if cg > 1 else g._nums)
+    if quot is None:
+        return None
+    if g._den != 1:
+        quot = [c * g._den for c in quot]
+    return QPoly._make(quot, f._den * cg)
 
 
 def poly_exact_div(f: QPoly, g: QPoly) -> QPoly:
@@ -575,8 +617,9 @@ def _gcd_heu(a: list[int], b: list[int]):
     proved, not guessed.  xi = 2**width with width a whole number of bytes,
     rounded up from the bound at the first point and at every widening, so
     evaluation and interpolation are _pack and _unpack.  Returns (h, a / h,
-    b / h) with h[-1] > 0: the trial divisions that prove h also give the
-    cofactors.
+    b / h) with h[-1] > 0: the trial divisions that prove h, by
+    _divexact_int since h is primitive, also give the cofactors, and a
+    candidate that fails is usually rejected at its first inexact step.
     """
     if len(a) == 1 or len(b) == 1:
         return [1], a, b
@@ -589,12 +632,10 @@ def _gcd_heu(a: list[int], b: list[int]):
             return [1], a, b
         if h[-1] < 0:
             h = [-c for c in h]
-        # h is primitive, so it divides a over Q only if it does over Z, and
-        # then _divrem_int never scales: the quotient is a / h exactly.
-        qa, ra, _ = _divrem_int(a, h)
-        if not any(ra):
-            qb, rb, _ = _divrem_int(b, h)
-            if not any(rb):
+        qa = _divexact_int(a, h)
+        if qa is not None:
+            qb = _divexact_int(b, h)
+            if qb is not None:
                 return h, qa, qb
         width = (width + width // 4 + 9) & -8
     return None
@@ -614,7 +655,7 @@ def _gcd_cofactors(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly, QPoly]:
         h = _gcd_prs(a, b)
         if h[-1] < 0:
             h = [-c for c in h]
-        found = h, _divrem_int(a, h)[0], _divrem_int(b, h)[0]
+        found = h, _divexact_int(a, h), _divexact_int(b, h)
     h, qa, qb = found
     if len(h) == 1:
         return _ONE, f, g
@@ -720,8 +761,9 @@ _CYCLOTOMIC_CACHE: dict[int, QPoly] = {}
 # Binomial forms beside the cyclotomic cache: f -> ((e, x_e), ...) with
 # f = prod_e (q^e - 1)^x_e, for every Phi_n built, every q-integer [n] with
 # n >= 2 handed out, and every product of such factors passed through
-# binomial_product.  poly_try_div looks a divisor up here.  Like the cache it
-# is only ever extended.
+# binomial_product (whose factors are recognised by _binomial_form).
+# poly_try_div looks a divisor up here.  Like the cache it is only ever
+# extended.
 _BINOMIAL_FORMS: dict[QPoly, tuple[tuple[int, int], ...]] = {}
 
 
@@ -771,15 +813,48 @@ def _merge_forms(forms):
     return tuple(sorted((e, x) for e, x in total.items() if x))
 
 
+def _totients(n: int) -> list[int]:
+    """Euler's phi of 0..n, by a sieve."""
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:
+            for k in range(p, n + 1, p):
+                phi[k] -= phi[k] // p
+    return phi
+
+
+def _binomial_form(f: QPoly):
+    """f's binomial form, also when f is a Phi_d or an [n] built elsewhere.
+
+    A factor typed by hand is not in _BINOMIAL_FORMS until the same value was
+    built by cyclotomic or q_integer, so a monic integer f is recognised from
+    its coefficients first: f = [n] iff (q - 1) f = q^n - 1, that is every
+    coefficient is 1, and f = Phi_d needs phi(d) = deg f, so d <= 2 deg^2.
+    Building the match indexes it.
+    """
+    form = _BINOMIAL_FORMS.get(f)
+    if form is not None or f._den != 1 or f.degree < 1 or f._nums[-1] != 1:
+        return form
+    deg = f.degree
+    if f._nums == (1,) * (deg + 1):
+        q_integer(deg + 1)
+    else:
+        for d, phi in enumerate(_totients(2 * deg * deg)):
+            if phi == deg and cyclotomic(d) == f:
+                break
+    return _BINOMIAL_FORMS.get(f)
+
+
 def binomial_product(factors) -> QPoly:
     """prod f**mult over (f, mult) pairs, by a balanced product tree.
 
-    When every factor has a binomial form, the product's form is indexed
-    too, so that dividing by the product takes the binomial passes.
+    When every factor has a binomial form (_binomial_form), the product's
+    form is indexed too, so that dividing by the product takes the binomial
+    passes.
     """
     factors = list(factors)
     product = poly_product(f for f, mult in factors for _ in range(mult))
-    forms = [(_BINOMIAL_FORMS.get(f), mult) for f, mult in factors]
+    forms = [(_binomial_form(f), mult) for f, mult in factors]
     if not product.is_constant() and all(form is not None for form, _ in forms):
         _BINOMIAL_FORMS[product] = _merge_forms(forms)
     return product

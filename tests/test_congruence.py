@@ -1,7 +1,11 @@
 """Tests for modulus construction and the congruence decision procedure."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +147,24 @@ def test_phi_exponents_of_indexed_moduli():
     assert build_modulus("QINT_PHI_POW", 6, {"k": 2}).phi_exponents == ((2, 1), (3, 1), (6, 3))
     assert build_modulus("QINT_SPECIALIZED", 4, {"a": Fraction(2, 3)}).phi_exponents is None
     assert Modulus([(QPoly([2, 1]), 1)]).phi_exponents is None
+    assert Modulus([(QPoly([1, 0, -1, 0, 1]), 2), (QPoly([-1, 1]), 1)]).phi_exponents == ((1, 1), (12, 2))
+    assert Modulus([(QPoly([1, 0, 1, 0, 1]), 1)]).phi_exponents is None
+
+
+def test_typed_factors_are_indexed_in_a_fresh_process():
+    # 1+q and 1+q+q^2 typed by hand are Phi_2 and [3] whether or not the same
+    # values were built earlier in the process, so a fresh interpreter, with
+    # empty caches, must index them too.
+    code = (
+        "from qcongruence.congruence import Modulus\n"
+        "from qcongruence.polyring import QPoly\n"
+        "print(Modulus([(QPoly([1, 1]), 1)]).phi_exponents)\n"
+        "print(Modulus([(QPoly([1, 1, 1]), 1)], '[3]').phi_exponents)\n"
+    )
+    src = str(Path(congruence.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["((2, 1),)", "((3, 1),)"]
 
 
 def test_unit_check_matches_long_division_reference():

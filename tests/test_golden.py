@@ -37,6 +37,14 @@ CASES = [
     # written before those were merged.
     ("golden_desk_verify.jsonl", ["verify", "--id", _FAMILY_IDS, "--trials", "1"], 0),
     ("golden_desk_padic.jsonl", ["padic", "--id", _FAMILY_CLASSICAL_IDS], 0),
+    # Desk cases of the parametric stragglers, whose trial divisions by
+    # rational binomials and GCDHEU candidates take the exact-quotient
+    # kernel, written before it replaced fraction-free long division there.
+    (
+        "golden_stragglers.jsonl",
+        ["verify", "--id", "NW_B,THM_D,THM_3_2", "--seed", "26", "--trials", "2"],
+        0,
+    ),
 ]
 
 

@@ -426,9 +426,10 @@ def test_indexed_divisors_never_reach_divrem(monkeypatch):
         assert poly_try_div(divisor * QPoly([3, 0, 1]) + 1, divisor) is None
 
 
-def test_unindexed_divisors_keep_divrem():
+def test_unindexed_divisors_divide_by_exact_quotients():
     # A scaled cyclotomic, a rational binomial and a product with a factor of
-    # unknown shape have no binomial form, and divide as before.
+    # unknown shape have no binomial form: their primitive parts divide
+    # through _divexact_int, with the quotients poly_divrem gives.
     rng = random.Random(85)
     divisors = [
         cyclotomic(7) * 2,
@@ -443,6 +444,46 @@ def test_unindexed_divisors_keep_divrem():
         poly_exact_div(cyclotomic(5), cyclotomic(7))
     with pytest.raises(DivisionByZeroPoly):
         poly_try_div(QPoly.one(), QPoly.zero())
+
+
+def test_exact_quotient_kernel_matches_divrem():
+    # poly_try_div returns a quotient iff poly_divrem leaves no remainder, and
+    # then the same quotient: for divisors with content > 1, negative leading
+    # coefficients, 200-bit coefficients and every q^e - u/v, |u|, v <= 9,
+    # e <= 4, against dividends divisible or not, shorter than the divisor,
+    # zero, and with 200-bit coefficients.
+    rng = random.Random(97)
+    x = QPoly([0, 1])
+    divisors = [
+        cyclotomic(7) * 2,
+        cyclotomic(9) * Fraction(-6, 5),
+        QPoly([5, 0, -3, -6]),
+        QPoly([4, -6, -10]),
+        QPoly([rng.randint(-(2**200), 2**200) for _ in range(5)] + [3 * 2**200 + 7]),
+    ]
+    for e in range(1, 5):
+        for c in sorted({Fraction(u, v) for u in range(-9, 10) if u for v in range(1, 10)}):
+            divisors.append(x**e - c)
+    for divisor in divisors:
+        for f in dividends(rng, divisor):
+            assert_kernel_agrees(f, divisor)
+
+
+def test_failing_trial_divisions_never_reach_divrem(monkeypatch):
+    # A failing trial division by a rational binomial, and a failing GCDHEU
+    # candidate, stop at the first inexact coefficient in _divexact_int.
+    def refuse(a, b):
+        raise AssertionError("_divrem_int called for an exact division")
+
+    monkeypatch.setattr(polyring, "_divrem_int", refuse)
+    x = QPoly([0, 1])
+    f = poly_product(1 - Fraction(2, 3) * x**k for k in range(1, 12)) + x**5
+    for e in range(1, 5):
+        for c in (Fraction(2, 3), Fraction(-5, 7), Fraction(9, 4)):
+            assert poly_try_div(f, x**e - c) is None
+            assert poly_try_div(f * (x**e - c), x**e - c) == f
+    # At xi = 256 the candidate q - 3 divides the first core, not the second.
+    assert polyring._gcd_heu([-3, 1], [244, 0, 1]) == ([1], [-3, 1], [244, 0, 1])
 
 
 def test_product_tree_equals_chained_product():

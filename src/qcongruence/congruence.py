@@ -5,12 +5,13 @@ write A - B = N/D in lowest terms; then D must be coprime to P and P must
 divide N.  The decision procedure below also accepts under-reduced N/D (as
 produced by fast rational addition): the common factor h = gcd(D, P) is
 cancelled against N first.  When P is a product of q-integers and
-cyclotomics, Modulus records its exponents P = prod Phi_d^k_d once, and h =
-prod Phi_d^min(k_d, nu_d(D)) comes from trial divisions of D by each Phi_d
-with polyring's binomial passes, no gcd taken; any other P pays one long
-division D mod P and a gcd.  Whether P divides N is one poly_try_div, which
-also takes the binomial passes for such a P; long division of N by P runs
-only to build the witness of a failure.
+cyclotomics, Modulus records its binomial form and its exponents P = prod
+Phi_d^k_d once, and h = prod Phi_d^min(k_d, nu_d(D)) comes from trial
+divisions of D by each Phi_d with polyring's binomial passes, no gcd taken;
+any other P pays one long division D mod P and a gcd.  Whether P divides N
+is one poly_try_div, handed P's form, so such a P takes the binomial passes
+too; long division of N by P runs only to build the witness of a failure,
+whose trial divisions by each factor pass that factor's form.
 
 Moduli keep their factored shape ([n], Phi_n(q)^k, specialization binomials)
 both for readable reports and so a failure can name the smallest factor that
@@ -27,12 +28,14 @@ from .errors import DenominatorNotUnit, SamplingExhausted, UnknownKind
 from .polyring import (
     QPoly,
     QRat,
-    binomial_product,
+    binomial_form,
     cyclotomic,
     cyclotomic_exponents,
+    cyclotomic_form,
     poly_divrem,
     poly_exact_div,
     poly_gcd,
+    poly_product,
     poly_try_div,
     q_integer,
 )
@@ -74,9 +77,16 @@ def _poly_text(f: QPoly) -> str:
 
 
 class Modulus:
-    """Product of nonconstant polynomial factors with multiplicities."""
+    """Product of nonconstant polynomial factors with multiplicities.
 
-    __slots__ = ("factors", "label", "product", "monic_product", "phi_exponents")
+    When every factor is a q-integer [n] or a Phi_d (polyring.binomial_form
+    reads that off its coefficients), form holds the product's binomial form
+    ((e, x_e), ...), P = prod_e (q^e - 1)^x_e, and phi_exponents its Phi_d
+    exponents ((d, k_d), ...); otherwise both are None.  congruent passes
+    form to every division by P, so such a P takes the binomial passes.
+    """
+
+    __slots__ = ("factors", "label", "product", "monic_product", "form", "phi_exponents")
 
     def __init__(self, factors, label: str = ""):
         kept = []
@@ -86,13 +96,14 @@ class Modulus:
             if mult == 0 or f.is_constant():
                 continue
             kept.append((f, mult))
-        # A product of q-integers and cyclotomics is indexed with its binomial
-        # form, so dividing by it takes polyring's binomial passes, and its
-        # Phi_d exponents ((d, k_d), ...) serve congruent's unit check.
-        product = binomial_product(kept)
+        product = poly_product(f for f, mult in kept for _ in range(mult))
+        form = binomial_form(kept)
         object.__setattr__(self, "factors", tuple(kept))
         object.__setattr__(self, "product", product)
-        object.__setattr__(self, "phi_exponents", cyclotomic_exponents(product))
+        object.__setattr__(self, "form", form)
+        object.__setattr__(
+            self, "phi_exponents", None if form is None else cyclotomic_exponents(form)
+        )
         object.__setattr__(
             self, "monic_product", product.monic() if not product.is_constant() else QPoly.one()
         )
@@ -170,10 +181,10 @@ class CongruenceResult:
 def _smallest_failing_factor(num: QPoly, m: Modulus) -> str:
     candidates = []
     for f, mult in m.factors:
-        fm = f.monic()
+        fm, form = f.monic(), binomial_form([(f, 1)])
         rem = num
         for j in range(1, mult + 1):
-            rem = poly_try_div(rem, fm)
+            rem = poly_try_div(rem, fm, form)
             if rem is None:
                 text = _poly_text(f)
                 candidates.append((fm.degree * j, text if j == 1 else f"{text}^{j}"))
@@ -196,15 +207,14 @@ def _shared_with_modulus(den: QPoly, m: Modulus) -> QPoly:
         return p if dr.is_zero() else poly_gcd(dr, p)
     shared = []
     for d, k in m.phi_exponents:
-        phi, j = cyclotomic(d), 0
+        phi, form, j = cyclotomic(d), cyclotomic_form(d), 0
         while j < k:
-            quotient = poly_try_div(den, phi)
+            quotient = poly_try_div(den, phi, form)
             if quotient is None:
                 break
             den, j = quotient, j + 1
-        if j:
-            shared.append((phi, j))
-    return binomial_product(shared)
+        shared += [phi] * j
+    return poly_product(shared)
 
 
 def congruent(lhs, rhs, m: Modulus | None) -> CongruenceResult:
@@ -239,7 +249,7 @@ def congruent(lhs, rhs, m: Modulus | None) -> CongruenceResult:
             )
         num = poly_exact_div(num, g)
         den = poly_exact_div(den, g)
-    quotient = poly_try_div(num, p)
+    quotient = poly_try_div(num, p, m.form)
     if quotient is not None:
         return CongruenceResult(True, {"quotient_degree": quotient.degree})
     rem = poly_divrem(num, p)[1]

@@ -23,25 +23,26 @@ after a few failed points the gcd falls back to a primitive PRS (polynomial
 remainder sequence) over the integers.
 
 Exact division has two kernels, and poly_try_div is the one place that picks
-one.  A divisor of known binomial form prod_e (q^e - 1)^x_e -- every Phi_n,
-every q-integer [n] and every product of them built by binomial_product, as
-Modulus does, which also recognises a monic integer Phi_d or [n] typed by
-hand -- is divided by binomial passes: one shifted subtraction per
-unit of x_e < 0, then per unit of x_e > 0 a running sum over each residue
-class mod e, exact iff the top e sums vanish.  That is O(2^omega(d) deg f)
-element steps in C for Phi_d.  Every other divisor divides its primitive
-part through _divexact_int, which GCDHEU's candidates use too.  By Gauss's
-lemma a primitive divisor divides over Q only if it divides over Z, so the
-leading coefficient divides the top coefficient at every step of an exact
-division: the first step where it does not ends the attempt, and nothing is
-rescaled.  Only a remainder that is wanted (poly_divrem, the PRS) goes
-through the fraction-free long-division loop, which scales the remainder by
-lc / gcd(lc, top) where the leading coefficient does not divide the top one.
+one.  A divisor whose binomial form prod_e (q^e - 1)^x_e its caller holds
+-- Modulus for its product and factors (binomial_form reads it off each
+factor's coefficients: a q-integer [n] or a Phi_d), to_qrat and congruent's
+unit check for every Phi_d they divide by -- is divided by binomial passes:
+one shifted subtraction per unit of x_e < 0, then per unit of x_e > 0 a
+running sum over each residue class mod e, exact iff the top e sums vanish.
+That is O(2^omega(d) deg f) element steps in C for Phi_d.  Every other
+divisor divides its primitive part through _divexact_int, which GCDHEU's
+candidates use too.  By Gauss's lemma a primitive divisor divides over Q
+only if it divides over Z, so the leading coefficient divides the top
+coefficient at every step of an exact division: the first step where it
+does not ends the attempt, and nothing is rescaled.  Only a remainder that
+is wanted (poly_divrem, the PRS) goes through the fraction-free
+long-division loop, which scales the remainder by lc / gcd(lc, top) where
+the leading coefficient does not divide the top one.
 
 Cyclotomic polynomials are built by the binomial passes of their Moebius
 form, Phi_n = prod_{e | n} (q^e - 1)^mu(n/e), and memoized for the life of
-the process beside the form index (both are only ever extended, so
-concurrent readers are safe).
+the process (the cache is only ever extended, so concurrent readers are
+safe).
 
 QFactored keeps a rational function as c * q^j * N * prod key^e_key, the
 form closed forms and partial sums are written in.  A key is an index d for
@@ -73,12 +74,13 @@ __all__ = [
     "QFactored",
     "QPoly",
     "QRat",
+    "binomial_form",
     "binomial_parts",
-    "binomial_product",
     "binomial_reducible",
     "crt_combine",
     "cyclotomic",
     "cyclotomic_exponents",
+    "cyclotomic_form",
     "poly_divrem",
     "poly_gcd",
     "poly_gcd_ext",
@@ -543,16 +545,16 @@ def _divexact_int(a, b) -> list[int] | None:
     return None if any(rem[:db]) else quot
 
 
-def poly_try_div(f: QPoly, g: QPoly):
+def poly_try_div(f: QPoly, g: QPoly, form=None):
     """Quotient if g divides f exactly, else None.
 
-    This is where every exact division picks its kernel: a divisor with an
-    indexed binomial form (see _BINOMIAL_FORMS) goes through the binomial
-    passes of _binomial_div, any other divides its primitive part through
+    This is where every exact division picks its kernel.  form is g's
+    binomial form ((e, x_e), ...), g = prod_e (q^e - 1)^x_e, when the caller
+    holds it (see binomial_form): then g goes through the binomial passes of
+    _binomial_div.  Any other g divides its primitive part through
     _divexact_int.  With f = F / df and g = cg G / dg, G primitive, the
     quotient is (F / G) dg / (df cg).
     """
-    form = _BINOMIAL_FORMS.get(g)
     if form is not None:
         nums = _binomial_div(f._nums, form)
         return None if nums is None else QPoly._make(nums, f._den)
@@ -758,18 +760,11 @@ def binomial_reducible(c: Fraction, e: int) -> bool:
 
 _CYCLOTOMIC_CACHE: dict[int, QPoly] = {}
 
-# Binomial forms beside the cyclotomic cache: f -> ((e, x_e), ...) with
-# f = prod_e (q^e - 1)^x_e, for every Phi_n built, every q-integer [n] with
-# n >= 2 handed out, and every product of such factors passed through
-# binomial_product (whose factors are recognised by _binomial_form).
-# poly_try_div looks a divisor up here.  Like the cache it is only ever
-# extended.
-_BINOMIAL_FORMS: dict[QPoly, tuple[tuple[int, int], ...]] = {}
-
 
 @lru_cache(maxsize=1024)
-def _cyclotomic_form(n: int) -> tuple[tuple[int, int], ...]:
-    # Phi_n = prod_{e | n} (q^e - 1)^mu(n/e): one e per squarefree n/e.
+def cyclotomic_form(n: int) -> tuple[tuple[int, int], ...]:
+    """Binomial form of Phi_n: Phi_n = prod_{e | n} (q^e - 1)^mu(n/e), one
+    e per squarefree n/e."""
     primes = _prime_factors(n)
     pairs = []
     for mask in range(1 << len(primes)):
@@ -796,10 +791,9 @@ def cyclotomic(n: int) -> QPoly:
     hit = _CYCLOTOMIC_CACHE.get(n)
     if hit is not None:
         return hit
-    form = _cyclotomic_form(n)
+    form = cyclotomic_form(n)
     # Phi_n = 1 / prod_e (q^e - 1)^(-mu(n/e)), an exact division of 1.
     result = QPoly._make(_binomial_div([1], tuple((e, -x) for e, x in form)), 1)
-    _BINOMIAL_FORMS[result] = form
     _CYCLOTOMIC_CACHE[n] = result
     return result
 
@@ -813,59 +807,63 @@ def _merge_forms(forms):
     return tuple(sorted((e, x) for e, x in total.items() if x))
 
 
-def _totients(n: int) -> list[int]:
-    """Euler's phi of 0..n, by a sieve."""
-    phi = list(range(n + 1))
-    for p in range(2, n + 1):
-        if phi[p] == p:
-            for k in range(p, n + 1, p):
-                phi[k] -= phi[k] // p
-    return phi
+@lru_cache(maxsize=1024)
+def _totient_preimages(m: int, least: int = 2) -> tuple[int, ...]:
+    """Every d with phi(d) = m and no prime factor below least, ascending.
 
-
-def _binomial_form(f: QPoly):
-    """f's binomial form, also when f is a Phi_d or an [n] built elsewhere.
-
-    A factor typed by hand is not in _BINOMIAL_FORMS until the same value was
-    built by cyclotomic or q_integer, so a monic integer f is recognised from
-    its coefficients first: f = [n] iff (q - 1) f = q^n - 1, that is every
-    coefficient is 1, and f = Phi_d needs phi(d) = deg f, so d <= 2 deg^2.
-    Building the match indexes it.
+    phi(prod p^a) = prod p^(a-1) (p - 1), so every prime p of such a d has
+    p - 1 dividing m: each such p >= least, with each of its powers, is the
+    smallest prime of d, and the rest of d has larger primes only.
     """
-    form = _BINOMIAL_FORMS.get(f)
-    if form is not None or f._den != 1 or f.degree < 1 or f._nums[-1] != 1:
-        return form
+    out = [1] if m == 1 else []
+    for k in _divisors(m):
+        p = k + 1
+        if p < least or _prime_factors(p) != [p]:
+            continue
+        rest, power = m // k, p
+        while True:
+            out += [power * d for d in _totient_preimages(rest, p + 1)]
+            if rest % p:
+                break
+            rest, power = rest // p, power * p
+    return tuple(sorted(out))
+
+
+def _factor_form(f: QPoly):
+    """f's binomial form if f is a q-integer [n], n >= 2, or a Phi_d, else None.
+
+    Read from the coefficients alone: f = [n] iff (q - 1) f = q^n - 1, that
+    is every coefficient is 1, and f = Phi_d needs phi(d) = deg f.
+    """
+    if f._den != 1 or f.degree < 1 or f._nums[-1] != 1:
+        return None
     deg = f.degree
     if f._nums == (1,) * (deg + 1):
-        q_integer(deg + 1)
-    else:
-        for d, phi in enumerate(_totients(2 * deg * deg)):
-            if phi == deg and cyclotomic(d) == f:
-                break
-    return _BINOMIAL_FORMS.get(f)
+        return ((1, -1), (deg + 1, 1))
+    for d in _totient_preimages(deg):
+        if cyclotomic(d) == f:
+            return cyclotomic_form(d)
+    return None
 
 
-def binomial_product(factors) -> QPoly:
-    """prod f**mult over (f, mult) pairs, by a balanced product tree.
-
-    When every factor has a binomial form (_binomial_form), the product's
-    form is indexed too, so that dividing by the product takes the binomial
-    passes.
+def binomial_form(factors):
+    """The binomial form ((e, x_e), ...) of prod f**mult over (f, mult) pairs,
+    prod_e (q^e - 1)^x_e, or None unless every f is a q-integer [n] or a
+    Phi_d.  Each factor is recognised from its coefficients, so the form of
+    a factor typed by hand does not depend on what the process built before.
     """
-    factors = list(factors)
-    product = poly_product(f for f, mult in factors for _ in range(mult))
-    forms = [(_binomial_form(f), mult) for f, mult in factors]
-    if not product.is_constant() and all(form is not None for form, _ in forms):
-        _BINOMIAL_FORMS[product] = _merge_forms(forms)
-    return product
+    forms = []
+    for f, mult in factors:
+        form = _factor_form(f)
+        if form is None:
+            return None
+        forms.append((form, mult))
+    return _merge_forms(forms)
 
 
-def cyclotomic_exponents(f: QPoly) -> tuple[tuple[int, int], ...] | None:
-    """((d, k_d), ...) with f = prod Phi_d^k_d, or None if f has no indexed
-    binomial form.  For f = prod_e (q^e - 1)^x_e, k_d = sum_{d | e} x_e."""
-    form = _BINOMIAL_FORMS.get(f)
-    if form is None:
-        return None
+def cyclotomic_exponents(form) -> tuple[tuple[int, int], ...]:
+    """((d, k_d), ...) with prod_e (q^e - 1)^x_e = prod Phi_d^k_d for the
+    binomial form ((e, x_e), ...): k_d = sum_{d | e} x_e."""
     exps: dict[int, int] = {}
     for e, x in form:
         for d in _divisors(e):
@@ -893,27 +891,15 @@ def binomial_parts(c: Fraction, e: int) -> tuple[Fraction, int, tuple]:
         return (-1 if e > 0 else 1), j, tuple(_divisors(f))
     if c == -1:
         return 1, j, tuple(d for d in _divisors(2 * f) if f % d)
-    if e > 0:
-        return -c, 0, (QPoly([-1 / c] + [0] * (f - 1) + [1]),)
-    return 1, j, (QPoly([-c] + [0] * (f - 1) + [1]),)
-
-
-def binomial_over_qpow(c: Fraction, e: int) -> tuple[QPoly, int]:
-    """1 - c*q^e as (f, j) with f a polynomial and 1 - c*q^e = f / q^j."""
-    if e < 0:
-        return QPoly([-c] + [0] * (-e - 1) + [1]), -e
-    if e == 0:
-        return QPoly.const(1 - c), 0
-    return QPoly([1] + [0] * (e - 1) + [-c]), 0
+    # q^f - u/v = (v q^f - u) / v from integer cores, with c' = 1/c for e > 0.
+    u, v = (c.denominator, c.numerator) if e > 0 else (c.numerator, c.denominator)
+    return (-c if e > 0 else 1), j, (QPoly._make([-u] + [0] * (f - 1) + [v], v),)
 
 
 def q_integer(r: int):
     """q-integer [r] = (1 - q^r)/(1 - q); QPoly for r >= 0, QRat for r < 0."""
     if r >= 0:
-        result = QPoly._make([1] * r, 1)
-        if r >= 2:
-            _BINOMIAL_FORMS[result] = ((1, -1), (r, 1))
-        return result
+        return QPoly._make([1] * r, 1)
     j = -r
     return QRat._raw(QPoly._make([-1] * j, 1), QPoly.monomial(j))
 
@@ -1115,7 +1101,7 @@ def _times_keys(f: QPoly, exps: dict) -> QPoly:
     if binomials:
         f = f * poly_product(binomials)
     form = _merge_forms(
-        (_cyclotomic_form(d), k) for d, k in exps.items() if not isinstance(d, QPoly)
+        (cyclotomic_form(d), k) for d, k in exps.items() if not isinstance(d, QPoly)
     )
     if not form:
         return f
@@ -1325,9 +1311,9 @@ class QFactored:
                 continue
             e = -e
             binomial = isinstance(key, QPoly)
-            f = key if binomial else cyclotomic(key)
+            f, form = (key, None) if binomial else (cyclotomic(key), cyclotomic_form(key))
             while e and not num.is_one():
-                quotient = poly_try_div(num, f)
+                quotient = poly_try_div(num, f, form)
                 if quotient is None:
                     break
                 num, e = quotient, e - 1

@@ -12,12 +12,14 @@ exactly, and this module does nothing else: closed forms live in catalog.
 
 A partial sum is summed by binary splitting (arith.binary_split, the kernel
 padic sums classical series with) over a *factored* common denominator:
-polyring.binomial_parts splits every denominator factor into the keys of
-QFactored, cyclotomic indices for coefficients +-1 and monic binomials
-otherwise.  The reduction is QFactored.to_qrat, the one reduction of a
-factored fraction: trial division by the keys, a gcd only for binomials
-that Capelli's theorem shows reducible, and the leftover denominator
-multiplied out.
+polyring.binomial_parts splits every factor 1 - x q^e, numerator and
+denominator alike, into a unit, a q-power and the keys of QFactored,
+cyclotomic indices for coefficients +-1 and monic binomials otherwise, and
+each side's keys are multiplied in by one polyring._times_keys (binomial
+passes for the Phi_d).  The reduction is QFactored.to_qrat, the one
+reduction of a factored fraction: trial division by the keys, a gcd only
+for binomials that Capelli's theorem shows reducible, and the leftover
+denominator multiplied out.
 
 truncated_sum_prefixes, the entry point of every sum, keeps a per-process
 cache of partial sums keyed on the (frozen, hashable) TermSpec, beside
@@ -44,15 +46,7 @@ from .errors import (
     OutOfRange,
     ZeroDenominatorFactor,
 )
-from .polyring import (
-    QFactored,
-    QPoly,
-    QRat,
-    binomial_over_qpow,
-    binomial_parts,
-    cyclotomic,
-    poly_product,
-)
+from .polyring import QFactored, QPoly, QRat, _times_keys, binomial_parts
 
 __all__ = [
     "QMonomialArg",
@@ -151,6 +145,20 @@ def q_binomial(t: int, s: int) -> QPoly:
     return (factorial(t) / (factorial(s) * factorial(t - s))).to_qrat().num
 
 
+def _split_factors(args, i: int) -> tuple[Fraction, int, dict]:
+    """prod (1 - x q^(step i)) over the (x, step) in args as (unit, j, exps),
+    each factor split by binomial_parts: the product is unit * q^(-j) *
+    prod key^exps[key] over the keys of QFactored."""
+    unit, j, exps = Fraction(1), 0, {}
+    for arg, step in args:
+        u, shift, keys = binomial_parts(arg.coeff, arg.exp + step * i)
+        unit *= u
+        j += shift
+        for key in keys:
+            exps[key] = exps.get(key, 0) + 1
+    return unit, j, exps
+
+
 class _PartialSum:
     """The partial sum over 0 <= k < self.k of a TermSpec series.
 
@@ -172,35 +180,25 @@ class _PartialSum:
         self.k = 0  # next term index
 
     def _ratio(self, i: int) -> tuple[QPoly, QPoly]:
-        """(p, q) of the factors with index i; records q's keys and q-power."""
+        """(p, q) of the factors with index i; records q's keys and q-power.
+
+        Both sides are split by binomial_parts: the units and z's
+        coefficient go into p, each side's q^(-j) into the other side, and
+        each side's keys are multiplied in by _times_keys.
+        """
         spec = self.spec
-        nums: list[QPoly] = []
-        scale = Fraction(1)
-        pshift = qshift = 0
-        for arg, step in spec.numer:
-            f, j = binomial_over_qpow(arg.coeff, arg.exp + step * i)
-            nums.append(f)
-            qshift += j
-        keys = []
-        for arg, step in spec.denom:
-            unit, j, split = binomial_parts(arg.coeff, arg.exp + step * i)
-            if not unit:
-                raise ZeroDenominatorFactor("denominator factor 1 - q^0 is zero")
-            scale /= unit
-            pshift += j
-            keys.extend(split)
+        nunit, nshift, numer = _split_factors(spec.numer, i)
+        dunit, dshift, denom = _split_factors(spec.denom, i)
+        if not dunit:
+            raise ZeroDenominatorFactor("denominator factor 1 - q^0 is zero")
         if spec.z.coeff == 0:
             raise DegenerateParameters("z coefficient is zero")
-        scale *= spec.z.coeff
-        if spec.z.exp >= 0:
-            pshift += spec.z.exp
-        else:
-            qshift -= spec.z.exp
-        for key in keys:
-            self.den[key] = self.den.get(key, 0) + 1
+        pshift, qshift = dshift + max(spec.z.exp, 0), nshift + max(-spec.z.exp, 0)
+        for key, k in denom.items():
+            self.den[key] = self.den.get(key, 0) + k
         self.qpow += qshift
-        parts = poly_product(key if isinstance(key, QPoly) else cyclotomic(key) for key in keys)
-        return (poly_product(nums) * scale).shift(pshift), parts.shift(qshift)
+        p = _times_keys(QPoly.const(nunit / dunit * spec.z.coeff), numer)
+        return p.shift(pshift), _times_keys(QPoly.one(), denom).shift(qshift)
 
     def _leaf(self, k: int) -> tuple[QPoly, QPoly, QPoly]:
         spec = self.spec

@@ -21,8 +21,10 @@ from qcongruence.congruence import (
 from qcongruence.errors import DenominatorNotUnit, SamplingExhausted, UnknownKind
 from qcongruence import congruence, polyring
 from qcongruence.polyring import (
+    QFactored,
     QPoly,
     QRat,
+    binomial_form,
     crt_combine,
     cyclotomic,
     poly_divrem,
@@ -200,6 +202,11 @@ def test_unit_check_matches_long_division_reference():
 
 
 def test_indexed_modulus_never_reaches_divrem_on_success(monkeypatch):
+    # Every division by a divisor of known binomial form takes the binomial
+    # passes: neither the long division nor the exact-quotient kernel runs
+    # for a verified [n] Phi_n^k congruence, a failure's smallest failing
+    # factor, the unit check that raises DenominatorNotUnit, or to_qrat's
+    # trial divisions by its Phi_d keys.
     calls = []
     real = congruence.poly_divrem
 
@@ -207,14 +214,36 @@ def test_indexed_modulus_never_reaches_divrem_on_success(monkeypatch):
         calls.append((f, g))
         return real(f, g)
 
-    monkeypatch.setattr(congruence, "poly_divrem", counted)
+    def refuse(a, b):
+        raise AssertionError("_divexact_int called for a divisor of known binomial form")
+
     coprime = QPoly([-2, 1]) * cyclotomic(7)
+    verified = []
     for kind, n, k in (("QINT", 12, 1), ("PHI_POW", 5, 3), ("QINT_PHI_POW", 9, 2)):
         m = build_modulus(kind, n, {"k": k})
-        value = QRat(m.monic_product * QPoly([1, 4, 1]), coprime)
-        assert congruent(value, 0, m).verified
+        verified.append((QRat(m.monic_product * QPoly([1, 4, 1]), coprime), m))
+    m = build_modulus("QINT_PHI_POW", 9, {"k": 2})
+    failing = q_integer(9) * QPoly([1, 1])  # [9] = Phi_3 Phi_9 divides it, Phi_9^2 does not
+    failing_witness = long_division_witness(failing, m)
+    not_unit = QRat(QPoly.one(), cyclotomic(9))
+    keyed = QFactored(1, 0, cyclotomic(9) ** 2 * QPoly([1, 4, 1]), {9: -2, 4: -1})
+    reduced = QRat(QPoly([1, 4, 1]), cyclotomic(4))
+    monkeypatch.setattr(congruence, "poly_divrem", counted)
+    monkeypatch.setattr(polyring, "_divexact_int", refuse)
+    for value, modulus in verified:
+        assert congruent(value, 0, modulus).verified
     assert calls == []
+    got = congruent(failing, 0, m)
+    assert not got.verified and got.witness == failing_witness
+    assert got.witness["failing_factor"] == "(q^6+q^3+1)^2"
+    with pytest.raises(DenominatorNotUnit):
+        congruent(not_unit, 0, m)
+    got = keyed.to_qrat()
+    assert (got.num, got.den) == (reduced.num, reduced.den)
     # A specialization binomial has no binomial form: den mod P as before.
+    monkeypatch.undo()
+    calls.clear()
+    monkeypatch.setattr(congruence, "poly_divrem", counted)
     m = build_modulus("QINT_SPECIALIZED", 3, {"a": Fraction(2, 5)})
     assert congruent(QRat(m.monic_product, coprime), 0, m).verified
     assert len(calls) == 1 and calls[0][1] == m.monic_product
@@ -242,15 +271,16 @@ def long_division_witness(num, m):
 
 
 def test_congruent_witness_matches_long_division():
-    # Moduli of q-integers and cyclotomics are indexed with their binomial
-    # form and divided by the binomial passes; the witnesses are unchanged.
+    # Moduli of q-integers and cyclotomics carry their binomial form and
+    # their factors' forms, and are divided by the binomial passes; the
+    # witnesses are unchanged.
     rng = random.Random(91)
     failing = set()
     for n in range(2, 16):
         for kind, k in (("QINT", 1), ("PHI_POW", 2), ("QINT_PHI_POW", 1), ("QINT_PHI_POW", 3)):
             m = build_modulus(kind, n, {"k": k})
-            assert m.monic_product in polyring._BINOMIAL_FORMS
-            assert all(f in polyring._BINOMIAL_FORMS for f, _ in m.factors)
+            assert m.form is not None
+            assert all(binomial_form([(f, 1)]) is not None for f, _ in m.factors)
             small = QPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 6))])
             for num in (
                 small * m.monic_product,

@@ -72,8 +72,18 @@ def test_golden_identity_report(tmp_path, capsys):
     assert got == (DATA / "golden_identity.jsonl").read_bytes()
 
 
-def test_golden_check_report(tmp_path, capsys):
-    out = tmp_path / "golden_check.jsonl"
-    assert main(["check", "--spec", str(DATA / "golden.qcs"), "--out", str(out)]) == 1
+CHECK_CASES = [
+    ("golden.qcs", "golden_check.jsonl", 1),
+    # Moduli typed as polynomials (Phi_d, [n], their products and powers, a
+    # scaled factor and one of no binomial form), written before the
+    # divisors' binomial forms were read off their coefficients.
+    ("golden_typed.qcs", "golden_typed_check.jsonl", 1),
+]
+
+
+@pytest.mark.parametrize("spec,name,code", CHECK_CASES, ids=[c[1] for c in CHECK_CASES])
+def test_golden_check_report(tmp_path, capsys, spec, name, code):
+    out = tmp_path / name
+    assert main(["check", "--spec", str(DATA / spec), "--out", str(out)]) == code
     capsys.readouterr()
-    assert out.read_bytes() == (DATA / "golden_check.jsonl").read_bytes()
+    assert out.read_bytes() == (DATA / name).read_bytes()

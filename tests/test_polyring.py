@@ -12,11 +12,12 @@ from qcongruence.polyring import (
     QFactored,
     QPoly,
     QRat,
+    binomial_form,
     binomial_parts,
-    binomial_product,
     binomial_reducible,
     crt_combine,
     cyclotomic,
+    cyclotomic_form,
     poly_divrem,
     poly_exact_div,
     poly_gcd,
@@ -385,59 +386,91 @@ def dividends(rng, divisor):
     return out
 
 
-def assert_kernel_agrees(f, divisor):
+def assert_kernel_agrees(f, divisor, form=None):
     quot, rem = poly_divrem(f, divisor)  # always _divrem_int
-    assert poly_try_div(f, divisor) == (quot if rem.is_zero() else None)
+    assert poly_try_div(f, divisor, form) == (quot if rem.is_zero() else None)
+
+
+def totient(d):
+    """Euler's phi of d by trial division."""
+    out, n, p = d, d, 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out - out // n if n > 1 else out
 
 
 def test_binomial_kernel_matches_divrem_on_every_cyclotomic_to_210():
+    # The memoised d with phi(d) = deg are every such d: phi(d) >= sqrt(d/2),
+    # so none lies beyond 2 deg^2.
+    phis = [None] + [totient(d) for d in range(1, 2 * 60 * 60 + 1)]
+    for deg in range(1, 61):
+        want = tuple(d for d in range(1, 2 * deg * deg + 1) if phis[d] == deg)
+        assert polyring._totient_preimages(deg) == want, deg
     rng = random.Random(83)
     for d in range(1, 211):
         phi = cyclotomic(d)
-        assert form_polynomial(polyring._BINOMIAL_FORMS[phi]) == phi
+        # Recognised from its coefficients alone, as a polynomial typed by hand.
+        form = binomial_form([(QPoly([int(c) for c in phi.coeffs()]), 1)])
+        assert form == cyclotomic_form(d)
+        assert form_polynomial(form) == phi
         for f in dividends(rng, phi):
-            assert_kernel_agrees(f, phi)
+            assert_kernel_agrees(f, phi, form)
 
 
 def test_binomial_kernel_on_q_integers_and_modulus_products():
     rng = random.Random(84)
-    divisors = []
+    for n in range(2, 61):
+        assert binomial_form([(QPoly([1] * n), 1)]) == ((1, -1), (n, 1))
+    products = []
     for n in range(2, 41):
-        divisors.append(q_integer(n))
+        products.append([(q_integer(n), 1)])
         for k in (1, 2, 3):
-            divisors.append(binomial_product([(q_integer(n), 1), (cyclotomic(n), k)]))
-    divisors.append(binomial_product([(cyclotomic(3), 2), (q_integer(4), 1), (cyclotomic(10), 3)]))
-    divisors.append(binomial_product([(cyclotomic(1), 3), (cyclotomic(30), 2), (cyclotomic(105), 1)]))
-    for divisor in divisors:
-        form = polyring._BINOMIAL_FORMS[divisor]
+            products.append([(q_integer(n), 1), (cyclotomic(n), k)])
+    products.append([(cyclotomic(3), 2), (q_integer(4), 1), (cyclotomic(10), 3)])
+    products.append([(cyclotomic(1), 3), (cyclotomic(30), 2), (cyclotomic(105), 1)])
+    for factors in products:
+        divisor = poly_product(f for f, mult in factors for _ in range(mult))
+        form = binomial_form(factors)
         assert form_polynomial(form) == divisor
         for f in dividends(rng, divisor):
-            assert_kernel_agrees(f, divisor)
+            assert_kernel_agrees(f, divisor, form)
 
 
 def test_indexed_divisors_never_reach_divrem(monkeypatch):
-    def refuse(f, g):
-        raise AssertionError("poly_divrem called for an indexed divisor")
+    def refuse(*args):
+        raise AssertionError("a general kernel called for an indexed divisor")
 
-    divisors = [cyclotomic(12), q_integer(9), binomial_product([(q_integer(6), 1), (cyclotomic(6), 2)])]
+    products = [[(cyclotomic(12), 1)], [(q_integer(9), 1)], [(q_integer(6), 1), (cyclotomic(6), 2)]]
     monkeypatch.setattr(polyring, "poly_divrem", refuse)
-    for divisor in divisors:
-        assert poly_exact_div(divisor * QPoly([3, 0, 1]), divisor) == QPoly([3, 0, 1])
-        assert poly_try_div(divisor * QPoly([3, 0, 1]) + 1, divisor) is None
+    monkeypatch.setattr(polyring, "_divexact_int", refuse)
+    for factors in products:
+        divisor = poly_product(f for f, mult in factors for _ in range(mult))
+        form = binomial_form(factors)
+        assert poly_try_div(divisor * QPoly([3, 0, 1]), divisor, form) == QPoly([3, 0, 1])
+        assert poly_try_div(divisor * QPoly([3, 0, 1]) + 1, divisor, form) is None
 
 
 def test_unindexed_divisors_divide_by_exact_quotients():
-    # A scaled cyclotomic, a rational binomial and a product with a factor of
-    # unknown shape have no binomial form: their primitive parts divide
-    # through _divexact_int, with the quotients poly_divrem gives.
+    # A scaled or negated cyclotomic, Phi_3(q^2), Phi_5 + q, a rational
+    # binomial and a product with a factor of unknown shape have no binomial
+    # form: their primitive parts divide through _divexact_int, with the
+    # quotients poly_divrem gives.
     rng = random.Random(85)
-    divisors = [
-        cyclotomic(7) * 2,
-        QPoly([Fraction(-1, 2), 0, 1]),
-        binomial_product([(cyclotomic(5), 1), (QPoly([Fraction(-1, 3), 1]), 2)]),
+    products = [
+        [(cyclotomic(7) * 2, 1)],
+        [(-cyclotomic(2), 1)],
+        [(QPoly([1, 0, 1, 0, 1]), 1)],
+        [(cyclotomic(5) + QPoly([0, 1]), 1)],
+        [(QPoly([Fraction(-1, 2), 0, 1]), 1)],
+        [(cyclotomic(5), 1), (QPoly([Fraction(-1, 3), 1]), 2)],
     ]
-    for divisor in divisors:
-        assert divisor not in polyring._BINOMIAL_FORMS
+    for factors in products:
+        assert binomial_form(factors) is None
+        divisor = poly_product(f for f, mult in factors for _ in range(mult))
         for f in dividends(rng, divisor):
             assert_kernel_agrees(f, divisor)
     with pytest.raises(DivisionByZeroPoly):
@@ -498,7 +531,8 @@ def test_product_tree_equals_chained_product():
     chained = QPoly.one()
     for f, mult in factors:
         chained = chained * f**mult
-    assert binomial_product(factors) == chained
+    assert poly_product(f for f, mult in factors for _ in range(mult)) == chained
+    assert form_polynomial(binomial_form(factors)) == chained
 
 
 def test_binomial_reducible_follows_capelli():
@@ -602,19 +636,27 @@ def _same(factored, expected: QRat):
 
 
 def test_binomial_parts_of_binomials():
-    for c in (1, -1, 0, 2, Fraction(-1, 3), Fraction(9, 4)):
-        for e in range(-12, 13):
-            unit, j, keys = binomial_parts(Fraction(c), e)
-            if c in (1, -1):
-                assert all(isinstance(key, int) for key in keys)
-            else:
-                assert all(key.is_monic() and key.coeffs().count(0) == key.degree - 1 for key in keys)
-            factors = (key if isinstance(key, QPoly) else cyclotomic(key) for key in keys)
-            product = poly_product(factors) * unit
-            shift = max(-e, 0)
-            binomial = QPoly.monomial(shift) - QPoly.monomial(max(e, 0), c)
-            assert j == (shift if c else 0)
-            assert QRat(product, QPoly.monomial(j)) == QRat(binomial, QPoly.monomial(shift)), (c, e)
+    # The listed c at |e| <= 12 and every u/v, |u|, v <= 9, at |e| <= 4.  A
+    # key q^|e| - c', built from integer cores, equals the same binomial
+    # built from Fraction coefficients, c' = 1/c for e > 0 and c for e < 0.
+    listed = (1, -1, 0, 2, Fraction(-1, 3), Fraction(9, 4))
+    cases = [(Fraction(c), e) for c in listed for e in range(-12, 13)]
+    grid = {Fraction(u, v) for u in range(-9, 10) for v in range(1, 10)}
+    cases += [(c, e) for c in sorted(grid) for e in range(-4, 5)]
+    for c, e in cases:
+        unit, j, keys = binomial_parts(c, e)
+        if c in (1, -1):
+            assert all(isinstance(key, int) for key in keys)
+        else:
+            assert all(key.is_monic() and key.coeffs().count(0) == key.degree - 1 for key in keys)
+        if c not in (0, 1, -1) and e:
+            assert keys == (QPoly([-1 / c if e > 0 else -c] + [0] * (abs(e) - 1) + [1]),), (c, e)
+        factors = (key if isinstance(key, QPoly) else cyclotomic(key) for key in keys)
+        product = poly_product(factors) * unit
+        shift = max(-e, 0)
+        binomial = QPoly.monomial(shift) - QPoly.monomial(max(e, 0), c)
+        assert j == (shift if c else 0)
+        assert QRat(product, QPoly.monomial(j)) == QRat(binomial, QPoly.monomial(shift)), (c, e)
     assert binomial_parts(1, 0) == (0, 0, ())
     assert binomial_parts(-1, 0) == (2, 0, ())
 

@@ -2,16 +2,20 @@
 
 A congruence A = B (mod P) over the field of rational functions in q means:
 write A - B = N/D in lowest terms; then D must be coprime to P and P must
-divide N.  The decision procedure below also accepts under-reduced N/D (as
-produced by fast rational addition): the common factor h = gcd(D, P) is
-cancelled against N first.  When P is a product of q-integers and
-cyclotomics, Modulus records its binomial form and its exponents P = prod
-Phi_d^k_d once, and h = prod Phi_d^min(k_d, nu_d(D)) comes from trial
-divisions of D by each Phi_d with polyring's binomial passes, no gcd taken;
-any other P pays one long division D mod P and a gcd.  Whether P divides N
-is one poly_try_div, handed P's form, so such a P takes the binomial passes
-too; long division of N by P runs only to build the witness of a failure,
-whose trial divisions by each factor pass that factor's form.
+divide N.  Every public QRat constructor and operation returns lowest terms
+(QRat._raw is private and trusted to be given them), so congruent reads N/D
+off the difference and cancels nothing.
+
+congruent divides first: one poly_try_div of N by P, handed P's binomial
+form, decides success, so a P made of q-integers and cyclotomics takes
+polyring's binomial passes.  That division alone proves the unit condition:
+if P | N, a common factor of D and P would divide N too, and gcd(N, D) = 1.
+Only a failed division runs the unit check gcd(D, P), and raises
+DenominatorNotUnit when it is not 1.  For a P of q-integers and
+cyclotomics the check is prod Phi_d^min(k_d, nu_d(D)), from trial divisions
+of D by each Phi_d with binomial passes, no gcd taken; any other P pays one
+long division D mod P and a gcd.  Then long division of N by P and trial divisions by each factor,
+each passed that factor's form, build the witness of the failure.
 
 Moduli keep their factored shape ([n], Phi_n(q)^k, specialization binomials)
 both for readable reports and so a failure can name the smallest factor that
@@ -33,7 +37,6 @@ from .polyring import (
     cyclotomic_exponents,
     cyclotomic_form,
     poly_divrem,
-    poly_exact_div,
     poly_gcd,
     poly_product,
     poly_try_div,
@@ -81,12 +84,12 @@ class Modulus:
 
     When every factor is a q-integer [n] or a Phi_d (polyring.binomial_form
     reads that off its coefficients), form holds the product's binomial form
-    ((e, x_e), ...), P = prod_e (q^e - 1)^x_e, and phi_exponents its Phi_d
-    exponents ((d, k_d), ...); otherwise both are None.  congruent passes
-    form to every division by P, so such a P takes the binomial passes.
+    ((e, x_e), ...), P = prod_e (q^e - 1)^x_e; otherwise it is None.
+    congruent passes form to every division by P, so such a P takes the
+    binomial passes.
     """
 
-    __slots__ = ("factors", "label", "product", "monic_product", "form", "phi_exponents")
+    __slots__ = ("factors", "label", "product", "monic_product", "form")
 
     def __init__(self, factors, label: str = ""):
         kept = []
@@ -101,9 +104,6 @@ class Modulus:
         object.__setattr__(self, "factors", tuple(kept))
         object.__setattr__(self, "product", product)
         object.__setattr__(self, "form", form)
-        object.__setattr__(
-            self, "phi_exponents", None if form is None else cyclotomic_exponents(form)
-        )
         object.__setattr__(
             self, "monic_product", product.monic() if not product.is_constant() else QPoly.one()
         )
@@ -157,8 +157,9 @@ def build_modulus(kind: str, n: int, bindings: dict | None = None) -> Modulus:
             if sym not in bindings:
                 continue
             x = Fraction(bindings[sym])
-            low = QPoly([1] + [0] * (e - 1) + [-x])  # 1 - x q^(tn)
-            high = QPoly([x] + [0] * (e - 1) + [-1])  # x - q^(tn)
+            u, v, gap = x.numerator, x.denominator, [0] * (e - 1)
+            low = QPoly._make([v, *gap, -u], v)  # 1 - x q^(tn)
+            high = QPoly._make([u, *gap, -v], v)  # x - q^(tn)
             factors.append((low, 1))
             factors.append((high, 1))
             label_parts.append(f"(1-{sym}*q^{e})({sym}-q^{e})")
@@ -197,16 +198,16 @@ def _smallest_failing_factor(num: QPoly, m: Modulus) -> str:
 def _shared_with_modulus(den: QPoly, m: Modulus) -> QPoly:
     """gcd(den, P) for the monic product P of m.
 
-    For P = prod Phi_d^k_d the gcd is prod Phi_d^min(k_d, nu_d(den)), each
-    nu_d found by trial division with binomial passes; any other P pays one
-    long division den mod P and a gcd.
+    For P = prod Phi_d^k_d (m.form is not None) the gcd is
+    prod Phi_d^min(k_d, nu_d(den)), each nu_d found by trial division with
+    binomial passes; any other P pays one long division den mod P and a gcd.
     """
     p = m.monic_product
-    if m.phi_exponents is None:
+    if m.form is None:
         dr = poly_divrem(den, p)[1]
         return p if dr.is_zero() else poly_gcd(dr, p)
     shared = []
-    for d, k in m.phi_exponents:
+    for d, k in cyclotomic_exponents(m.form):
         phi, form, j = cyclotomic(d), cyclotomic_form(d), 0
         while j < k:
             quotient = poly_try_div(den, phi, form)
@@ -224,9 +225,9 @@ def congruent(lhs, rhs, m: Modulus | None) -> CongruenceResult:
     degree of its numerator.  A trivial modulus (every factor constant) is
     "mod 1" and holds for any pair.  Otherwise the witness carries the
     quotient degree on success, or the remainder shape and smallest failing
-    factor.  Raises DenominatorNotUnit when the reduced denominator shares a
-    factor with the modulus, which makes the congruence meaningless rather
-    than false.
+    factor.  When P does not divide the numerator, raises DenominatorNotUnit
+    if the reduced denominator shares a factor with the modulus, which makes
+    the congruence meaningless rather than false.
     """
     if m is not None and m.is_trivial():
         return CongruenceResult(True, {"quotient_degree": -1, "trivial": True})
@@ -235,23 +236,15 @@ def congruent(lhs, rhs, m: Modulus | None) -> CongruenceResult:
         if diff.num.is_zero():
             return CongruenceResult(True, {"difference": "0"})
         return CongruenceResult(False, {"difference_degree": diff.num.degree})
-    p = m.monic_product
-    num, den = diff.num, diff.den
-    while not den.is_one():
-        h = _shared_with_modulus(den, m)
-        if h.degree == 0:
-            break
-        nr = poly_divrem(num, h)[1]
-        g = h if nr.is_zero() else poly_gcd(nr, h)
-        if g.degree == 0:
-            raise DenominatorNotUnit(
-                f"denominator shares the factor {_poly_text(h)} with the modulus"
-            )
-        num = poly_exact_div(num, g)
-        den = poly_exact_div(den, g)
+    p, num = m.monic_product, diff.num
     quotient = poly_try_div(num, p, m.form)
     if quotient is not None:
         return CongruenceResult(True, {"quotient_degree": quotient.degree})
+    h = _shared_with_modulus(diff.den, m)
+    if h.degree > 0:
+        raise DenominatorNotUnit(
+            f"denominator shares the factor {_poly_text(h)} with the modulus"
+        )
     rem = poly_divrem(num, p)[1]
     return CongruenceResult(
         False,

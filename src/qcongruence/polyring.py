@@ -905,7 +905,11 @@ def q_integer(r: int):
 
 
 class QRat:
-    """Reduced rational function: numerator over a monic denominator, gcd 1."""
+    """Reduced rational function: numerator over a monic denominator, gcd 1.
+
+    Every public constructor and operation returns lowest terms, which
+    congruence.congruent relies on; _raw is private and trusts its caller.
+    """
 
     __slots__ = ("num", "den")
 

@@ -208,7 +208,7 @@ class _PartialSum:
         # q^J [m] = +-(q^lo + ... + q^(hi-1)), with [m] = -q^m [-m] for m < 0
         m = 2 * spec.d * k + spec.r
         lo, hi = sorted((max(0, -spec.r), max(0, -spec.r) + m))
-        return p, q, QPoly([0] * lo + [1 if m > 0 else -1] * (hi - lo)) * p
+        return p, q, QPoly._make([0] * lo + [1 if m > 0 else -1] * (hi - lo), 1) * p
 
     def extend(self, hi: int):
         """Add the terms self.k <= k < hi, hi > self.k."""

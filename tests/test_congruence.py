@@ -27,6 +27,7 @@ from qcongruence.polyring import (
     binomial_form,
     crt_combine,
     cyclotomic,
+    cyclotomic_exponents,
     poly_divrem,
     poly_exact_div,
     poly_gcd,
@@ -65,6 +66,14 @@ def test_build_modulus_specialized():
     ]
     assert [f for f, _ in m.factors] == expected
     assert all(mult == 1 for _, mult in m.factors)
+    # The integer-built binomials equal those built from Fraction coefficients.
+    for x in (Fraction(2, 3), Fraction(-7, 4), Fraction(5), Fraction(-1, 9), Fraction(9, 2)):
+        for e in range(1, 5):
+            m = build_modulus("SPECIALIZED", e, {"a": x})
+            assert [f for f, _ in m.factors] == [
+                QPoly([1] + [0] * (e - 1) + [-x]),
+                QPoly([x] + [0] * (e - 1) + [-1]),
+            ]
 
 
 def test_build_modulus_unknown_kind():
@@ -113,17 +122,6 @@ def test_congruent_failed_witness():
     assert r.witness["failing_factor"].startswith("(")
 
 
-def test_congruent_under_reduced_input():
-    # (q^10 - 1)/(q^2 - 1) given as an unreduced pair still decides correctly:
-    # the value is [5] evaluated in q^2 terms and is divisible by Phi_5(q^2)...
-    # keep it simpler: N/D with a shared (q-1) that also divides the modulus.
-    n = QPoly([1, -1]) * cyclotomic(3)  # (1-q) * Phi_3
-    d = QPoly([-1, 1])  # q - 1
-    value = QRat._raw(n, d)  # under-reduced on purpose: equals -Phi_3
-    m = Modulus([(cyclotomic(3), 1)])
-    assert congruent(value, 0, m).verified
-
-
 def reference_unit_check(num, den, p):
     """The unit check by long division: cancel gcd(den mod p, p) against num.
 
@@ -143,14 +141,19 @@ def reference_unit_check(num, den, p):
     return num
 
 
+def phi_exponents(m):
+    """The Phi_d exponents ((d, k_d), ...) of m's binomial form, or None."""
+    return None if m.form is None else cyclotomic_exponents(m.form)
+
+
 def test_phi_exponents_of_indexed_moduli():
-    assert build_modulus("QINT", 12).phi_exponents == ((2, 1), (3, 1), (4, 1), (6, 1), (12, 1))
-    assert build_modulus("PHI_POW", 9, {"k": 3}).phi_exponents == ((9, 3),)
-    assert build_modulus("QINT_PHI_POW", 6, {"k": 2}).phi_exponents == ((2, 1), (3, 1), (6, 3))
-    assert build_modulus("QINT_SPECIALIZED", 4, {"a": Fraction(2, 3)}).phi_exponents is None
-    assert Modulus([(QPoly([2, 1]), 1)]).phi_exponents is None
-    assert Modulus([(QPoly([1, 0, -1, 0, 1]), 2), (QPoly([-1, 1]), 1)]).phi_exponents == ((1, 1), (12, 2))
-    assert Modulus([(QPoly([1, 0, 1, 0, 1]), 1)]).phi_exponents is None
+    assert phi_exponents(build_modulus("QINT", 12)) == ((2, 1), (3, 1), (4, 1), (6, 1), (12, 1))
+    assert phi_exponents(build_modulus("PHI_POW", 9, {"k": 3})) == ((9, 3),)
+    assert phi_exponents(build_modulus("QINT_PHI_POW", 6, {"k": 2})) == ((2, 1), (3, 1), (6, 3))
+    assert phi_exponents(build_modulus("QINT_SPECIALIZED", 4, {"a": Fraction(2, 3)})) is None
+    assert phi_exponents(Modulus([(QPoly([2, 1]), 1)])) is None
+    assert phi_exponents(Modulus([(QPoly([1, 0, -1, 0, 1]), 2), (QPoly([-1, 1]), 1)])) == ((1, 1), (12, 2))
+    assert phi_exponents(Modulus([(QPoly([1, 0, 1, 0, 1]), 1)])) is None
 
 
 def test_typed_factors_are_indexed_in_a_fresh_process():
@@ -159,9 +162,9 @@ def test_typed_factors_are_indexed_in_a_fresh_process():
     # empty caches, must index them too.
     code = (
         "from qcongruence.congruence import Modulus\n"
-        "from qcongruence.polyring import QPoly\n"
-        "print(Modulus([(QPoly([1, 1]), 1)]).phi_exponents)\n"
-        "print(Modulus([(QPoly([1, 1, 1]), 1)], '[3]').phi_exponents)\n"
+        "from qcongruence.polyring import QPoly, cyclotomic_exponents\n"
+        "print(cyclotomic_exponents(Modulus([(QPoly([1, 1]), 1)]).form))\n"
+        "print(cyclotomic_exponents(Modulus([(QPoly([1, 1, 1]), 1)], '[3]').form))\n"
     )
     src = str(Path(congruence.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -169,35 +172,61 @@ def test_typed_factors_are_indexed_in_a_fresh_process():
     assert out.stdout.splitlines() == ["((2, 1),)", "((3, 1),)"]
 
 
-def test_unit_check_matches_long_division_reference():
-    # Denominators sharing Phi_d^j, j up to k + 1, with [n], Phi_n^k and
-    # [n] Phi_n^k: the binomial passes cancel the same factors and raise with
-    # the same detail as gcd(den mod P, P).
-    rng = random.Random(93)
-    raised = verified = 0
+def unit_check_moduli(rng):
+    """(modulus, n, k, factors a denominator may share) for the reference.
+
+    [n], Phi_n^k and [n] Phi_n^k share their Phi_d; the specialization kinds,
+    at sampled a and b, share a binomial, [n] or Phi_n; the typed moduli
+    overlap ((1+q) and (1+q)^2), are reducible (q^4 - 16) or hold q - 2, the
+    factor every denominator below carries.
+    """
     for n in range(2, 31):
         for kind, k in (("QINT", 1), ("PHI_POW", 1), ("PHI_POW", 3), ("QINT_PHI_POW", 2), ("QINT_PHI_POW", 3)):
             m = build_modulus(kind, n, {"k": k})
-            p = m.monic_product
-            d = rng.choice([d for d, _ in m.phi_exponents])
-            for j in range(1, k + 2):
-                den = cyclotomic(d) ** j * QPoly([-2, 1]) * cyclotomic(rng.choice((1, 2 * n + 1)))
-                shared = rng.randint(0, j)
-                for num in (
-                    QPoly([rng.randint(1, 9), rng.randint(-9, 9), 1]) * cyclotomic(d) ** shared,
-                    p * cyclotomic(d) ** j * QPoly([1, 3]),
-                ):
-                    want = reference_unit_check(num, den, p)
-                    value = QRat._raw(num, den)  # under-reduced on purpose
-                    if isinstance(want, str):
-                        with pytest.raises(DenominatorNotUnit) as info:
-                            congruent(value, 0, m)
-                        assert str(info.value) == want
-                        raised += 1
-                    else:
-                        got = congruent(value, 0, m)
-                        assert got.witness == long_division_witness(want, m)
-                        verified += got.verified
+            yield m, n, k, [cyclotomic(d) for d, _ in phi_exponents(m)]
+    for n in range(1, 9):
+        for kind, k in (("SPECIALIZED", 1), ("QINT_SPECIALIZED", 1), ("QINT_PHI_SPECIALIZED", 2)):
+            sample = sample_params(["a", "b"], n, seed=rng.randrange(10**6))
+            m = build_modulus(kind, n, {"k": k, **sample.assignments})
+            yield m, n, k, [f.monic() for f, _ in m.factors]
+    q_plus_1 = QPoly([1, 1])
+    for factors, shareable in (
+        ([(q_plus_1, 1), (QPoly([1, 2, 1]), 1)], [q_plus_1]),
+        ([(QPoly([-16, 0, 0, 0, 1]), 1)], [QPoly([-2, 1]), QPoly([2, 1]), QPoly([4, 0, 1]), QPoly([-4, 0, 1])]),
+        ([(QPoly([-2, 1]), 1), (q_plus_1, 1)], [QPoly([-2, 1]), q_plus_1]),
+    ):
+        yield Modulus(factors), 3, 2, shareable
+
+
+def test_unit_check_matches_long_division_reference():
+    # Reduced values whose denominators share a factor f^j (a Phi_d^j or a
+    # binomial), j up to k + 1, with the modulus, or are coprime to it: the
+    # division by P decides success, and on failure the unit check (binomial
+    # passes or gcd(den mod P, P)) raises with the same detail as the
+    # reference, or the witness is the long-division one.
+    rng = random.Random(93)
+    raised = verified = 0
+    for m, n, k, shareable in unit_check_moduli(rng):
+        p = m.monic_product
+        f = rng.choice(shareable)
+        for j in range(1, k + 2):
+            den = f**j * QPoly([-2, 1]) * cyclotomic(rng.choice((1, 2 * n + 1)))
+            shared = rng.randint(0, j)
+            for num in (
+                QPoly([rng.randint(1, 9), rng.randint(-9, 9), 1]) * f**shared,
+                p * f**j * QPoly([1, 3]),
+            ):
+                value = QRat(num, den)
+                want = reference_unit_check(value.num, value.den, p)
+                if isinstance(want, str):
+                    with pytest.raises(DenominatorNotUnit) as info:
+                        congruent(value, 0, m)
+                    assert str(info.value) == want
+                    raised += 1
+                else:
+                    got = congruent(value, 0, m)
+                    assert got.witness == long_division_witness(want, m)
+                    verified += got.verified
     assert raised > 100 and verified > 100
 
 
@@ -206,13 +235,19 @@ def test_indexed_modulus_never_reaches_divrem_on_success(monkeypatch):
     # passes: neither the long division nor the exact-quotient kernel runs
     # for a verified [n] Phi_n^k congruence, a failure's smallest failing
     # factor, the unit check that raises DenominatorNotUnit, or to_qrat's
-    # trial divisions by its Phi_d keys.
+    # trial divisions by its Phi_d keys.  A verified congruence of any kind
+    # runs no unit check, so no long division or gcd; a failure and a
+    # DenominatorNotUnit case each run it once.
     calls = []
-    real = congruence.poly_divrem
 
-    def counted(f, g):
-        calls.append((f, g))
-        return real(f, g)
+    def counting(name):
+        real = getattr(congruence, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        return counted
 
     def refuse(a, b):
         raise AssertionError("_divexact_int called for a divisor of known binomial form")
@@ -228,7 +263,8 @@ def test_indexed_modulus_never_reaches_divrem_on_success(monkeypatch):
     not_unit = QRat(QPoly.one(), cyclotomic(9))
     keyed = QFactored(1, 0, cyclotomic(9) ** 2 * QPoly([1, 4, 1]), {9: -2, 4: -1})
     reduced = QRat(QPoly([1, 4, 1]), cyclotomic(4))
-    monkeypatch.setattr(congruence, "poly_divrem", counted)
+    for name in ("_shared_with_modulus", "poly_divrem", "poly_gcd"):
+        monkeypatch.setattr(congruence, name, counting(name))
     monkeypatch.setattr(polyring, "_divexact_int", refuse)
     for value, modulus in verified:
         assert congruent(value, 0, modulus).verified
@@ -236,17 +272,30 @@ def test_indexed_modulus_never_reaches_divrem_on_success(monkeypatch):
     got = congruent(failing, 0, m)
     assert not got.verified and got.witness == failing_witness
     assert got.witness["failing_factor"] == "(q^6+q^3+1)^2"
+    assert calls.count("_shared_with_modulus") == 1
+    calls.clear()
     with pytest.raises(DenominatorNotUnit):
         congruent(not_unit, 0, m)
+    assert calls == ["_shared_with_modulus"]
     got = keyed.to_qrat()
     assert (got.num, got.den) == (reduced.num, reduced.den)
-    # A specialization binomial has no binomial form: den mod P as before.
+    # Specialization binomials have no binomial form, so a failure's unit
+    # check is den mod P and a gcd; a verified congruence runs neither.
     monkeypatch.undo()
     calls.clear()
-    monkeypatch.setattr(congruence, "poly_divrem", counted)
-    m = build_modulus("QINT_SPECIALIZED", 3, {"a": Fraction(2, 5)})
-    assert congruent(QRat(m.monic_product, coprime), 0, m).verified
-    assert len(calls) == 1 and calls[0][1] == m.monic_product
+    for name in ("_shared_with_modulus", "poly_divrem", "poly_gcd"):
+        monkeypatch.setattr(congruence, name, counting(name))
+    params = {"a": Fraction(2, 5), "b": Fraction(-7, 3), "k": 2}
+    for kind in ("SPECIALIZED", "QINT_SPECIALIZED", "QINT_PHI_SPECIALIZED"):
+        m = build_modulus(kind, 3, params)
+        assert congruent(QRat(m.monic_product, coprime), 0, m).verified
+    assert calls == []
+    assert not congruent(QRat(QPoly([1, 1]), coprime), 0, m).verified
+    assert calls.count("_shared_with_modulus") == 1
+    calls.clear()
+    with pytest.raises(DenominatorNotUnit):
+        congruent(QRat(QPoly.one(), m.factors[-1][0]), 0, m)
+    assert calls.count("_shared_with_modulus") == 1
 
 
 def long_division_witness(num, m):

@@ -78,6 +78,10 @@ CHECK_CASES = [
     # scaled factor and one of no binomial form), written before the
     # divisors' binomial forms were read off their coefficients.
     ("golden_typed.qcs", "golden_typed_check.jsonl", 1),
+    # Verified cases with coprime denominators, failures, and denominators
+    # sharing a Phi_d^j, a binomial or a typed factor with the modulus,
+    # written before the unit check left the success path.
+    ("golden_unit.qcs", "golden_unit_check.jsonl", 1),
 ]
 
 

@@ -40,7 +40,7 @@ from .errors import (
     SideConditionViolated,
     UnknownKind,
 )
-from .expr import Node, eval_expr, parse_expr
+from .expr import Compiled, compile_expr, eval_expr, parse_expr
 from .qseries import TermSpec, qma, truncated_sum_prefixes, well_poised_spec
 
 __all__ = [
@@ -1056,15 +1056,15 @@ def _bind_symbols(stmt: Statement, bindings: dict, seed: int) -> dict:
     return merged
 
 
-_PARSED: dict[str, Node] = {}
+_PARSED: dict[str, Compiled] = {}
 
 
-def _parsed(text: str) -> Node:
-    """Tree of a catalog expression text, parsed on first use only."""
-    tree = _PARSED.get(text)
-    if tree is None:
-        tree = _PARSED[text] = parse_expr(text)
-    return tree
+def _parsed(text: str) -> Compiled:
+    """A catalog expression text, parsed and compiled on first use only."""
+    code = _PARSED.get(text)
+    if code is None:
+        code = _PARSED[text] = compile_expr(parse_expr(text))
+    return code
 
 
 def _evaluate(plan: _Plan, m_policy: str):

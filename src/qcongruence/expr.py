@@ -20,25 +20,31 @@ Declaration lines for spec files:
 lengths, sum bounds) are evaluated exactly; a fractional value raises
 NonIntegerBound.  Empty sums (lower bound above upper) are zero.
 
-eval_expr evaluates every node in polyring's cyclotomic-factored QFactored
-form, where products and quotients of q-integers, cyclotomics, q-powers and
-Pochhammers with arguments +-q^e take no gcd.  Where QFactored falls back
-(a division by a non-cyclotomic factor, such as a Pochhammer with another
-rational argument), the evaluation continues in QRat arithmetic.  Either
-way eval_expr returns the reduced QRat, the same value as before.
+compile_expr turns a tree into closures once, and eval_expr runs them at an
+environment; the catalog compiles each of its texts on first use.  Index
+arithmetic (exponents, lengths, sum bounds, qint and phi arguments) runs in
+ints, with a Fraction only where a rational literal or a division makes
+one.  Values are in polyring's factored QFactored form: a chain of
+products, quotients and powers of constants, q-powers, q-integers,
+cyclotomics and Pochhammers accumulates one (c, j, exponent map) triple and
+takes no gcd.  Where QFactored falls back (a division by a sum whose
+polynomial part is not constant, a symbol bound to a QRat), the evaluation
+continues in QRat arithmetic.  Either way eval_expr returns the reduced
+QRat.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .errors import NonIntegerBound, SpecSyntaxError, UnboundSymbol
-from .polyring import QFactored, QRat
-from .qseries import QMonomialArg
+from .errors import DivisionByZeroPoly, NonIntegerBound, SpecSyntaxError, UnboundSymbol
+from .polyring import QFactored, QRat, pochhammer_parts
 
 __all__ = [
     "Add",
+    "Compiled",
     "CongruenceSpec",
     "Div",
     "Mul",
@@ -52,6 +58,7 @@ __all__ = [
     "Sub",
     "Sum",
     "SymbolRef",
+    "compile_expr",
     "eval_expr",
     "eval_int",
     "load_spec_file",
@@ -450,136 +457,408 @@ def load_spec_file(path) -> list[CongruenceSpec]:
 
 
 # -- evaluation ---------------------------------------------------------------
+#
+# A tree is compiled once into closures (Feeley and Lapalme, "Using closures
+# for code generation", Computer Languages 12(1), 1987), in one of five modes:
+#
+#   _index     the exact rational value of a q-free subexpression, an int, or
+#              a Fraction where a rational literal or a division makes one;
+#   _integer   an _index value that must be an integer (NonIntegerBound);
+#   _monomial  a Pochhammer argument coeff * q^exp as the pair (coeff, exp);
+#   _value     a QFactored, or a QRat past a fallback;
+#   _factor    one factor of a _product: an atom as a (c, j, exps) triple or
+#              a QFactored with N = 1, any other node as a _value.
+#
+# Each mode keeps the order in which the operands of a node are evaluated,
+# and so which error a malformed expression raises first: a Div's divisor and
+# a Pow's exponent come first in _index, a Pow's base first elsewhere.  A
+# subtree that names no free symbol is evaluated once at compile time unless
+# that raises; a constant that raises stays a closure that raises when
+# evaluated.  A Sum binds its index in one cell that its body reads, so a
+# compiled tree is not reentrant; the package evaluates on one thread.
+
+_NOT_A_NUMBER = "expression involving q used where a number is required"
+_ZERO_INVERSE = "inverse of zero rational function"
+_NO_KEYS: dict = {}  # the exponent map of a factor without keys; never written
 
 
-def _scalar(node: Node, env: dict) -> Fraction:
-    """Exact rational value of a q-free subexpression."""
-    if isinstance(node, RationalLit):
-        return node.value
-    if isinstance(node, SymbolRef):
-        if node.name not in env:
-            raise UnboundSymbol(f"symbol {node.name!r} is not bound")
-        v = env[node.name]
-        if isinstance(v, (int, Fraction)):
-            return Fraction(v)
-        raise NonIntegerBound(f"symbol {node.name!r} is not a rational scalar")
-    if isinstance(node, Neg):
-        return -_scalar(node.a, env)
-    if isinstance(node, Add):
-        return _scalar(node.a, env) + _scalar(node.b, env)
-    if isinstance(node, Sub):
-        return _scalar(node.a, env) - _scalar(node.b, env)
-    if isinstance(node, Mul):
-        return _scalar(node.a, env) * _scalar(node.b, env)
-    if isinstance(node, Div):
-        d = _scalar(node.b, env)
-        if d == 0:
-            raise ZeroDivisionError("division by zero in integer expression")
-        return _scalar(node.a, env) / d
-    if isinstance(node, Pow):
-        e = eval_int(node.exp, env)
-        base = _scalar(node.base, env)
-        if e < 0 and base == 0:
-            raise ZeroDivisionError("zero to a negative power")
-        return base**e
-    if isinstance(node, Sum):
-        lo = eval_int(node.lower, env)
-        hi = eval_int(node.upper, env)
-        total = Fraction(0)
-        inner = dict(env)
-        for j in range(lo, hi + 1):
-            inner[node.index] = j
-            total += _scalar(node.body, inner)
-        return total
-    raise NonIntegerBound("expression involving q used where a number is required")
+@dataclass(frozen=True)
+class Compiled:
+    """A tree compiled by compile_expr; eval_expr(compiled, env) runs it."""
+
+    run: Callable[[dict], QRat]
+
+
+def compile_expr(node: Node) -> Compiled:
+    """Compile a tree once for evaluation at many environments."""
+    value = _value(node, {})
+
+    def run(env):
+        v = value(env)
+        return v.to_qrat() if isinstance(v, QFactored) else v
+
+    return Compiled(_fold(node, run))
+
+
+def eval_expr(node: Node | Compiled, env: dict | None = None) -> QRat:
+    """Exact value of an expression as a reduced rational function of q."""
+    if not isinstance(node, Compiled):
+        node = compile_expr(node)
+    return node.run(env or {})
 
 
 def eval_int(node: Node, env: dict | None = None) -> int:
     """Exact integer value of an index expression; NonIntegerBound otherwise."""
-    v = _scalar(node, env or {})
-    if v.denominator != 1:
-        raise NonIntegerBound(f"expected an integer, got {v}")
-    return int(v)
+    return _integer(node, {})(env or {})
 
 
-def _monomial_value(node: Node, env: dict) -> QMonomialArg:
-    """Pochhammer arguments must reduce to coeff * q^exp."""
-    if isinstance(node, QMonomial):
-        return QMonomialArg(node.coeff, eval_int(node.exp, env))
-    if isinstance(node, Neg):
-        inner = _monomial_value(node.a, env)
-        return QMonomialArg(-inner.coeff, inner.exp)
-    if isinstance(node, Mul):
-        x = _monomial_value(node.a, env)
-        y = _monomial_value(node.b, env)
-        return QMonomialArg(x.coeff * y.coeff, x.exp + y.exp)
-    if isinstance(node, Div):
-        x = _monomial_value(node.a, env)
-        y = _monomial_value(node.b, env)
-        if y.coeff == 0:
-            raise ZeroDivisionError("division by zero in Pochhammer argument")
-        return QMonomialArg(x.coeff / y.coeff, x.exp - y.exp)
-    if isinstance(node, Pow):
-        x = _monomial_value(node.base, env)
-        e = eval_int(node.exp, env)
-        if x.coeff == 0 and e < 0:
-            raise ZeroDivisionError("zero to a negative power")
-        return QMonomialArg(x.coeff**e, x.exp * e)
-    return QMonomialArg(_scalar(node, env), 0)
+def _rational(v: Fraction):
+    return v.numerator if v.denominator == 1 else v
 
 
-def eval_expr(node: Node, env: dict | None = None) -> QRat:
-    """Exact value of an expression as a reduced rational function of q."""
-    value = _eval(node, env or {})
-    return value.to_qrat() if isinstance(value, QFactored) else value
+def _quotient(a, b):
+    """a / b for ints and Fractions, b != 0: an int where b divides a."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
-def _eval(node: Node, env: dict) -> QFactored | QRat:
-    """Value of node in cyclotomic-factored form, or a QRat past a fallback."""
-    if isinstance(node, RationalLit):
-        return QFactored(node.value)
+def _power(base, e: int):
+    """base ** e for an int or Fraction base, exactly; base != 0 if e < 0."""
+    return base**e if e >= 0 else Fraction(base) ** e
+
+
+def _free(node: Node, bound: frozenset = frozenset()) -> bool:
+    """Whether node names a symbol that no Sum inside it binds."""
     if isinstance(node, SymbolRef):
-        if node.name not in env:
-            raise UnboundSymbol(f"symbol {node.name!r} is not bound")
-        v = env[node.name]
-        return QFactored(v) if isinstance(v, (int, Fraction)) else QRat.from_value(v)
-    if isinstance(node, QMonomial):
-        return QFactored(node.coeff, eval_int(node.exp, env))
-    if isinstance(node, QInt):
-        return QFactored.q_integer(eval_int(node.arg, env))
-    if isinstance(node, Phi):
-        return QFactored.cyclotomic(eval_int(node.arg, env))
-    if isinstance(node, Pochhammer):
-        arg = _monomial_value(node.arg, env)
-        step = eval_int(node.step, env)
-        length = eval_int(node.length, env)
-        return QFactored.pochhammer(arg.coeff, arg.exp, step, length)
+        return node.name not in bound
     if isinstance(node, Sum):
-        lo = eval_int(node.lower, env)
-        hi = eval_int(node.upper, env)
-        terms = []
-        inner = dict(env)
-        for j in range(lo, hi + 1):
-            inner[node.index] = j
-            terms.append(_eval(node.body, inner))
-        # A balanced tree of Adds expands operands of similar size.
-        while len(terms) > 1:
-            paired = [a + b for a, b in zip(terms[::2], terms[1::2])]
-            terms = paired + terms[len(paired) * 2 :]
-        return terms[0] if terms else QFactored(0)
+        inner = bound | {node.index}
+        return _free(node.lower, bound) or _free(node.upper, bound) or _free(node.body, inner)
+    children = (getattr(node, f.name) for f in fields(node))
+    return any(_free(child, bound) for child in children if isinstance(child, Node))
+
+
+def _fold(node: Node, code):
+    """code, or a closure returning its one value if node is constant."""
+    if _free(node):
+        return code
+    try:
+        value = code({})
+    except Exception:  # raised again, in order, at evaluation
+        return code
+    return lambda env: value
+
+
+def _lookup(env: dict, name: str):
+    try:
+        return env[name]
+    except KeyError:
+        raise UnboundSymbol(f"symbol {name!r} is not bound") from None
+
+
+def _symbol(name: str, scope: dict):
+    """The rational value bound to name: a Sum index or an env entry."""
+    cell = scope.get(name)
+    if cell is not None:
+        return lambda env: cell[0]
+
+    def symbol(env):
+        v = _lookup(env, name)
+        if isinstance(v, (int, Fraction)):
+            return v
+        raise NonIntegerBound(f"symbol {name!r} is not a rational scalar")
+
+    return symbol
+
+
+def _index(node: Node, scope: dict):
+    return _fold(node, _index_code(node, scope))
+
+
+def _index_code(node: Node, scope: dict):
+    if isinstance(node, RationalLit):
+        value = _rational(node.value)
+        return lambda env: value
+    if isinstance(node, SymbolRef):
+        return _symbol(node.name, scope)
     if isinstance(node, Neg):
-        return -_eval(node.a, env)
-    if isinstance(node, Add):
-        return _eval(node.a, env) + _eval(node.b, env)
-    if isinstance(node, Sub):
-        return _eval(node.a, env) - _eval(node.b, env)
-    if isinstance(node, Mul):
-        return _eval(node.a, env) * _eval(node.b, env)
+        a = _index(node.a, scope)
+        return lambda env: -a(env)
+    if isinstance(node, (Add, Sub, Mul)):
+        a, b = _index(node.a, scope), _index(node.b, scope)
+        if isinstance(node, Add):
+            return lambda env: a(env) + b(env)
+        if isinstance(node, Sub):
+            return lambda env: a(env) - b(env)
+        return lambda env: a(env) * b(env)
     if isinstance(node, Div):
-        return _eval(node.a, env) / _eval(node.b, env)
+        a, b = _index(node.a, scope), _index(node.b, scope)
+
+        def div(env):
+            d = b(env)
+            if d == 0:
+                raise ZeroDivisionError("division by zero in integer expression")
+            return _quotient(a(env), d)
+
+        return div
     if isinstance(node, Pow):
-        return _eval(node.base, env) ** eval_int(node.exp, env)
+        base, exp = _index(node.base, scope), _integer(node.exp, scope)
+
+        def power(env):
+            e = exp(env)
+            x = base(env)
+            if e < 0 and x == 0:
+                raise ZeroDivisionError("zero to a negative power")
+            return _power(x, e)
+
+        return power
+    if isinstance(node, Sum):
+        lower, upper = _integer(node.lower, scope), _integer(node.upper, scope)
+        cell = [0]
+        body = _index(node.body, {**scope, node.index: cell})
+
+        def total(env):
+            lo, hi = lower(env), upper(env)
+            t = 0
+            for k in range(lo, hi + 1):
+                cell[0] = k
+                t += body(env)
+            return t
+
+        return total
+
+    def involves_q(env):
+        raise NonIntegerBound(_NOT_A_NUMBER)
+
+    return involves_q
+
+
+def _integer(node: Node, scope: dict):
+    if isinstance(node, SymbolRef) and node.name in scope:
+        return _symbol(node.name, scope)  # a Sum index is an int
+    value = _index(node, scope)
+
+    def integer(env):
+        v = value(env)
+        if type(v) is int:
+            return v
+        if v.denominator != 1:
+            raise NonIntegerBound(f"expected an integer, got {v}")
+        return int(v)
+
+    return _fold(node, integer)
+
+
+def _monomial(node: Node, scope: dict):
+    return _fold(node, _monomial_code(node, scope))
+
+
+def _monomial_code(node: Node, scope: dict):
+    if isinstance(node, QMonomial):
+        coeff, exp = _rational(node.coeff), _integer(node.exp, scope)
+        return lambda env: (coeff, exp(env))
+    if isinstance(node, Neg):
+        a = _monomial(node.a, scope)
+
+        def neg(env):
+            c, e = a(env)
+            return -c, e
+
+        return neg
+    if isinstance(node, (Mul, Div)):
+        a, b = _monomial(node.a, scope), _monomial(node.b, scope)
+        if isinstance(node, Mul):
+
+            def mul(env):
+                (ca, ea), (cb, eb) = a(env), b(env)
+                return ca * cb, ea + eb
+
+            return mul
+
+        def div(env):
+            (ca, ea), (cb, eb) = a(env), b(env)
+            if cb == 0:
+                raise ZeroDivisionError("division by zero in Pochhammer argument")
+            return _quotient(ca, cb), ea - eb
+
+        return div
+    if isinstance(node, Pow):
+        base, exp = _monomial(node.base, scope), _integer(node.exp, scope)
+
+        def power(env):
+            c, x = base(env)
+            e = exp(env)
+            if c == 0 and e < 0:
+                raise ZeroDivisionError("zero to a negative power")
+            return _power(c, e), x * e
+
+        return power
+    value = _index(node, scope)
+    return lambda env: (value(env), 0)
+
+
+def _value(node: Node, scope: dict):
+    return _fold(node, _value_code(node, scope))
+
+
+def _value_code(node: Node, scope: dict):
+    if isinstance(node, Sum):
+        lower, upper = _integer(node.lower, scope), _integer(node.upper, scope)
+        cell = [0]
+        body = _value(node.body, {**scope, node.index: cell})
+
+        def total(env):
+            lo, hi = lower(env), upper(env)
+            terms = []
+            for k in range(lo, hi + 1):
+                cell[0] = k
+                terms.append(body(env))
+            # A balanced tree of Adds expands operands of similar size.
+            while len(terms) > 1:
+                paired = [x + y for x, y in zip(terms[::2], terms[1::2])]
+                terms = paired + terms[len(paired) * 2 :]
+            return terms[0] if terms else QFactored(0)
+
+        return total
+    if isinstance(node, (Add, Sub)):
+        # a - b is a + (-b), as QFactored and QRat subtract; a product takes
+        # the sign into its c.
+        a = _value(node.a, scope)
+        b = _value(node.b if isinstance(node, Add) else Neg(node.b), scope)
+        return lambda env: a(env) + b(env)
+    if isinstance(node, Neg) and isinstance(node.a, (Add, Sub, Sum)):
+        a = _value(node.a, scope)
+        return lambda env: -a(env)
+    return _product(node, scope)
+
+
+def _factor(node: Node, scope: dict):
+    return _fold(node, _factor_code(node, scope))
+
+
+def _factor_code(node: Node, scope: dict):
+    """An atom as a (c, j, exps) triple or a QFactored with N = 1; a symbol
+    bound to a rational function as its QRat; any other node as a value."""
+    if isinstance(node, RationalLit):
+        triple = (_rational(node.value), 0, _NO_KEYS)
+        return lambda env: triple
+    if isinstance(node, SymbolRef):
+        cell = scope.get(node.name)
+        if cell is not None:
+            return lambda env: (cell[0], 0, _NO_KEYS)
+        name = node.name
+
+        def symbol(env):
+            v = _lookup(env, name)
+            return (v, 0, _NO_KEYS) if isinstance(v, (int, Fraction)) else QRat.from_value(v)
+
+        return symbol
+    if isinstance(node, QMonomial):
+        coeff, exp = _rational(node.coeff), _integer(node.exp, scope)
+        return lambda env: (coeff, exp(env), _NO_KEYS)
+    if isinstance(node, QInt):
+        arg = _integer(node.arg, scope)
+        return lambda env: QFactored.q_integer(arg(env))
+    if isinstance(node, Phi):
+        arg = _integer(node.arg, scope)
+        return lambda env: QFactored.cyclotomic(arg(env))
+    if isinstance(node, Pochhammer):
+        arg = _monomial(node.arg, scope)
+        step, length = _integer(node.step, scope), _integer(node.length, scope)
+
+        def poch(env):
+            coeff, exp = arg(env)
+            return pochhammer_parts(coeff, exp, step(env), length(env))
+
+        return poch
+    if isinstance(node, (Sum, Add, Sub, Neg, Mul, Div, Pow)):
+        return _value_code(node, scope)
     raise TypeError(f"cannot evaluate {node!r}")
+
+
+def _product(node: Node, scope: dict):
+    """One closure for a chain of Mul, Div, Neg and Pow.
+
+    The chain is flattened into steps (factor, exponent, sign), every factor
+    in its order in the tree; a divisor that is itself a product is one step,
+    so it is evaluated whole before the division by it.  Factors with a
+    constant N accumulate one triple: the numerator and denominator of c as
+    ints, the q-power j and the exponent map, the fields of the single
+    QFactored built at the end.  Any other factor is a QFactored or QRat that
+    multiplies or divides that QFactored, as QFactored's own methods would.
+    A zero raised to a negative power, or divided by, raises
+    DivisionByZeroPoly right after its step, where the tree walk did.
+    """
+    steps = []
+    first = 1  # the sign of the Negs along the chain
+
+    def flatten(nd, divisor=False):
+        nonlocal first
+        if divisor and isinstance(nd, (Mul, Div, Neg)):
+            steps.append((_factor(nd, scope), None, -1))
+        elif isinstance(nd, Neg):
+            first = -first
+            flatten(nd.a)
+        elif isinstance(nd, (Mul, Div)):
+            flatten(nd.a)
+            flatten(nd.b, isinstance(nd, Div))
+        elif isinstance(nd, Pow):
+            steps.append((_factor(nd.base, scope), _integer(nd.exp, scope), -1 if divisor else 1))
+        else:
+            steps.append((_factor(nd, scope), None, -1 if divisor else 1))
+
+    flatten(node)
+
+    def product(env):
+        num, den, j, exps, rest = first, 1, 0, {}, []
+        for factor, exp, sign in steps:
+            v = factor(env)
+            e = 1
+            if exp is not None:
+                e = exp(env)
+                if not e:
+                    continue
+            if type(v) is not tuple:
+                if isinstance(v, QFactored) and v.N.is_one():
+                    v = v.c, v.j, v.exps
+                else:
+                    if e != 1:
+                        v = v**e
+                    if sign < 0 and isinstance(v, QRat) and not v:
+                        raise DivisionByZeroPoly(_ZERO_INVERSE)
+                    rest.append((v, sign))
+                    continue
+            c, vj, vexps = v
+            if not c:
+                if e < 0 or sign < 0:
+                    raise DivisionByZeroPoly(_ZERO_INVERSE)
+                num = 0
+                continue
+            k = e * sign
+            n, d = c.numerator, c.denominator
+            if k == 1:
+                num, den = num * n, den * d
+            elif k == -1:
+                num, den = num * d, den * n
+            elif k > 0:
+                num, den = num * n**k, den * d**k
+            else:
+                num, den = num * d**-k, den * n**-k
+            j += vj * k
+            for key, x in vexps.items():
+                total = exps.get(key, 0) + x * k
+                if total:
+                    exps[key] = total
+                else:
+                    del exps[key]
+        value = QFactored(Fraction(num, den), j, exps=exps)
+        for v, sign in rest:
+            value = value * v if sign > 0 else value / v
+        return value
+
+    return product
 
 
 # -- printing -----------------------------------------------------------------

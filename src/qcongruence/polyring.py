@@ -18,8 +18,10 @@ xi >= 2 min(|f|, |g|) + 2, read back as symmetric base-xi digits.  xi is
 2**width with the width rounded up to whole bytes, so the same packing
 serves, and rounding up keeps xi above the bound.  The candidate's
 primitive part is the gcd exactly when trial division shows that it divides
-both cores, and those trial divisions are the cofactors QRat reduces by;
-after a few failed points the gcd falls back to a primitive PRS (polynomial
+both cores, and those trial divisions are the cofactors QRat reduces by.
+After a few failed points, a constant gcd modulo a prime that divides
+neither leading coefficient proves the cores coprime (Brown, J. ACM 18,
+1971); otherwise the gcd falls back to a primitive PRS (polynomial
 remainder sequence) over the integers.
 
 Exact division has two kernels, and poly_try_div is the one place that picks
@@ -81,6 +83,7 @@ __all__ = [
     "cyclotomic",
     "cyclotomic_exponents",
     "cyclotomic_form",
+    "pochhammer_parts",
     "poly_divrem",
     "poly_gcd",
     "poly_gcd_ext",
@@ -643,17 +646,56 @@ def _gcd_heu(a: list[int], b: list[int]):
     return None
 
 
+# Primes for the coprimality proof before the PRS (the Mersenne primes M31
+# and M61); a leading coefficient divisible by one moves the proof to the next.
+_COPRIME_PRIMES = (2**31 - 1, 2**61 - 1)
+
+
+def _rem_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b over GF(p), both reduced mod p, b[-1] != 0; trailing zeros stripped."""
+    r = list(a)
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] * inv % p
+        if c:
+            for k in range(db):
+                r[i - db + k] = (r[i - db + k] - c * b[k]) % p
+    del r[db:]
+    return _strip(r)
+
+
+def _coprime_mod(a: list[int], b: list[int]) -> bool:
+    """Whether two nonconstant integer cores have a constant gcd modulo the
+    first of _COPRIME_PRIMES that divides neither leading coefficient.
+
+    Modulo such a prime the gcd has at least the degree of the gcd over the
+    integers (Brown, J. ACM 18, 1971), so True proves a and b coprime; False
+    proves nothing, and no usable prime gives False.
+    """
+    p = next((p for p in _COPRIME_PRIMES if a[-1] % p and b[-1] % p), None)
+    if p is None:
+        return False
+    a, b = [c % p for c in a], [c % p for c in b]
+    while len(b) > 1:
+        a, b = b, _rem_mod(a, b, p)
+    return bool(b)
+
+
 def _gcd_cofactors(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly, QPoly]:
     """(d, f / d, g / d) for the monic gcd d of two nonzero polynomials.
 
-    GCDHEU on the primitive integer cores, with a primitive PRS as the
-    fallback; the PRS gets its cofactors by one exact division each.
+    GCDHEU on the primitive integer cores.  Where it fails, a constant gcd
+    modulo a prime proves the cores coprime; otherwise a primitive PRS is
+    the fallback, and gets its cofactors by one exact division each.
     """
     ca, cb = _content(f._nums), _content(g._nums)
     a = [c // ca for c in f._nums] if ca > 1 else list(f._nums)
     b = [c // cb for c in g._nums] if cb > 1 else list(g._nums)
     found = _gcd_heu(a, b)
-    if found is None:
+    if found is None and _coprime_mod(a, b):
+        found = [1], a, b
+    elif found is None:
         h = _gcd_prs(a, b)
         if h[-1] < 0:
             h = [-c for c in h]
@@ -672,7 +714,7 @@ def _gcd_cofactors(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly, QPoly]:
 
 
 def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
-    """Monic gcd: GCDHEU on the primitive integer cores, PRS as the fallback."""
+    """Monic gcd of two polynomials, by _gcd_cofactors unless one is zero."""
     if f.is_zero():
         return g.monic() if not g.is_zero() else _ZERO
     if g.is_zero():
@@ -894,6 +936,25 @@ def binomial_parts(c: Fraction, e: int) -> tuple[Fraction, int, tuple]:
     # q^f - u/v = (v q^f - u) / v from integer cores, with c' = 1/c for e > 0.
     u, v = (c.denominator, c.numerator) if e > 0 else (c.numerator, c.denominator)
     return (-c if e > 0 else 1), j, (QPoly._make([-u] + [0] * (f - 1) + [v], v),)
+
+
+def pochhammer_parts(coeff: Fraction, exp: int, step: int, k: int) -> tuple[Fraction, int, dict]:
+    """(x; q^step)_k = prod_{i<k} (1 - x q^(step*i)) for x = coeff*q^exp as
+    (c, j, exps), the fields of a QFactored with N = 1: every factor split by
+    binomial_parts into the exponent map."""
+    if step < 1:
+        raise ValueError(f"step must be at least 1, got {step}")
+    if k < 0:
+        raise NegativeLength(f"Pochhammer length {k} is negative")
+    c, j = Fraction(1), 0
+    exps: dict = {}
+    for i in range(k):
+        unit, shift, keys = binomial_parts(coeff, exp + step * i)
+        c *= unit
+        j -= shift
+        for key in keys:
+            exps[key] = exps.get(key, 0) + 1
+    return c, j, exps
 
 
 def q_integer(r: int):
@@ -1185,20 +1246,8 @@ class QFactored:
 
     @classmethod
     def pochhammer(cls, coeff: Fraction, exp: int, step: int, k: int) -> "QFactored":
-        """(x; q^step)_k = prod_{i<k} (1 - x q^(step*i)) for x = coeff*q^exp,
-        every factor split by binomial_parts into the exponent map."""
-        if step < 1:
-            raise ValueError(f"step must be at least 1, got {step}")
-        if k < 0:
-            raise NegativeLength(f"Pochhammer length {k} is negative")
-        c, j = Fraction(1), 0
-        exps: dict = {}
-        for i in range(k):
-            unit, shift, keys = binomial_parts(coeff, exp + step * i)
-            c *= unit
-            j -= shift
-            for key in keys:
-                exps[key] = exps.get(key, 0) + 1
+        """(x; q^step)_k for x = coeff*q^exp; see pochhammer_parts."""
+        c, j, exps = pochhammer_parts(coeff, exp, step, k)
         return cls(c, j, _ONE, exps)
 
     @staticmethod

@@ -1,13 +1,18 @@
 """Tests for the statement inventory, instantiation and the runner."""
 
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qcongruence import catalog, padic
 from qcongruence.congruence import Modulus, build_modulus, congruent, sample_params
 from qcongruence.errors import SideConditionViolated, UnknownKind
-from qcongruence.expr import eval_expr, parse_expr
+from qcongruence.expr import eval_expr, parse_expr, to_text
 from qcongruence.qseries import truncated_sum, well_poised_spec
 
 
@@ -299,3 +304,30 @@ def test_q_to_one_bridge_sums(d, r):
         assert truncated_sum(well_poised_spec(d, r), m).eval_at(1) == padic._sum_sixth(d, r, m)
         alternating = truncated_sum(well_poised_spec(d, r, c=-1), m).eval_at(1)
         assert alternating == padic._sum_fifth_alt(d, r, m)
+
+
+def test_catalog_texts_compile_on_first_use_only(monkeypatch):
+    # Nothing is parsed or compiled at import ...
+    code = "import qcongruence.cli\nfrom qcongruence import catalog\nprint(len(catalog._PARSED))\n"
+    src = str(Path(catalog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0"]
+    # ... and a parametric statement at two sampling seeds compiles each text once.
+    compiled = Counter()
+    compile_expr = catalog.compile_expr
+
+    def counting(node):
+        compiled[to_text(node)] += 1
+        return compile_expr(node)
+
+    monkeypatch.setattr(catalog, "_PARSED", {})
+    monkeypatch.setattr(catalog, "compile_expr", counting)
+    records = [
+        rec
+        for seed in (1, 2)
+        for rec in catalog.run_statement("THM_D", {"n": 4, "d": 3, "r": 1}, seed=seed, trials=1)
+    ]
+    assert {rec.status for rec in records} == {"verified"}
+    assert compiled[to_text(parse_expr(catalog._THM_D_RHS))] == 1
+    assert set(compiled.values()) == {1}

@@ -7,6 +7,7 @@ import pytest
 
 from qcongruence import catalog
 from qcongruence.errors import (
+    DivisionByZeroPoly,
     NegativeLength,
     NonIntegerBound,
     SideConditionViolated,
@@ -28,7 +29,6 @@ from qcongruence.expr import (
     Sub,
     Sum,
     SymbolRef,
-    _monomial_value,
     eval_expr,
     eval_int,
     load_spec_file,
@@ -37,7 +37,7 @@ from qcongruence.expr import (
     to_text,
 )
 from qcongruence.polyring import QPoly, QRat, cyclotomic, q_integer
-from qcongruence.qseries import pochhammer, qma
+from qcongruence.qseries import QMonomialArg, pochhammer, qma
 
 
 def test_parse_simple_shapes():
@@ -231,6 +231,83 @@ def _reference_poch(arg, step: int, k: int) -> QRat:
     return value
 
 
+def _reference_scalar(node, env: dict) -> Fraction:
+    """Exact rational value of a q-free subexpression, walked node by node.
+
+    Operands go in the evaluator's order: a Div's divisor and a Pow's
+    exponent first.
+    """
+    if isinstance(node, RationalLit):
+        return node.value
+    if isinstance(node, SymbolRef):
+        if node.name not in env:
+            raise UnboundSymbol(f"symbol {node.name!r} is not bound")
+        v = env[node.name]
+        if isinstance(v, (int, Fraction)):
+            return Fraction(v)
+        raise NonIntegerBound(f"symbol {node.name!r} is not a rational scalar")
+    if isinstance(node, Neg):
+        return -_reference_scalar(node.a, env)
+    if isinstance(node, Add):
+        return _reference_scalar(node.a, env) + _reference_scalar(node.b, env)
+    if isinstance(node, Sub):
+        return _reference_scalar(node.a, env) - _reference_scalar(node.b, env)
+    if isinstance(node, Mul):
+        return _reference_scalar(node.a, env) * _reference_scalar(node.b, env)
+    if isinstance(node, Div):
+        d = _reference_scalar(node.b, env)
+        if d == 0:
+            raise ZeroDivisionError("division by zero in integer expression")
+        return _reference_scalar(node.a, env) / d
+    if isinstance(node, Pow):
+        e = _reference_int(node.exp, env)
+        base = _reference_scalar(node.base, env)
+        if e < 0 and base == 0:
+            raise ZeroDivisionError("zero to a negative power")
+        return base**e
+    if isinstance(node, Sum):
+        lo = _reference_int(node.lower, env)
+        hi = _reference_int(node.upper, env)
+        total = Fraction(0)
+        for j in range(lo, hi + 1):
+            total += _reference_scalar(node.body, {**env, node.index: j})
+        return total
+    raise NonIntegerBound("expression involving q used where a number is required")
+
+
+def _reference_int(node, env: dict) -> int:
+    v = _reference_scalar(node, env)
+    if v.denominator != 1:
+        raise NonIntegerBound(f"expected an integer, got {v}")
+    return int(v)
+
+
+def _reference_monomial(node, env: dict) -> QMonomialArg:
+    """A Pochhammer argument coeff * q^exp, walked node by node."""
+    if isinstance(node, QMonomial):
+        return QMonomialArg(node.coeff, _reference_int(node.exp, env))
+    if isinstance(node, Neg):
+        inner = _reference_monomial(node.a, env)
+        return QMonomialArg(-inner.coeff, inner.exp)
+    if isinstance(node, Mul):
+        x = _reference_monomial(node.a, env)
+        y = _reference_monomial(node.b, env)
+        return QMonomialArg(x.coeff * y.coeff, x.exp + y.exp)
+    if isinstance(node, Div):
+        x = _reference_monomial(node.a, env)
+        y = _reference_monomial(node.b, env)
+        if y.coeff == 0:
+            raise ZeroDivisionError("division by zero in Pochhammer argument")
+        return QMonomialArg(x.coeff / y.coeff, x.exp - y.exp)
+    if isinstance(node, Pow):
+        x = _reference_monomial(node.base, env)
+        e = _reference_int(node.exp, env)
+        if x.coeff == 0 and e < 0:
+            raise ZeroDivisionError("zero to a negative power")
+        return QMonomialArg(x.coeff**e, x.exp * e)
+    return QMonomialArg(_reference_scalar(node, env), 0)
+
+
 def reference_eval(node, env: dict) -> QRat:
     """The value of node, every operation a reduced QRat operation."""
     if isinstance(node, RationalLit):
@@ -240,18 +317,18 @@ def reference_eval(node, env: dict) -> QRat:
             raise UnboundSymbol(f"symbol {node.name!r} is not bound")
         return QRat.from_value(env[node.name])
     if isinstance(node, QMonomial):
-        e = eval_int(node.exp, env)
+        e = _reference_int(node.exp, env)
         return QRat(QPoly.monomial(max(e, 0), node.coeff), QPoly.monomial(max(-e, 0)))
     if isinstance(node, QInt):
-        return QRat.from_value(q_integer(eval_int(node.arg, env)))
+        return QRat.from_value(q_integer(_reference_int(node.arg, env)))
     if isinstance(node, Phi):
-        return QRat.from_value(cyclotomic(eval_int(node.arg, env)))
+        return QRat.from_value(cyclotomic(_reference_int(node.arg, env)))
     if isinstance(node, Pochhammer):
-        arg = _monomial_value(node.arg, env)
-        return _reference_poch(arg, eval_int(node.step, env), eval_int(node.length, env))
+        arg = _reference_monomial(node.arg, env)
+        return _reference_poch(arg, _reference_int(node.step, env), _reference_int(node.length, env))
     if isinstance(node, Sum):
         total = QRat.from_value(0)
-        for j in range(eval_int(node.lower, env), eval_int(node.upper, env) + 1):
+        for j in range(_reference_int(node.lower, env), _reference_int(node.upper, env) + 1):
             total = total + reference_eval(node.body, {**env, node.index: j})
         return total
     if isinstance(node, Neg):
@@ -265,7 +342,7 @@ def reference_eval(node, env: dict) -> QRat:
     if isinstance(node, Div):
         return reference_eval(node.a, env) / reference_eval(node.b, env)
     if isinstance(node, Pow):
-        return reference_eval(node.base, env) ** eval_int(node.exp, env)
+        return reference_eval(node.base, env) ** _reference_int(node.exp, env)
     raise TypeError(f"cannot evaluate {node!r}")
 
 
@@ -298,13 +375,14 @@ _POOL_POINTS = (
 
 
 def _template_points():
-    """(text, env) for every catalog template at every desk and pool point."""
+    """(text, env) for every catalog template at every desk and pool point;
+    a parametric template at sampling seeds 0-7, as q_generic draws them."""
     points = [
         (s.stmt_id, dict(case)) for s in catalog.list_statements() if s.build for case in s.desk
     ]
     for stmt_id, bindings in points + _POOL_POINTS:
         stmt = catalog.get_statement(stmt_id)
-        for seed in (0, 1) if stmt.symbols else (None,):
+        for seed in range(8) if stmt.symbols else (None,):
             try:
                 bound = catalog._bind_symbols(stmt, bindings, seed) if stmt.symbols else bindings
                 plan = stmt.build(bound)
@@ -339,6 +417,20 @@ def test_eval_expr_matches_qrat_reference_on_catalog_templates():
     assert [name for name, text in templates.items() if text not in texts] == []
 
 
+# Texts with two errors, pinned to the one raised first: a Pow's exponent
+# before its base in index arithmetic and the base first elsewhere, a Div's
+# divisor first in index arithmetic, the Pochhammer argument before its length,
+# and a divisor evaluated whole before the division by it.
+_FIRST_ERROR = {
+    "qint((1/0)^(1/2))": (NonIntegerBound, "expected an integer, got 1/2"),
+    "(1/(q-q))^(1/2)": (DivisionByZeroPoly, "inverse of zero rational function"),
+    "qint((1/0)/(2-2))": (ZeroDivisionError, "division by zero in integer expression"),
+    "poch((1/0)*q; q; 1/2)": (ZeroDivisionError, "division by zero in Pochhammer argument"),
+    "phi(1/0) / phi(0)": (ZeroDivisionError, "division by zero in integer expression"),
+    "1/(0*phi(0))": (ValueError, "cyclotomic index must be positive, got 0"),
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -354,11 +446,13 @@ def test_eval_expr_matches_qrat_reference_on_catalog_templates():
         "poch(q; q; -1)",
         "q^(1/2)",
         "qint(m)",
+        *_FIRST_ERROR,
     ],
 )
 def test_eval_expr_raises_like_qrat_reference(text):
     got = _assert_same_as_reference(text, {"n": 3, "x": Fraction(2)})
     assert isinstance(got[0], type) and issubclass(got[0], Exception), text
+    assert _FIRST_ERROR.get(text, got) == got, text
 
 
 @pytest.mark.parametrize(

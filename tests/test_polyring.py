@@ -297,6 +297,49 @@ def test_poly_gcd_falls_back_to_prs(monkeypatch):
     assert polyring._gcd_prs([-1, 0, 1], [1, 2, 1]) in ([1, 1], [-1, -1])
 
 
+def test_gcd_fallback_proves_coprime_pairs_modulo_a_prime(monkeypatch):
+    monkeypatch.setattr(polyring, "_HEU_POINTS", 0)
+    prs = polyring._gcd_prs
+
+    def refuse(a, b):
+        raise AssertionError("a coprime pair reached the PRS")
+
+    rng = random.Random(81)
+    kinds = set()
+    for f, g in gcd_pairs(rng):
+        if f.is_constant() or g.is_constant():
+            continue
+        want = gcd_prs_reference(f, g)
+        kinds.add(want.degree == 0)
+        monkeypatch.setattr(polyring, "_gcd_prs", refuse if want.degree == 0 else prs)
+        d, f_r, g_r = polyring._gcd_cofactors(f, g)
+        assert d == want and d * f_r == f and d * g_r == g
+        monkeypatch.setattr(polyring, "_gcd_prs", prs)
+    assert kinds == {True, False}
+
+
+def test_gcd_fallback_skips_a_prime_that_divides_a_leading_coefficient(monkeypatch):
+    first, second = polyring._COPRIME_PRIMES[:2]
+    primes = []
+    rem_mod = polyring._rem_mod
+
+    def recording(a, b, p):
+        primes.append(p)
+        return rem_mod(a, b, p)
+
+    monkeypatch.setattr(polyring, "_rem_mod", recording)
+    # first*q + 1 and q + 2 are coprime, and first divides the leading coefficient.
+    assert polyring._coprime_mod([1, first], [2, 1])
+    assert primes and set(primes) == {second}
+    primes.clear()
+    assert polyring._coprime_mod([1, 3], [2, 1])
+    assert primes and set(primes) == {first}
+    primes.clear()
+    assert not polyring._coprime_mod([2, 3, 1], [1, 1])  # (q + 1)(q + 2) and q + 1
+    assert not polyring._coprime_mod([1, first * second], [2, 1])  # no usable prime
+    assert primes == [first]
+
+
 def test_poly_gcd_properties():
     rng = random.Random(78)
     for _ in range(25):

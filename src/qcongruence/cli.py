@@ -33,7 +33,8 @@ from .errors import (
     SpecSyntaxError,
     UnknownKind,
 )
-from .expr import Mul, Pow, eval_expr, eval_int, load_spec_file
+from .expr import Mul, Phi, Pow, QInt, eval_expr, eval_int, load_spec_file
+from .polyring import cyclotomic_form
 
 __all__ = ["main"]
 
@@ -361,8 +362,12 @@ def _cmd_identity(args) -> int:
 
 
 def _modulus_from_node(node, env) -> Modulus:
-    """Flatten a modulus expression (products and integer powers) to factors."""
-    factors = []
+    """Flatten a modulus expression (products and integer powers) to factors.
+
+    A qint(..) or phi(..) factor carries its binomial form; any other factor,
+    even one equal to a q-integer or a cyclotomic, carries none.
+    """
+    factors, forms = [], []
 
     def walk(nd, mult):
         if mult == 0:
@@ -382,10 +387,16 @@ def _modulus_from_node(node, env) -> Modulus:
             raise SideConditionViolated("modulus factor is not a polynomial in q")
         if value.num.is_zero():
             raise SideConditionViolated("modulus factor is zero")
+        form = None
+        if isinstance(nd, QInt):
+            form = ((1, -1), (eval_int(nd.arg, env), 1))  # [n] = (q^n - 1) / (q - 1)
+        elif isinstance(nd, Phi):
+            form = cyclotomic_form(eval_int(nd.arg, env))
         factors.append((value.num, mult))
+        forms.append(form)
 
     walk(node, 1)
-    return Modulus(tuple(factors))
+    return Modulus(factors, forms=forms)
 
 
 def _cmd_check(args) -> int:

@@ -7,19 +7,23 @@ divide N.  Every public QRat constructor and operation returns lowest terms
 off the difference and cancels nothing.
 
 congruent divides first: one poly_try_div of N by P, handed P's binomial
-form, decides success, so a P made of q-integers and cyclotomics takes
-polyring's binomial passes.  That division alone proves the unit condition:
-if P | N, a common factor of D and P would divide N too, and gcd(N, D) = 1.
-Only a failed division runs the unit check gcd(D, P), and raises
-DenominatorNotUnit when it is not 1.  For a P of q-integers and
-cyclotomics the check is prod Phi_d^min(k_d, nu_d(D)), from trial divisions
-of D by each Phi_d with binomial passes, no gcd taken; any other P pays one
-long division D mod P and a gcd.  Then long division of N by P and trial divisions by each factor,
-each passed that factor's form, build the witness of the failure.
+form, decides success, so a P made of named q-integers and cyclotomics
+takes polyring's binomial passes.  That division alone proves the unit
+condition: if P | N, a common factor of D and P would divide N too, and
+gcd(N, D) = 1.  Only a failed division runs the unit check gcd(D, P), and
+raises DenominatorNotUnit when it is not 1.  For a P with a binomial form
+the check is prod Phi_d^min(k_d, nu_d(D)), from trial divisions of D by each
+Phi_d with binomial passes, no gcd taken; any other P pays one long division
+D mod P and a gcd.  Then long division of N by P and trial divisions by each
+factor, each passed the form stored with that factor, build the witness of
+the failure.
 
 Moduli keep their factored shape ([n], Phi_n(q)^k, specialization binomials)
 both for readable reports and so a failure can name the smallest factor that
-does not divide.
+does not divide.  A factor's binomial form comes from where it is named, never
+from its coefficients: build_modulus gives one to [n] and Phi_n, the cli to a
+qint(..) or phi(..) factor, and a factor typed as a polynomial, such as 1+q,
+has none and divides through the general kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .errors import DenominatorNotUnit, SamplingExhausted, UnknownKind
 from .polyring import (
     QPoly,
     QRat,
-    binomial_form,
+    _merge_forms,
     cyclotomic,
     cyclotomic_exponents,
     cyclotomic_form,
@@ -82,27 +86,33 @@ def _poly_text(f: QPoly) -> str:
 class Modulus:
     """Product of nonconstant polynomial factors with multiplicities.
 
-    When every factor is a q-integer [n] or a Phi_d (polyring.binomial_form
-    reads that off its coefficients), form holds the product's binomial form
-    ((e, x_e), ...), P = prod_e (q^e - 1)^x_e; otherwise it is None.
-    congruent passes form to every division by P, so such a P takes the
-    binomial passes.
+    forms, when given, runs beside factors: each factor's binomial form
+    ((e, x_e), ...), f = prod_e (q^e - 1)^x_e, or None, as the code that
+    named the factor ([n], Phi_d) knows it.  form merges them into the
+    product's form if every factor has one, else it is None.  congruent
+    passes form to every division by P, so such a P takes the binomial
+    passes.
     """
 
-    __slots__ = ("factors", "label", "product", "monic_product", "form")
+    __slots__ = ("factors", "forms", "label", "monic_product", "form")
 
-    def __init__(self, factors, label: str = ""):
-        kept = []
-        for f, mult in factors:
+    def __init__(self, factors, label: str = "", forms=None):
+        factors = tuple(factors)
+        kept, kept_forms = [], []
+        for (f, mult), form in zip(factors, forms or (None,) * len(factors), strict=True):
             if mult < 0:
                 raise ValueError("factor multiplicity must be nonnegative")
             if mult == 0 or f.is_constant():
                 continue
             kept.append((f, mult))
+            kept_forms.append(form)
         product = poly_product(f for f, mult in kept for _ in range(mult))
-        form = binomial_form(kept)
+        if None in kept_forms:
+            form = None
+        else:
+            form = _merge_forms((x, mult) for x, (_, mult) in zip(kept_forms, kept))
         object.__setattr__(self, "factors", tuple(kept))
-        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "forms", tuple(kept_forms))
         object.__setattr__(self, "form", form)
         object.__setattr__(
             self, "monic_product", product.monic() if not product.is_constant() else QPoly.one()
@@ -144,12 +154,15 @@ def build_modulus(kind: str, n: int, bindings: dict | None = None) -> Modulus:
         raise UnknownKind(f"unknown modulus kind {kind!r}")
 
     factors: list[tuple[QPoly, int]] = []
+    forms: list = []
     label_parts: list[str] = []
     if kind.startswith("QINT"):
         factors.append((q_integer(n), 1))
+        forms.append(((1, -1), (n, 1)))  # [n] = (q^n - 1) / (q - 1)
         label_parts.append(f"[{n}]")
     if "PHI" in kind:
         factors.append((cyclotomic(n), k))
+        forms.append(cyclotomic_form(n))
         label_parts.append(f"Phi({n})" if k == 1 else f"Phi({n})^{k}")
     if "SPECIALIZED" in kind:
         e = t * n
@@ -162,8 +175,9 @@ def build_modulus(kind: str, n: int, bindings: dict | None = None) -> Modulus:
             high = QPoly._make([u, *gap, -v], v)  # x - q^(tn)
             factors.append((low, 1))
             factors.append((high, 1))
+            forms += [None, None]
             label_parts.append(f"(1-{sym}*q^{e})({sym}-q^{e})")
-    return Modulus(factors, "*".join(label_parts) if label_parts else "1")
+    return Modulus(factors, "*".join(label_parts) if label_parts else "1", forms)
 
 
 @dataclass(frozen=True)
@@ -181,9 +195,8 @@ class CongruenceResult:
 
 def _smallest_failing_factor(num: QPoly, m: Modulus) -> str:
     candidates = []
-    for f, mult in m.factors:
-        fm, form = f.monic(), binomial_form([(f, 1)])
-        rem = num
+    for (f, mult), form in zip(m.factors, m.forms):
+        fm, rem = f.monic(), num
         for j in range(1, mult + 1):
             rem = poly_try_div(rem, fm, form)
             if rem is None:

@@ -64,7 +64,6 @@ __all__ = [
     "load_spec_file",
     "parse_expr",
     "parse_spec",
-    "to_text",
 ]
 
 
@@ -860,72 +859,3 @@ def _product(node: Node, scope: dict):
 
     return product
 
-
-# -- printing -----------------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _render(node: Node) -> tuple[str, int]:
-    if isinstance(node, RationalLit):
-        if node.value.denominator == 1:
-            v = int(node.value)
-            return (str(v), _PREC_ATOM if v >= 0 else _PREC_UNARY)
-        return (f"{node.value.numerator}/{node.value.denominator}", _PREC_MUL)
-    if isinstance(node, SymbolRef):
-        return node.name, _PREC_ATOM
-    if isinstance(node, QMonomial):
-        body = "q" if node.exp == RationalLit(Fraction(1)) else f"q^{_exp_text(node.exp)}"
-        if node.coeff == 1:
-            return body, _PREC_ATOM
-        coeff = RationalLit(node.coeff)
-        return f"{_child(coeff, _PREC_MUL)}*{body}", _PREC_MUL
-    if isinstance(node, QInt):
-        return f"qint({_render(node.arg)[0]})", _PREC_ATOM
-    if isinstance(node, Phi):
-        return f"phi({_render(node.arg)[0]})", _PREC_ATOM
-    if isinstance(node, Pochhammer):
-        step = "q" if node.step == RationalLit(Fraction(1)) else f"q^{_exp_text(node.step)}"
-        return (
-            f"poch({_render(node.arg)[0]}; {step}; {_render(node.length)[0]})",
-            _PREC_ATOM,
-        )
-    if isinstance(node, Sum):
-        return (
-            f"sum({node.index}, {_render(node.lower)[0]}, "
-            f"{_render(node.upper)[0]}, {_render(node.body)[0]})",
-            _PREC_ATOM,
-        )
-    if isinstance(node, Neg):
-        return f"-{_child(node.a, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(node, Add):
-        return f"{_child(node.a, _PREC_ADD)} + {_child(node.b, _PREC_ADD + 1)}", _PREC_ADD
-    if isinstance(node, Sub):
-        return f"{_child(node.a, _PREC_ADD)} - {_child(node.b, _PREC_ADD + 1)}", _PREC_ADD
-    if isinstance(node, Mul):
-        return f"{_child(node.a, _PREC_MUL)}*{_child(node.b, _PREC_MUL + 1)}", _PREC_MUL
-    if isinstance(node, Div):
-        return f"{_child(node.a, _PREC_MUL)}/{_child(node.b, _PREC_MUL + 1)}", _PREC_MUL
-    if isinstance(node, Pow):
-        return f"{_child(node.base, _PREC_ATOM)}^{_exp_text(node.exp)}", _PREC_POW
-    raise TypeError(f"cannot render {node!r}")
-
-
-def _child(node: Node, min_prec: int) -> str:
-    text, prec = _render(node)
-    if prec < min_prec:
-        return f"({text})"
-    return text
-
-
-def _exp_text(node: Node) -> str:
-    if isinstance(node, RationalLit) and node.value.denominator == 1 and node.value >= 0:
-        return str(int(node.value))
-    if isinstance(node, SymbolRef):
-        return node.name
-    return f"({_render(node)[0]})"
-
-
-def to_text(node: Node) -> str:
-    """Canonical source text; parse_expr(to_text(n)) reproduces the value of n."""
-    return _render(node)[0]

@@ -26,11 +26,11 @@ remainder sequence) over the integers.
 
 Exact division has two kernels, and poly_try_div is the one place that picks
 one.  A divisor whose binomial form prod_e (q^e - 1)^x_e its caller holds
--- Modulus for its product and factors (binomial_form reads it off each
-factor's coefficients: a q-integer [n] or a Phi_d), to_qrat and congruent's
-unit check for every Phi_d they divide by -- is divided by binomial passes:
-one shifted subtraction per unit of x_e < 0, then per unit of x_e > 0 a
-running sum over each residue class mod e, exact iff the top e sums vanish.
+-- a Modulus for its product and each factor named as a q-integer [n] or a
+Phi_d, to_qrat and congruent's unit check for every Phi_d they divide by --
+is divided by binomial passes: one shifted subtraction per unit of x_e < 0,
+then per unit of x_e > 0 a running sum over each residue class mod e, exact
+iff the top e sums vanish.
 That is O(2^omega(d) deg f) element steps in C for Phi_d.  Every other
 divisor divides its primitive part through _divexact_int, which GCDHEU's
 candidates use too.  By Gauss's lemma a primitive divisor divides over Q
@@ -76,7 +76,6 @@ __all__ = [
     "QFactored",
     "QPoly",
     "QRat",
-    "binomial_form",
     "binomial_parts",
     "binomial_reducible",
     "crt_combine",
@@ -553,9 +552,9 @@ def poly_try_div(f: QPoly, g: QPoly, form=None):
 
     This is where every exact division picks its kernel.  form is g's
     binomial form ((e, x_e), ...), g = prod_e (q^e - 1)^x_e, when the caller
-    holds it (see binomial_form): then g goes through the binomial passes of
-    _binomial_div.  Any other g divides its primitive part through
-    _divexact_int.  With f = F / df and g = cg G / dg, G primitive, the
+    holds it (it named g as a q-integer or a Phi_d): then g goes through the
+    binomial passes of _binomial_div.  Any other g divides its primitive part
+    through _divexact_int.  With f = F / df and g = cg G / dg, G primitive, the
     quotient is (F / G) dg / (df cg).
     """
     if form is not None:
@@ -847,60 +846,6 @@ def _merge_forms(forms):
         for e, x in form:
             total[e] = total.get(e, 0) + x * mult
     return tuple(sorted((e, x) for e, x in total.items() if x))
-
-
-@lru_cache(maxsize=1024)
-def _totient_preimages(m: int, least: int = 2) -> tuple[int, ...]:
-    """Every d with phi(d) = m and no prime factor below least, ascending.
-
-    phi(prod p^a) = prod p^(a-1) (p - 1), so every prime p of such a d has
-    p - 1 dividing m: each such p >= least, with each of its powers, is the
-    smallest prime of d, and the rest of d has larger primes only.
-    """
-    out = [1] if m == 1 else []
-    for k in _divisors(m):
-        p = k + 1
-        if p < least or _prime_factors(p) != [p]:
-            continue
-        rest, power = m // k, p
-        while True:
-            out += [power * d for d in _totient_preimages(rest, p + 1)]
-            if rest % p:
-                break
-            rest, power = rest // p, power * p
-    return tuple(sorted(out))
-
-
-def _factor_form(f: QPoly):
-    """f's binomial form if f is a q-integer [n], n >= 2, or a Phi_d, else None.
-
-    Read from the coefficients alone: f = [n] iff (q - 1) f = q^n - 1, that
-    is every coefficient is 1, and f = Phi_d needs phi(d) = deg f.
-    """
-    if f._den != 1 or f.degree < 1 or f._nums[-1] != 1:
-        return None
-    deg = f.degree
-    if f._nums == (1,) * (deg + 1):
-        return ((1, -1), (deg + 1, 1))
-    for d in _totient_preimages(deg):
-        if cyclotomic(d) == f:
-            return cyclotomic_form(d)
-    return None
-
-
-def binomial_form(factors):
-    """The binomial form ((e, x_e), ...) of prod f**mult over (f, mult) pairs,
-    prod_e (q^e - 1)^x_e, or None unless every f is a q-integer [n] or a
-    Phi_d.  Each factor is recognised from its coefficients, so the form of
-    a factor typed by hand does not depend on what the process built before.
-    """
-    forms = []
-    for f, mult in factors:
-        form = _factor_form(f)
-        if form is None:
-            return None
-        forms.append((form, mult))
-    return _merge_forms(forms)
 
 
 def cyclotomic_exponents(form) -> tuple[tuple[int, int], ...]:

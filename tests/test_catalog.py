@@ -12,7 +12,7 @@ import pytest
 from qcongruence import catalog, padic
 from qcongruence.congruence import Modulus, build_modulus, congruent, sample_params
 from qcongruence.errors import SideConditionViolated, UnknownKind
-from qcongruence.expr import eval_expr, parse_expr, to_text
+from qcongruence.expr import eval_expr, parse_expr
 from qcongruence.qseries import truncated_sum, well_poised_spec
 
 
@@ -318,7 +318,7 @@ def test_catalog_texts_compile_on_first_use_only(monkeypatch):
     compile_expr = catalog.compile_expr
 
     def counting(node):
-        compiled[to_text(node)] += 1
+        compiled[node] += 1
         return compile_expr(node)
 
     monkeypatch.setattr(catalog, "_PARSED", {})
@@ -329,5 +329,5 @@ def test_catalog_texts_compile_on_first_use_only(monkeypatch):
         for rec in catalog.run_statement("THM_D", {"n": 4, "d": 3, "r": 1}, seed=seed, trials=1)
     ]
     assert {rec.status for rec in records} == {"verified"}
-    assert compiled[to_text(parse_expr(catalog._THM_D_RHS))] == 1
+    assert compiled[parse_expr(catalog._THM_D_RHS)] == 1
     assert set(compiled.values()) == {1}

@@ -24,10 +24,10 @@ from qcongruence.polyring import (
     QFactored,
     QPoly,
     QRat,
-    binomial_form,
     crt_combine,
     cyclotomic,
     cyclotomic_exponents,
+    cyclotomic_form,
     poly_divrem,
     poly_exact_div,
     poly_gcd,
@@ -44,14 +44,15 @@ def binom(c, e):
 def test_build_modulus_qint_phi():
     m = build_modulus("QINT_PHI_POW", 3, {"k": 4})
     assert m.factors == ((q_integer(3), 1), (cyclotomic(3), 4))
-    assert m.product == q_integer(3) * cyclotomic(3) ** 4
+    assert m.monic_product == q_integer(3) * cyclotomic(3) ** 4
+    assert m.forms == (((1, -1), (3, 1)), cyclotomic_form(3))
     assert m.label == "[3]*Phi(3)^4"
 
 
 def test_build_modulus_trivial_at_one():
     m = build_modulus("QINT", 1)
     assert m.is_trivial()
-    assert m.product == QPoly.one()
+    assert m.monic_product == QPoly.one()
     r = congruent(QRat.from_value(QPoly([0, 1])), 5, m)
     assert r.verified and r.witness.get("trivial")
 
@@ -152,24 +153,31 @@ def test_phi_exponents_of_indexed_moduli():
     assert phi_exponents(build_modulus("QINT_PHI_POW", 6, {"k": 2})) == ((2, 1), (3, 1), (6, 3))
     assert phi_exponents(build_modulus("QINT_SPECIALIZED", 4, {"a": Fraction(2, 3)})) is None
     assert phi_exponents(Modulus([(QPoly([2, 1]), 1)])) is None
-    assert phi_exponents(Modulus([(QPoly([1, 0, -1, 0, 1]), 2), (QPoly([-1, 1]), 1)])) == ((1, 1), (12, 2))
+    named = Modulus([(cyclotomic(12), 2), (cyclotomic(1), 1)], forms=[cyclotomic_form(12), cyclotomic_form(1)])
+    assert phi_exponents(named) == ((1, 1), (12, 2))
+    # The same factors typed as polynomials carry no form.
+    assert phi_exponents(Modulus([(QPoly([1, 0, -1, 0, 1]), 2), (QPoly([-1, 1]), 1)])) is None
     assert phi_exponents(Modulus([(QPoly([1, 0, 1, 0, 1]), 1)])) is None
 
 
-def test_typed_factors_are_indexed_in_a_fresh_process():
-    # 1+q and 1+q+q^2 typed by hand are Phi_2 and [3] whether or not the same
-    # values were built earlier in the process, so a fresh interpreter, with
-    # empty caches, must index them too.
+def test_named_factors_carry_forms_in_a_fresh_process():
+    # A qcong check modulus factor named qint(..) or phi(..) carries its
+    # binomial form and one typed as a polynomial carries none, whether or
+    # not the same values were built earlier in the process: typed, named,
+    # then typed again, starting from a fresh interpreter with empty caches.
     code = (
-        "from qcongruence.congruence import Modulus\n"
-        "from qcongruence.polyring import QPoly, cyclotomic_exponents\n"
-        "print(cyclotomic_exponents(Modulus([(QPoly([1, 1]), 1)]).form))\n"
-        "print(cyclotomic_exponents(Modulus([(QPoly([1, 1, 1]), 1)], '[3]').form))\n"
+        "from qcongruence.cli import _modulus_from_node\n"
+        "from qcongruence.expr import parse_expr\n"
+        "for text in ('(1+q)*(1+q+q^2)^2', 'phi(2)*qint(n)^2', '(1+q)*(1+q+q^2)^2'):\n"
+        "    m = _modulus_from_node(parse_expr(text), {'n': 3})\n"
+        "    print(m.forms, m.form)\n"
     )
     src = str(Path(congruence.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["((2, 1),)", "((3, 1),)"]
+    typed = "(None, None) None"
+    named = "(((1, -1), (2, 1)), ((1, -1), (3, 1))) ((1, -3), (2, 1), (3, 2))"
+    assert out.stdout.splitlines() == [typed, named, typed]
 
 
 def unit_check_moduli(rng):
@@ -329,7 +337,7 @@ def test_congruent_witness_matches_long_division():
         for kind, k in (("QINT", 1), ("PHI_POW", 2), ("QINT_PHI_POW", 1), ("QINT_PHI_POW", 3)):
             m = build_modulus(kind, n, {"k": k})
             assert m.form is not None
-            assert all(binomial_form([(f, 1)]) is not None for f, _ in m.factors)
+            assert None not in m.forms
             small = QPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 6))])
             for num in (
                 small * m.monic_product,
@@ -404,7 +412,7 @@ def test_congruence_equivalence_relation():
         assert ab == congruent(b, a, m).verified
         if ab and congruent(b, c, m).verified:
             assert congruent(a, c, m).verified
-        shifted = a + QRat.from_value(m.product * rng.randint(1, 5))
+        shifted = a + QRat.from_value(m.monic_product * rng.randint(1, 5))
         assert congruent(a, shifted, m).verified
 
 
@@ -414,8 +422,8 @@ def test_congruence_compatibility_laws():
     for _ in range(8):
         a = unit_rand_qrat(rng, m)
         c = unit_rand_qrat(rng, m)
-        b = a + QRat.from_value(m.product) * unit_rand_qrat(rng, m)
-        d = c + QRat.from_value(m.product) * unit_rand_qrat(rng, m)
+        b = a + QRat.from_value(m.monic_product) * unit_rand_qrat(rng, m)
+        d = c + QRat.from_value(m.monic_product) * unit_rand_qrat(rng, m)
         assert congruent(a + c, b + d, m).verified
         assert congruent(a * c, b * d, m).verified
 
@@ -427,7 +435,7 @@ def test_congruent_monotone_over_factor():
     m12 = Modulus(m1.factors + m2.factors)
     for _ in range(6):
         a = unit_rand_qrat(rng, m12)
-        b = a + QRat.from_value(m12.product) * unit_rand_qrat(rng, m12)
+        b = a + QRat.from_value(m12.monic_product) * unit_rand_qrat(rng, m12)
         assert congruent(a, b, m12).verified
         assert congruent(a, b, m1).verified
         assert congruent(a, b, m2).verified

@@ -5,6 +5,7 @@ verdict, sampling and evaluation paths were merged; any change to a verdict,
 a witness, a label or the record layout shows up here as a byte difference.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -75,8 +76,8 @@ def test_golden_identity_report(tmp_path, capsys):
 CHECK_CASES = [
     ("golden.qcs", "golden_check.jsonl", 1),
     # Moduli typed as polynomials (Phi_d, [n], their products and powers, a
-    # scaled factor and one of no binomial form), written before the
-    # divisors' binomial forms were read off their coefficients.
+    # scaled factor and one of no binomial form): no factor carries a
+    # binomial form, so every division takes the general kernel.
     ("golden_typed.qcs", "golden_typed_check.jsonl", 1),
     # Verified cases with coprime denominators, failures, and denominators
     # sharing a Phi_d^j, a binomial or a typed factor with the modulus,
@@ -91,3 +92,41 @@ def test_golden_check_report(tmp_path, capsys, spec, name, code):
     assert main(["check", "--spec", str(DATA / spec), "--out", str(out)]) == code
     capsys.readouterr()
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+# Named spellings of golden_typed.qcs's moduli: each factor typed there as a
+# polynomial is written as the qint(..) or phi(..) it equals, so it carries
+# a binomial form.  SCALED's 2+2q has no such spelling.
+NAMED_MODULI = {
+    "PHI2": "phi(2)",
+    "PHI3_SQ": "phi(3)^2",
+    "PHI4_PHI2": "phi(4)*qint(2)",
+    "PHI5": "phi(5)",
+    "QINT4": "qint(4)",
+    "PHI6_SQ": "phi(6)^2",
+    "MIXED": "(q-2)*phi(2)",
+    "FAIL": "qint(3)^2",
+    "UNIT": "phi(2)*qint(3)",
+}
+
+
+def test_named_moduli_report_as_typed(tmp_path, capsys):
+    # The binomial passes and the general kernel reach the same verdicts,
+    # witnesses and errors: each record is the golden one but for its id.
+    declarations, want = [], []
+    for line in (DATA / "golden_typed.qcs").read_text().splitlines():
+        spec_id, _, rest = line.partition(" : ")
+        if spec_id in NAMED_MODULI:
+            sides, _, tail = rest.partition(" mod ")
+            bindings = tail.partition(" with ")[2]
+            declarations.append(f"{spec_id}_NAMED : {sides} mod {NAMED_MODULI[spec_id]} with {bindings}\n")
+    for line in (DATA / "golden_typed_check.jsonl").read_text().splitlines(keepends=True):
+        spec_id = json.loads(line)["id"]
+        if spec_id in NAMED_MODULI:
+            want.append(line.replace(f'"id": "{spec_id}"', f'"id": "{spec_id}_NAMED"', 1))
+    spec, out = tmp_path / "named.qcs", tmp_path / "named.jsonl"
+    spec.write_text("".join(declarations))
+    assert main(["check", "--spec", str(spec), "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert len(want) == len(NAMED_MODULI)
+    assert out.read_text() == "".join(want)

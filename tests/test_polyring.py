@@ -12,7 +12,6 @@ from qcongruence.polyring import (
     QFactored,
     QPoly,
     QRat,
-    binomial_form,
     binomial_parts,
     binomial_reducible,
     crt_combine,
@@ -434,31 +433,26 @@ def assert_kernel_agrees(f, divisor, form=None):
     assert poly_try_div(f, divisor, form) == (quot if rem.is_zero() else None)
 
 
-def totient(d):
-    """Euler's phi of d by trial division."""
-    out, n, p = d, d, 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    return out - out // n if n > 1 else out
+def qint_factor(n):
+    """([n], 1, its binomial form): [n] = (q^n - 1) / (q - 1)."""
+    return q_integer(n), 1, ((1, -1), (n, 1))
+
+
+def phi_factor(d, k):
+    """(Phi_d, k, Phi_d's binomial form)."""
+    return cyclotomic(d), k, cyclotomic_form(d)
+
+
+def named_product(factors):
+    """The product of (f, mult, form) factors and its binomial form."""
+    divisor = poly_product(f for f, mult, _ in factors for _ in range(mult))
+    return divisor, polyring._merge_forms((form, mult) for _, mult, form in factors)
 
 
 def test_binomial_kernel_matches_divrem_on_every_cyclotomic_to_210():
-    # The memoised d with phi(d) = deg are every such d: phi(d) >= sqrt(d/2),
-    # so none lies beyond 2 deg^2.
-    phis = [None] + [totient(d) for d in range(1, 2 * 60 * 60 + 1)]
-    for deg in range(1, 61):
-        want = tuple(d for d in range(1, 2 * deg * deg + 1) if phis[d] == deg)
-        assert polyring._totient_preimages(deg) == want, deg
     rng = random.Random(83)
     for d in range(1, 211):
-        phi = cyclotomic(d)
-        # Recognised from its coefficients alone, as a polynomial typed by hand.
-        form = binomial_form([(QPoly([int(c) for c in phi.coeffs()]), 1)])
-        assert form == cyclotomic_form(d)
+        phi, form = cyclotomic(d), cyclotomic_form(d)
         assert form_polynomial(form) == phi
         for f in dividends(rng, phi):
             assert_kernel_agrees(f, phi, form)
@@ -467,17 +461,17 @@ def test_binomial_kernel_matches_divrem_on_every_cyclotomic_to_210():
 def test_binomial_kernel_on_q_integers_and_modulus_products():
     rng = random.Random(84)
     for n in range(2, 61):
-        assert binomial_form([(QPoly([1] * n), 1)]) == ((1, -1), (n, 1))
+        f, _, form = qint_factor(n)
+        assert form_polynomial(form) == f
     products = []
     for n in range(2, 41):
-        products.append([(q_integer(n), 1)])
+        products.append([qint_factor(n)])
         for k in (1, 2, 3):
-            products.append([(q_integer(n), 1), (cyclotomic(n), k)])
-    products.append([(cyclotomic(3), 2), (q_integer(4), 1), (cyclotomic(10), 3)])
-    products.append([(cyclotomic(1), 3), (cyclotomic(30), 2), (cyclotomic(105), 1)])
+            products.append([qint_factor(n), phi_factor(n, k)])
+    products.append([phi_factor(3, 2), qint_factor(4), phi_factor(10, 3)])
+    products.append([phi_factor(1, 3), phi_factor(30, 2), phi_factor(105, 1)])
     for factors in products:
-        divisor = poly_product(f for f, mult in factors for _ in range(mult))
-        form = binomial_form(factors)
+        divisor, form = named_product(factors)
         assert form_polynomial(form) == divisor
         for f in dividends(rng, divisor):
             assert_kernel_agrees(f, divisor, form)
@@ -487,21 +481,20 @@ def test_indexed_divisors_never_reach_divrem(monkeypatch):
     def refuse(*args):
         raise AssertionError("a general kernel called for an indexed divisor")
 
-    products = [[(cyclotomic(12), 1)], [(q_integer(9), 1)], [(q_integer(6), 1), (cyclotomic(6), 2)]]
+    products = [[phi_factor(12, 1)], [qint_factor(9)], [qint_factor(6), phi_factor(6, 2)]]
     monkeypatch.setattr(polyring, "poly_divrem", refuse)
     monkeypatch.setattr(polyring, "_divexact_int", refuse)
     for factors in products:
-        divisor = poly_product(f for f, mult in factors for _ in range(mult))
-        form = binomial_form(factors)
+        divisor, form = named_product(factors)
         assert poly_try_div(divisor * QPoly([3, 0, 1]), divisor, form) == QPoly([3, 0, 1])
         assert poly_try_div(divisor * QPoly([3, 0, 1]) + 1, divisor, form) is None
 
 
 def test_unindexed_divisors_divide_by_exact_quotients():
     # A scaled or negated cyclotomic, Phi_3(q^2), Phi_5 + q, a rational
-    # binomial and a product with a factor of unknown shape have no binomial
-    # form: their primitive parts divide through _divexact_int, with the
-    # quotients poly_divrem gives.
+    # binomial and a product with a factor of unknown shape, divided without
+    # a binomial form: their primitive parts divide through _divexact_int,
+    # with the quotients poly_divrem gives.
     rng = random.Random(85)
     products = [
         [(cyclotomic(7) * 2, 1)],
@@ -512,7 +505,6 @@ def test_unindexed_divisors_divide_by_exact_quotients():
         [(cyclotomic(5), 1), (QPoly([Fraction(-1, 3), 1]), 2)],
     ]
     for factors in products:
-        assert binomial_form(factors) is None
         divisor = poly_product(f for f, mult in factors for _ in range(mult))
         for f in dividends(rng, divisor):
             assert_kernel_agrees(f, divisor)
@@ -570,12 +562,13 @@ def test_product_tree_equals_chained_product():
         for f in polys:
             chained = chained * f
         assert poly_product(polys) == chained
-    factors = [(cyclotomic(d), rng.randint(1, 3)) for d in (1, 4, 9, 12, 35)]
+    factors = [phi_factor(d, rng.randint(1, 3)) for d in (1, 4, 9, 12, 35)]
     chained = QPoly.one()
-    for f, mult in factors:
+    for f, mult, _ in factors:
         chained = chained * f**mult
-    assert poly_product(f for f, mult in factors for _ in range(mult)) == chained
-    assert form_polynomial(binomial_form(factors)) == chained
+    divisor, form = named_product(factors)
+    assert divisor == chained
+    assert form_polynomial(form) == chained
 
 
 def test_binomial_reducible_follows_capelli():

@@ -22,7 +22,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from . import catalog, padic
 from .congruence import Modulus, congruent

@@ -15,20 +15,22 @@ N plus the digits that exp's division by t! costs, so the cost is O(N^2)
 operations whatever r is.  For odd composite p the logarithm does not apply
 and the product is taken term by term.
 
-The classical (q -> 1) statements are pure rational-number congruences; each
-side is computed exactly as a Fraction (with p-adic Gamma products reduced to
-residues) and compared by p-adic valuation of the difference.  The truncated
-sums, harmonic numbers and shifted factorials are evaluated over integers by
-binary splitting and product trees, so each comes out of a single final
-Fraction reduction instead of one gcd per term; the truncated sums use
-arith.binary_split, the kernel that qseries sums its q-series with.
+The classical (q -> 1) statements are pure rational-number congruences,
+decided exactly (p-adic Gamma products reduced to residues) by the p-adic
+valuation of the difference.  The truncated sums are evaluated over integers
+by arith.binary_split, the kernel that qseries sums its q-series with: a
+statement with two truncation slots sums the shorter range once and merges
+the rest onto it, and each sum stays an unreduced pair (T, Q).  For prime p
+the verdict reads T and Q only modulo p^(v_p(Q) + n), so it takes no gcd.
+The closed forms, harmonic numbers and shifted factorials are product trees
+that come out of a single final Fraction reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, isqrt, prod
+from math import comb, factorial, gcd, inf, isqrt, prod
 
 from .arith import BigRat, PadicInt, binary_split, padic_valuation, residue_of_rational
 from .congruence import CongruenceResult
@@ -316,41 +318,88 @@ class _GammaForm:
     factors: tuple[tuple[Fraction, int], ...]
 
 
-def rational_congruent(lhs: BigRat, rhs: BigRat, p: int, k: int) -> CongruenceResult:
-    """Verified iff lhs == rhs modulo p**k, both sides p-integral."""
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
-    for side in (lhs, rhs):
-        if padic_valuation(side, p) < 0:
-            raise NotPIntegral(f"{side} is not p-integral at p = {p}")
-    v = padic_valuation(lhs - rhs, p)
+# The verdicts below take the left side as an unreduced pair (T, Q) standing
+# for T/Q, as the truncated sums return it, or as a rational.  For prime p
+# they read only remainders: with e = v_p(Q), T/Q = (T/p^e) / (Q/p^e) and
+# Q/p^e is a unit, so the first n digits of T/Q come from T and Q modulo
+# p^(e+n).  No gcd is taken; a Fraction is built only to name a side in
+# NotPIntegral.
+
+# Digits read beyond p^k: the valuation witness comes from them unless the
+# sides agree to all of them.
+_SPARE_DIGITS = 8
+
+
+def _pair(x) -> tuple[int, int]:
+    """x as (numerator, denominator): a pair as it is, a rational reduced."""
+    return x if isinstance(x, tuple) else Fraction(x).as_integer_ratio()
+
+
+def _digits(t: int, q: int, p: int, n: int) -> int | None:
+    """t/q modulo p^n for prime p, or None when t/q is not p-integral."""
+    unit = p ** padic_valuation(q, p)
+    modulus = p**n
+    rest = t % (unit * modulus)
+    if rest % unit:
+        return None
+    return rest // unit * pow(q % (unit * modulus) // unit, -1, modulus) % modulus
+
+
+def rational_congruent(lhs, rhs: BigRat, p: int, k: int) -> CongruenceResult:
+    """Verified iff lhs == rhs modulo p**k, both sides p-integral, p prime.
+
+    v_p(lhs - rhs) is read from both sides' first k + _SPARE_DIGITS digits;
+    only sides that agree to all of them are cross-multiplied, to tell
+    equality from a valuation that high.
+    """
+    t, q = _pair(lhs)
+    a, b = _pair(rhs)
+    n = k + _SPARE_DIGITS
+    x, y = _digits(t, q, p, n), _digits(a, b, p, n)
+    for num, den, digits in ((t, q, x), (a, b, y)):
+        if digits is None:
+            raise NotPIntegral(f"{Fraction(num, den)} is not p-integral at p = {p}")
+    gap = (x - y) % p**n
+    if gap:
+        v = padic_valuation(gap, p)
+    else:
+        v = padic_valuation(t * b - a * q, p) - padic_valuation(q * b, p)
     if v >= k:
-        return CongruenceResult(True, {"valuation": None if lhs == rhs else int(v)})
+        return CongruenceResult(True, {"valuation": None if v == inf else int(v)})
     return CongruenceResult(False, {"valuation": int(v), "required": k})
 
 
-def _gamma_congruent(
-    lhs: BigRat, form: _GammaForm, p: int, k: int, budget: int
-) -> CongruenceResult:
-    """Verified iff lhs == p^j * coef * prod Gamma_p(arg)^e modulo p**k."""
-    lhs = Fraction(lhs)
-    if padic_valuation(lhs, p) < 0:
-        raise NotPIntegral(f"{lhs} is not p-integral at p = {p}")
+def _gamma_congruent(lhs, form: _GammaForm, p: int, k: int, budget: int) -> CongruenceResult:
+    """Verified iff lhs == p^j * coef * prod Gamma_p(arg)^e modulo p**k, p prime.
+
+    lhs is a pair or a rational, as for rational_congruent; its residue
+    p^-j lhs modulo p^(k-j) comes from its first k digits.
+    """
+    t, q = _pair(lhs)
     j = form.val_offset
     needed = k - j
     if needed <= 0:
-        return rational_congruent(lhs, Fraction(0), p, k)
-    scaled = lhs / p**j
-    if padic_valuation(scaled, p) < 0:
-        v = padic_valuation(lhs, p)
-        return CongruenceResult(False, {"valuation": int(v), "required": k})
+        return rational_congruent((t, q), Fraction(0), p, k)
+    x = _digits(t, q, p, k)
+    if x is None:
+        raise NotPIntegral(f"{Fraction(t, q)} is not p-integral at p = {p}")
+    if x % p**j:  # v_p(lhs) < j
+        return CongruenceResult(False, {"valuation": padic_valuation(x, p), "required": k})
+    return _residue_result(x // p**j, _gamma_residue(form, p, needed, budget), p, k, j)
+
+
+def _gamma_residue(form: _GammaForm, p: int, needed: int, budget: int) -> int:
+    """coef * prod Gamma_p(arg)^e modulo p^needed."""
     precision = _guarded_precision(p, needed, budget)
     acc = PadicInt(p, precision, residue_of_rational(form.coef, p, precision))
     for arg, e in form.factors:
         acc = acc * gamma_p(arg, p, precision, budget) ** e
-    rhs_res = acc.truncate(needed).residue
-    lhs_res = residue_of_rational(scaled, p, needed)
+    return acc.truncate(needed).residue
+
+
+def _residue_result(lhs_res: int, rhs_res: int, p: int, k: int, j: int) -> CongruenceResult:
     if lhs_res == rhs_res:
-        return CongruenceResult(True, {"residue": rhs_res, "precision": needed})
+        return CongruenceResult(True, {"residue": rhs_res, "precision": k - j})
     return CongruenceResult(
         False,
         {
@@ -362,37 +411,92 @@ def _gamma_congruent(
     )
 
 
+def _reduced_verdict(lhs: Fraction, rhs, p: int, k: int, budget: int) -> CongruenceResult:
+    """The verdict at an odd composite p, which the side conditions still admit.
+
+    There the counts of p in a numerator and a denominator are not additive,
+    so the left side is a reduced Fraction and every difference and quotient
+    is reduced again before it is counted.  This goes when the side
+    conditions refuse composite p.
+    """
+    if padic_valuation(lhs, p) < 0:
+        raise NotPIntegral(f"{lhs} is not p-integral at p = {p}")
+    if isinstance(rhs, _GammaForm):
+        j = rhs.val_offset
+        if k - j > 0:
+            scaled = lhs / p**j
+            if padic_valuation(scaled, p) < 0:
+                v = padic_valuation(lhs, p)
+                return CongruenceResult(False, {"valuation": int(v), "required": k})
+            rhs_res = _gamma_residue(rhs, p, k - j, budget)
+            return _residue_result(residue_of_rational(scaled, p, k - j), rhs_res, p, k, j)
+        rhs = Fraction(0)
+    if padic_valuation(rhs, p) < 0:
+        raise NotPIntegral(f"{rhs} is not p-integral at p = {p}")
+    v = padic_valuation(lhs - rhs, p)
+    if v >= k:
+        return CongruenceResult(True, {"valuation": None if lhs == rhs else int(v)})
+    return CongruenceResult(False, {"valuation": int(v), "required": k})
+
+
 # -- truncated classical sums --------------------------------------------------
 
 
-def _sum_quartic(m: int) -> Fraction:
-    """sum_{k<=m} (-1)^k (4k+1) ((1/2)_k / k!)^5."""
-    return _sum_fifth_alt(2, 1, m)
+def _sixth_leaf(d: int, r: int):
+    """binary_split leaf of sum_k (2dk+r) ((r/d)_k / k!)^6."""
 
-
-def _sum_cubic(m: int) -> Fraction:
-    """sum_{k<=m} (6k+1) ((1/3)_k / k!)^6."""
-    return _sum_sixth(3, 1, m)
-
-
-def _sum_sixth(d: int, r: int, m: int) -> Fraction:
-    """sum_{k<=m} (2dk+r) ((r/d)_k / k!)^6, for m >= 0."""
     def leaf(k):
         q = (d * k + d) ** 6
         return (r + d * k) ** 6, q, (2 * d * k + r) * q
 
-    _, q, t = binary_split(0, m + 1, leaf)
-    return Fraction(t, q)
+    return leaf
 
 
-def _sum_fifth_alt(d: int, r: int, m: int) -> Fraction:
-    """sum_{k<=m} (-1)^k (2dk+r) ((r/d)_k / k!)^5, for m >= 0."""
+def _fifth_alt_leaf(d: int, r: int):
+    """binary_split leaf of sum_k (-1)^k (2dk+r) ((r/d)_k / k!)^5."""
+
     def leaf(k):
         q = (d * k + d) ** 5
         return -((r + d * k) ** 5), q, (2 * d * k + r) * q
 
-    _, q, t = binary_split(0, m + 1, leaf)
-    return Fraction(t, q)
+    return leaf
+
+
+# sum_k (-1)^k (4k+1) ((1/2)_k / k!)^5 and sum_k (6k+1) ((1/3)_k / k!)^6.
+_QUARTIC = _fifth_alt_leaf(2, 1)
+_CUBIC = _sixth_leaf(3, 1)
+
+
+@dataclass(frozen=True)
+class _Truncations:
+    """A series truncated after k = m for each m in ends, one per slot.
+
+    leaf is a binary_split leaf; ends do not decrease, so the first slot's
+    sum is a prefix of the second's.
+    """
+
+    leaf: object
+    ends: tuple[int, ...]
+
+
+def _truncated_sums(leaf, ends) -> list[tuple[int, int]]:
+    """[(T, Q)] with T/Q = sum_{0<=k<=m} of leaf's series, one pair per m.
+
+    ends holds one end or two that do not decrease.  binary_split sums the
+    range up to the first end, then the rest, and the two merge once
+    without the whole range's P, so each k is evaluated once.  The pairs
+    are not reduced.
+    """
+    first, *rest = ends
+    p, q, t = binary_split(0, first + 1, leaf)
+    pairs = [(t, q)]
+    if rest:
+        (second,) = rest
+        if second > first:
+            _, q2, t2 = binary_split(first + 1, second + 1, leaf)
+            t, q = t * q2 + p * t2, q * q2
+        pairs.append((t, q))
+    return pairs
 
 
 def _harmonic_tail_sum(d: int, r: int, length: int, scale: int, cube: int, term) -> Fraction:
@@ -437,10 +541,12 @@ def _inner_double_bare(d: int, r: int, length: int, scale: int, cube: int) -> Fr
 # verify_classical checks p and s first (odd p and s >= 1 for statements that
 # take s, s = 1 for the others).  Each checker validates the side conditions
 # left, then returns
-#   (modulus exponent k, [(m_choice label, lhs, rhs)])
-# where lhs is a thunk returning the left side as a Fraction, so that only the
-# selected truncation slots are summed, and rhs is a Fraction (pure rational
-# congruence) or a _GammaForm.
+#   (modulus exponent k, lhs, rhs)
+# where lhs is either _Truncations, one truncated series with an end per
+# m_choice slot, of which verify_classical sums only the selected slots, or a
+# thunk returning the single slot's left side as a Fraction; rhs is a
+# Fraction (pure rational congruence) or a _GammaForm.  Each comment names
+# the slots' ends.
 
 
 def _require(cond: bool, message: str):
@@ -495,10 +601,7 @@ def _double_closed(d: int, r: int, N: int) -> Fraction:
 def _check_cor_1_4(p: int, s: int):
     P = p**s
     rhs = (P if P % 4 == 1 else P**2) * _quartic_closed(P)
-    return s + 4, [
-        ("(p^s-1)/2", lambda: _sum_quartic((P - 1) // 2), rhs),
-        ("p^s-1", lambda: _sum_quartic(P - 1), rhs),
-    ]
+    return s + 4, _Truncations(_QUARTIC, ((P - 1) // 2, P - 1)), rhs  # (p^s-1)/2, p^s-1
 
 
 def _check_cor_1_5(p: int, s: int):
@@ -506,10 +609,7 @@ def _check_cor_1_5(p: int, s: int):
     _require(P % 3 == 1, f"p^s must be 1 mod 3, got {P} = {P % 3} mod 3")
     third = (P - 1) // 3
     rhs = P * _cubic_closed(P)
-    return s + 4, [
-        ("(p^s-1)/3", lambda: _sum_cubic(third), rhs),
-        ("p^s-1", lambda: _sum_cubic(P - 1), rhs),
-    ]
+    return s + 4, _Truncations(_CUBIC, (third, P - 1)), rhs  # (p^s-1)/3, p^s-1
 
 
 def _check_cor_1_6(p: int, s: int):
@@ -517,45 +617,42 @@ def _check_cor_1_6(p: int, s: int):
     _require(P % 3 == 2, f"p^s must be 2 mod 3, got {P} = {P % 3} mod 3")
     length = (2 * P - 1) // 3
     rhs = 10 * P * _cubic_closed(P)
-    return s + 5, [
-        ("(2p^s-1)/3", lambda: _sum_cubic(length), rhs),
-        ("p^s-1", lambda: _sum_cubic(P - 1), rhs),
-    ]
+    return s + 5, _Truncations(_CUBIC, (length, P - 1)), rhs  # (2p^s-1)/3, p^s-1
 
 
 def _check_prop_1_7(p: int, s: int):
     _require(p > 5, f"p must exceed 5, got {p}")
     k, j, coef = (4, 0, Fraction(-1)) if p % 4 == 1 else (3, 1, Fraction(-1, 16))
-    return k, [("single", lambda: _quartic_closed(p), _GammaForm(j, coef, _GAMMA_QUARTER))]
+    return k, lambda: _quartic_closed(p), _GammaForm(j, coef, _GAMMA_QUARTER)
 
 
 def _check_prop_1_8(p: int, s: int):
     _require(p != 3, "p = 3 makes 1/3 non-integral")
     k, j, coef = (4, 0, Fraction(-1)) if p % 6 == 1 else (5, 3, Fraction(-1, 27))
-    return k, [("single", lambda: _cubic_closed(p), _GammaForm(j, coef, _GAMMA_THIRD))]
+    return k, lambda: _cubic_closed(p), _GammaForm(j, coef, _GAMMA_THIRD)
 
 
 def _check_vh_a2(p: int, s: int):
     rhs = _GammaForm(1, Fraction(-1), ((Fraction(3, 4), -4),)) if p % 4 == 1 else Fraction(0)
-    return 3, [("(p-1)/2", lambda: _sum_quartic((p - 1) // 2), rhs)]
+    return 3, _Truncations(_QUARTIC, ((p - 1) // 2,)), rhs
 
 
 def _check_vh_d2(p: int, s: int):
     _require(p % 6 == 1, f"p must be 1 mod 6, got {p}")
     rhs = _GammaForm(1, Fraction(-1), _GAMMA_THIRD)
-    return 4, [("(p-1)/3", lambda: _sum_cubic((p - 1) // 3), rhs)]
+    return 4, _Truncations(_CUBIC, ((p - 1) // 3,)), rhs
 
 
 def _check_liu(p: int, s: int):
     _require(p > 5 and p % 4 == 3, f"p must be 3 mod 4 and exceed 5, got {p}")
     rhs = _GammaForm(3, Fraction(-1, 16), _GAMMA_QUARTER)
-    return 4, [("(p-1)/2", lambda: _sum_quartic((p - 1) // 2), rhs)]
+    return 4, _Truncations(_QUARTIC, ((p - 1) // 2,)), rhs
 
 
 def _check_lr(p: int, s: int):
     _require(p != 3, "p = 3 makes 1/3 non-integral")
     j, coef = (1, Fraction(-1)) if p % 6 == 1 else (4, Fraction(-10, 27))
-    return 6, [("p-1", lambda: _sum_cubic(p - 1), _GammaForm(j, coef, _GAMMA_THIRD))]
+    return 6, _Truncations(_CUBIC, (p - 1,)), _GammaForm(j, coef, _GAMMA_THIRD)
 
 
 def _require_window(P: int, d: int, r: int):
@@ -577,10 +674,7 @@ def _check_cor_5_e(p: int, s: int, d: int, r: int):
     )
     length = (P - r) // d
     rhs = _double_closed(d, r, P)
-    return s + 4, [
-        ("(p^s-r)/d", lambda: _sum_sixth(d, r, length), rhs),
-        ("p^s-1", lambda: _sum_sixth(d, r, P - 1), rhs),
-    ]
+    return s + 4, _Truncations(_sixth_leaf(d, r), (length, P - 1)), rhs  # (p^s-r)/d, p^s-1
 
 
 def _check_cor_5_g(p: int, s: int, d: int, r: int):
@@ -589,10 +683,7 @@ def _check_cor_5_g(p: int, s: int, d: int, r: int):
     length = (P - r) // d
     sign = Fraction(-1) if ((r - P) // d) % 2 else Fraction(1)
     rhs = sign * _inner_double_bare(d, r, length, P, P**3)
-    return s + 4, [
-        ("(p^s-r)/d", lambda: _sum_fifth_alt(d, r, length), rhs),
-        ("p^s-1", lambda: _sum_fifth_alt(d, r, P - 1), rhs),
-    ]
+    return s + 4, _Truncations(_fifth_alt_leaf(d, r), (length, P - 1)), rhs  # (p^s-r)/d, p^s-1
 
 
 def _check_cor_5_h(p: int, s: int, d: int, r: int):
@@ -604,27 +695,23 @@ def _check_cor_5_h(p: int, s: int, d: int, r: int):
     _require((P + r) % d == 0, f"p^s = {P} must be -r mod d = {d}")
     length = (d * P - P - r) // d
     rhs = _double_closed(d, r, (d - 1) * P)
-    return s + 5, [
-        ("(dp^s-p^s-r)/d", lambda: _sum_sixth(d, r, length), rhs),
-        ("p^s-1", lambda: _sum_sixth(d, r, P - 1), rhs),
-    ]
+    # (dp^s-p^s-r)/d, p^s-1
+    return s + 5, _Truncations(_sixth_leaf(d, r), (length, P - 1)), rhs
 
 
 def _check_sun_h2(p: int, s: int):
     _require(p > 3, f"p must exceed 3, got {p}")
-    return 2, [("single", lambda: harmonic(p - 1, 2), Fraction(2 * p, 3) * bernoulli(p - 3))]
+    return 2, lambda: harmonic(p - 1, 2), Fraction(2 * p, 3) * bernoulli(p - 3)
 
 
 def _check_sun_h2half(p: int, s: int):
     _require(p > 3, f"p must exceed 3, got {p}")
-    return 2, [
-        ("single", lambda: harmonic((p - 1) // 2, 2), Fraction(7 * p, 3) * bernoulli(p - 3))
-    ]
+    return 2, lambda: harmonic((p - 1) // 2, 2), Fraction(7 * p, 3) * bernoulli(p - 3)
 
 
 def _check_sun_h3(p: int, s: int):
     _require(p > 5, f"p must exceed 5, got {p}")
-    return 1, [("single", lambda: harmonic(p // 4, 3), Fraction(-9) * bernoulli(p - 3))]
+    return 1, lambda: harmonic(p // 4, 3), Fraction(-9) * bernoulli(p - 3)
 
 
 @dataclass(frozen=True)
@@ -863,27 +950,36 @@ def verify_classical(
     else:
         _require_s1(stmt_id, s)
         _require_odd_prime(p)
-    k, checks = stmt.checker(p, s, *dr)
+    k, lhs, rhs = stmt.checker(p, s, *dr)
+    series = isinstance(lhs, _Truncations)
+    offered = len(lhs.ends) if series else 1
     slots = ("first", "second")
+    indices = range(offered)
     if m_choice is not None:
         if m_choice not in slots:
             raise SideConditionViolated(
                 f"m_choice must be 'first' or 'second', got {m_choice!r}"
             )
         index = slots.index(m_choice)
-        if index >= len(checks):
+        if index >= offered:
             raise SideConditionViolated(
-                f"{stmt_id} offers {len(checks)} truncation(s); no {m_choice!r}"
+                f"{stmt_id} offers {offered} truncation(s); no {m_choice!r}"
             )
-        selected = [(m_choice, checks[index])]
+        indices = [index]
+    if series:
+        pairs = _truncated_sums(lhs.leaf, [lhs.ends[i] for i in indices])
     else:
-        selected = list(zip(slots, checks))
+        pairs = [lhs().as_integer_ratio()]
+    prime = _is_prime(p)
     records = []
-    for slot, (_, lhs, rhs) in selected:
-        if isinstance(rhs, _GammaForm):
-            result = _gamma_congruent(lhs(), rhs, p, k, budget)
+    for index, pair in zip(indices, pairs):
+        slot = slots[index]
+        if not prime:  # odd composite p: see _reduced_verdict
+            result = _reduced_verdict(Fraction(*pair), rhs, p, k, budget)
+        elif isinstance(rhs, _GammaForm):
+            result = _gamma_congruent(pair, rhs, p, k, budget)
         else:
-            result = rational_congruent(lhs(), rhs, p, k)
+            result = rational_congruent(pair, rhs, p, k)
         records.append(
             {
                 "id": stmt_id,

@@ -301,9 +301,12 @@ def test_q_to_one_bridge_sums(d, r):
     # [2dk+r] (q^r; q^d)_k^6 / (q^d; q^d)_k^6 q^((2d-3r)k) -> (2dk+r) ((r/d)_k / k!)^6,
     # and c = -1 makes the alternating fifth power.
     for m in range(5):
-        assert truncated_sum(well_poised_spec(d, r), m).eval_at(1) == padic._sum_sixth(d, r, m)
-        alternating = truncated_sum(well_poised_spec(d, r, c=-1), m).eval_at(1)
-        assert alternating == padic._sum_fifth_alt(d, r, m)
+        sixth, fifth_alt = (
+            Fraction(*padic._truncated_sums(leaf, [m])[0])
+            for leaf in (padic._sixth_leaf(d, r), padic._fifth_alt_leaf(d, r))
+        )
+        assert truncated_sum(well_poised_spec(d, r), m).eval_at(1) == sixth
+        assert truncated_sum(well_poised_spec(d, r, c=-1), m).eval_at(1) == fifth_alt
 
 
 def test_catalog_texts_compile_on_first_use_only(monkeypatch):

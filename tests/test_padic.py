@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcongruence.arith import PadicInt, padic_valuation, residue_of_rational
+from qcongruence.arith import PadicInt, binary_split, padic_valuation, residue_of_rational
 from qcongruence.errors import (
     NotPIntegral,
     PrecisionBudgetExceeded,
@@ -15,15 +15,16 @@ from qcongruence.errors import (
 from qcongruence import padic
 from qcongruence.padic import (
     CLASSICAL_IDS,
+    _CUBIC,
+    _QUARTIC,
     _GammaForm,
     _cubic_correction,
+    _fifth_alt_leaf,
     _gamma_congruent,
     _inner_double,
     _inner_double_bare,
-    _sum_cubic,
-    _sum_fifth_alt,
-    _sum_quartic,
-    _sum_sixth,
+    _sixth_leaf,
+    _truncated_sums,
     bernoulli,
     gamma_p,
     harmonic,
@@ -33,6 +34,11 @@ from qcongruence.padic import (
 )
 
 PRIMES = (5, 7, 11, 13)
+
+
+def _sum(leaf, m):
+    """The series of leaf summed over 0 <= k <= m, as a Fraction."""
+    return Fraction(*_truncated_sums(leaf, [m])[0])
 
 
 def test_bernoulli_small_values():
@@ -139,7 +145,7 @@ def test_rational_congruent_basics():
 def test_quartic_sum_frozen_difference():
     # At p = 5 the half-range quartic sum misses its closed form by
     # exactly -5^6 * 13 / 2^15, comfortably inside the p^5 modulus.
-    lhs = _sum_quartic(2)
+    lhs = _sum(_QUARTIC, 2)
     assert lhs == Fraction(29835, 32768)
     rhs = Fraction(1, 4) * (
         5
@@ -164,7 +170,7 @@ def test_cor_1_4_records():
 
 def test_cor_5_g_frozen_value():
     # d = 4, p = 5, r = 1: both sides reduce to 1015/1024 exactly.
-    assert _sum_fifth_alt(4, 1, 1) == Fraction(1015, 1024)
+    assert _sum(_fifth_alt_leaf(4, 1), 1) == Fraction(1015, 1024)
     records = verify_classical("COR_5_G", 5, d=4, r=1)
     assert all(rec["status"] == "verified" for rec in records)
 
@@ -203,8 +209,7 @@ def test_gamma_statements():
 
 def test_gamma_congruent_negative_control():
     # Flipping the sign of the Gamma-product coefficient must be detected.
-    (_, checks) = CLASSICAL_IDS["PROP_1_7"].checker(13, 1)
-    _, lhs_thunk, form = checks[0]
+    _, lhs_thunk, form = CLASSICAL_IDS["PROP_1_7"].checker(13, 1)
     lhs = lhs_thunk()
     good = _gamma_congruent(lhs, form, 13, 4, 10**7)
     assert good.verified
@@ -291,12 +296,11 @@ def test_bernoulli_recurrence():
 def test_q_to_one_bridge_matches_classical_sum():
     # The truncated q-side cubic sum at n = 4, M = 1 specializes at q = 1
     # to the classical sum of (6k+1) ((1/3)_k / k!)^6.
-    from qcongruence.padic import _sum_cubic
     from qcongruence.qseries import truncated_sum, well_poised_spec
 
     lhs = truncated_sum(well_poised_spec(3, 1), 1)
-    assert lhs.eval_at(1) == _sum_cubic(1)
-    assert _sum_cubic(1) == 1 + 7 * Fraction(1, 3) ** 6
+    assert lhs.eval_at(1) == _sum(_CUBIC, 1)
+    assert _sum(_CUBIC, 1) == 1 + 7 * Fraction(1, 3) ** 6
 
 
 # -- reference oracles: the term-by-term Fraction loops and the plain Gamma_p
@@ -397,12 +401,12 @@ DR_SHAPES = tuple(
 
 def test_single_sums_match_fraction_loops():
     for m in SMALL_LENGTHS + S2_LENGTHS:
-        assert _sum_quartic(m) == _ref_sum_quartic(m), m
-        assert _sum_cubic(m) == _ref_sum_cubic(m), m
+        assert _sum(_QUARTIC, m) == _ref_sum_quartic(m), m
+        assert _sum(_CUBIC, m) == _ref_sum_cubic(m), m
     for d, r in DR_SHAPES:
         for m in SMALL_LENGTHS + ((169 - r) // d, (289 - r) // d):
-            assert _sum_sixth(d, r, m) == _ref_sum_sixth(d, r, m), (d, r, m)
-            assert _sum_fifth_alt(d, r, m) == _ref_sum_fifth_alt(d, r, m), (d, r, m)
+            assert _sum(_sixth_leaf(d, r), m) == _ref_sum_sixth(d, r, m), (d, r, m)
+            assert _sum(_fifth_alt_leaf(d, r), m) == _ref_sum_fifth_alt(d, r, m), (d, r, m)
 
 
 def test_double_sums_match_fraction_loops():
@@ -537,36 +541,152 @@ def test_gamma_p_power_sums():
 
 
 def test_m_choice_sums_only_the_selected_slot(monkeypatch):
-    calls = []
+    # Count the terms each pass evaluates: a selected slot sums only its own
+    # range, and both slots together evaluate each k up to p - 1 exactly once.
+    evaluated = []
 
-    def counting(name):
-        inner = getattr(padic, name)
+    def counting(lo, hi, leaf):
+        return binary_split(lo, hi, lambda k: evaluated.append(k) or leaf(k))
 
-        def wrapper(*args):
-            calls.append(name)
-            return inner(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(padic, "_sum_sixth", counting("_sum_sixth"))
-    monkeypatch.setattr(padic, "_sum_fifth_alt", counting("_sum_fifth_alt"))
-    for stmt, p, d, r, name in (("COR_5_H", 41, 5, -1, "_sum_sixth"), ("COR_5_G", 5, 4, 1, "_sum_fifth_alt")):
-        for m_choice, expected in (("first", 1), ("second", 1), (None, 2)):
-            calls.clear()
+    monkeypatch.setattr(padic, "binary_split", counting)
+    # The first slots end at (5*41 - 41 + 1)/5 = 33 and (5 - 1)/4 = 1.
+    for stmt, p, d, r, first in (("COR_5_H", 41, 5, -1, 33), ("COR_5_G", 5, 4, 1, 1)):
+        for m_choice, end in (("first", first), ("second", p - 1), (None, p - 1)):
+            evaluated.clear()
             verify_classical(stmt, p, d=d, r=r, m_choice=m_choice)
-            assert calls == [name] * expected, (stmt, m_choice)
+            assert sorted(evaluated) == list(range(end + 1)), (stmt, m_choice)
+
+
+# The (d, r) shapes of the benchmark's classical pool, per statement.
+POOL_DR = {
+    "COR_5_E": [(3, r) for r in (1, -1, 2, -2, 4, -4)] + [(4, r) for r in (1, -1, 3, -3)],
+    "COR_5_G": [(3, r) for r in (1, -1, 2, -2, 4, -4)] + [(4, r) for r in (1, -1, 3, -3)],
+    "COR_5_H": [(d, r) for d in (3, 4, 5) for r in (1, -1)],
+}
+
+
+def _points(stmt, moduli, powers):
+    """Every point of stmt at the given p and s (s = 1 only where it takes none)."""
+    for p in moduli:
+        for s in powers if stmt.takes_s else (1,):
+            for dr in POOL_DR[stmt.stmt_id] if stmt.takes_dr else [()]:
+                yield dict(p=p, s=s, **dict(zip("dr", dr)))
 
 
 def test_m_choice_records_match_both_slots():
+    # The desk cases, then s = 2 and the pool's (d, r) shapes at p = 17 and
+    # 19, where one pass differs most from two: COR_5_H's first slot is
+    # (d-1)/d of its second.
     for stmt in padic.classical_statements():
-        for case in stmt.desk_cases:
-            both = verify_classical(stmt.stmt_id, **case)
+        cases = list(stmt.desk_cases)
+        if stmt.takes_s:
+            cases += _points(stmt, (17, 19), (1, 2))
+        for case in cases:
+            try:
+                both = verify_classical(stmt.stmt_id, **case)
+            except SideConditionViolated:
+                continue
             one_by_one = [
                 rec
                 for m_choice in ("first", "second")[: len(both)]
                 for rec in verify_classical(stmt.stmt_id, **case, m_choice=m_choice)
             ]
             assert one_by_one == both, (stmt.stmt_id, case)
+
+
+def _ref_valuation(x, p):
+    x = Fraction(x)
+    if x == 0:
+        return float("inf")
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def _ref_verdict(lhs, rhs, p, k, budget):
+    """The verdict from reduced Fractions: every side, difference and
+    quotient is reduced before its valuation or residue is read."""
+    if _ref_valuation(lhs, p) < 0:
+        raise NotPIntegral(f"{lhs} is not p-integral at p = {p}")
+    if isinstance(rhs, _GammaForm):
+        j = rhs.val_offset
+        needed = k - j
+        if needed > 0:
+            scaled = lhs / p**j
+            if _ref_valuation(scaled, p) < 0:
+                return False, {"valuation": int(_ref_valuation(lhs, p)), "required": k}
+            precision = padic._guarded_precision(p, needed, budget)
+            acc = PadicInt(p, precision, residue_of_rational(rhs.coef, p, precision))
+            for arg, e in rhs.factors:
+                acc = acc * gamma_p(arg, p, precision, budget) ** e
+            rhs_res = acc.truncate(needed).residue
+            lhs_res = residue_of_rational(scaled, p, needed)
+            if lhs_res == rhs_res:
+                return True, {"residue": rhs_res, "precision": needed}
+            return False, {
+                "lhs_residue": lhs_res,
+                "rhs_residue": rhs_res,
+                "modulus": f"{p}^{k}",
+                "valuation_offset": j,
+            }
+        rhs = Fraction(0)
+    if _ref_valuation(rhs, p) < 0:
+        raise NotPIntegral(f"{rhs} is not p-integral at p = {p}")
+    v = _ref_valuation(lhs - rhs, p)
+    if v >= k:
+        return True, {"valuation": None if lhs == rhs else int(v)}
+    return False, {"valuation": int(v), "required": k}
+
+
+def _ref_records(stmt_id, p, s=1, d=None, r=None):
+    """verify_classical's records, each slot summed on its own and reduced."""
+    stmt = CLASSICAL_IDS[stmt_id]
+    dr = (d, r) if stmt.takes_dr else ()
+    k, lhs, rhs = stmt.checker(p, s, *dr)
+    if isinstance(lhs, padic._Truncations):
+        sides = [_sum(lhs.leaf, end) for end in lhs.ends]
+    else:
+        sides = [Fraction(lhs())]
+    params = {"p": p, "s": s, "d": d, "r": r} if dr else {"p": p, "s": s}
+    records = []
+    for slot, side in zip(("first", "second"), sides):
+        verified, witness = _ref_verdict(side, rhs, p, k, padic.DEFAULT_GAMMA_BUDGET)
+        records.append(
+            {
+                "id": stmt_id,
+                "params": params,
+                "modulus": f"{p}^{k}",
+                "m_choice": slot,
+                "status": "verified" if verified else "failed",
+                "witness": witness,
+            }
+        )
+    return records
+
+
+def test_pair_verdicts_match_reduced_fraction_reference():
+    # Every statement at the pool's sizes (primes 17..61 at s = 1, 17 and 23
+    # at s = 2, the pool's (d, r) shapes) and at the odd composite moduli of
+    # its negative controls, where records and errors must agree too.
+    primes = (17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+    composites = (9, 15, 21, 25, 27, 33, 35)
+    compared = 0
+    for stmt in padic.classical_statements():
+        points = [
+            *_points(stmt, primes + composites, (1,)),
+            *_points(stmt, (17, 23, 9, 15), (2,) if stmt.takes_s else ()),
+        ]
+        for point in points:
+            got = _outcome(verify_classical, stmt.stmt_id, *point.values())
+            if got[0] == "SideConditionViolated":
+                continue
+            expected = _outcome(_ref_records, stmt.stmt_id, *point.values())
+            assert got == expected, (stmt.stmt_id, point)
+            compared += 1
+    assert compared > 400
 
 
 def test_cor_5_e_pole_of_denominator_is_skipped():

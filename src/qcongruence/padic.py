@@ -326,8 +326,12 @@ class _GammaForm:
 # NotPIntegral.
 
 # Digits read beyond p^k: the valuation witness comes from them unless the
-# sides agree to all of them.
-_SPARE_DIGITS = 8
+# sides agree to all of them, and only then are the sides cross-multiplied.
+# Any count is exact; it only sets how often that product is built.  On the
+# benchmark's classical cases (seeds 1-10, 6,114 verdicts at prime p) unequal
+# sides agree to at most k + 5 digits, so with six spare digits only the 88
+# equal pairs are cross-multiplied.
+_SPARE_DIGITS = 6
 
 
 def _pair(x) -> tuple[int, int]:
@@ -346,14 +350,16 @@ def _digits(t: int, q: int, p: int, n: int) -> int | None:
 
 
 def rational_congruent(lhs, rhs: BigRat, p: int, k: int) -> CongruenceResult:
-    """Verified iff lhs == rhs modulo p**k, both sides p-integral, p prime.
+    """Verified iff lhs == rhs modulo p**k, both sides p-integral.
 
-    v_p(lhs - rhs) is read from both sides' first k + _SPARE_DIGITS digits;
-    only sides that agree to all of them are cross-multiplied, to tell
-    equality from a valuation that high.
+    At prime p, v_p(lhs - rhs) is read from both sides' first
+    k + _SPARE_DIGITS digits; only sides that agree to all of them are
+    cross-multiplied, to tell equality from a valuation that high.
     """
     t, q = _pair(lhs)
     a, b = _pair(rhs)
+    if not _is_prime(p):
+        return _reduced_verdict(Fraction(t, q), Fraction(a, b), p, k, None)
     n = k + _SPARE_DIGITS
     x, y = _digits(t, q, p, n), _digits(a, b, p, n)
     for num, den, digits in ((t, q, x), (a, b, y)):
@@ -370,12 +376,14 @@ def rational_congruent(lhs, rhs: BigRat, p: int, k: int) -> CongruenceResult:
 
 
 def _gamma_congruent(lhs, form: _GammaForm, p: int, k: int, budget: int) -> CongruenceResult:
-    """Verified iff lhs == p^j * coef * prod Gamma_p(arg)^e modulo p**k, p prime.
+    """Verified iff lhs == p^j * coef * prod Gamma_p(arg)^e modulo p**k.
 
-    lhs is a pair or a rational, as for rational_congruent; its residue
-    p^-j lhs modulo p^(k-j) comes from its first k digits.
+    lhs is a pair or a rational, as for rational_congruent; at prime p its
+    residue p^-j lhs modulo p^(k-j) comes from its first k digits.
     """
     t, q = _pair(lhs)
+    if not _is_prime(p):
+        return _reduced_verdict(Fraction(t, q), form, p, k, budget)
     j = form.val_offset
     needed = k - j
     if needed <= 0:
@@ -411,11 +419,11 @@ def _residue_result(lhs_res: int, rhs_res: int, p: int, k: int, j: int) -> Congr
     )
 
 
-def _reduced_verdict(lhs: Fraction, rhs, p: int, k: int, budget: int) -> CongruenceResult:
+def _reduced_verdict(lhs: Fraction, rhs, p: int, k: int, budget: int | None) -> CongruenceResult:
     """The verdict at an odd composite p, which the side conditions still admit.
 
     There the counts of p in a numerator and a denominator are not additive,
-    so the left side is a reduced Fraction and every difference and quotient
+    so both sides are reduced Fractions and every difference and quotient
     is reduced again before it is counted.  This goes when the side
     conditions refuse composite p.
     """
@@ -970,13 +978,10 @@ def verify_classical(
         pairs = _truncated_sums(lhs.leaf, [lhs.ends[i] for i in indices])
     else:
         pairs = [lhs().as_integer_ratio()]
-    prime = _is_prime(p)
     records = []
     for index, pair in zip(indices, pairs):
         slot = slots[index]
-        if not prime:  # odd composite p: see _reduced_verdict
-            result = _reduced_verdict(Fraction(*pair), rhs, p, k, budget)
-        elif isinstance(rhs, _GammaForm):
+        if isinstance(rhs, _GammaForm):
             result = _gamma_congruent(pair, rhs, p, k, budget)
         else:
             result = rational_congruent(pair, rhs, p, k)

@@ -140,6 +140,11 @@ def test_rational_congruent_basics():
     assert not bad.verified and bad.witness == {"valuation": 0, "required": 1}
     with pytest.raises(NotPIntegral):
         rational_congruent(Fraction(1, 5), 0, 5, 1)
+    # At an odd composite p the sides are reduced before p is counted.
+    assert rational_congruent(Fraction(1, 3), 0, 9, 1).witness == {"valuation": 0, "required": 1}
+    assert rational_congruent((2, 6), Fraction(1, 3) + 27, 9, 1).witness == {"valuation": 1}
+    with pytest.raises(NotPIntegral):
+        rational_congruent(Fraction(1, 9), 0, 9, 1)
 
 
 def test_quartic_sum_frozen_difference():
@@ -573,25 +578,31 @@ def _points(stmt, moduli, powers):
                 yield dict(p=p, s=s, **dict(zip("dr", dr)))
 
 
+def _assert_slots_match(stmt_id, case, both):
+    one_by_one = [
+        rec
+        for m_choice in ("first", "second")[: len(both)]
+        for rec in verify_classical(stmt_id, **case, m_choice=m_choice)
+    ]
+    assert one_by_one == both, (stmt_id, case)
+
+
 def test_m_choice_records_match_both_slots():
     # The desk cases, then s = 2 and the pool's (d, r) shapes at p = 17 and
     # 19, where one pass differs most from two: COR_5_H's first slot is
-    # (d-1)/d of its second.
+    # (d-1)/d of its second.  Only the added points may break a side
+    # condition.
     for stmt in padic.classical_statements():
-        cases = list(stmt.desk_cases)
-        if stmt.takes_s:
-            cases += _points(stmt, (17, 19), (1, 2))
-        for case in cases:
+        for case in stmt.desk_cases:
+            _assert_slots_match(stmt.stmt_id, case, verify_classical(stmt.stmt_id, **case))
+        if not stmt.takes_s:
+            continue
+        for case in _points(stmt, (17, 19), (1, 2)):
             try:
                 both = verify_classical(stmt.stmt_id, **case)
             except SideConditionViolated:
                 continue
-            one_by_one = [
-                rec
-                for m_choice in ("first", "second")[: len(both)]
-                for rec in verify_classical(stmt.stmt_id, **case, m_choice=m_choice)
-            ]
-            assert one_by_one == both, (stmt.stmt_id, case)
+            _assert_slots_match(stmt.stmt_id, case, both)
 
 
 def _ref_valuation(x, p):
@@ -675,10 +686,9 @@ def test_pair_verdicts_match_reduced_fraction_reference():
     composites = (9, 15, 21, 25, 27, 33, 35)
     compared = 0
     for stmt in padic.classical_statements():
-        points = [
-            *_points(stmt, primes + composites, (1,)),
-            *_points(stmt, (17, 23, 9, 15), (2,) if stmt.takes_s else ()),
-        ]
+        points = list(_points(stmt, primes + composites, (1,)))
+        if stmt.takes_s:
+            points += _points(stmt, (17, 23, 9, 15), (2,))
         for point in points:
             got = _outcome(verify_classical, stmt.stmt_id, *point.values())
             if got[0] == "SideConditionViolated":

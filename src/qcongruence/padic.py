@@ -17,20 +17,27 @@ and the product is taken term by term.
 
 The classical (q -> 1) statements are pure rational-number congruences,
 decided exactly (p-adic Gamma products reduced to residues) by the p-adic
-valuation of the difference.  The truncated sums are evaluated over integers
-by arith.binary_split, the kernel that qseries sums its q-series with: a
-statement with two truncation slots sums the shorter range once and merges
-the rest onto it, and each sum stays an unreduced pair (T, Q).  For prime p
-the verdict reads T and Q only modulo p^(v_p(Q) + n), so it takes no gcd.
-The closed forms, harmonic numbers and shifted factorials are product trees
-that come out of a single final Fraction reduction.
+valuation of the difference.  Both sides are unreduced pairs (T, Q) summed
+by arith.binary_split, the kernel that qseries sums its q-series with: the
+truncated sums (a statement with two truncation slots sums the shorter
+range once and merges the rest onto it) and the closed forms, whose shifted
+factorials, harmonic numbers and harmonic tails are binary_split leaves
+combined by pair arithmetic (_Closed).  For prime p the verdict reads T and
+Q only modulo p^(e + n), e = v_p(Q), and n = k + 6 digits, so
+verify_classical builds each side modulo p^M, M = e + n: e is counted
+beforehand by Legendre's formula over the linear factors of Q, and every
+merge reduces modulo p^M.  The digits are read only after the check
+v_p(Q mod p^M) + n <= M, which proves them whatever the count said.  Where
+the residues cannot decide (the check fails, the sides agree to all n
+digits, or NotPIntegral must name a side) the same sides are built again
+exactly.  At odd composite p they are exact and reduced to Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, inf, isqrt, prod
+from math import comb, factorial, gcd, inf, isqrt
 
 from .arith import BigRat, PadicInt, binary_split, padic_valuation, residue_of_rational
 from .congruence import CongruenceResult
@@ -55,7 +62,6 @@ __all__ = [
 
 DEFAULT_GAMMA_BUDGET = 10**7
 
-_HALF = Fraction(1, 2)
 # Gamma_p(1/4)^4 and Gamma_p(1/3)^9, the Gamma_p products of the quartic and
 # cubic statements.
 _GAMMA_QUARTER = ((Fraction(1, 4), 4),)
@@ -68,66 +74,189 @@ def harmonic(m: int, ell: int) -> BigRat:
         raise ValueError(f"harmonic upper index must be nonnegative, got {m}")
     if ell < 1:
         raise ValueError(f"harmonic order must be positive, got {ell}")
-    return Fraction(*_fraction_sum(1, m + 1, lambda k: (1, k**ell)))
+    return Fraction(*_harmonic(m, ell).pair(None))
 
 
 def rising(x: BigRat, k: int) -> BigRat:
     """Shifted factorial (x)_k = x (x+1) ... (x+k-1)."""
     if k < 0:
         raise ValueError(f"shifted-factorial length must be nonnegative, got {k}")
-    x = Fraction(x)
-    a, b = x.numerator, x.denominator
-    return Fraction(_product(0, k, lambda i: a + i * b), b**k)
+    a, b = Fraction(x).as_integer_ratio()
+    return Fraction(*_ratio(a, b, b, 0, k).pair(None))
 
 
-# -- integer kernels for exact sums ----------------------------------------------
+# -- exact sums and closed forms as unreduced pairs ------------------------------
 #
 # A hypergeometric sum  sum_{k<=m} a(k) t_k  with t_0 = 1 and
 # t_{k+1} = t_k p(k) / q(k)  is arith.binary_split over 0 <= k <= m with the
-# leaves (p(k), q(k), a(k) q(k)): the sum is T/Q, reduced once at the end.
+# leaves (p(k), q(k), a(k) q(k)): the sum is the pair (T, Q), never reduced.
+# A product prod f(k) is the P of the leaves (f(k), 1, 0), and a plain sum of
+# n_k/d_k is (T, Q) of the leaves (d_k, d_k, n_k).
+#
+# At prime p a verdict reads a side t/q only modulo p^(e+n), e = v_p(q) (see
+# _digits), so verify_classical builds it modulo p^M, M = e + n: the merges of
+# binary_split and of the pair arithmetic below only add and multiply, so they
+# give the exact t and q reduced modulo p^M.  e is counted before anything is
+# built.  Every denominator here is a product of progressions
+# (c, d, lo, hi, e) = prod_{lo<=k<hi} (c + d k)^e, whose valuation is
+# Legendre's formula on a progression (_progression_valuation).
 
 
-def _product(lo: int, hi: int, f) -> int:
-    """prod f(k) for lo <= k < hi, as a balanced product tree."""
-    if hi - lo <= 8:
-        return prod(f(k) for k in range(lo, hi))
-    mid = (lo + hi) // 2
-    return _product(lo, mid, f) * _product(mid, hi, f)
+def _progression_valuation(c: int, d: int, lo: int, hi: int, p: int) -> int:
+    """v_p(prod_{lo<=k<hi} (c + d k)) for prime p, no factor being 0.
+
+    The count of k in the range with p^i | c + d k, summed over i >= 1.  Once
+    the power of p common to c and d is taken out, either p divides d and no
+    factor has p, or d is a unit and p^i | c + d k exactly when
+    k = -c/d modulo p^i.
+    """
+    if hi <= lo:
+        return 0
+    total = 0
+    while c % p == 0 and d % p == 0:
+        c, d, total = c // p, d // p, total + hi - lo
+    if d % p == 0:
+        return total
+    bound = max(abs(c + d * lo), abs(c + d * (hi - 1)))
+    power = p
+    while power <= bound:
+        root = -c * pow(d, -1, power) % power
+        total += (hi - 1 - root) // power - (lo - 1 - root) // power
+        power *= p
+    return total
 
 
-def _fraction_sum(lo: int, hi: int, f) -> tuple[int, int]:
-    """(num, den) with num/den = sum f(k) for lo <= k < hi; f(k) = (num, den)."""
-    if hi - lo <= 1:
-        return f(lo) if hi > lo else (0, 1)
-    mid = (lo + hi) // 2
-    a, b = _fraction_sum(lo, mid, f)
-    c, d = _fraction_sum(mid, hi, f)
-    return a * d + c * b, b * d
+def _den_valuation(den, p: int) -> int:
+    """v_p of the product of the progressions (c, d, lo, hi, e) in den."""
+    return sum(e * _progression_valuation(c, d, lo, hi, p) for c, d, lo, hi, e in den)
 
 
-def _series_harmonic(lo: int, hi: int, term) -> tuple[int, int, int, int, int, int]:
+def _span(factors, lo: int, hi: int) -> tuple:
+    """The progressions of prod_{lo<=k<hi} of the linear factors (c, d, e)."""
+    return tuple((c, d, lo, hi, e) for c, d, e in factors)
+
+
+def _reduced(a: int, b: int, modulus: int | None) -> tuple[int, int]:
+    return (a, b) if modulus is None else (a % modulus, b % modulus)
+
+
+class _Closed:
+    """A closed form as an unreduced pair (a, b) standing for a/b.
+
+    pair(modulus) builds it, a and b reduced modulo `modulus` when one is
+    given.  den lists the progressions whose product is b, so v_p(b) is
+    counted without building b.  Sums, products and powers of closed forms
+    and rationals are closed forms: b of a sum or a product is b1 b2, so
+    their den is den1 + den2.
+    """
+
+    __slots__ = ("pair", "den")
+
+    def __init__(self, pair, den: tuple):
+        self.pair, self.den = pair, den
+
+    def pairs(self, modulus: int | None) -> list[tuple[int, int]]:
+        return [self.pair(modulus)]
+
+    def __add__(self, other) -> "_Closed":
+        other = _closed(other)
+
+        def pair(modulus):
+            (a, b), (c, d) = self.pair(modulus), other.pair(modulus)
+            return _reduced(a * d + c * b, b * d, modulus)
+
+        return _Closed(pair, self.den + other.den)
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "_Closed":
+        other = _closed(other)
+
+        def pair(modulus):
+            (a, b), (c, d) = self.pair(modulus), other.pair(modulus)
+            return _reduced(a * c, b * d, modulus)
+
+        return _Closed(pair, self.den + other.den)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> "_Closed":
+        def pair(modulus):
+            a, b = self.pair(modulus)
+            return pow(a, e, modulus), pow(b, e, modulus)
+
+        return _Closed(pair, tuple((c, d, lo, hi, f * e) for c, d, lo, hi, f in self.den))
+
+
+def _closed(x) -> _Closed:
+    """x as a closed form; a rational is its reduced pair."""
+    if isinstance(x, _Closed):
+        return x
+    a, b = Fraction(x).as_integer_ratio()
+    return _Closed(lambda modulus: (a, b), ((b, 0, 0, 1, 1),))
+
+
+def _ratio(a: int, b: int, c: int, d: int, length: int) -> _Closed:
+    """prod_{i<length} (a + b i) / (c + d i): P and Q of the leaves (a + b i, c + d i, 0)."""
+
+    def pair(modulus):
+        if length <= 0:
+            return 1, 1
+        p, q, _ = binary_split(0, length, lambda i: (a + b * i, c + d * i, 0), modulus)
+        return p, q
+
+    return _Closed(pair, _span(((c, d, 1),), 0, length))
+
+
+def _fraction_sum(lo: int, hi: int, f, factors) -> _Closed:
+    """sum n_k/d_k over lo <= k < hi for f(k) = (n_k, d_k), with d_k the
+    product of the linear factors (c + d k)^e in factors: T and Q of the
+    leaves (d_k, d_k, n_k)."""
+
+    def leaf(k):
+        n, d = f(k)
+        return d, d, n
+
+    def pair(modulus):
+        if hi <= lo:
+            return 0, 1
+        _, q, t = binary_split(lo, hi, leaf, modulus)
+        return t, q
+
+    return _Closed(pair, _span(factors, lo, hi))
+
+
+def _harmonic(m: int, ell: int) -> _Closed:
+    return _fraction_sum(1, m + 1, lambda k: (1, k**ell), ((0, 1, ell),))
+
+
+def _series_harmonic(lo: int, hi: int, term, modulus: int | None = None):
     """(P, Q, T, G, D, W) over lo <= k < hi, hi > lo, with weight a(k) = 1.
 
     term(k) = (p(k), q(k), u(k), v(k)) with g(k) = u(k)/v(k).  P, Q and T are
     those of binary_split; G/D = sum g(k) over the range; and W/(Q D) is the
     weighted tail sum_k h(k) prod_{lo<=j<k} p(j)/q(j) with
     h(k) = sum_{lo<=j<=k} g(j).  Two adjacent ranges merge by
-    W = W1 Q2 D2 + P1 (G1 T2 D2 + W2 D1).
+    W = W1 Q2 D2 + P1 (G1 T2 D2 + W2 D1), reduced modulo `modulus` when one is
+    given, as in binary_split.
+
+    This is the one recursion beside binary_split.  W needs the running sum
+    G/D at every merge, which binary_split's entries carry only as objects:
+    P a 2x2 matrix acting on (t_k, t_k h_k) and T a vector.  Folded that way,
+    the merges' method calls made COR_5_E's right side at p = 37, s = 2,
+    d = 3 take 4.4 ms instead of 2.5 ms modulo p^M.
     """
     if hi - lo == 1:
         p, q, u, v = term(lo)
         return p, q, q, u, v, q * u
     mid = (lo + hi) // 2
-    p1, q1, t1, g1, d1, w1 = _series_harmonic(lo, mid, term)
-    p2, q2, t2, g2, d2, w2 = _series_harmonic(mid, hi, term)
-    return (
-        p1 * p2,
-        q1 * q2,
-        t1 * q2 + p1 * t2,
-        g1 * d2 + g2 * d1,
-        d1 * d2,
-        w1 * q2 * d2 + p1 * (g1 * t2 * d2 + w2 * d1),
-    )
+    p1, q1, t1, g1, d1, w1 = _series_harmonic(lo, mid, term, modulus)
+    p2, q2, t2, g2, d2, w2 = _series_harmonic(mid, hi, term, modulus)
+    p, q, t = p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    g, d, w = g1 * d2 + g2 * d1, d1 * d2, w1 * q2 * d2 + p1 * (g1 * t2 * d2 + w2 * d1)
+    if modulus is None:
+        return p, q, t, g, d, w
+    return p % modulus, q % modulus, t % modulus, g % modulus, d % modulus, w % modulus
 
 
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
@@ -318,34 +447,64 @@ class _GammaForm:
     factors: tuple[tuple[Fraction, int], ...]
 
 
-# The verdicts below take the left side as an unreduced pair (T, Q) standing
-# for T/Q, as the truncated sums return it, or as a rational.  For prime p
-# they read only remainders: with e = v_p(Q), T/Q = (T/p^e) / (Q/p^e) and
-# Q/p^e is a unit, so the first n digits of T/Q come from T and Q modulo
-# p^(e+n).  No gcd is taken; a Fraction is built only to name a side in
-# NotPIntegral.
+# The verdicts below take each side as a rational, as an unreduced pair
+# (t, q) standing for t/q, or, from verify_classical at prime p, as
+# _Residues: t and q known only modulo p^M.  For prime p they read only
+# remainders (_digits), so they take no gcd; a Fraction is built only to
+# name a side in NotPIntegral.
 
 # Digits read beyond p^k: the valuation witness comes from them unless the
-# sides agree to all of them, and only then are the sides cross-multiplied.
-# Any count is exact; it only sets how often that product is built.  On the
-# benchmark's classical cases (seeds 1-10, 6,114 verdicts at prime p) unequal
-# sides agree to at most k + 5 digits, so with six spare digits only the 88
-# equal pairs are cross-multiplied.
+# sides agree to all of them, and only then are the exact sides built and
+# cross-multiplied.  Any count is exact; it only sets how often that happens.
+# On the benchmark's classical cases (seeds 1-10, 6,114 verdicts at prime p)
+# unequal sides agree to at most k + 5 digits, so with six spare digits only
+# the 88 equal pairs are cross-multiplied: 88 of the 3,730 calls at prime p
+# build their sides again exactly.
 _SPARE_DIGITS = 6
+
+
+class _Residues:
+    """An unreduced pair (t, q) known only modulo p^exponent."""
+
+    __slots__ = ("t", "q", "exponent")
+
+    def __init__(self, t: int, q: int, exponent: int):
+        self.t, self.q, self.exponent = t, q, exponent
+
+
+class _Inexact(Exception):
+    """_Residues cannot decide this verdict: verify_classical reruns it on
+    the exact sides."""
 
 
 def _pair(x) -> tuple[int, int]:
     """x as (numerator, denominator): a pair as it is, a rational reduced."""
+    if isinstance(x, _Residues):
+        return x.t, x.q
     return x if isinstance(x, tuple) else Fraction(x).as_integer_ratio()
 
 
-def _digits(t: int, q: int, p: int, n: int) -> int | None:
-    """t/q modulo p^n for prime p, or None when t/q is not p-integral."""
-    unit = p ** padic_valuation(q, p)
-    modulus = p**n
+def _digits(side, p: int, n: int) -> int:
+    """side modulo p^n for prime p; NotPIntegral when it is not p-integral.
+
+    With e = v_p(q), t/q = (t/p^e) / (q/p^e) and q/p^e is a unit, so the
+    first n digits of t/q come from t and q modulo p^(e+n).  A _Residues
+    side is read only after the check v_p(q mod p^M) + n <= M: a valuation
+    below M is that of the exact q, and p^(e+n) divides p^M, so the digits
+    are exact whatever count chose M.  Where the check fails, or where
+    NotPIntegral would have to name the exact value, _Inexact is raised.
+    """
+    t, q = _pair(side)
+    e = padic_valuation(q, p)
+    residues = isinstance(side, _Residues)
+    if residues and e + n > side.exponent:
+        raise _Inexact
+    unit, modulus = p**e, p**n
     rest = t % (unit * modulus)
     if rest % unit:
-        return None
+        if residues:
+            raise _Inexact
+        raise NotPIntegral(f"{Fraction(t, q)} is not p-integral at p = {p}")
     return rest // unit * pow(q % (unit * modulus) // unit, -1, modulus) % modulus
 
 
@@ -356,19 +515,16 @@ def rational_congruent(lhs, rhs: BigRat, p: int, k: int) -> CongruenceResult:
     k + _SPARE_DIGITS digits; only sides that agree to all of them are
     cross-multiplied, to tell equality from a valuation that high.
     """
-    t, q = _pair(lhs)
-    a, b = _pair(rhs)
     if not _is_prime(p):
-        return _reduced_verdict(Fraction(t, q), Fraction(a, b), p, k, None)
+        return _reduced_verdict(Fraction(*_pair(lhs)), Fraction(*_pair(rhs)), p, k, None)
     n = k + _SPARE_DIGITS
-    x, y = _digits(t, q, p, n), _digits(a, b, p, n)
-    for num, den, digits in ((t, q, x), (a, b, y)):
-        if digits is None:
-            raise NotPIntegral(f"{Fraction(num, den)} is not p-integral at p = {p}")
-    gap = (x - y) % p**n
+    gap = (_digits(lhs, p, n) - _digits(rhs, p, n)) % p**n
     if gap:
         v = padic_valuation(gap, p)
+    elif isinstance(lhs, _Residues) or isinstance(rhs, _Residues):
+        raise _Inexact
     else:
+        (t, q), (a, b) = _pair(lhs), _pair(rhs)
         v = padic_valuation(t * b - a * q, p) - padic_valuation(q * b, p)
     if v >= k:
         return CongruenceResult(True, {"valuation": None if v == inf else int(v)})
@@ -378,19 +534,16 @@ def rational_congruent(lhs, rhs: BigRat, p: int, k: int) -> CongruenceResult:
 def _gamma_congruent(lhs, form: _GammaForm, p: int, k: int, budget: int) -> CongruenceResult:
     """Verified iff lhs == p^j * coef * prod Gamma_p(arg)^e modulo p**k.
 
-    lhs is a pair or a rational, as for rational_congruent; at prime p its
-    residue p^-j lhs modulo p^(k-j) comes from its first k digits.
+    lhs is taken as by rational_congruent; at prime p its residue p^-j lhs
+    modulo p^(k-j) comes from its first k digits.
     """
-    t, q = _pair(lhs)
     if not _is_prime(p):
-        return _reduced_verdict(Fraction(t, q), form, p, k, budget)
+        return _reduced_verdict(Fraction(*_pair(lhs)), form, p, k, budget)
     j = form.val_offset
     needed = k - j
     if needed <= 0:
-        return rational_congruent((t, q), Fraction(0), p, k)
-    x = _digits(t, q, p, k)
-    if x is None:
-        raise NotPIntegral(f"{Fraction(t, q)} is not p-integral at p = {p}")
+        return rational_congruent(lhs, Fraction(0), p, k)
+    x = _digits(lhs, p, k)
     if x % p**j:  # v_p(lhs) < j
         return CongruenceResult(False, {"valuation": padic_valuation(x, p), "required": k})
     return _residue_result(x // p**j, _gamma_residue(form, p, needed, budget), p, k, j)
@@ -450,66 +603,86 @@ def _reduced_verdict(lhs: Fraction, rhs, p: int, k: int, budget: int | None) -> 
 # -- truncated classical sums --------------------------------------------------
 
 
-def _sixth_leaf(d: int, r: int):
-    """binary_split leaf of sum_k (2dk+r) ((r/d)_k / k!)^6."""
+class _Series:
+    """A hypergeometric series by its binary_split leaf (p(k), q(k), a(k) q(k)),
+    with q(k) the product of the linear factors (c + d k)^e in factors."""
+
+    __slots__ = ("leaf", "factors")
+
+    def __init__(self, leaf, factors: tuple):
+        self.leaf, self.factors = leaf, factors
+
+
+def _sixth_series(d: int, r: int) -> _Series:
+    """sum_k (2dk+r) ((r/d)_k / k!)^6."""
 
     def leaf(k):
         q = (d * k + d) ** 6
         return (r + d * k) ** 6, q, (2 * d * k + r) * q
 
-    return leaf
+    return _Series(leaf, ((d, d, 6),))
 
 
-def _fifth_alt_leaf(d: int, r: int):
-    """binary_split leaf of sum_k (-1)^k (2dk+r) ((r/d)_k / k!)^5."""
+def _fifth_alt_series(d: int, r: int) -> _Series:
+    """sum_k (-1)^k (2dk+r) ((r/d)_k / k!)^5."""
 
     def leaf(k):
         q = (d * k + d) ** 5
         return -((r + d * k) ** 5), q, (2 * d * k + r) * q
 
-    return leaf
+    return _Series(leaf, ((d, d, 5),))
 
 
 # sum_k (-1)^k (4k+1) ((1/2)_k / k!)^5 and sum_k (6k+1) ((1/3)_k / k!)^6.
-_QUARTIC = _fifth_alt_leaf(2, 1)
-_CUBIC = _sixth_leaf(3, 1)
+_QUARTIC = _fifth_alt_series(2, 1)
+_CUBIC = _sixth_series(3, 1)
 
 
-@dataclass(frozen=True)
 class _Truncations:
     """A series truncated after k = m for each m in ends, one per slot.
 
-    leaf is a binary_split leaf; ends do not decrease, so the first slot's
-    sum is a prefix of the second's.
+    ends do not decrease, so the first slot's sum is a prefix of the
+    second's, and den, the progressions of the last slot's Q, counts the
+    valuation of every slot's Q or more.
     """
 
-    leaf: object
-    ends: tuple[int, ...]
+    __slots__ = ("series", "ends")
+
+    def __init__(self, series: _Series, ends: tuple[int, ...]):
+        self.series, self.ends = series, ends
+
+    @property
+    def den(self) -> tuple:
+        return _span(self.series.factors, 0, self.ends[-1] + 1)
+
+    def pairs(self, modulus: int | None) -> list[tuple[int, int]]:
+        return _truncated_sums(self.series, self.ends, modulus)
 
 
-def _truncated_sums(leaf, ends) -> list[tuple[int, int]]:
-    """[(T, Q)] with T/Q = sum_{0<=k<=m} of leaf's series, one pair per m.
+def _truncated_sums(series: _Series, ends, modulus: int | None = None) -> list[tuple[int, int]]:
+    """[(T, Q)] with T/Q = sum_{0<=k<=m} of the series, one pair per m.
 
     ends holds one end or two that do not decrease.  binary_split sums the
     range up to the first end, then the rest, and the two merge once
     without the whole range's P, so each k is evaluated once.  The pairs
-    are not reduced.
+    are not reduced, or are reduced modulo `modulus` when one is given.
     """
     first, *rest = ends
-    p, q, t = binary_split(0, first + 1, leaf)
+    p, q, t = binary_split(0, first + 1, series.leaf, modulus)
     pairs = [(t, q)]
     if rest:
         (second,) = rest
         if second > first:
-            _, q2, t2 = binary_split(first + 1, second + 1, leaf)
-            t, q = t * q2 + p * t2, q * q2
+            _, q2, t2 = binary_split(first + 1, second + 1, series.leaf, modulus)
+            t, q = _reduced(t * q2 + p * t2, q * q2, modulus)
         pairs.append((t, q))
     return pairs
 
 
-def _harmonic_tail_sum(d: int, r: int, length: int, scale: int, cube: int, term) -> Fraction:
+def _harmonic_tail_sum(d: int, r: int, length: int, scale: int, cube: int, term, factors) -> _Closed:
     """sum_{k<=length} t_k (scale - cube * h_k), with t_0 = 1 and
-    t_{k+1} / t_k = p(k) / q(k) for term(k) = (p(k), q(k)), and
+    t_{k+1} / t_k = p(k) / q(k) for term(k) = (p(k), q(k)), q(k) the product
+    of the linear factors in factors, and
     h_k = sum_{1<=j<=k} (1/(dj)^2 + 1/(dj-d+r)^2).
     """
 
@@ -520,11 +693,15 @@ def _harmonic_tail_sum(d: int, r: int, length: int, scale: int, cube: int, term)
         a, b = (d * k) ** 2, (d * k - d + r) ** 2
         return p, q, a + b, a * b
 
-    _, q, t, _, den, w = _series_harmonic(0, length + 1, with_g)
-    return Fraction(scale * t * den - cube * w, q * den)
+    def pair(modulus):
+        _, q, t, _, den, w = _series_harmonic(0, length + 1, with_g, modulus)
+        return _reduced(scale * t * den - cube * w, q * den, modulus)
+
+    h_factors = ((0, d, 2), (r - d, d, 2))
+    return _Closed(pair, _span(factors, 0, length + 1) + _span(h_factors, 1, length + 1))
 
 
-def _inner_double(d: int, r: int, length: int, scale: int, cube: int) -> Fraction:
+def _inner_double(d: int, r: int, length: int, scale: int, cube: int) -> _Closed:
     """sum_{k<=length} (r/d)_k^3 (1-r/d)_k / (k!^3 (2r/d)_k) {scale - cube * h_k}
 
     with h_k = sum_{j<=k} (1/(dj)^2 + 1/(dj-d+r)^2), the q -> 1 image of the
@@ -533,14 +710,16 @@ def _inner_double(d: int, r: int, length: int, scale: int, cube: int) -> Fractio
     return _harmonic_tail_sum(
         d, r, length, scale, cube,
         lambda k: ((r + d * k) ** 3 * (d - r + d * k), (d * k + d) ** 3 * (2 * r + d * k)),
+        ((d, d, 3), (2 * r, d, 1)),
     )
 
 
-def _inner_double_bare(d: int, r: int, length: int, scale: int, cube: int) -> Fraction:
+def _inner_double_bare(d: int, r: int, length: int, scale: int, cube: int) -> _Closed:
     """Like _inner_double but with term (r/d)_k^2 (1-r/d)_k / k!^3."""
     return _harmonic_tail_sum(
         d, r, length, scale, cube,
         lambda k: ((r + d * k) ** 2 * (d - r + d * k), (d * k + d) ** 3),
+        ((d, d, 3),),
     )
 
 
@@ -551,10 +730,10 @@ def _inner_double_bare(d: int, r: int, length: int, scale: int, cube: int) -> Fr
 # left, then returns
 #   (modulus exponent k, lhs, rhs)
 # where lhs is either _Truncations, one truncated series with an end per
-# m_choice slot, of which verify_classical sums only the selected slots, or a
-# thunk returning the single slot's left side as a Fraction; rhs is a
-# Fraction (pure rational congruence) or a _GammaForm.  Each comment names
-# the slots' ends.
+# m_choice slot, of which verify_classical sums only the selected slots, or
+# the single slot's left side as a _Closed; rhs is a _Closed or a Fraction
+# (pure rational congruence) or a _GammaForm.  Nothing is summed before
+# verify_classical picks the modulus.  Each comment names the slots' ends.
 
 
 def _require(cond: bool, message: str):
@@ -570,40 +749,41 @@ def _require_s1(stmt_id: str, s: int):
     _require(s == 1, f"{stmt_id} is a single-power statement; s must be 1, got {s}")
 
 
-def _cubic_correction(n: int) -> Fraction:
+# The closed forms below write each quotient of shifted factorials
+# (a/b)_m / (c/d)_m with b = d as the _ratio prod (a + b i) / (c + b i).
+
+
+def _cubic_correction(n: int) -> _Closed:
     """sum_{j<=n} (1/(3j-1)^2 - 1/(3j)^2), each term (6j-1) / (3j (3j-1))^2."""
-    return Fraction(*_fraction_sum(1, n + 1, lambda j: (6 * j - 1, (3 * j * (3 * j - 1)) ** 2)))
+    return _fraction_sum(
+        1, n + 1, lambda j: (6 * j - 1, (3 * j * (3 * j - 1)) ** 2), ((0, 3, 2), (-1, 3, 2))
+    )
 
 
-def _quartic_closed(P: int) -> Fraction:
+def _quartic_closed(P: int) -> _Closed:
     """PROP_1_7's left side at p = P; COR_1_4's right side is P or P^2 times it."""
     if P % 4 == 1:
         quarter = (P - 1) // 4
-        return (rising(_HALF, quarter) / rising(Fraction(1), quarter)) ** 2 * (
+        return _ratio(1, 2, 2, 2, quarter) ** 2 * (  # (1/2)_m / (1)_m
             1
-            + Fraction(P**2, 4) * harmonic((P - 1) // 2, 2)
-            - Fraction(P**2, 8) * harmonic(quarter, 2)
+            + Fraction(P**2, 4) * _harmonic((P - 1) // 2, 2)
+            + Fraction(-(P**2), 8) * _harmonic(quarter, 2)
         )
-    half = (P - 1) // 2
-    return rising(Fraction(3, 4), half) / rising(Fraction(5, 4), half)
+    return _ratio(3, 4, 5, 4, (P - 1) // 2)  # (3/4)_m / (5/4)_m
 
 
-def _cubic_closed(P: int) -> Fraction:
+def _cubic_closed(P: int) -> _Closed:
     """PROP_1_8's left side at p = P; COR_1_5's and COR_1_6's are P and 10P times it."""
     if P % 3 == 1:
         third = (P - 1) // 3
-        return (rising(Fraction(2, 3), third) / rising(Fraction(1), third)) ** 3 * (
-            1 + P**2 * _cubic_correction(third)
-        )
-    length = (2 * P - 1) // 3
-    return (rising(Fraction(2, 3), length) / rising(Fraction(1), length)) ** 3
+        return _ratio(2, 3, 3, 3, third) ** 3 * (1 + P**2 * _cubic_correction(third))
+    return _ratio(2, 3, 3, 3, (2 * P - 1) // 3) ** 3  # (2/3)_m / (1)_m
 
 
-def _double_closed(d: int, r: int, N: int) -> Fraction:
+def _double_closed(d: int, r: int, N: int) -> _Closed:
     """COR_5_E's right side at N = p^s, and COR_5_H's at N = (d-1) p^s."""
     length = (N - r) // d
-    pref = rising(Fraction(2 * r, d), length) / rising(Fraction(1), length)
-    return pref * _inner_double(d, r, length, N, N**3)
+    return _ratio(2 * r, d, d, d, length) * _inner_double(d, r, length, N, N**3)
 
 
 def _check_cor_1_4(p: int, s: int):
@@ -631,13 +811,13 @@ def _check_cor_1_6(p: int, s: int):
 def _check_prop_1_7(p: int, s: int):
     _require(p > 5, f"p must exceed 5, got {p}")
     k, j, coef = (4, 0, Fraction(-1)) if p % 4 == 1 else (3, 1, Fraction(-1, 16))
-    return k, lambda: _quartic_closed(p), _GammaForm(j, coef, _GAMMA_QUARTER)
+    return k, _quartic_closed(p), _GammaForm(j, coef, _GAMMA_QUARTER)
 
 
 def _check_prop_1_8(p: int, s: int):
     _require(p != 3, "p = 3 makes 1/3 non-integral")
     k, j, coef = (4, 0, Fraction(-1)) if p % 6 == 1 else (5, 3, Fraction(-1, 27))
-    return k, lambda: _cubic_closed(p), _GammaForm(j, coef, _GAMMA_THIRD)
+    return k, _cubic_closed(p), _GammaForm(j, coef, _GAMMA_THIRD)
 
 
 def _check_vh_a2(p: int, s: int):
@@ -682,16 +862,16 @@ def _check_cor_5_e(p: int, s: int, d: int, r: int):
     )
     length = (P - r) // d
     rhs = _double_closed(d, r, P)
-    return s + 4, _Truncations(_sixth_leaf(d, r), (length, P - 1)), rhs  # (p^s-r)/d, p^s-1
+    return s + 4, _Truncations(_sixth_series(d, r), (length, P - 1)), rhs  # (p^s-r)/d, p^s-1
 
 
 def _check_cor_5_g(p: int, s: int, d: int, r: int):
     P = p**s
     _require_window(P, d, r)
     length = (P - r) // d
-    sign = Fraction(-1) if ((r - P) // d) % 2 else Fraction(1)
+    sign = -1 if ((r - P) // d) % 2 else 1
     rhs = sign * _inner_double_bare(d, r, length, P, P**3)
-    return s + 4, _Truncations(_fifth_alt_leaf(d, r), (length, P - 1)), rhs  # (p^s-r)/d, p^s-1
+    return s + 4, _Truncations(_fifth_alt_series(d, r), (length, P - 1)), rhs  # (p^s-r)/d, p^s-1
 
 
 def _check_cor_5_h(p: int, s: int, d: int, r: int):
@@ -704,22 +884,22 @@ def _check_cor_5_h(p: int, s: int, d: int, r: int):
     length = (d * P - P - r) // d
     rhs = _double_closed(d, r, (d - 1) * P)
     # (dp^s-p^s-r)/d, p^s-1
-    return s + 5, _Truncations(_sixth_leaf(d, r), (length, P - 1)), rhs
+    return s + 5, _Truncations(_sixth_series(d, r), (length, P - 1)), rhs
 
 
 def _check_sun_h2(p: int, s: int):
     _require(p > 3, f"p must exceed 3, got {p}")
-    return 2, lambda: harmonic(p - 1, 2), Fraction(2 * p, 3) * bernoulli(p - 3)
+    return 2, _harmonic(p - 1, 2), Fraction(2 * p, 3) * bernoulli(p - 3)
 
 
 def _check_sun_h2half(p: int, s: int):
     _require(p > 3, f"p must exceed 3, got {p}")
-    return 2, lambda: harmonic((p - 1) // 2, 2), Fraction(7 * p, 3) * bernoulli(p - 3)
+    return 2, _harmonic((p - 1) // 2, 2), Fraction(7 * p, 3) * bernoulli(p - 3)
 
 
 def _check_sun_h3(p: int, s: int):
     _require(p > 5, f"p must exceed 5, got {p}")
-    return 1, lambda: harmonic(p // 4, 3), Fraction(-9) * bernoulli(p - 3)
+    return 1, _harmonic(p // 4, 3), Fraction(-9) * bernoulli(p - 3)
 
 
 @dataclass(frozen=True)
@@ -975,24 +1155,41 @@ def verify_classical(
             )
         indices = [index]
     if series:
-        pairs = _truncated_sums(lhs.leaf, [lhs.ends[i] for i in indices])
-    else:
-        pairs = [lhs().as_integer_ratio()]
-    records = []
-    for index, pair in zip(indices, pairs):
-        slot = slots[index]
-        if isinstance(rhs, _GammaForm):
-            result = _gamma_congruent(pair, rhs, p, k, budget)
-        else:
-            result = rational_congruent(pair, rhs, p, k)
-        records.append(
-            {
-                "id": stmt_id,
-                "params": params,
-                "modulus": f"{p}^{k}",
-                "m_choice": slot,
-                "status": "verified" if result.verified else "failed",
-                "witness": result.witness,
-            }
-        )
-    return records
+        lhs = _Truncations(lhs.series, tuple(lhs.ends[i] for i in indices))
+    try:
+        results = _verdicts(lhs, rhs, p, k, budget, k + _SPARE_DIGITS if _is_prime(p) else None)
+    except _Inexact:
+        results = _verdicts(lhs, rhs, p, k, budget, None)
+    return [
+        {
+            "id": stmt_id,
+            "params": params,
+            "modulus": f"{p}^{k}",
+            "m_choice": slots[index],
+            "status": "verified" if result.verified else "failed",
+            "witness": result.witness,
+        }
+        for index, result in zip(indices, results)
+    ]
+
+
+def _verdicts(lhs, rhs, p: int, k: int, budget: int, digits: int | None) -> list[CongruenceResult]:
+    """One verdict per left side of lhs (_Truncations or _Closed) against rhs.
+
+    With digits = n, at prime p, this is the one place that picks a modulus:
+    each side is built modulo p^M, M = e + n with e the valuation of its
+    denominator counted from den, and decided as _Residues, which raise
+    _Inexact where they cannot decide.  With None the sides are exact.
+    """
+
+    def build(side):
+        if digits is None:
+            return side.pairs(None)
+        exponent = _den_valuation(side.den, p) + digits
+        return [_Residues(t, q, exponent) for t, q in side.pairs(p**exponent)]
+
+    if isinstance(rhs, _Closed):
+        (rhs,) = build(rhs)
+    if isinstance(rhs, _GammaForm):
+        return [_gamma_congruent(side, rhs, p, k, budget) for side in build(lhs)]
+    return [rational_congruent(side, rhs, p, k) for side in build(lhs)]

@@ -293,7 +293,7 @@ _BRIDGE = (
     ids=[f"{case[0]}-{case[2]}" for case in _BRIDGE],
 )
 def test_q_to_one_bridge_right_sides(text, env, closed):
-    assert eval_expr(parse_expr(text), env).eval_at(1) == closed()
+    assert eval_expr(parse_expr(text), env).eval_at(1) == Fraction(*closed().pair(None))
 
 
 @pytest.mark.parametrize("d, r", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2)])
@@ -302,8 +302,8 @@ def test_q_to_one_bridge_sums(d, r):
     # and c = -1 makes the alternating fifth power.
     for m in range(5):
         sixth, fifth_alt = (
-            Fraction(*padic._truncated_sums(leaf, [m])[0])
-            for leaf in (padic._sixth_leaf(d, r), padic._fifth_alt_leaf(d, r))
+            Fraction(*padic._truncated_sums(series, [m])[0])
+            for series in (padic._sixth_series(d, r), padic._fifth_alt_series(d, r))
         )
         assert truncated_sum(well_poised_spec(d, r), m).eval_at(1) == sixth
         assert truncated_sum(well_poised_spec(d, r, c=-1), m).eval_at(1) == fifth_alt

@@ -46,15 +46,32 @@ CASES = [
         ["verify", "--id", "NW_B,THM_D,THM_3_2", "--seed", "26", "--trials", "2"],
         0,
     ),
+    # The two-slot classical statements at s = 2 and primes 17..41, the pool's
+    # (d, r) shapes included: two runs, whose reports follow each other in the
+    # file.  Written before the verdicts at prime p read sides built modulo
+    # a power of p.
+    (
+        "golden_padic_s2.jsonl",
+        (
+            ["padic", "--id", "COR_5_E,COR_5_G,COR_5_H", "--p", "17,19,23,29,31", "--s", "2",
+             "--d", "3,4,5", "--r", "1,-1,2,-2"],
+            ["padic", "--id", "COR_1_4,COR_1_5,COR_1_6", "--p", "17,19,23,29,31,37,41", "--s", "2"],
+        ),
+        0,
+    ),
 ]
 
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
 def test_golden_report(tmp_path, capsys, name, argv, code):
-    out = tmp_path / name
-    assert main(argv + ["--jobs", "1", "--out", str(out)]) == code
+    # argv is one command, or a tuple of commands whose reports are concatenated.
+    got = b""
+    for i, run in enumerate(argv if isinstance(argv, tuple) else (argv,)):
+        out = tmp_path / f"{i}-{name}"
+        assert main(run + ["--jobs", "1", "--out", str(out)]) == code
+        got += out.read_bytes()
     capsys.readouterr()
-    assert out.read_bytes() == (DATA / name).read_bytes()
+    assert got == (DATA / name).read_bytes()
 
 
 _IDENTITY_IDS = ("QCHU", "WHIPPLE_SPEC", "JACKSON_SPEC", "WATSON_SPEC")

@@ -19,11 +19,11 @@ from qcongruence.padic import (
     _QUARTIC,
     _GammaForm,
     _cubic_correction,
-    _fifth_alt_leaf,
+    _fifth_alt_series,
     _gamma_congruent,
     _inner_double,
     _inner_double_bare,
-    _sixth_leaf,
+    _sixth_series,
     _truncated_sums,
     bernoulli,
     gamma_p,
@@ -36,9 +36,14 @@ from qcongruence.padic import (
 PRIMES = (5, 7, 11, 13)
 
 
-def _sum(leaf, m):
-    """The series of leaf summed over 0 <= k <= m, as a Fraction."""
-    return Fraction(*_truncated_sums(leaf, [m])[0])
+def _sum(series, m):
+    """The series summed over 0 <= k <= m, as a Fraction."""
+    return Fraction(*_truncated_sums(series, [m])[0])
+
+
+def _value(closed):
+    """A closed form's exact value."""
+    return Fraction(*closed.pair(None))
 
 
 def test_bernoulli_small_values():
@@ -175,7 +180,7 @@ def test_cor_1_4_records():
 
 def test_cor_5_g_frozen_value():
     # d = 4, p = 5, r = 1: both sides reduce to 1015/1024 exactly.
-    assert _sum(_fifth_alt_leaf(4, 1), 1) == Fraction(1015, 1024)
+    assert _sum(_fifth_alt_series(4, 1), 1) == Fraction(1015, 1024)
     records = verify_classical("COR_5_G", 5, d=4, r=1)
     assert all(rec["status"] == "verified" for rec in records)
 
@@ -214,8 +219,8 @@ def test_gamma_statements():
 
 def test_gamma_congruent_negative_control():
     # Flipping the sign of the Gamma-product coefficient must be detected.
-    _, lhs_thunk, form = CLASSICAL_IDS["PROP_1_7"].checker(13, 1)
-    lhs = lhs_thunk()
+    _, closed, form = CLASSICAL_IDS["PROP_1_7"].checker(13, 1)
+    lhs = _value(closed)
     good = _gamma_congruent(lhs, form, 13, 4, 10**7)
     assert good.verified
     bad = _gamma_congruent(lhs, _GammaForm(0, Fraction(1), form.factors), 13, 4, 10**7)
@@ -410,8 +415,8 @@ def test_single_sums_match_fraction_loops():
         assert _sum(_CUBIC, m) == _ref_sum_cubic(m), m
     for d, r in DR_SHAPES:
         for m in SMALL_LENGTHS + ((169 - r) // d, (289 - r) // d):
-            assert _sum(_sixth_leaf(d, r), m) == _ref_sum_sixth(d, r, m), (d, r, m)
-            assert _sum(_fifth_alt_leaf(d, r), m) == _ref_sum_fifth_alt(d, r, m), (d, r, m)
+            assert _sum(_sixth_series(d, r), m) == _ref_sum_sixth(d, r, m), (d, r, m)
+            assert _sum(_fifth_alt_series(d, r), m) == _ref_sum_fifth_alt(d, r, m), (d, r, m)
 
 
 def test_double_sums_match_fraction_loops():
@@ -423,9 +428,9 @@ def test_double_sums_match_fraction_loops():
             scales = ((P, P**3), ((d - 1) * P, (d - 1) ** 3 * P**3))
             for m in lengths:
                 for scale, cube in scales:
-                    got = _inner_double(d, r, m, scale, cube)
+                    got = _value(_inner_double(d, r, m, scale, cube))
                     assert got == _ref_inner_double(d, r, m, scale, cube), (d, r, m)
-                    got = _inner_double_bare(d, r, m, scale, cube)
+                    got = _value(_inner_double_bare(d, r, m, scale, cube))
                     assert got == _ref_inner_double(d, r, m, scale, cube, bare=True), (d, r, m)
 
 
@@ -440,7 +445,7 @@ def test_harmonic_rising_and_correction_match_fraction_loops():
             (Fraction(1, (3 * j - 1) ** 2) - Fraction(1, (3 * j) ** 2) for j in range(1, m + 1)),
             Fraction(0),
         )
-        assert _cubic_correction(m) == expected, m
+        assert _value(_cubic_correction(m)) == expected, m
 
 
 def test_gamma_p_matches_plain_loop_at_every_residue():
@@ -548,18 +553,25 @@ def test_gamma_p_power_sums():
 def test_m_choice_sums_only_the_selected_slot(monkeypatch):
     # Count the terms each pass evaluates: a selected slot sums only its own
     # range, and both slots together evaluate each k up to p - 1 exactly once.
-    evaluated = []
+    # A pass is keyed by its modulus: COR_5_G's sides are equal at p = 5, so
+    # its pass modulo p^M hands over to the exact one, which sums again.
+    passes = {}
 
-    def counting(lo, hi, leaf):
-        return binary_split(lo, hi, lambda k: evaluated.append(k) or leaf(k))
+    def counting(lo, hi, leaf, modulus=None):
+        if not leaf.__qualname__.startswith(("_sixth_series", "_fifth_alt_series")):
+            return binary_split(lo, hi, leaf, modulus)  # the closed form on the right
+        evaluated = passes.setdefault(modulus, [])
+        return binary_split(lo, hi, lambda k: evaluated.append(k) or leaf(k), modulus)
 
     monkeypatch.setattr(padic, "binary_split", counting)
     # The first slots end at (5*41 - 41 + 1)/5 = 33 and (5 - 1)/4 = 1.
     for stmt, p, d, r, first in (("COR_5_H", 41, 5, -1, 33), ("COR_5_G", 5, 4, 1, 1)):
         for m_choice, end in (("first", first), ("second", p - 1), (None, p - 1)):
-            evaluated.clear()
+            passes.clear()
             verify_classical(stmt, p, d=d, r=r, m_choice=m_choice)
-            assert sorted(evaluated) == list(range(end + 1)), (stmt, m_choice)
+            assert passes, (stmt, m_choice)
+            for evaluated in passes.values():
+                assert sorted(evaluated) == list(range(end + 1)), (stmt, m_choice)
 
 
 # The (d, r) shapes of the benchmark's classical pool, per statement.
@@ -658,9 +670,11 @@ def _ref_records(stmt_id, p, s=1, d=None, r=None):
     dr = (d, r) if stmt.takes_dr else ()
     k, lhs, rhs = stmt.checker(p, s, *dr)
     if isinstance(lhs, padic._Truncations):
-        sides = [_sum(lhs.leaf, end) for end in lhs.ends]
+        sides = [_sum(lhs.series, end) for end in lhs.ends]
     else:
-        sides = [Fraction(lhs())]
+        sides = [_value(lhs)]
+    if isinstance(rhs, padic._Closed):
+        rhs = _value(rhs)
     params = {"p": p, "s": s, "d": d, "r": r} if dr else {"p": p, "s": s}
     records = []
     for slot, side in zip(("first", "second"), sides):
@@ -706,3 +720,134 @@ def test_cor_5_e_pole_of_denominator_is_skipped():
     with pytest.raises(SideConditionViolated, match="non-positive integer"):
         verify_classical("COR_5_E", 3, s=2, d=2, r=-7)
     assert all(rec["status"] == "verified" for rec in verify_classical("COR_5_E", 5, d=2, r=1))
+
+
+# -- verdicts from sides built modulo p^M --------------------------------------
+
+
+def _all_points(s1_primes, s2_primes):
+    """(id, point) for every statement: s = 1 at s1_primes, s = 2 at s2_primes."""
+    for stmt in padic.classical_statements():
+        yield from ((stmt.stmt_id, pt) for pt in _points(stmt, s1_primes, (1,)))
+        if stmt.takes_s:
+            yield from ((stmt.stmt_id, pt) for pt in _points(stmt, s2_primes, (2,)))
+
+
+def test_residue_verdicts_match_exact_verdicts(monkeypatch):
+    # Records, witnesses and raised errors from sides built modulo p^M are
+    # those of the exact sides: every statement and m_choice, s = 1 at the
+    # primes 3..61 and s = 2 at 5..31, over the pool's (d, r) shapes.
+    points = list(_all_points(ODD_PRIMES_TO_61, (5, 7, 11, 13, 17, 19, 23, 29, 31)))
+
+    def run_all():
+        return [
+            _outcome(lambda: verify_classical(stmt_id, **pt, m_choice=m_choice))
+            for stmt_id, pt in points
+            for m_choice in (None, "first", "second")
+        ]
+
+    reduced = run_all()
+    verdicts = padic._verdicts  # from here on every side is built exactly
+    monkeypatch.setattr(
+        padic, "_verdicts", lambda lhs, rhs, p, k, budget, digits: verdicts(lhs, rhs, p, k, budget, None)
+    )
+    assert run_all() == reduced
+    assert sum(isinstance(got, list) for got in reduced) > 500
+
+
+def test_counted_valuations_are_exact():
+    # Legendre's formula on a progression against the explicit product, on
+    # random progressions (p dividing d, c and d, or neither; d = 0 a constant).
+    rng = random.Random(2024)
+    checked = 0
+    for _ in range(600):
+        p = rng.choice((3, 5, 7, 13, 61))
+        c = rng.choice((1, p, p * p)) * rng.randint(-300, 300)
+        d = rng.choice((0, 1, -2, p, p * p * 3, rng.randint(-40, 40)))
+        lo = rng.randint(-30, 30)
+        hi = lo + rng.randint(0, 150)
+        factors = [c + d * k for k in range(lo, hi)]
+        if 0 in factors:
+            continue
+        product = 1
+        for f in factors:
+            product *= f
+        assert padic._progression_valuation(c, d, lo, hi, p) == padic_valuation(product, p), (c, d, lo, hi, p)
+        checked += 1
+    assert checked > 400
+    # Each side's den counts the exact valuation of its denominator.
+    sides = 0
+    for stmt_id, pt in _all_points((5, 7, 11, 13, 17, 19, 23), (5, 7, 11)):
+        stmt = CLASSICAL_IDS[stmt_id]
+        try:
+            _, lhs, rhs = stmt.checker(*pt.values())
+        except SideConditionViolated:
+            continue
+        for side in (lhs, rhs):
+            if not isinstance(side, (padic._Truncations, padic._Closed)):
+                continue
+            q = side.pairs(None)[-1][1]
+            assert padic._den_valuation(side.den, pt["p"]) == padic_valuation(q, pt["p"]), (stmt_id, pt)
+            sides += 1
+    assert sides > 300
+
+
+def test_modulus_one_digit_short_reaches_the_exact_path(monkeypatch):
+    # A count one short makes M = e + n - 1: the check v_p(Q mod p^M) + n <= M
+    # fails, the point is built again exactly, and the records stay.  A
+    # Gamma_p right side reads only k of the n = k + 6 digits, so it takes a
+    # count 7 short to fall back.
+    points = [
+        (stmt_id, pt)
+        for stmt_id, pt in _all_points((5, 7, 13, 17, 29), (5, 7))
+        if _outcome(lambda: verify_classical(stmt_id, **pt))[0] != "SideConditionViolated"
+    ]
+    expected = [_outcome(lambda: verify_classical(stmt_id, **pt)) for stmt_id, pt in points]
+    gamma = [isinstance(CLASSICAL_IDS[stmt_id].checker(*pt.values())[2], _GammaForm) for stmt_id, pt in points]
+    counted, verdicts = padic._den_valuation, padic._verdicts
+    exact_runs = []
+
+    def spy(lhs, rhs, p, k, budget, digits):
+        if digits is None:
+            exact_runs.append(p)
+        return verdicts(lhs, rhs, p, k, budget, digits)
+
+    monkeypatch.setattr(padic, "_verdicts", spy)
+    for short, falling_back in ((1, gamma.count(False)), (padic._SPARE_DIGITS + 1, len(points))):
+        monkeypatch.setattr(padic, "_den_valuation", lambda den, p: counted(den, p) - short)
+        exact_runs.clear()
+        assert [_outcome(lambda: verify_classical(stmt_id, **pt)) for stmt_id, pt in points] == expected
+        assert len(exact_runs) == falling_back, short
+    assert gamma.count(False) > 100
+
+
+class _Shifted:
+    """A left side plus a constant, built as the side is."""
+
+    def __init__(self, side, shift):
+        self.side, self.shift, self.den = side, shift, side.den
+
+    def pairs(self, modulus):
+        return [padic._reduced(t + self.shift * q, q, modulus) for t, q in self.side.pairs(modulus)]
+
+
+def test_prime_negative_control_fails_at_k_minus_one():
+    # A verified truncated sum plus a unit times p^(k-1) fails with valuation
+    # k - 1, from the sides modulo p^M and from the exact ones.
+    shifted = 0
+    for stmt_id, pt in _all_points((11, 17, 19, 23, 29), (7, 11)):
+        stmt = CLASSICAL_IDS[stmt_id]
+        try:
+            k, lhs, rhs = stmt.checker(*pt.values())
+        except SideConditionViolated:
+            continue
+        if not isinstance(lhs, padic._Truncations) or isinstance(rhs, _GammaForm):
+            continue
+        p = pt["p"]
+        side = _Shifted(lhs, (2 + 3 * p) * p ** (k - 1))
+        for digits in (k + padic._SPARE_DIGITS, None):
+            for result in padic._verdicts(side, rhs, p, k, padic.DEFAULT_GAMMA_BUDGET, digits):
+                assert not result.verified, (stmt_id, pt, digits)
+                assert result.witness == {"valuation": k - 1, "required": k}, (stmt_id, pt, digits)
+        shifted += 1
+    assert shifted > 40

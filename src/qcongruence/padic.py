@@ -100,6 +100,16 @@ def rising(x: BigRat, k: int) -> BigRat:
 # built.  Every denominator here is a product of progressions
 # (c, d, lo, hi, e) = prod_{lo<=k<hi} (c + d k)^e, whose valuation is
 # Legendre's formula on a progression (_progression_valuation).
+#
+# The linear factors are written out a second time beside the leaves that
+# multiply them (_Series.factors, the factors of _fraction_sum and
+# _harmonic_tail_sum) because counting from the leaves themselves, v_p of each
+# leaf's q, evaluates every leaf once more before the side is built: on the
+# `classical` case lists of seeds 1-3 that added 0.16-0.28 s, about 15 % of
+# the replay, against 0.01 s for the progressions (2-vCPU Xeon, Python
+# 3.11.7).  A factor left out makes the count short, which costs time, not
+# correctness: the check in _digits fails and the side is built again
+# exactly.  test_padic's residue test fails on any such fallback.
 
 
 def _progression_valuation(c: int, d: int, lo: int, hi: int, p: int) -> int:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -553,8 +554,9 @@ def test_gamma_p_power_sums():
 def test_m_choice_sums_only_the_selected_slot(monkeypatch):
     # Count the terms each pass evaluates: a selected slot sums only its own
     # range, and both slots together evaluate each k up to p - 1 exactly once.
-    # A pass is keyed by its modulus: COR_5_G's sides are equal at p = 5, so
-    # its pass modulo p^M hands over to the exact one, which sums again.
+    # A pass is keyed by its modulus.  One pass modulo a power of p decides
+    # unless a slot's sides are equal: only COR_5_G's first slot at p = 5 is,
+    # so only a call that takes it makes a second pass, the exact one.
     passes = {}
 
     def counting(lo, hi, leaf, modulus=None):
@@ -565,11 +567,14 @@ def test_m_choice_sums_only_the_selected_slot(monkeypatch):
 
     monkeypatch.setattr(padic, "binary_split", counting)
     # The first slots end at (5*41 - 41 + 1)/5 = 33 and (5 - 1)/4 = 1.
-    for stmt, p, d, r, first in (("COR_5_H", 41, 5, -1, 33), ("COR_5_G", 5, 4, 1, 1)):
+    cases = (("COR_5_H", 41, 5, -1, 33, ()), ("COR_5_G", 5, 4, 1, 1, ("first", None)))
+    for stmt, p, d, r, first, equal in cases:
         for m_choice, end in (("first", first), ("second", p - 1), (None, p - 1)):
             passes.clear()
             verify_classical(stmt, p, d=d, r=r, m_choice=m_choice)
-            assert passes, (stmt, m_choice)
+            (modulus,) = (m for m in passes if m is not None)
+            assert modulus == p ** padic_valuation(modulus, p) > 1, (stmt, m_choice)
+            assert (None in passes) == (m_choice in equal), (stmt, m_choice)
             for evaluated in passes.values():
                 assert sorted(evaluated) == list(range(end + 1)), (stmt, m_choice)
 
@@ -733,26 +738,52 @@ def _all_points(s1_primes, s2_primes):
             yield from ((stmt.stmt_id, pt) for pt in _points(stmt, s2_primes, (2,)))
 
 
+def _undecided_by_residues(outcome) -> bool:
+    """Whether residues modulo p^M cannot decide this outcome: a side that is
+    not p-integral, or sides that agree to all k + _SPARE_DIGITS digits."""
+    if not isinstance(outcome, list):
+        return outcome[0] == "NotPIntegral"
+    for rec in outcome:
+        k = int(rec["modulus"].split("^")[1])
+        v = rec["witness"].get("valuation", 0)
+        if v is None or v >= k + padic._SPARE_DIGITS:
+            return True
+    return False
+
+
 def test_residue_verdicts_match_exact_verdicts(monkeypatch):
     # Records, witnesses and raised errors from sides built modulo p^M are
     # those of the exact sides: every statement and m_choice, s = 1 at the
-    # primes 3..61 and s = 2 at 5..31, over the pool's (d, r) shapes.
+    # primes 3..61 and s = 2 at 5..31, over the pool's (d, r) shapes.  Only
+    # the calls the residues cannot decide build their sides again exactly,
+    # so a count that falls short fails here, not only in time.
     points = list(_all_points(ODD_PRIMES_TO_61, (5, 7, 11, 13, 17, 19, 23, 29, 31)))
+    calls = [
+        partial(verify_classical, stmt_id, **pt, m_choice=m_choice)
+        for stmt_id, pt in points
+        for m_choice in (None, "first", "second")
+    ]
+    verdicts = padic._verdicts
+    exact_runs = []
 
-    def run_all():
-        return [
-            _outcome(lambda: verify_classical(stmt_id, **pt, m_choice=m_choice))
-            for stmt_id, pt in points
-            for m_choice in (None, "first", "second")
-        ]
+    def spy(lhs, rhs, p, k, budget, digits):
+        if digits is None:
+            exact_runs.append(len(reduced))
+        return verdicts(lhs, rhs, p, k, budget, digits)
 
-    reduced = run_all()
-    verdicts = padic._verdicts  # from here on every side is built exactly
+    monkeypatch.setattr(padic, "_verdicts", spy)
+    reduced = []
+    for call in calls:
+        reduced.append(_outcome(call))
+    undecided = [i for i, got in enumerate(reduced) if _undecided_by_residues(got)]
+    assert exact_runs == undecided
+    # from here on every side is built exactly
     monkeypatch.setattr(
         padic, "_verdicts", lambda lhs, rhs, p, k, budget, digits: verdicts(lhs, rhs, p, k, budget, None)
     )
-    assert run_all() == reduced
+    assert [_outcome(call) for call in calls] == reduced
     assert sum(isinstance(got, list) for got in reduced) > 500
+    assert 0 < len(undecided) < 100
 
 
 def test_counted_valuations_are_exact():

@@ -1,19 +1,17 @@
 """Morita's p-adic Gamma function and the classical congruence statements.
 
-gamma_p evaluates the p-adic Gamma function at a p-integral rational to N
-digits via the product formula: pick the integer representative r in
-[1, p**N] of the argument and form (-1)^r * prod of k < r prime to p.  The
-function is 1-Lipschitz in the p-adic metric, so N digits of the argument
-give N exact digits of the value; guard digits requested on top of that are
-pure safety margin and are trimmed before comparison.  For prime p the
+gamma_p evaluates Morita's p-adic Gamma function, which is defined only at a
+prime p (an odd one here), at a p-integral rational to N digits via the
+product formula: pick the integer representative r in [1, p**N] of the
+argument and form (-1)^r * prod of k < r prime to p.  The function is 1-Lipschitz in the p-adic
+metric, so N digits of the argument give N exact digits of the value.  The
 product is not multiplied out: with r - 1 = M p + s it is
 (p-1)!^M * exp(L) * prod_{j<=s} (M p + j), where L, the p-adic logarithm of
 the M full blocks divided by (p-1)!^M, is a short series in power sums of
 0..M-1 (Faulhaber's formula).  Both series are cut by monotone valuation
 bounds, exp's after its last term that can be nonzero modulo p^N and L's at
 N plus the digits that exp's division by t! costs, so the cost is O(N^2)
-operations whatever r is.  For odd composite p the logarithm does not apply
-and the product is taken term by term.
+operations whatever r is.
 
 The classical (q -> 1) statements are pure rational-number congruences,
 decided exactly (p-adic Gamma products reduced to residues) by the p-adic
@@ -30,7 +28,8 @@ merge reduces modulo p^M.  The digits are read only after the check
 v_p(Q mod p^M) + n <= M, which proves them whatever the count said.  Where
 the residues cannot decide (the check fails, the sides agree to all n
 digits, or NotPIntegral must name a side) the same sides are built again
-exactly.  At odd composite p they are exact and reduced to Fractions.
+exactly.  The Gamma_p statements need a prime p; the rational ones are
+still decided at an odd composite p, from exact sides reduced to Fractions.
 """
 
 from __future__ import annotations
@@ -289,7 +288,7 @@ def bernoulli(n: int) -> BigRat:
 
 # -- p-adic Gamma --------------------------------------------------------------
 #
-# For prime p the product over k < r prime to p is taken in blocks of p - 1
+# The product over k < r prime to p is taken in blocks of p - 1
 # consecutive units.  Write r - 1 = M p + s with 0 <= s < p.  Block m < M is
 # prod_{0<j<p} (m p + j) = (p-1)! prod_j (1 + m p / j), and the logarithms of
 # the second factors add up, over all M blocks, to
@@ -313,17 +312,6 @@ _GAMMA_SERIES: dict[tuple[int, int], tuple] = {}
 
 def _is_prime(n: int) -> bool:
     return n > 1 and all(n % k for k in range(2, isqrt(n) + 1))
-
-
-def _gamma_integer(r: int, p: int, modulus: int) -> int:
-    """Gamma_p(r) = (-1)^r prod_{k<r, p prime to k} k, reduced mod modulus."""
-    acc = 1
-    for k in range(1, r):
-        if k % p:
-            acc = acc * k % modulus
-    if r % 2 == 1:
-        acc = modulus - acc
-    return acc % modulus
 
 
 def _split_power(n: int, p: int) -> tuple[int, int]:
@@ -387,7 +375,7 @@ def _block_log(m: int, p: int, precision: int) -> int:
 
 
 def _gamma_prime(r: int, p: int, precision: int) -> int:
-    """Gamma_p(r) mod p^precision for prime p, by the block product above."""
+    """Gamma_p(r) mod p^precision, by the block product above."""
     work, _, exp_coefs, block = _gamma_series(p, precision)
     modulus, mod_w = p**precision, p**work
     m, s = divmod(r - 1, p)
@@ -403,16 +391,16 @@ def _gamma_prime(r: int, p: int, precision: int) -> int:
 
 
 def gamma_p(x: BigRat, p: int, precision: int, budget: int | None = DEFAULT_GAMMA_BUDGET) -> PadicInt:
-    """Gamma_p(x) to `precision` digits, for a p-integral rational x.
+    """Gamma_p(x) to `precision` digits, for an odd prime p and a p-integral
+    rational x.
 
     Gamma_p(x) = Gamma_p(r) = (-1)^r prod_{0<k<r, p prime to k} k for the
-    representative r of x in 1..p**precision.  For prime p that product is
+    representative r of x in 1..p**precision.  That product is
     (p-1)!^M exp(L) prod_{j<=s} (M p + j) with r - 1 = M p + s, L a p-adic
     logarithm summed in closed form (see the comment above), so the cost does
-    not depend on r.  For odd composite p the logarithm does not apply and the
-    product is taken term by term.
+    not depend on r.
     """
-    if p < 3 or p % 2 == 0:
+    if p == 2 or not _is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if precision < 1:
         raise ValueError(f"precision must be positive, got {precision}")
@@ -423,29 +411,12 @@ def gamma_p(x: BigRat, p: int, precision: int, budget: int | None = DEFAULT_GAMM
     x = Fraction(x)
     if padic_valuation(x, p) < 0:
         raise NotPIntegral(f"Gamma_p argument {x} is not p-integral at p = {p}")
-    modulus = p**precision
-    r = residue_of_rational(x, p, precision)
-    if r == 0:
-        r = modulus
+    r = residue_of_rational(x, p, precision) or p**precision
     key = (p, precision, r)
     cached = _GAMMA_CACHE.get(key)
     if cached is None:
-        if _is_prime(p):
-            cached = _gamma_prime(r, p, precision)
-        else:
-            cached = _gamma_integer(r, p, modulus)
-        _GAMMA_CACHE[key] = cached
+        cached = _GAMMA_CACHE[key] = _gamma_prime(r, p, precision)
     return PadicInt(p, precision, cached)
-
-
-def _guarded_precision(p: int, needed: int, budget: int) -> int:
-    """needed digits plus the largest guard in {2, 1, 0} fitting the budget."""
-    for guard in (2, 1, 0):
-        if p ** (needed + guard) <= budget:
-            return needed + guard
-    raise PrecisionBudgetExceeded(
-        f"{p}^{needed} exceeds the Gamma_p precision budget {budget}"
-    )
 
 
 @dataclass(frozen=True)
@@ -526,7 +497,7 @@ def rational_congruent(lhs, rhs: BigRat, p: int, k: int) -> CongruenceResult:
     cross-multiplied, to tell equality from a valuation that high.
     """
     if not _is_prime(p):
-        return _reduced_verdict(Fraction(*_pair(lhs)), Fraction(*_pair(rhs)), p, k, None)
+        return _reduced_verdict(Fraction(*_pair(lhs)), Fraction(*_pair(rhs)), p, k)
     n = k + _SPARE_DIGITS
     gap = (_digits(lhs, p, n) - _digits(rhs, p, n)) % p**n
     if gap:
@@ -542,30 +513,25 @@ def rational_congruent(lhs, rhs: BigRat, p: int, k: int) -> CongruenceResult:
 
 
 def _gamma_congruent(lhs, form: _GammaForm, p: int, k: int, budget: int) -> CongruenceResult:
-    """Verified iff lhs == p^j * coef * prod Gamma_p(arg)^e modulo p**k.
+    """Verified iff lhs == p^j * coef * prod Gamma_p(arg)^e modulo p**k, for
+    prime p and j < k.
 
-    lhs is taken as by rational_congruent; at prime p its residue p^-j lhs
-    modulo p^(k-j) comes from its first k digits.
+    lhs is taken as by rational_congruent; its residue p^-j lhs modulo
+    p^(k-j) comes from its first k digits.
     """
-    if not _is_prime(p):
-        return _reduced_verdict(Fraction(*_pair(lhs)), form, p, k, budget)
     j = form.val_offset
-    needed = k - j
-    if needed <= 0:
-        return rational_congruent(lhs, Fraction(0), p, k)
     x = _digits(lhs, p, k)
     if x % p**j:  # v_p(lhs) < j
         return CongruenceResult(False, {"valuation": padic_valuation(x, p), "required": k})
-    return _residue_result(x // p**j, _gamma_residue(form, p, needed, budget), p, k, j)
+    return _residue_result(x // p**j, _gamma_residue(form, p, k - j, budget), p, k, j)
 
 
 def _gamma_residue(form: _GammaForm, p: int, needed: int, budget: int) -> int:
     """coef * prod Gamma_p(arg)^e modulo p^needed."""
-    precision = _guarded_precision(p, needed, budget)
-    acc = PadicInt(p, precision, residue_of_rational(form.coef, p, precision))
+    acc = PadicInt(p, needed, residue_of_rational(form.coef, p, needed))
     for arg, e in form.factors:
-        acc = acc * gamma_p(arg, p, precision, budget) ** e
-    return acc.truncate(needed).residue
+        acc = acc * gamma_p(arg, p, needed, budget) ** e
+    return acc.residue
 
 
 def _residue_result(lhs_res: int, rhs_res: int, p: int, k: int, j: int) -> CongruenceResult:
@@ -582,26 +548,17 @@ def _residue_result(lhs_res: int, rhs_res: int, p: int, k: int, j: int) -> Congr
     )
 
 
-def _reduced_verdict(lhs: Fraction, rhs, p: int, k: int, budget: int | None) -> CongruenceResult:
-    """The verdict at an odd composite p, which the side conditions still admit.
+def _reduced_verdict(lhs: Fraction, rhs: Fraction, p: int, k: int) -> CongruenceResult:
+    """The rational verdict at an odd composite p, which the side conditions
+    of the rational statements still admit.
 
     There the counts of p in a numerator and a denominator are not additive,
-    so both sides are reduced Fractions and every difference and quotient
-    is reduced again before it is counted.  This goes when the side
-    conditions refuse composite p.
+    so both sides are reduced Fractions and the difference is reduced again
+    before it is counted.  This goes when the side conditions refuse
+    composite p for every statement.
     """
     if padic_valuation(lhs, p) < 0:
         raise NotPIntegral(f"{lhs} is not p-integral at p = {p}")
-    if isinstance(rhs, _GammaForm):
-        j = rhs.val_offset
-        if k - j > 0:
-            scaled = lhs / p**j
-            if padic_valuation(scaled, p) < 0:
-                v = padic_valuation(lhs, p)
-                return CongruenceResult(False, {"valuation": int(v), "required": k})
-            rhs_res = _gamma_residue(rhs, p, k - j, budget)
-            return _residue_result(residue_of_rational(scaled, p, k - j), rhs_res, p, k, j)
-        rhs = Fraction(0)
     if padic_valuation(rhs, p) < 0:
         raise NotPIntegral(f"{rhs} is not p-integral at p = {p}")
     v = padic_valuation(lhs - rhs, p)
@@ -742,7 +699,8 @@ def _inner_double_bare(d: int, r: int, length: int, scale: int, cube: int) -> _C
 # where lhs is either _Truncations, one truncated series with an end per
 # m_choice slot, of which verify_classical sums only the selected slots, or
 # the single slot's left side as a _Closed; rhs is a _Closed or a Fraction
-# (pure rational congruence) or a _GammaForm.  Nothing is summed before
+# (pure rational congruence) or a _GammaForm, which verify_classical admits
+# only at a prime p, Gamma_p's domain.  Nothing is summed before
 # verify_classical picks the modulus.  Each comment names the slots' ends.
 
 
@@ -1149,6 +1107,8 @@ def verify_classical(
         _require_s1(stmt_id, s)
         _require_odd_prime(p)
     k, lhs, rhs = stmt.checker(p, s, *dr)
+    if isinstance(rhs, _GammaForm):
+        _require(_is_prime(p), f"p must be an odd prime, got {p}")
     series = isinstance(lhs, _Truncations)
     offered = len(lhs.ends) if series else 1
     slots = ("first", "second")

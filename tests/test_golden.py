@@ -59,6 +59,13 @@ CASES = [
         ),
         0,
     ),
+    # Every classical statement at odd composite p: the Gamma_p statements
+    # are skipped there, the rational ones decided from reduced Fractions.
+    (
+        "golden_padic_composite.jsonl",
+        ["padic", "--id", "all", "--p", "9,15,21,25,27,33,35,49"],
+        1,
+    ),
 ]
 
 

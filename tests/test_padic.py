@@ -216,6 +216,41 @@ def test_gamma_statements():
         for rec in verify_classical(stmt, p):
             assert rec["status"] == "verified", (stmt, p, rec)
             assert rec["modulus"] == modulus
+    # Every Gamma_p form's offset p^j stays below the modulus p^k, so some
+    # digits of the Gamma_p product are always compared.
+    forms = 0
+    for stmt in padic.classical_statements():
+        for case in stmt.desk_cases:
+            dr = (case["d"], case["r"]) if stmt.takes_dr else ()
+            k, _, rhs = stmt.checker(case["p"], case.get("s", 1), *dr)
+            if isinstance(rhs, _GammaForm):
+                assert 0 <= rhs.val_offset < k, (stmt.stmt_id, case)
+                forms += 1
+    assert forms == 17
+
+
+def test_gamma_statements_refuse_composite_p():
+    # Gamma_p exists only at a prime p, so each Gamma_p statement is skipped
+    # at an odd composite p that meets its other side conditions.
+    for stmt, p in [
+        ("PROP_1_7", 9),
+        ("PROP_1_8", 25),
+        ("VH_A2", 9),
+        ("VH_A2", 21),
+        ("VH_D2", 25),
+        ("VH_D2", 55),
+        ("LIU", 27),
+        ("LR", 25),
+    ]:
+        with pytest.raises(SideConditionViolated) as info:
+            verify_classical(stmt, p)
+        assert str(info.value) == f"p must be an odd prime, got {p}", (stmt, p)
+    # VH_A2 at p = 3 mod 4 has the rational right side 0, which a composite p
+    # still reaches; there the sum is not 0 modulo p^3.
+    for p, v in ((15, 1), (27, 2)):
+        (rec,) = verify_classical("VH_A2", p)
+        assert rec["status"] == "failed"
+        assert rec["witness"] == {"valuation": v, "required": 3}
 
 
 def test_gamma_congruent_negative_control():
@@ -470,19 +505,12 @@ def test_gamma_p_cache_is_consistent_in_any_order():
         assert gamma_p(r, 7, 4).residue == _ref_gamma_residue(r, 7, 4), r
 
 
-def test_gamma_p_composite_moduli_unchanged():
-    # Composite p keeps the term-by-term product: values and raised errors are
-    # those of the plain loop, at every integer residue and at rational arguments.
-    args = [Fraction(a, b) for b in (1, 2, 3, 4, 5) for a in (-3, -1, 1, 2, 3, 5, 7)]
-    for p in (9, 15, 25):
-        precision = 1
-        while p**precision <= 3000:
-            points = list(range(1, p**precision + 1)) + args
-            for x in points:
-                padic._GAMMA_CACHE.clear()
-                got = _outcome(lambda: gamma_p(x, p, precision).residue)
-                assert got == _outcome(_ref_gamma_residue, x, p, precision), (p, precision, x)
-            precision += 1
+def test_gamma_p_rejects_composite_p():
+    # Gamma_p is defined only at a prime p: an odd composite p is refused as an
+    # even one is.
+    for p in (2, 4, 9, 15, 25):
+        with pytest.raises(ValueError, match=f"p must be an odd prime, got {p}"):
+            gamma_p(Fraction(1, 4), p, 1)
 
 
 def _ref_gamma_residues(p, precision, rs):
@@ -646,11 +674,10 @@ def _ref_verdict(lhs, rhs, p, k, budget):
             scaled = lhs / p**j
             if _ref_valuation(scaled, p) < 0:
                 return False, {"valuation": int(_ref_valuation(lhs, p)), "required": k}
-            precision = padic._guarded_precision(p, needed, budget)
-            acc = PadicInt(p, precision, residue_of_rational(rhs.coef, p, precision))
+            acc = PadicInt(p, needed, residue_of_rational(rhs.coef, p, needed))
             for arg, e in rhs.factors:
-                acc = acc * gamma_p(arg, p, precision, budget) ** e
-            rhs_res = acc.truncate(needed).residue
+                acc = acc * gamma_p(arg, p, needed, budget) ** e
+            rhs_res = acc.residue
             lhs_res = residue_of_rational(scaled, p, needed)
             if lhs_res == rhs_res:
                 return True, {"residue": rhs_res, "precision": needed}
@@ -700,14 +727,15 @@ def _ref_records(stmt_id, p, s=1, d=None, r=None):
 def test_pair_verdicts_match_reduced_fraction_reference():
     # Every statement at the pool's sizes (primes 17..61 at s = 1, 17 and 23
     # at s = 2, the pool's (d, r) shapes) and at the odd composite moduli of
-    # its negative controls, where records and errors must agree too.
+    # its negative controls (s = 2 at 9, 15, 21 and 25), where records and
+    # errors must agree too.  The Gamma_p statements skip composite p.
     primes = (17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
     composites = (9, 15, 21, 25, 27, 33, 35)
     compared = 0
     for stmt in padic.classical_statements():
         points = list(_points(stmt, primes + composites, (1,)))
         if stmt.takes_s:
-            points += _points(stmt, (17, 23, 9, 15), (2,))
+            points += _points(stmt, (17, 23, 9, 15, 21, 25), (2,))
         for point in points:
             got = _outcome(verify_classical, stmt.stmt_id, *point.values())
             if got[0] == "SideConditionViolated":

@@ -1174,7 +1174,6 @@ def _run_classical(
     bindings: dict,
     m_policy: str,
     seed: int | None,
-    budget: int,
     timestamps: bool,
 ) -> list[VerificationRecord]:
     p = _int_param(bindings, "p")
@@ -1184,9 +1183,7 @@ def _run_classical(
     m_choice = None if m_policy == "both" else m_policy
     watch = _Stopwatch(timestamps)
     try:
-        raw = padic.verify_classical(
-            stmt.stmt_id, p, s=s, d=d, r=r, m_choice=m_choice, budget=budget
-        )
+        raw = padic.verify_classical(stmt.stmt_id, p, s=s, d=d, r=r, m_choice=m_choice)
     except (QCongruenceError, ZeroDivisionError) as exc:
         if isinstance(exc, (SideConditionViolated, NonIntegerBound)):
             raise
@@ -1225,7 +1222,6 @@ def run_statement(
     m_policy: str = "both",
     seed: int = 0,
     trials: int = 3,
-    budget: int = padic.DEFAULT_GAMMA_BUDGET,
     timestamps: bool = False,
 ) -> list[VerificationRecord]:
     """Verify one statement at one parameter point; one record per check.
@@ -1238,7 +1234,7 @@ def run_statement(
     stmt = get_statement(stmt_id)
     bindings = dict(bindings or {})
     if stmt.kind == "classical":
-        return _run_classical(stmt, bindings, m_policy, seed, budget, timestamps)
+        return _run_classical(stmt, bindings, m_policy, seed, timestamps)
     missing = [sym for sym in stmt.symbols if sym not in bindings]
     if not missing:
         return _run_q_once(stmt, bindings, m_policy, seed, timestamps, False)

@@ -23,7 +23,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from . import catalog, padic
+from . import catalog
 from .congruence import Modulus, congruent
 from .errors import (
     NonIntegerBound,
@@ -121,11 +121,6 @@ def _settings(args) -> dict:
         "m_choice": pick("m_choice", "both"),
         "format": pick("format", "jsonl"),
         "out": pick("out", None),
-        "budget": pick(
-            "precision_budget",
-            padic.DEFAULT_GAMMA_BUDGET,
-            lambda v: _as_int(v, "precision_budget"),
-        ),
         "jobs": pick("jobs", os.cpu_count() or 1, lambda v: _as_int(v, "jobs")),
         "timestamps": pick("timestamps", False, lambda v: v.lower() in _TRUE_WORDS),
     }
@@ -197,7 +192,7 @@ def _run_verify_task(task) -> list[dict]:
     exception gives an error record naming it, so one task cannot discard
     the rest of the batch.
     """
-    stmt_id, case, m_policy, seed, trials, budget, timestamps = task
+    stmt_id, case, m_policy, seed, trials, timestamps = task
     try:
         records = catalog.run_statement(
             stmt_id,
@@ -205,7 +200,6 @@ def _run_verify_task(task) -> list[dict]:
             m_policy=m_policy,
             seed=seed,
             trials=trials,
-            budget=budget,
             timestamps=timestamps,
         )
         return [rec.to_json_dict() for rec in records]
@@ -310,7 +304,6 @@ def _cmd_verify(args, classical_only: bool = False) -> int:
                     settings["m_choice"],
                     settings["seed"],
                     settings["trials"],
-                    settings["budget"],
                     settings["timestamps"],
                 )
             )
@@ -445,13 +438,6 @@ def _add_report_options(parser):
     )
     parser.add_argument("--format", choices=("jsonl", "csv"), default=None)
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
-    parser.add_argument(
-        "--precision-budget",
-        dest="precision_budget",
-        type=int,
-        default=None,
-        help="largest allowed prime-power modulus for Gamma_p work (default 10^7)",
-    )
     parser.add_argument(
         "--jobs", type=int, default=None, help="worker processes (default: available cores)"
     )

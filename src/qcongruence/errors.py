@@ -24,10 +24,6 @@ class InsufficientPrecision(QCongruenceError):
     """A p-adic comparison was requested beyond the precision carried by an operand."""
 
 
-class PrecisionBudgetExceeded(QCongruenceError):
-    """A Gamma_p evaluation would need a modulus p**N above the configured budget."""
-
-
 class DivisionByZeroPoly(QCongruenceError):
     """Polynomial or rational-function division by zero."""
 

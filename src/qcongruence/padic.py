@@ -42,46 +42,23 @@ from .arith import BigRat, PadicInt, binary_split, padic_valuation, residue_of_r
 from .congruence import CongruenceResult
 from .errors import (
     NotPIntegral,
-    PrecisionBudgetExceeded,
     SideConditionViolated,
     UnknownKind,
 )
 
 __all__ = [
     "CLASSICAL_IDS",
-    "DEFAULT_GAMMA_BUDGET",
     "bernoulli",
     "classical_statements",
     "gamma_p",
-    "harmonic",
     "rational_congruent",
-    "rising",
     "verify_classical",
 ]
-
-DEFAULT_GAMMA_BUDGET = 10**7
 
 # Gamma_p(1/4)^4 and Gamma_p(1/3)^9, the Gamma_p products of the quartic and
 # cubic statements.
 _GAMMA_QUARTER = ((Fraction(1, 4), 4),)
 _GAMMA_THIRD = ((Fraction(1, 3), 9),)
-
-
-def harmonic(m: int, ell: int) -> BigRat:
-    """Harmonic number of order ell: sum of 1/k**ell for k = 1..m."""
-    if m < 0:
-        raise ValueError(f"harmonic upper index must be nonnegative, got {m}")
-    if ell < 1:
-        raise ValueError(f"harmonic order must be positive, got {ell}")
-    return Fraction(*_harmonic(m, ell).pair(None))
-
-
-def rising(x: BigRat, k: int) -> BigRat:
-    """Shifted factorial (x)_k = x (x+1) ... (x+k-1)."""
-    if k < 0:
-        raise ValueError(f"shifted-factorial length must be nonnegative, got {k}")
-    a, b = Fraction(x).as_integer_ratio()
-    return Fraction(*_ratio(a, b, b, 0, k).pair(None))
 
 
 # -- exact sums and closed forms as unreduced pairs ------------------------------
@@ -390,7 +367,7 @@ def _gamma_prime(r: int, p: int, precision: int) -> int:
     return -acc % modulus if r % 2 else acc
 
 
-def gamma_p(x: BigRat, p: int, precision: int, budget: int | None = DEFAULT_GAMMA_BUDGET) -> PadicInt:
+def gamma_p(x: BigRat, p: int, precision: int) -> PadicInt:
     """Gamma_p(x) to `precision` digits, for an odd prime p and a p-integral
     rational x.
 
@@ -404,10 +381,6 @@ def gamma_p(x: BigRat, p: int, precision: int, budget: int | None = DEFAULT_GAMM
         raise ValueError(f"p must be an odd prime, got {p}")
     if precision < 1:
         raise ValueError(f"precision must be positive, got {precision}")
-    if budget is not None and p**precision > budget:
-        raise PrecisionBudgetExceeded(
-            f"{p}^{precision} exceeds the Gamma_p precision budget {budget}"
-        )
     x = Fraction(x)
     if padic_valuation(x, p) < 0:
         raise NotPIntegral(f"Gamma_p argument {x} is not p-integral at p = {p}")
@@ -512,7 +485,7 @@ def rational_congruent(lhs, rhs: BigRat, p: int, k: int) -> CongruenceResult:
     return CongruenceResult(False, {"valuation": int(v), "required": k})
 
 
-def _gamma_congruent(lhs, form: _GammaForm, p: int, k: int, budget: int) -> CongruenceResult:
+def _gamma_congruent(lhs, form: _GammaForm, p: int, k: int) -> CongruenceResult:
     """Verified iff lhs == p^j * coef * prod Gamma_p(arg)^e modulo p**k, for
     prime p and j < k.
 
@@ -523,14 +496,14 @@ def _gamma_congruent(lhs, form: _GammaForm, p: int, k: int, budget: int) -> Cong
     x = _digits(lhs, p, k)
     if x % p**j:  # v_p(lhs) < j
         return CongruenceResult(False, {"valuation": padic_valuation(x, p), "required": k})
-    return _residue_result(x // p**j, _gamma_residue(form, p, k - j, budget), p, k, j)
+    return _residue_result(x // p**j, _gamma_residue(form, p, k - j), p, k, j)
 
 
-def _gamma_residue(form: _GammaForm, p: int, needed: int, budget: int) -> int:
+def _gamma_residue(form: _GammaForm, p: int, needed: int) -> int:
     """coef * prod Gamma_p(arg)^e modulo p^needed."""
     acc = PadicInt(p, needed, residue_of_rational(form.coef, p, needed))
     for arg, e in form.factors:
-        acc = acc * gamma_p(arg, p, needed, budget) ** e
+        acc = acc * gamma_p(arg, p, needed) ** e
     return acc.residue
 
 
@@ -1078,7 +1051,6 @@ def verify_classical(
     d: int | None = None,
     r: int | None = None,
     m_choice: str | None = None,
-    budget: int = DEFAULT_GAMMA_BUDGET,
 ) -> list[dict]:
     """Check one classical statement at (p, s[, d, r]); one dict per truncation.
 
@@ -1127,9 +1099,9 @@ def verify_classical(
     if series:
         lhs = _Truncations(lhs.series, tuple(lhs.ends[i] for i in indices))
     try:
-        results = _verdicts(lhs, rhs, p, k, budget, k + _SPARE_DIGITS if _is_prime(p) else None)
+        results = _verdicts(lhs, rhs, p, k, k + _SPARE_DIGITS if _is_prime(p) else None)
     except _Inexact:
-        results = _verdicts(lhs, rhs, p, k, budget, None)
+        results = _verdicts(lhs, rhs, p, k, None)
     return [
         {
             "id": stmt_id,
@@ -1143,7 +1115,7 @@ def verify_classical(
     ]
 
 
-def _verdicts(lhs, rhs, p: int, k: int, budget: int, digits: int | None) -> list[CongruenceResult]:
+def _verdicts(lhs, rhs, p: int, k: int, digits: int | None) -> list[CongruenceResult]:
     """One verdict per left side of lhs (_Truncations or _Closed) against rhs.
 
     With digits = n, at prime p, this is the one place that picks a modulus:
@@ -1161,5 +1133,5 @@ def _verdicts(lhs, rhs, p: int, k: int, budget: int, digits: int | None) -> list
     if isinstance(rhs, _Closed):
         (rhs,) = build(rhs)
     if isinstance(rhs, _GammaForm):
-        return [_gamma_congruent(side, rhs, p, k, budget) for side in build(lhs)]
+        return [_gamma_congruent(side, rhs, p, k) for side in build(lhs)]
     return [rational_congruent(side, rhs, p, k) for side in build(lhs)]

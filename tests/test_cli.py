@@ -301,6 +301,20 @@ def test_argparse_usage_exits_two(capsys):
     capsys.readouterr()
 
 
+def test_precision_budget_is_no_longer_an_option(tmp_path, capsys):
+    # The flag is gone, so argparse refuses it; a config file that still sets
+    # precision_budget is ignored like any other unknown key.
+    with pytest.raises(SystemExit) as info:
+        main(["padic", "--id", "LR", "--p", "31", "--precision-budget", "10"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    config = tmp_path / "settings.cfg"
+    config.write_text("precision_budget = 10\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "padic", "--id", "LR", "--p", "31", "--config", str(config))
+    assert code == 0
+    assert [json.loads(line)["status"] for line in out.strip().splitlines()] == ["verified"]
+
+
 def test_timestamps_flag(capsys):
     code, out, _ = run_cli(capsys, "verify", "--id", "GS_16", "--n", "2", "--timestamps")
     assert code == 0

@@ -9,7 +9,6 @@ import pytest
 from qcongruence.arith import PadicInt, binary_split, padic_valuation, residue_of_rational
 from qcongruence.errors import (
     NotPIntegral,
-    PrecisionBudgetExceeded,
     SideConditionViolated,
     UnknownKind,
 )
@@ -22,15 +21,14 @@ from qcongruence.padic import (
     _cubic_correction,
     _fifth_alt_series,
     _gamma_congruent,
+    _harmonic,
     _inner_double,
     _inner_double_bare,
     _sixth_series,
     _truncated_sums,
     bernoulli,
     gamma_p,
-    harmonic,
     rational_congruent,
-    rising,
     verify_classical,
 )
 
@@ -60,22 +58,22 @@ def test_bernoulli_odd_indices_vanish():
         assert bernoulli(n) == 0
 
 
+def _rising(x, k):
+    """The shifted factorial (x)_k, from the closed-form kernel."""
+    a, b = Fraction(x).as_integer_ratio()
+    return _value(padic._ratio(a, b, b, 0, k))
+
+
 def test_harmonic_values():
-    assert harmonic(0, 2) == 0
-    assert harmonic(3, 1) == Fraction(11, 6)
-    assert harmonic(6, 2) == Fraction(5369, 3600)
-    with pytest.raises(ValueError):
-        harmonic(-1, 2)
-    with pytest.raises(ValueError):
-        harmonic(3, 0)
+    assert _value(_harmonic(0, 2)) == 0
+    assert _value(_harmonic(3, 1)) == Fraction(11, 6)
+    assert _value(_harmonic(6, 2)) == Fraction(5369, 3600)
 
 
 def test_rising_values():
-    assert rising(Fraction(1, 2), 0) == 1
-    assert rising(Fraction(1, 2), 3) == Fraction(15, 8)
-    assert rising(Fraction(-2), 3) == 0
-    with pytest.raises(ValueError):
-        rising(Fraction(1, 2), -1)
+    assert _rising(Fraction(1, 2), 0) == 1
+    assert _rising(Fraction(1, 2), 3) == Fraction(15, 8)
+    assert _rising(Fraction(-2), 3) == 0
 
 
 def test_gamma_small_arguments():
@@ -130,9 +128,11 @@ def test_gamma_precision_consistency():
 
 
 def test_gamma_budget_and_domain():
-    with pytest.raises(PrecisionBudgetExceeded):
-        gamma_p(Fraction(1, 3), 13, 7, budget=10**7)
-    assert gamma_p(Fraction(1, 3), 13, 7, budget=None).precision == 7
+    # 13^7 lies past the former precision budget of 10^7; Gamma_p(1/3) is
+    # evaluated there like anywhere else (the loop takes a few seconds).
+    value = gamma_p(Fraction(1, 3), 13, 7)
+    assert value.precision == 7
+    assert value.residue == _ref_gamma_residue(Fraction(1, 3), 13, 7)
     with pytest.raises(NotPIntegral):
         gamma_p(Fraction(1, 5), 5, 2)
 
@@ -160,8 +160,8 @@ def test_quartic_sum_frozen_difference():
     assert lhs == Fraction(29835, 32768)
     rhs = Fraction(1, 4) * (
         5
-        + Fraction(125, 4) * harmonic(2, 2)
-        - Fraction(125, 8) * harmonic(1, 2)
+        + Fraction(125, 4) * _value(_harmonic(2, 2))
+        - Fraction(125, 8) * _value(_harmonic(1, 2))
     )
     assert lhs - rhs == Fraction(-203125, 32768)
     assert padic_valuation(lhs - rhs, 5) == 6
@@ -187,7 +187,7 @@ def test_cor_5_g_frozen_value():
 
 
 def test_sun_statements():
-    assert harmonic(6, 2) - Fraction(14, 3) * bernoulli(4) == Fraction(5929, 3600)
+    assert _value(_harmonic(6, 2)) - Fraction(14, 3) * bernoulli(4) == Fraction(5929, 3600)
     for p in PRIMES:
         for stmt in ("SUN_H2", "SUN_H2HALF"):
             (rec,) = verify_classical(stmt, p)
@@ -257,9 +257,9 @@ def test_gamma_congruent_negative_control():
     # Flipping the sign of the Gamma-product coefficient must be detected.
     _, closed, form = CLASSICAL_IDS["PROP_1_7"].checker(13, 1)
     lhs = _value(closed)
-    good = _gamma_congruent(lhs, form, 13, 4, 10**7)
+    good = _gamma_congruent(lhs, form, 13, 4)
     assert good.verified
-    bad = _gamma_congruent(lhs, _GammaForm(0, Fraction(1), form.factors), 13, 4, 10**7)
+    bad = _gamma_congruent(lhs, _GammaForm(0, Fraction(1), form.factors), 13, 4)
     assert not bad.verified
     assert bad.witness["lhs_residue"] != bad.witness["rhs_residue"]
 
@@ -473,10 +473,10 @@ def test_double_sums_match_fraction_loops():
 def test_harmonic_rising_and_correction_match_fraction_loops():
     for m in SMALL_LENGTHS + S2_LENGTHS:
         for ell in (1, 2, 3):
-            assert harmonic(m, ell) == _ref_harmonic(m, ell), (m, ell)
+            assert _value(_harmonic(m, ell)) == _ref_harmonic(m, ell), (m, ell)
         for x in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 4),
                   Fraction(-7, 3), Fraction(-2), Fraction(1), 0):
-            assert rising(x, m) == _ref_rising(x, m), (x, m)
+            assert _rising(x, m) == _ref_rising(x, m), (x, m)
         expected = sum(
             (Fraction(1, (3 * j - 1) ** 2) - Fraction(1, (3 * j) ** 2) for j in range(1, m + 1)),
             Fraction(0),
@@ -530,13 +530,15 @@ ODD_PRIMES_TO_61 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
 
 
 def test_gamma_p_block_product_at_the_budget_edge():
-    # Every odd prime p <= 61 at the largest N with p^N <= 10^7 (N = 14 at
-    # p = 3): the boundary residues and 20 seeded random ones.
+    # Every odd prime p <= 61 at the largest N with p^N <= 10^7, the former
+    # precision budget (N = 14 at p = 3): the boundary residues and 20 seeded
+    # random ones.
+    former_budget = 10**7
     rng = random.Random(20211)
     largest = {}
     for p in ODD_PRIMES_TO_61:
         precision = 1
-        while p ** (precision + 1) <= padic.DEFAULT_GAMMA_BUDGET:
+        while p ** (precision + 1) <= former_budget:
             precision += 1
         largest[p] = precision
         modulus = p**precision
@@ -662,7 +664,7 @@ def _ref_valuation(x, p):
     return v
 
 
-def _ref_verdict(lhs, rhs, p, k, budget):
+def _ref_verdict(lhs, rhs, p, k):
     """The verdict from reduced Fractions: every side, difference and
     quotient is reduced before its valuation or residue is read."""
     if _ref_valuation(lhs, p) < 0:
@@ -676,7 +678,7 @@ def _ref_verdict(lhs, rhs, p, k, budget):
                 return False, {"valuation": int(_ref_valuation(lhs, p)), "required": k}
             acc = PadicInt(p, needed, residue_of_rational(rhs.coef, p, needed))
             for arg, e in rhs.factors:
-                acc = acc * gamma_p(arg, p, needed, budget) ** e
+                acc = acc * gamma_p(arg, p, needed) ** e
             rhs_res = acc.residue
             lhs_res = residue_of_rational(scaled, p, needed)
             if lhs_res == rhs_res:
@@ -710,7 +712,7 @@ def _ref_records(stmt_id, p, s=1, d=None, r=None):
     params = {"p": p, "s": s, "d": d, "r": r} if dr else {"p": p, "s": s}
     records = []
     for slot, side in zip(("first", "second"), sides):
-        verified, witness = _ref_verdict(side, rhs, p, k, padic.DEFAULT_GAMMA_BUDGET)
+        verified, witness = _ref_verdict(side, rhs, p, k)
         records.append(
             {
                 "id": stmt_id,
@@ -744,6 +746,18 @@ def test_pair_verdicts_match_reduced_fraction_reference():
             assert got == expected, (stmt.stmt_id, point)
             compared += 1
     assert compared > 400
+
+
+def test_gamma_statements_past_the_former_budget_are_verified():
+    # Points whose Gamma_p modulus p^N lies past 10^7, inside every
+    # statement's hypotheses: verified, with the reference's records.
+    points = [("LR", 31), ("LR", 37), ("LR", 43), ("LR", 61), ("LR", 199),
+              ("PROP_1_7", 61), ("PROP_1_8", 61)]
+    for stmt_id, p in points:
+        records = verify_classical(stmt_id, p)
+        assert int(records[0]["modulus"].split("^")[1]) > 1
+        assert all(rec["status"] == "verified" for rec in records), (stmt_id, p)
+        assert records == _ref_records(stmt_id, p), (stmt_id, p)
 
 
 def test_cor_5_e_pole_of_denominator_is_skipped():
@@ -794,10 +808,10 @@ def test_residue_verdicts_match_exact_verdicts(monkeypatch):
     verdicts = padic._verdicts
     exact_runs = []
 
-    def spy(lhs, rhs, p, k, budget, digits):
+    def spy(lhs, rhs, p, k, digits):
         if digits is None:
             exact_runs.append(len(reduced))
-        return verdicts(lhs, rhs, p, k, budget, digits)
+        return verdicts(lhs, rhs, p, k, digits)
 
     monkeypatch.setattr(padic, "_verdicts", spy)
     reduced = []
@@ -806,9 +820,7 @@ def test_residue_verdicts_match_exact_verdicts(monkeypatch):
     undecided = [i for i, got in enumerate(reduced) if _undecided_by_residues(got)]
     assert exact_runs == undecided
     # from here on every side is built exactly
-    monkeypatch.setattr(
-        padic, "_verdicts", lambda lhs, rhs, p, k, budget, digits: verdicts(lhs, rhs, p, k, budget, None)
-    )
+    monkeypatch.setattr(padic, "_verdicts", lambda lhs, rhs, p, k, digits: verdicts(lhs, rhs, p, k, None))
     assert [_outcome(call) for call in calls] == reduced
     assert sum(isinstance(got, list) for got in reduced) > 500
     assert 0 < len(undecided) < 100
@@ -866,10 +878,10 @@ def test_modulus_one_digit_short_reaches_the_exact_path(monkeypatch):
     counted, verdicts = padic._den_valuation, padic._verdicts
     exact_runs = []
 
-    def spy(lhs, rhs, p, k, budget, digits):
+    def spy(lhs, rhs, p, k, digits):
         if digits is None:
             exact_runs.append(p)
-        return verdicts(lhs, rhs, p, k, budget, digits)
+        return verdicts(lhs, rhs, p, k, digits)
 
     monkeypatch.setattr(padic, "_verdicts", spy)
     for short, falling_back in ((1, gamma.count(False)), (padic._SPARE_DIGITS + 1, len(points))):
@@ -905,7 +917,7 @@ def test_prime_negative_control_fails_at_k_minus_one():
         p = pt["p"]
         side = _Shifted(lhs, (2 + 3 * p) * p ** (k - 1))
         for digits in (k + padic._SPARE_DIGITS, None):
-            for result in padic._verdicts(side, rhs, p, k, padic.DEFAULT_GAMMA_BUDGET, digits):
+            for result in padic._verdicts(side, rhs, p, k, digits):
                 assert not result.verified, (stmt_id, pt, digits)
                 assert result.witness == {"valuation": k - 1, "required": k}, (stmt_id, pt, digits)
         shifted += 1

@@ -21,7 +21,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import catalog
 from .congruence import Modulus, congruent
@@ -211,6 +210,8 @@ def _run_verify_task(task) -> list[dict]:
 
 def _run_tasks(tasks: list, jobs: int) -> list[dict]:
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # The fork start method launches every worker up front, so never
         # ask for more workers than there are tasks.
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:

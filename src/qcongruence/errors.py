@@ -40,10 +40,6 @@ class NegativeLength(QCongruenceError):
     """A Pochhammer length or truncation order evaluated to a negative integer."""
 
 
-class OutOfRange(QCongruenceError):
-    """An index is outside its valid range (e.g. q-binomial with s > t)."""
-
-
 class ZeroDenominatorFactor(QCongruenceError):
     """A denominator Pochhammer factor is identically zero (k outside the valid range)."""
 

@@ -36,7 +36,7 @@ QRat.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZeroPoly, NonIntegerBound, SpecSyntaxError, UnboundSymbol
@@ -470,11 +470,11 @@ def load_spec_file(path) -> list[CongruenceSpec]:
 #
 # Each mode keeps the order in which the operands of a node are evaluated,
 # and so which error a malformed expression raises first: a Div's divisor and
-# a Pow's exponent come first in _index, a Pow's base first elsewhere.  A
-# subtree that names no free symbol is evaluated once at compile time unless
-# that raises; a constant that raises stays a closure that raises when
-# evaluated.  A Sum binds its index in one cell that its body reads, so a
-# compiled tree is not reentrant; the package evaluates on one thread.
+# a Pow's exponent come first in _index, a Pow's base first elsewhere.
+# Compiling evaluates nothing: every closure runs at evaluation, so a
+# malformed expression raises there.  A Sum binds its index in one cell that
+# its body reads, so a compiled tree is not reentrant; the package evaluates
+# on one thread.
 
 _NOT_A_NUMBER = "expression involving q used where a number is required"
 _ZERO_INVERSE = "inverse of zero rational function"
@@ -496,7 +496,7 @@ def compile_expr(node: Node) -> Compiled:
         v = value(env)
         return v.to_qrat() if isinstance(v, QFactored) else v
 
-    return Compiled(_fold(node, run))
+    return Compiled(run)
 
 
 def eval_expr(node: Node | Compiled, env: dict | None = None) -> QRat:
@@ -528,28 +528,6 @@ def _power(base, e: int):
     return base**e if e >= 0 else Fraction(base) ** e
 
 
-def _free(node: Node, bound: frozenset = frozenset()) -> bool:
-    """Whether node names a symbol that no Sum inside it binds."""
-    if isinstance(node, SymbolRef):
-        return node.name not in bound
-    if isinstance(node, Sum):
-        inner = bound | {node.index}
-        return _free(node.lower, bound) or _free(node.upper, bound) or _free(node.body, inner)
-    children = (getattr(node, f.name) for f in fields(node))
-    return any(_free(child, bound) for child in children if isinstance(child, Node))
-
-
-def _fold(node: Node, code):
-    """code, or a closure returning its one value if node is constant."""
-    if _free(node):
-        return code
-    try:
-        value = code({})
-    except Exception:  # raised again, in order, at evaluation
-        return code
-    return lambda env: value
-
-
 def _lookup(env: dict, name: str):
     try:
         return env[name]
@@ -573,10 +551,6 @@ def _symbol(name: str, scope: dict):
 
 
 def _index(node: Node, scope: dict):
-    return _fold(node, _index_code(node, scope))
-
-
-def _index_code(node: Node, scope: dict):
     if isinstance(node, RationalLit):
         value = _rational(node.value)
         return lambda env: value
@@ -647,14 +621,10 @@ def _integer(node: Node, scope: dict):
             raise NonIntegerBound(f"expected an integer, got {v}")
         return int(v)
 
-    return _fold(node, integer)
+    return integer
 
 
 def _monomial(node: Node, scope: dict):
-    return _fold(node, _monomial_code(node, scope))
-
-
-def _monomial_code(node: Node, scope: dict):
     if isinstance(node, QMonomial):
         coeff, exp = _rational(node.coeff), _integer(node.exp, scope)
         return lambda env: (coeff, exp(env))
@@ -699,10 +669,6 @@ def _monomial_code(node: Node, scope: dict):
 
 
 def _value(node: Node, scope: dict):
-    return _fold(node, _value_code(node, scope))
-
-
-def _value_code(node: Node, scope: dict):
     if isinstance(node, Sum):
         lower, upper = _integer(node.lower, scope), _integer(node.upper, scope)
         cell = [0]
@@ -734,10 +700,6 @@ def _value_code(node: Node, scope: dict):
 
 
 def _factor(node: Node, scope: dict):
-    return _fold(node, _factor_code(node, scope))
-
-
-def _factor_code(node: Node, scope: dict):
     """An atom as a (c, j, exps) triple or a QFactored with N = 1; a symbol
     bound to a rational function as its QRat; any other node as a value."""
     if isinstance(node, RationalLit):
@@ -773,7 +735,7 @@ def _factor_code(node: Node, scope: dict):
 
         return poch
     if isinstance(node, (Sum, Add, Sub, Neg, Mul, Div, Pow)):
-        return _value_code(node, scope)
+        return _value(node, scope)
     raise TypeError(f"cannot evaluate {node!r}")
 
 

@@ -283,7 +283,6 @@ def bernoulli(n: int) -> BigRat:
 # of L has valuation >= i - v_p(i) >= i - floor(log_p i), again growing with
 # i, so the log series stops where that reaches W.
 
-_GAMMA_CACHE: dict[tuple[int, int, int], int] = {}
 _GAMMA_SERIES: dict[tuple[int, int], tuple] = {}
 
 
@@ -385,11 +384,7 @@ def gamma_p(x: BigRat, p: int, precision: int) -> PadicInt:
     if padic_valuation(x, p) < 0:
         raise NotPIntegral(f"Gamma_p argument {x} is not p-integral at p = {p}")
     r = residue_of_rational(x, p, precision) or p**precision
-    key = (p, precision, r)
-    cached = _GAMMA_CACHE.get(key)
-    if cached is None:
-        cached = _GAMMA_CACHE[key] = _gamma_prime(r, p, precision)
-    return PadicInt(p, precision, cached)
+    return PadicInt(p, precision, _gamma_prime(r, p, precision))
 
 
 @dataclass(frozen=True)

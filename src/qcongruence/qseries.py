@@ -1,4 +1,4 @@
-"""q-shifted factorials, q-binomials and truncated basic hypergeometric sums.
+"""q-shifted factorials and truncated basic hypergeometric sums.
 
 A TermSpec describes the k-th summand of a truncated series
 
@@ -43,7 +43,6 @@ from .arith import binary_split
 from .errors import (
     DegenerateParameters,
     NegativeLength,
-    OutOfRange,
     ZeroDenominatorFactor,
 )
 from .polyring import QFactored, QPoly, QRat, _times_keys, binomial_parts
@@ -52,7 +51,6 @@ __all__ = [
     "QMonomialArg",
     "TermSpec",
     "pochhammer",
-    "q_binomial",
     "truncated_sum",
     "truncated_sum_prefixes",
     "well_poised_spec",
@@ -132,17 +130,6 @@ def pochhammer(arg: QMonomialArg, step: int, k: int):
     """
     value = QFactored.pochhammer(arg.coeff, arg.exp, step, k).to_qrat()
     return value.num if value.is_poly() else value
-
-
-def q_binomial(t: int, s: int) -> QPoly:
-    """Gaussian binomial [t choose s] as a polynomial."""
-    if s < 0 or s > t:
-        raise OutOfRange(f"q-binomial index s={s} outside 0..{t}")
-
-    def factorial(m):  # (q; q)_m
-        return QFactored.pochhammer(Fraction(1), 1, 1, m)
-
-    return (factorial(t) / (factorial(s) * factorial(t - s))).to_qrat().num
 
 
 def _split_factors(args, i: int) -> tuple[Fraction, int, dict]:

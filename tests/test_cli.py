@@ -1,6 +1,11 @@
 """Tests for the command line interface and report formats."""
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +78,21 @@ def test_verify_deterministic_and_parallel_merge(tmp_path, capsys):
     assert blobs[0] == blobs[2]
 
 
+def test_importing_cli_leaves_the_process_pool_unloaded():
+    # Only --jobs > 1 uses the pool, so a fresh interpreter that imports the
+    # command line module loads neither concurrent.futures.process nor
+    # multiprocessing.
+    code = (
+        "import sys\n"
+        "import qcongruence.cli\n"
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_verify_pool_never_exceeds_task_count(capsys, monkeypatch):
     seen = []
 
@@ -93,7 +113,7 @@ def test_verify_pool_never_exceeds_task_count(capsys, monkeypatch):
             seen.append(len(tasks))
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     code, out, _ = run_cli(capsys, "verify", "--id", "THM_A", "--n", "5,7", "--jobs", "16")
     assert code == 0
     assert len(out.strip().splitlines()) == 4  # both m choices at each n

@@ -28,13 +28,14 @@ from qcongruence.expr import (
     Sub,
     Sum,
     SymbolRef,
+    compile_expr,
     eval_expr,
     eval_int,
     load_spec_file,
     parse_expr,
     parse_spec,
 )
-from qcongruence.polyring import QPoly, QRat, cyclotomic, q_integer
+from qcongruence.polyring import QFactored, QPoly, QRat, cyclotomic, q_integer
 from qcongruence.qseries import QMonomialArg, pochhammer, qma
 
 
@@ -79,6 +80,24 @@ def test_eval_qint_and_phi():
     assert eval_expr(parse_expr("qint(n)"), {"n": 4}) == QRat.from_value(QPoly([1, 1, 1, 1]))
     # negative q-integer: [-2] = -(1+q)/q^2
     assert eval_expr(parse_expr("qint(-2)")) == QRat(QPoly([-1, -1]), QPoly.monomial(2))
+
+
+def test_compiling_a_constant_tree_evaluates_nothing(monkeypatch):
+    # A tree without a symbol is compiled to closures like any other: its
+    # q-integer is built when the compiled tree is evaluated, not before.
+    calls = []
+    q_integer_of = QFactored.q_integer
+
+    def counting(cls, n):
+        calls.append(n)
+        return q_integer_of(n)
+
+    monkeypatch.setattr(QFactored, "q_integer", classmethod(counting))
+    compiled = compile_expr(parse_expr("qint(5)^2 * (1 + q)^2 / phi(3)"))
+    assert calls == []
+    expected = QRat.from_value(q_integer(5) ** 2 * QPoly([1, 1]) ** 2) / QRat.from_value(cyclotomic(3))
+    assert eval_expr(compiled) == expected
+    assert calls == [5]
 
 
 def test_eval_pochhammer_forms():

@@ -11,7 +11,6 @@ from qcongruence.errors import (
     DegenerateParameters,
     NegativeLength,
     NonTerminating,
-    OutOfRange,
     ZeroDenominatorFactor,
 )
 from qcongruence import polyring, qseries
@@ -21,7 +20,6 @@ from qcongruence.qseries import (
     QMonomialArg,
     TermSpec,
     pochhammer,
-    q_binomial,
     qma,
     truncated_sum,
     truncated_sum_prefixes,
@@ -76,34 +74,6 @@ def test_pochhammer_negative_exponent():
     assert got == QRat(QPoly([1, -1]) * QPoly([1, -1]) * -1, QPoly.monomial(1))
     with pytest.raises(NegativeLength):
         pochhammer(qma(1, 1), 1, -1)
-
-
-def test_q_binomial_frozen():
-    got = q_binomial(4, 2)
-    assert got == QPoly([1, 1, 2, 1, 1])
-    assert q_binomial(5, 0) == QPoly.one()
-    assert q_binomial(5, 5) == QPoly.one()
-    with pytest.raises(OutOfRange):
-        q_binomial(3, 4)
-    with pytest.raises(OutOfRange):
-        q_binomial(3, -1)
-
-
-def test_q_binomial_pascal_recurrence():
-    # [t s] = [t-1 s] + q^(t-s) [t-1 s-1]
-    for t in range(2, 9):
-        for s in range(1, t):
-            lhs = q_binomial(t, s)
-            rhs = q_binomial(t - 1, s) + QPoly.monomial(t - s) * q_binomial(t - 1, s - 1)
-            assert lhs == rhs
-
-
-def test_q_binomial_counts_at_one():
-    from math import comb
-
-    for t in range(8):
-        for s in range(t + 1):
-            assert q_binomial(t, s).eval_at(1) == comb(t, s)
 
 
 def sample_spec(rng):

@@ -53,6 +53,9 @@ binomial_parts is the one split of a factor 1 - c*q^e into a unit, a
 q-power and such keys; Pochhammer products and qseries' sum denominators
 are built from it.  Products, quotients and powers add or scale the exponent
 map and take no gcd; a sum expands both N over the smaller exponents.
+_times_keys multiplies a polynomial by such a map in one pass, and divides
+by the keys of negative exponent where the caller knows the quotient is
+exact, as qseries' partial sums do; an inexact one raises.
 to_qrat is the one reduction of a factored fraction: trial division of N by
 every key of the denominator (binomial passes for the Phi_d), a gcd only for
 the binomial keys that Capelli's theorem (binomial_reducible) shows
@@ -1099,23 +1102,36 @@ _QRAT_ONE = QRat._raw(_ONE, _ONE)
 
 
 def _times_keys(f: QPoly, exps: dict) -> QPoly:
-    """f * prod key^k over exps, every k >= 0.
+    """f * prod key^k over exps; a k < 0 divides, and the quotient must be
+    exact.
 
-    Binomial keys are multiplied in by a product tree.  The Phi_d go in by
-    binomial passes: their product's form prod_e (q^e - 1)^x_e merges their
-    Moebius forms, and _binomial_div by its negation multiplies by every
-    factor with x_e > 0 before it divides by those with x_e < 0, so every
-    division is exact.
+    Binomial keys with k > 0 are multiplied in by a product tree, and those
+    with k < 0 divided out by one poly_try_div by their product.  The Phi_d
+    go in by binomial passes: their product's form prod_e (q^e - 1)^x_e
+    merges their signed Moebius forms, and _binomial_div by its negation
+    multiplies by every factor with x_e > 0 before it divides by those with
+    x_e < 0.  With every k >= 0 each division is exact by construction; an
+    inexact quotient is a caller's error and raises ArithmeticError.
     """
-    binomials = [key for key, k in exps.items() if isinstance(key, QPoly) for _ in range(k)]
-    if binomials:
-        f = f * poly_product(binomials)
+    up, down = [], []
+    for key, k in exps.items():
+        if isinstance(key, QPoly):
+            (up if k > 0 else down).extend([key] * abs(k))
+    if up:
+        f = f * poly_product(up)
+    if down:
+        f = poly_try_div(f, poly_product(down))
+        if f is None:
+            raise ArithmeticError("binomial keys do not divide exactly")
     form = _merge_forms(
         (cyclotomic_form(d), k) for d, k in exps.items() if not isinstance(d, QPoly)
     )
     if not form:
         return f
-    return QPoly._make(_binomial_div(f._nums, tuple((e, -x) for e, x in form)), f._den)
+    nums = _binomial_div(f._nums, tuple((e, -x) for e, x in form))
+    if nums is None:
+        raise ArithmeticError("cyclotomic keys do not divide exactly")
+    return QPoly._make(nums, f._den)
 
 
 def _add_exps(a: dict, b: dict) -> dict:

@@ -16,10 +16,17 @@ polyring.binomial_parts splits every factor 1 - x q^e, numerator and
 denominator alike, into a unit, a q-power and the keys of QFactored,
 cyclotomic indices for coefficients +-1 and monic binomials otherwise, and
 each side's keys are multiplied in by one polyring._times_keys (binomial
-passes for the Phi_d).  The reduction is QFactored.to_qrat, the one
-reduction of a factored fraction: trial division by the keys, a gcd only
-for binomials that Capelli's theorem shows reducible, and the leftover
-denominator multiplied out.
+passes for the Phi_d).  The same maps bound the reduced denominator: term
+k's exponent of a key is the numerator's minus the denominator's through
+index k - 1, plus one for each Phi_d of its [2dk + r], so every nonzero
+term's denominator divides prod key^lam, lam the largest such -exponent.
+The rest of the chained denominator therefore divides the sum's numerator
+exactly and is divided out in one _times_keys pass, which raises if it is
+not exact.  What is left goes to QFactored.to_qrat, the one reduction of a
+factored fraction: trial division by the keys, a gcd only for binomials
+that Capelli's theorem shows reducible, and the leftover denominator
+multiplied out.  Those trial divisions fail, unless the sum cancels more
+than its terms show, as a terminating sum can.
 
 truncated_sum_prefixes, the entry point of every sum, keeps a per-process
 cache of partial sums keyed on the (frozen, hashable) TermSpec, beside
@@ -154,6 +161,11 @@ class _PartialSum:
     q-power.  binary_split over the leaves (p_k, q_k, a_k p_k), p_0 = q_0 = 1,
     gives sum = T / (q^qpow * prod key^mult over den), q^J included, with
     the keys of QFactored: an index d for Phi_d or a monic binomial.
+
+    As the leaves are built in increasing k, net holds the key exponents of
+    prod_{0<i<=k} p_i/q_i and lam the largest denominator exponent of a
+    nonzero term.  A term is 0 when its [2dk + r] is [0], or once a
+    numerator factor was 0 (dead), as past the end of a terminating sum.
     """
 
     def __init__(self, spec: TermSpec):
@@ -163,6 +175,9 @@ class _PartialSum:
         self.P = QPoly.one()
         self.T = QPoly.zero()
         self.den: dict = {}
+        self.net: dict = {}  # key exponents of the next term's product
+        self.lam: dict = {}  # largest denominator exponent of a nonzero term
+        self.dead = False  # a numerator factor was 0: every later term is 0
         self.qpow = max(0, -spec.r) if spec.linear_factor else 0
         self.k = 0  # next term index
 
@@ -181,19 +196,39 @@ class _PartialSum:
         if spec.z.coeff == 0:
             raise DegenerateParameters("z coefficient is zero")
         pshift, qshift = dshift + max(spec.z.exp, 0), nshift + max(-spec.z.exp, 0)
+        den, net = self.den, self.net
+        for key, k in numer.items():
+            net[key] = net.get(key, 0) + k
         for key, k in denom.items():
-            self.den[key] = self.den.get(key, 0) + k
+            den[key] = den.get(key, 0) + k
+            net[key] = net.get(key, 0) - k
+        self.dead = self.dead or not nunit
         self.qpow += qshift
         p = _times_keys(QPoly.const(nunit / dunit * spec.z.coeff), numer)
         return p.shift(pshift), _times_keys(QPoly.one(), denom).shift(qshift)
+
+    def _bound(self, m: int):
+        """Raise lam to the denominator exponents of the term whose product
+        has the exponents net and whose [m] = prod_{d | m, d > 1} Phi_d
+        (m = 1 without a linear factor); a zero term changes nothing."""
+        if self.dead or not m:
+            return
+        lam = self.lam
+        for key, e in self.net.items():
+            if e < 0:
+                e = -e - (isinstance(key, int) and key > 1 and m % key == 0)
+                if e > lam.get(key, 0):
+                    lam[key] = e
 
     def _leaf(self, k: int) -> tuple[QPoly, QPoly, QPoly]:
         spec = self.spec
         p, q = self._ratio(k - 1) if k else (QPoly.one(), QPoly.one())
         if not spec.linear_factor:
+            self._bound(1)
             return p, q, p
         # q^J [m] = +-(q^lo + ... + q^(hi-1)), with [m] = -q^m [-m] for m < 0
         m = 2 * spec.d * k + spec.r
+        self._bound(m)
         lo, hi = sorted((max(0, -spec.r), max(0, -spec.r) + m))
         return p, q, QPoly._make([0] * lo + [1 if m > 0 else -1] * (hi - lo), 1) * p
 
@@ -205,9 +240,17 @@ class _PartialSum:
         self.k = hi
 
     def value(self) -> QRat:
-        """Reduced value of the partial sum; does not disturb state."""
-        den = {key: -mult for key, mult in self.den.items()}
-        return QFactored(1, -self.qpow, self.T, den).to_qrat()
+        """Reduced value of the partial sum; does not disturb state.
+
+        Every nonzero term's denominator divides prod key^lam, so the rest
+        of the chained denominator, prod key^(den - lam), divides T exactly
+        and is divided out in one _times_keys pass; an inexact quotient
+        raises ArithmeticError.  to_qrat then only proves that nothing more
+        cancels.
+        """
+        lam = self.lam
+        T = _times_keys(self.T, {key: lam.get(key, 0) - mult for key, mult in self.den.items()})
+        return QFactored(1, -self.qpow, T, {key: -e for key, e in lam.items()}).to_qrat()
 
 
 class _EngineCache:

@@ -59,6 +59,15 @@ CASES = [
         ),
         0,
     ),
+    # The closed q-side sums over n = 1..21: THM_A and GWY extend the cached
+    # quartic, THM_B, THM_C, GS_16 and LEM_OO the cubic, from one n to the
+    # next.  Written before the partial sums divided their terms' common
+    # denominator out of the chained one.
+    (
+        "golden_sweep.jsonl",
+        ["verify", "--id", "THM_A,GWY,THM_B,THM_C,GS_16,LEM_OO,LEM_WEI_N", "--n", "1..21"],
+        0,
+    ),
     # Every classical statement at odd composite p: the Gamma_p statements
     # are skipped there, the rational ones decided from reduced Fractions.
     (

@@ -1,9 +1,11 @@
 """Tests for q-shifted factorials and truncated hypergeometric sums."""
 
+import functools
 import random
 import sys
 import threading
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -15,7 +17,7 @@ from qcongruence.errors import (
 )
 from qcongruence import polyring, qseries
 from qcongruence.catalog import check_terminating_identity
-from qcongruence.polyring import QPoly, QRat, cyclotomic, q_integer
+from qcongruence.polyring import QFactored, QPoly, QRat, cyclotomic, q_integer
 from qcongruence.qseries import (
     QMonomialArg,
     TermSpec,
@@ -488,3 +490,106 @@ def test_threads_never_share_an_engine(engines):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert len(engines._entries) <= engines.size
+
+
+
+# -- value(): the chained denominator less what the terms show cancels ---------
+
+
+def full_denominator_value(engine):
+    """The engine's partial sum reduced by to_qrat over the whole chained
+    denominator q^qpow * prod key^den: the oracle for value()."""
+    den = {key: -mult for key, mult in engine.den.items()}
+    return QFactored(1, -engine.qpow, engine.T, den).to_qrat()
+
+
+BOUND_ORDERS = range(21)
+
+# The quartic and THM_E's (d, r), the cubic (3, 1) among them: Phi_d keys only.
+CATALOG_SHAPES = {"quartic": well_poised_spec(2, 1, c=-1)} | {
+    f"({d},{r})": well_poised_spec(d, r) for d in (3, 4, 5) for r in (1, -1)
+}
+# At r = -d every term past k = 1 is 0, and terms 0 and 1 cancel.
+TERMINATING_SHAPES = {f"({d},{-d})": well_poised_spec(d, -d) for d in (3, 4, 5)}
+BOUND_SPECS = CATALOG_SHAPES | TERMINATING_SHAPES | {
+    # binomial keys q^e - c, c != +-1
+    "rational": well_poised_spec(3, 1, Fraction(2, 3), Fraction(-5, 7), Fraction(1, 2)),
+    # (2q; q)_k / (4q^2; q)_k, no linear factor: the reducible binomial key
+    # q^2 - 1/4 takes to_qrat's gcd branch
+    "reducible": TermSpec(
+        1, 0, ((qma(2, 1), 1),), ((qma(4, 2), 1),), qma(1, 0), linear_factor=False
+    ),
+    # (q^-8; q^2)_k in the numerator: every term past k = 4 is 0
+    "terminating": well_poised_spec(2, 1, qma(1, -9), 1, -1),
+    # [2k - 2] (q; q)_k / (q^2; q)_k q^k: term 1 is [0]
+    "zero term": TermSpec(1, -2, ((qma(1, 1), 1),), ((qma(1, 2), 1),), qma(1, 1)),
+}
+
+
+@functools.cache
+def bound_walk(name):
+    """For each order 0..20 of BOUND_SPECS[name], asked for one at a time
+    through a private engine cache: (value, the oracle's value, the
+    poly_try_div calls that found a quotient while the value was made, the
+    engine's lam).  Extending an engine makes no poly_try_div call."""
+    spec, real, found, out = BOUND_SPECS[name], polyring.poly_try_div, [], {}
+
+    def counting(f, g, form=None):
+        quotient = real(f, g, form)
+        found.append(quotient is not None)
+        return quotient
+
+    engines = qseries._EngineCache(1)
+    with mock.patch.object(qseries, "_ENGINES", engines):
+        for m in BOUND_ORDERS:
+            found.clear()
+            with mock.patch.object(polyring, "poly_try_div", counting):
+                value = truncated_sum(spec, m)
+            engine = engines._entries[spec][0]
+            out[m] = value, full_denominator_value(engine), sum(found), dict(engine.lam)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_SPECS))
+def test_value_matches_the_full_denominator_reduction(name):
+    walk = bound_walk(name)
+    for m in BOUND_ORDERS:
+        value, want, _, lam = walk[m]
+        assert (value.num, value.den) == (want.num, want.den), m
+        # the same order in one pass from k = 0
+        engine = qseries._PartialSum(BOUND_SPECS[name])
+        engine.extend(m + 1)
+        assert engine.lam == lam, m
+    fresh = engine.value()
+    assert (fresh.num, fresh.den) == (value.num, value.den)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_SHAPES) + ["zero term"])
+def test_value_leaves_to_qrat_nothing_to_cancel(name):
+    # lam is the reduced denominator's exponent of every key, so each trial
+    # division by a key of lam fails (and the value is right, as tested above)
+    assert [m for m in BOUND_ORDERS if bound_walk(name)[m][2]] == []
+
+
+def test_zero_terms_leave_the_bound_alone():
+    # Past k = 4 every term is 0, so lam, and the keys to_qrat still
+    # cancels, are those of order 4.  Those cancellations are the sum's own:
+    # the terms at k = 1 and 2 each have Phi_7 in their denominator, and
+    # their sum does not.
+    walk = bound_walk("terminating")
+    assert walk[4][3] != walk[3][3]
+    assert walk[2][2] > 0
+    for m in range(5, 21):
+        assert walk[m][2:] == walk[4][2:], m
+
+
+@pytest.mark.parametrize("name", ["(3,1)", "rational"])
+def test_value_raises_when_the_bound_is_one_too_low(monkeypatch, name):
+    engine = qseries._PartialSum(BOUND_SPECS[name])
+    engine.extend(9)
+    lam = dict(engine.lam)
+    assert any(isinstance(key, QPoly) for key in lam) == (name == "rational")
+    for key, e in lam.items():
+        monkeypatch.setattr(engine, "lam", lam | {key: e - 1})
+        with pytest.raises(ArithmeticError):
+            engine.value()

@@ -4,7 +4,10 @@ A congruence A = B (mod P) over the field of rational functions in q means:
 write A - B = N/D in lowest terms; then D must be coprime to P and P must
 divide N.  Every public QRat constructor and operation returns lowest terms
 (QRat._raw is private and trusted to be given them), so congruent reads N/D
-off the difference and cancels nothing.
+off the difference and cancels nothing.  Where both sides carry their
+factored denominators (QRat.form: partial sums and closed forms reduced by
+QFactored.to_qrat), the difference reads the gcd of the two denominators off
+their exponent maps and takes no polynomial gcd; any other pair takes GCDHEU.
 
 congruent divides first: one poly_try_div of N by P, handed P's binomial
 form, decides success, so a P made of named q-integers and cyclotomics

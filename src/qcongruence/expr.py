@@ -728,10 +728,23 @@ def _factor(node: Node, scope: dict):
     if isinstance(node, Pochhammer):
         arg = _monomial(node.arg, scope)
         step, length = _integer(node.step, scope), _integer(node.length, scope)
+        seen = [None, {}]  # the last (coeff, exp, step) and its products by length
 
         def poch(env):
+            # A Sum body asks for growing lengths of one argument: a product
+            # not seen yet extends the longest shorter one.  The triples are
+            # shared between calls and never written.
             coeff, exp = arg(env)
-            return pochhammer_parts(coeff, exp, step(env), length(env))
+            x, k = (coeff, exp, step(env)), length(env)
+            if seen[0] != x:
+                seen[:] = x, {}
+            known = seen[1]
+            parts = known.get(k)
+            if parts is None:
+                i = max((i for i in known if i <= k), default=None)
+                prefix = None if i is None else (i, known[i])
+                parts = known[k] = pochhammer_parts(coeff, exp, x[2], k, prefix)
+            return parts
 
         return poch
     if isinstance(node, (Sum, Add, Sub, Neg, Mul, Div, Pow)):

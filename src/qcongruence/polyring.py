@@ -11,7 +11,13 @@ unpacking are one int.to_bytes and int.from_bytes pass each, linear in the
 length: every coefficient is offset by 2**(width-1) into an unsigned digit.
 
 QRat is a reduced rational function: numerator and monic denominator with
-gcd 1, normalized at construction.  The kernels under it work on the integer
+gcd 1, normalized at construction.  A QRat from to_qrat may carry its
+denominator's factored form q^j * prod key^e (QRat.form); adding two values
+that both carry one reads g = gcd(b1, b2) off the exponent maps, multiplies
+each numerator by the other side's cofactor keys, and trial-divides the sum
+only by q and the keys of equal exponent (Henrici, J. ACM 3, 1956): no gcd is
+taken, and the sum carries its own form.  Every other sum, and every QRat
+product, takes polynomial gcds.  The kernels under it work on the integer
 cores.  Polynomial gcd is GCDHEU (Char, Geddes and Gonnet, J. Symbolic
 Comput. 7, 1989): the integer gcd of the primitive cores evaluated at
 xi >= 2 min(|f|, |g|) + 2, read back as symmetric base-xi digits.  xi is
@@ -27,10 +33,10 @@ remainder sequence) over the integers.
 Exact division has two kernels, and poly_try_div is the one place that picks
 one.  A divisor whose binomial form prod_e (q^e - 1)^x_e its caller holds
 -- a Modulus for its product and each factor named as a q-integer [n] or a
-Phi_d, to_qrat and congruent's unit check for every Phi_d they divide by --
-is divided by binomial passes: one shifted subtraction per unit of x_e < 0,
-then per unit of x_e > 0 a running sum over each residue class mod e, exact
-iff the top e sums vanish.
+Phi_d, to_qrat, QRat sums and congruent's unit check for every Phi_d they
+divide by -- is divided by binomial passes: one shifted subtraction per unit
+of x_e < 0, then per unit of x_e > 0 a running sum over each residue class
+mod e, exact iff the top e sums vanish.
 That is O(2^omega(d) deg f) element steps in C for Phi_d.  Every other
 divisor divides its primitive part through _divexact_int, which GCDHEU's
 candidates use too.  By Gauss's lemma a primitive divisor divides over Q
@@ -59,7 +65,8 @@ exact, as qseries' partial sums do; an inexact one raises.
 to_qrat is the one reduction of a factored fraction: trial division of N by
 every key of the denominator (binomial passes for the Phi_d), a gcd only for
 the binomial keys that Capelli's theorem (binomial_reducible) shows
-reducible, and the leftover denominator multiplied out.  Division by a value
+reducible, and the leftover denominator multiplied out; without such a key
+the result carries the keys left as its form.  Division by a value
 whose N is not constant, and any operation with a QRat, continue in QRat
 arithmetic.
 """
@@ -886,17 +893,23 @@ def binomial_parts(c: Fraction, e: int) -> tuple[Fraction, int, tuple]:
     return (-c if e > 0 else 1), j, (QPoly._make([-u] + [0] * (f - 1) + [v], v),)
 
 
-def pochhammer_parts(coeff: Fraction, exp: int, step: int, k: int) -> tuple[Fraction, int, dict]:
+def pochhammer_parts(
+    coeff: Fraction, exp: int, step: int, k: int, prefix=None
+) -> tuple[Fraction, int, dict]:
     """(x; q^step)_k = prod_{i<k} (1 - x q^(step*i)) for x = coeff*q^exp as
     (c, j, exps), the fields of a QFactored with N = 1: every factor split by
-    binomial_parts into the exponent map."""
+    binomial_parts into the exponent map.
+
+    prefix, when given, is (i, parts) with i <= k and parts what this call
+    returned at length i for the same x and step: only the factors i..k-1
+    are split, into a copy of its map."""
     if step < 1:
         raise ValueError(f"step must be at least 1, got {step}")
     if k < 0:
         raise NegativeLength(f"Pochhammer length {k} is negative")
-    c, j = Fraction(1), 0
-    exps: dict = {}
-    for i in range(k):
+    start, (c, j, exps) = prefix or (0, (Fraction(1), 0, {}))
+    exps = dict(exps)
+    for i in range(start, k):
         unit, shift, keys = binomial_parts(coeff, exp + step * i)
         c *= unit
         j -= shift
@@ -918,9 +931,15 @@ class QRat:
 
     Every public constructor and operation returns lowest terms, which
     congruence.congruent relies on; _raw is private and trusts its caller.
+
+    form is the factored denominator (j, exps), den = q^j * prod key^e over
+    exps, every e > 0 and every key irreducible (an index d for Phi_d or an
+    irreducible monic binomial, as in QFactored), or None when it is not
+    known.  to_qrat and the sum of two such values set it, and negation and
+    addition of a polynomial keep it.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "form")
 
     def __init__(self, num, den=None):
         if not isinstance(num, QPoly):
@@ -943,16 +962,20 @@ class QRat:
             num = num * (1 / lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QRat is immutable")
 
     @classmethod
-    def _raw(cls, num: QPoly, den: QPoly) -> "QRat":
-        """Trusted constructor: den monic (or one) and gcd(num, den) = 1."""
+    def _raw(cls, num: QPoly, den: QPoly, form=None) -> "QRat":
+        """Trusted constructor: den monic (or one), gcd(num, den) = 1, and
+        form is den's factored form or None."""
         r = object.__new__(cls)
+        zero = num.is_zero()
         object.__setattr__(r, "num", num)
-        object.__setattr__(r, "den", den if not num.is_zero() else _ONE)
+        object.__setattr__(r, "den", _ONE if zero else den)
+        object.__setattr__(r, "form", None if zero else form)
         return r
 
     @classmethod
@@ -991,9 +1014,13 @@ class QRat:
         return self.num * other.den == other.num * self.den
 
     def __neg__(self):
-        return QRat._raw(-self.num, self.den)
+        return QRat._raw(-self.num, self.den, self.form)
 
     def __add__(self, other):
+        """The reduced sum.  Where both denominators carry their form, the
+        sum is _add_factored's, with no gcd; otherwise GCDHEU gives
+        g = gcd(b1, b2) and its cofactors, and the numerator is reduced
+        against g by a second gcd."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -1001,9 +1028,11 @@ class QRat:
         if b1.is_one():
             if b2.is_one():
                 return QRat._raw(a1 + a2, _ONE)
-            return QRat._raw(a1 * b2 + a2, b2)
+            return QRat._raw(a1 * b2 + a2, b2, other.form)
         if b2.is_one():
-            return QRat._raw(a1 + a2 * b1, b1)
+            return QRat._raw(a1 + a2 * b1, b1, self.form)
+        if self.form is not None and other.form is not None:
+            return self._add_factored(other)
         g, b1r, b2r = _gcd_cofactors(b1, b2)
         if g.degree == 0:
             return QRat._raw(a1 * b2 + a2 * b1, b1 * b2)
@@ -1016,6 +1045,46 @@ class QRat:
         return QRat._raw(num, g * b1r * b2r)
 
     __radd__ = __add__
+
+    def _add_factored(self, other) -> "QRat":
+        """self + other from the two factored denominators (Henrici, J. ACM 3,
+        1956), with gcd(b1, b2) read off the exponent maps, not computed.
+
+        The keys are pairwise coprime irreducibles, all prime to q (a binomial
+        q^e - c, c != +-1, has no root on the unit circle, so it is prime to
+        every Phi_d).  So g = gcd(b1, b2) = q^min(j) prod key^min(e, e'), and
+        b1/g, b2/g are the cofactor maps.  The numerator
+        num = a1 (b2/g) + a2 (b1/g) multiplies each a by the other side's
+        cofactor keys in one _times_keys pass, never forming b/g.  With both
+        sides in lowest terms num is prime to b1/g and b2/g, so only q and the
+        keys with e = e', which divide neither cofactor, can divide it, each
+        at most to its exponent in g: trial division by those alone reduces
+        the sum.  Its denominator, b1 b2 / g less what cancelled, is the
+        larger of b1, b2 times the other's cofactor keys over the cancelled
+        ones, again one pass: the smaller cofactor is the cheaper to apply.
+        """
+        (j1, exps1), (j2, exps2) = self.form, other.form
+        j = min(j1, j2)
+        g = {key: min(e, exps2[key]) for key, e in exps1.items() if key in exps2}
+        cof1 = {key: e - g.get(key, 0) for key, e in exps1.items() if e > g.get(key, 0)}
+        cof2 = {key: e - g.get(key, 0) for key, e in exps2.items() if e > g.get(key, 0)}
+        num = _times_keys(self.num, cof2).shift(j2 - j) + _times_keys(other.num, cof1).shift(j1 - j)
+        if num.is_zero():
+            return _QRAT_ZERO
+        t = min(num.trailing_order(), j)
+        num = num.shift(-t)
+        cancelled = {}
+        for key, e in g.items():
+            if exps1[key] == exps2[key]:
+                num, n = _divide_key(num, key, e)
+                if n:
+                    cancelled[key] = -n
+        if self.den.degree >= other.den.degree:
+            den = _times_keys(self.den, {**cof2, **cancelled}).shift(j2 - j - t)
+        else:
+            den = _times_keys(other.den, {**cof1, **cancelled}).shift(j1 - j - t)
+        exps = _add_exps(_add_exps(exps1, cof2), cancelled)
+        return QRat._raw(num, den, (j1 + j2 - j - t, exps))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -1132,6 +1201,20 @@ def _times_keys(f: QPoly, exps: dict) -> QPoly:
     if nums is None:
         raise ArithmeticError("cyclotomic keys do not divide exactly")
     return QPoly._make(nums, f._den)
+
+
+def _divide_key(num: QPoly, key, e: int) -> tuple[QPoly, int]:
+    """(num / key^n, n) for the largest n <= e with key^n | num, by trial
+    divisions: binomial passes for a Phi_d, the general kernel for a
+    binomial key."""
+    f, form = (key, None) if isinstance(key, QPoly) else (cyclotomic(key), cyclotomic_form(key))
+    n = 0
+    while n < e and not num.is_one():
+        quotient = poly_try_div(num, f, form)
+        if quotient is None:
+            break
+        num, n = quotient, n + 1
+    return num, n
 
 
 def _add_exps(a: dict, b: dict) -> dict:
@@ -1312,7 +1395,9 @@ class QFactored:
         proper factor with N, so those keys alone pay a gcd each: cancelling
         gcd(N, f) one key at a time leaves N coprime to what remains of every
         key, since binomials q^e - c are squarefree, and reducing N modulo
-        the small key first keeps the gcd small.
+        the small key first keeps the gcd small.  Without such a key the
+        result carries its denominator's form: q^max(-j, 0) and the keys
+        left, whose gcds QRat addition reads off.
         """
         if not self.c:
             return _QRAT_ZERO
@@ -1323,15 +1408,9 @@ class QFactored:
         for key, e in self.exps.items():
             if e > 0:
                 continue
-            e = -e
-            binomial = isinstance(key, QPoly)
-            f, form = (key, None) if binomial else (cyclotomic(key), cyclotomic_form(key))
-            while e and not num.is_one():
-                quotient = poly_try_div(num, f, form)
-                if quotient is None:
-                    break
-                num, e = quotient, e - 1
-            if e and binomial and binomial_reducible(-key.coefficient(0), key.degree):
+            num, n = _divide_key(num, key, -e)
+            e = -e - n
+            if e and isinstance(key, QPoly) and binomial_reducible(-key.coefficient(0), key.degree):
                 shared.extend([key] * e)
             elif e:
                 denom[key] = e
@@ -1345,7 +1424,10 @@ class QFactored:
         if self.c != 1:
             numerator = numerator * self.c
         denominator = _times_keys(poly_product(rest), denom)
-        return QRat._raw(numerator.shift(max(self.j, 0)), denominator.shift(max(-self.j, 0)))
+        j = max(-self.j, 0)
+        return QRat._raw(
+            numerator.shift(max(self.j, 0)), denominator.shift(j), None if rest else (j, denom)
+        )
 
     def __repr__(self):
         return f"QFactored({self.c}, q^{self.j}, {self.N!r}, {self.exps})"

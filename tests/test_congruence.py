@@ -19,7 +19,7 @@ from qcongruence.congruence import (
     sample_params,
 )
 from qcongruence.errors import DenominatorNotUnit, SamplingExhausted, UnknownKind
-from qcongruence import congruence, polyring
+from qcongruence import catalog, congruence, polyring
 from qcongruence.polyring import (
     QFactored,
     QPoly,
@@ -377,6 +377,20 @@ def test_congruent_thm_c_style_frozen():
     assert congruent(lhs, rhs, m).verified
     # and the weaker modulus also holds (monotonicity witness)
     assert congruent(lhs, rhs, build_modulus("QINT_PHI_POW", 2, {"k": 1})).verified
+
+
+def test_factored_sides_take_no_gcd(monkeypatch):
+    # THM_B's partial sum and closed form both carry their factored
+    # denominators, so lhs - rhs reads its gcd off their exponent maps.
+    inst = catalog.instantiate("THM_B", {"n": 13}, "second")
+    assert not inst.lhs.den.is_one() and not inst.rhs.den.is_one()
+    assert inst.lhs.form is not None and inst.rhs.form is not None
+
+    def refuse(f, g):
+        raise AssertionError("_gcd_cofactors called for two factored denominators")
+
+    monkeypatch.setattr(polyring, "_gcd_cofactors", refuse)
+    assert congruent(inst.lhs, inst.rhs, inst.modulus).verified
 
 
 def rand_qrat(rng, max_deg=3):

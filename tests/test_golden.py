@@ -68,6 +68,19 @@ CASES = [
         ["verify", "--id", "THM_A,GWY,THM_B,THM_C,GS_16,LEM_OO,LEM_WEI_N", "--n", "1..21"],
         0,
     ),
+    # The parametric statements at sampled rationals, three draws per seed:
+    # both sides' denominators carry irreducible binomial keys q^e - c, and
+    # some draws leave a Capelli-reducible one (q^3 + 8, q^6 + 8, q^4 + 4).
+    # Written before lhs - rhs read its gcd off the factored denominators.
+    (
+        "golden_parametric.jsonl",
+        tuple(
+            ["verify", "--id", "PROP_3_1,THM_3_2,THM_3_3,NW_23,PROP_5_3,THM_5_4,THM_5_5",
+             "--seed", seed, "--trials", "3"]
+            for seed in ("0", "3", "8")
+        ),
+        0,
+    ),
     # Every classical statement at odd composite p: the Gamma_p statements
     # are skipped there, the rational ones decided from reduced Fractions.
     (

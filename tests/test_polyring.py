@@ -800,3 +800,93 @@ def test_factored_arithmetic_matches_qrat_random():
         # mixed with a QRat: the QRat arithmetic takes over, same value
         mixed = x * ry + rx
         assert isinstance(mixed, QRat) and mixed == rx * ry + rx
+
+
+def _without_form(r):
+    """r with its factored denominator dropped: QRat.__add__ then takes GCDHEU."""
+    return QRat._raw(r.num, r.den)
+
+
+def _assert_form_multiplies_out(r):
+    if r.form is None:
+        return
+    j, exps = r.form
+    assert all(e > 0 for e in exps.values()), r
+    assert polyring._times_keys(QPoly.one(), exps).shift(j) == r.den, r
+
+
+def test_factored_sum_matches_the_gcd_sum(monkeypatch):
+    # QRat.__add__ reads gcd(b1, b2) off two factored denominators, over
+    # Phi_d keys, irreducible binomial keys and q-powers, and takes no gcd;
+    # the same values without their forms take GCDHEU.  Sums y = z - x make
+    # x + y cancel keys of g (and q-powers) down to z.
+    rng = random.Random(2929)
+    binomials = []
+    for c, e in ((2, 1), (Fraction(-3, 5), 2), (Fraction(2, 3), 3), (5, 1), (Fraction(-1, 2), 2)):
+        assert not binomial_reducible(Fraction(c), e)
+        binomials.append(binomial_parts(Fraction(c), e)[2][0])
+    keys = [1, 2, 3, 4, 5, 6, 8, 9, 12] + binomials
+
+    def value():
+        exps = {key: rng.choice([-3, -2, -1, -1, 1]) for key in rng.sample(keys, rng.randint(1, 5))}
+        N = QPoly([rng.randint(1, 5)] + [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))])
+        return QFactored(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)), rng.randint(-3, 2), N, exps)
+
+    gcd_calls, cancelled, cancels = [], [], []
+    real_gcd, real_divide = polyring._gcd_cofactors, polyring._divide_key
+
+    def counted_gcd(f, g):
+        gcd_calls.append((f, g))
+        return real_gcd(f, g)
+
+    def counted_divide(num, key, e):
+        got = real_divide(num, key, e)
+        cancelled.append(got[1])
+        return got
+
+    monkeypatch.setattr(polyring, "_gcd_cofactors", counted_gcd)
+    monkeypatch.setattr(polyring, "_divide_key", counted_divide)
+
+    def check(a, b):
+        """a + b, checked, after a - b."""
+        for x, y in ((a, -b), (a, b)):
+            gcd_calls.clear()
+            cancelled.clear()
+            got = x + y
+            cancels.append(sum(cancelled))
+            factored = x.form is not None and y.form is not None
+            if factored and not x.den.is_one() and not y.den.is_one():
+                assert gcd_calls == []
+            want = _without_form(x) + _without_form(y)
+            assert (got.num, got.den) == (want.num, want.den), (x, y)
+            if factored and got:
+                assert got.form is not None
+            _assert_form_multiplies_out(got)
+        return got
+
+    pairs = [(value(), value()) for _ in range(150)]
+    for x, y in pairs:
+        rx, ry = x.to_qrat(), y.to_qrat()
+        assert rx.form is not None and ry.form is not None
+        _assert_form_multiplies_out(rx)
+        check(rx, ry)
+    cancels.clear()
+    for _ in range(60):
+        x, z = value(), value()
+        got = check(x.to_qrat(), (z - x).to_qrat())
+        want = z.to_qrat()
+        assert (got.num, got.den, got.form) == (want.num, want.den, want.form)
+    assert sum(map(bool, cancels)) > 40, cancels  # the keys of g did cancel
+
+    # A Capelli-reducible key (q^2 - 1/4 of 1 - 4q^2) left in a denominator
+    # gives no form, and the sum falls back to GCDHEU.
+    reducible = QFactored(1, 0, QPoly([1, 1]), {binomial_parts(Fraction(4), 2)[2][0]: -1, 3: -1})
+    r = reducible.to_qrat()
+    assert r.form is None and not r.den.is_one()
+    for x, _ in pairs[:20]:
+        rx = x.to_qrat()
+        if rx.den.is_one():
+            continue
+        gcd_calls.clear()
+        check(rx, r)
+        assert gcd_calls

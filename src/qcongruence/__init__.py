@@ -9,12 +9,11 @@ summation identities, and classical p-adic congruences sits on top, with a CLI
 that emits machine-readable reports.
 """
 
-from .arith import BigRat, PadicInt, padic_valuation
+from .arith import BigRat, padic_valuation
 from .polyring import QPoly, QRat, cyclotomic, q_integer
 
 __all__ = [
     "BigRat",
-    "PadicInt",
     "QPoly",
     "QRat",
     "cyclotomic",

@@ -32,7 +32,7 @@ from .errors import (
     UnknownKind,
 )
 from .expr import Mul, Phi, Pow, QInt, eval_expr, eval_int, load_spec_file
-from .polyring import cyclotomic_form
+from .polyring import cyclotomic_form, q_integer_form
 
 __all__ = ["main"]
 
@@ -382,7 +382,7 @@ def _modulus_from_node(node, env) -> Modulus:
             raise SideConditionViolated("modulus factor is zero")
         form = None
         if isinstance(nd, QInt):
-            form = ((1, -1), (eval_int(nd.arg, env), 1))  # [n] = (q^n - 1) / (q - 1)
+            form = q_integer_form(eval_int(nd.arg, env))
         elif isinstance(nd, Phi):
             form = cyclotomic_form(eval_int(nd.arg, env))
         factors.append((value.num, mult))

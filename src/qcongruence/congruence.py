@@ -39,6 +39,7 @@ from .errors import DenominatorNotUnit, SamplingExhausted, UnknownKind
 from .polyring import (
     QPoly,
     QRat,
+    _divide_key,
     _merge_forms,
     cyclotomic,
     cyclotomic_exponents,
@@ -48,6 +49,7 @@ from .polyring import (
     poly_product,
     poly_try_div,
     q_integer,
+    q_integer_form,
 )
 
 __all__ = [
@@ -161,7 +163,7 @@ def build_modulus(kind: str, n: int, bindings: dict | None = None) -> Modulus:
     label_parts: list[str] = []
     if kind.startswith("QINT"):
         factors.append((q_integer(n), 1))
-        forms.append(((1, -1), (n, 1)))  # [n] = (q^n - 1) / (q - 1)
+        forms.append(q_integer_form(n))
         label_parts.append(f"[{n}]")
     if "PHI" in kind:
         factors.append((cyclotomic(n), k))
@@ -215,8 +217,9 @@ def _shared_with_modulus(den: QPoly, m: Modulus) -> QPoly:
     """gcd(den, P) for the monic product P of m.
 
     For P = prod Phi_d^k_d (m.form is not None) the gcd is
-    prod Phi_d^min(k_d, nu_d(den)), each nu_d found by trial division with
-    binomial passes; any other P pays one long division den mod P and a gcd.
+    prod Phi_d^min(k_d, nu_d(den)), each nu_d found by polyring's trial
+    division with binomial passes (_divide_key); any other P pays one long
+    division den mod P and a gcd.
     """
     p = m.monic_product
     if m.form is None:
@@ -224,13 +227,8 @@ def _shared_with_modulus(den: QPoly, m: Modulus) -> QPoly:
         return p if dr.is_zero() else poly_gcd(dr, p)
     shared = []
     for d, k in cyclotomic_exponents(m.form):
-        phi, form, j = cyclotomic(d), cyclotomic_form(d), 0
-        while j < k:
-            quotient = poly_try_div(den, phi, form)
-            if quotient is None:
-                break
-            den, j = quotient, j + 1
-        shared += [phi] * j
+        den, j = _divide_key(den, d, k)
+        shared += [cyclotomic(d)] * j
     return poly_product(shared)
 
 

@@ -2,7 +2,7 @@
 
 Every failure mode that callers are expected to catch gets its own class so
 that reports can name it; plain ValueError is reserved for programming errors
-(mismatched p-adic contexts, malformed constructor input).
+(malformed arguments, such as p < 2).
 """
 
 from __future__ import annotations
@@ -14,14 +14,6 @@ class QCongruenceError(Exception):
 
 class NotPIntegral(QCongruenceError):
     """A rational with p in its denominator was used where a p-adic integer is required."""
-
-
-class NotAUnit(QCongruenceError):
-    """Inversion was attempted on a non-unit residue."""
-
-
-class InsufficientPrecision(QCongruenceError):
-    """A p-adic comparison was requested beyond the precision carried by an operand."""
 
 
 class DivisionByZeroPoly(QCongruenceError):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, inf, isqrt
 
-from .arith import BigRat, PadicInt, binary_split, padic_valuation, residue_of_rational
+from .arith import BigRat, binary_split, padic_valuation, residue_of_rational
 from .congruence import CongruenceResult
 from .errors import (
     NotPIntegral,
@@ -366,9 +366,9 @@ def _gamma_prime(r: int, p: int, precision: int) -> int:
     return -acc % modulus if r % 2 else acc
 
 
-def gamma_p(x: BigRat, p: int, precision: int) -> PadicInt:
-    """Gamma_p(x) to `precision` digits, for an odd prime p and a p-integral
-    rational x.
+def gamma_p(x: BigRat, p: int, precision: int) -> int:
+    """Gamma_p(x) modulo p**precision, as a residue in [0, p**precision), for
+    an odd prime p and a p-integral rational x.
 
     Gamma_p(x) = Gamma_p(r) = (-1)^r prod_{0<k<r, p prime to k} k for the
     representative r of x in 1..p**precision.  That product is
@@ -384,7 +384,7 @@ def gamma_p(x: BigRat, p: int, precision: int) -> PadicInt:
     if padic_valuation(x, p) < 0:
         raise NotPIntegral(f"Gamma_p argument {x} is not p-integral at p = {p}")
     r = residue_of_rational(x, p, precision) or p**precision
-    return PadicInt(p, precision, _gamma_prime(r, p, precision))
+    return _gamma_prime(r, p, precision)
 
 
 @dataclass(frozen=True)
@@ -495,11 +495,16 @@ def _gamma_congruent(lhs, form: _GammaForm, p: int, k: int) -> CongruenceResult:
 
 
 def _gamma_residue(form: _GammaForm, p: int, needed: int) -> int:
-    """coef * prod Gamma_p(arg)^e modulo p^needed."""
-    acc = PadicInt(p, needed, residue_of_rational(form.coef, p, needed))
+    """coef * prod Gamma_p(arg)^e modulo p^needed.
+
+    A negative e inverts modulo p^needed: every Gamma_p value is a unit,
+    +- a product of integers prime to p.
+    """
+    modulus = p**needed
+    acc = residue_of_rational(form.coef, p, needed)
     for arg, e in form.factors:
-        acc = acc * gamma_p(arg, p, needed) ** e
-    return acc.residue
+        acc = acc * pow(gamma_p(arg, p, needed), e, modulus) % modulus
+    return acc
 
 
 def _residue_result(lhs_res: int, rhs_res: int, p: int, k: int, j: int) -> CongruenceResult:

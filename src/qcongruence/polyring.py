@@ -98,6 +98,7 @@ __all__ = [
     "poly_gcd_ext",
     "poly_product",
     "q_integer",
+    "q_integer_form",
 ]
 
 _KRONECKER_THRESHOLD = 24
@@ -826,6 +827,11 @@ def cyclotomic_form(n: int) -> tuple[tuple[int, int], ...]:
                 x = -x
         pairs.append((e, x))
     return tuple(sorted(pairs))
+
+
+def q_integer_form(n: int) -> tuple[tuple[int, int], ...]:
+    """Binomial form of [n] = (q^n - 1) / (q - 1)."""
+    return ((1, -1), (n, 1))
 
 
 def _require_index(n: int):

@@ -1,4 +1,4 @@
-"""Tests for p-adic integer arithmetic and rational residue helpers."""
+"""Tests for p-adic valuations and rational residues."""
 
 import random
 from fractions import Fraction
@@ -6,13 +6,8 @@ from math import inf
 
 import pytest
 
-from qcongruence.arith import (
-    PadicInt,
-    inv_mod_prime_power,
-    padic_valuation,
-    residue_of_rational,
-)
-from qcongruence.errors import InsufficientPrecision, NotAUnit, NotPIntegral
+from qcongruence.arith import padic_valuation, residue_of_rational
+from qcongruence.errors import NotPIntegral
 
 
 def test_padic_valuation_values():
@@ -62,75 +57,9 @@ def test_padic_valuation_matches_stepwise_division():
             padic_valuation(Fraction(9, 2), p)
 
 
-def test_inv_mod_prime_power():
-    for a, p, n in [(2, 5, 3), (7, 3, 4), (123, 7, 2)]:
-        inv = inv_mod_prime_power(a, p, n)
-        assert 0 <= inv < p**n
-        assert (a * inv) % p**n == 1
-    with pytest.raises(NotAUnit):
-        inv_mod_prime_power(10, 5, 2)
-
-
 def test_residue_of_rational():
     assert residue_of_rational(Fraction(1, 3), 5, 3) == 42  # 3 * 42 = 126 = 1 mod 125
     assert residue_of_rational(Fraction(-1), 7, 2) == 48
     assert residue_of_rational(13, 13, 2) == 13
     with pytest.raises(NotPIntegral):
         residue_of_rational(Fraction(1, 5), 5, 2)
-
-
-def test_padic_int_basic_arithmetic():
-    x = PadicInt(5, 3, 7)
-    y = PadicInt(5, 3, 123)
-    assert (x + y).residue == 5
-    assert (x * y).residue == (7 * 123) % 125
-    assert (x - y).residue == (7 - 123) % 125
-    assert (-x).residue == 118
-    assert (x + 3).residue == 10
-    assert (2 * x).residue == 14
-
-
-def test_padic_int_fraction_coercion_and_eq():
-    x = PadicInt(5, 3, Fraction(1, 3))
-    assert x.residue == 42
-    assert x == Fraction(1, 3)
-    assert PadicInt(5, 3, 7) == 7
-    assert PadicInt(5, 3, 7) != 8
-    assert PadicInt(5, 3, 7) != 7.0  # floats never compare equal
-
-
-def test_padic_int_context_mismatch():
-    x = PadicInt(5, 3, 1)
-    y = PadicInt(7, 3, 1)
-    z = PadicInt(5, 2, 1)
-    with pytest.raises(ValueError):
-        _ = x + y
-    with pytest.raises(ValueError):
-        _ = x * z
-
-
-def test_padic_int_pow_and_inverse():
-    x = PadicInt(7, 3, 2)
-    assert (x**10).residue == pow(2, 10, 343)
-    assert (x**0).residue == 1
-    inv = x ** (-1)
-    assert (x * inv).residue == 1
-    with pytest.raises(NotAUnit):
-        PadicInt(7, 3, 49) ** (-1)
-
-
-def test_padic_int_truncate():
-    x = PadicInt(5, 4, 624)
-    assert x.truncate(2).residue == 624 % 25
-    assert x.truncate(4).residue == 624
-    with pytest.raises(InsufficientPrecision):
-        x.truncate(5)
-
-
-def test_padic_int_validation():
-    with pytest.raises(ValueError):
-        PadicInt(1, 3, 0)
-    with pytest.raises(ValueError):
-        PadicInt(5, 0, 0)
-    with pytest.raises(NotPIntegral):
-        PadicInt(5, 3, Fraction(1, 10))

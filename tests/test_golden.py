@@ -88,6 +88,16 @@ CASES = [
         ["padic", "--id", "all", "--p", "9,15,21,25,27,33,35,49"],
         1,
     ),
+    # Every classical statement at every odd prime up to 61, s = 1 and 2:
+    # each record is verified or skipped, and the Gamma_p statements carry
+    # their witness residues.  Written before gamma_p returned a plain int
+    # residue.
+    (
+        "golden_padic_primes.jsonl",
+        ["padic", "--id", "all", "--p", "3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59,61",
+         "--s", "1,2"],
+        0,
+    ),
 ]
 
 

@@ -1278,7 +1278,9 @@ def instantiate(
 
 
 def verify_instance(inst: CongruenceInstance, timestamps: bool = False) -> VerificationRecord:
-    """Decide one evaluated instance; failures are recorded, not raised."""
+    """Decide one evaluated instance.  A congruence that fails is recorded
+    as its status; congruent's DenominatorNotUnit, a modulus that shares a
+    factor with the denominator, is raised."""
     watch = _Stopwatch(timestamps)
     result = congruent(inst.lhs, inst.rhs, inst.modulus)
     return VerificationRecord(

@@ -688,8 +688,8 @@ def _value(node: Node, scope: dict):
 
         return total
     if isinstance(node, (Add, Sub)):
-        # a - b is a + (-b), as QFactored and QRat subtract; a product takes
-        # the sign into its c.
+        # a - b is a + (-b): QFactored has no subtraction, and a product
+        # takes the sign into its c.
         a = _value(node.a, scope)
         b = _value(node.b if isinstance(node, Add) else Neg(node.b), scope)
         return lambda env: a(env) + b(env)

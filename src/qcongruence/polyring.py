@@ -192,38 +192,24 @@ def _mul_lists(a, b):
     return _mul_kronecker(a, b)
 
 
+def _exact(value) -> Fraction:
+    """value as a Fraction; TypeError for anything but an int or a Fraction."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"QPoly coefficients are int or Fraction, got {value!r}")
+    return Fraction(value)
+
+
 class QPoly:
     """Dense polynomial in q over exact rationals."""
 
     __slots__ = ("_nums", "_den")
 
-    def __init__(self, coeffs=(), den: int = 1):
-        """Build from an iterable of int/Fraction coefficients, low order first.
-
-        The two-argument form takes integer coefficients over a common
-        denominator and is the representation used internally; it raises
-        TypeError for a coefficient that is not an integer.
-        """
-        if den != 1:
-            nums = []
-            for c in coeffs:
-                if isinstance(c, Fraction) and c.denominator == 1:
-                    c = c.numerator
-                if not isinstance(c, int):
-                    raise TypeError(f"QPoly(coeffs, den) needs integer coefficients, got {c!r}")
-                nums.append(c)
-            self._init_canonical(_strip(nums), den)
-            return
-        nums: list[int] = []
-        lcm = 1
-        raw = list(coeffs)
-        for c in raw:
-            if isinstance(c, Fraction) and c.denominator != 1:
-                lcm = ilcm(lcm, c.denominator)
-        for c in raw:
-            f = Fraction(c)
-            nums.append(int(f * lcm))
-        self._init_canonical(_strip(nums), lcm)
+    def __init__(self, coeffs=()):
+        """Build from an iterable of int or Fraction coefficients, low order
+        first; any other coefficient raises TypeError."""
+        fracs = [_exact(c) for c in coeffs]
+        lcm = ilcm(*(f.denominator for f in fracs))
+        self._init_canonical(_strip([f.numerator * (lcm // f.denominator) for f in fracs]), lcm)
 
     def _init_canonical(self, nums: list[int], den: int):
         if den < 0:
@@ -262,14 +248,14 @@ class QPoly:
     def monomial(cls, exp: int, coeff=1) -> "QPoly":
         if exp < 0:
             raise ValueError("monomial exponent must be nonnegative")
-        c = Fraction(coeff)
+        c = _exact(coeff)
         if c == 0:
             return _ZERO
         return cls._make([0] * exp + [c.numerator], c.denominator)
 
     @classmethod
     def const(cls, value) -> "QPoly":
-        v = Fraction(value)
+        v = _exact(value)
         if v == 0:
             return _ZERO
         return cls._make([v.numerator], v.denominator)
@@ -995,14 +981,6 @@ class QRat:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_poly(self) -> bool:
-        return self.den.is_one()
-
-    def as_poly(self) -> QPoly:
-        if not self.den.is_one():
-            raise DivisionByZeroPoly(f"{self!r} is not a polynomial")
-        return self.num
-
     def __bool__(self):
         return not self.num.is_zero()
 
@@ -1243,7 +1221,8 @@ class QFactored:
     an int d stands for Phi_d, a QPoly for a monic binomial q^e - c, c != +-1,
     as binomial_parts makes them.  Mul, Div and Pow add or scale exponent
     maps and take no gcd.  Add expands both N over the smaller exponent of
-    each key and q.
+    each key and q; there is no subtraction, since expr builds a - b as
+    a + (-b).
 
     Division by, or a negative power of, a value whose N is not constant, and
     any operation with a QRat, continue in QRat arithmetic: _coerce and the
@@ -1294,12 +1273,6 @@ class QFactored:
         _require_index(n)
         return cls(1, 0, _ONE, {n: 1})
 
-    @classmethod
-    def pochhammer(cls, coeff: Fraction, exp: int, step: int, k: int) -> "QFactored":
-        """(x; q^step)_k for x = coeff*q^exp; see pochhammer_parts."""
-        c, j, exps = pochhammer_parts(coeff, exp, step, k)
-        return cls(c, j, _ONE, exps)
-
     @staticmethod
     def _coerce(other):
         return other if isinstance(other, (QFactored, QRat)) else None
@@ -1337,18 +1310,6 @@ class QFactored:
             keys = self.exps.keys() | exps.keys()
             N = _times_keys(N, {d: self.exps.get(d, 0) - exps.get(d, 0) for d in keys})
         return (N * self.c).shift(self.j - j)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -7,8 +7,9 @@ A TermSpec describes the k-th summand of a truncated series
 where every Pochhammer argument and z is a rational multiple of a q-power
 (possibly with negative exponent).  well_poised_spec builds the one
 very-well-poised family that every catalog sum and every identity but
-q-Chu-Vandermonde truncates.  truncated_sum evaluates partial sums
-exactly, and this module does nothing else: closed forms live in catalog.
+q-Chu-Vandermonde truncates.  truncated_sum_prefixes evaluates partial
+sums exactly, and this module does nothing else: closed forms live in
+catalog, and expressions' Pochhammer products in polyring.pochhammer_parts.
 
 A partial sum is summed by binary splitting (arith.binary_split, the kernel
 padic sums classical series with) over a *factored* common denominator:
@@ -57,8 +58,6 @@ from .polyring import QFactored, QPoly, QRat, _times_keys, binomial_parts
 __all__ = [
     "QMonomialArg",
     "TermSpec",
-    "pochhammer",
-    "truncated_sum",
     "truncated_sum_prefixes",
     "well_poised_spec",
 ]
@@ -128,15 +127,6 @@ def well_poised_spec(d: int, r: int, a=1, b=1, c=1) -> TermSpec:
     return TermSpec(
         d, r, tuple((x, d) for x in numer), tuple((x, d) for x in denom), over(c, 2 * d - 3 * r)
     )
-
-
-def pochhammer(arg: QMonomialArg, step: int, k: int):
-    """(x; q^step)_k = prod_{i<k} (1 - x q^(step*i)) for x = coeff*q^exp.
-
-    Returns a QPoly when the result is a polynomial, else a QRat.
-    """
-    value = QFactored.pochhammer(arg.coeff, arg.exp, step, k).to_qrat()
-    return value.num if value.is_poly() else value
 
 
 def _split_factors(args, i: int) -> tuple[Fraction, int, dict]:
@@ -315,7 +305,3 @@ def truncated_sum_prefixes(spec: TermSpec, orders) -> dict[int, QRat]:
     _ENGINES.put(spec, (state, known))
     return {m: known[m] for m in orders}
 
-
-def truncated_sum(spec: TermSpec, order: int) -> QRat:
-    """Reduced partial sum of the series through k = order."""
-    return truncated_sum_prefixes(spec, [order])[order]

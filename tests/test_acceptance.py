@@ -24,7 +24,7 @@ from qcongruence.polyring import (
     q_integer,
 )
 from qcongruence.catalog import check_terminating_identity
-from qcongruence.qseries import truncated_sum, well_poised_spec
+from qcongruence.qseries import truncated_sum_prefixes, well_poised_spec
 
 
 def _assert_all_verified(records, context):
@@ -53,7 +53,7 @@ def test_c01_quartic_family_both_branches_and_subsumption():
         " * poch(q^3; q^4; (n-1)/2) / poch(q^5; q^4; (n-1)/2)"
     )
     for n in (3, 7, 11, 15):
-        lhs = truncated_sum(well_poised_spec(2, 1, c=-1), n - 1)
+        lhs = truncated_sum_prefixes(well_poised_spec(2, 1, c=-1), [n - 1])[n - 1]
         wei = eval_expr(parse_expr(historical), {"n": n})
         assert congruent(lhs, wei, build_modulus("QINT_PHI_POW", n, {"k": 3})).verified, n
     _run_all("GWY", cases)
@@ -353,7 +353,7 @@ def test_c10_property_suites():
     # q -> 1 bridge
     from qcongruence.padic import _CUBIC, _truncated_sums
 
-    lhs = truncated_sum(well_poised_spec(3, 1), 1)
+    lhs = truncated_sum_prefixes(well_poised_spec(3, 1), [1])[1]
     assert lhs.eval_at(1) == Fraction(*_truncated_sums(_CUBIC, [1])[0])
 
     # specialization unit relation, both orientations

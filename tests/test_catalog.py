@@ -13,7 +13,7 @@ from qcongruence import catalog, padic
 from qcongruence.congruence import Modulus, build_modulus, congruent, sample_params
 from qcongruence.errors import SideConditionViolated, UnknownKind
 from qcongruence.expr import eval_expr, parse_expr
-from qcongruence.qseries import truncated_sum, well_poised_spec
+from qcongruence.qseries import truncated_sum_prefixes, well_poised_spec
 
 
 def test_inventory_shape():
@@ -133,7 +133,7 @@ def test_subsumption_of_historical_weaker_forms():
         " * poch(q^3; q^4; (n-1)/2) / poch(q^5; q^4; (n-1)/2)"
     )
     for n in (3, 7):
-        lhs = truncated_sum(well_poised_spec(2, 1, c=-1), n - 1)
+        lhs = truncated_sum_prefixes(well_poised_spec(2, 1, c=-1), [n - 1])[n - 1]
         wei = eval_expr(parse_expr(historical), {"n": n})
         cube = build_modulus("QINT_PHI_POW", n, {"k": 3})
         assert congruent(lhs, wei, cube).verified
@@ -305,8 +305,8 @@ def test_q_to_one_bridge_sums(d, r):
             Fraction(*padic._truncated_sums(series, [m])[0])
             for series in (padic._sixth_series(d, r), padic._fifth_alt_series(d, r))
         )
-        assert truncated_sum(well_poised_spec(d, r), m).eval_at(1) == sixth
-        assert truncated_sum(well_poised_spec(d, r, c=-1), m).eval_at(1) == fifth_alt
+        assert truncated_sum_prefixes(well_poised_spec(d, r), [m])[m].eval_at(1) == sixth
+        assert truncated_sum_prefixes(well_poised_spec(d, r, c=-1), [m])[m].eval_at(1) == fifth_alt
 
 
 def test_catalog_texts_compile_on_first_use_only(monkeypatch):

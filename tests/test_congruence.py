@@ -33,7 +33,7 @@ from qcongruence.polyring import (
     poly_gcd,
     q_integer,
 )
-from qcongruence.qseries import TermSpec, qma, truncated_sum
+from qcongruence.qseries import TermSpec, qma, truncated_sum_prefixes
 
 
 def binom(c, e):
@@ -365,7 +365,7 @@ def test_congruent_thm_c_style_frozen():
         denom=((qma(1, 3), 3),) * 6,
         z=qma(1, 3),
     )
-    lhs = truncated_sum(spec, 1)
+    lhs = truncated_sum_prefixes(spec, [1])[1]
     one = qma(1, 1)
     rhs = (
         QRat.from_value(5)

@@ -342,9 +342,9 @@ def test_bernoulli_recurrence():
 def test_q_to_one_bridge_matches_classical_sum():
     # The truncated q-side cubic sum at n = 4, M = 1 specializes at q = 1
     # to the classical sum of (6k+1) ((1/3)_k / k!)^6.
-    from qcongruence.qseries import truncated_sum, well_poised_spec
+    from qcongruence.qseries import truncated_sum_prefixes, well_poised_spec
 
-    lhs = truncated_sum(well_poised_spec(3, 1), 1)
+    lhs = truncated_sum_prefixes(well_poised_spec(3, 1), [1])[1]
     assert lhs.eval_at(1) == _sum(_CUBIC, 1)
     assert _sum(_CUBIC, 1) == 1 + 7 * Fraction(1, 3) ** 6
 

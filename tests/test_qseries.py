@@ -17,13 +17,12 @@ from qcongruence.errors import (
 )
 from qcongruence import polyring, qseries
 from qcongruence.catalog import check_terminating_identity
+from qcongruence.expr import eval_expr, parse_expr
 from qcongruence.polyring import QFactored, QPoly, QRat, cyclotomic, q_integer
 from qcongruence.qseries import (
     QMonomialArg,
     TermSpec,
-    pochhammer,
     qma,
-    truncated_sum,
     truncated_sum_prefixes,
     well_poised_spec,
 )
@@ -35,13 +34,21 @@ def qrat_monomial(coeff, exp):
     return QRat(QPoly.const(coeff), QPoly.monomial(-exp))
 
 
+def reference_poch(arg, step, k):
+    """(x; q^step)_k as a product of QRat factors 1 - x q^(step*i)."""
+    value = QRat.from_value(1)
+    for i in range(k):
+        value = value * (1 - qrat_monomial(arg.coeff, arg.exp + step * i))
+    return value
+
+
 def reference_term(spec, k):
-    """Term built directly from pochhammer products; independent oracle."""
+    """Term built factor by factor in QRat arithmetic; independent oracle."""
     value = QRat.from_value(1)
     for arg, step in spec.numer:
-        value = value * QRat.from_value(pochhammer(arg, step, k))
+        value = value * reference_poch(arg, step, k)
     for arg, step in spec.denom:
-        value = value / QRat.from_value(pochhammer(arg, step, k))
+        value = value / reference_poch(arg, step, k)
     value = value * qrat_monomial(spec.z.coeff, spec.z.exp) ** k
     if spec.linear_factor:
         value = value * QRat.from_value(q_integer(2 * spec.d * k + spec.r))
@@ -55,27 +62,30 @@ def reference_sum(spec, order):
     return total
 
 
+def poch(text):
+    return eval_expr(parse_expr(f"poch({text})"))
+
+
 def test_pochhammer_small_values():
-    q = qma(1, 1)
-    assert pochhammer(q, 1, 0) == QPoly.one()
-    assert pochhammer(q, 1, 1) == QPoly([1, -1])
+    assert poch("q; q; 0") == QPoly.one()
+    assert poch("q; q; 1") == QPoly([1, -1])
     # (q; q)_3 = (1-q)(1-q^2)(1-q^3)
     expected = QPoly([1, -1]) * QPoly([1, 0, -1]) * QPoly([1, 0, 0, -1])
-    assert pochhammer(q, 1, 3) == expected
+    assert poch("q; q; 3") == expected
     # (3q^2; q^3)_2 = (1 - 3q^2)(1 - 3q^5)
-    got = pochhammer(qma(3, 2), 3, 2)
+    got = poch("3*q^2; q^3; 2")
     assert got == QPoly([1, 0, -3]) * QPoly([1, 0, 0, 0, 0, -3])
 
 
 def test_pochhammer_negative_exponent():
     # (q^-2; q)_3 = (1 - q^-2)(1 - q^-1)(1 - 1) = 0
-    assert pochhammer(qma(1, -2), 1, 3) == QPoly.zero()
+    assert poch("q^(-2); q; 3") == QPoly.zero()
     # (q^-1; q^2)_2 = (1 - q^-1)(1 - q) = -(1-q)^2 / q
-    got = pochhammer(qma(1, -1), 2, 2)
-    assert isinstance(got, QRat)
+    got = poch("q^(-1); q^2; 2")
+    assert got.den == QPoly.monomial(1)
     assert got == QRat(QPoly([1, -1]) * QPoly([1, -1]) * -1, QPoly.monomial(1))
     with pytest.raises(NegativeLength):
-        pochhammer(qma(1, 1), 1, -1)
+        poch("q; q; -1")
 
 
 def sample_spec(rng):
@@ -104,7 +114,7 @@ def test_truncated_sum_matches_reference():
     for _ in range(25):
         spec = sample_spec(rng)
         order = rng.randint(0, 5)
-        assert truncated_sum(spec, order) == reference_sum(spec, order)
+        assert truncated_sum_prefixes(spec, [order])[order] == reference_sum(spec, order)
 
 
 def chained_snapshot(engine):
@@ -152,7 +162,7 @@ def test_snapshot_reduces_a_reducible_binomial_part():
     spec = TermSpec(
         d=1, r=0, numer=((qma(2, 1), 1),), denom=((qma(4, 2), 1),), z=qma(1, 0), linear_factor=False
     )
-    got = truncated_sum(spec, 1)
+    got = truncated_sum_prefixes(spec, [1])[1]
     assert (got.num, got.den) == (QPoly([1, 1]), QPoly([Fraction(1, 2), 1]))
 
 
@@ -174,15 +184,15 @@ def test_truncated_sum_prefixes_consistent():
     prefixes = truncated_sum_prefixes(spec, [0, 2, 5])
     assert set(prefixes) == {0, 2, 5}
     for order, value in prefixes.items():
-        assert value == truncated_sum(spec, order)
+        assert value == truncated_sum_prefixes(spec, [order])[order]
 
 
 def test_truncated_sum_negative_linear_offset():
     # r = -3 makes the k = 0 term carry [-3] = -(q^-3)(1+q+q^2).
     spec = TermSpec(d=2, r=-3, numer=(), denom=(), z=qma(1, 0))
-    got = truncated_sum(spec, 0)
+    got = truncated_sum_prefixes(spec, [0])[0]
     assert got == QRat(QPoly([-1, -1, -1]), QPoly.monomial(3))
-    assert truncated_sum(spec, 1) == got + QRat.from_value(q_integer(1))
+    assert truncated_sum_prefixes(spec, [1])[1] == got + QRat.from_value(q_integer(1))
 
 
 def test_zero_denominator_factor_detected():
@@ -194,29 +204,29 @@ def test_zero_denominator_factor_detected():
         z=qma(1, 1),
     )
     with pytest.raises(ZeroDenominatorFactor):
-        truncated_sum(spec, 3)
+        truncated_sum_prefixes(spec, [3])[3]
 
 
 def test_negative_d_with_linear_factor_rejected():
     # q^J [2dk + r] with J = max(0, -r) has no negative q-power only for d >= 0
     with pytest.raises(ValueError):
-        truncated_sum(TermSpec(d=-1, r=1, numer=(), denom=(), z=qma(1, 1)), 3)
+        truncated_sum_prefixes(TermSpec(d=-1, r=1, numer=(), denom=(), z=qma(1, 1)), [3])[3]
     spec = TermSpec(d=-1, r=1, numer=(), denom=(), z=qma(1, 1), linear_factor=False)
-    assert truncated_sum(spec, 2) == reference_sum(spec, 2)
+    assert truncated_sum_prefixes(spec, [2])[2] == reference_sum(spec, 2)
 
 
 def test_zero_z_raises_from_term_one_on():
     # z enters the sum only from term 1 on, so order 0 is [2] = 1 + q.
     spec = TermSpec(d=1, r=2, numer=(), denom=(), z=qma(0, 1))
-    assert truncated_sum(spec, 0) == QRat.from_value(QPoly([1, 1]))
+    assert truncated_sum_prefixes(spec, [0])[0] == QRat.from_value(QPoly([1, 1]))
     with pytest.raises(DegenerateParameters, match="^z coefficient is zero$"):
-        truncated_sum(spec, 1)
+        truncated_sum_prefixes(spec, [1])[1]
 
 
 def test_negative_order_rejected():
     spec = TermSpec(d=1, r=1, numer=(), denom=(), z=qma(1, 1))
     with pytest.raises(NegativeLength):
-        truncated_sum(spec, -1)
+        truncated_sum_prefixes(spec, [-1])[-1]
 
 
 def test_qchu_identity_seeds():
@@ -378,7 +388,7 @@ def test_cached_prefixes_match_fresh_pass(engines, name, sequence):
     spec = CACHED_SPECS[name]
     for orders in ORDER_SEQUENCES[sequence]:
         assert_same_prefixes(truncated_sum_prefixes(spec, orders), fresh_prefixes(spec, orders))
-    assert truncated_sum(spec, 3) == fresh_prefixes(spec, [3])[3]
+    assert truncated_sum_prefixes(spec, [3])[3] == fresh_prefixes(spec, [3])[3]
 
 
 def test_engine_cache_is_bounded_lru(engines):
@@ -544,7 +554,7 @@ def bound_walk(name):
         for m in BOUND_ORDERS:
             found.clear()
             with mock.patch.object(polyring, "poly_try_div", counting):
-                value = truncated_sum(spec, m)
+                value = truncated_sum_prefixes(spec, [m])[m]
             engine = engines._entries[spec][0]
             out[m] = value, full_denominator_value(engine), sum(found), dict(engine.lam)
     return out

@@ -129,6 +129,8 @@ def _settings(args) -> dict:
         raise UsageError(f"format must be jsonl or csv, got {settings['format']!r}")
     if settings["jobs"] < 1:
         raise UsageError("jobs must be at least 1")
+    if settings["trials"] < 1:
+        raise UsageError("trials must be at least 1")
     ranges = {}
     for key in RANGE_KEYS:
         flag = getattr(args, key, None)

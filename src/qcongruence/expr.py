@@ -26,10 +26,11 @@ arithmetic (exponents, lengths, sum bounds, qint and phi arguments) runs in
 ints, with a Fraction only where a rational literal or a division makes
 one.  Values are in polyring's factored QFactored form: a chain of
 products, quotients and powers of constants, q-powers, q-integers,
-cyclotomics and Pochhammers accumulates one (c, j, exponent map) triple and
-takes no gcd.  Where QFactored falls back (a division by a sum whose
-polynomial part is not constant, a symbol bound to a QRat), the evaluation
-continues in QRat arithmetic.  Either way eval_expr returns the reduced
+cyclotomics, Pochhammers and sums at a positive power accumulates one
+(c, j, exponent map) triple, with the sums' polynomial parts multiplied
+into one N, and takes no gcd.  A sum at a negative power, or a symbol bound
+to a QRat, turns the rest of its product into QRat arithmetic; that choice
+is made in one place, _product.  Either way eval_expr returns the reduced
 QRat.
 """
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZeroPoly, NonIntegerBound, SpecSyntaxError, UnboundSymbol
-from .polyring import QFactored, QRat, pochhammer_parts
+from .polyring import QFactored, QRat, pochhammer_parts, poly_product
 
 __all__ = [
     "Add",
@@ -464,7 +465,8 @@ def load_spec_file(path) -> list[CongruenceSpec]:
 #              a Fraction where a rational literal or a division makes one;
 #   _integer   an _index value that must be an integer (NonIntegerBound);
 #   _monomial  a Pochhammer argument coeff * q^exp as the pair (coeff, exp);
-#   _value     a QFactored, or a QRat past a fallback;
+#   _value     a QFactored, or a QRat once a QRat, or a sum at a negative
+#              power in a _product, entered it;
 #   _factor    one factor of a _product: an atom as a (c, j, exps) triple or
 #              a QFactored with N = 1, any other node as a _value.
 #
@@ -757,13 +759,17 @@ def _product(node: Node, scope: dict):
 
     The chain is flattened into steps (factor, exponent, sign), every factor
     in its order in the tree; a divisor that is itself a product is one step,
-    so it is evaluated whole before the division by it.  Factors with a
-    constant N accumulate one triple: the numerator and denominator of c as
-    ints, the q-power j and the exponent map, the fields of the single
-    QFactored built at the end.  Any other factor is a QFactored or QRat that
-    multiplies or divides that QFactored, as QFactored's own methods would.
-    A zero raised to a negative power, or divided by, raises
-    DivisionByZeroPoly right after its step, where the tree walk did.
+    so it is evaluated whole before the division by it.  Every factor whose
+    net exponent k = exponent * sign keeps the value factored -- an atom, a
+    QFactored with N = 1, or a sum at k > 0 -- accumulates one triple: the
+    numerator and denominator of c as ints, the q-power j and the exponent
+    map, with each sum's N^k on a list that one poly_product multiplies.
+    They are the fields of the single QFactored built at the end.  Any other
+    factor (a sum at k < 0, or a QRat) becomes a QRat at its step, and the
+    product of the triple continues in QRat arithmetic on its to_qrat: this
+    is the one place that chooses between the factored form and QRat.  A
+    zero raised to a negative power, or divided by, raises DivisionByZeroPoly
+    right after its step, where the tree walk did.
     """
     steps = []
     first = 1  # the sign of the Negs along the chain
@@ -786,7 +792,7 @@ def _product(node: Node, scope: dict):
     flatten(node)
 
     def product(env):
-        num, den, j, exps, rest = first, 1, 0, {}, []
+        num, den, j, exps, sums, rest = first, 1, 0, {}, [], []
         for factor, exp, sign in steps:
             v = factor(env)
             e = 1
@@ -794,13 +800,18 @@ def _product(node: Node, scope: dict):
                 e = exp(env)
                 if not e:
                     continue
+            k = e * sign
             if type(v) is not tuple:
-                if isinstance(v, QFactored) and v.N.is_one():
+                if isinstance(v, QFactored) and (k > 0 or v.N.is_one()):
+                    if not v.N.is_one():
+                        sums.append(v.N**k)
                     v = v.c, v.j, v.exps
                 else:
+                    if isinstance(v, QFactored):
+                        v = v.to_qrat()
                     if e != 1:
                         v = v**e
-                    if sign < 0 and isinstance(v, QRat) and not v:
+                    if sign < 0 and not v:
                         raise DivisionByZeroPoly(_ZERO_INVERSE)
                     rest.append((v, sign))
                     continue
@@ -810,7 +821,6 @@ def _product(node: Node, scope: dict):
                     raise DivisionByZeroPoly(_ZERO_INVERSE)
                 num = 0
                 continue
-            k = e * sign
             n, d = c.numerator, c.denominator
             if k == 1:
                 num, den = num * n, den * d
@@ -827,10 +837,11 @@ def _product(node: Node, scope: dict):
                     exps[key] = total
                 else:
                     del exps[key]
-        value = QFactored(Fraction(num, den), j, exps=exps)
-        for v, sign in rest:
-            value = value * v if sign > 0 else value / v
+        value = QFactored(Fraction(num, den), j, poly_product(sums), exps)
+        if rest:
+            value = value.to_qrat()
+            for v, sign in rest:
+                value = value * v if sign > 0 else value / v
         return value
 
     return product
-

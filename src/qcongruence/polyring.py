@@ -57,8 +57,9 @@ form closed forms and partial sums are written in.  A key is an index d for
 Phi_d or a monic binomial q^e - c, c != +-1, keyed by its polynomial.
 binomial_parts is the one split of a factor 1 - c*q^e into a unit, a
 q-power and such keys; Pochhammer products and qseries' sum denominators
-are built from it.  Products, quotients and powers add or scale the exponent
-map and take no gcd; a sum expands both N over the smaller exponents.
+are built from it.  QFactored itself only negates and adds, a sum expanding
+both N over the smaller exponents; products, quotients and powers are
+expr's, which adds and scales the exponent maps and takes no gcd.
 _times_keys multiplies a polynomial by such a map in one pass, and divides
 by the keys of negative exponent where the caller knows the quotient is
 exact, as qseries' partial sums do; an inexact one raises.
@@ -66,9 +67,8 @@ to_qrat is the one reduction of a factored fraction: trial division of N by
 every key of the denominator (binomial passes for the Phi_d), a gcd only for
 the binomial keys that Capelli's theorem (binomial_reducible) shows
 reducible, and the leftover denominator multiplied out; without such a key
-the result carries the keys left as its form.  Division by a value
-whose N is not constant, and any operation with a QRat, continue in QRat
-arithmetic.
+the result carries the keys left as its form.  A sum with a QRat
+continues in QRat arithmetic.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def _mul_lists(a, b):
 def _exact(value) -> Fraction:
     """value as a Fraction; TypeError for anything but an int or a Fraction."""
     if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"QPoly coefficients are int or Fraction, got {value!r}")
+        raise TypeError(f"expected an int or Fraction, got {value!r}")
     return Fraction(value)
 
 
@@ -1216,18 +1216,16 @@ def _add_exps(a: dict, b: dict) -> dict:
 class QFactored:
     """A rational function kept as c * q^j * N * prod_key key^e_key.
 
-    c is a Fraction, j an integer, N a QPoly with N(0) != 0 (the constant 1
-    unless an Add made it), and exps maps each key to its exponent e != 0:
-    an int d stands for Phi_d, a QPoly for a monic binomial q^e - c, c != +-1,
-    as binomial_parts makes them.  Mul, Div and Pow add or scale exponent
-    maps and take no gcd.  Add expands both N over the smaller exponent of
-    each key and q; there is no subtraction, since expr builds a - b as
-    a + (-b).
-
-    Division by, or a negative power of, a value whose N is not constant, and
-    any operation with a QRat, continue in QRat arithmetic: _coerce and the
-    N checks below are the one place that makes that choice.  to_qrat gives
-    the canonical reduced QRat of the value.
+    c is a Fraction (an int is converted, anything else raises TypeError),
+    j an integer, N a QPoly with N(0) != 0 (the constant 1 unless a sum made
+    it), and exps maps each key to its exponent e != 0: an int d stands for
+    Phi_d, a QPoly for a monic binomial q^e - c, c != +-1, as binomial_parts
+    makes them.  Add expands both N over the smaller exponent of each key
+    and q, and with a QRat continues in QRat arithmetic; there is no
+    subtraction, since expr builds a - b as a + (-b).  There is no product
+    either: expr's _product accumulates the fields of the one QFactored it
+    builds, and is the one place that falls back to QRat.  to_qrat gives the
+    canonical reduced QRat of the value.
     """
 
     __slots__ = ("c", "j", "N", "exps")
@@ -1238,7 +1236,7 @@ class QFactored:
         cyclotomics.  Other binomials stay in N: as keys, every later Add
         would multiply them out again."""
         if not isinstance(c, Fraction):
-            c = Fraction(c)
+            c = _exact(c)
         exps = {} if exps is None else exps
         if not c or N.is_zero():
             c, j, N, exps = Fraction(0), 0, _ONE, {}
@@ -1273,19 +1271,14 @@ class QFactored:
         _require_index(n)
         return cls(1, 0, _ONE, {n: 1})
 
-    @staticmethod
-    def _coerce(other):
-        return other if isinstance(other, (QFactored, QRat)) else None
-
     def __neg__(self):
         return QFactored(-self.c, self.j, self.N, self.exps)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if isinstance(other, QRat):
             return self.to_qrat() + other
+        if not isinstance(other, QFactored):
+            return NotImplemented
         if not other.c:
             return self
         if not self.c:
@@ -1310,46 +1303,6 @@ class QFactored:
             keys = self.exps.keys() | exps.keys()
             N = _times_keys(N, {d: self.exps.get(d, 0) - exps.get(d, 0) for d in keys})
         return (N * self.c).shift(self.j - j)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if isinstance(other, QRat):
-            return self.to_qrat() * other
-        if not self.c or not other.c:
-            return _FACTORED_ZERO
-        N = other.N if self.N.is_one() else self.N if other.N.is_one() else self.N * other.N
-        return QFactored(self.c * other.c, self.j + other.j, N, _add_exps(self.exps, other.exps))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if isinstance(other, QFactored):
-            if other.N.is_one():
-                return self * other**-1
-            other = other.to_qrat()
-        return self.to_qrat() / other
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / (self.to_qrat() if isinstance(other, QRat) else self)
-
-    def __pow__(self, e: int):
-        if e == 0:
-            return _FACTORED_ONE
-        if e < 0:
-            if not self.c:
-                raise DivisionByZeroPoly("inverse of zero rational function")
-            if not self.N.is_one():
-                return self.to_qrat() ** e
-        exps = {d: x * e for d, x in self.exps.items()}
-        return QFactored(self.c**e, self.j * e, self.N if self.N.is_one() else self.N**e, exps)
 
     def to_qrat(self) -> QRat:
         """The reduced QRat.
@@ -1401,7 +1354,6 @@ class QFactored:
 
 
 _FACTORED_ZERO = QFactored(0)
-_FACTORED_ONE = QFactored(1)
 
 
 def crt_combine(r1: QRat, m1: QPoly, r2: QRat, m2: QPoly) -> QRat:

@@ -53,7 +53,7 @@ from .errors import (
     NegativeLength,
     ZeroDenominatorFactor,
 )
-from .polyring import QFactored, QPoly, QRat, _times_keys, binomial_parts
+from .polyring import QFactored, QPoly, QRat, _exact, _times_keys, binomial_parts
 
 __all__ = [
     "QMonomialArg",
@@ -72,11 +72,11 @@ class QMonomialArg:
 
     def __post_init__(self):
         if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
+            object.__setattr__(self, "coeff", _exact(self.coeff))
 
 
 def qma(coeff, exp: int) -> QMonomialArg:
-    return QMonomialArg(Fraction(coeff), exp)
+    return QMonomialArg(coeff, exp)
 
 
 @dataclass(frozen=True)

@@ -314,6 +314,16 @@ def test_bad_range_exit_two(capsys):
     assert code == 2
 
 
+def test_trials_below_one_exit_two(tmp_path, capsys):
+    # Both routes: the flag, and a config file.  No record is written.
+    config = tmp_path / "settings.cfg"
+    config.write_text("trials = 0\n", encoding="utf-8")
+    for extra in (["--trials", "0"], ["--trials", "-2"], ["--config", str(config)]):
+        code, out, err = run_cli(capsys, "verify", "--id", "THM_3_2", "--n", "4", *extra)
+        assert (code, out) == (2, ""), extra
+        assert "trials must be at least 1" in err, extra
+
+
 def test_argparse_usage_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--m-choice", "bogus"])

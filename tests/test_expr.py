@@ -441,14 +441,20 @@ def test_eval_expr_raises_like_qrat_reference(text):
         "(q^2 - 2*q + 2) / poch(-4*q^(-4); q; 1)",
         "poch(2*q; q^2; 2)^2 / poch(8*q^3; q^3; 2)",
         # Shapes that no catalog text has.  Only a negated sum reaches
-        # QFactored.__neg__, and only a QRat over a QFactored whose N is not
-        # constant reaches QFactored.__rtruediv__.  A power of such a
-        # QFactored takes its __pow__ and QPoly.__pow__, and at a negative
-        # exponent QRat.__pow__.
+        # QFactored.__neg__.  A sum whose N is not constant, at a positive
+        # net power in a product, multiplies its N^k into the product's one
+        # N (QPoly.__pow__ at k > 1), which the constructor splits into Phi_d
+        # where it is q^6 - 1; at a negative net power it becomes a QRat
+        # (QRat.__pow__, QRat.__truediv__) and the product continues in QRat
+        # arithmetic.
         "-(2 + q)^2",
         "1 - (q + q^2)",
         "(2 + q)^-2 * (2 + q)^2",
         "1/(2 + q)/(3 + q^2)",
+        "1/(2 + q)^-2",
+        "(1 + q + q^2) * (q^4 - q^3 + q - 1)",
+        "((2 + q)*(3 + q))^-1 * (2 + q)",
+        "(2 + q)^2 / (2 + q)^3",
     ],
 )
 def test_eval_expr_matches_qrat_reference_on_edge_shapes(text):

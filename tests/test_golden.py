@@ -6,6 +6,8 @@ a witness, a label or the record layout shows up here as a byte difference.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,11 +103,34 @@ CASES = [
 ]
 
 
+# Reports that tier-1 leaves out for their run time; CI reproduces them, with
+# every other golden report, through the installed qcong script (run_installed).
+CI_CASES = [
+    # Every statement's desk verdicts through the process pool.
+    ("golden_verify_all.jsonl", ["verify", "--id", "all", "--seed", "3"], 0),
+    # The closed q-side sums past the benchmark pools, where lhs - rhs over
+    # the two factored denominators is the largest sum taken.
+    (
+        "golden_large.jsonl",
+        (
+            ["verify", "--id", "THM_C", "--n", "32"],
+            ["verify", "--id", "THM_B", "--n", "31"],
+            ["verify", "--id", "THM_A", "--n", "33"],
+        ),
+        0,
+    ),
+]
+
+
+def _commands(argv) -> tuple:
+    """argv is one command, or a tuple of commands whose reports are concatenated."""
+    return argv if isinstance(argv, tuple) else (argv,)
+
+
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
 def test_golden_report(tmp_path, capsys, name, argv, code):
-    # argv is one command, or a tuple of commands whose reports are concatenated.
     got = b""
-    for i, run in enumerate(argv if isinstance(argv, tuple) else (argv,)):
+    for i, run in enumerate(_commands(argv)):
         out = tmp_path / f"{i}-{name}"
         assert main(run + ["--jobs", "1", "--out", str(out)]) == code
         got += out.read_bytes()
@@ -113,16 +138,18 @@ def test_golden_report(tmp_path, capsys, name, argv, code):
     assert got == (DATA / name).read_bytes()
 
 
-_IDENTITY_IDS = ("QCHU", "WHIPPLE_SPEC", "JACKSON_SPEC", "WATSON_SPEC")
+# identity takes one id and no --jobs, so the four reports are written one
+# after another and compared as one file.
+IDENTITY_RUNS = tuple(
+    ["identity", "--id", identity_id, "--random", "25", "--seed", "0"]
+    for identity_id in ("QCHU", "WHIPPLE_SPEC", "JACKSON_SPEC", "WATSON_SPEC")
+)
 
 
 def test_golden_identity_report(tmp_path, capsys):
-    # identity takes one id and no --jobs, so the four reports are written
-    # one after another and compared as one file.
     got = b""
-    for identity_id in _IDENTITY_IDS:
-        out = tmp_path / f"{identity_id}.jsonl"
-        argv = ["identity", "--id", identity_id, "--random", "25", "--seed", "0"]
+    for i, argv in enumerate(IDENTITY_RUNS):
+        out = tmp_path / f"{i}.jsonl"
         assert main(argv + ["--out", str(out)]) == 0
         got += out.read_bytes()
     capsys.readouterr()
@@ -186,3 +213,39 @@ def test_named_moduli_report_as_typed(tmp_path, capsys):
     capsys.readouterr()
     assert len(want) == len(NAMED_MODULI)
     assert out.read_text() == "".join(want)
+
+
+def run_installed() -> int:
+    """Write every golden report above through the qcong script on PATH, into
+    the current directory, at --jobs 2 where the subcommand takes it; print
+    each exit code or report that differs and return 1 if any does."""
+    runs = [
+        (name, code, [run + ["--jobs", "2"] for run in _commands(argv)])
+        for name, argv, code in CASES + CI_CASES
+    ]
+    runs.append(("golden_identity.jsonl", 0, list(IDENTITY_RUNS)))
+    runs += [
+        (name, code, [["check", "--spec", str(DATA / spec)]]) for spec, name, code in CHECK_CASES
+    ]
+    failed = 0
+    for name, code, commands in runs:
+        got = b""
+        for i, run in enumerate(commands):
+            out = Path(f"{i}-{name}")
+            out.unlink(missing_ok=True)
+            argv = ["qcong", *run, "--out", str(out)]
+            returned = subprocess.run(argv).returncode
+            if returned != code:
+                print(f"FAIL {name}: {' '.join(argv)} exited {returned}, not {code}")
+                failed = 1
+            got += out.read_bytes() if out.exists() else b""
+        if got != (DATA / name).read_bytes():
+            print(f"FAIL {name}: the report differs from the golden file")
+            failed = 1
+        else:
+            print(f"ok {name}")
+    return failed
+
+
+if __name__ == "__main__":
+    sys.exit(run_installed())

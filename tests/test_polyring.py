@@ -1,6 +1,5 @@
 """Tests for exact polynomial and rational-function arithmetic in q."""
 
-import operator
 import random
 from fractions import Fraction
 
@@ -8,6 +7,7 @@ import pytest
 
 from qcongruence import polyring
 from qcongruence.errors import DivisionByZeroPoly, ModuliNotCoprime
+from qcongruence.expr import eval_expr, parse_expr
 from qcongruence.polyring import (
     QFactored,
     QPoly,
@@ -674,7 +674,7 @@ def test_crt_combine_rejects_shared_factor():
 
 
 def _same(factored, expected: QRat):
-    got = factored.to_qrat()
+    got = factored.to_qrat() if isinstance(factored, QFactored) else factored
     assert (got.num, got.den) == (expected.num, expected.den), (factored, expected)
 
 
@@ -720,36 +720,36 @@ def test_factored_materialises_cancelling_phi_and_q_powers():
     _same(QFactored(1, 0, cyclotomic(4) ** 2 * QPoly([1, 2]), {4: -2}), QRat(QPoly([1, 2])))
 
 
+def _eval(text: str, env: dict | None = None) -> QRat:
+    return eval_expr(parse_expr(text), env)
+
+
 def test_factored_zero():
     for zero in (QFactored(0), QFactored(5, 3, QPoly.zero(), {2: 1}), QFactored.q_integer(0)):
         assert zero.c == 0 and zero.exps == {}
         _same(zero, QRat.from_value(0))
     one = QFactored.cyclotomic(3)
-    _same(one * QFactored(0), QRat.from_value(0))
-    _same(QFactored(0) / one, QRat.from_value(0))
+    _same(_eval("phi(3) * 0"), QRat.from_value(0))
+    _same(_eval("0 / phi(3)"), QRat.from_value(0))
     _same(one + (-one), QRat.from_value(0))
-    for inverse in (lambda: one / QFactored(0), lambda: QFactored(0) ** -2):
+    for text in ("phi(3) / 0", "0^(-2)"):
         with pytest.raises(DivisionByZeroPoly, match="inverse of zero rational function"):
-            inverse()
+            _eval(text)
 
 
 def test_factored_q_integers_and_negative_powers():
     for r in range(-9, 10):
         _same(QFactored.q_integer(r), QRat.from_value(q_integer(r)))
-    value = QFactored.q_integer(-4) * QFactored(Fraction(-2, 3), 2) / QFactored.cyclotomic(5)
+    value = "qint(-4) * (-2/3*q^2) / phi(5)"
     reference = (
         QRat.from_value(q_integer(-4))
         * QRat(QPoly.monomial(2, Fraction(-2, 3)))
         / QRat(cyclotomic(5))
     )
     for e in (-3, -1, 0, 1, 2):
-        _same(value**e, reference**e)
+        _same(_eval(f"({value})^({e})"), reference**e)
     # a non-cyclotomic N has no exponent map to negate: QRat takes over
-    bumped = value + QFactored(1)
-    assert not bumped.N.is_one()
-    inverse = bumped**-2
-    assert isinstance(inverse, QRat)
-    assert inverse == (reference + 1) ** -2
+    _same(_eval(f"({value} + 1)^(-2)"), (reference + 1) ** -2)
 
 
 def test_factored_binomial_n_splits_into_cyclotomics():
@@ -757,31 +757,36 @@ def test_factored_binomial_n_splits_into_cyclotomics():
     assert one_plus_q.N.is_one() and one_plus_q.exps == {2: 1}
     two_minus = QFactored(2) + -QFactored(2, 6)  # 2 (1 - q^6)
     assert two_minus.c == -2 and two_minus.exps == {1: 1, 2: 1, 3: 1, 6: 1}
-    _same(QFactored(3) / one_plus_q**2, QRat(QPoly.const(3), QPoly([1, 1]) ** 2))
+    _same(_eval("3/(1 + q)^2"), QRat(QPoly.const(3), QPoly([1, 1]) ** 2))
 
 
-def _pochhammer(coeff, exp, step, k):
-    """(x; q^step)_k for x = coeff*q^exp, as expr's poch(..) builds it."""
+def _pochhammer(coeff, exp, step, k, power=1):
+    """(x; q^step)_k^power for x = coeff*q^exp, as expr's poch(..) builds it."""
     c, j, exps = pochhammer_parts(coeff, exp, step, k)
-    return QFactored(c, j, exps=exps)
+    return QFactored(c**power, j * power, exps={key: e * power for key, e in exps.items()})
 
 
-# QFactored has no subtraction: expr builds a - b as a + (-b).
-OPS = (
-    (operator.add, operator.add),
-    (lambda a, b: a + (-b), operator.sub),
-    (operator.mul, operator.mul),
-    (operator.truediv, operator.truediv),
-)
+def _atom(build, text, *args):
+    """A factored value and the expression text that evaluates to it."""
+    return build(*args), text.format(*args)
 
 
 def test_factored_arithmetic_matches_qrat_random():
+    # Sums directly on QFactored (no subtraction: expr builds a - b as
+    # a + (-b)); products and quotients through expr's one product.
     rng = random.Random(1101)
     atoms = [
-        lambda: QFactored.q_integer(rng.randint(-6, 8)),
-        lambda: QFactored.cyclotomic(rng.randint(1, 12)),
-        lambda: QFactored(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-3, 3)),
-        lambda: _pochhammer(
+        lambda: _atom(QFactored.q_integer, "qint({})", rng.randint(-6, 8)),
+        lambda: _atom(QFactored.cyclotomic, "phi({})", rng.randint(1, 12)),
+        lambda: _atom(
+            QFactored,
+            "{}*q^({})",
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+            rng.randint(-3, 3),
+        ),
+        lambda: _atom(
+            _pochhammer,
+            "poch({}*q^({}); q^{}; {})",
             Fraction(rng.choice([1, -1, 2, Fraction(-1, 3)])),
             rng.randint(-2, 3),
             rng.randint(1, 3),
@@ -789,7 +794,9 @@ def test_factored_arithmetic_matches_qrat_random():
         ),
         # binomial keys that Capelli's theorem shows reducible: c = b^p with
         # p | e, and c = -4 b^4 with 4 | e, beside keys that share their factors
-        lambda: _pochhammer(
+        lambda: _atom(
+            _pochhammer,
+            "poch({}*q^({}); q^{}; {})",
             Fraction(rng.choice([4, Fraction(4, 9), 8, Fraction(-1, 4), -4, Fraction(1, 2)])),
             rng.choice([-4, -2, -1, 1, 2, 3, 4]),
             rng.choice([1, 2, 4]),
@@ -799,29 +806,36 @@ def test_factored_arithmetic_matches_qrat_random():
     shared = [
         # (1 - 2/3 q) / (1 - 4/9 q^2), its key q - 3/2 a factor of q^2 - 9/4
         (
-            _pochhammer(Fraction(2, 3), 1, 1, 1),
-            _pochhammer(Fraction(4, 9), 2, 2, 1),
+            (_pochhammer(Fraction(2, 3), 1, 1, 1), "poch(2/3*q; q; 1)"),
+            (_pochhammer(Fraction(4, 9), 2, 2, 1), "poch(4/9*q^2; q^2; 1)"),
         ),
         # q^2 - 2q + 2 is a factor of q^4 + 4, the key of 1 + 4 q^-4
-        (QFactored(1, 0, QPoly([2, -2, 1])), _pochhammer(Fraction(-4), -4, 1, 1)),
+        (
+            (QFactored(1, 0, QPoly([2, -2, 1])), "(2 - 2*q + q^2)"),
+            (_pochhammer(Fraction(-4), -4, 1, 1), "poch(-4*q^(-4); q; 1)"),
+        ),
         # the numerator key q - 1/2, squared, is a factor of q^3 - 1/8
         (
-            _pochhammer(Fraction(2), 1, 2, 2) ** 2,
-            _pochhammer(Fraction(8), 3, 3, 2),
+            (_pochhammer(Fraction(2), 1, 2, 2, power=2), "poch(2*q; q^2; 2)^2"),
+            (_pochhammer(Fraction(8), 3, 3, 2), "poch(8*q^3; q^3; 2)"),
         ),
     ]
     draws = [(rng.choice(atoms)(), rng.choice(atoms)()) for _ in range(150)]
-    for x, y in draws + shared:
+    for (x, tx), (y, ty) in draws + shared:
         rx, ry = x.to_qrat(), y.to_qrat()
-        for op, qrat_op in OPS:
-            if op is operator.truediv and not ry:
-                continue
-            got, want = op(x, y), qrat_op(rx, ry)
-            got = got.to_qrat() if isinstance(got, QFactored) else got
-            assert (got.num, got.den) == (want.num, want.den), (x, op, y)
+        assert _eval(tx) == rx and _eval(ty) == ry, (tx, ty)
+        checks = [
+            (lambda: (x + y).to_qrat(), rx + ry),
+            (lambda: (x + (-y)).to_qrat(), rx - ry),
+            (lambda: _eval(f"({tx}) * ({ty})"), rx * ry),
+        ]
+        if ry:
+            checks.append((lambda: _eval(f"({tx}) / ({ty})"), rx / ry))
+        for got, want in checks:
+            got = got()
+            assert (got.num, got.den) == (want.num, want.den), (tx, ty, want)
         # mixed with a QRat: the QRat arithmetic takes over, same value
-        mixed = x * ry + rx
-        assert isinstance(mixed, QRat) and mixed == rx * ry + rx
+        assert _eval(f"({tx}) * y + ({tx})", {"y": ry}) == rx * ry + rx, (tx, ty)
 
 
 def _without_form(r):

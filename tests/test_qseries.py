@@ -66,6 +66,21 @@ def poch(text):
     return eval_expr(parse_expr(f"poch({text})"))
 
 
+def test_rational_inputs_take_int_and_fraction_only():
+    # A float or a string would be read through Fraction(..): 0.1 as
+    # 3602879701896397/36028797018963968, "1/3" parsed as text.
+    for build in (
+        lambda: QMonomialArg(0.1, 0),
+        lambda: qma("1/3", 1),
+        lambda: QFactored(0.5),
+        lambda: well_poised_spec(2, 1, 0.5),
+    ):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            build()
+    assert qma(Fraction(1, 3), 1) == QMonomialArg(Fraction(1, 3), 1)
+    assert QMonomialArg(2, 0).coeff == Fraction(2) and QFactored(2).c == Fraction(2)
+
+
 def test_pochhammer_small_values():
     assert poch("q; q; 0") == QPoly.one()
     assert poch("q; q; 1") == QPoly([1, -1])

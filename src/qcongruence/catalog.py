@@ -1229,8 +1229,10 @@ def run_statement(
     Parametric statements (those with free rational symbols) run `trials`
     independently sampled specializations unless every symbol is given in
     bindings.  Raises SideConditionViolated when the parameter point is
-    outside the statement's side conditions.
+    outside the statement's side conditions, and ValueError when trials < 1.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     stmt = get_statement(stmt_id)
     bindings = dict(bindings or {})
     if stmt.kind == "classical":
@@ -1239,7 +1241,7 @@ def run_statement(
     if not missing:
         return _run_q_once(stmt, bindings, m_policy, seed, timestamps, False)
     records = []
-    for i in range(max(1, trials)):
+    for i in range(trials):
         records.extend(_run_q_trial(stmt, bindings, m_policy, seed + i, timestamps))
     return records
 

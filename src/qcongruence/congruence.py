@@ -8,6 +8,8 @@ off the difference and cancels nothing.  Where both sides carry their
 factored denominators (QRat.form: partial sums and closed forms reduced by
 QFactored.to_qrat), the difference reads the gcd of the two denominators off
 their exponent maps and takes no polynomial gcd; any other pair takes GCDHEU.
+Such a difference keeps its denominator as that map, and a verified
+congruence never multiplies it out: only the failure path reads D.
 
 congruent divides first: one poly_try_div of N by P, handed P's binomial
 form, decides success, so a P made of named q-integers and cyclotomics

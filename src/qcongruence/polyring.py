@@ -927,11 +927,14 @@ class QRat:
     form is the factored denominator (j, exps), den = q^j * prod key^e over
     exps, every e > 0 and every key irreducible (an index d for Phi_d or an
     irreducible monic binomial, as in QFactored), or None when it is not
-    known.  to_qrat and the sum of two such values set it, and negation and
-    addition of a polynomial keep it.
+    known.  to_qrat and the sum of two such values set it, and negation,
+    scaling by a constant and addition of a polynomial keep it.  While form
+    is known, den is not multiplied out until something reads it: the first
+    read builds it, once, and keeps it.  congruent reads only num of a
+    difference that verifies, so that difference's den is never built.
     """
 
-    __slots__ = ("num", "den", "form")
+    __slots__ = ("num", "_den", "form")
 
     def __init__(self, num, den=None):
         if not isinstance(num, QPoly):
@@ -953,22 +956,39 @@ class QRat:
             den = den * (1 / lead)
             num = num * (1 / lead)
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QRat is immutable")
 
     @classmethod
-    def _raw(cls, num: QPoly, den: QPoly, form=None) -> "QRat":
+    def _raw(cls, num: QPoly, den: QPoly | None, form=None) -> "QRat":
         """Trusted constructor: den monic (or one), gcd(num, den) = 1, and
-        form is den's factored form or None."""
+        form is den's factored form or None; den may be None when form is
+        known, and is then built on first read."""
         r = object.__new__(cls)
         zero = num.is_zero()
+        if zero or form == (0, {}):
+            den = _ONE
         object.__setattr__(r, "num", num)
-        object.__setattr__(r, "den", _ONE if zero else den)
+        object.__setattr__(r, "_den", den)
         object.__setattr__(r, "form", None if zero else form)
         return r
+
+    @property
+    def den(self) -> QPoly:
+        """The monic denominator; the one place a form is multiplied out."""
+        den = self._den
+        if den is None:
+            j, exps = self.form
+            den = _times_keys(_ONE, exps).shift(j)
+            object.__setattr__(self, "_den", den)
+        return den
+
+    def _den_is_one(self) -> bool:
+        # an unbuilt den has a form other than (0, {}), so it is not one
+        return self._den is not None and self._den.is_one()
 
     @classmethod
     def from_value(cls, v) -> "QRat":
@@ -998,25 +1018,29 @@ class QRat:
         return self.num * other.den == other.num * self.den
 
     def __neg__(self):
-        return QRat._raw(-self.num, self.den, self.form)
+        return QRat._raw(-self.num, self._den, self.form)
 
     def __add__(self, other):
         """The reduced sum.  Where both denominators carry their form, the
         sum is _add_factored's, with no gcd; otherwise GCDHEU gives
         g = gcd(b1, b2) and its cofactors, and the numerator is reduced
-        against g by a second gcd."""
+        against g by a second gcd.  x + 0 and 0 + x are x itself."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a1, b1, a2, b2 = self.num, self.den, other.num, other.den
-        if b1.is_one():
-            if b2.is_one():
-                return QRat._raw(a1 + a2, _ONE)
-            return QRat._raw(a1 * b2 + a2, b2, other.form)
-        if b2.is_one():
-            return QRat._raw(a1 + a2 * b1, b1, self.form)
+        if not other:
+            return self
+        if not self:
+            return other
+        if self._den_is_one():
+            if other._den_is_one():
+                return QRat._raw(self.num + other.num, _ONE)
+            return QRat._raw(self.num * other.den + other.num, other.den, other.form)
+        if other._den_is_one():
+            return QRat._raw(self.num + other.num * self.den, self.den, self.form)
         if self.form is not None and other.form is not None:
             return self._add_factored(other)
+        a1, b1, a2, b2 = self.num, self.den, other.num, other.den
         g, b1r, b2r = _gcd_cofactors(b1, b2)
         if g.degree == 0:
             return QRat._raw(a1 * b2 + a2 * b1, b1 * b2)
@@ -1043,9 +1067,8 @@ class QRat:
         sides in lowest terms num is prime to b1/g and b2/g, so only q and the
         keys with e = e', which divide neither cofactor, can divide it, each
         at most to its exponent in g: trial division by those alone reduces
-        the sum.  Its denominator, b1 b2 / g less what cancelled, is the
-        larger of b1, b2 times the other's cofactor keys over the cancelled
-        ones, again one pass: the smaller cofactor is the cheaper to apply.
+        the sum.  Its denominator, b1 b2 / g less what cancelled, is returned
+        as its form alone; it is multiplied out only if something reads den.
         """
         (j1, exps1), (j2, exps2) = self.form, other.form
         j = min(j1, j2)
@@ -1063,12 +1086,8 @@ class QRat:
                 num, n = _divide_key(num, key, e)
                 if n:
                     cancelled[key] = -n
-        if self.den.degree >= other.den.degree:
-            den = _times_keys(self.den, {**cof2, **cancelled}).shift(j2 - j - t)
-        else:
-            den = _times_keys(other.den, {**cof1, **cancelled}).shift(j1 - j - t)
         exps = _add_exps(_add_exps(exps1, cof2), cancelled)
-        return QRat._raw(num, den, (j1 + j2 - j - t, exps))
+        return QRat._raw(num, None, (j1 + j2 - j - t, exps))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -1084,7 +1103,7 @@ class QRat:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QRat._raw(self.num * Fraction(other), self.den)
+            return QRat._raw(self.num * Fraction(other), self._den, self.form)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -1316,8 +1335,9 @@ class QFactored:
         gcd(N, f) one key at a time leaves N coprime to what remains of every
         key, since binomials q^e - c are squarefree, and reducing N modulo
         the small key first keeps the gcd small.  Without such a key the
-        result carries its denominator's form: q^max(-j, 0) and the keys
-        left, whose gcds QRat addition reads off.
+        result carries its denominator's form alone: q^max(-j, 0) and the
+        keys left, whose gcds QRat addition reads off; the denominator is
+        multiplied out only if something reads den.
         """
         if not self.c:
             return _QRAT_ZERO
@@ -1343,11 +1363,10 @@ class QFactored:
         numerator = _times_keys(num, {d: e for d, e in numer.items() if not isinstance(d, QPoly)})
         if self.c != 1:
             numerator = numerator * self.c
-        denominator = _times_keys(poly_product(rest), denom)
-        j = max(-self.j, 0)
-        return QRat._raw(
-            numerator.shift(max(self.j, 0)), denominator.shift(j), None if rest else (j, denom)
-        )
+        numerator, j = numerator.shift(max(self.j, 0)), max(-self.j, 0)
+        if not rest:
+            return QRat._raw(numerator, None, (j, denom))
+        return QRat._raw(numerator, _times_keys(poly_product(rest), denom).shift(j))
 
     def __repr__(self):
         return f"QFactored({self.c}, q^{self.j}, {self.N!r}, {self.exps})"

@@ -112,6 +112,13 @@ def test_sampling_is_deterministic():
     assert first != shifted
 
 
+def test_trials_below_one_raise():
+    # the same refusal as the cli's --trials, for a library caller
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            catalog.run_statement("THM_3_2", {"n": 4}, trials=trials)
+
+
 def test_explicit_symbols_bypass_sampling():
     records = catalog.run_statement(
         "THM_2_2",

@@ -19,7 +19,7 @@ from qcongruence.congruence import (
     sample_params,
 )
 from qcongruence.errors import DenominatorNotUnit, SamplingExhausted, UnknownKind
-from qcongruence import catalog, congruence, polyring
+from qcongruence import catalog, congruence, polyring, qseries
 from qcongruence.polyring import (
     QFactored,
     QPoly,
@@ -391,6 +391,33 @@ def test_factored_sides_take_no_gcd(monkeypatch):
 
     monkeypatch.setattr(polyring, "_gcd_cofactors", refuse)
     assert congruent(inst.lhs, inst.rhs, inst.modulus).verified
+
+
+def test_verified_congruence_builds_no_denominator(monkeypatch):
+    # Sums and closed forms keep their denominators as exponent maps, and a
+    # verified congruence reads only the numerator of lhs - rhs: with an
+    # unbuilt den made to raise on read, these catalog values still verify,
+    # and their difference has a form and no built den.  A fresh sum cache,
+    # so that no earlier read built a cached sum's den.
+    monkeypatch.setattr(qseries, "_ENGINES", qseries._EngineCache(8))
+    cases = (("GS_16", 16, "first"), ("GWY", 17, "first"), ("GWY", 17, "second"), ("THM_C", 8, "first"))
+    insts = [catalog.instantiate(stmt_id, {"n": n}, m) for stmt_id, n, m in cases]
+    x = QFactored(Fraction(2, 3), -2, QPoly([1, 3]), {3: -2, 5: 1, 7: -1}).to_qrat()
+
+    def built_only(r):
+        if r._den is None:
+            raise AssertionError(f"the denominator of {r.num!r} was multiplied out")
+        return r._den
+
+    monkeypatch.setattr(QRat, "den", property(built_only))
+    for (stmt_id, n, m), inst in zip(cases, insts):
+        assert congruent(inst.lhs, inst.rhs, inst.modulus).verified, (stmt_id, m)
+        diff = inst.lhs - inst.rhs
+        assert diff.form is not None and diff._den is None, (stmt_id, m)
+    assert x.form == (2, {3: 2, 7: 1}) and x._den is None
+    assert x + 0 is x and 0 + x is x
+    for y, num in ((-x, -x.num), (3 * x, x.num * 3)):
+        assert (y.num, y.form, y._den) == (num, x.form, None)
 
 
 def rand_qrat(rng, max_deg=3):

@@ -823,16 +823,21 @@ def test_factored_arithmetic_matches_qrat_random():
     draws = [(rng.choice(atoms)(), rng.choice(atoms)()) for _ in range(150)]
     for (x, tx), (y, ty) in draws + shared:
         rx, ry = x.to_qrat(), y.to_qrat()
+        _assert_form_multiplies_out(rx)
+        _assert_form_multiplies_out(ry)
         assert _eval(tx) == rx and _eval(ty) == ry, (tx, ty)
+        # sums against GCDHEU on the same values without their forms
+        px, py = _without_form(rx), _without_form(ry)
         checks = [
-            (lambda: (x + y).to_qrat(), rx + ry),
-            (lambda: (x + (-y)).to_qrat(), rx - ry),
+            (lambda: (x + y).to_qrat(), px + py),
+            (lambda: (x + (-y)).to_qrat(), px - py),
             (lambda: _eval(f"({tx}) * ({ty})"), rx * ry),
         ]
         if ry:
             checks.append((lambda: _eval(f"({tx}) / ({ty})"), rx / ry))
         for got, want in checks:
             got = got()
+            _assert_form_multiplies_out(got)
             assert (got.num, got.den) == (want.num, want.den), (tx, ty, want)
         # mixed with a QRat: the QRat arithmetic takes over, same value
         assert _eval(f"({tx}) * y + ({tx})", {"y": ry}) == rx * ry + rx, (tx, ty)
@@ -844,11 +849,17 @@ def _without_form(r):
 
 
 def _assert_form_multiplies_out(r):
+    """r's den, built by this read where r kept only its form, is the eager
+    product of the form; the read leaves the form as it was, and r + 0, -r
+    and r * 2/3 keep it."""
     if r.form is None:
         return
-    j, exps = r.form
+    j, exps = r.form[0], dict(r.form[1])
     assert all(e > 0 for e in exps.values()), r
-    assert polyring._times_keys(QPoly.one(), exps).shift(j) == r.den, r
+    assert r.den == polyring._times_keys(QPoly.one(), exps).shift(j), r
+    assert r.form == (j, exps), r
+    for y in (r + 0, -r, r * Fraction(2, 3)):
+        assert y.form == r.form, r
 
 
 def test_factored_sum_matches_the_gcd_sum(monkeypatch):
@@ -893,11 +904,13 @@ def test_factored_sum_matches_the_gcd_sum(monkeypatch):
             factored = x.form is not None and y.form is not None
             if factored and not x.den.is_one() and not y.den.is_one():
                 assert gcd_calls == []
-            want = _without_form(x) + _without_form(y)
-            assert (got.num, got.den) == (want.num, want.den), (x, y)
+                # the sum's den is left as its form: built below, on first read
+                assert got._den is None or got._den.is_one(), (x, y)
             if factored and got:
                 assert got.form is not None
             _assert_form_multiplies_out(got)
+            want = _without_form(x) + _without_form(y)
+            assert (got.num, got.den) == (want.num, want.den), (x, y)
         return got
 
     pairs = [(value(), value()) for _ in range(150)]

@@ -5,8 +5,9 @@ qseries.well_poised_spec) or an expression text; an expression text for its
 right side, built from its family's template where the paper's theorems come
 in families; a factored modulus, side conditions, and the truncation choices
 the statement offers.  An entry's kind is its Statement.kind alone.
-Classical (q -> 1) entries delegate to the padic module.  Statement ids are
-stable strings forming the CLI contract.
+Classical (q -> 1) entries bind one padic checker each, whose sides
+padic.verify_classical decides.  Statement ids are stable strings forming
+the CLI contract.
 
 Truncation slots are reported as "first" and "second" in records; what each
 slot means (for example (n-1)/2 versus n-1) is part of the statement's
@@ -134,8 +135,8 @@ class Statement:
     param_doc: str
     side_doc: str
     m_doc: str
+    build: Callable
     symbols: tuple[str, ...] = ()
-    build: Callable | None = None
     desk: tuple[dict, ...] = ()
 
 
@@ -1002,21 +1003,172 @@ _register(
     )
 )
 
-for _classical in padic.classical_statements():
+
+# -- classical (q -> 1) statements ----------------------------------------------
+#
+# Each is decided in padic: its checker validates its own side conditions and
+# returns (k, lhs, rhs), and padic.verify_classical gives the verdicts modulo
+# p^k.  The build's checks come in this order, all before a slot is selected,
+# because the first that fails is a skipped record's reason: d and r given
+# exactly when the statement takes them, s and an odd p, the checker's
+# conditions, and a prime p for a Gamma_p right side.
+
+
+def _build_classical(b: dict, stmt_id: str, checker, takes_s: bool, takes_dr: bool):
+    """(params, p, k, lhs, rhs) of a classical statement at (p, s[, d, r])."""
+    p, s = _int_param(b, "p"), _int_param(b, "s", 1)
+    d, r = b.get("d"), b.get("r")
+    if takes_dr:
+        _require(d is not None and r is not None, f"{stmt_id} needs both d and r")
+    else:
+        _require(d is None and r is None, f"{stmt_id} does not take d or r")
+    if not takes_s:
+        _require(s == 1, f"{stmt_id} is a single-power statement; s must be 1, got {s}")
+    _require(p >= 3 and p % 2 == 1, f"p must be an odd prime, got {p}")
+    _require(s >= 1, f"s must be positive, got {s}")
+    k, lhs, rhs = checker(p, s, *((d, r) if takes_dr else ()))
+    _require(not isinstance(rhs, padic._GammaForm) or padic._is_prime(p), f"p must be an odd prime, got {p}")
+    return _serialize_params({"p": p, "s": s, "d": d, "r": r}, ()), p, k, lhs, rhs
+
+
+def _classical(stmt_id, description, side_doc, checker, desk, takes_s=False, takes_dr=False):
+    """Register a classical statement whose build runs checker."""
     _register(
         Statement(
-            _classical.stmt_id,
-            _classical.description,
+            stmt_id,
+            description,
             "classical",
             "p: odd prime"
-            + ("; s: power >= 1" if _classical.takes_s else "")
-            + ("; d, r: degree and offset" if _classical.takes_dr else ""),
-            _classical.side_conditions,
+            + ("; s: power >= 1" if takes_s else "")
+            + ("; d, r: degree and offset" if takes_dr else ""),
+            side_doc,
             "first/second: statement truncation versus full range p^s-1",
-            build=None,
-            desk=_classical.desk_cases,
+            partial(_build_classical, stmt_id=stmt_id, checker=checker, takes_s=takes_s, takes_dr=takes_dr),
+            desk=desk,
         )
     )
+
+
+_classical(
+    "COR_1_4",
+    "alternating quartic sum vs harmonic-corrected closed form mod p^(s+4)",
+    "p odd prime, s >= 1; branch by p^s mod 4",
+    padic._check_cor_1_4,
+    ({"p": 5, "s": 1}, {"p": 7, "s": 1}, {"p": 11, "s": 1}, {"p": 13, "s": 1}, {"p": 5, "s": 2}),
+    takes_s=True,
+)
+_classical(
+    "COR_1_5",
+    "cubic sum vs harmonic-corrected closed form mod p^(s+4)",
+    "p odd prime, s >= 1, p^s = 1 mod 3",
+    padic._check_cor_1_5,
+    ({"p": 7, "s": 1}, {"p": 13, "s": 1}),
+    takes_s=True,
+)
+_classical(
+    "COR_1_6",
+    "cubic sum vs 10 p^s times a shifted-factorial cube mod p^(s+5)",
+    "p odd prime, s >= 1, p^s = 2 mod 3",
+    padic._check_cor_1_6,
+    ({"p": 5, "s": 1}, {"p": 11, "s": 1}),
+    takes_s=True,
+)
+_classical(
+    "PROP_1_7",
+    "quartic closed forms vs -Gamma_p(1/4)^4 (mod p^4 resp. p^3)",
+    "p > 5 prime; branch by p mod 4",
+    padic._check_prop_1_7,
+    ({"p": 13}, {"p": 17}, {"p": 7}, {"p": 11}),
+)
+_classical(
+    "PROP_1_8",
+    "cubic closed forms vs -Gamma_p(1/3)^9 (mod p^4 resp. p^5)",
+    "p odd prime, p != 3; branch by p mod 6",
+    padic._check_prop_1_8,
+    ({"p": 7}, {"p": 13}, {"p": 5}, {"p": 11}),
+)
+_classical(
+    "VH_A2",
+    "alternating quartic sum vs -p/Gamma_p(3/4)^4 mod p^3 (0 when p = 3 mod 4)",
+    "p odd prime; branch by p mod 4",
+    padic._check_vh_a2,
+    ({"p": 5}, {"p": 13}, {"p": 7}, {"p": 11}),
+)
+_classical(
+    "VH_D2",
+    "cubic sum vs -p Gamma_p(1/3)^9 mod p^4",
+    "p prime, p = 1 mod 6",
+    padic._check_vh_d2,
+    ({"p": 7}, {"p": 13}),
+)
+_classical(
+    "LIU",
+    "alternating quartic sum vs -(p^3/16) Gamma_p(1/4)^4 mod p^4",
+    "p > 5 prime, p = 3 mod 4",
+    padic._check_liu,
+    ({"p": 7}, {"p": 11}),
+)
+_classical(
+    "LR",
+    "full cubic sum vs Gamma_p(1/3)^9 forms mod p^6, both residue branches",
+    "p prime, p != 3; branch by p mod 6",
+    padic._check_lr,
+    ({"p": 7}, {"p": 11}, {"p": 13}),
+)
+_classical(
+    "COR_5_E",
+    "degree-d sixth-power sum vs double sum with harmonic tails mod p^(s+4)",
+    "p odd prime, s >= 1, gcd(p,d) = 1, p^s = r mod d, d+p^s-dp^s <= r <= p^s, "
+    "2r/d not a non-positive integer",
+    padic._check_cor_5_e,
+    ({"p": 7, "s": 1, "d": 3, "r": 1}, {"p": 5, "s": 1, "d": 4, "r": 1}),
+    takes_s=True,
+    takes_dr=True,
+)
+_classical(
+    "COR_5_G",
+    "alternating degree-d fifth-power sum vs signed double sum mod p^(s+4)",
+    "p odd prime, s >= 1, gcd(p,d) = 1, p^s = r mod d, d+p^s-dp^s <= r <= p^s",
+    padic._check_cor_5_g,
+    ({"p": 7, "s": 1, "d": 3, "r": 1}, {"p": 5, "s": 1, "d": 4, "r": 1}),
+    takes_s=True,
+    takes_dr=True,
+)
+_classical(
+    "COR_5_H",
+    "degree-d sixth-power sum vs (d-1)-scaled double sum mod p^(s+5)",
+    "p odd prime, s >= 1, r = +-1, d >= 3, gcd(p,d) = 1, p^s = -r mod d, p^s+r >= d",
+    padic._check_cor_5_h,
+    (
+        {"p": 5, "s": 1, "d": 3, "r": 1},
+        {"p": 7, "s": 1, "d": 3, "r": -1},
+        {"p": 7, "s": 1, "d": 4, "r": 1},
+        {"p": 5, "s": 1, "d": 4, "r": -1},
+    ),
+    takes_s=True,
+    takes_dr=True,
+)
+_classical(
+    "SUN_H2",
+    "H_{p-1}^(2) = (2p/3) B_{p-3} mod p^2",
+    "p prime, p > 3",
+    padic._check_sun_h2,
+    ({"p": 5}, {"p": 7}, {"p": 11}, {"p": 13}),
+)
+_classical(
+    "SUN_H2HALF",
+    "H_{(p-1)/2}^(2) = (7p/3) B_{p-3} mod p^2",
+    "p prime, p > 3",
+    padic._check_sun_h2half,
+    ({"p": 5}, {"p": 7}, {"p": 11}, {"p": 13}),
+)
+_classical(
+    "SUN_H3",
+    "H_{floor(p/4)}^(3) = -9 B_{p-3} mod p",
+    "p prime, p > 5",
+    padic._check_sun_h3,
+    ({"p": 7}, {"p": 11}, {"p": 13}),
+)
 
 
 # -- evaluation and running -----------------------------------------------------
@@ -1176,44 +1328,23 @@ def _run_classical(
     seed: int | None,
     timestamps: bool,
 ) -> list[VerificationRecord]:
-    p = _int_param(bindings, "p")
-    s = _int_param(bindings, "s", 1)
-    d = bindings.get("d")
-    r = bindings.get("r")
-    m_choice = None if m_policy == "both" else m_policy
+    """Check one classical case at (p, s[, d, r]); one record per truncation."""
     watch = _Stopwatch(timestamps)
+    params, p, k, lhs, rhs = stmt.build(bindings)
+    chosen = _select_choices(tuple(zip(("first", "second"), lhs.ends)), m_policy)
     try:
-        raw = padic.verify_classical(stmt.stmt_id, p, s=s, d=d, r=r, m_choice=m_choice)
+        results = padic.verify_classical(p, k, lhs, rhs, [end for _, end in chosen])
     except (QCongruenceError, ZeroDivisionError) as exc:
-        if isinstance(exc, (SideConditionViolated, NonIntegerBound)):
-            raise
-        return [
-            VerificationRecord(
-                stmt.stmt_id,
-                _serialize_params({"p": p, "s": s, "d": d, "r": r}, ()),
-                "",
-                _fallback_slot(m_policy),
-                "error",
-                {"error": type(exc).__name__, "detail": str(exc)},
-                0,
-                seed,
-            )
-        ]
-    records = []
-    for rec in raw:
-        records.append(
-            VerificationRecord(
-                rec["id"],
-                _serialize_params(rec["params"], ()),
-                rec["modulus"],
-                rec["m_choice"],
-                rec["status"],
-                rec["witness"],
-                watch.lap(),
-                seed,
-            )
+        witness = {"error": type(exc).__name__, "detail": str(exc)}
+        slot = _fallback_slot(m_policy)
+        return [VerificationRecord(stmt.stmt_id, params, "", slot, "error", witness, 0, seed)]
+    label = f"{p}^{k}"
+    return [
+        VerificationRecord(
+            stmt.stmt_id, params, label, slot, result.status, result.witness, watch.lap(), seed
         )
-    return records
+        for (slot, _), result in zip(chosen, results)
+    ]
 
 
 def run_statement(
@@ -1252,9 +1383,8 @@ def instantiate(
     """Fully evaluate one q-side statement instance at one truncation choice.
 
     Free symbols not present in bindings are sampled deterministically from
-    the seed.  Classical statements are verified through run_statement (or
-    padic.verify_classical) instead and cannot be instantiated as rational
-    functions of q.
+    the seed.  Classical statements are verified through run_statement
+    instead and cannot be instantiated as rational functions of q.
     """
     stmt = get_statement(stmt_id)
     if stmt.kind == "classical":
@@ -1402,8 +1532,14 @@ def check_terminating_identity(identity_id: str, params: dict | None = None, rng
             params["r"] = rng.choice([1, 1, -1])
         r = params["r"]
         if "n" not in params:
-            k = rng.randint(max(1, (1 - r) // d + 1), 3)
-            params["n"] = r + d * k
+            _require(d >= 1, f"d must be positive, got {d}", NonTerminating)
+            low = max(1, (1 - r) // d + 1)
+            _require(
+                low <= 3,
+                f"n must be given: r + d*k <= 1 for every k <= 3 at d = {d}, r = {r}",
+                DegenerateParameters,
+            )
+            params["n"] = r + d * rng.randint(low, 3)
         n = params["n"]
         b = params.setdefault("b", _sample_fraction(rng))
         c = params.setdefault("c", _sample_fraction(rng, forbid=(b, 1 / Fraction(b))))

@@ -1,4 +1,4 @@
-"""Morita's p-adic Gamma function and the classical congruence statements.
+"""Morita's p-adic Gamma function and the classical congruences' sums and verdicts.
 
 gamma_p evaluates Morita's p-adic Gamma function, which is defined only at a
 prime p (an odd one here), at a p-integral rational to N digits via the
@@ -13,9 +13,11 @@ bounds, exp's after its last term that can be nonzero modulo p^N and L's at
 N plus the digits that exp's division by t! costs, so the cost is O(N^2)
 operations whatever r is.
 
-The classical (q -> 1) statements are pure rational-number congruences,
-decided exactly (p-adic Gamma products reduced to residues) by the p-adic
-valuation of the difference.  Both sides are unreduced pairs (T, Q) summed
+The catalog registers the classical (q -> 1) statements, each with its
+checker here, which returns the modulus exponent and the two sides.  They
+are pure rational-number congruences, decided exactly (p-adic Gamma
+products reduced to residues) by the p-adic valuation of the difference,
+in verify_classical.  Both sides are unreduced pairs (T, Q) summed
 by arith.binary_split, the kernel that qseries sums its q-series with: the
 truncated sums (a statement with two truncation slots sums the shorter
 range once and merges the rest onto it) and the closed forms, whose shifted
@@ -28,8 +30,9 @@ merge reduces modulo p^M.  The digits are read only after the check
 v_p(Q mod p^M) + n <= M, which proves them whatever the count said.  Where
 the residues cannot decide (the check fails, the sides agree to all n
 digits, or NotPIntegral must name a side) the same sides are built again
-exactly.  The Gamma_p statements need a prime p; the rational ones are
-still decided at an odd composite p, from exact sides reduced to Fractions.
+exactly.  The Gamma_p statements need a prime p, which the catalog checks;
+the rational ones are still decided at an odd composite p, from exact sides
+reduced to Fractions.
 """
 
 from __future__ import annotations
@@ -40,16 +43,10 @@ from math import comb, factorial, gcd, inf, isqrt
 
 from .arith import BigRat, binary_split, padic_valuation, residue_of_rational
 from .congruence import CongruenceResult
-from .errors import (
-    NotPIntegral,
-    SideConditionViolated,
-    UnknownKind,
-)
+from .errors import NotPIntegral, SideConditionViolated
 
 __all__ = [
-    "CLASSICAL_IDS",
     "bernoulli",
-    "classical_statements",
     "gamma_p",
     "rational_congruent",
     "verify_classical",
@@ -133,10 +130,12 @@ class _Closed:
     given.  den lists the progressions whose product is b, so v_p(b) is
     counted without building b.  Sums, products and powers of closed forms
     and rationals are closed forms: b of a sum or a product is b1 b2, so
-    their den is den1 + den2.
+    their den is den1 + den2.  As a left side a closed form is one
+    truncation slot, with no end.
     """
 
     __slots__ = ("pair", "den")
+    ends = (None,)
 
     def __init__(self, pair, den: tuple):
         self.pair, self.den = pair, den
@@ -665,29 +664,21 @@ def _inner_double_bare(d: int, r: int, length: int, scale: int, cube: int) -> _C
 
 # -- one checker per statement ------------------------------------------------
 #
-# verify_classical checks p and s first (odd p and s >= 1 for statements that
-# take s, s = 1 for the others).  Each checker validates the side conditions
-# left, then returns
+# The catalog registers each classical statement with its checker below and
+# checks p, s, d and r before calling it.  Each checker validates the side
+# conditions left, then returns
 #   (modulus exponent k, lhs, rhs)
 # where lhs is either _Truncations, one truncated series with an end per
-# m_choice slot, of which verify_classical sums only the selected slots, or
+# truncation slot, of which verify_classical sums only the slots selected, or
 # the single slot's left side as a _Closed; rhs is a _Closed or a Fraction
-# (pure rational congruence) or a _GammaForm, which verify_classical admits
-# only at a prime p, Gamma_p's domain.  Nothing is summed before
-# verify_classical picks the modulus.  Each comment names the slots' ends.
+# (pure rational congruence) or a _GammaForm, which the catalog admits only
+# at a prime p, Gamma_p's domain.  Nothing is summed before verify_classical
+# picks the modulus.  Each comment names the slots' ends.
 
 
 def _require(cond: bool, message: str):
     if not cond:
         raise SideConditionViolated(message)
-
-
-def _require_odd_prime(p: int):
-    _require(p >= 3 and p % 2 == 1, f"p must be an odd prime, got {p}")
-
-
-def _require_s1(stmt_id: str, s: int):
-    _require(s == 1, f"{stmt_id} is a single-power statement; s must be 1, got {s}")
 
 
 # The closed forms below write each quotient of shifted factorials
@@ -843,276 +834,19 @@ def _check_sun_h3(p: int, s: int):
     return 1, _harmonic(p // 4, 3), Fraction(-9) * bernoulli(p - 3)
 
 
-@dataclass(frozen=True)
-class ClassicalStatement:
-    stmt_id: str
-    description: str
-    side_conditions: str
-    takes_s: bool
-    takes_dr: bool
-    checker: object
-    desk_cases: tuple[dict, ...]
+def verify_classical(p: int, k: int, lhs, rhs, ends) -> list[CongruenceResult]:
+    """A checker's lhs against rhs modulo p^k: one verdict per end.
 
-
-CLASSICAL_IDS: dict[str, ClassicalStatement] = {}
-
-
-def _register(stmt: ClassicalStatement):
-    CLASSICAL_IDS[stmt.stmt_id] = stmt
-
-
-_register(
-    ClassicalStatement(
-        "COR_1_4",
-        "alternating quartic sum vs harmonic-corrected closed form mod p^(s+4)",
-        "p odd prime, s >= 1; branch by p^s mod 4",
-        True,
-        False,
-        _check_cor_1_4,
-        (
-            {"p": 5, "s": 1},
-            {"p": 7, "s": 1},
-            {"p": 11, "s": 1},
-            {"p": 13, "s": 1},
-            {"p": 5, "s": 2},
-        ),
-    )
-)
-_register(
-    ClassicalStatement(
-        "COR_1_5",
-        "cubic sum vs harmonic-corrected closed form mod p^(s+4)",
-        "p odd prime, s >= 1, p^s = 1 mod 3",
-        True,
-        False,
-        _check_cor_1_5,
-        ({"p": 7, "s": 1}, {"p": 13, "s": 1}),
-    )
-)
-_register(
-    ClassicalStatement(
-        "COR_1_6",
-        "cubic sum vs 10 p^s times a shifted-factorial cube mod p^(s+5)",
-        "p odd prime, s >= 1, p^s = 2 mod 3",
-        True,
-        False,
-        _check_cor_1_6,
-        ({"p": 5, "s": 1}, {"p": 11, "s": 1}),
-    )
-)
-_register(
-    ClassicalStatement(
-        "PROP_1_7",
-        "quartic closed forms vs -Gamma_p(1/4)^4 (mod p^4 resp. p^3)",
-        "p > 5 prime; branch by p mod 4",
-        False,
-        False,
-        _check_prop_1_7,
-        ({"p": 13}, {"p": 17}, {"p": 7}, {"p": 11}),
-    )
-)
-_register(
-    ClassicalStatement(
-        "PROP_1_8",
-        "cubic closed forms vs -Gamma_p(1/3)^9 (mod p^4 resp. p^5)",
-        "p odd prime, p != 3; branch by p mod 6",
-        False,
-        False,
-        _check_prop_1_8,
-        ({"p": 7}, {"p": 13}, {"p": 5}, {"p": 11}),
-    )
-)
-_register(
-    ClassicalStatement(
-        "VH_A2",
-        "alternating quartic sum vs -p/Gamma_p(3/4)^4 mod p^3 (0 when p = 3 mod 4)",
-        "p odd prime; branch by p mod 4",
-        False,
-        False,
-        _check_vh_a2,
-        ({"p": 5}, {"p": 13}, {"p": 7}, {"p": 11}),
-    )
-)
-_register(
-    ClassicalStatement(
-        "VH_D2",
-        "cubic sum vs -p Gamma_p(1/3)^9 mod p^4",
-        "p prime, p = 1 mod 6",
-        False,
-        False,
-        _check_vh_d2,
-        ({"p": 7}, {"p": 13}),
-    )
-)
-_register(
-    ClassicalStatement(
-        "LIU",
-        "alternating quartic sum vs -(p^3/16) Gamma_p(1/4)^4 mod p^4",
-        "p > 5 prime, p = 3 mod 4",
-        False,
-        False,
-        _check_liu,
-        ({"p": 7}, {"p": 11}),
-    )
-)
-_register(
-    ClassicalStatement(
-        "LR",
-        "full cubic sum vs Gamma_p(1/3)^9 forms mod p^6, both residue branches",
-        "p prime, p != 3; branch by p mod 6",
-        False,
-        False,
-        _check_lr,
-        ({"p": 7}, {"p": 11}, {"p": 13}),
-    )
-)
-_register(
-    ClassicalStatement(
-        "COR_5_E",
-        "degree-d sixth-power sum vs double sum with harmonic tails mod p^(s+4)",
-        "p odd prime, s >= 1, gcd(p,d) = 1, p^s = r mod d, d+p^s-dp^s <= r <= p^s, "
-        "2r/d not a non-positive integer",
-        True,
-        True,
-        _check_cor_5_e,
-        ({"p": 7, "s": 1, "d": 3, "r": 1}, {"p": 5, "s": 1, "d": 4, "r": 1}),
-    )
-)
-_register(
-    ClassicalStatement(
-        "COR_5_G",
-        "alternating degree-d fifth-power sum vs signed double sum mod p^(s+4)",
-        "p odd prime, s >= 1, gcd(p,d) = 1, p^s = r mod d, d+p^s-dp^s <= r <= p^s",
-        True,
-        True,
-        _check_cor_5_g,
-        ({"p": 7, "s": 1, "d": 3, "r": 1}, {"p": 5, "s": 1, "d": 4, "r": 1}),
-    )
-)
-_register(
-    ClassicalStatement(
-        "COR_5_H",
-        "degree-d sixth-power sum vs (d-1)-scaled double sum mod p^(s+5)",
-        "p odd prime, s >= 1, r = +-1, d >= 3, gcd(p,d) = 1, p^s = -r mod d, p^s+r >= d",
-        True,
-        True,
-        _check_cor_5_h,
-        (
-            {"p": 5, "s": 1, "d": 3, "r": 1},
-            {"p": 7, "s": 1, "d": 3, "r": -1},
-            {"p": 7, "s": 1, "d": 4, "r": 1},
-            {"p": 5, "s": 1, "d": 4, "r": -1},
-        ),
-    )
-)
-_register(
-    ClassicalStatement(
-        "SUN_H2",
-        "H_{p-1}^(2) = (2p/3) B_{p-3} mod p^2",
-        "p prime, p > 3",
-        False,
-        False,
-        _check_sun_h2,
-        ({"p": 5}, {"p": 7}, {"p": 11}, {"p": 13}),
-    )
-)
-_register(
-    ClassicalStatement(
-        "SUN_H2HALF",
-        "H_{(p-1)/2}^(2) = (7p/3) B_{p-3} mod p^2",
-        "p prime, p > 3",
-        False,
-        False,
-        _check_sun_h2half,
-        ({"p": 5}, {"p": 7}, {"p": 11}, {"p": 13}),
-    )
-)
-_register(
-    ClassicalStatement(
-        "SUN_H3",
-        "H_{floor(p/4)}^(3) = -9 B_{p-3} mod p",
-        "p prime, p > 5",
-        False,
-        False,
-        _check_sun_h3,
-        ({"p": 7}, {"p": 11}, {"p": 13}),
-    )
-)
-
-
-def classical_statements() -> list[ClassicalStatement]:
-    return list(CLASSICAL_IDS.values())
-
-
-def verify_classical(
-    stmt_id: str,
-    p: int,
-    s: int = 1,
-    d: int | None = None,
-    r: int | None = None,
-    m_choice: str | None = None,
-) -> list[dict]:
-    """Check one classical statement at (p, s[, d, r]); one dict per truncation.
-
-    m_choice selects a truncation slot ("first", "second", or None for all
-    the statement offers).  Each dict carries id, params, modulus, m_choice,
-    status and witness.  Status is "verified" or "failed"; side-condition
-    problems raise SideConditionViolated instead of producing records.
+    ends are the ends of the truncation slots to decide, in the order of
+    lhs.ends; a closed left side is its one slot.  Side conditions are the
+    caller's: a _GammaForm rhs needs a prime p.
     """
-    stmt = CLASSICAL_IDS.get(stmt_id)
-    if stmt is None:
-        raise UnknownKind(f"unknown classical statement {stmt_id!r}")
-    if stmt.takes_dr:
-        if d is None or r is None:
-            raise SideConditionViolated(f"{stmt_id} needs both d and r")
-        dr = (d, r)
-        params = {"p": p, "s": s, "d": d, "r": r}
-    else:
-        if d is not None or r is not None:
-            raise SideConditionViolated(f"{stmt_id} does not take d or r")
-        dr = ()
-        params = {"p": p, "s": s}
-    if stmt.takes_s:
-        _require_odd_prime(p)
-        _require(s >= 1, f"s must be positive, got {s}")
-    else:
-        _require_s1(stmt_id, s)
-        _require_odd_prime(p)
-    k, lhs, rhs = stmt.checker(p, s, *dr)
-    if isinstance(rhs, _GammaForm):
-        _require(_is_prime(p), f"p must be an odd prime, got {p}")
-    series = isinstance(lhs, _Truncations)
-    offered = len(lhs.ends) if series else 1
-    slots = ("first", "second")
-    indices = range(offered)
-    if m_choice is not None:
-        if m_choice not in slots:
-            raise SideConditionViolated(
-                f"m_choice must be 'first' or 'second', got {m_choice!r}"
-            )
-        index = slots.index(m_choice)
-        if index >= offered:
-            raise SideConditionViolated(
-                f"{stmt_id} offers {offered} truncation(s); no {m_choice!r}"
-            )
-        indices = [index]
-    if series:
-        lhs = _Truncations(lhs.series, tuple(lhs.ends[i] for i in indices))
+    if isinstance(lhs, _Truncations):
+        lhs = _Truncations(lhs.series, tuple(ends))
     try:
-        results = _verdicts(lhs, rhs, p, k, k + _SPARE_DIGITS if _is_prime(p) else None)
+        return _verdicts(lhs, rhs, p, k, k + _SPARE_DIGITS if _is_prime(p) else None)
     except _Inexact:
-        results = _verdicts(lhs, rhs, p, k, None)
-    return [
-        {
-            "id": stmt_id,
-            "params": params,
-            "modulus": f"{p}^{k}",
-            "m_choice": slots[index],
-            "status": "verified" if result.verified else "failed",
-            "witness": result.witness,
-        }
-        for index, result in zip(indices, results)
-    ]
+        return _verdicts(lhs, rhs, p, k, None)
 
 
 def _verdicts(lhs, rhs, p: int, k: int, digits: int | None) -> list[CongruenceResult]:

@@ -104,6 +104,17 @@ def test_classical_delegation():
         catalog.instantiate("COR_1_4", {"p": 5})
 
 
+def test_classical_and_q_statements_share_the_slot_rule():
+    # A single-slot statement refuses 'second' with one message whatever its
+    # kind, and an unknown policy is an unknown kind for both.
+    for stmt_id, bindings in (("GS_16", {"n": 4}), ("SUN_H2", {"p": 5})):
+        with pytest.raises(SideConditionViolated) as info:
+            catalog.run_statement(stmt_id, bindings, m_policy="second")
+        assert str(info.value) == "statement offers a single truncation; no 'second' choice"
+        with pytest.raises(UnknownKind):
+            catalog.run_statement(stmt_id, bindings, m_policy="alternate")
+
+
 def test_sampling_is_deterministic():
     first = [r.to_json_dict() for r in catalog.run_statement("PROP_2_1", {"n": 3}, seed=4)]
     second = [r.to_json_dict() for r in catalog.run_statement("PROP_2_1", {"n": 3}, seed=4)]

@@ -207,6 +207,17 @@ def test_identity_invalid_parameters_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("d,r", [("0", None), ("1", "-5"), ("2", "-5")])
+def test_identity_watson_sampler_refuses_bad_d_and_r(capsys, d, r):
+    # With n left to the sampler, a d below 1, or an r so negative that no
+    # n = r + d*k with k <= 3 is positive, is refused before n is drawn.
+    argv = ["identity", "--id", "WATSON_SPEC", "--d", d] + ([f"--r={r}"] if r else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "inadmissible parameters for WATSON_SPEC: " in err
+
+
 def test_check_spec_file(tmp_path, capsys):
     spec = tmp_path / "decls.qcs"
     spec.write_text(

@@ -343,7 +343,10 @@ def _template_points():
     """(text, env) for every catalog template at every desk and pool point;
     a parametric template at sampling seeds 0-7, as q_generic draws them."""
     points = [
-        (s.stmt_id, dict(case)) for s in catalog.list_statements() if s.build for case in s.desk
+        (s.stmt_id, dict(case))
+        for s in catalog.list_statements()
+        if s.kind != "classical"
+        for case in s.desk
     ]
     for stmt_id, bindings in points + _POOL_POINTS:
         stmt = catalog.get_statement(stmt_id)

@@ -156,6 +156,12 @@ def test_golden_identity_report(tmp_path, capsys):
     assert got == (DATA / "golden_identity.jsonl").read_bytes()
 
 
+def test_golden_list(capsys):
+    # Every statement's id, kind, description and documentation as listed.
+    assert main(["list"]) == 0
+    assert capsys.readouterr().out == (DATA / "golden_list.txt").read_text()
+
+
 CHECK_CASES = [
     ("golden.qcs", "golden_check.jsonl", 1),
     # Moduli typed as polynomials (Phi_d, [n], their products and powers, a
@@ -217,8 +223,9 @@ def test_named_moduli_report_as_typed(tmp_path, capsys):
 
 def run_installed() -> int:
     """Write every golden report above through the qcong script on PATH, into
-    the current directory, at --jobs 2 where the subcommand takes it; print
-    each exit code or report that differs and return 1 if any does."""
+    the current directory, at --jobs 2 where the subcommand takes it, and
+    compare `qcong list` with golden_list.txt; print each exit code or report
+    that differs and return 1 if any does."""
     runs = [
         (name, code, [run + ["--jobs", "2"] for run in _commands(argv)])
         for name, argv, code in CASES + CI_CASES
@@ -228,6 +235,12 @@ def run_installed() -> int:
         (name, code, [["check", "--spec", str(DATA / spec)]]) for spec, name, code in CHECK_CASES
     ]
     failed = 0
+    listed = subprocess.run(["qcong", "list"], capture_output=True)
+    if listed.returncode != 0 or listed.stdout != (DATA / "golden_list.txt").read_bytes():
+        print("FAIL golden_list.txt: qcong list differs from the golden file")
+        failed = 1
+    else:
+        print("ok golden_list.txt")
     for name, code, commands in runs:
         got = b""
         for i, run in enumerate(commands):

@@ -4,9 +4,10 @@ Rationals are `fractions.Fraction` (exported as BigRat); everything in the
 package that says "exact rational" means this type.  A p-adic integer known
 to N digits is a plain int residue modulo p^N (residue_of_rational).
 
-binary_split is the one summation kernel of the package: padic sums
-classical series and closed forms over the integers with it, modulo p^M at
-a prime p (see padic), and qseries sums q-series over polynomials in q.
+binary_split is the one exact summation kernel of the package: padic sums
+classical series and closed forms over the integers with it where their
+digits at a prime p cannot decide (see padic), and qseries sums q-series
+over polynomials in q.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _exponent(n: int, p: int) -> int:
     return e
 
 
-def binary_split(lo: int, hi: int, leaf, modulus: int | None = None):
+def binary_split(lo: int, hi: int, leaf):
     """(P, Q, T) over lo <= k < hi, hi > lo, by binary splitting.
 
     leaf(k) is the one-term triple (p_k, q_k, t_k), and two adjacent ranges
@@ -84,19 +85,13 @@ def binary_split(lo: int, hi: int, leaf, modulus: int | None = None):
     denominator Q = prod q_k.  The entries may be integers or polynomials.
     Leaves are evaluated in increasing k, so the first one to raise is the
     lowest.
-
-    With an integer modulus every merge reduces P, Q and T modulo it.  The
-    merges only add and multiply, so the results are the exact P, Q and T
-    reduced modulo `modulus` (a range of one leaf is returned as it is).
     """
     if hi - lo == 1:
         return leaf(lo)
     mid = (lo + hi) // 2
-    p1, q1, t1 = binary_split(lo, mid, leaf, modulus)
-    p2, q2, t2 = binary_split(mid, hi, leaf, modulus)
-    if modulus is None:
-        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
-    return p1 * p2 % modulus, q1 * q2 % modulus, (t1 * q2 + p1 * t2) % modulus
+    p1, q1, t1 = binary_split(lo, mid, leaf)
+    p2, q2, t2 = binary_split(mid, hi, leaf)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 def residue_of_rational(x: BigRat | int, p: int, n: int) -> int:

@@ -1020,6 +1020,7 @@ def _build_classical(b: dict, stmt_id: str, checker, takes_s: bool, takes_dr: bo
     d, r = b.get("d"), b.get("r")
     if takes_dr:
         _require(d is not None and r is not None, f"{stmt_id} needs both d and r")
+        d, r = _int_param(b, "d"), _int_param(b, "r")
     else:
         _require(d is None and r is None, f"{stmt_id} does not take d or r")
     if not takes_s:

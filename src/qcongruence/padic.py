@@ -14,25 +14,29 @@ N plus the digits that exp's division by t! costs, so the cost is O(N^2)
 operations whatever r is.
 
 The catalog registers the classical (q -> 1) statements, each with its
-checker here, which returns the modulus exponent and the two sides.  They
+checker here, which returns the modulus exponent k and the two sides.  They
 are pure rational-number congruences, decided exactly (p-adic Gamma
 products reduced to residues) by the p-adic valuation of the difference,
-in verify_classical.  Both sides are unreduced pairs (T, Q) summed
-by arith.binary_split, the kernel that qseries sums its q-series with: the
-truncated sums (a statement with two truncation slots sums the shorter
-range once and merges the rest onto it) and the closed forms, whose shifted
-factorials, harmonic numbers and harmonic tails are binary_split leaves
-combined by pair arithmetic (_Closed).  For prime p the verdict reads T and
-Q only modulo p^(e + n), e = v_p(Q), and n = k + 6 digits, so
-verify_classical builds each side modulo p^M, M = e + n: e is counted
-beforehand by Legendre's formula over the linear factors of Q, and every
-merge reduces modulo p^M.  The digits are read only after the check
-v_p(Q mod p^M) + n <= M, which proves them whatever the count said.  Where
-the residues cannot decide (the check fails, the sides agree to all n
-digits, or NotPIntegral must name a side) the same sides are built again
-exactly.  The Gamma_p statements need a prime p, which the catalog checks;
-the rational ones are still decided at an odd composite p, from exact sides
-reduced to Fractions.
+in verify_classical.  The sides are truncated sums (a statement with two
+truncation slots sums the shorter range once and goes on to the longer) and
+closed forms (_Closed) made of shifted factorials, harmonic numbers and
+harmonic tails.
+
+At a prime p each side is built as its first n = k + 6 digits, in fixed
+relative precision (Caruso, "Computations with p-adic numbers",
+arXiv:1701.06794): a value is p^v a / b with v an exact integer and a, b
+known modulo p^R, so it is known modulo p^(v+R).  Every loop splits each
+linear factor into its power of p, which v counts, and its unit part, whose
+image modulo p^R is exact, so nothing is guessed.  The truncated sums'
+terms are p-integral (p does not divide d), so they are summed modulo p^n
+and a term with v >= n drops out; a closed form with a term of negative
+valuation, such as 1/(dj)^2 with p | dj, has v < 0 and is built again at
+R = n - v.  Where the digits cannot decide a slot (the sides agree to all n
+digits, or NotPIntegral must name a side) that slot alone is built again
+exactly, as an unreduced pair summed by arith.binary_split, the kernel that
+qseries sums its q-series with.  The Gamma_p statements need a prime p,
+which the catalog checks; the rational ones are still decided at an odd
+composite p, from exact sides reduced to Fractions.
 """
 
 from __future__ import annotations
@@ -58,119 +62,111 @@ _GAMMA_QUARTER = ((Fraction(1, 4), 4),)
 _GAMMA_THIRD = ((Fraction(1, 3), 9),)
 
 
-# -- exact sums and closed forms as unreduced pairs ------------------------------
+# -- sides: exact pairs, and fixed relative precision at a prime p ----------------
 #
-# A hypergeometric sum  sum_{k<=m} a(k) t_k  with t_0 = 1 and
-# t_{k+1} = t_k p(k) / q(k)  is arith.binary_split over 0 <= k <= m with the
-# leaves (p(k), q(k), a(k) q(k)): the sum is the pair (T, Q), never reduced.
-# A product prod f(k) is the P of the leaves (f(k), 1, 0), and a plain sum of
-# n_k/d_k is (T, Q) of the leaves (d_k, d_k, n_k).
+# Every side is a sum or a product over k of rationals made of linear factors
+# in k, and each has two builds.
 #
-# At prime p a verdict reads a side t/q only modulo p^(e+n), e = v_p(q) (see
-# _digits), so verify_classical builds it modulo p^M, M = e + n: the merges of
-# binary_split and of the pair arithmetic below only add and multiply, so they
-# give the exact t and q reduced modulo p^M.  e is counted before anything is
-# built.  Every denominator here is a product of progressions
-# (c, d, lo, hi, e) = prod_{lo<=k<hi} (c + d k)^e, whose valuation is
-# Legendre's formula on a progression (_progression_valuation).
+# Exact, an unreduced pair (T, Q) standing for T/Q, summed by
+# arith.binary_split.  A hypergeometric sum  sum_{k<=m} a(k) t_k  with t_0 = 1
+# and t_{k+1} = t_k p(k) / q(k)  is binary_split over 0 <= k <= m with the
+# leaves (p(k), q(k), a(k) q(k)); a product prod n_k/d_k is P and Q of the
+# leaves (n_k, d_k, 0), and a plain sum of n_k/d_k is T and Q of the leaves
+# (d_k, d_k, n_k).  The exact pairs decide at composite p, and at prime p
+# where the digits below cannot.
 #
-# The linear factors are written out a second time beside the leaves that
-# multiply them (_Series.factors, the factors of _fraction_sum and
-# _harmonic_tail_sum) because counting from the leaves themselves, v_p of each
-# leaf's q, evaluates every leaf once more before the side is built: on the
-# `classical` case lists of seeds 1-3 that added 0.16-0.28 s, about 15 % of
-# the replay, against 0.01 s for the progressions (2-vCPU Xeon, Python
-# 3.11.7).  A factor left out makes the count short, which costs time, not
-# correctness: the check in _digits fails and the side is built again
-# exactly.  test_padic's residue test fails on any such fallback.
-
-
-def _progression_valuation(c: int, d: int, lo: int, hi: int, p: int) -> int:
-    """v_p(prod_{lo<=k<hi} (c + d k)) for prime p, no factor being 0.
-
-    The count of k in the range with p^i | c + d k, summed over i >= 1.  Once
-    the power of p common to c and d is taken out, either p divides d and no
-    factor has p, or d is a unit and p^i | c + d k exactly when
-    k = -c/d modulo p^i.
-    """
-    if hi <= lo:
-        return 0
-    total = 0
-    while c % p == 0 and d % p == 0:
-        c, d, total = c // p, d // p, total + hi - lo
-    if d % p == 0:
-        return total
-    bound = max(abs(c + d * lo), abs(c + d * (hi - 1)))
-    power = p
-    while power <= bound:
-        root = -c * pow(d, -1, power) % power
-        total += (hi - 1 - root) // power - (lo - 1 - root) // power
-        power *= p
-    return total
-
-
-def _den_valuation(den, p: int) -> int:
-    """v_p of the product of the progressions (c, d, lo, hi, e) in den."""
-    return sum(e * _progression_valuation(c, d, lo, hi, p) for c, d, lo, hi, e in den)
-
-
-def _span(factors, lo: int, hi: int) -> tuple:
-    """The progressions of prod_{lo<=k<hi} of the linear factors (c, d, e)."""
-    return tuple((c, d, lo, hi, e) for c, d, e in factors)
-
-
-def _reduced(a: int, b: int, modulus: int | None) -> tuple[int, int]:
-    return (a, b) if modulus is None else (a % modulus, b % modulus)
+# At a prime p, fixed relative precision (Caruso, "Computations with p-adic
+# numbers", arXiv:1701.06794).  A value is a triple (v, a, b) standing for
+# p^v a / b, with v an exact integer, b a p-adic unit and a a p-adic integer,
+# a and b known modulo p^R.  The value is then known modulo p^(v+R), and the
+# arithmetic keeps that so, every residue reduced modulo p^R:
+#   product  (v1 + v2, a1 a2, b1 b2), as (a1 + x p^R)(a2 + y p^R) = a1 a2 mod p^R;
+#   power    (e v, a^e, b^e);
+#   sum      (v1, a1 b2 + p^(v2-v1) a2 b1, b1 b2) for v1 <= v2.
+# A loop over k carries its running product so: each linear factor's power
+# of p is split off (v counts it exactly) and its unit part is multiplied
+# in modulo p^R, an exact image.  A loop's sum takes the least v of its
+# terms: a term below the sum so far lowers it (the sum is multiplied by
+# p^difference), a term R or more above it is 0 modulo p^(v+R).  So v is the
+# same whatever R is, and it is negative only where terms are: a harmonic
+# term 1/(dj)^2 with p | dj, or a running term with more p in its
+# denominators than in its numerators so far.  A closed form read to n
+# digits is built at R = n and, only when its v is negative, once more at
+# R = n - v (_Closed.residues).
 
 
 class _Closed:
-    """A closed form as an unreduced pair (a, b) standing for a/b.
+    """A closed form: pair() builds it exactly as an unreduced pair (a, b)
+    standing for a/b, adic(p, R) at prime p as a triple (v, a, b) modulo p^R.
 
-    pair(modulus) builds it, a and b reduced modulo `modulus` when one is
-    given.  den lists the progressions whose product is b, so v_p(b) is
-    counted without building b.  Sums, products and powers of closed forms
-    and rationals are closed forms: b of a sum or a product is b1 b2, so
-    their den is den1 + den2.  As a left side a closed form is one
-    truncation slot, with no end.
+    Sums, products and powers of closed forms and rationals are closed
+    forms.  As a left side a closed form is one truncation slot, with no end.
     """
 
-    __slots__ = ("pair", "den")
+    __slots__ = ("pair", "adic")
     ends = (None,)
 
-    def __init__(self, pair, den: tuple):
-        self.pair, self.den = pair, den
+    def __init__(self, pair, adic):
+        self.pair, self.adic = pair, adic
 
-    def pairs(self, modulus: int | None) -> list[tuple[int, int]]:
-        return [self.pair(modulus)]
+    def pairs(self) -> list[tuple[int, int]]:
+        return [self.pair()]
+
+    def residues(self, p: int, n: int) -> list[int | None]:
+        """[the value modulo p^n], or [None] where it is not p-integral."""
+        v, a, b = self.adic(p, n)
+        if v < 0:  # known modulo p^(v+n) only: again to p^n
+            v, a, b = self.adic(p, n - v)
+            a, rest = divmod(a, p**-v)
+            if rest:
+                return [None]
+            v = 0
+        modulus = p**n
+        return [a * p**v * pow(b, -1, modulus) % modulus]
 
     def __add__(self, other) -> "_Closed":
         other = _closed(other)
 
-        def pair(modulus):
-            (a, b), (c, d) = self.pair(modulus), other.pair(modulus)
-            return _reduced(a * d + c * b, b * d, modulus)
+        def pair():
+            (a, b), (c, d) = self.pair(), other.pair()
+            return a * d + c * b, b * d
 
-        return _Closed(pair, self.den + other.den)
+        def adic(p, precision):
+            (v, a, b), (w, c, d) = sorted((self.adic(p, precision), other.adic(p, precision)))
+            modulus = p**precision
+            return v, (a * d + p ** (w - v) * c * b) % modulus, b * d % modulus
+
+        return _Closed(pair, adic)
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "_Closed":
         other = _closed(other)
 
-        def pair(modulus):
-            (a, b), (c, d) = self.pair(modulus), other.pair(modulus)
-            return _reduced(a * c, b * d, modulus)
+        def pair():
+            (a, b), (c, d) = self.pair(), other.pair()
+            return a * c, b * d
 
-        return _Closed(pair, self.den + other.den)
+        def adic(p, precision):
+            (v, a, b), (w, c, d) = self.adic(p, precision), other.adic(p, precision)
+            modulus = p**precision
+            return v + w, a * c % modulus, b * d % modulus
+
+        return _Closed(pair, adic)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "_Closed":
-        def pair(modulus):
-            a, b = self.pair(modulus)
-            return pow(a, e, modulus), pow(b, e, modulus)
+        def pair():
+            a, b = self.pair()
+            return a**e, b**e
 
-        return _Closed(pair, tuple((c, d, lo, hi, f * e) for c, d, lo, hi, f in self.den))
+        def adic(p, precision):
+            v, a, b = self.adic(p, precision)
+            modulus = p**precision
+            return v * e, pow(a, e, modulus), pow(b, e, modulus)
+
+        return _Closed(pair, adic)
 
 
 def _closed(x) -> _Closed:
@@ -178,70 +174,105 @@ def _closed(x) -> _Closed:
     if isinstance(x, _Closed):
         return x
     a, b = Fraction(x).as_integer_ratio()
-    return _Closed(lambda modulus: (a, b), ((b, 0, 0, 1, 1),))
+
+    def adic(p, precision):
+        if not a:
+            return 0, 0, 1
+        (i, u), (j, w) = _split_power(a, p), _split_power(b, p)
+        modulus = p**precision
+        return i - j, u % modulus, w % modulus
+
+    return _Closed(lambda: (a, b), adic)
 
 
 def _ratio(a: int, b: int, c: int, d: int, length: int) -> _Closed:
-    """prod_{i<length} (a + b i) / (c + d i): P and Q of the leaves (a + b i, c + d i, 0)."""
+    """prod_{i<length} (a + b i) / (c + d i)."""
 
-    def pair(modulus):
+    def pair():
         if length <= 0:
             return 1, 1
-        p, q, _ = binary_split(0, length, lambda i: (a + b * i, c + d * i, 0), modulus)
+        p, q, _ = binary_split(0, length, lambda i: (a + b * i, c + d * i, 0))
         return p, q
 
-    return _Closed(pair, _span(((c, d, 1),), 0, length))
+    def adic(p, precision):
+        modulus = p**precision
+        v, u, w = 0, 1, 1
+        for i in range(length):
+            num, den = a + b * i, c + d * i
+            if num % p == 0:
+                e, num = _split_power(num, p)
+                v += e
+            if den % p == 0:
+                e, den = _split_power(den, p)
+                v -= e
+            u, w = u * num % modulus, w * den % modulus
+        return v, u, w
+
+    return _Closed(pair, adic)
 
 
-def _fraction_sum(lo: int, hi: int, f, factors) -> _Closed:
-    """sum n_k/d_k over lo <= k < hi for f(k) = (n_k, d_k), with d_k the
-    product of the linear factors (c + d k)^e in factors: T and Q of the
-    leaves (d_k, d_k, n_k)."""
+def _fraction_sum(lo: int, hi: int, f) -> _Closed:
+    """sum n_k/d_k over lo <= k < hi for f(k) = (n_k, d_k)."""
 
     def leaf(k):
         n, d = f(k)
         return d, d, n
 
-    def pair(modulus):
+    def pair():
         if hi <= lo:
             return 0, 1
-        _, q, t = binary_split(lo, hi, leaf, modulus)
+        _, q, t = binary_split(lo, hi, leaf)
         return t, q
 
-    return _Closed(pair, _span(factors, lo, hi))
+    def adic(p, precision):
+        modulus = p**precision
+        v, s, w = 0, 0, 1  # the sum so far, p^v s / w
+        for k in range(lo, hi):
+            num, den = f(k)
+            e = 0
+            if den % p == 0:
+                e, den = _split_power(den, p)
+                if v > -e:
+                    s, v = s * p ** (v + e) % modulus, -e
+            s = (s * den + num * p ** (-e - v) * w) % modulus
+            w = w * den % modulus
+        return v, s, w
+
+    return _Closed(pair, adic)
 
 
 def _harmonic(m: int, ell: int) -> _Closed:
-    return _fraction_sum(1, m + 1, lambda k: (1, k**ell), ((0, 1, ell),))
+    return _fraction_sum(1, m + 1, lambda k: (1, k**ell))
 
 
-def _series_harmonic(lo: int, hi: int, term, modulus: int | None = None):
+def _series_harmonic(lo: int, hi: int, term):
     """(P, Q, T, G, D, W) over lo <= k < hi, hi > lo, with weight a(k) = 1.
 
     term(k) = (p(k), q(k), u(k), v(k)) with g(k) = u(k)/v(k).  P, Q and T are
     those of binary_split; G/D = sum g(k) over the range; and W/(Q D) is the
     weighted tail sum_k h(k) prod_{lo<=j<k} p(j)/q(j) with
     h(k) = sum_{lo<=j<=k} g(j).  Two adjacent ranges merge by
-    W = W1 Q2 D2 + P1 (G1 T2 D2 + W2 D1), reduced modulo `modulus` when one is
-    given, as in binary_split.
+    W = W1 Q2 D2 + P1 (G1 T2 D2 + W2 D1), as in binary_split.
 
     This is the one recursion beside binary_split.  W needs the running sum
     G/D at every merge, which binary_split's entries carry only as objects:
-    P a 2x2 matrix acting on (t_k, t_k h_k) and T a vector.  Folded that way,
-    the merges' method calls made COR_5_E's right side at p = 37, s = 2,
-    d = 3 take 4.4 ms instead of 2.5 ms modulo p^M.
+    P a 2x2 matrix acting on (t_k, t_k h_k) and T a vector, whose method
+    calls at every merge cost more than the plain products here.
     """
     if hi - lo == 1:
         p, q, u, v = term(lo)
         return p, q, q, u, v, q * u
     mid = (lo + hi) // 2
-    p1, q1, t1, g1, d1, w1 = _series_harmonic(lo, mid, term, modulus)
-    p2, q2, t2, g2, d2, w2 = _series_harmonic(mid, hi, term, modulus)
-    p, q, t = p1 * p2, q1 * q2, t1 * q2 + p1 * t2
-    g, d, w = g1 * d2 + g2 * d1, d1 * d2, w1 * q2 * d2 + p1 * (g1 * t2 * d2 + w2 * d1)
-    if modulus is None:
-        return p, q, t, g, d, w
-    return p % modulus, q % modulus, t % modulus, g % modulus, d % modulus, w % modulus
+    p1, q1, t1, g1, d1, w1 = _series_harmonic(lo, mid, term)
+    p2, q2, t2, g2, d2, w2 = _series_harmonic(mid, hi, term)
+    return (
+        p1 * p2,
+        q1 * q2,
+        t1 * q2 + p1 * t2,
+        g1 * d2 + g2 * d1,
+        d1 * d2,
+        w1 * q2 * d2 + p1 * (g1 * t2 * d2 + w2 * d1),
+    )
 
 
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
@@ -290,7 +321,13 @@ def _is_prime(n: int) -> bool:
 
 
 def _split_power(n: int, p: int) -> tuple[int, int]:
-    """(e, u) with n = p^e u and p not dividing u, for n >= 1."""
+    """(e, u) with n = p^e u and p not dividing u.
+
+    n = 0 raises ZeroDivisionError: no statement's side conditions let a
+    linear factor of a classical side vanish.
+    """
+    if not n:
+        raise ZeroDivisionError("a linear factor of a classical side vanishes")
     e = 0
     while n % p == 0:
         e, n = e + 1, n // p
@@ -395,11 +432,11 @@ class _GammaForm:
     factors: tuple[tuple[Fraction, int], ...]
 
 
-# The verdicts below take each side as a rational, as an unreduced pair
-# (t, q) standing for t/q, or, from verify_classical at prime p, as
-# _Residues: t and q known only modulo p^M.  For prime p they read only
-# remainders (_digits), so they take no gcd; a Fraction is built only to
-# name a side in NotPIntegral.
+# The verdicts below read each side modulo p^n: an exact side (a rational or
+# an unreduced pair (t, q) standing for t/q) through _digits, a side built at
+# prime p (see verify_classical) as its residue.  For prime p they read only
+# remainders, so they take no gcd; a Fraction is built only to name a side in
+# NotPIntegral.
 
 # Digits read beyond p^k: the valuation witness comes from them unless the
 # sides agree to all of them, and only then are the exact sides built and
@@ -407,53 +444,34 @@ class _GammaForm:
 # On the benchmark's classical cases (seeds 1-10, 6,114 verdicts at prime p)
 # unequal sides agree to at most k + 5 digits, so with six spare digits only
 # the 88 equal pairs are cross-multiplied: 88 of the 3,730 calls at prime p
-# build their sides again exactly.
+# build a slot again exactly.
 _SPARE_DIGITS = 6
-
-
-class _Residues:
-    """An unreduced pair (t, q) known only modulo p^exponent."""
-
-    __slots__ = ("t", "q", "exponent")
-
-    def __init__(self, t: int, q: int, exponent: int):
-        self.t, self.q, self.exponent = t, q, exponent
-
-
-class _Inexact(Exception):
-    """_Residues cannot decide this verdict: verify_classical reruns it on
-    the exact sides."""
 
 
 def _pair(x) -> tuple[int, int]:
     """x as (numerator, denominator): a pair as it is, a rational reduced."""
-    if isinstance(x, _Residues):
-        return x.t, x.q
     return x if isinstance(x, tuple) else Fraction(x).as_integer_ratio()
 
 
 def _digits(side, p: int, n: int) -> int:
-    """side modulo p^n for prime p; NotPIntegral when it is not p-integral.
+    """An exact side modulo p^n for prime p; NotPIntegral when it is not p-integral.
 
     With e = v_p(q), t/q = (t/p^e) / (q/p^e) and q/p^e is a unit, so the
-    first n digits of t/q come from t and q modulo p^(e+n).  A _Residues
-    side is read only after the check v_p(q mod p^M) + n <= M: a valuation
-    below M is that of the exact q, and p^(e+n) divides p^M, so the digits
-    are exact whatever count chose M.  Where the check fails, or where
-    NotPIntegral would have to name the exact value, _Inexact is raised.
+    first n digits of t/q come from t and q modulo p^(e+n).
     """
     t, q = _pair(side)
     e = padic_valuation(q, p)
-    residues = isinstance(side, _Residues)
-    if residues and e + n > side.exponent:
-        raise _Inexact
     unit, modulus = p**e, p**n
     rest = t % (unit * modulus)
     if rest % unit:
-        if residues:
-            raise _Inexact
         raise NotPIntegral(f"{Fraction(t, q)} is not p-integral at p = {p}")
     return rest // unit * pow(q % (unit * modulus) // unit, -1, modulus) % modulus
+
+
+def _valuation_result(v, k: int) -> CongruenceResult:
+    if v >= k:
+        return CongruenceResult(True, {"valuation": None if v == inf else int(v)})
+    return CongruenceResult(False, {"valuation": int(v), "required": k})
 
 
 def rational_congruent(lhs, rhs: BigRat, p: int, k: int) -> CongruenceResult:
@@ -468,26 +486,21 @@ def rational_congruent(lhs, rhs: BigRat, p: int, k: int) -> CongruenceResult:
     n = k + _SPARE_DIGITS
     gap = (_digits(lhs, p, n) - _digits(rhs, p, n)) % p**n
     if gap:
-        v = padic_valuation(gap, p)
-    elif isinstance(lhs, _Residues) or isinstance(rhs, _Residues):
-        raise _Inexact
-    else:
-        (t, q), (a, b) = _pair(lhs), _pair(rhs)
-        v = padic_valuation(t * b - a * q, p) - padic_valuation(q * b, p)
-    if v >= k:
-        return CongruenceResult(True, {"valuation": None if v == inf else int(v)})
-    return CongruenceResult(False, {"valuation": int(v), "required": k})
+        return _valuation_result(padic_valuation(gap, p), k)
+    (t, q), (a, b) = _pair(lhs), _pair(rhs)
+    return _valuation_result(padic_valuation(t * b - a * q, p) - padic_valuation(q * b, p), k)
 
 
 def _gamma_congruent(lhs, form: _GammaForm, p: int, k: int) -> CongruenceResult:
-    """Verified iff lhs == p^j * coef * prod Gamma_p(arg)^e modulo p**k, for
-    prime p and j < k.
+    """Verified iff the exact lhs == p^j * coef * prod Gamma_p(arg)^e modulo
+    p**k, for prime p and j < k."""
+    return _gamma_verdict(_digits(lhs, p, k), form, p, k)
 
-    lhs is taken as by rational_congruent; its residue p^-j lhs modulo
-    p^(k-j) comes from its first k digits.
-    """
+
+def _gamma_verdict(x: int, form: _GammaForm, p: int, k: int) -> CongruenceResult:
+    """_gamma_congruent from x, lhs modulo p^k: its residue p^-j lhs modulo
+    p^(k-j) is x / p^j."""
     j = form.val_offset
-    x = _digits(lhs, p, k)
     if x % p**j:  # v_p(lhs) < j
         return CongruenceResult(False, {"valuation": padic_valuation(x, p), "required": k})
     return _residue_result(x // p**j, _gamma_residue(form, p, k - j), p, k, j)
@@ -543,33 +556,31 @@ def _reduced_verdict(lhs: Fraction, rhs: Fraction, p: int, k: int) -> Congruence
 
 
 class _Series:
-    """A hypergeometric series by its binary_split leaf (p(k), q(k), a(k) q(k)),
-    with q(k) the product of the linear factors (c + d k)^e in factors."""
+    """sum_k sign^k (2dk+r) ((r/d)_k / k!)^power, the one shape of the
+    statements' truncated series.
 
-    __slots__ = ("leaf", "factors")
+    term(k) = (p(k), q(k), a(k)) for the sum  sum_k a(k) t_k,  t_0 = 1,
+    t_{k+1} = t_k p(k) / q(k).
+    """
 
-    def __init__(self, leaf, factors: tuple):
-        self.leaf, self.factors = leaf, factors
+    __slots__ = ("d", "r", "power", "sign")
+
+    def __init__(self, d: int, r: int, power: int, sign: int):
+        self.d, self.r, self.power, self.sign = d, r, power, sign
+
+    def term(self, k: int) -> tuple[int, int, int]:
+        d, r, power = self.d, self.r, self.power
+        return self.sign * (r + d * k) ** power, (d * k + d) ** power, 2 * d * k + r
 
 
 def _sixth_series(d: int, r: int) -> _Series:
     """sum_k (2dk+r) ((r/d)_k / k!)^6."""
-
-    def leaf(k):
-        q = (d * k + d) ** 6
-        return (r + d * k) ** 6, q, (2 * d * k + r) * q
-
-    return _Series(leaf, ((d, d, 6),))
+    return _Series(d, r, 6, 1)
 
 
 def _fifth_alt_series(d: int, r: int) -> _Series:
     """sum_k (-1)^k (2dk+r) ((r/d)_k / k!)^5."""
-
-    def leaf(k):
-        q = (d * k + d) ** 5
-        return -((r + d * k) ** 5), q, (2 * d * k + r) * q
-
-    return _Series(leaf, ((d, d, 5),))
+    return _Series(d, r, 5, -1)
 
 
 # sum_k (-1)^k (4k+1) ((1/2)_k / k!)^5 and sum_k (6k+1) ((1/3)_k / k!)^6.
@@ -580,9 +591,7 @@ _CUBIC = _sixth_series(3, 1)
 class _Truncations:
     """A series truncated after k = m for each m in ends, one per slot.
 
-    ends do not decrease, so the first slot's sum is a prefix of the
-    second's, and den, the progressions of the last slot's Q, counts the
-    valuation of every slot's Q or more.
+    ends do not decrease, so the first slot's sum is a prefix of the second's.
     """
 
     __slots__ = ("series", "ends")
@@ -590,38 +599,79 @@ class _Truncations:
     def __init__(self, series: _Series, ends: tuple[int, ...]):
         self.series, self.ends = series, ends
 
-    @property
-    def den(self) -> tuple:
-        return _span(self.series.factors, 0, self.ends[-1] + 1)
+    def pairs(self) -> list[tuple[int, int]]:
+        return _truncated_sums(self.series, self.ends)
 
-    def pairs(self, modulus: int | None) -> list[tuple[int, int]]:
-        return _truncated_sums(self.series, self.ends, modulus)
+    def residues(self, p: int, n: int) -> list[int | None]:
+        return _series_residues(self.series, self.ends, p, n)
 
 
-def _truncated_sums(series: _Series, ends, modulus: int | None = None) -> list[tuple[int, int]]:
-    """[(T, Q)] with T/Q = sum_{0<=k<=m} of the series, one pair per m.
+def _truncated_sums(series: _Series, ends) -> list[tuple[int, int]]:
+    """[(T, Q)] with T/Q = sum_{0<=k<=m} of the series, one exact pair per m.
 
     ends holds one end or two that do not decrease.  binary_split sums the
     range up to the first end, then the rest, and the two merge once
-    without the whole range's P, so each k is evaluated once.  The pairs
-    are not reduced, or are reduced modulo `modulus` when one is given.
+    without the whole range's P, so each k is evaluated once.
     """
+
+    def leaf(k):
+        num, den, a = series.term(k)
+        return num, den, a * den
+
     first, *rest = ends
-    p, q, t = binary_split(0, first + 1, series.leaf, modulus)
+    p, q, t = binary_split(0, first + 1, leaf)
     pairs = [(t, q)]
     if rest:
         (second,) = rest
         if second > first:
-            _, q2, t2 = binary_split(first + 1, second + 1, series.leaf, modulus)
-            t, q = _reduced(t * q2 + p * t2, q * q2, modulus)
+            _, q2, t2 = binary_split(first + 1, second + 1, leaf)
+            t, q = t * q2 + p * t2, q * q2
         pairs.append((t, q))
     return pairs
 
 
-def _harmonic_tail_sum(d: int, r: int, length: int, scale: int, cube: int, term, factors) -> _Closed:
+def _series_residues(series: _Series, ends, p: int, n: int) -> list[int | None]:
+    """[sum_{0<=k<=m} of the series modulo p^n, one per m in ends] at prime p.
+
+    The running term t_k is p^v u / w with v exact and u, w units modulo
+    p^n (see the sides' comment), and the sum so far is s / w.  Every term of
+    the statements' series, a power of (r/d)_k / k! = (-1)^k binom(-r/d, k)
+    with p not dividing d, is p-integral, so the sum is known modulo p^n and
+    a term with v >= n adds 0.  Where a running term reaches v < 0, which no
+    statement's series does, this slot and the later ones are None: the
+    exact sums decide them.
+    """
+    d, r, power, sign = series.d, series.r, series.power, series.sign
+    modulus = p**n
+    s, u, w, v, scale = 0, 1, 1, 0, 1  # scale = p^v, or 0 once v >= n
+    x, y = r, d  # t_{k+1} / t_k = sign (x / y)^power, x = r + dk, y = d(k + 1)
+    residues = []
+    k = 0
+    for end in ends:
+        while k <= end:
+            s += (2 * x - r) * u * scale
+            x_unit, y_unit = x, y
+            if x % p == 0:
+                e, x_unit = _split_power(x, p)
+                v += power * e
+                scale = p**v if v < n else 0
+            if y % p == 0:
+                e, y_unit = _split_power(y, p)
+                v -= power * e
+                if v < 0:
+                    return residues + [None] * (len(ends) - len(residues))
+                scale = p**v if v < n else 0
+            y_unit = y_unit**power
+            u = sign * x_unit**power * u % modulus
+            w, s = w * y_unit % modulus, s * y_unit % modulus
+            x, y, k = x + d, y + d, k + 1
+        residues.append(s * pow(w, -1, modulus) % modulus)
+    return residues
+
+
+def _harmonic_tail_sum(d: int, r: int, length: int, scale: int, cube: int, term) -> _Closed:
     """sum_{k<=length} t_k (scale - cube * h_k), with t_0 = 1 and
-    t_{k+1} / t_k = p(k) / q(k) for term(k) = (p(k), q(k)), q(k) the product
-    of the linear factors in factors, and
+    t_{k+1} / t_k = p(k) / q(k) for term(k) = (p(k), q(k)), and
     h_k = sum_{1<=j<=k} (1/(dj)^2 + 1/(dj-d+r)^2).
     """
 
@@ -632,12 +682,46 @@ def _harmonic_tail_sum(d: int, r: int, length: int, scale: int, cube: int, term,
         a, b = (d * k) ** 2, (d * k - d + r) ** 2
         return p, q, a + b, a * b
 
-    def pair(modulus):
-        _, q, t, _, den, w = _series_harmonic(0, length + 1, with_g, modulus)
-        return _reduced(scale * t * den - cube * w, q * den, modulus)
+    def pair():
+        _, q, t, _, den, w = _series_harmonic(0, length + 1, with_g)
+        return scale * t * den - cube * w, q * den
 
-    h_factors = ((0, d, 2), (r - d, d, 2))
-    return _Closed(pair, _span(factors, 0, length + 1) + _span(h_factors, 1, length + 1))
+    def adic(p, precision):
+        # t_k = p^v u / w, h_k = p^vh g / e and the sum so far p^vs s / (w e),
+        # each as in the sides' comment.
+        modulus = p**precision
+        (i, scale_unit), (j, cube_unit) = _split_power(scale, p), _split_power(cube, p)
+        v, u, w = 0, 1, 1
+        vh, g, e = 0, 0, 1
+        vs, s = 0, 0
+        low, x, y = min(i, j), p ** (i - min(i, j)), p ** (j - min(i, j))
+        for k in range(length + 1):
+            if k:
+                a, b = (d * k) ** 2, (d * k - d + r) ** 2
+                den, c = a * b, 0
+                if den % p == 0:
+                    c, den = _split_power(den, p)
+                    if vh > -c:
+                        g, vh = g * p ** (vh + c) % modulus, -c
+                        low = min(i, j + vh)
+                        x, y = p ** (i - low), p ** (j + vh - low)
+                g = (g * den + (a + b) * p ** (-c - vh) * e) % modulus
+                e, s = e * den % modulus, s * den % modulus
+            # t_k (scale - cube h_k) = p^(v + low) u (x scale' e - y cube' g) / (w e)
+            if vs > v + low:
+                s, vs = s * p ** (vs - v - low) % modulus, v + low
+            s = (s + u * (x * scale_unit * e - y * cube_unit * g) * p ** (v + low - vs)) % modulus
+            num, den = term(k)
+            if num % p == 0:
+                c, num = _split_power(num, p)
+                v += c
+            if den % p == 0:
+                c, den = _split_power(den, p)
+                v -= c
+            u, w, s = u * num % modulus, w * den % modulus, s * den % modulus
+        return vs, s, w * e % modulus
+
+    return _Closed(pair, adic)
 
 
 def _inner_double(d: int, r: int, length: int, scale: int, cube: int) -> _Closed:
@@ -649,7 +733,6 @@ def _inner_double(d: int, r: int, length: int, scale: int, cube: int) -> _Closed
     return _harmonic_tail_sum(
         d, r, length, scale, cube,
         lambda k: ((r + d * k) ** 3 * (d - r + d * k), (d * k + d) ** 3 * (2 * r + d * k)),
-        ((d, d, 3), (2 * r, d, 1)),
     )
 
 
@@ -658,7 +741,6 @@ def _inner_double_bare(d: int, r: int, length: int, scale: int, cube: int) -> _C
     return _harmonic_tail_sum(
         d, r, length, scale, cube,
         lambda k: ((r + d * k) ** 2 * (d - r + d * k), (d * k + d) ** 3),
-        ((d, d, 3),),
     )
 
 
@@ -673,7 +755,7 @@ def _inner_double_bare(d: int, r: int, length: int, scale: int, cube: int) -> _C
 # the single slot's left side as a _Closed; rhs is a _Closed or a Fraction
 # (pure rational congruence) or a _GammaForm, which the catalog admits only
 # at a prime p, Gamma_p's domain.  Nothing is summed before verify_classical
-# picks the modulus.  Each comment names the slots' ends.
+# picks the precision.  Each comment names the slots' ends.
 
 
 def _require(cond: bool, message: str):
@@ -687,9 +769,7 @@ def _require(cond: bool, message: str):
 
 def _cubic_correction(n: int) -> _Closed:
     """sum_{j<=n} (1/(3j-1)^2 - 1/(3j)^2), each term (6j-1) / (3j (3j-1))^2."""
-    return _fraction_sum(
-        1, n + 1, lambda j: (6 * j - 1, (3 * j * (3 * j - 1)) ** 2), ((0, 3, 2), (-1, 3, 2))
-    )
+    return _fraction_sum(1, n + 1, lambda j: (6 * j - 1, (3 * j * (3 * j - 1)) ** 2))
 
 
 def _quartic_closed(P: int) -> _Closed:
@@ -839,33 +919,54 @@ def verify_classical(p: int, k: int, lhs, rhs, ends) -> list[CongruenceResult]:
 
     ends are the ends of the truncation slots to decide, in the order of
     lhs.ends; a closed left side is its one slot.  Side conditions are the
-    caller's: a _GammaForm rhs needs a prime p.
+    caller's: a _GammaForm rhs needs a prime p.  At prime p the slots are
+    decided from their digits, and only a slot those leave undecided is
+    built again exactly.
     """
     if isinstance(lhs, _Truncations):
         lhs = _Truncations(lhs.series, tuple(ends))
-    try:
-        return _verdicts(lhs, rhs, p, k, k + _SPARE_DIGITS if _is_prime(p) else None)
-    except _Inexact:
+    if not _is_prime(p):
         return _verdicts(lhs, rhs, p, k, None)
+    results = _verdicts(lhs, rhs, p, k, k + _SPARE_DIGITS)
+    undecided = [i for i, result in enumerate(results) if result is None]
+    if undecided:
+        if isinstance(lhs, _Truncations):
+            lhs = _Truncations(lhs.series, tuple(lhs.ends[i] for i in undecided))
+        for i, result in zip(undecided, _verdicts(lhs, rhs, p, k, None)):
+            results[i] = result
+    return results
 
 
-def _verdicts(lhs, rhs, p: int, k: int, digits: int | None) -> list[CongruenceResult]:
-    """One verdict per left side of lhs (_Truncations or _Closed) against rhs.
+def _verdicts(lhs, rhs, p: int, k: int, digits: int | None) -> list[CongruenceResult | None]:
+    """One verdict per slot of lhs (_Truncations or _Closed) against rhs.
 
-    With digits = n, at prime p, this is the one place that picks a modulus:
-    each side is built modulo p^M, M = e + n with e the valuation of its
-    denominator counted from den, and decided as _Residues, which raise
-    _Inexact where they cannot decide.  With None the sides are exact.
+    With digits = n, at prime p, this is the one place that picks the
+    precision: each side is built as its first n digits (k of them against
+    a Gamma_p product, which reads no more), and a slot is None where they
+    cannot decide: a side that is not p-integral, whose exact value
+    NotPIntegral must name, or sides that agree to all n digits.  With None
+    the sides are built exactly.
     """
-
-    def build(side):
-        if digits is None:
-            return side.pairs(None)
-        exponent = _den_valuation(side.den, p) + digits
-        return [_Residues(t, q, exponent) for t, q in side.pairs(p**exponent)]
-
-    if isinstance(rhs, _Closed):
-        (rhs,) = build(rhs)
+    if digits is None:
+        sides = lhs.pairs()
+        if isinstance(rhs, _GammaForm):
+            return [_gamma_congruent(side, rhs, p, k) for side in sides]
+        if isinstance(rhs, _Closed):
+            (rhs,) = rhs.pairs()
+        return [rational_congruent(side, rhs, p, k) for side in sides]
     if isinstance(rhs, _GammaForm):
-        return [_gamma_congruent(side, rhs, p, k) for side in build(lhs)]
-    return [rational_congruent(side, rhs, p, k) for side in build(lhs)]
+        return [x if x is None else _gamma_verdict(x, rhs, p, k) for x in lhs.residues(p, k)]
+    modulus = p**digits
+    if isinstance(rhs, _Closed):
+        (y,) = rhs.residues(p, digits)
+    else:
+        a, b = Fraction(rhs).as_integer_ratio()
+        y = None if b % p == 0 else a * pow(b, -1, modulus)
+    if y is None:
+        return [None] * len(lhs.ends)
+
+    def verdict(x):
+        gap = 0 if x is None else (x - y) % modulus
+        return _valuation_result(padic_valuation(gap, p), k) if gap else None
+
+    return [verdict(x) for x in lhs.residues(p, digits)]

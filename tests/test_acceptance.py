@@ -255,7 +255,7 @@ def test_c08_harmonic_bernoulli_congruences():
     for p in (7, 11, 13):
         _assert_all_verified(catalog.run_statement("SUN_H3", {"p": p}), ("SUN_H3", p))
     # frozen difference at p = 7: divisible by 7^2 with cofactor 121/3600
-    diff = Fraction(*_harmonic(6, 2).pair(None)) - Fraction(2 * 7, 3) * bernoulli(4)
+    diff = Fraction(*_harmonic(6, 2).pair()) - Fraction(2 * 7, 3) * bernoulli(4)
     assert diff == Fraction(5929, 3600)
     assert 5929 == 7**2 * 121
     elapsed = time.monotonic() - start

@@ -311,7 +311,7 @@ _BRIDGE = (
     ids=[f"{case[0]}-{case[2]}" for case in _BRIDGE],
 )
 def test_q_to_one_bridge_right_sides(text, env, closed):
-    assert eval_expr(parse_expr(text), env).eval_at(1) == Fraction(*closed().pair(None))
+    assert eval_expr(parse_expr(text), env).eval_at(1) == Fraction(*closed().pair())
 
 
 @pytest.mark.parametrize("d, r", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2)])

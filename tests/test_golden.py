@@ -61,6 +61,18 @@ CASES = [
         ),
         0,
     ),
+    # The two-slot classical statements at s = 3, p = 5..17, the pool's (d, r)
+    # shapes included: two runs, as golden_padic_s2.jsonl.  Written before
+    # the verdicts at prime p read sides built to fixed relative precision.
+    (
+        "golden_padic_s3.jsonl",
+        (
+            ["padic", "--id", "COR_1_4,COR_1_5,COR_1_6", "--p", "5,7,11,13,17", "--s", "3"],
+            ["padic", "--id", "COR_5_E,COR_5_G,COR_5_H", "--p", "5,7,11,13", "--s", "3",
+             "--d", "3,4,5", "--r", "1,-1,2,-2"],
+        ),
+        0,
+    ),
     # The closed q-side sums over n = 1..21: THM_A and GWY extend the cached
     # quartic, THM_B, THM_C, GS_16 and LEM_OO the cubic, from one n to the
     # next.  Written before the partial sums divided their terms' common

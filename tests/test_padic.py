@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from qcongruence.arith import binary_split, padic_valuation, residue_of_rational
+from qcongruence.arith import padic_valuation, residue_of_rational
 from qcongruence.errors import (
     NotPIntegral,
     SideConditionViolated,
@@ -63,7 +63,7 @@ def _sum(series, m):
 
 def _value(closed):
     """A closed form's exact value."""
-    return Fraction(*closed.pair(None))
+    return Fraction(*closed.pair())
 
 
 def test_bernoulli_small_values():
@@ -317,6 +317,17 @@ def test_side_conditions_and_selection():
     assert len(only) == 1 and only[0]["m_choice"] == "second"
     with pytest.raises(UnknownKind):
         _records("COR_1_4", 5, m_choice="nope")
+
+
+def test_d_and_r_must_be_integers():
+    # After the check that both are given, d and r are read as the other
+    # integer parameters are: a str, a float or a bool is refused by name.
+    for bad in ("3", 3.0, True):
+        for name in ("d", "r"):
+            bindings = {"p": 7, "d": 3, "r": 1, name: bad}
+            with pytest.raises(SideConditionViolated) as info:
+                run_statement("COR_5_E", bindings)
+            assert str(info.value) == f"parameter {name!r} must be an integer", (bad, name)
 
 
 def test_all_acceptance_ids_registered():
@@ -607,31 +618,30 @@ def test_gamma_p_power_sums():
 
 
 def test_m_choice_sums_only_the_selected_slot(monkeypatch):
-    # Count the terms each pass evaluates: a selected slot sums only its own
-    # range, and both slots together evaluate each k up to p - 1 exactly once.
-    # A pass is keyed by its modulus.  One pass modulo a power of p decides
-    # unless a slot's sides are equal: only COR_5_G's first slot at p = 5 is,
-    # so only a call that takes it makes a second pass, the exact one.
+    # Record the ends each pass sums to: a selected slot sums only its own
+    # range, and both slots go in one pass, which runs over k up to the last
+    # end once.  The digits decide unless a slot's sides are equal: only
+    # COR_5_G's first slot at p = 5 is, so only a call that takes it makes an
+    # exact pass, and that pass sums the first slot's range alone.
     passes = {}
 
-    def counting(lo, hi, leaf, modulus=None):
-        if not leaf.__qualname__.startswith(("_sixth_series", "_fifth_alt_series")):
-            return binary_split(lo, hi, leaf, modulus)  # the closed form on the right
-        evaluated = passes.setdefault(modulus, [])
-        return binary_split(lo, hi, lambda k: evaluated.append(k) or leaf(k), modulus)
+    def recording(kernel, name):
+        def spy(series, ends, *args):
+            passes.setdefault(name, []).append(tuple(ends))
+            return kernel(series, ends, *args)
 
-    monkeypatch.setattr(padic, "binary_split", counting)
+        return spy
+
+    monkeypatch.setattr(padic, "_series_residues", recording(padic._series_residues, "digits"))
+    monkeypatch.setattr(padic, "_truncated_sums", recording(padic._truncated_sums, "exact"))
     # The first slots end at (5*41 - 41 + 1)/5 = 33 and (5 - 1)/4 = 1.
     cases = (("COR_5_H", 41, 5, -1, 33, ()), ("COR_5_G", 5, 4, 1, 1, ("first", "both")))
     for stmt, p, d, r, first, equal in cases:
-        for m_choice, end in (("first", first), ("second", p - 1), ("both", p - 1)):
+        for m_choice, ends in (("first", (first,)), ("second", (p - 1,)), ("both", (first, p - 1))):
             passes.clear()
             _records(stmt, p, d=d, r=r, m_choice=m_choice)
-            (modulus,) = (m for m in passes if m is not None)
-            assert modulus == p ** padic_valuation(modulus, p) > 1, (stmt, m_choice)
-            assert (None in passes) == (m_choice in equal), (stmt, m_choice)
-            for evaluated in passes.values():
-                assert sorted(evaluated) == list(range(end + 1)), (stmt, m_choice)
+            assert passes.pop("digits") == [ends], (stmt, m_choice)
+            assert passes == ({"exact": [(first,)]} if m_choice in equal else {}), (stmt, m_choice)
 
 
 # The (d, r) shapes of the benchmark's classical pool, per statement.
@@ -791,39 +801,44 @@ def test_cor_5_e_pole_of_denominator_is_skipped():
     assert all(rec["status"] == "verified" for rec in _records("COR_5_E", 5, d=2, r=1))
 
 
-# -- verdicts from sides built modulo p^M --------------------------------------
+# -- verdicts from sides built as their first digits ----------------------------
 
 
-def _all_points(s1_primes, s2_primes):
-    """(id, point) for every statement: s = 1 at s1_primes, s = 2 at s2_primes."""
+def _all_points(s1_primes, s2_primes, s3_primes=()):
+    """(id, point) for every statement: s = 1 at s1_primes, and where it takes
+    s, s = 2 at s2_primes and s = 3 at s3_primes."""
     for stmt in CLASSICAL:
         yield from ((stmt.stmt_id, pt) for pt in _points(stmt, s1_primes, (1,)))
         if _takes(stmt, "takes_s"):
             yield from ((stmt.stmt_id, pt) for pt in _points(stmt, s2_primes, (2,)))
+            yield from ((stmt.stmt_id, pt) for pt in _points(stmt, s3_primes, (3,)))
 
 
-def _undecided_by_residues(outcome) -> bool:
-    """Whether residues modulo p^M cannot decide this outcome: a side that is
-    not p-integral, or sides that agree to all k + _SPARE_DIGITS digits."""
+def _agrees_to_all_digits(rec) -> bool:
+    """Whether a record's sides agree to all k + _SPARE_DIGITS digits."""
+    k = int(rec["modulus"].split("^")[1])
+    v = rec["witness"].get("valuation", 0)
+    return v is None or v >= k + padic._SPARE_DIGITS
+
+
+def _undecided_by_digits(outcome) -> bool:
+    """Whether the digits cannot decide some slot of this outcome: sides that
+    agree to all their digits, or a side that is not p-integral."""
     if not isinstance(outcome, list):  # a side condition refused the point
         return False
-    for rec in outcome:
-        if rec["status"] == "error":
-            return rec["witness"]["error"] == "NotPIntegral"
-        k = int(rec["modulus"].split("^")[1])
-        v = rec["witness"].get("valuation", 0)
-        if v is None or v >= k + padic._SPARE_DIGITS:
-            return True
-    return False
+    if outcome[0]["status"] == "error":
+        return outcome[0]["witness"]["error"] == "NotPIntegral"
+    return any(_agrees_to_all_digits(rec) for rec in outcome)
 
 
 def test_residue_verdicts_match_exact_verdicts(monkeypatch):
-    # Records, witnesses and raised errors from sides built modulo p^M are
-    # those of the exact sides: every statement and m_choice, s = 1 at the
-    # primes 3..61 and s = 2 at 5..31, over the pool's (d, r) shapes.  Only
-    # the calls the residues cannot decide build their sides again exactly,
-    # so a count that falls short fails here, not only in time.
-    points = list(_all_points(ODD_PRIMES_TO_61, (5, 7, 11, 13, 17, 19, 23, 29, 31)))
+    # Records, witnesses and raised errors from sides built as their first
+    # digits are those of the exact sides: every statement and m_choice, s = 1
+    # at the primes 3..61, s = 2 at 5..31 and s = 3 at 5..13, over the pool's
+    # (d, r) shapes.  Only the calls the digits cannot decide build a slot
+    # again exactly, so a kernel that gives up too early fails here, not only
+    # in time.
+    points = list(_all_points(ODD_PRIMES_TO_61, (5, 7, 11, 13, 17, 19, 23, 29, 31), (5, 7, 11, 13)))
     calls = [
         partial(_records, stmt_id, **pt, m_choice=m_choice)
         for stmt_id, pt in points
@@ -841,93 +856,107 @@ def test_residue_verdicts_match_exact_verdicts(monkeypatch):
     reduced = []
     for call in calls:
         reduced.append(_outcome(call))
-    undecided = [i for i, got in enumerate(reduced) if _undecided_by_residues(got)]
+    undecided = [i for i, got in enumerate(reduced) if _undecided_by_digits(got)]
     assert exact_runs == undecided
     # from here on every side is built exactly
     monkeypatch.setattr(padic, "_verdicts", lambda lhs, rhs, p, k, digits: verdicts(lhs, rhs, p, k, None))
     assert [_outcome(call) for call in calls] == reduced
     assert sum(isinstance(got, list) and got[0]["status"] != "error" for got in reduced) > 500
+    assert sum(isinstance(got, list) and got[0]["params"]["s"] == 3 for got in reduced) > 100
     assert 0 < len(undecided) < 100
 
 
-def test_counted_valuations_are_exact():
-    # Legendre's formula on a progression against the explicit product, on
-    # random progressions (p dividing d, c and d, or neither; d = 0 a constant).
-    rng = random.Random(2024)
-    checked = 0
-    for _ in range(600):
-        p = rng.choice((3, 5, 7, 13, 61))
-        c = rng.choice((1, p, p * p)) * rng.randint(-300, 300)
-        d = rng.choice((0, 1, -2, p, p * p * 3, rng.randint(-40, 40)))
-        lo = rng.randint(-30, 30)
-        hi = lo + rng.randint(0, 150)
-        factors = [c + d * k for k in range(lo, hi)]
-        if 0 in factors:
+def test_exact_rerun_builds_only_the_undecided_slot(monkeypatch):
+    # Both slots of every two-slot point at s = 1, p = 3..61: an exact pass
+    # sums the ends of the slots whose sides agree to all digits, and no
+    # other, so where one slot of two is undecided one slot is built.
+    built = []
+    monkeypatch.setattr(
+        padic, "_truncated_sums", lambda series, ends, sums=padic._truncated_sums: built.append(ends) or sums(series, ends)
+    )
+    one_of_two = 0
+    for stmt_id, pt in _all_points(ODD_PRIMES_TO_61, ()):
+        built.clear()
+        got = _outcome(partial(_records, stmt_id, **pt))
+        if not isinstance(got, list) or len(got) != 2 or got[0]["status"] == "error":
             continue
-        product = 1
-        for f in factors:
-            product *= f
-        assert padic._progression_valuation(c, d, lo, hi, p) == padic_valuation(product, p), (c, d, lo, hi, p)
-        checked += 1
-    assert checked > 400
-    # Each side's den counts the exact valuation of its denominator.
-    sides = 0
-    for stmt_id, pt in _all_points((5, 7, 11, 13, 17, 19, 23), (5, 7, 11)):
-        try:
-            _, lhs, rhs = _sides(stmt_id, **pt)
-        except SideConditionViolated:
-            continue
-        for side in (lhs, rhs):
-            if not isinstance(side, (padic._Truncations, padic._Closed)):
-                continue
-            q = side.pairs(None)[-1][1]
-            assert padic._den_valuation(side.den, pt["p"]) == padic_valuation(q, pt["p"]), (stmt_id, pt)
-            sides += 1
-    assert sides > 300
+        lhs = _sides(stmt_id, **pt)[1]
+        expected = tuple(end for end, rec in zip(lhs.ends, got) if _agrees_to_all_digits(rec))
+        assert built == ([expected] if expected else []), (stmt_id, pt)
+        one_of_two += len(expected) == 1
+    assert one_of_two > 5
 
 
-def test_modulus_one_digit_short_reaches_the_exact_path(monkeypatch):
-    # A count one short makes M = e + n - 1: the check v_p(Q mod p^M) + n <= M
-    # fails, the point is built again exactly, and the records stay.  A
-    # Gamma_p right side reads only k of the n = k + 6 digits, so it takes a
-    # count 7 short to fall back.
-    points = [
-        (stmt_id, pt)
-        for stmt_id, pt in _all_points((5, 7, 13, 17, 29), (5, 7))
-        if _outcome(lambda: _records(stmt_id, **pt))[0] != "SideConditionViolated"
-    ]
-    expected = [_outcome(lambda: _records(stmt_id, **pt)) for stmt_id, pt in points]
-    gamma = [isinstance(_sides(stmt_id, **pt)[2], _GammaForm) for stmt_id, pt in points]
-    counted, verdicts = padic._den_valuation, padic._verdicts
-    exact_runs = []
+def _adic_error(closed, p, precision):
+    """v and v_p(exact - p^v a / b) for closed.adic(p, precision), b a unit."""
+    v, a, b = closed.adic(p, precision)
+    assert b % p and 0 <= a < p**precision and 0 < b < p**precision
+    gap = Fraction(*closed.pair()) - Fraction(a, b) * Fraction(p) ** v
+    return v, padic_valuation(gap, p)
 
-    def spy(lhs, rhs, p, k, digits):
-        if digits is None:
-            exact_runs.append(p)
-        return verdicts(lhs, rhs, p, k, digits)
 
-    monkeypatch.setattr(padic, "_verdicts", spy)
-    for short, falling_back in ((1, gamma.count(False)), (padic._SPARE_DIGITS + 1, len(points))):
-        monkeypatch.setattr(padic, "_den_valuation", lambda den, p: counted(den, p) - short)
-        exact_runs.clear()
-        assert [_outcome(lambda: _records(stmt_id, **pt)) for stmt_id, pt in points] == expected
-        assert len(exact_runs) == falling_back, short
-    assert gamma.count(False) > 100
+def test_fixed_precision_sides_match_exact_pairs():
+    # The kernels at prime p against the exact binary_split pairs at seeded
+    # (p, s, d, r, ends).  A truncated series' residues modulo p^n are the
+    # exact sums' digits, at n where terms with v = n - 1 (the last that
+    # count) and v >= n (the first that drop) occur.  A closed form's triple
+    # (v, a, b) at precision R is its exact value modulo p^(v+R); that
+    # includes harmonic tails whose terms 1/(dj)^2 with p | dj have negative
+    # valuation, and whose v is then negative.
+    rng = random.Random(35)
+    term_valuations, depths = set(), set()
+    for _ in range(80):
+        p = rng.choice((3, 5, 7, 11, 13))
+        P = p ** rng.choice((1, 2, 3) if p < 11 else (1, 2))
+        # no linear factor r + dk, dk - d + r or 2r + dk vanishes
+        d = rng.choice([d for d in (3, 4, 5) if d % p])
+        r = rng.choice([r for r in range(-2 * d, 2 * d + 1) if r % d and (2 * r) % d])
+        power = rng.choice((5, 6))
+        series = (_fifth_alt_series if power == 5 else _sixth_series)(d, r)
+        ends = tuple(sorted(rng.sample(range(P), 2)))[: rng.choice((1, 2))]
+        n = rng.choice((1, 4, power, power + 1, 2 * power, 2 * power + 1))
+        want = [padic._digits(pair, p, n) for pair in _truncated_sums(series, ends)]
+        assert padic._series_residues(series, ends, p, n) == want, (p, P, d, r, ends, n)
+        v = 0  # v_p(t_k) of the running term, k = 0..ends[-1]
+        for k in range(ends[-1] + 1):
+            term_valuations.add((v - n) if v >= n - 1 else None)
+            v += power * (padic_valuation(r + d * k, p) - padic_valuation(d * k + d, p))
+        length = rng.randrange(P)
+        for closed in (
+            _inner_double(d, r, length, rng.choice((1, P, d * P)), rng.choice((1, P**3))),
+            _inner_double_bare(d, r, length, 1, rng.choice((1, p, P**3))),
+            _harmonic(rng.randrange(P), rng.choice((1, 2, 3))),
+            padic._ratio(r, d, 2 * r, d, length) ** 2 * padic._ratio(1, 2, 3, 2, length),
+            _cubic_correction(rng.randrange(P)) * P + Fraction(p, 3),
+        ):
+            for precision in (1, 3, 9):
+                v, error = _adic_error(closed, p, precision)
+                assert error >= v + precision, (p, P, d, r, length, precision)
+            depths.add(v)
+            exact = Fraction(*closed.pair())
+            want = None if padic_valuation(exact, p) < 0 else padic._digits(exact, p, n)
+            assert closed.residues(p, n) == [want], (p, P, d, r, length, n)
+    assert {-1, 0} <= term_valuations  # v = n - 1 and v = n both occur
+    assert any(v >= 1 for v in term_valuations if v is not None)
+    assert min(depths) <= -4
 
 
 class _Shifted:
     """A left side plus a constant, built as the side is."""
 
     def __init__(self, side, shift):
-        self.side, self.shift, self.den = side, shift, side.den
+        self.side, self.shift, self.ends = side, shift, side.ends
 
-    def pairs(self, modulus):
-        return [padic._reduced(t + self.shift * q, q, modulus) for t, q in self.side.pairs(modulus)]
+    def pairs(self):
+        return [(t + self.shift * q, q) for t, q in self.side.pairs()]
+
+    def residues(self, p, n):
+        return [(x + self.shift) % p**n for x in self.side.residues(p, n)]
 
 
 def test_prime_negative_control_fails_at_k_minus_one():
     # A verified truncated sum plus a unit times p^(k-1) fails with valuation
-    # k - 1, from the sides modulo p^M and from the exact ones.
+    # k - 1, from the sides' digits and from the exact ones.
     shifted = 0
     for stmt_id, pt in _all_points((11, 17, 19, 23, 29), (7, 11)):
         try:

@@ -29,12 +29,12 @@ known modulo p^R, so it is known modulo p^(v+R).  Every loop splits each
 linear factor into its power of p, which v counts, and its unit part, whose
 image modulo p^R is exact, so nothing is guessed.  The truncated sums'
 terms are p-integral (p does not divide d), so they are summed modulo p^n
-and a term with v >= n drops out; a closed form with a term of negative
-valuation, such as 1/(dj)^2 with p | dj, has v < 0 and is built again at
-R = n - v.  Where the digits cannot decide a slot (the sides agree to all n
-digits, or NotPIntegral must name a side) that slot alone is built again
-exactly, as an unreduced pair summed by arith.binary_split, the kernel that
-qseries sums its q-series with.  The Gamma_p statements need a prime p,
+and a term with v >= n drops out; the closed forms are built at R = n.
+Where the digits cannot decide a slot (the sides agree to all n digits, a
+side has v < 0, which a term of negative valuation such as 1/(dj)^2 with
+p | dj can bring, or NotPIntegral must name a side) that slot alone is
+built again exactly, as an unreduced pair summed by arith.binary_split, the
+kernel that qseries sums its q-series with.  The Gamma_p statements need a prime p,
 which the catalog checks; the rational ones are still decided at an odd
 composite p, from exact sides reduced to Fractions.
 """
@@ -91,8 +91,9 @@ _GAMMA_THIRD = ((Fraction(1, 3), 9),)
 # same whatever R is, and it is negative only where terms are: a harmonic
 # term 1/(dj)^2 with p | dj, or a running term with more p in its
 # denominators than in its numerators so far.  A closed form read to n
-# digits is built at R = n and, only when its v is negative, once more at
-# R = n - v (_Closed.residues).
+# digits is built at R = n; where its v is negative the exact pair decides
+# (_Closed.residues).  A linear factor that vanishes in a numerator makes
+# that term and every later one 0, so a loop stops there.
 
 
 class _Closed:
@@ -113,14 +114,12 @@ class _Closed:
         return [self.pair()]
 
     def residues(self, p: int, n: int) -> list[int | None]:
-        """[the value modulo p^n], or [None] where it is not p-integral."""
+        """[the value modulo p^n], or [None] where its v is negative: known
+        modulo p^(v+n) only, it is left to the exact pair, which also names a
+        value that is not p-integral."""
         v, a, b = self.adic(p, n)
-        if v < 0:  # known modulo p^(v+n) only: again to p^n
-            v, a, b = self.adic(p, n - v)
-            a, rest = divmod(a, p**-v)
-            if rest:
-                return [None]
-            v = 0
+        if v < 0:
+            return [None]
         modulus = p**n
         return [a * p**v * pow(b, -1, modulus) % modulus]
 
@@ -200,6 +199,8 @@ def _ratio(a: int, b: int, c: int, d: int, length: int) -> _Closed:
         for i in range(length):
             num, den = a + b * i, c + d * i
             if num % p == 0:
+                if not num:
+                    return 0, 0, 1
                 e, num = _split_power(num, p)
                 v += e
             if den % p == 0:
@@ -321,10 +322,11 @@ def _is_prime(n: int) -> bool:
 
 
 def _split_power(n: int, p: int) -> tuple[int, int]:
-    """(e, u) with n = p^e u and p not dividing u.
+    """(e, u) with n = p^e u and p not dividing u, for n != 0.
 
-    n = 0 raises ZeroDivisionError: no statement's side conditions let a
-    linear factor of a classical side vanish.
+    n = 0 raises ZeroDivisionError.  The side loops stop at a numerator
+    factor that vanishes, as every later term is 0, and no statement's side
+    conditions let a denominator factor vanish.
     """
     if not n:
         raise ZeroDivisionError("a linear factor of a classical side vanishes")
@@ -652,6 +654,9 @@ def _series_residues(series: _Series, ends, p: int, n: int) -> list[int | None]:
             s += (2 * x - r) * u * scale
             x_unit, y_unit = x, y
             if x % p == 0:
+                if not x:  # t_(k+1) and every later term are 0
+                    s = s * pow(w, -1, modulus) % modulus
+                    return residues + [s] * (len(ends) - len(residues))
                 e, x_unit = _split_power(x, p)
                 v += power * e
                 scale = p**v if v < n else 0
@@ -713,6 +718,8 @@ def _harmonic_tail_sum(d: int, r: int, length: int, scale: int, cube: int, term)
             s = (s + u * (x * scale_unit * e - y * cube_unit * g) * p ** (v + low - vs)) % modulus
             num, den = term(k)
             if num % p == 0:
+                if not num:  # t_(k+1) and every later term are 0
+                    break
                 c, num = _split_power(num, p)
                 v += c
             if den % p == 0:

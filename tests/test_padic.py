@@ -835,10 +835,19 @@ def test_residue_verdicts_match_exact_verdicts(monkeypatch):
     # Records, witnesses and raised errors from sides built as their first
     # digits are those of the exact sides: every statement and m_choice, s = 1
     # at the primes 3..61, s = 2 at 5..31 and s = 3 at 5..13, over the pool's
-    # (d, r) shapes.  Only the calls the digits cannot decide build a slot
-    # again exactly, so a kernel that gives up too early fails here, not only
-    # in time.
+    # (d, r) shapes, and d = 1, where the harmonic tails' factor d - r + dk
+    # vanishes at k = r - 1.  Only the calls the digits cannot decide build a
+    # slot again exactly, so a kernel that gives up too early fails here, not
+    # only in time.
+    d_one = [
+        (stmt_id, dict(p=p, s=s, d=1, r=r))
+        for stmt_id in ("COR_5_E", "COR_5_G")
+        for p in (5, 7, 11)
+        for s in (1, 2)
+        for r in (1, 2)
+    ]
     points = list(_all_points(ODD_PRIMES_TO_61, (5, 7, 11, 13, 17, 19, 23, 29, 31), (5, 7, 11, 13)))
+    points += d_one
     calls = [
         partial(_records, stmt_id, **pt, m_choice=m_choice)
         for stmt_id, pt in points
@@ -863,6 +872,7 @@ def test_residue_verdicts_match_exact_verdicts(monkeypatch):
     assert [_outcome(call) for call in calls] == reduced
     assert sum(isinstance(got, list) and got[0]["status"] != "error" for got in reduced) > 500
     assert sum(isinstance(got, list) and got[0]["params"]["s"] == 3 for got in reduced) > 100
+    assert all(got[0]["status"] == "verified" for got in reduced[-3 * len(d_one) :])
     assert 0 < len(undecided) < 100
 
 
@@ -933,12 +943,33 @@ def test_fixed_precision_sides_match_exact_pairs():
                 v, error = _adic_error(closed, p, precision)
                 assert error >= v + precision, (p, P, d, r, length, precision)
             depths.add(v)
-            exact = Fraction(*closed.pair())
-            want = None if padic_valuation(exact, p) < 0 else padic._digits(exact, p, n)
+            # a negative v leaves the residue to the exact pair
+            want = None if v < 0 else padic._digits(closed.pair(), p, n)
             assert closed.residues(p, n) == [want], (p, P, d, r, length, n)
     assert {-1, 0} <= term_valuations  # v = n - 1 and v = n both occur
     assert any(v >= 1 for v in term_valuations if v is not None)
     assert min(depths) <= -4
+
+
+def test_vanishing_numerator_factor_ends_the_sum():
+    # At d = 1 a linear factor of a numerator vanishes: r + dk at k = -r in a
+    # series with r <= 0, d - r + dk at k = r - 1 in a harmonic tail.  That
+    # term and every later one are 0, in the kernels as in the exact pairs.
+    for p in (3, 5, 7):
+        for r in (-3, -2, -1):
+            for series in (_sixth_series(1, r), _fifth_alt_series(1, r)):
+                for ends in ((-r - 1, -r), (-r, p * p - 1)):
+                    want = [padic._digits(pair, p, 8) for pair in _truncated_sums(series, ends)]
+                    assert padic._series_residues(series, ends, p, 8) == want, (p, r, ends)
+        for r in (1, 2, 3):
+            for closed in (
+                _inner_double(1, r, p * p - r, p * p, p**6),
+                _inner_double_bare(1, r, p * p - r, p * p, p**6),
+                padic._ratio(1 - r, 1, 1, 1, r + 2),
+            ):
+                for precision in (1, 4):
+                    v, error = _adic_error(closed, p, precision)
+                    assert error >= v + precision, (p, r, precision)
 
 
 class _Shifted:

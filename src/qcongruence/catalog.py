@@ -4,7 +4,9 @@ Each q-side entry binds one left side, a truncated-sum shape (a
 qseries.well_poised_spec) or an expression text; an expression text for its
 right side, built from its family's template where the paper's theorems come
 in families; a factored modulus, side conditions, and the truncation choices
-the statement offers.  An entry's kind is its Statement.kind alone.
+the statement offers.  An entry's kind is its Statement.kind alone.  A
+strengthened statement (THM_3_2, THM_3_3, THM_5_4) checks its own side
+conditions and ends in its general statement's build.
 Classical (q -> 1) entries bind one padic checker each, whose sides
 padic.verify_classical decides.  Statement ids are stable strings forming
 the CLI contract.
@@ -185,12 +187,6 @@ def _frac_param(bindings: dict, name: str) -> Fraction:
     if value == 0:
         raise SideConditionViolated(f"parameter {name!r} must be nonzero")
     return value
-
-
-def _exact_div(num: int, den: int, what: str) -> int:
-    if num % den:
-        raise NonIntegerBound(f"{what} = {num}/{den} is not an integer")
-    return num // den
 
 
 def _serialize_params(bindings: dict, symbols: tuple[str, ...]) -> dict:
@@ -383,25 +379,19 @@ def _build_quartic(b: dict, k: int, rhs_1: str, rhs_3: str) -> _Plan:
     )
 
 
-def _build_thm_b(b: dict) -> _Plan:
+def _cubic_n(b: dict, t: int) -> int:
+    """n, checked to be t mod 3 for t in {1, 2}."""
     n = _int_param(b, "n")
-    _require(n >= 1 and n % 3 == 1, f"n must be 1 mod 3, got {n}")
-    return _Plan(
-        build_modulus("QINT_PHI_POW", n, {"k": 4}),
-        (("first", (n - 1) // 3), ("second", n - 1)),
-        well_poised_spec(3, 1),
-        _THM_B_RHS,
-        {"n": n},
-    )
+    _require(n >= t and n % 3 == t, f"n must be {t} mod 3, got {n}")
+    return n
 
 
-def _build_cubic_2n(b: dict, rhs: str) -> _Plan:
-    """THM_C and LEM_OO: the cubic sum at n = 2 mod 3 modulo [n]*Phi(n)^5."""
-    n = _int_param(b, "n")
-    _require(n >= 2 and n % 3 == 2, f"n must be 2 mod 3, got {n}")
+def _build_cubic(b: dict, t: int, k: int, rhs: str) -> _Plan:
+    """THM_B (t = 1, k = 4), THM_C and LEM_OO (t = 2, k = 5): the cubic sum modulo [n]*Phi(n)^k."""
+    n = _cubic_n(b, t)
     return _Plan(
-        build_modulus("QINT_PHI_POW", n, {"k": 5}),
-        (("first", (2 * n - 1) // 3), ("second", n - 1)),
+        build_modulus("QINT_PHI_POW", n, {"k": k}),
+        (("first", (t * n - 1) // 3), ("second", n - 1)),
         well_poised_spec(3, 1),
         rhs,
         {"n": n},
@@ -439,39 +429,23 @@ def _build_prop_3_1(b: dict) -> _Plan:
     t = _int_param(b, "t", n % 3)
     _require(t in (1, 2), f"t must be 1 or 2, got {t}")
     _require(n % 3 == t % 3, f"n = {n} must be congruent to t = {t} mod 3")
+    return _prop_3_1_plan(b, n, t, "SPECIALIZED")
+
+
+def _build_cubic_ab(b: dict, t: int, kind: str) -> _Plan:
+    """THM_3_2 (t = 1) and THM_3_3 (t = 2): PROP_3_1 at t, modulo kind."""
+    return _prop_3_1_plan(b, _cubic_n(b, t), t, kind)
+
+
+def _prop_3_1_plan(b: dict, n: int, t: int, kind: str) -> _Plan:
+    """The parametric cubic sum at n = t mod 3, modulo kind at t."""
     a, bb = _frac_param(b, "a"), _frac_param(b, "b")
     return _Plan(
-        build_modulus("SPECIALIZED", n, {"t": t, "a": a, "b": bb}),
+        build_modulus(kind, n, {"t": t, "a": a, "b": bb}),
         (("first", (t * n - 1) // 3), ("second", n - 1)),
         well_poised_spec(3, 1, a, bb),
         _CUBIC_AB_RHS,
         {"n": n, "t": t, "a": a, "b": bb},
-    )
-
-
-def _build_thm_3_2(b: dict) -> _Plan:
-    n = _int_param(b, "n")
-    _require(n >= 1 and n % 3 == 1, f"n must be 1 mod 3, got {n}")
-    a, bb = _frac_param(b, "a"), _frac_param(b, "b")
-    return _Plan(
-        build_modulus("QINT_SPECIALIZED", n, {"a": a, "b": bb}),
-        (("first", (n - 1) // 3), ("second", n - 1)),
-        well_poised_spec(3, 1, a, bb),
-        _CUBIC_AB_RHS,
-        {"n": n, "t": 1, "a": a, "b": bb},
-    )
-
-
-def _build_thm_3_3(b: dict) -> _Plan:
-    n = _int_param(b, "n")
-    _require(n >= 2 and n % 3 == 2, f"n must be 2 mod 3, got {n}")
-    a, bb = _frac_param(b, "a"), _frac_param(b, "b")
-    return _Plan(
-        build_modulus("QINT_PHI_SPECIALIZED", n, {"k": 1, "t": 2, "a": a, "b": bb}),
-        (("first", (2 * n - 1) // 3), ("second", n - 1)),
-        well_poised_spec(3, 1, a, bb),
-        _CUBIC_AB_RHS,
-        {"n": n, "t": 2, "a": a, "b": bb},
     )
 
 
@@ -506,10 +480,9 @@ def _build_nw_23(b: dict) -> _Plan:
     _require(gcd(n, d) == 1, f"gcd(n, d) must be 1, got gcd({n}, {d})")
     _require((n + r) % d == 0, f"n = {n} must be -r mod d = {d}")
     a, bb = _frac_param(b, "a"), _frac_param(b, "b")
-    nu = _exact_div(d * n - n - r, d, "(dn-n-r)/d")
     return _Plan(
         build_modulus("QINT_PHI_POW", n, {"k": 1}),
-        (("first", nu), ("second", n - 1)),
+        (("first", (d * n - n - r) // d), ("second", n - 1)),
         well_poised_spec(d, r, a, bb),
         "0",
         {"n": n, "d": d, "r": r, "a": a, "b": bb},
@@ -541,24 +514,23 @@ def _build_lem_pp(b: dict) -> _Plan:
     return _Plan(build_modulus("PHI_POW", n, {"k": 2}), (), _LEM_PP_LHS, "5", {"n": n})
 
 
-def _thm_d_window(n: int, d: int, r: int):
+def _thm_d_window(n: int, d: int, r: int, t: int = 1, label: str = "n"):
+    """gcd(n, d) = 1, d + tn - dn <= r <= tn and tn = r mod d, which make
+    (tn - r)/d a nonnegative integer; label names tn in the messages."""
     _require(n >= 1 and d >= 1, f"n and d must be positive, got n={n}, d={d}")
     _require(gcd(n, d) == 1, f"gcd(n, d) must be 1, got gcd({n}, {d})")
-    _require(
-        d + n - d * n <= r <= n,
-        f"r = {r} outside the window {d + n - d * n}..{n}",
-    )
-    _require(n % d == r % d, f"n = {n} and r = {r} disagree mod d = {d}")
+    tn = t * n
+    _require(d + tn - d * n <= r <= tn, f"r = {r} outside the window {d + tn - d * n}..{tn}")
+    _require(tn % d == r % d, f"{label} = {tn} and r = {r} disagree mod d = {d}")
 
 
 def _build_thm_d(b: dict) -> _Plan:
     n, d, r = _int_param(b, "n"), _int_param(b, "d"), _int_param(b, "r")
     _thm_d_window(n, d, r)
     c = _frac_param(b, "c")
-    m1 = _exact_div(n - r, d, "(n-r)/d")
     return _Plan(
         build_modulus("QINT_PHI_POW", n, {"k": 4}),
-        (("first", m1), ("second", n - 1)),
+        (("first", (n - r) // d), ("second", n - 1)),
         well_poised_spec(d, r, c=c),
         _THM_D_RHS,
         {"n": n, "d": d, "r": r, "c": c},
@@ -577,10 +549,9 @@ def _thm_e_window(n: int, d: int, r: int):
 def _build_thm_e(b: dict) -> _Plan:
     n, d, r = _int_param(b, "n"), _int_param(b, "d"), _int_param(b, "r")
     _thm_e_window(n, d, r)
-    m1 = _exact_div(d * n - n - r, d, "(dn-n-r)/d")
     return _Plan(
         build_modulus("QINT_PHI_POW", n, {"k": 5}),
-        (("first", m1), ("second", n - 1)),
+        (("first", (d * n - n - r) // d), ("second", n - 1)),
         well_poised_spec(d, r),
         _THM_E_RHS,
         {"n": n, "d": d, "r": r},
@@ -592,34 +563,26 @@ def _build_prop_5_3(b: dict) -> _Plan:
     t = _int_param(b, "t", 1)
     _require(n >= 1 and d >= 2, f"n must be positive and d >= 2, got n={n}, d={d}")
     _require(t in (1, d - 1), f"t must be 1 or d-1 = {d - 1}, got {t}")
-    _require(gcd(n, d) == 1, f"gcd(n, d) must be 1, got gcd({n}, {d})")
-    _require(
-        d + t * n - d * n <= r <= t * n,
-        f"r = {r} outside the window {d + t * n - d * n}..{t * n}",
-    )
-    _require((t * n) % d == r % d, f"tn = {t * n} and r = {r} disagree mod d = {d}")
-    a, bb, c = _frac_param(b, "a"), _frac_param(b, "b"), _frac_param(b, "c")
-    m1 = _exact_div(t * n - r, d, "(tn-r)/d")
-    return _Plan(
-        build_modulus("SPECIALIZED", n, {"t": t, "a": a, "b": bb}),
-        (("first", m1), ("second", n - 1)),
-        well_poised_spec(d, r, a, bb, c),
-        _PROP_5_3_RHS,
-        {"n": n, "t": t, "d": d, "r": r, "a": a, "b": bb, "c": c},
-    )
+    _thm_d_window(n, d, r, t, "tn")
+    return _prop_5_3_plan(b, n, d, r, t, "SPECIALIZED")
 
 
 def _build_thm_5_4(b: dict) -> _Plan:
+    """PROP_5_3 at t = 1, with [n] added to its modulus."""
     n, d, r = _int_param(b, "n"), _int_param(b, "d"), _int_param(b, "r")
     _thm_d_window(n, d, r)
+    return _prop_5_3_plan(b, n, d, r, 1, "QINT_SPECIALIZED")
+
+
+def _prop_5_3_plan(b: dict, n: int, d: int, r: int, t: int, kind: str) -> _Plan:
+    """The parametric degree-d sum in _thm_d_window at t, modulo kind at t."""
     a, bb, c = _frac_param(b, "a"), _frac_param(b, "b"), _frac_param(b, "c")
-    m1 = _exact_div(n - r, d, "(n-r)/d")
     return _Plan(
-        build_modulus("QINT_SPECIALIZED", n, {"a": a, "b": bb}),
-        (("first", m1), ("second", n - 1)),
+        build_modulus(kind, n, {"t": t, "a": a, "b": bb}),
+        (("first", (t * n - r) // d), ("second", n - 1)),
         well_poised_spec(d, r, a, bb, c),
         _PROP_5_3_RHS,
-        {"n": n, "t": 1, "d": d, "r": r, "a": a, "b": bb, "c": c},
+        {"n": n, "t": t, "d": d, "r": r, "a": a, "b": bb, "c": c},
     )
 
 
@@ -627,12 +590,9 @@ def _build_thm_5_5(b: dict) -> _Plan:
     n, d, r = _int_param(b, "n"), _int_param(b, "d"), _int_param(b, "r")
     _thm_e_window(n, d, r)
     a, bb = _frac_param(b, "a"), _frac_param(b, "b")
-    m1 = _exact_div(d * n - n - r, d, "(dn-n-r)/d")
     return _Plan(
-        build_modulus(
-            "QINT_PHI_SPECIALIZED", n, {"k": 1, "t": d - 1, "a": a, "b": bb}
-        ),
-        (("first", m1), ("second", n - 1)),
+        build_modulus("QINT_PHI_SPECIALIZED", n, {"t": d - 1, "a": a, "b": bb}),
+        (("first", (d * n - n - r) // d), ("second", n - 1)),
         well_poised_spec(d, r, a, bb),
         _THM_5_5_RHS,
         {"n": n, "d": d, "r": r, "a": a, "b": bb},
@@ -673,7 +633,7 @@ _register(
         "n: positive integer, n = 1 mod 3",
         "n = 1 mod 3",
         "first: M=(n-1)/3; second: M=n-1",
-        build=_build_thm_b,
+        build=partial(_build_cubic, t=1, k=4, rhs=_THM_B_RHS),
         desk=tuple({"n": n} for n in (1, 4, 7, 10, 13)),
     )
 )
@@ -685,7 +645,7 @@ _register(
         "n: positive integer, n = 2 mod 3",
         "n = 2 mod 3",
         "first: M=(2n-1)/3; second: M=n-1",
-        build=partial(_build_cubic_2n, rhs=_THM_C_RHS),
+        build=partial(_build_cubic, t=2, k=5, rhs=_THM_C_RHS),
         desk=_TWO_MOD_3_DESK,
     )
 )
@@ -835,7 +795,7 @@ _register(
         "n = 1 mod 3",
         "first: M=(n-1)/3; second: M=n-1",
         symbols=("a", "b"),
-        build=_build_thm_3_2,
+        build=partial(_build_cubic_ab, t=1, kind="QINT_SPECIALIZED"),
         desk=tuple({"n": n} for n in (4, 7)),
     )
 )
@@ -848,7 +808,7 @@ _register(
         "n = 2 mod 3",
         "first: M=(2n-1)/3; second: M=n-1",
         symbols=("a", "b"),
-        build=_build_thm_3_3,
+        build=partial(_build_cubic_ab, t=2, kind="QINT_PHI_SPECIALIZED"),
         desk=tuple({"n": n} for n in (2, 5, 8)),
     )
 )
@@ -880,7 +840,7 @@ _register(
         "n: positive integer, n = 2 mod 3",
         "n = 2 mod 3",
         "first: M=(2n-1)/3; second: M=n-1",
-        build=partial(_build_cubic_2n, rhs=_LEM_OO_RHS),
+        build=partial(_build_cubic, t=2, k=5, rhs=_LEM_OO_RHS),
         desk=_TWO_MOD_3_DESK,
     )
 )
@@ -1062,7 +1022,7 @@ _classical(
     "COR_1_5",
     "cubic sum vs harmonic-corrected closed form mod p^(s+4)",
     "p odd prime, s >= 1, p^s = 1 mod 3",
-    padic._check_cor_1_5,
+    partial(padic._check_cubic, t=1, scale=1),
     ({"p": 7, "s": 1}, {"p": 13, "s": 1}),
     takes_s=True,
 )
@@ -1070,7 +1030,7 @@ _classical(
     "COR_1_6",
     "cubic sum vs 10 p^s times a shifted-factorial cube mod p^(s+5)",
     "p odd prime, s >= 1, p^s = 2 mod 3",
-    padic._check_cor_1_6,
+    partial(padic._check_cubic, t=2, scale=10),
     ({"p": 5, "s": 1}, {"p": 11, "s": 1}),
     takes_s=True,
 )
@@ -1153,14 +1113,14 @@ _classical(
     "SUN_H2",
     "H_{p-1}^(2) = (2p/3) B_{p-3} mod p^2",
     "p prime, p > 3",
-    padic._check_sun_h2,
+    partial(padic._check_sun_h2, parts=1, coef=2),
     ({"p": 5}, {"p": 7}, {"p": 11}, {"p": 13}),
 )
 _classical(
     "SUN_H2HALF",
     "H_{(p-1)/2}^(2) = (7p/3) B_{p-3} mod p^2",
     "p prime, p > 3",
-    padic._check_sun_h2half,
+    partial(padic._check_sun_h2, parts=2, coef=7),
     ({"p": 5}, {"p": 7}, {"p": 11}, {"p": 13}),
 )
 _classical(

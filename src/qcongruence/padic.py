@@ -13,11 +13,12 @@ bounds, exp's after its last term that can be nonzero modulo p^N and L's at
 N plus the digits that exp's division by t! costs, so the cost is O(N^2)
 operations whatever r is.
 
-The catalog registers the classical (q -> 1) statements, each with its
-checker here, which returns the modulus exponent k and the two sides.  They
-are pure rational-number congruences, decided exactly (p-adic Gamma
-products reduced to residues) by the p-adic valuation of the difference,
-in verify_classical.  The sides are truncated sums (a statement with two
+The catalog registers the classical (q -> 1) statements, each with a
+checker here (COR_1_5 and COR_1_6 share one, as do SUN_H2 and SUN_H2HALF),
+which returns the modulus exponent k and the two sides.  They are pure
+rational-number congruences, decided exactly (p-adic Gamma products reduced
+to residues) by the p-adic valuation of the difference, in
+verify_classical.  The sides are truncated sums (a statement with two
 truncation slots sums the shorter range once and goes on to the longer) and
 closed forms (_Closed) made of shifted factorials, harmonic numbers and
 harmonic tails.
@@ -172,7 +173,7 @@ def _closed(x) -> _Closed:
     """x as a closed form; a rational is its reduced pair."""
     if isinstance(x, _Closed):
         return x
-    a, b = Fraction(x).as_integer_ratio()
+    a, b = x.as_integer_ratio()
 
     def adic(p, precision):
         if not a:
@@ -811,20 +812,12 @@ def _check_cor_1_4(p: int, s: int):
     return s + 4, _Truncations(_QUARTIC, ((P - 1) // 2, P - 1)), rhs  # (p^s-1)/2, p^s-1
 
 
-def _check_cor_1_5(p: int, s: int):
+def _check_cubic(p: int, s: int, t: int, scale: int):
+    """COR_1_5 (t = 1, scale 1) and COR_1_6 (t = 2, scale 10), mod p^(s+3+t)."""
     P = p**s
-    _require(P % 3 == 1, f"p^s must be 1 mod 3, got {P} = {P % 3} mod 3")
-    third = (P - 1) // 3
-    rhs = P * _cubic_closed(P)
-    return s + 4, _Truncations(_CUBIC, (third, P - 1)), rhs  # (p^s-1)/3, p^s-1
-
-
-def _check_cor_1_6(p: int, s: int):
-    P = p**s
-    _require(P % 3 == 2, f"p^s must be 2 mod 3, got {P} = {P % 3} mod 3")
-    length = (2 * P - 1) // 3
-    rhs = 10 * P * _cubic_closed(P)
-    return s + 5, _Truncations(_CUBIC, (length, P - 1)), rhs  # (2p^s-1)/3, p^s-1
+    _require(P % 3 == t, f"p^s must be {t} mod 3, got {P} = {P % 3} mod 3")
+    rhs = scale * P * _cubic_closed(P)
+    return s + 3 + t, _Truncations(_CUBIC, ((t * P - 1) // 3, P - 1)), rhs  # (tp^s-1)/3, p^s-1
 
 
 def _check_prop_1_7(p: int, s: int):
@@ -906,14 +899,10 @@ def _check_cor_5_h(p: int, s: int, d: int, r: int):
     return s + 5, _Truncations(_sixth_series(d, r), (length, P - 1)), rhs
 
 
-def _check_sun_h2(p: int, s: int):
+def _check_sun_h2(p: int, s: int, parts: int, coef: int):
+    """SUN_H2 (parts 1, coef 2) and SUN_H2HALF (parts 2, coef 7)."""
     _require(p > 3, f"p must exceed 3, got {p}")
-    return 2, _harmonic(p - 1, 2), Fraction(2 * p, 3) * bernoulli(p - 3)
-
-
-def _check_sun_h2half(p: int, s: int):
-    _require(p > 3, f"p must exceed 3, got {p}")
-    return 2, _harmonic((p - 1) // 2, 2), Fraction(7 * p, 3) * bernoulli(p - 3)
+    return 2, _harmonic((p - 1) // parts, 2), Fraction(coef * p, 3) * bernoulli(p - 3)
 
 
 def _check_sun_h3(p: int, s: int):
@@ -958,17 +947,12 @@ def _verdicts(lhs, rhs, p: int, k: int, digits: int | None) -> list[CongruenceRe
         sides = lhs.pairs()
         if isinstance(rhs, _GammaForm):
             return [_gamma_congruent(side, rhs, p, k) for side in sides]
-        if isinstance(rhs, _Closed):
-            (rhs,) = rhs.pairs()
+        (rhs,) = _closed(rhs).pairs()
         return [rational_congruent(side, rhs, p, k) for side in sides]
     if isinstance(rhs, _GammaForm):
         return [x if x is None else _gamma_verdict(x, rhs, p, k) for x in lhs.residues(p, k)]
     modulus = p**digits
-    if isinstance(rhs, _Closed):
-        (y,) = rhs.residues(p, digits)
-    else:
-        a, b = Fraction(rhs).as_integer_ratio()
-        y = None if b % p == 0 else a * pow(b, -1, modulus)
+    (y,) = _closed(rhs).residues(p, digits)
     if y is None:
         return [None] * len(lhs.ends)
 

@@ -255,6 +255,38 @@ def test_degree_d_families_with_negative_offsets():
         assert all(r.status == "verified" for r in records), stmt_id
 
 
+def test_admitted_degree_d_points_have_integer_first_slots():
+    # The builds take the first slot as a floor division, exact because the
+    # side conditions make it so: at every point that a statement admits,
+    # d times the first slot is tn - r (THM_D's window at t) or dn - n - r
+    # (THM_E's window and NW_23), and no admitted slot is negative.
+    numerators = {
+        "THM_D": lambda n, d, r, t: n - r,
+        "THM_5_4": lambda n, d, r, t: n - r,
+        "PROP_5_3": lambda n, d, r, t: t * n - r,
+        "THM_E": lambda n, d, r, t: d * n - n - r,
+        "THM_5_5": lambda n, d, r, t: d * n - n - r,
+        "NW_23": lambda n, d, r, t: d * n - n - r,
+    }
+    symbols = {"a": Fraction(2, 3), "b": Fraction(-3, 5), "c": Fraction(5, 7)}
+    admitted = Counter()
+    for stmt_id, numerator in numerators.items():
+        build = catalog.get_statement(stmt_id).build
+        for n in range(13):
+            for d in range(7):
+                for r in range(-7, 8):
+                    for t in range(6) if stmt_id == "PROP_5_3" else (1,):
+                        try:
+                            plan = build({"n": n, "d": d, "r": r, "t": t, **symbols})
+                        except SideConditionViolated:
+                            continue
+                        (slot, first), _ = plan.m_choices
+                        assert slot == "first" and first >= 0
+                        assert d * first == numerator(n, d, r, t), (stmt_id, n, d, r, t)
+                        admitted[stmt_id] += 1
+    assert set(admitted) == set(numerators) and min(admitted.values()) >= 10, admitted
+
+
 def test_parametric_degree_d_statement_with_scale():
     records = catalog.run_statement(
         "PROP_5_3", {"n": 2, "d": 3, "r": 1, "t": 2}, trials=1

@@ -102,6 +102,22 @@ CASES = [
         ["padic", "--id", "all", "--p", "9,15,21,25,27,33,35,49"],
         1,
     ),
+    # The skip reasons of the cubic and degree-d families, each strengthened
+    # statement beside its general one, over grids that cross every side
+    # condition: three runs, as golden_padic_s2.jsonl.  Written before each
+    # family shared one build.
+    (
+        "golden_skips.jsonl",
+        (
+            ["verify", "--id", "THM_B,THM_C,LEM_OO,PROP_3_1,THM_3_2,THM_3_3", "--n=-1..10",
+             "--t=-1..3", "--trials", "1"],
+            ["verify", "--id", "THM_D,PROP_5_3,THM_5_4", "--n=0..4", "--d=0..4", "--r=-3..3",
+             "--t=0..3", "--trials", "1"],
+            ["padic", "--id", "COR_1_5,COR_1_6,SUN_H2,SUN_H2HALF",
+             "--p=1,2,3,5,7,11,13,17,19,23", "--s=0..2"],
+        ),
+        0,
+    ),
     # Every classical statement at every odd prime up to 61, s = 1 and 2:
     # each record is verified or skipped, and the Gamma_p statements carry
     # their witness residues.  Written before gamma_p returned a plain int

@@ -6,8 +6,8 @@ to N digits is a plain int residue modulo p^N (residue_of_rational).
 
 binary_split is the one exact summation kernel of the package: padic sums
 classical series and closed forms over the integers with it where their
-digits at a prime p cannot decide (see padic), and qseries sums q-series
-over polynomials in q.
+digits cannot decide (see padic), and qseries sums q-series over
+polynomials in q.
 """
 
 from __future__ import annotations

@@ -23,27 +23,30 @@ truncation slots sums the shorter range once and goes on to the longer) and
 closed forms (_Closed) made of shifted factorials, harmonic numbers and
 harmonic tails.
 
-At a prime p each side is built as its first n = k + 6 digits, in fixed
-relative precision (Caruso, "Computations with p-adic numbers",
-arXiv:1701.06794): a value is p^v a / b with v an exact integer and a, b
-known modulo p^R, so it is known modulo p^(v+R).  Every loop splits each
-linear factor into its power of p, which v counts, and its unit part, whose
-image modulo p^R is exact, so nothing is guessed.  The truncated sums'
-terms are p-integral (p does not divide d), so they are summed modulo p^n
-and a term with v >= n drops out; the closed forms are built at R = n.
-Where the digits cannot decide a slot (the sides agree to all n digits, a
-side has v < 0, which a term of negative valuation such as 1/(dj)^2 with
-p | dj can bring, or NotPIntegral must name a side) that slot alone is
-built again exactly, as an unreduced pair summed by arith.binary_split, the
-kernel that qseries sums its q-series with.  The Gamma_p statements need a prime p,
-which the catalog checks; the rational ones are still decided at an odd
-composite p, from exact sides reduced to Fractions.
+At each prime factor q^e of p (a prime p is its own, with e = 1) each side
+is built as its first n = e (k + 6) digits, in fixed relative precision
+(Caruso, "Computations with p-adic numbers", arXiv:1701.06794): a value is
+q^v a / b with v an exact integer and a, b known modulo q^R, so it is known
+modulo q^(v+R).  Every loop splits each linear factor into its power of q,
+which v counts, and its unit part, whose image modulo q^R is exact, so
+nothing is guessed.  The truncated sums' terms are q-integral (q does not
+divide d), so they are summed modulo q^n and a term with v >= n drops out;
+the closed forms are built at R = n.  The valuation of lhs - rhs at each q,
+exact unless the sides agree to all their digits there, gives the count of
+p in it (_factored_valuation).  A slot those digits cannot decide (sides
+that agree that far, or a side not shown p-integral, which NotPIntegral
+must then name) is built once more at twice the digits, and if those
+cannot decide it either, exactly, as an unreduced pair summed by
+arith.binary_split, the kernel that qseries sums its q-series with.  At a
+composite p the exact pairs are reduced to Fractions.  The Gamma_p
+statements need a prime p, which the catalog checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, gcd, inf, isqrt
 
 from .arith import BigRat, binary_split, padic_valuation, residue_of_rational
@@ -73,11 +76,12 @@ _GAMMA_THIRD = ((Fraction(1, 3), 9),)
 # and t_{k+1} = t_k p(k) / q(k)  is binary_split over 0 <= k <= m with the
 # leaves (p(k), q(k), a(k) q(k)); a product prod n_k/d_k is P and Q of the
 # leaves (n_k, d_k, 0), and a plain sum of n_k/d_k is T and Q of the leaves
-# (d_k, d_k, n_k).  The exact pairs decide at composite p, and at prime p
-# where the digits below cannot.
+# (d_k, d_k, n_k).  The exact pairs decide only the slots that the digits
+# below cannot.
 #
 # At a prime p, fixed relative precision (Caruso, "Computations with p-adic
-# numbers", arXiv:1701.06794).  A value is a triple (v, a, b) standing for
+# numbers", arXiv:1701.06794); a composite modulus is read at each of its
+# prime factors (see the verdicts).  A value is a triple (v, a, b) standing for
 # p^v a / b, with v an exact integer, b a p-adic unit and a a p-adic integer,
 # a and b known modulo p^R.  The value is then known modulo p^(v+R), and the
 # arithmetic keeps that so, every residue reduced modulo p^R:
@@ -92,14 +96,14 @@ _GAMMA_THIRD = ((Fraction(1, 3), 9),)
 # same whatever R is, and it is negative only where terms are: a harmonic
 # term 1/(dj)^2 with p | dj, or a running term with more p in its
 # denominators than in its numerators so far.  A closed form read to n
-# digits is built at R = n; where its v is negative the exact pair decides
-# (_Closed.residues).  A linear factor that vanishes in a numerator makes
-# that term and every later one 0, so a loop stops there.
+# digits is built at R = n; where its v is negative it is known modulo
+# p^(v+n) only.  A linear factor that vanishes in a numerator makes that
+# term and every later one 0, so a loop stops there.
 
 
 class _Closed:
     """A closed form: pair() builds it exactly as an unreduced pair (a, b)
-    standing for a/b, adic(p, R) at prime p as a triple (v, a, b) modulo p^R.
+    standing for a/b, adic(p, R) at a prime p as a triple (v, a, b) modulo p^R.
 
     Sums, products and powers of closed forms and rationals are closed
     forms.  As a left side a closed form is one truncation slot, with no end.
@@ -114,15 +118,9 @@ class _Closed:
     def pairs(self) -> list[tuple[int, int]]:
         return [self.pair()]
 
-    def residues(self, p: int, n: int) -> list[int | None]:
-        """[the value modulo p^n], or [None] where its v is negative: known
-        modulo p^(v+n) only, it is left to the exact pair, which also names a
-        value that is not p-integral."""
-        v, a, b = self.adic(p, n)
-        if v < 0:
-            return [None]
-        modulus = p**n
-        return [a * p**v * pow(b, -1, modulus) % modulus]
+    def adics(self, p: int, n: int) -> list[tuple[int, int, int]]:
+        """[its triple at R = n]."""
+        return [self.adic(p, n)]
 
     def __add__(self, other) -> "_Closed":
         other = _closed(other)
@@ -132,9 +130,7 @@ class _Closed:
             return a * d + c * b, b * d
 
         def adic(p, precision):
-            (v, a, b), (w, c, d) = sorted((self.adic(p, precision), other.adic(p, precision)))
-            modulus = p**precision
-            return v, (a * d + p ** (w - v) * c * b) % modulus, b * d % modulus
+            return _adic_sum(self.adic(p, precision), other.adic(p, precision), p, precision)
 
         return _Closed(pair, adic)
 
@@ -167,6 +163,15 @@ class _Closed:
             return v * e, pow(a, e, modulus), pow(b, e, modulus)
 
         return _Closed(pair, adic)
+
+
+def _adic_sum(x, y, p: int, precision: int) -> tuple[int, int, int]:
+    """x + y for two triples (v, a, b) at p, to the lesser v's precision."""
+    if x[0] > y[0]:
+        x, y = y, x
+    (v, a, b), (w, c, d) = x, y
+    modulus = p**precision
+    return v, (a * d + p ** min(w - v, precision) * c * b) % modulus, b * d % modulus
 
 
 def _closed(x) -> _Closed:
@@ -436,18 +441,25 @@ class _GammaForm:
 
 
 # The verdicts below read each side modulo p^n: an exact side (a rational or
-# an unreduced pair (t, q) standing for t/q) through _digits, a side built at
-# prime p (see verify_classical) as its residue.  For prime p they read only
-# remainders, so they take no gcd; a Fraction is built only to name a side in
-# NotPIntegral.
+# an unreduced pair (t, q) standing for t/q) through _digits, a side built in
+# fixed precision as its triple at each prime factor of p (see _verdicts).
+# They read only remainders, so they take no gcd; a Fraction is built only to
+# name a side in NotPIntegral, and at a composite p where the digits cannot
+# decide (_reduced_verdict).
 
-# Digits read beyond p^k: the valuation witness comes from them unless the
-# sides agree to all of them, and only then are the exact sides built and
-# cross-multiplied.  Any count is exact; it only sets how often that happens.
-# On the benchmark's classical cases (seeds 1-10, 6,114 verdicts at prime p)
-# unequal sides agree to at most k + 5 digits, so with six spare digits only
-# the 88 equal pairs are cross-multiplied: 88 of the 3,730 calls at prime p
-# build a slot again exactly.
+# Digits read beyond p^k (e times as many at a prime factor q^e of p): the
+# valuation witness comes from them unless the sides agree to all of them;
+# then the slot is built again at twice the digits, and only where the sides
+# agree to all of those are the exact sides built and compared.  Any count
+# is exact; it only sets how often that happens.  On the benchmark's
+# classical cases (seeds 1-10: 6,580 slots in 3,730 calls at prime p, 290
+# slots in 150 calls at composite p) the first digits decide every slot but
+# the 88 whose sides are equal, all at prime p, which take all three builds.
+# Twice the digits decide COR_5_H at (d, r) = (3, -1) and s = 3, whose sides
+# agree to 14 or 15 digits at k = 8.  Every classical statement at the odd
+# composites 9..63, s = 1 and 2, d <= 6 and r in -4..5 has 1,712 slots:
+# 1,560 are decided by the first digits, 36 by twice as many, and 116, all
+# with equal sides, exactly.
 _SPARE_DIGITS = 6
 
 
@@ -605,8 +617,10 @@ class _Truncations:
     def pairs(self) -> list[tuple[int, int]]:
         return _truncated_sums(self.series, self.ends)
 
-    def residues(self, p: int, n: int) -> list[int | None]:
-        return _series_residues(self.series, self.ends, p, n)
+    def adics(self, p: int, n: int) -> list[tuple[int, int, int] | None]:
+        """One triple (0, x, 1) per slot for its sum x modulo p^n, or None where
+        _series_residues leaves the slot to the exact sums."""
+        return [x if x is None else (0, x, 1) for x in _series_residues(self.series, self.ends, p, n)]
 
 
 def _truncated_sums(series: _Series, ends) -> list[tuple[int, int]]:
@@ -915,20 +929,22 @@ def verify_classical(p: int, k: int, lhs, rhs, ends) -> list[CongruenceResult]:
 
     ends are the ends of the truncation slots to decide, in the order of
     lhs.ends; a closed left side is its one slot.  Side conditions are the
-    caller's: a _GammaForm rhs needs a prime p.  At prime p the slots are
-    decided from their digits, and only a slot those leave undecided is
-    built again exactly.
+    caller's: a _GammaForm rhs needs a prime p.  The slots are decided from
+    their first n = k + _SPARE_DIGITS digits at each prime factor of p; a
+    slot those leave undecided is built again at 2n digits, and one that is
+    still undecided exactly.
     """
+    n = k + _SPARE_DIGITS
     if isinstance(lhs, _Truncations):
         lhs = _Truncations(lhs.series, tuple(ends))
-    if not _is_prime(p):
-        return _verdicts(lhs, rhs, p, k, None)
-    results = _verdicts(lhs, rhs, p, k, k + _SPARE_DIGITS)
-    undecided = [i for i, result in enumerate(results) if result is None]
-    if undecided:
+    results = _verdicts(lhs, rhs, p, k, n)
+    for digits in (2 * n, None):
+        undecided = [i for i, result in enumerate(results) if result is None]
+        if not undecided:
+            break
         if isinstance(lhs, _Truncations):
-            lhs = _Truncations(lhs.series, tuple(lhs.ends[i] for i in undecided))
-        for i, result in zip(undecided, _verdicts(lhs, rhs, p, k, None)):
+            lhs = _Truncations(lhs.series, tuple(ends[i] for i in undecided))
+        for i, result in zip(undecided, _verdicts(lhs, rhs, p, k, digits)):
             results[i] = result
     return results
 
@@ -936,11 +952,10 @@ def verify_classical(p: int, k: int, lhs, rhs, ends) -> list[CongruenceResult]:
 def _verdicts(lhs, rhs, p: int, k: int, digits: int | None) -> list[CongruenceResult | None]:
     """One verdict per slot of lhs (_Truncations or _Closed) against rhs.
 
-    With digits = n, at prime p, this is the one place that picks the
-    precision: each side is built as its first n digits (k of them against
-    a Gamma_p product, which reads no more), and a slot is None where they
-    cannot decide: a side that is not p-integral, whose exact value
-    NotPIntegral must name, or sides that agree to all n digits.  With None
+    With digits = n this is the one place that picks the precision: at each
+    prime factor q^e of p each side is built as its first e n digits at q
+    (k of them at a prime p against a Gamma_p product, which reads no more),
+    and a slot is None where they cannot decide (_digit_verdict).  With None
     the sides are built exactly.
     """
     if digits is None:
@@ -950,14 +965,92 @@ def _verdicts(lhs, rhs, p: int, k: int, digits: int | None) -> list[CongruenceRe
         (rhs,) = _closed(rhs).pairs()
         return [rational_congruent(side, rhs, p, k) for side in sides]
     if isinstance(rhs, _GammaForm):
-        return [x if x is None else _gamma_verdict(x, rhs, p, k) for x in lhs.residues(p, k)]
-    modulus = p**digits
-    (y,) = _closed(rhs).residues(p, digits)
-    if y is None:
-        return [None] * len(lhs.ends)
+        residues = [_residue(x, p, k) for x in lhs.adics(p, k)]
+        return [x if x is None else _gamma_verdict(x, rhs, p, k) for x in residues]
+    rhs = _closed(rhs)
+    readings = [[] for _ in lhs.ends]
+    for q, e in _prime_factors(p):
+        precision = e * digits
+        y = rhs.adic(q, precision)
+        for reading, x in zip(readings, lhs.adics(q, precision)):
+            reading.append((q, e, precision, x, y))
+    return [_digit_verdict(reading, k) for reading in readings]
 
-    def verdict(x):
-        gap = 0 if x is None else (x - y) % modulus
-        return _valuation_result(padic_valuation(gap, p), k) if gap else None
 
-    return [verdict(x) for x in lhs.residues(p, digits)]
+# -- verdicts from the digits at each prime factor of p ----------------------------
+#
+# At p = prod q^e, v_p of a reduced fraction N/D counts the p^j dividing N
+# less those dividing D, and p^j divides N when q^(e j) does for each q: so
+#   v_p(N/D) = min_q floor(w_q+ / e) - min_q floor(w_q- / e),
+# with w_q = v_q(N/D), w_q+ = max(w_q, 0) = v_q(N) and w_q- = max(-w_q, 0) =
+# v_q(D).  A prime p is the one factor, e = 1, where this is w_p.  The count
+# is not additive: 1/3 and 1/5 are 15-integral and their sum 8/15 is not.  A
+# side is p-integral (v_p >= 0) exactly when some w_q > -e.
+
+
+@cache
+def _prime_factors(p: int) -> tuple[tuple[int, int], ...]:
+    """((q, e), ...) with p = prod q^e over the primes q dividing p > 1."""
+    factors, q = (), 2
+    while q * q <= p:
+        if p % q == 0:
+            e, p = _split_power(p, q)
+            factors += ((q, e),)
+        q += 1
+    return factors + ((p, 1),) if p > 1 else factors
+
+
+def _residue(x, p: int, n: int) -> int | None:
+    """A triple's value modulo p^n, or None where it is not known so far: no
+    triple, or v < 0, which leaves it known modulo p^(v+n) only."""
+    if x is None or x[0] < 0:
+        return None
+    v, a, b = x
+    modulus = p**n
+    return a * p**v * pow(b, -1, modulus) % modulus
+
+
+def _depth(x, q: int, precision: int) -> tuple[int, bool]:
+    """(w, exact): w = v_q of the triple x = (v, a, b) with a known modulo
+    q^precision, exact where a is nonzero there, else only a lower bound."""
+    v, a, _ = x
+    return (v + padic_valuation(a, q), True) if a else (v + precision, False)
+
+
+def _factored_valuation(depths) -> int | None:
+    """v_p(x) for p = prod q^e from depths [(e, w, exact)], one per prime
+    factor q^e: w is v_q(x) where exact and a lower bound of it elsewhere.
+    None where the bounds leave v_p(x) open (see the comment above)."""
+    num = least = den = inf  # min floor(w+/e): exact, and a lower bound; min floor(w-/e)
+    den_open = False
+    for e, w, exact in depths:
+        count = max(w, 0) // e
+        least = min(least, count)
+        if exact:
+            num = min(num, count)
+        if exact or w > -e:  # a bound w > -e leaves D fewer than e factors q
+            den = min(den, max(-w, 0) // e)
+        else:
+            den_open = True
+    if num > least or (den_open and den):  # num is inf where no w is exact
+        return None
+    return num - den
+
+
+def _digit_verdict(readings, k: int) -> CongruenceResult | None:
+    """A slot's verdict from readings [(q, e, precision, x, y)], the two
+    sides' triples x and y at each prime factor q^e of p, or None where they
+    cannot decide: a side not shown p-integral, whose exact value NotPIntegral
+    must name, or a count of p in lhs - rhs that the digits leave open, as
+    they do for equal sides."""
+    depths, lhs_integral, rhs_integral = [], False, False
+    for q, e, precision, x, y in readings:
+        if x is None:
+            return None
+        lhs_integral = lhs_integral or x[0] > -e or _depth(x, q, precision)[0] > -e
+        rhs_integral = rhs_integral or y[0] > -e or _depth(y, q, precision)[0] > -e
+        v, c, d = y
+        gap = _adic_sum(x, (v, -c, d), q, precision)  # lhs - rhs
+        depths.append((e, *_depth(gap, q, precision)))
+    v = _factored_valuation(depths) if lhs_integral and rhs_integral else None
+    return None if v is None else _valuation_result(v, k)

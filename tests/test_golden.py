@@ -96,11 +96,33 @@ CASES = [
         0,
     ),
     # Every classical statement at odd composite p: the Gamma_p statements
-    # are skipped there, the rational ones decided from reduced Fractions.
+    # are skipped there, the rational ones decided from both sides' digits at
+    # each prime factor of p, or from reduced Fractions where those cannot.
     (
         "golden_padic_composite.jsonl",
         ["padic", "--id", "all", "--p", "9,15,21,25,27,33,35,49"],
         1,
+    ),
+    # The two-slot classical statements at s = 2 and the benchmark's control
+    # moduli, the pool's (d, r) shapes included: two runs, as
+    # golden_padic_s2.jsonl.  Written while composite p was decided from
+    # exact sides reduced to Fractions only.
+    (
+        "golden_padic_composite_s2.jsonl",
+        (
+            ["padic", "--id", "COR_5_E,COR_5_G,COR_5_H", "--p", "9,15,21,25,27,33,35", "--s", "2",
+             "--d", "3,4,5", "--r", "1,-1,2,-2,3,-3,4"],
+            ["padic", "--id", "COR_1_4,COR_1_5,COR_1_6", "--p", "9,15,21,25,27,33,35", "--s", "2"],
+        ),
+        1,
+    ),
+    # COR_5_H at (d, r) = (3, -1), s = 3, whose sides agree to more than
+    # k + 6 digits (v_p(lhs - rhs) is 14 or 15 against k = 8).  Written while
+    # such a slot was rebuilt from exact pairs, 14 s at p = 31.
+    (
+        "golden_padic_cliff.jsonl",
+        ["padic", "--id", "COR_5_H", "--p", "7,13,19,31", "--s", "3", "--d", "3", "--r=-1"],
+        0,
     ),
     # The skip reasons of the cubic and degree-d families, each strengthened
     # statement beside its general one, over grids that cross every side

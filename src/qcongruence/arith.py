@@ -4,10 +4,8 @@ Rationals are `fractions.Fraction` (exported as BigRat); everything in the
 package that says "exact rational" means this type.  A p-adic integer known
 to N digits is a plain int residue modulo p^N (residue_of_rational).
 
-binary_split is the one exact summation kernel of the package: padic sums
-classical series and closed forms over the integers with it where their
-digits cannot decide (see padic), and qseries sums q-series over
-polynomials in q.
+binary_split is the exact summation kernel of qseries, which sums q-series
+over polynomials in q with it.
 """
 
 from __future__ import annotations

@@ -36,10 +36,10 @@ exact unless the sides agree to all their digits there, gives the count of
 p in it (_factored_valuation).  A slot those digits cannot decide (sides
 that agree that far, or a side not shown p-integral, which NotPIntegral
 must then name) is built once more at twice the digits, and if those
-cannot decide it either, exactly, as an unreduced pair summed by
-arith.binary_split, the kernel that qseries sums its q-series with.  At a
-composite p the exact pairs are reduced to Fractions.  The Gamma_p
-statements need a prime p, which the catalog checks.
+cannot decide it either, by the same loops at R = inf, where a reduction
+modulo q^R leaves a value as it is: the triples are then exact, and so is
+every valuation read from them.  The Gamma_p statements need a prime p,
+which the catalog checks.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, gcd, inf, isqrt
+from math import comb, factorial, gcd, inf, prod
 
-from .arith import BigRat, binary_split, padic_valuation, residue_of_rational
+from .arith import BigRat, padic_valuation, residue_of_rational
 from .congruence import CongruenceResult
 from .errors import NotPIntegral, SideConditionViolated
 
@@ -66,25 +66,15 @@ _GAMMA_QUARTER = ((Fraction(1, 4), 4),)
 _GAMMA_THIRD = ((Fraction(1, 3), 9),)
 
 
-# -- sides: exact pairs, and fixed relative precision at a prime p ----------------
+# -- sides: fixed relative precision, and exact at R = inf ----------------------
 #
 # Every side is a sum or a product over k of rationals made of linear factors
-# in k, and each has two builds.
-#
-# Exact, an unreduced pair (T, Q) standing for T/Q, summed by
-# arith.binary_split.  A hypergeometric sum  sum_{k<=m} a(k) t_k  with t_0 = 1
-# and t_{k+1} = t_k p(k) / q(k)  is binary_split over 0 <= k <= m with the
-# leaves (p(k), q(k), a(k) q(k)); a product prod n_k/d_k is P and Q of the
-# leaves (n_k, d_k, 0), and a plain sum of n_k/d_k is T and Q of the leaves
-# (d_k, d_k, n_k).  The exact pairs decide only the slots that the digits
-# below cannot.
-#
-# At a prime p, fixed relative precision (Caruso, "Computations with p-adic
-# numbers", arXiv:1701.06794); a composite modulus is read at each of its
-# prime factors (see the verdicts).  A value is a triple (v, a, b) standing for
-# p^v a / b, with v an exact integer, b a p-adic unit and a a p-adic integer,
-# a and b known modulo p^R.  The value is then known modulo p^(v+R), and the
-# arithmetic keeps that so, every residue reduced modulo p^R:
+# in k, built at a prime p in fixed relative precision (Caruso, "Computations
+# with p-adic numbers", arXiv:1701.06794); a composite modulus is read at each
+# of its prime factors (see the verdicts).  A value is a triple (v, a, b)
+# standing for p^v a / b, with v an exact integer, b a p-adic unit and a a
+# p-adic integer, a and b known modulo p^R.  The value is then known modulo
+# p^(v+R), and the arithmetic keeps that so, every residue reduced modulo p^R:
 #   product  (v1 + v2, a1 a2, b1 b2), as (a1 + x p^R)(a2 + y p^R) = a1 a2 mod p^R;
 #   power    (e v, a^e, b^e);
 #   sum      (v1, a1 b2 + p^(v2-v1) a2 b1, b1 b2) for v1 <= v2.
@@ -99,83 +89,89 @@ _GAMMA_THIRD = ((Fraction(1, 3), 9),)
 # digits is built at R = n; where its v is negative it is known modulo
 # p^(v+n) only.  A linear factor that vanishes in a numerator makes that
 # term and every later one 0, so a loop stops there.
+#
+# R = inf is the exact build, by the same loops: its modulus (_modulus) is
+# _EXACT, whose reduction leaves a value as it is, so a and b are the exact
+# products and sums, and the triple is the value itself.  The exact build
+# decides only the slots that the digits cannot.
+
+
+class _Exact:
+    """The modulus p^R at R = inf: x % _EXACT is x."""
+
+    __slots__ = ()
+
+    def __rmod__(self, x):
+        return x
+
+
+_EXACT = _Exact()
+
+
+def _modulus(p: int, precision):
+    """p^precision, or _EXACT at precision inf."""
+    return _EXACT if precision == inf else p**precision
 
 
 class _Closed:
-    """A closed form: pair() builds it exactly as an unreduced pair (a, b)
-    standing for a/b, adic(p, R) at a prime p as a triple (v, a, b) modulo p^R.
+    """A closed form: adic(p, R) builds it at a prime p as a triple (v, a, b)
+    modulo p^R, exactly at R = inf.
 
     Sums, products and powers of closed forms and rationals are closed
     forms.  As a left side a closed form is one truncation slot, with no end.
     """
 
-    __slots__ = ("pair", "adic")
+    __slots__ = ("adic",)
     ends = (None,)
 
-    def __init__(self, pair, adic):
-        self.pair, self.adic = pair, adic
+    def __init__(self, adic):
+        self.adic = adic
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [self.pair()]
-
-    def adics(self, p: int, n: int) -> list[tuple[int, int, int]]:
+    def adics(self, p: int, n) -> list[tuple[int, int, int]]:
         """[its triple at R = n]."""
         return [self.adic(p, n)]
 
     def __add__(self, other) -> "_Closed":
         other = _closed(other)
-
-        def pair():
-            (a, b), (c, d) = self.pair(), other.pair()
-            return a * d + c * b, b * d
-
-        def adic(p, precision):
-            return _adic_sum(self.adic(p, precision), other.adic(p, precision), p, precision)
-
-        return _Closed(pair, adic)
+        return _Closed(
+            lambda p, precision: _adic_sum(self.adic(p, precision), other.adic(p, precision), p, precision)
+        )
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "_Closed":
         other = _closed(other)
 
-        def pair():
-            (a, b), (c, d) = self.pair(), other.pair()
-            return a * c, b * d
-
         def adic(p, precision):
             (v, a, b), (w, c, d) = self.adic(p, precision), other.adic(p, precision)
-            modulus = p**precision
+            modulus = _modulus(p, precision)
             return v + w, a * c % modulus, b * d % modulus
 
-        return _Closed(pair, adic)
+        return _Closed(adic)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "_Closed":
-        def pair():
-            a, b = self.pair()
-            return a**e, b**e
-
         def adic(p, precision):
             v, a, b = self.adic(p, precision)
-            modulus = p**precision
-            return v * e, pow(a, e, modulus), pow(b, e, modulus)
+            modulus = _modulus(p, precision)
+            return v * e, a**e % modulus, b**e % modulus
 
-        return _Closed(pair, adic)
+        return _Closed(adic)
 
 
-def _adic_sum(x, y, p: int, precision: int) -> tuple[int, int, int]:
+def _adic_sum(x, y, p: int, precision) -> tuple[int, int, int]:
     """x + y for two triples (v, a, b) at p, to the lesser v's precision."""
     if x[0] > y[0]:
         x, y = y, x
     (v, a, b), (w, c, d) = x, y
-    modulus = p**precision
+    modulus = _modulus(p, precision)
     return v, (a * d + p ** min(w - v, precision) * c * b) % modulus, b * d % modulus
 
 
 def _closed(x) -> _Closed:
-    """x as a closed form; a rational is its reduced pair."""
+    """x as a closed form; a rational is read from its reduced numerator and
+    denominator."""
     if isinstance(x, _Closed):
         return x
     a, b = x.as_integer_ratio()
@@ -184,23 +180,17 @@ def _closed(x) -> _Closed:
         if not a:
             return 0, 0, 1
         (i, u), (j, w) = _split_power(a, p), _split_power(b, p)
-        modulus = p**precision
+        modulus = _modulus(p, precision)
         return i - j, u % modulus, w % modulus
 
-    return _Closed(lambda: (a, b), adic)
+    return _Closed(adic)
 
 
 def _ratio(a: int, b: int, c: int, d: int, length: int) -> _Closed:
     """prod_{i<length} (a + b i) / (c + d i)."""
 
-    def pair():
-        if length <= 0:
-            return 1, 1
-        p, q, _ = binary_split(0, length, lambda i: (a + b * i, c + d * i, 0))
-        return p, q
-
     def adic(p, precision):
-        modulus = p**precision
+        modulus = _modulus(p, precision)
         v, u, w = 0, 1, 1
         for i in range(length):
             num, den = a + b * i, c + d * i
@@ -215,24 +205,14 @@ def _ratio(a: int, b: int, c: int, d: int, length: int) -> _Closed:
             u, w = u * num % modulus, w * den % modulus
         return v, u, w
 
-    return _Closed(pair, adic)
+    return _Closed(adic)
 
 
 def _fraction_sum(lo: int, hi: int, f) -> _Closed:
     """sum n_k/d_k over lo <= k < hi for f(k) = (n_k, d_k)."""
 
-    def leaf(k):
-        n, d = f(k)
-        return d, d, n
-
-    def pair():
-        if hi <= lo:
-            return 0, 1
-        _, q, t = binary_split(lo, hi, leaf)
-        return t, q
-
     def adic(p, precision):
-        modulus = p**precision
+        modulus = _modulus(p, precision)
         v, s, w = 0, 0, 1  # the sum so far, p^v s / w
         for k in range(lo, hi):
             num, den = f(k)
@@ -245,41 +225,11 @@ def _fraction_sum(lo: int, hi: int, f) -> _Closed:
             w = w * den % modulus
         return v, s, w
 
-    return _Closed(pair, adic)
+    return _Closed(adic)
 
 
 def _harmonic(m: int, ell: int) -> _Closed:
     return _fraction_sum(1, m + 1, lambda k: (1, k**ell))
-
-
-def _series_harmonic(lo: int, hi: int, term):
-    """(P, Q, T, G, D, W) over lo <= k < hi, hi > lo, with weight a(k) = 1.
-
-    term(k) = (p(k), q(k), u(k), v(k)) with g(k) = u(k)/v(k).  P, Q and T are
-    those of binary_split; G/D = sum g(k) over the range; and W/(Q D) is the
-    weighted tail sum_k h(k) prod_{lo<=j<k} p(j)/q(j) with
-    h(k) = sum_{lo<=j<=k} g(j).  Two adjacent ranges merge by
-    W = W1 Q2 D2 + P1 (G1 T2 D2 + W2 D1), as in binary_split.
-
-    This is the one recursion beside binary_split.  W needs the running sum
-    G/D at every merge, which binary_split's entries carry only as objects:
-    P a 2x2 matrix acting on (t_k, t_k h_k) and T a vector, whose method
-    calls at every merge cost more than the plain products here.
-    """
-    if hi - lo == 1:
-        p, q, u, v = term(lo)
-        return p, q, q, u, v, q * u
-    mid = (lo + hi) // 2
-    p1, q1, t1, g1, d1, w1 = _series_harmonic(lo, mid, term)
-    p2, q2, t2, g2, d2, w2 = _series_harmonic(mid, hi, term)
-    return (
-        p1 * p2,
-        q1 * q2,
-        t1 * q2 + p1 * t2,
-        g1 * d2 + g2 * d1,
-        d1 * d2,
-        w1 * q2 * d2 + p1 * (g1 * t2 * d2 + w2 * d1),
-    )
 
 
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
@@ -324,7 +274,7 @@ _GAMMA_SERIES: dict[tuple[int, int], tuple] = {}
 
 
 def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % k for k in range(2, isqrt(n) + 1))
+    return _prime_factors(n) == ((n, 1),)
 
 
 def _split_power(n: int, p: int) -> tuple[int, int]:
@@ -440,47 +390,25 @@ class _GammaForm:
     factors: tuple[tuple[Fraction, int], ...]
 
 
-# The verdicts below read each side modulo p^n: an exact side (a rational or
-# an unreduced pair (t, q) standing for t/q) through _digits, a side built in
-# fixed precision as its triple at each prime factor of p (see _verdicts).
-# They read only remainders, so they take no gcd; a Fraction is built only to
-# name a side in NotPIntegral, and at a composite p where the digits cannot
-# decide (_reduced_verdict).
+# The verdicts below read each side as its triple at each prime factor of p,
+# built to a fixed precision or exactly (see _verdicts).  They read only
+# remainders and valuations, so they take no gcd; a Fraction is built only to
+# name a side in NotPIntegral.
 
 # Digits read beyond p^k (e times as many at a prime factor q^e of p): the
 # valuation witness comes from them unless the sides agree to all of them;
 # then the slot is built again at twice the digits, and only where the sides
-# agree to all of those are the exact sides built and compared.  Any count
-# is exact; it only sets how often that happens.  On the benchmark's
-# classical cases (seeds 1-10: 6,580 slots in 3,730 calls at prime p, 290
-# slots in 150 calls at composite p) the first digits decide every slot but
-# the 88 whose sides are equal, all at prime p, which take all three builds.
-# Twice the digits decide COR_5_H at (d, r) = (3, -1) and s = 3, whose sides
-# agree to 14 or 15 digits at k = 8.  Every classical statement at the odd
-# composites 9..63, s = 1 and 2, d <= 6 and r in -4..5 has 1,712 slots:
-# 1,560 are decided by the first digits, 36 by twice as many, and 116, all
-# with equal sides, exactly.
+# agree to all of those is it built exactly.  Any count is exact; it only
+# sets how often that happens.  On the benchmark's classical cases (seeds
+# 1-10: 6,580 slots in 3,730 calls at prime p, 290 slots in 150 calls at
+# composite p) the first digits decide every slot but the 88 whose sides are
+# equal, all at prime p, which take all three builds.  Twice the digits
+# decide COR_5_H at (d, r) = (3, -1) and s = 3, whose sides agree to 14 or 15
+# digits at k = 8.  Every classical statement at the odd composites 9..63,
+# s = 1 and 2, d <= 6 and r in -4..5 has 1,712 slots: 1,560 are decided by
+# the first digits, 36 by twice as many, and 116, all with equal sides,
+# exactly.
 _SPARE_DIGITS = 6
-
-
-def _pair(x) -> tuple[int, int]:
-    """x as (numerator, denominator): a pair as it is, a rational reduced."""
-    return x if isinstance(x, tuple) else Fraction(x).as_integer_ratio()
-
-
-def _digits(side, p: int, n: int) -> int:
-    """An exact side modulo p^n for prime p; NotPIntegral when it is not p-integral.
-
-    With e = v_p(q), t/q = (t/p^e) / (q/p^e) and q/p^e is a unit, so the
-    first n digits of t/q come from t and q modulo p^(e+n).
-    """
-    t, q = _pair(side)
-    e = padic_valuation(q, p)
-    unit, modulus = p**e, p**n
-    rest = t % (unit * modulus)
-    if rest % unit:
-        raise NotPIntegral(f"{Fraction(t, q)} is not p-integral at p = {p}")
-    return rest // unit * pow(q % (unit * modulus) // unit, -1, modulus) % modulus
 
 
 def _valuation_result(v, k: int) -> CongruenceResult:
@@ -490,30 +418,21 @@ def _valuation_result(v, k: int) -> CongruenceResult:
 
 
 def rational_congruent(lhs, rhs: BigRat, p: int, k: int) -> CongruenceResult:
-    """Verified iff lhs == rhs modulo p**k, both sides p-integral.
+    """Verified iff lhs == rhs modulo p**k, both sides p-integral, for an odd p.
 
-    At prime p, v_p(lhs - rhs) is read from both sides' first
-    k + _SPARE_DIGITS digits; only sides that agree to all of them are
-    cross-multiplied, to tell equality from a valuation that high.
+    lhs is a rational or a pair (t, q) standing for t/q.  The verdict is
+    verify_classical's on the two sides as closed forms.
     """
-    if not _is_prime(p):
-        return _reduced_verdict(Fraction(*_pair(lhs)), Fraction(*_pair(rhs)), p, k)
-    n = k + _SPARE_DIGITS
-    gap = (_digits(lhs, p, n) - _digits(rhs, p, n)) % p**n
-    if gap:
-        return _valuation_result(padic_valuation(gap, p), k)
-    (t, q), (a, b) = _pair(lhs), _pair(rhs)
-    return _valuation_result(padic_valuation(t * b - a * q, p) - padic_valuation(q * b, p), k)
-
-
-def _gamma_congruent(lhs, form: _GammaForm, p: int, k: int) -> CongruenceResult:
-    """Verified iff the exact lhs == p^j * coef * prod Gamma_p(arg)^e modulo
-    p**k, for prime p and j < k."""
-    return _gamma_verdict(_digits(lhs, p, k), form, p, k)
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
+    lhs = Fraction(*lhs) if isinstance(lhs, tuple) else lhs
+    (result,) = verify_classical(p, k, _closed(lhs), rhs, _Closed.ends)
+    return result
 
 
 def _gamma_verdict(x: int, form: _GammaForm, p: int, k: int) -> CongruenceResult:
-    """_gamma_congruent from x, lhs modulo p^k: its residue p^-j lhs modulo
+    """Verified iff lhs == p^j * coef * prod Gamma_p(arg)^e modulo p**k, for
+    prime p and j < k, from x, lhs modulo p^k: its residue p^-j lhs modulo
     p^(k-j) is x / p^j."""
     j = form.val_offset
     if x % p**j:  # v_p(lhs) < j
@@ -546,25 +465,6 @@ def _residue_result(lhs_res: int, rhs_res: int, p: int, k: int, j: int) -> Congr
             "valuation_offset": j,
         },
     )
-
-
-def _reduced_verdict(lhs: Fraction, rhs: Fraction, p: int, k: int) -> CongruenceResult:
-    """The rational verdict at an odd composite p, which the side conditions
-    of the rational statements still admit.
-
-    There the counts of p in a numerator and a denominator are not additive,
-    so both sides are reduced Fractions and the difference is reduced again
-    before it is counted.  This goes when the side conditions refuse
-    composite p for every statement.
-    """
-    if padic_valuation(lhs, p) < 0:
-        raise NotPIntegral(f"{lhs} is not p-integral at p = {p}")
-    if padic_valuation(rhs, p) < 0:
-        raise NotPIntegral(f"{rhs} is not p-integral at p = {p}")
-    v = padic_valuation(lhs - rhs, p)
-    if v >= k:
-        return CongruenceResult(True, {"valuation": None if lhs == rhs else int(v)})
-    return CongruenceResult(False, {"valuation": int(v), "required": k})
 
 
 # -- truncated classical sums --------------------------------------------------
@@ -614,55 +514,26 @@ class _Truncations:
     def __init__(self, series: _Series, ends: tuple[int, ...]):
         self.series, self.ends = series, ends
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return _truncated_sums(self.series, self.ends)
-
-    def adics(self, p: int, n: int) -> list[tuple[int, int, int] | None]:
-        """One triple (0, x, 1) per slot for its sum x modulo p^n, or None where
-        _series_residues leaves the slot to the exact sums."""
-        return [x if x is None else (0, x, 1) for x in _series_residues(self.series, self.ends, p, n)]
+    def adics(self, p: int, n) -> list[tuple[int, int, int]]:
+        """One triple per slot: its sum at R = n (_series_residues)."""
+        return _series_residues(self.series, self.ends, p, n)
 
 
-def _truncated_sums(series: _Series, ends) -> list[tuple[int, int]]:
-    """[(T, Q)] with T/Q = sum_{0<=k<=m} of the series, one exact pair per m.
-
-    ends holds one end or two that do not decrease.  binary_split sums the
-    range up to the first end, then the rest, and the two merge once
-    without the whole range's P, so each k is evaluated once.
-    """
-
-    def leaf(k):
-        num, den, a = series.term(k)
-        return num, den, a * den
-
-    first, *rest = ends
-    p, q, t = binary_split(0, first + 1, leaf)
-    pairs = [(t, q)]
-    if rest:
-        (second,) = rest
-        if second > first:
-            _, q2, t2 = binary_split(first + 1, second + 1, leaf)
-            t, q = t * q2 + p * t2, q * q2
-        pairs.append((t, q))
-    return pairs
-
-
-def _series_residues(series: _Series, ends, p: int, n: int) -> list[int | None]:
-    """[sum_{0<=k<=m} of the series modulo p^n, one per m in ends] at prime p.
+def _series_residues(series: _Series, ends, p: int, n) -> list[tuple[int, int, int]]:
+    """[(0, s, w) standing for sum_{0<=k<=m} of the series, one per m in ends]
+    at prime p, with s and w modulo p^n, exact at n = inf.
 
     The running term t_k is p^v u / w with v exact and u, w units modulo
     p^n (see the sides' comment), and the sum so far is s / w.  Every term of
     the statements' series, a power of (r/d)_k / k! = (-1)^k binom(-r/d, k)
-    with p not dividing d, is p-integral, so the sum is known modulo p^n and
-    a term with v >= n adds 0.  Where a running term reaches v < 0, which no
-    statement's series does, this slot and the later ones are None: the
-    exact sums decide them.
+    with p not dividing d, which each checker ensures, is p-integral, so
+    v >= 0, the sum is known modulo p^n and a term with v >= n adds 0.
     """
     d, r, power, sign = series.d, series.r, series.power, series.sign
-    modulus = p**n
+    modulus = _modulus(p, n)
     s, u, w, v, scale = 0, 1, 1, 0, 1  # scale = p^v, or 0 once v >= n
     x, y = r, d  # t_{k+1} / t_k = sign (x / y)^power, x = r + dk, y = d(k + 1)
-    residues = []
+    sums = []
     k = 0
     for end in ends:
         while k <= end:
@@ -670,23 +541,20 @@ def _series_residues(series: _Series, ends, p: int, n: int) -> list[int | None]:
             x_unit, y_unit = x, y
             if x % p == 0:
                 if not x:  # t_(k+1) and every later term are 0
-                    s = s * pow(w, -1, modulus) % modulus
-                    return residues + [s] * (len(ends) - len(residues))
+                    return sums + [(0, s % modulus, w)] * (len(ends) - len(sums))
                 e, x_unit = _split_power(x, p)
                 v += power * e
                 scale = p**v if v < n else 0
             if y % p == 0:
                 e, y_unit = _split_power(y, p)
                 v -= power * e
-                if v < 0:
-                    return residues + [None] * (len(ends) - len(residues))
                 scale = p**v if v < n else 0
             y_unit = y_unit**power
             u = sign * x_unit**power * u % modulus
             w, s = w * y_unit % modulus, s * y_unit % modulus
             x, y, k = x + d, y + d, k + 1
-        residues.append(s * pow(w, -1, modulus) % modulus)
-    return residues
+        sums.append((0, s, w))
+    return sums
 
 
 def _harmonic_tail_sum(d: int, r: int, length: int, scale: int, cube: int, term) -> _Closed:
@@ -695,21 +563,10 @@ def _harmonic_tail_sum(d: int, r: int, length: int, scale: int, cube: int, term)
     h_k = sum_{1<=j<=k} (1/(dj)^2 + 1/(dj-d+r)^2).
     """
 
-    def with_g(k):
-        p, q = term(k)
-        if k == 0:
-            return p, q, 0, 1
-        a, b = (d * k) ** 2, (d * k - d + r) ** 2
-        return p, q, a + b, a * b
-
-    def pair():
-        _, q, t, _, den, w = _series_harmonic(0, length + 1, with_g)
-        return scale * t * den - cube * w, q * den
-
     def adic(p, precision):
         # t_k = p^v u / w, h_k = p^vh g / e and the sum so far p^vs s / (w e),
         # each as in the sides' comment.
-        modulus = p**precision
+        modulus = _modulus(p, precision)
         (i, scale_unit), (j, cube_unit) = _split_power(scale, p), _split_power(cube, p)
         v, u, w = 0, 1, 1
         vh, g, e = 0, 0, 1
@@ -743,7 +600,7 @@ def _harmonic_tail_sum(d: int, r: int, length: int, scale: int, cube: int, term)
             u, w, s = u * num % modulus, w * den % modulus, s * den % modulus
         return vs, s, w * e % modulus
 
-    return _Closed(pair, adic)
+    return _Closed(adic)
 
 
 def _inner_double(d: int, r: int, length: int, scale: int, cube: int) -> _Closed:
@@ -932,13 +789,13 @@ def verify_classical(p: int, k: int, lhs, rhs, ends) -> list[CongruenceResult]:
     caller's: a _GammaForm rhs needs a prime p.  The slots are decided from
     their first n = k + _SPARE_DIGITS digits at each prime factor of p; a
     slot those leave undecided is built again at 2n digits, and one that is
-    still undecided exactly.
+    still undecided exactly, at R = inf.
     """
     n = k + _SPARE_DIGITS
     if isinstance(lhs, _Truncations):
         lhs = _Truncations(lhs.series, tuple(ends))
     results = _verdicts(lhs, rhs, p, k, n)
-    for digits in (2 * n, None):
+    for digits in (2 * n, inf):
         undecided = [i for i, result in enumerate(results) if result is None]
         if not undecided:
             break
@@ -949,23 +806,18 @@ def verify_classical(p: int, k: int, lhs, rhs, ends) -> list[CongruenceResult]:
     return results
 
 
-def _verdicts(lhs, rhs, p: int, k: int, digits: int | None) -> list[CongruenceResult | None]:
+def _verdicts(lhs, rhs, p: int, k: int, digits) -> list[CongruenceResult | None]:
     """One verdict per slot of lhs (_Truncations or _Closed) against rhs.
 
-    With digits = n this is the one place that picks the precision: at each
-    prime factor q^e of p each side is built as its first e n digits at q
-    (k of them at a prime p against a Gamma_p product, which reads no more),
-    and a slot is None where they cannot decide (_digit_verdict).  With None
-    the sides are built exactly.
+    This is the one place that picks the precision: at each prime factor q^e
+    of p each side is built as its first e * digits digits at q (k of them
+    at a prime p against a Gamma_p product, which reads no more), exactly
+    where digits is inf, and a slot is None where they cannot decide
+    (_digit_verdict).  Exact sides decide every slot.
     """
-    if digits is None:
-        sides = lhs.pairs()
-        if isinstance(rhs, _GammaForm):
-            return [_gamma_congruent(side, rhs, p, k) for side in sides]
-        (rhs,) = _closed(rhs).pairs()
-        return [rational_congruent(side, rhs, p, k) for side in sides]
     if isinstance(rhs, _GammaForm):
-        residues = [_residue(x, p, k) for x in lhs.adics(p, k)]
+        precision = k if digits < inf else inf
+        residues = [_residue(x, p, k, precision) for x in lhs.adics(p, precision)]
         return [x if x is None else _gamma_verdict(x, rhs, p, k) for x in residues]
     rhs = _closed(rhs)
     readings = [[] for _ in lhs.ends]
@@ -1000,21 +852,34 @@ def _prime_factors(p: int) -> tuple[tuple[int, int], ...]:
     return factors + ((p, 1),) if p > 1 else factors
 
 
-def _residue(x, p: int, n: int) -> int | None:
-    """A triple's value modulo p^n, or None where it is not known so far: no
-    triple, or v < 0, which leaves it known modulo p^(v+n) only."""
-    if x is None or x[0] < 0:
-        return None
+def _residue(x, p: int, n: int, precision) -> int | None:
+    """The triple x built at R = precision, modulo p^n; None where v < 0
+    leaves it known modulo p^(v+R) only.  An exact triple (R = inf) is
+    p-integral there or raises NotPIntegral."""
     v, a, b = x
+    if v < 0:
+        if precision < inf:
+            return None
+        if _depth(x, p, precision)[0] < 0:
+            raise _not_p_integral(x, p, p)
+        v, a = 0, a // p**-v
     modulus = p**n
     return a * p**v * pow(b, -1, modulus) % modulus
 
 
-def _depth(x, q: int, precision: int) -> tuple[int, bool]:
+def _not_p_integral(x, q: int, p: int) -> NotPIntegral:
+    """NotPIntegral naming the reduced value of the exact triple x at q."""
+    v, a, b = x
+    value = Fraction(a * q**v, b) if v >= 0 else Fraction(a, b * q**-v)
+    return NotPIntegral(f"{value} is not p-integral at p = {p}")
+
+
+def _depth(x, q: int, precision) -> tuple[int, bool]:
     """(w, exact): w = v_q of the triple x = (v, a, b) with a known modulo
-    q^precision, exact where a is nonzero there, else only a lower bound."""
+    q^precision, exact where a is nonzero there or precision is inf, else
+    only a lower bound."""
     v, a, _ = x
-    return (v + padic_valuation(a, q), True) if a else (v + precision, False)
+    return (v + padic_valuation(a, q), True) if a else (v + precision, precision == inf)
 
 
 def _factored_valuation(depths) -> int | None:
@@ -1024,7 +889,7 @@ def _factored_valuation(depths) -> int | None:
     num = least = den = inf  # min floor(w+/e): exact, and a lower bound; min floor(w-/e)
     den_open = False
     for e, w, exact in depths:
-        count = max(w, 0) // e
+        count = max(w, 0) // e if w < inf else inf  # inf // e is nan
         least = min(least, count)
         if exact:
             num = min(num, count)
@@ -1040,17 +905,21 @@ def _factored_valuation(depths) -> int | None:
 def _digit_verdict(readings, k: int) -> CongruenceResult | None:
     """A slot's verdict from readings [(q, e, precision, x, y)], the two
     sides' triples x and y at each prime factor q^e of p, or None where they
-    cannot decide: a side not shown p-integral, whose exact value NotPIntegral
-    must name, or a count of p in lhs - rhs that the digits leave open, as
-    they do for equal sides."""
+    cannot decide: a side not shown p-integral, or a count of p in
+    lhs - rhs that the digits leave open, as they do for equal sides.  Exact
+    triples decide: a side that is not p-integral raises NotPIntegral, lhs
+    first, and equal sides read v_p = inf."""
     depths, lhs_integral, rhs_integral = [], False, False
     for q, e, precision, x, y in readings:
-        if x is None:
-            return None
         lhs_integral = lhs_integral or x[0] > -e or _depth(x, q, precision)[0] > -e
         rhs_integral = rhs_integral or y[0] > -e or _depth(y, q, precision)[0] > -e
         v, c, d = y
         gap = _adic_sum(x, (v, -c, d), q, precision)  # lhs - rhs
         depths.append((e, *_depth(gap, q, precision)))
-    v = _factored_valuation(depths) if lhs_integral and rhs_integral else None
+    if not (lhs_integral and rhs_integral):
+        if precision < inf:
+            return None
+        p = prod(q**e for q, e, *_ in readings)
+        raise _not_p_integral(y if lhs_integral else x, q, p)
+    v = _factored_valuation(depths)
     return None if v is None else _valuation_result(v, k)

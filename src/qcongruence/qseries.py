@@ -11,8 +11,8 @@ q-Chu-Vandermonde truncates.  truncated_sum_prefixes evaluates partial
 sums exactly, and this module does nothing else: closed forms live in
 catalog, and expressions' Pochhammer products in polyring.pochhammer_parts.
 
-A partial sum is summed by binary splitting (arith.binary_split, the kernel
-padic sums classical series with) over a *factored* common denominator:
+A partial sum is summed by binary splitting (arith.binary_split, which only
+this module uses) over a *factored* common denominator:
 polyring.binomial_parts splits every factor 1 - x q^e, numerator and
 denominator alike, into a unit, a q-power and the keys of QFactored,
 cyclotomic indices for coefficients +-1 and monic binomials otherwise, and

@@ -97,7 +97,7 @@ CASES = [
     ),
     # Every classical statement at odd composite p: the Gamma_p statements
     # are skipped there, the rational ones decided from both sides' digits at
-    # each prime factor of p, or from reduced Fractions where those cannot.
+    # each prime factor of p, or from the exact sides where those cannot.
     (
         "golden_padic_composite.jsonl",
         ["padic", "--id", "all", "--p", "9,15,21,25,27,33,35,49"],
@@ -123,6 +123,22 @@ CASES = [
         "golden_padic_cliff.jsonl",
         ["padic", "--id", "COR_5_H", "--p", "7,13,19,31", "--s", "3", "--d", "3", "--r=-1"],
         0,
+    ),
+    # Slots that only an exact build decides: COR_5_E and COR_5_G at d = 1
+    # and 2, whose sides are equal at (d, r) = (1, 1) for every p and at a
+    # few other points, prime and composite p alike (124 records); then
+    # SUN_H2, SUN_H2HALF and SUN_H3 at p = 67..101, where a composite p
+    # leaves a side not p-integral and NotPIntegral names its reduced value
+    # (27 records).  Two runs, as golden_padic_s2.jsonl.  Written while those
+    # slots were decided from exact pairs summed by binary splitting.
+    (
+        "golden_padic_exact.jsonl",
+        (
+            ["padic", "--id", "COR_5_E,COR_5_G", "--p", "3..31", "--s", "1,2", "--d", "1,2",
+             "--r", "1,2,-1"],
+            ["padic", "--id", "SUN_H2,SUN_H2HALF,SUN_H3", "--p", "67..101"],
+        ),
+        1,
     ),
     # The skip reasons of the cubic and degree-d families, each strengthened
     # statement beside its general one, over grids that cross every side

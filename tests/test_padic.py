@@ -4,8 +4,11 @@ run through the catalog's classical statements."""
 import random
 from fractions import Fraction
 from functools import partial
+from math import gcd, inf
 
 import pytest
+
+from classical_oracle import closed_value, series_sum
 
 from qcongruence.arith import padic_valuation, residue_of_rational
 from qcongruence.errors import (
@@ -21,12 +24,10 @@ from qcongruence.padic import (
     _GammaForm,
     _cubic_correction,
     _fifth_alt_series,
-    _gamma_congruent,
     _harmonic,
     _inner_double,
     _inner_double_bare,
     _sixth_series,
-    _truncated_sums,
     bernoulli,
     gamma_p,
     rational_congruent,
@@ -57,13 +58,15 @@ def _takes(stmt, option):
 
 
 def _sum(series, m):
-    """The series summed over 0 <= k <= m, as a Fraction."""
-    return Fraction(*_truncated_sums(series, [m])[0])
+    """The series summed over 0 <= k <= m, from its triple at 13 built at R = inf."""
+    ((_, s, w),) = padic._series_residues(series, (m,), 13, inf)
+    return Fraction(s, w)
 
 
 def _value(closed):
-    """A closed form's exact value."""
-    return Fraction(*closed.pair())
+    """A closed form's exact value, from its triple at 13 built at R = inf."""
+    v, a, b = closed.adic(13, inf)
+    return Fraction(a, b) * Fraction(13) ** v
 
 
 def test_bernoulli_small_values():
@@ -172,6 +175,9 @@ def test_rational_congruent_basics():
     assert rational_congruent((2, 6), Fraction(1, 3) + 27, 9, 1).witness == {"valuation": 1}
     with pytest.raises(NotPIntegral):
         rational_congruent(Fraction(1, 9), 0, 9, 1)
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"^p must be at least 2, got {p}$"):
+            rational_congruent(1, 2, p, 1)
 
 
 def _factor_readings(x, y, p, n):
@@ -193,6 +199,8 @@ def test_factored_valuation_matches_reduced_fractions():
     assert padic_valuation(Fraction(25, 3), 15) == 0
     assert padic._factored_valuation([(1, -1, True), (1, -1, True)]) == -1
     assert padic._prime_factors(225) == ((3, 2), (5, 2)) and padic._prime_factors(61) == ((61, 1),)
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert [n for n in range(-2, 60) if padic._is_prime(n)] == primes
     rng = random.Random(37)
     outcomes = {"open": 0, "bounded": 0, "refused": 0}
     for p in (9, 15, 25, 27, 45, 63, 75, 225):
@@ -221,11 +229,13 @@ def test_factored_valuation_matches_reduced_fractions():
             outcomes["open" if got is None else "bounded"] += any(not exact for _, _, exact in bounded)
     assert min(outcomes.values()) > 50, outcomes
     # The digit verdict at p = 15 on the mixed-sign pair, and its refusal to
-    # decide where a side is not p-integral: the exact path names that side.
+    # decide where a side is not p-integral: the exact triples name that side.
     got = padic._digit_verdict(_factor_readings(Fraction(25, 3), 0, 15, 7), 1)
-    assert got.witness == rational_congruent(Fraction(25, 3), 0, 15, 1).witness == {"valuation": 0, "required": 1}
+    assert got.witness == {"valuation": padic_valuation(Fraction(25, 3), 15), "required": 1}
     assert padic._digit_verdict(_factor_readings(Fraction(1, 15), 0, 15, 7), 1) is None
-    with pytest.raises(NotPIntegral):
+    with pytest.raises(NotPIntegral, match="^1/15 is not p-integral at p = 15$"):
+        padic._digit_verdict(_factor_readings(Fraction(1, 15), 0, 15, inf), 1)
+    with pytest.raises(NotPIntegral, match="^1/15 is not p-integral at p = 15$"):
         rational_congruent(Fraction(1, 15), 0, 15, 1)
 
 
@@ -233,7 +243,8 @@ def test_digit_verdicts_at_composite_p_match_reduced_verdicts():
     # Rationals x and y = x + c p^j at composite p, read to n digits at each
     # prime factor: where the digits decide, they decide as the reduced
     # Fractions do, and they never decide equal sides or a side that is not
-    # p-integral.
+    # p-integral.  Read exactly (R = inf), they decide every pair, and name
+    # the first side that is not p-integral.
     rng = random.Random(3701)
     decided = undecided = 0
     for _ in range(600):
@@ -242,15 +253,21 @@ def test_digit_verdicts_at_composite_p_match_reduced_verdicts():
         x = Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4))
         y = x + Fraction(rng.randrange(4), rng.randrange(1, 100)) * Fraction(p) ** rng.randrange(-1, 8)
         got = padic._digit_verdict(_factor_readings(x, y, p, n), k)
-        try:
-            want = rational_congruent(x, y, p, k)
-        except NotPIntegral:
+        refused = [side for side in (x, y) if padic_valuation(side, p) < 0]
+        if refused:
             assert got is None, (x, y, p)
+            with pytest.raises(NotPIntegral) as info:
+                padic._digit_verdict(_factor_readings(x, y, p, inf), k)
+            assert str(info.value) == f"{refused[0]} is not p-integral at p = {p}"
             continue
+        v = padic_valuation(x - y, p)
+        want = {"valuation": None if x == y else v} if v >= k else {"valuation": v, "required": k}
+        exact = padic._digit_verdict(_factor_readings(x, y, p, inf), k)
+        assert (exact.verified, exact.witness) == (v >= k, want), (x, y, p, k)
         if got is None:
             undecided += 1
             continue
-        assert x != y and (got.verified, got.witness) == (want.verified, want.witness), (x, y, p, k, n)
+        assert x != y and (got.verified, got.witness) == (v >= k, want), (x, y, p, k, n)
         decided += 1
     assert decided > 200 and undecided > 100, (decided, undecided)
 
@@ -355,14 +372,19 @@ def test_gamma_statements_refuse_composite_p():
 
 
 def test_gamma_congruent_negative_control():
-    # Flipping the sign of the Gamma-product coefficient must be detected.
+    # Flipping the sign of the Gamma-product coefficient must be detected,
+    # on the lhs's digits from the oracle and on its exact triple.
     _, closed, form = padic._check_prop_1_7(13, 1)
-    lhs = _value(closed)
-    good = _gamma_congruent(lhs, form, 13, 4)
+    lhs = closed_value(lambda: padic._check_prop_1_7(13, 1))[1]
+    x = residue_of_rational(lhs, 13, 4)
+    good = padic._gamma_verdict(x, form, 13, 4)
     assert good.verified
-    bad = _gamma_congruent(lhs, _GammaForm(0, Fraction(1), form.factors), 13, 4)
+    assert padic._verdicts(closed, form, 13, 4, inf) == [good]
+    flipped = _GammaForm(0, Fraction(1), form.factors)
+    bad = padic._gamma_verdict(x, flipped, 13, 4)
     assert not bad.verified
     assert bad.witness["lhs_residue"] != bad.witness["rhs_residue"]
+    assert padic._verdicts(closed, flipped, 13, 4, inf) == [bad]
 
 
 def test_side_conditions_and_selection():
@@ -707,15 +729,11 @@ def test_m_choice_sums_only_the_selected_slot(monkeypatch):
     # the first slot's range alone.
     passes = {}
 
-    def recording(kernel, name):
-        def spy(series, ends, *args):
-            passes.setdefault(name, []).append(tuple(ends))
-            return kernel(series, ends, *args)
+    def spy(series, ends, p, n, kernel=padic._series_residues):
+        passes.setdefault("exact" if n == inf else "digits", []).append(tuple(ends))
+        return kernel(series, ends, p, n)
 
-        return spy
-
-    monkeypatch.setattr(padic, "_series_residues", recording(padic._series_residues, "digits"))
-    monkeypatch.setattr(padic, "_truncated_sums", recording(padic._truncated_sums, "exact"))
+    monkeypatch.setattr(padic, "_series_residues", spy)
     # The first slots end at (5*41 - 41 + 1)/5 = 33 and (5 - 1)/4 = 1.
     cases = (("COR_5_H", 41, 5, -1, 33, ()), ("COR_5_G", 5, 4, 1, 1, ("first", "both")))
     for stmt, p, d, r, first, equal in cases:
@@ -817,15 +835,16 @@ def _ref_verdict(lhs, rhs, p, k):
 
 
 def _ref_records(stmt_id, p, s=1, d=None, r=None):
-    """_records's records for both slots, each slot summed on its own and
-    reduced; a side that is not p-integral gives the one error record."""
-    k, lhs, rhs = _sides(stmt_id, p, s, d, r)
+    """_records's records for both slots, each side a Fraction from the
+    oracle (each slot summed on its own) and reduced; a side that is not
+    p-integral gives the one error record."""
+    k, lhs, rhs = closed_value(lambda: _sides(stmt_id, p, s, d, r))
     if isinstance(lhs, padic._Truncations):
-        sides = [_sum(lhs.series, end) for end in lhs.ends]
+        # every term of the series is p-integral (_series_residues)
+        assert gcd(lhs.series.d, p) == 1, (stmt_id, p, s, d, r)
+        sides = [series_sum(lhs.series, end) for end in lhs.ends]
     else:
-        sides = [_value(lhs)]
-    if isinstance(rhs, padic._Closed):
-        rhs = _value(rhs)
+        sides = [lhs]
     params = {"p": p, "s": s, "d": d, "r": r} if d is not None else {"p": p, "s": s}
     records = []
     try:
@@ -942,7 +961,7 @@ def test_residue_verdicts_match_exact_verdicts(monkeypatch):
     exact_runs = []
 
     def spy(lhs, rhs, p, k, digits):
-        if digits is None:
+        if digits == inf:
             exact_runs.append(len(reduced))
         return verdicts(lhs, rhs, p, k, digits)
 
@@ -953,7 +972,7 @@ def test_residue_verdicts_match_exact_verdicts(monkeypatch):
     undecided = [i for i, got in enumerate(reduced) if _undecided_by_digits(got)]
     assert exact_runs == undecided
     # from here on every side is built exactly
-    monkeypatch.setattr(padic, "_verdicts", lambda lhs, rhs, p, k, digits: verdicts(lhs, rhs, p, k, None))
+    monkeypatch.setattr(padic, "_verdicts", lambda lhs, rhs, p, k, digits: verdicts(lhs, rhs, p, k, inf))
     assert [_outcome(call) for call in calls] == reduced
     assert sum(isinstance(got, list) and got[0]["status"] != "error" for got in reduced) > 500
     assert sum(isinstance(got, list) and got[0]["params"]["s"] == 3 for got in reduced) > 100
@@ -966,9 +985,13 @@ def test_exact_rerun_builds_only_the_undecided_slot(monkeypatch):
     # sums the ends of the slots whose sides agree to all digits, and no
     # other, so where one slot of two is undecided one slot is built.
     built = []
-    monkeypatch.setattr(
-        padic, "_truncated_sums", lambda series, ends, sums=padic._truncated_sums: built.append(ends) or sums(series, ends)
-    )
+
+    def spy(series, ends, p, n, kernel=padic._series_residues):
+        if n == inf:
+            built.append(ends)
+        return kernel(series, ends, p, n)
+
+    monkeypatch.setattr(padic, "_series_residues", spy)
     one_of_two = 0
     for stmt_id, pt in _all_points(ODD_PRIMES_TO_61, ()):
         built.clear()
@@ -982,20 +1005,34 @@ def test_exact_rerun_builds_only_the_undecided_slot(monkeypatch):
     assert one_of_two > 5
 
 
-def _adic_error(closed, p, precision):
-    """v and v_p(exact - p^v a / b) for closed.adic(p, precision), b a unit."""
+def _adic_error(closed, exact, p, precision):
+    """v and v_p(exact - p^v a / b) for closed.adic(p, precision), b a unit:
+    inf where the triple is the exact value, as it must be at R = inf."""
     v, a, b = closed.adic(p, precision)
-    assert b % p and 0 <= a < p**precision and 0 < b < p**precision
-    gap = Fraction(*closed.pair()) - Fraction(a, b) * Fraction(p) ** v
-    return v, padic_valuation(gap, p)
+    assert b % p, (a, b)
+    if precision < inf:
+        assert 0 <= a < p**precision and 0 < b < p**precision
+    return v, padic_valuation(exact - Fraction(a, b) * Fraction(p) ** v, p)
+
+
+def _assert_series_sums(series, ends, p, n):
+    """The series' triples at R = n and at R = inf against the oracle's sums:
+    each slot's residue modulo p^n, and its exact value."""
+    sums = [series_sum(series, end) for end in ends]
+    got = [padic._residue(x, p, n, n) for x in padic._series_residues(series, ends, p, n)]
+    assert got == [residue_of_rational(x, p, n) for x in sums], (series.d, series.r, p, ends, n)
+    exact = padic._series_residues(series, ends, p, inf)
+    assert [Fraction(a, b) for _, a, b in exact] == sums, (series.d, series.r, p, ends)
 
 
 def test_fixed_precision_sides_match_exact_pairs():
-    # The kernels at prime p against the exact binary_split pairs at seeded
-    # (p, s, d, r, ends).  A truncated series' residues modulo p^n are the
-    # exact sums' digits, at n where terms with v = n - 1 (the last that
-    # count) and v >= n (the first that drop) occur.  A closed form's triple
-    # (v, a, b) at precision R is its exact value modulo p^(v+R); that
+    # The kernels at prime p, at R = n and R = inf, against the oracle's
+    # Fraction evaluation of each side's definition at seeded (p, s, d, r,
+    # ends).  A truncated series' residues modulo p^n are the exact sums'
+    # digits, at n where terms with v = n - 1 (the last that count) and
+    # v >= n (the first that drop) occur, and at R = inf its triples are the
+    # exact sums.  A closed form's triple (v, a, b) at precision R is its
+    # exact value modulo p^(v+R), and at R = inf the exact value; that
     # includes harmonic tails whose terms 1/(dj)^2 with p | dj have negative
     # valuation, and whose v is then negative.
     rng = random.Random(35)
@@ -1010,27 +1047,36 @@ def test_fixed_precision_sides_match_exact_pairs():
         series = (_fifth_alt_series if power == 5 else _sixth_series)(d, r)
         ends = tuple(sorted(rng.sample(range(P), 2)))[: rng.choice((1, 2))]
         n = rng.choice((1, 4, power, power + 1, 2 * power, 2 * power + 1))
-        want = [padic._digits(pair, p, n) for pair in _truncated_sums(series, ends)]
-        assert padic._series_residues(series, ends, p, n) == want, (p, P, d, r, ends, n)
+        _assert_series_sums(series, ends, p, n)
         v = 0  # v_p(t_k) of the running term, k = 0..ends[-1]
         for k in range(ends[-1] + 1):
             term_valuations.add((v - n) if v >= n - 1 else None)
             v += power * (padic_valuation(r + d * k, p) - padic_valuation(d * k + d, p))
         length = rng.randrange(P)
-        for closed in (
-            _inner_double(d, r, length, rng.choice((1, P, d * P)), rng.choice((1, P**3))),
-            _inner_double_bare(d, r, length, 1, rng.choice((1, p, P**3))),
-            _harmonic(rng.randrange(P), rng.choice((1, 2, 3))),
-            padic._ratio(r, d, 2 * r, d, length) ** 2 * padic._ratio(1, 2, 3, 2, length),
-            _cubic_correction(rng.randrange(P)) * P + Fraction(p, 3),
+        scale, cube, bare_cube = rng.choice((1, P, d * P)), rng.choice((1, P**3)), rng.choice((1, p, P**3))
+        harmonic = rng.randrange(P), rng.choice((1, 2, 3))
+        correction = rng.randrange(P)
+        for build in (
+            lambda: _inner_double(d, r, length, scale, cube),
+            lambda: _inner_double_bare(d, r, length, 1, bare_cube),
+            lambda: _harmonic(*harmonic),
+            lambda: padic._ratio(r, d, 2 * r, d, length) ** 2 * padic._ratio(1, 2, 3, 2, length),
+            lambda: _cubic_correction(correction) * P + Fraction(p, 3),
         ):
-            for precision in (1, 3, 9):
-                v, error = _adic_error(closed, p, precision)
+            closed, exact = build(), closed_value(build)
+            for precision in (1, 3, 9, inf):
+                v, error = _adic_error(closed, exact, p, precision)
                 assert error >= v + precision, (p, P, d, r, length, precision)
             depths.add(v)
             # a negative v leaves the residue modulo p^n unknown
-            want = None if v < 0 else padic._digits(closed.pair(), p, n)
-            assert padic._residue(closed.adic(p, n), p, n) == want, (p, P, d, r, length, n)
+            want = None if v < 0 else residue_of_rational(exact, p, n)
+            assert padic._residue(closed.adic(p, n), p, n, n) == want, (p, P, d, r, length, n)
+            # an exact triple gives it where the value is p-integral
+            if padic_valuation(exact, p) >= 0:
+                assert padic._residue(closed.adic(p, inf), p, n, inf) == residue_of_rational(exact, p, n)
+            else:
+                with pytest.raises(NotPIntegral, match=f"^{exact} is not p-integral at p = {p}$"):
+                    padic._residue(closed.adic(p, inf), p, n, inf)
     assert {-1, 0} <= term_valuations  # v = n - 1 and v = n both occur
     assert any(v >= 1 for v in term_valuations if v is not None)
     assert min(depths) <= -4
@@ -1039,21 +1085,21 @@ def test_fixed_precision_sides_match_exact_pairs():
 def test_vanishing_numerator_factor_ends_the_sum():
     # At d = 1 a linear factor of a numerator vanishes: r + dk at k = -r in a
     # series with r <= 0, d - r + dk at k = r - 1 in a harmonic tail.  That
-    # term and every later one are 0, in the kernels as in the exact pairs.
+    # term and every later one are 0, in the kernels as in the oracle.
     for p in (3, 5, 7):
         for r in (-3, -2, -1):
             for series in (_sixth_series(1, r), _fifth_alt_series(1, r)):
                 for ends in ((-r - 1, -r), (-r, p * p - 1)):
-                    want = [padic._digits(pair, p, 8) for pair in _truncated_sums(series, ends)]
-                    assert padic._series_residues(series, ends, p, 8) == want, (p, r, ends)
+                    _assert_series_sums(series, ends, p, 8)
         for r in (1, 2, 3):
-            for closed in (
-                _inner_double(1, r, p * p - r, p * p, p**6),
-                _inner_double_bare(1, r, p * p - r, p * p, p**6),
-                padic._ratio(1 - r, 1, 1, 1, r + 2),
+            for build in (
+                lambda: _inner_double(1, r, p * p - r, p * p, p**6),
+                lambda: _inner_double_bare(1, r, p * p - r, p * p, p**6),
+                lambda: padic._ratio(1 - r, 1, 1, 1, r + 2),
             ):
-                for precision in (1, 4):
-                    v, error = _adic_error(closed, p, precision)
+                closed, exact = build(), closed_value(build)
+                for precision in (1, 4, inf):
+                    v, error = _adic_error(closed, exact, p, precision)
                     assert error >= v + precision, (p, r, precision)
 
 
@@ -1063,12 +1109,10 @@ class _Shifted:
     def __init__(self, side, shift):
         self.side, self.shift, self.ends = side, shift, side.ends
 
-    def pairs(self):
-        return [(t + self.shift * q, q) for t, q in self.side.pairs()]
-
     def adics(self, p, n):
-        # a truncated series' triples (0, x, 1) hold its sums modulo p^n
-        return [(0, (x + self.shift) % p**n, 1) for _, x, _ in self.side.adics(p, n)]
+        # a truncated series' triples (0, s, w) stand for its sums s / w
+        modulus = padic._modulus(p, n)
+        return [(0, (s + self.shift * w) % modulus, w) for _, s, w in self.side.adics(p, n)]
 
 
 def test_prime_negative_control_fails_at_k_minus_one():
@@ -1084,7 +1128,7 @@ def test_prime_negative_control_fails_at_k_minus_one():
             continue
         p = pt["p"]
         side = _Shifted(lhs, (2 + 3 * p) * p ** (k - 1))
-        for digits in (k + padic._SPARE_DIGITS, None):
+        for digits in (k + padic._SPARE_DIGITS, inf):
             for result in padic._verdicts(side, rhs, p, k, digits):
                 assert not result.verified, (stmt_id, pt, digits)
                 assert result.witness == {"valuation": k - 1, "required": k}, (stmt_id, pt, digits)

@@ -1,8 +1,14 @@
-"""Exact integer, rational and p-adic scalar arithmetic.
+"""The integer toolkit: factorisation, valuations, residues and the summation kernel.
 
 Rationals are `fractions.Fraction` (exported as BigRat); everything in the
 package that says "exact rational" means this type.  A p-adic integer known
 to N digits is a plain int residue modulo p^N (residue_of_rational).
+
+prime_factors is the one factorisation (cached (q, e) pairs) and split_power
+the one valuation of an integer (n = p^e u), through which padic_valuation
+reads a rational's.  polyring's Capelli test and cyclotomic forms and padic's
+Gamma_p domain and composite moduli read the factorisation; padic splits
+every linear factor of a classical side with split_power.
 
 binary_split is the exact summation kernel of qseries, which sums q-series
 over polynomials in q with it.
@@ -11,6 +17,7 @@ over polynomials in q with it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import inf
 
 from .errors import NotPIntegral
@@ -21,7 +28,9 @@ __all__ = [
     "BigRat",
     "binary_split",
     "padic_valuation",
+    "prime_factors",
     "residue_of_rational",
+    "split_power",
 ]
 
 
@@ -29,9 +38,7 @@ def padic_valuation(x: BigRat | int, p: int):
     """Exponent of p in x; +infinity iff x == 0.
 
     An int is read as it is; anything else as a Fraction, whose exponent is
-    that of its numerator minus that of its denominator.  Each exponent is
-    found by repeated squaring of p (_exponent), so a large one costs
-    O(log v) big divisions instead of v.
+    that of its numerator minus that of its denominator (split_power).
 
     >>> padic_valuation(Fraction(9, 5), 3)
     2
@@ -43,34 +50,46 @@ def padic_valuation(x: BigRat | int, p: int):
     if x == 0:
         return inf
     if isinstance(x, int):
-        return _exponent(x, p)
+        return split_power(x, p)[0]
     x = Fraction(x)
-    return _exponent(x.numerator, p) - _exponent(x.denominator, p)
+    return split_power(x.numerator, p)[0] - split_power(x.denominator, p)[0]
 
 
-def _exponent(n: int, p: int) -> int:
-    """The largest e with p^e dividing n, for n != 0.
+def split_power(n: int, p: int) -> tuple[int, int]:
+    """(e, u) with n = p^e u and p not dividing u, for n != 0.
 
     Divide by p, p^2, p^4, ... while they divide, then by the same powers
     downwards: the exponent left after the first phase is below the power
-    that failed, so the second phase reads it off bit by bit.
+    that failed, so the second phase reads it off bit by bit, and a large e
+    costs O(log e) big divisions instead of e.
     """
+    if not n:
+        raise ZeroDivisionError("0 has no p-adic valuation")
     powers = []
-    power = p
-    while True:
-        quotient, rest = divmod(n, power)
-        if rest:
-            break
-        n = quotient
-        powers.append(power)
-        power *= power
+    while not n % p:
+        n //= p
+        powers.append(p)
+        p *= p
     e = (1 << len(powers)) - 1
-    for i in range(len(powers) - 1, -1, -1):
-        quotient, rest = divmod(n, powers[i])
-        if not rest:
-            n = quotient
-            e += 1 << i
-    return e
+    while powers:
+        power = powers.pop()
+        if not n % power:
+            n //= power
+            e += 1 << len(powers)
+    return e, n
+
+
+@cache
+def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """((q, e), ...) with n = prod q^e over the primes q dividing n, in
+    increasing q, by trial division; () for n = 1."""
+    factors, q = (), 2
+    while q * q <= n:
+        if n % q == 0:
+            e, n = split_power(n, q)
+            factors += ((q, e),)
+        q += 1
+    return factors + ((n, 1),) if n > 1 else factors
 
 
 def binary_split(lo: int, hi: int, leaf):

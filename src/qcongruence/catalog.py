@@ -189,6 +189,14 @@ def _frac_param(bindings: dict, name: str) -> Fraction:
     return value
 
 
+def _ab_params(bindings: dict) -> tuple[Fraction, Fraction]:
+    """a and b of the parametric templates, whose _omega and _theta divide
+    by (a - b)(1 - ab): refused where that vanishes."""
+    a, b = _frac_param(bindings, "a"), _frac_param(bindings, "b")
+    _require(a != b and a * b != 1, f"a = {a} and b = {b} make (a - b)(1 - ab) vanish")
+    return a, b
+
+
 def _serialize_params(bindings: dict, symbols: tuple[str, ...]) -> dict:
     out = {}
     for key in ("n", "t", "d", "r", "p", "s"):
@@ -412,7 +420,7 @@ def _build_quartic_ab(b: dict, kind: str) -> _Plan:
     """PROP_2_1 and THM_2_2: the parametric quartic sum, modulus by kind."""
     n = _int_param(b, "n")
     _require(n >= 1 and n % 2 == 1, f"n must be a positive odd integer, got {n}")
-    a, bb = _frac_param(b, "a"), _frac_param(b, "b")
+    a, bb = _ab_params(b)
     rhs = _QUARTIC_AB_RHS_1 if n % 4 == 1 else _QUARTIC_AB_RHS_3
     return _Plan(
         build_modulus(kind, n, {"a": a, "b": bb}),
@@ -439,7 +447,7 @@ def _build_cubic_ab(b: dict, t: int, kind: str) -> _Plan:
 
 def _prop_3_1_plan(b: dict, n: int, t: int, kind: str) -> _Plan:
     """The parametric cubic sum at n = t mod 3, modulo kind at t."""
-    a, bb = _frac_param(b, "a"), _frac_param(b, "b")
+    a, bb = _ab_params(b)
     return _Plan(
         build_modulus(kind, n, {"t": t, "a": a, "b": bb}),
         (("first", (t * n - 1) // 3), ("second", n - 1)),
@@ -576,7 +584,7 @@ def _build_thm_5_4(b: dict) -> _Plan:
 
 def _prop_5_3_plan(b: dict, n: int, d: int, r: int, t: int, kind: str) -> _Plan:
     """The parametric degree-d sum in _thm_d_window at t, modulo kind at t."""
-    a, bb, c = _frac_param(b, "a"), _frac_param(b, "b"), _frac_param(b, "c")
+    (a, bb), c = _ab_params(b), _frac_param(b, "c")
     return _Plan(
         build_modulus(kind, n, {"t": t, "a": a, "b": bb}),
         (("first", (t * n - r) // d), ("second", n - 1)),
@@ -589,7 +597,7 @@ def _prop_5_3_plan(b: dict, n: int, d: int, r: int, t: int, kind: str) -> _Plan:
 def _build_thm_5_5(b: dict) -> _Plan:
     n, d, r = _int_param(b, "n"), _int_param(b, "d"), _int_param(b, "r")
     _thm_e_window(n, d, r)
-    a, bb = _frac_param(b, "a"), _frac_param(b, "b")
+    a, bb = _ab_params(b)
     return _Plan(
         build_modulus("QINT_PHI_SPECIALIZED", n, {"t": d - 1, "a": a, "b": bb}),
         (("first", (d * n - n - r) // d), ("second", n - 1)),

@@ -2,7 +2,8 @@
 
 Every failure mode that callers are expected to catch gets its own class so
 that reports can name it; plain ValueError is reserved for programming errors
-(malformed arguments, such as p < 2).
+(malformed arguments, such as p < 2).  A class stays only while some module
+raises it.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ class NotPIntegral(QCongruenceError):
 
 class DivisionByZeroPoly(QCongruenceError):
     """Polynomial or rational-function division by zero."""
-
-
-class ModuliNotCoprime(QCongruenceError):
-    """CRT was attempted on moduli with a common factor."""
 
 
 class DenominatorNotUnit(QCongruenceError):

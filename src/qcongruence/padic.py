@@ -39,24 +39,24 @@ must then name) is built once more at twice the digits, and if those
 cannot decide it either, by the same loops at R = inf, where a reduction
 modulo q^R leaves a value as it is: the triples are then exact, and so is
 every valuation read from them.  The Gamma_p statements need a prime p,
-which the catalog checks.
+which the catalog checks.  The factorisation of p and the split of each
+linear factor into its power of q and a unit are arith's (prime_factors,
+split_power).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb, factorial, gcd, inf, prod
 
-from .arith import BigRat, padic_valuation, residue_of_rational
+from .arith import BigRat, padic_valuation, prime_factors, residue_of_rational, split_power
 from .congruence import CongruenceResult
 from .errors import NotPIntegral, SideConditionViolated
 
 __all__ = [
     "bernoulli",
     "gamma_p",
-    "rational_congruent",
     "verify_classical",
 ]
 
@@ -179,7 +179,7 @@ def _closed(x) -> _Closed:
     def adic(p, precision):
         if not a:
             return 0, 0, 1
-        (i, u), (j, w) = _split_power(a, p), _split_power(b, p)
+        (i, u), (j, w) = split_power(a, p), split_power(b, p)
         modulus = _modulus(p, precision)
         return i - j, u % modulus, w % modulus
 
@@ -197,10 +197,10 @@ def _ratio(a: int, b: int, c: int, d: int, length: int) -> _Closed:
             if num % p == 0:
                 if not num:
                     return 0, 0, 1
-                e, num = _split_power(num, p)
+                e, num = split_power(num, p)
                 v += e
             if den % p == 0:
-                e, den = _split_power(den, p)
+                e, den = split_power(den, p)
                 v -= e
             u, w = u * num % modulus, w * den % modulus
         return v, u, w
@@ -218,7 +218,7 @@ def _fraction_sum(lo: int, hi: int, f) -> _Closed:
             num, den = f(k)
             e = 0
             if den % p == 0:
-                e, den = _split_power(den, p)
+                e, den = split_power(den, p)
                 if v > -e:
                     s, v = s * p ** (v + e) % modulus, -e
             s = (s * den + num * p ** (-e - v) * w) % modulus
@@ -274,22 +274,7 @@ _GAMMA_SERIES: dict[tuple[int, int], tuple] = {}
 
 
 def _is_prime(n: int) -> bool:
-    return _prime_factors(n) == ((n, 1),)
-
-
-def _split_power(n: int, p: int) -> tuple[int, int]:
-    """(e, u) with n = p^e u and p not dividing u, for n != 0.
-
-    n = 0 raises ZeroDivisionError.  The side loops stop at a numerator
-    factor that vanishes, as every later term is 0, and no statement's side
-    conditions let a denominator factor vanish.
-    """
-    if not n:
-        raise ZeroDivisionError("a linear factor of a classical side vanishes")
-    e = 0
-    while n % p == 0:
-        e, n = e + 1, n // p
-    return e, n
+    return prime_factors(n) == ((n, 1),)
 
 
 def _power_sum(i: int, m: int) -> int:
@@ -311,7 +296,7 @@ def _gamma_series(p: int, precision: int) -> tuple:
         exp_coefs = [(1, 1)]
         t, v, unit = 1, 0, 1  # t! = p^v * unit
         while t * (p - 2) + 1 <= (precision - 1) * (p - 1):  # t - (t-1)/(p-1) <= N - 1
-            e, u = _split_power(t, p)
+            e, u = split_power(t, p)
             v, unit = v + e, unit * u
             exp_coefs.append((p**v, pow(unit, -1, modulus)))
             t += 1
@@ -323,7 +308,7 @@ def _gamma_series(p: int, precision: int) -> tuple:
         i, log_floor = 1, 0  # log_floor = floor(log_p i)
         while i - log_floor < work:
             powers = [a * b % mod_w for a, b in zip(powers, inverses)]
-            e, u = _split_power(i, p)
+            e, u = split_power(i, p)
             c = p ** (i - e) * pow(u, -1, mod_w) * sum(powers)
             log_coefs.append((c if i % 2 else -c) % mod_w)
             i += 1
@@ -417,19 +402,6 @@ def _valuation_result(v, k: int) -> CongruenceResult:
     return CongruenceResult(False, {"valuation": int(v), "required": k})
 
 
-def rational_congruent(lhs, rhs: BigRat, p: int, k: int) -> CongruenceResult:
-    """Verified iff lhs == rhs modulo p**k, both sides p-integral, for an odd p.
-
-    lhs is a rational or a pair (t, q) standing for t/q.  The verdict is
-    verify_classical's on the two sides as closed forms.
-    """
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
-    lhs = Fraction(*lhs) if isinstance(lhs, tuple) else lhs
-    (result,) = verify_classical(p, k, _closed(lhs), rhs, _Closed.ends)
-    return result
-
-
 def _gamma_verdict(x: int, form: _GammaForm, p: int, k: int) -> CongruenceResult:
     """Verified iff lhs == p^j * coef * prod Gamma_p(arg)^e modulo p**k, for
     prime p and j < k, from x, lhs modulo p^k: its residue p^-j lhs modulo
@@ -472,20 +444,12 @@ def _residue_result(lhs_res: int, rhs_res: int, p: int, k: int, j: int) -> Congr
 
 class _Series:
     """sum_k sign^k (2dk+r) ((r/d)_k / k!)^power, the one shape of the
-    statements' truncated series.
-
-    term(k) = (p(k), q(k), a(k)) for the sum  sum_k a(k) t_k,  t_0 = 1,
-    t_{k+1} = t_k p(k) / q(k).
-    """
+    statements' truncated series."""
 
     __slots__ = ("d", "r", "power", "sign")
 
     def __init__(self, d: int, r: int, power: int, sign: int):
         self.d, self.r, self.power, self.sign = d, r, power, sign
-
-    def term(self, k: int) -> tuple[int, int, int]:
-        d, r, power = self.d, self.r, self.power
-        return self.sign * (r + d * k) ** power, (d * k + d) ** power, 2 * d * k + r
 
 
 def _sixth_series(d: int, r: int) -> _Series:
@@ -542,11 +506,11 @@ def _series_residues(series: _Series, ends, p: int, n) -> list[tuple[int, int, i
             if x % p == 0:
                 if not x:  # t_(k+1) and every later term are 0
                     return sums + [(0, s % modulus, w)] * (len(ends) - len(sums))
-                e, x_unit = _split_power(x, p)
+                e, x_unit = split_power(x, p)
                 v += power * e
                 scale = p**v if v < n else 0
             if y % p == 0:
-                e, y_unit = _split_power(y, p)
+                e, y_unit = split_power(y, p)
                 v -= power * e
                 scale = p**v if v < n else 0
             y_unit = y_unit**power
@@ -567,7 +531,7 @@ def _harmonic_tail_sum(d: int, r: int, length: int, scale: int, cube: int, term)
         # t_k = p^v u / w, h_k = p^vh g / e and the sum so far p^vs s / (w e),
         # each as in the sides' comment.
         modulus = _modulus(p, precision)
-        (i, scale_unit), (j, cube_unit) = _split_power(scale, p), _split_power(cube, p)
+        (i, scale_unit), (j, cube_unit) = split_power(scale, p), split_power(cube, p)
         v, u, w = 0, 1, 1
         vh, g, e = 0, 0, 1
         vs, s = 0, 0
@@ -577,7 +541,7 @@ def _harmonic_tail_sum(d: int, r: int, length: int, scale: int, cube: int, term)
                 a, b = (d * k) ** 2, (d * k - d + r) ** 2
                 den, c = a * b, 0
                 if den % p == 0:
-                    c, den = _split_power(den, p)
+                    c, den = split_power(den, p)
                     if vh > -c:
                         g, vh = g * p ** (vh + c) % modulus, -c
                         low = min(i, j + vh)
@@ -592,10 +556,10 @@ def _harmonic_tail_sum(d: int, r: int, length: int, scale: int, cube: int, term)
             if num % p == 0:
                 if not num:  # t_(k+1) and every later term are 0
                     break
-                c, num = _split_power(num, p)
+                c, num = split_power(num, p)
                 v += c
             if den % p == 0:
-                c, den = _split_power(den, p)
+                c, den = split_power(den, p)
                 v -= c
             u, w, s = u * num % modulus, w * den % modulus, s * den % modulus
         return vs, s, w * e % modulus
@@ -791,6 +755,8 @@ def verify_classical(p: int, k: int, lhs, rhs, ends) -> list[CongruenceResult]:
     slot those leave undecided is built again at 2n digits, and one that is
     still undecided exactly, at R = inf.
     """
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
     n = k + _SPARE_DIGITS
     if isinstance(lhs, _Truncations):
         lhs = _Truncations(lhs.series, tuple(ends))
@@ -821,7 +787,7 @@ def _verdicts(lhs, rhs, p: int, k: int, digits) -> list[CongruenceResult | None]
         return [x if x is None else _gamma_verdict(x, rhs, p, k) for x in residues]
     rhs = _closed(rhs)
     readings = [[] for _ in lhs.ends]
-    for q, e in _prime_factors(p):
+    for q, e in prime_factors(p):
         precision = e * digits
         y = rhs.adic(q, precision)
         for reading, x in zip(readings, lhs.adics(q, precision)):
@@ -838,18 +804,6 @@ def _verdicts(lhs, rhs, p: int, k: int, digits) -> list[CongruenceResult | None]
 # v_q(D).  A prime p is the one factor, e = 1, where this is w_p.  The count
 # is not additive: 1/3 and 1/5 are 15-integral and their sum 8/15 is not.  A
 # side is p-integral (v_p >= 0) exactly when some w_q > -e.
-
-
-@cache
-def _prime_factors(p: int) -> tuple[tuple[int, int], ...]:
-    """((q, e), ...) with p = prod q^e over the primes q dividing p > 1."""
-    factors, q = (), 2
-    while q * q <= p:
-        if p % q == 0:
-            e, p = _split_power(p, q)
-            factors += ((q, e),)
-        q += 1
-    return factors + ((p, 1),) if p > 1 else factors
 
 
 def _residue(x, p: int, n: int, precision) -> int | None:

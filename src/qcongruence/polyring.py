@@ -48,7 +48,8 @@ long-division loop, which scales the remainder by lc / gcd(lc, top) where
 the leading coefficient does not divide the top one.
 
 Cyclotomic polynomials are built by the binomial passes of their Moebius
-form, Phi_n = prod_{e | n} (q^e - 1)^mu(n/e), and memoized for the life of
+form, Phi_n = prod_{e | n} (q^e - 1)^mu(n/e), over the primes of n from
+arith.prime_factors (as is Capelli's test), and memoized for the life of
 the process (the cache is only ever extended, so concurrent readers are
 safe).
 
@@ -80,7 +81,8 @@ from math import gcd as igcd
 from math import lcm as ilcm
 from operator import neg, sub
 
-from .errors import DivisionByZeroPoly, DenominatorNotUnit, ModuliNotCoprime, NegativeLength
+from .arith import prime_factors
+from .errors import DivisionByZeroPoly, NegativeLength
 
 __all__ = [
     "QFactored",
@@ -88,14 +90,12 @@ __all__ = [
     "QRat",
     "binomial_parts",
     "binomial_reducible",
-    "crt_combine",
     "cyclotomic",
     "cyclotomic_exponents",
     "cyclotomic_form",
     "pochhammer_parts",
     "poly_divrem",
     "poly_gcd",
-    "poly_gcd_ext",
     "poly_product",
     "q_integer",
     "q_integer_form",
@@ -290,9 +290,6 @@ class QPoly:
             return Fraction(self._nums[i], self._den)
         return Fraction(0)
 
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self._den) for c in self._nums)
-
     def trailing_order(self) -> int:
         """Multiplicity of q dividing the polynomial (0 for nonzero constant)."""
         for i, c in enumerate(self._nums):
@@ -346,18 +343,6 @@ class QPoly:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return QPoly._make([c * other for c in self._nums], self._den)
@@ -393,13 +378,6 @@ class QPoly:
         if self.trailing_order() < -k:
             raise ValueError(f"shift by {k} is not exact")
         return QPoly._make(list(self._nums[-k:]), self._den)
-
-    def eval_at(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._nums):
-            acc = acc * x + c
-        return acc / self._den
 
     def monic(self) -> "QPoly":
         if not self._nums:
@@ -568,13 +546,6 @@ def poly_try_div(f: QPoly, g: QPoly, form=None):
     return QPoly._make(quot, f._den * cg)
 
 
-def poly_exact_div(f: QPoly, g: QPoly) -> QPoly:
-    q = poly_try_div(f, g)
-    if q is None:
-        raise DivisionByZeroPoly(f"{g!r} does not divide exactly")
-    return q
-
-
 def poly_product(polys) -> QPoly:
     """Product of the given polynomials by a balanced tree.
 
@@ -718,23 +689,6 @@ def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
     return _gcd_cofactors(f, g)[0]
 
 
-def poly_gcd_ext(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly, QPoly]:
-    """Extended Euclid over Q: returns (monic gcd d, u, v) with u*f + v*g = d."""
-    r0, r1 = f, g
-    s0, s1 = _ONE, _ZERO
-    t0, t1 = _ZERO, _ONE
-    while not r1.is_zero():
-        q, r = poly_divrem(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return _ZERO, _ZERO, _ZERO
-    lead = r0.leading
-    inv = 1 / lead
-    return r0 * inv, s0 * inv, t0 * inv
-
-
 def _divisors(n: int) -> list[int]:
     out = []
     i = 1
@@ -745,20 +699,6 @@ def _divisors(n: int) -> list[int]:
                 out.append(n // i)
         i += 1
     return sorted(out)
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _rational_root(c: Fraction, p: int) -> bool:
@@ -793,7 +733,7 @@ def binomial_reducible(c: Fraction, e: int) -> bool:
     """
     if e % 4 == 0 and _rational_root(-c / 4, 4):
         return True
-    return any(_rational_root(c, p) for p in _prime_factors(e))
+    return any(_rational_root(c, p) for p, _ in prime_factors(e))
 
 
 _CYCLOTOMIC_CACHE: dict[int, QPoly] = {}
@@ -803,7 +743,7 @@ _CYCLOTOMIC_CACHE: dict[int, QPoly] = {}
 def cyclotomic_form(n: int) -> tuple[tuple[int, int], ...]:
     """Binomial form of Phi_n: Phi_n = prod_{e | n} (q^e - 1)^mu(n/e), one
     e per squarefree n/e."""
-    primes = _prime_factors(n)
+    primes = [p for p, _ in prime_factors(n)]
     pairs = []
     for mask in range(1 << len(primes)):
         e, x = n, 1
@@ -998,9 +938,6 @@ class QRat:
             return cls._raw(v, _ONE)
         return cls._raw(QPoly.const(v), _ONE)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __bool__(self):
         return not self.num.is_zero()
 
@@ -1095,12 +1032,6 @@ class QRat:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return QRat._raw(self.num * Fraction(other), self._den, self.form)
@@ -1138,12 +1069,6 @@ class QRat:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, e: int):
         if e == 0:
             return _QRAT_ONE
@@ -1156,12 +1081,6 @@ class QRat:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    def eval_at(self, x) -> Fraction:
-        d = self.den.eval_at(x)
-        if d == 0:
-            raise DivisionByZeroPoly(f"denominator vanishes at q = {x}")
-        return self.num.eval_at(x) / d
 
     def __repr__(self):
         if self.den.is_one():
@@ -1358,7 +1277,7 @@ class QFactored:
         for f in shared:
             g = poly_gcd(poly_divrem(num, f)[1], f)
             if g.degree > 0:
-                num, f = poly_exact_div(num, g), poly_exact_div(f, g)
+                num, f = poly_try_div(num, g), poly_try_div(f, g)
             rest.append(f)
         numerator = _times_keys(num, {d: e for d, e in numer.items() if not isinstance(d, QPoly)})
         if self.c != 1:
@@ -1373,30 +1292,3 @@ class QFactored:
 
 
 _FACTORED_ZERO = QFactored(0)
-
-
-def crt_combine(r1: QRat, m1: QPoly, r2: QRat, m2: QPoly) -> QRat:
-    """The unique residue x mod m1*m2 with x = r1 mod m1 and x = r2 mod m2.
-
-    Moduli must be coprime; residue denominators must be units modulo the
-    product.  The result numerator is degree-reduced modulo m1*m2*den.
-    """
-    r1 = QRat.from_value(r1)
-    r2 = QRat.from_value(r2)
-    if m1.is_zero() or m2.is_zero():
-        raise DivisionByZeroPoly("CRT modulus is zero")
-    g, u, _v = poly_gcd_ext(m1, m2)
-    if g.degree != 0:
-        raise ModuliNotCoprime(f"moduli share factor {g!r}")
-    product = m1 * m2
-    for r in (r1, r2):
-        if not r.den.is_one() and poly_gcd(r.den, product).degree > 0:
-            raise DenominatorNotUnit(f"residue denominator {r.den!r} not a unit")
-    # u*m1 = 1 mod m2 up to the constant g; fold the constant into u.
-    u = u * (1 / g.leading) if g.leading != 1 else u
-    x = r1 + QRat.from_value(m1 * u) * (r2 - r1)
-    bound = product * x.den
-    if x.num.degree >= bound.degree:
-        _, rem = poly_divrem(x.num, bound)
-        x = QRat._raw(rem, x.den) if not rem.is_zero() else _QRAT_ZERO
-    return x

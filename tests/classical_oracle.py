@@ -1,13 +1,14 @@
 """A plain-Fraction oracle for the classical sides.
 
 Each side is evaluated term by term from its definition, with none of
-padic's loops: a truncated series from _Series.term, and a closed form by
-building it with padic's three closed-form kernels (_ratio, _fraction_sum
-and _harmonic_tail_sum) replaced by evaluations of their docstrings below,
-so that every closed form built from them is a Fraction.  Each evaluation
-keeps its sums and products as integer numerators over one running
-denominator, with no p split off and nothing reduced, and reduces once at
-the end.
+padic's loops: a truncated series from its (d, r, power, sign), and a closed
+form by building it with padic's three closed-form kernels (_ratio,
+_fraction_sum and _harmonic_tail_sum) replaced by evaluations of their
+docstrings below, so that every closed form built from them is a Fraction.
+Each evaluation keeps its sums and products as integer numerators over one
+running denominator, with no p split off and nothing reduced, and reduces
+once at the end.  at_one reads a q-side value at q = 1, the q -> 1 image
+that the classical sides are.
 """
 
 from fractions import Fraction
@@ -18,13 +19,20 @@ from qcongruence import padic
 
 
 def series_sum(series, m):
-    """sum_{0<=k<=m} a(k) t_k of a padic._Series, with term(k) = (p(k), q(k), a(k)),
-    t_0 = 1 and t_{k+1} = t_k p(k) / q(k)."""
+    """sum_{0<=k<=m} sign^k (2dk+r) ((r/d)_k / k!)^power of a padic._Series:
+    t_0 = 1 and t_{k+1} = t_k sign ((r + dk) / (d(k+1)))^power."""
+    d, r, power, sign = series.d, series.r, series.power, series.sign
     s, t, w = 0, 1, 1  # t_k = t / w and the sum so far s / w
     for k in range(m + 1):
-        num, den, a = series.term(k)
-        s, t, w = (s + a * t) * den, t * num, w * den
+        num, den = sign * (r + d * k) ** power, (d * k + d) ** power
+        s, t, w = (s + (2 * d * k + r) * t) * den, t * num, w * den
     return Fraction(s, w)
+
+
+def at_one(f):
+    """The value at q = 1 of a QRat, from its coefficients."""
+    num, den = (sum(g.coefficient(i) for i in range(g.degree + 1)) for g in (f.num, f.den))
+    return Fraction(num) / den
 
 
 def _ratio(a, b, c, d, length):

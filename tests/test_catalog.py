@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from classical_oracle import closed_value, series_sum
+from classical_oracle import at_one, closed_value, series_sum
 from qcongruence import catalog, padic
 from qcongruence.congruence import Modulus, build_modulus, congruent, sample_params
 from qcongruence.errors import SideConditionViolated, UnknownKind
@@ -94,6 +94,29 @@ def test_side_conditions_raise():
         catalog.run_statement("THM_D", {"n": 4, "d": 3, "r": 2, "c": Fraction(2)})
     with pytest.raises(UnknownKind):
         catalog.run_statement("GS_16", {"n": 4}, m_policy="alternate")
+
+
+def test_a_b_where_the_templates_divide_by_zero_are_refused():
+    # _omega and _theta divide by (a - b)(1 - ab): at a = b or ab = 1 each
+    # parametric family refuses the point by name, as a side condition, where
+    # it once returned an error record naming DivisionByZeroPoly.
+    points = [
+        ("PROP_2_1", {"n": 13, "a": Fraction(1, 2), "b": Fraction(1, 2)}),
+        ("PROP_2_1", {"n": 13, "a": 2, "b": Fraction(1, 2)}),
+        ("THM_2_2", {"n": 5, "a": Fraction(1, 3), "b": 3}),
+        ("PROP_3_1", {"n": 4, "a": 3, "b": 3}),
+        ("THM_3_3", {"n": 11, "a": Fraction(2, 3), "b": Fraction(2, 3)}),
+        ("PROP_5_3", {"n": 4, "d": 3, "r": 1, "a": 3, "b": 3, "c": 5}),
+        ("THM_5_5", {"n": 2, "d": 3, "r": 1, "a": 3, "b": Fraction(1, 3)}),
+    ]
+    for stmt_id, bindings in points:
+        a, b = Fraction(bindings["a"]), Fraction(bindings["b"])
+        message = rf"^a = {a} and b = {b} make \(a - b\)\(1 - ab\) vanish$"
+        with pytest.raises(SideConditionViolated, match=message):
+            catalog.run_statement(stmt_id, bindings)
+    # One step away from a = 1/b the same family verifies.
+    records = catalog.run_statement("THM_5_5", {"n": 2, "d": 3, "r": 1, "a": 3, "b": Fraction(1, 2)})
+    assert [r.status for r in records] == ["verified", "verified"]
 
 
 def test_classical_delegation():
@@ -344,7 +367,7 @@ _BRIDGE = (
     ids=[f"{case[0]}-{case[2]}" for case in _BRIDGE],
 )
 def test_q_to_one_bridge_right_sides(text, env, closed):
-    assert eval_expr(parse_expr(text), env).eval_at(1) == closed_value(closed)
+    assert at_one(eval_expr(parse_expr(text), env)) == closed_value(closed)
 
 
 @pytest.mark.parametrize("d, r", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2)])
@@ -355,8 +378,8 @@ def test_q_to_one_bridge_sums(d, r):
         sixth, fifth_alt = (
             series_sum(series, m) for series in (padic._sixth_series(d, r), padic._fifth_alt_series(d, r))
         )
-        assert truncated_sum_prefixes(well_poised_spec(d, r), [m])[m].eval_at(1) == sixth
-        assert truncated_sum_prefixes(well_poised_spec(d, r, c=-1), [m])[m].eval_at(1) == fifth_alt
+        assert at_one(truncated_sum_prefixes(well_poised_spec(d, r), [m])[m]) == sixth
+        assert at_one(truncated_sum_prefixes(well_poised_spec(d, r, c=-1), [m])[m]) == fifth_alt
 
 
 def test_catalog_texts_compile_on_first_use_only(monkeypatch):

@@ -8,9 +8,9 @@ from math import gcd, inf
 
 import pytest
 
-from classical_oracle import closed_value, series_sum
+from classical_oracle import at_one, closed_value, series_sum
 
-from qcongruence.arith import padic_valuation, residue_of_rational
+from qcongruence.arith import padic_valuation, prime_factors, residue_of_rational
 from qcongruence.errors import (
     NotPIntegral,
     SideConditionViolated,
@@ -30,7 +30,7 @@ from qcongruence.padic import (
     _sixth_series,
     bernoulli,
     gamma_p,
-    rational_congruent,
+    verify_classical,
 )
 
 PRIMES = (5, 7, 11, 13)
@@ -151,7 +151,7 @@ def test_gamma_precision_consistency():
             assert wide % p**2 == narrow
 
 
-def test_gamma_budget_and_domain():
+def test_gamma_p_at_13_to_the_7_and_its_domain():
     # 13^7 lies past the former precision budget of 10^7; Gamma_p(1/3) is
     # evaluated there like anywhere else (the loop takes a few seconds).
     value = gamma_p(Fraction(1, 3), 13, 7)
@@ -161,29 +161,35 @@ def test_gamma_budget_and_domain():
         gamma_p(Fraction(1, 5), 5, 2)
 
 
+def _rational_verdict(lhs, rhs, p, k):
+    """verify_classical's verdict on lhs == rhs modulo p^k for two rationals."""
+    (result,) = verify_classical(p, k, padic._closed(lhs), rhs, padic._Closed.ends)
+    return result
+
+
 def test_rational_congruent_basics():
-    ok = rational_congruent(Fraction(1, 3), Fraction(1, 3) + 125, 5, 3)
+    ok = _rational_verdict(Fraction(1, 3), Fraction(1, 3) + 125, 5, 3)
     assert ok.verified and ok.witness["valuation"] == 3
-    exact = rational_congruent(Fraction(2, 7), Fraction(2, 7), 5, 3)
+    exact = _rational_verdict(Fraction(2, 7), Fraction(2, 7), 5, 3)
     assert exact.verified and exact.witness["valuation"] is None
-    bad = rational_congruent(1, 2, 5, 1)
+    bad = _rational_verdict(1, 2, 5, 1)
     assert not bad.verified and bad.witness == {"valuation": 0, "required": 1}
     with pytest.raises(NotPIntegral):
-        rational_congruent(Fraction(1, 5), 0, 5, 1)
+        _rational_verdict(Fraction(1, 5), 0, 5, 1)
     # At an odd composite p the sides are reduced before p is counted.
-    assert rational_congruent(Fraction(1, 3), 0, 9, 1).witness == {"valuation": 0, "required": 1}
-    assert rational_congruent((2, 6), Fraction(1, 3) + 27, 9, 1).witness == {"valuation": 1}
+    assert _rational_verdict(Fraction(1, 3), 0, 9, 1).witness == {"valuation": 0, "required": 1}
+    assert _rational_verdict(Fraction(2, 6), Fraction(1, 3) + 27, 9, 1).witness == {"valuation": 1}
     with pytest.raises(NotPIntegral):
-        rational_congruent(Fraction(1, 9), 0, 9, 1)
+        _rational_verdict(Fraction(1, 9), 0, 9, 1)
     for p in (1, 0, -3):
         with pytest.raises(ValueError, match=f"^p must be at least 2, got {p}$"):
-            rational_congruent(1, 2, p, 1)
+            _rational_verdict(1, 2, p, 1)
 
 
 def _factor_readings(x, y, p, n):
     """_digit_verdict's readings of two rationals at n digits per factor q^e of p."""
     readings = []
-    for q, e in padic._prime_factors(p):
+    for q, e in prime_factors(p):
         sides = padic._closed(x).adic(q, e * n), padic._closed(y).adic(q, e * n)
         readings.append((q, e, e * n, *sides))
     return readings
@@ -198,13 +204,13 @@ def test_factored_valuation_matches_reduced_fractions():
     assert padic._factored_valuation([(1, -1, True), (1, 2, True)]) == 0
     assert padic_valuation(Fraction(25, 3), 15) == 0
     assert padic._factored_valuation([(1, -1, True), (1, -1, True)]) == -1
-    assert padic._prime_factors(225) == ((3, 2), (5, 2)) and padic._prime_factors(61) == ((61, 1),)
+    assert prime_factors(225) == ((3, 2), (5, 2)) and prime_factors(61) == ((61, 1),)
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert [n for n in range(-2, 60) if padic._is_prime(n)] == primes
     rng = random.Random(37)
     outcomes = {"open": 0, "bounded": 0, "refused": 0}
     for p in (9, 15, 25, 27, 45, 63, 75, 225):
-        factors = padic._prime_factors(p)
+        factors = prime_factors(p)
 
         def part():
             n = rng.randrange(1, 40)
@@ -236,7 +242,7 @@ def test_factored_valuation_matches_reduced_fractions():
     with pytest.raises(NotPIntegral, match="^1/15 is not p-integral at p = 15$"):
         padic._digit_verdict(_factor_readings(Fraction(1, 15), 0, 15, inf), 1)
     with pytest.raises(NotPIntegral, match="^1/15 is not p-integral at p = 15$"):
-        rational_congruent(Fraction(1, 15), 0, 15, 1)
+        _rational_verdict(Fraction(1, 15), 0, 15, 1)
 
 
 def test_digit_verdicts_at_composite_p_match_reduced_verdicts():
@@ -491,7 +497,7 @@ def test_q_to_one_bridge_matches_classical_sum():
     from qcongruence.qseries import truncated_sum_prefixes, well_poised_spec
 
     lhs = truncated_sum_prefixes(well_poised_spec(3, 1), [1])[1]
-    assert lhs.eval_at(1) == _sum(_CUBIC, 1)
+    assert at_one(lhs) == _sum(_CUBIC, 1)
     assert _sum(_CUBIC, 1) == 1 + 7 * Fraction(1, 3) ** 6
 
 
@@ -667,7 +673,7 @@ def _ref_gamma_residues(p, precision, rs):
 ODD_PRIMES_TO_61 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
-def test_gamma_p_block_product_at_the_budget_edge():
+def test_gamma_p_block_product_at_the_largest_n_with_p_to_the_n_below_10_7():
     # Every odd prime p <= 61 at the largest N with p^N <= 10^7, the former
     # precision budget (N = 14 at p = 3): the boundary residues and 20 seeded
     # random ones.

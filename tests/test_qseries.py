@@ -38,7 +38,7 @@ def reference_poch(arg, step, k):
     """(x; q^step)_k as a product of QRat factors 1 - x q^(step*i)."""
     value = QRat.from_value(1)
     for i in range(k):
-        value = value * (1 - qrat_monomial(arg.coeff, arg.exp + step * i))
+        value = value * (1 + -qrat_monomial(arg.coeff, arg.exp + step * i))
     return value
 
 

@@ -7,7 +7,9 @@ in families; a factored modulus, side conditions, and the truncation choices
 the statement offers.  An entry's kind is its Statement.kind alone.  A
 strengthened statement (THM_3_2, THM_3_3, THM_5_4) checks its own side
 conditions and ends in its general statement's build.
-Classical (q -> 1) entries bind one padic checker each, whose sides
+Classical (q -> 1) entries bind one checker each, here: it tests the
+statement's side conditions, the degree-d windows by its q family's at
+n = p^s, and builds its sides from padic's series and closed forms, which
 padic.verify_classical decides.  Statement ids are stable strings forming
 the CLI contract.
 
@@ -545,13 +547,15 @@ def _build_thm_d(b: dict) -> _Plan:
     )
 
 
-def _thm_e_window(n: int, d: int, r: int):
+def _thm_e_window(n: int, d: int, r: int, label: str = "n"):
+    """r = +-1, d >= 3, n + r >= d, gcd(n, d) = 1 and n = -r mod d, which make
+    (dn - n - r)/d a nonnegative integer; label names n in the messages."""
     _require(r in (1, -1), f"r must be +-1, got {r}")
     _require(d >= 3, f"d must be at least 3, got {d}")
-    _require(n >= 1, f"n must be positive, got {n}")
-    _require(n + r >= d, f"n + r = {n + r} is below d = {d}")
+    _require(n >= 1, f"{label} must be positive, got {n}")
+    _require(n + r >= d, f"{label} + r = {n + r} is below d = {d}")
     _require(gcd(n, d) == 1, f"gcd(n, d) must be 1, got gcd({n}, {d})")
-    _require((n + r) % d == 0, f"n = {n} must be -r mod d = {d}")
+    _require((n + r) % d == 0, f"{label} = {n} must be -r mod d = {d}")
 
 
 def _build_thm_e(b: dict) -> _Plan:
@@ -974,12 +978,26 @@ _register(
 
 # -- classical (q -> 1) statements ----------------------------------------------
 #
-# Each is decided in padic: its checker validates its own side conditions and
-# returns (k, lhs, rhs), and padic.verify_classical gives the verdicts modulo
-# p^k.  The build's checks come in this order, all before a slot is selected,
-# because the first that fails is a skipped record's reason: d and r given
-# exactly when the statement takes them, s and an odd p, the checker's
-# conditions, and a prime p for a Gamma_p right side.
+# Each is the q -> 1 shadow, at n = p^s, of a q statement, decided in padic.
+# _build_classical checks p, s, d and r, then calls the statement's checker,
+# which validates the side conditions left (the degree-d ones by its q
+# family's window at n = p^s) and returns
+#   (modulus exponent k, lhs, rhs)
+# where lhs is either padic._Truncations, one truncated series with an end per
+# truncation slot, of which padic.verify_classical sums only the slots
+# selected, or the single slot's left side as a padic._Closed; rhs is a
+# _Closed, a Fraction (a pure rational congruence) or a padic._GammaForm,
+# admitted only at a prime p, Gamma_p's domain.  Nothing is summed before
+# verify_classical picks the precision.  The checks come in this order, all
+# before a slot is selected, because the first that fails is a skipped
+# record's reason: d and r given exactly when the statement takes them, s and
+# an odd p, the checker's conditions, and a prime p for a Gamma_p right side.
+# Each checker's comment names the slots' ends.
+
+# Gamma_p(1/4)^4 and Gamma_p(1/3)^9, the Gamma_p products of the quartic and
+# cubic statements.
+_GAMMA_QUARTER = ((Fraction(1, 4), 4),)
+_GAMMA_THIRD = ((Fraction(1, 3), 9),)
 
 
 def _build_classical(b: dict, stmt_id: str, checker, takes_s: bool, takes_dr: bool):
@@ -1018,11 +1036,101 @@ def _classical(stmt_id, description, side_doc, checker, desk, takes_s=False, tak
     )
 
 
+def _check_cor_1_4(p: int, s: int):
+    P = p**s
+    rhs = (P if P % 4 == 1 else P**2) * padic._quartic_closed(P)
+    return s + 4, padic._Truncations(padic._QUARTIC, ((P - 1) // 2, P - 1)), rhs  # (p^s-1)/2, p^s-1
+
+
+def _check_cubic(p: int, s: int, t: int, scale: int):
+    """COR_1_5 (t = 1, scale 1) and COR_1_6 (t = 2, scale 10), mod p^(s+3+t)."""
+    P = p**s
+    _require(P % 3 == t, f"p^s must be {t} mod 3, got {P} = {P % 3} mod 3")
+    rhs = scale * P * padic._cubic_closed(P)
+    return s + 3 + t, padic._Truncations(padic._CUBIC, ((t * P - 1) // 3, P - 1)), rhs  # (tp^s-1)/3, p^s-1
+
+
+def _check_prop_1_7(p: int, s: int):
+    _require(p > 5, f"p must exceed 5, got {p}")
+    k, j, coef = (4, 0, Fraction(-1)) if p % 4 == 1 else (3, 1, Fraction(-1, 16))
+    return k, padic._quartic_closed(p), padic._GammaForm(j, coef, _GAMMA_QUARTER)
+
+
+def _check_prop_1_8(p: int, s: int):
+    _require(p != 3, "p = 3 makes 1/3 non-integral")
+    k, j, coef = (4, 0, Fraction(-1)) if p % 6 == 1 else (5, 3, Fraction(-1, 27))
+    return k, padic._cubic_closed(p), padic._GammaForm(j, coef, _GAMMA_THIRD)
+
+
+def _check_vh_a2(p: int, s: int):
+    rhs = padic._GammaForm(1, Fraction(-1), ((Fraction(3, 4), -4),)) if p % 4 == 1 else Fraction(0)
+    return 3, padic._Truncations(padic._QUARTIC, ((p - 1) // 2,)), rhs
+
+
+def _check_vh_d2(p: int, s: int):
+    _require(p % 6 == 1, f"p must be 1 mod 6, got {p}")
+    rhs = padic._GammaForm(1, Fraction(-1), _GAMMA_THIRD)
+    return 4, padic._Truncations(padic._CUBIC, ((p - 1) // 3,)), rhs
+
+
+def _check_liu(p: int, s: int):
+    _require(p > 5 and p % 4 == 3, f"p must be 3 mod 4 and exceed 5, got {p}")
+    rhs = padic._GammaForm(3, Fraction(-1, 16), _GAMMA_QUARTER)
+    return 4, padic._Truncations(padic._QUARTIC, ((p - 1) // 2,)), rhs
+
+
+def _check_lr(p: int, s: int):
+    _require(p != 3, "p = 3 makes 1/3 non-integral")
+    j, coef = (1, Fraction(-1)) if p % 6 == 1 else (4, Fraction(-10, 27))
+    return 6, padic._Truncations(padic._CUBIC, (p - 1,)), padic._GammaForm(j, coef, _GAMMA_THIRD)
+
+
+def _check_cor_5_e(p: int, s: int, d: int, r: int):
+    """THM_D's shadow at c = 1."""
+    P = p**s
+    _thm_d_window(P, d, r, label="p^s")
+    _require(
+        2 * r > 0 or 2 * r % d,
+        f"2r/d = {Fraction(2 * r, d)} is a non-positive integer, so (2r/d)_k vanishes in a denominator",
+    )
+    rhs = padic._double_closed(d, r, P)
+    return s + 4, padic._Truncations(padic._sixth_series(d, r), ((P - r) // d, P - 1)), rhs  # (p^s-r)/d, p^s-1
+
+
+def _check_cor_5_g(p: int, s: int, d: int, r: int):
+    P = p**s
+    _thm_d_window(P, d, r, label="p^s")
+    length = (P - r) // d
+    sign = -1 if ((r - P) // d) % 2 else 1
+    rhs = sign * padic._inner_double_bare(d, r, length, P, P**3)
+    return s + 4, padic._Truncations(padic._fifth_alt_series(d, r), (length, P - 1)), rhs  # (p^s-r)/d, p^s-1
+
+
+def _check_cor_5_h(p: int, s: int, d: int, r: int):
+    """THM_E's shadow."""
+    P = p**s
+    _thm_e_window(P, d, r, label="p^s")
+    rhs = padic._double_closed(d, r, (d - 1) * P)
+    # (dp^s-p^s-r)/d, p^s-1
+    return s + 5, padic._Truncations(padic._sixth_series(d, r), ((d * P - P - r) // d, P - 1)), rhs
+
+
+def _check_sun_h2(p: int, s: int, parts: int, coef: int):
+    """SUN_H2 (parts 1, coef 2) and SUN_H2HALF (parts 2, coef 7)."""
+    _require(p > 3, f"p must exceed 3, got {p}")
+    return 2, padic._harmonic((p - 1) // parts, 2), Fraction(coef * p, 3) * padic.bernoulli(p - 3)
+
+
+def _check_sun_h3(p: int, s: int):
+    _require(p > 5, f"p must exceed 5, got {p}")
+    return 1, padic._harmonic(p // 4, 3), Fraction(-9) * padic.bernoulli(p - 3)
+
+
 _classical(
     "COR_1_4",
     "alternating quartic sum vs harmonic-corrected closed form mod p^(s+4)",
     "p odd prime, s >= 1; branch by p^s mod 4",
-    padic._check_cor_1_4,
+    _check_cor_1_4,
     ({"p": 5, "s": 1}, {"p": 7, "s": 1}, {"p": 11, "s": 1}, {"p": 13, "s": 1}, {"p": 5, "s": 2}),
     takes_s=True,
 )
@@ -1030,7 +1138,7 @@ _classical(
     "COR_1_5",
     "cubic sum vs harmonic-corrected closed form mod p^(s+4)",
     "p odd prime, s >= 1, p^s = 1 mod 3",
-    partial(padic._check_cubic, t=1, scale=1),
+    partial(_check_cubic, t=1, scale=1),
     ({"p": 7, "s": 1}, {"p": 13, "s": 1}),
     takes_s=True,
 )
@@ -1038,7 +1146,7 @@ _classical(
     "COR_1_6",
     "cubic sum vs 10 p^s times a shifted-factorial cube mod p^(s+5)",
     "p odd prime, s >= 1, p^s = 2 mod 3",
-    partial(padic._check_cubic, t=2, scale=10),
+    partial(_check_cubic, t=2, scale=10),
     ({"p": 5, "s": 1}, {"p": 11, "s": 1}),
     takes_s=True,
 )
@@ -1046,42 +1154,42 @@ _classical(
     "PROP_1_7",
     "quartic closed forms vs -Gamma_p(1/4)^4 (mod p^4 resp. p^3)",
     "p > 5 prime; branch by p mod 4",
-    padic._check_prop_1_7,
+    _check_prop_1_7,
     ({"p": 13}, {"p": 17}, {"p": 7}, {"p": 11}),
 )
 _classical(
     "PROP_1_8",
     "cubic closed forms vs -Gamma_p(1/3)^9 (mod p^4 resp. p^5)",
     "p odd prime, p != 3; branch by p mod 6",
-    padic._check_prop_1_8,
+    _check_prop_1_8,
     ({"p": 7}, {"p": 13}, {"p": 5}, {"p": 11}),
 )
 _classical(
     "VH_A2",
     "alternating quartic sum vs -p/Gamma_p(3/4)^4 mod p^3 (0 when p = 3 mod 4)",
     "p odd prime; branch by p mod 4",
-    padic._check_vh_a2,
+    _check_vh_a2,
     ({"p": 5}, {"p": 13}, {"p": 7}, {"p": 11}),
 )
 _classical(
     "VH_D2",
     "cubic sum vs -p Gamma_p(1/3)^9 mod p^4",
     "p prime, p = 1 mod 6",
-    padic._check_vh_d2,
+    _check_vh_d2,
     ({"p": 7}, {"p": 13}),
 )
 _classical(
     "LIU",
     "alternating quartic sum vs -(p^3/16) Gamma_p(1/4)^4 mod p^4",
     "p > 5 prime, p = 3 mod 4",
-    padic._check_liu,
+    _check_liu,
     ({"p": 7}, {"p": 11}),
 )
 _classical(
     "LR",
     "full cubic sum vs Gamma_p(1/3)^9 forms mod p^6, both residue branches",
     "p prime, p != 3; branch by p mod 6",
-    padic._check_lr,
+    _check_lr,
     ({"p": 7}, {"p": 11}, {"p": 13}),
 )
 _classical(
@@ -1089,7 +1197,7 @@ _classical(
     "degree-d sixth-power sum vs double sum with harmonic tails mod p^(s+4)",
     "p odd prime, s >= 1, gcd(p,d) = 1, p^s = r mod d, d+p^s-dp^s <= r <= p^s, "
     "2r/d not a non-positive integer",
-    padic._check_cor_5_e,
+    _check_cor_5_e,
     ({"p": 7, "s": 1, "d": 3, "r": 1}, {"p": 5, "s": 1, "d": 4, "r": 1}),
     takes_s=True,
     takes_dr=True,
@@ -1098,7 +1206,7 @@ _classical(
     "COR_5_G",
     "alternating degree-d fifth-power sum vs signed double sum mod p^(s+4)",
     "p odd prime, s >= 1, gcd(p,d) = 1, p^s = r mod d, d+p^s-dp^s <= r <= p^s",
-    padic._check_cor_5_g,
+    _check_cor_5_g,
     ({"p": 7, "s": 1, "d": 3, "r": 1}, {"p": 5, "s": 1, "d": 4, "r": 1}),
     takes_s=True,
     takes_dr=True,
@@ -1107,7 +1215,7 @@ _classical(
     "COR_5_H",
     "degree-d sixth-power sum vs (d-1)-scaled double sum mod p^(s+5)",
     "p odd prime, s >= 1, r = +-1, d >= 3, gcd(p,d) = 1, p^s = -r mod d, p^s+r >= d",
-    padic._check_cor_5_h,
+    _check_cor_5_h,
     (
         {"p": 5, "s": 1, "d": 3, "r": 1},
         {"p": 7, "s": 1, "d": 3, "r": -1},
@@ -1121,21 +1229,21 @@ _classical(
     "SUN_H2",
     "H_{p-1}^(2) = (2p/3) B_{p-3} mod p^2",
     "p prime, p > 3",
-    partial(padic._check_sun_h2, parts=1, coef=2),
+    partial(_check_sun_h2, parts=1, coef=2),
     ({"p": 5}, {"p": 7}, {"p": 11}, {"p": 13}),
 )
 _classical(
     "SUN_H2HALF",
     "H_{(p-1)/2}^(2) = (7p/3) B_{p-3} mod p^2",
     "p prime, p > 3",
-    partial(padic._check_sun_h2, parts=2, coef=7),
+    partial(_check_sun_h2, parts=2, coef=7),
     ({"p": 5}, {"p": 7}, {"p": 11}, {"p": 13}),
 )
 _classical(
     "SUN_H3",
     "H_{floor(p/4)}^(3) = -9 B_{p-3} mod p",
     "p prime, p > 5",
-    padic._check_sun_h3,
+    _check_sun_h3,
     ({"p": 7}, {"p": 11}, {"p": 13}),
 )
 
@@ -1267,7 +1375,10 @@ def _run_q_trial(
     trial_seed: int,
     timestamps: bool,
 ) -> list[VerificationRecord]:
-    """Sample the statement's free symbols and verify; resample on unlucky draws."""
+    """Sample the statement's free symbols and verify; resample on unlucky
+    draws: a denominator that is not a unit, or a draw refused beside a
+    given value."""
+    given = any(sym in bindings for sym in stmt.symbols)
     last = None
     for attempt in range(_MAX_RESAMPLES):
         sample_seed = trial_seed + attempt * _RESAMPLE_STRIDE
@@ -1276,6 +1387,12 @@ def _run_q_trial(
             return _run_q_once(stmt, merged, m_policy, sample_seed, timestamps, True)
         except DenominatorNotUnit as exc:
             last = exc
+        except SideConditionViolated:
+            # sample_params draws no pair that _ab_params refuses, so only a
+            # draw beside a given a or b can be refused for the draw; a
+            # refusal of the given values recurs at every draw.
+            if not given or attempt == _MAX_RESAMPLES - 1:
+                raise
     return [
         VerificationRecord(
             stmt.stmt_id,

@@ -13,9 +13,9 @@ bounds, exp's after its last term that can be nonzero modulo p^N and L's at
 N plus the digits that exp's division by t! costs, so the cost is O(N^2)
 operations whatever r is.
 
-The catalog registers the classical (q -> 1) statements, each with a
-checker here (COR_1_5 and COR_1_6 share one, as do SUN_H2 and SUN_H2HALF),
-which returns the modulus exponent k and the two sides.  They are pure
+The classical (q -> 1) statements are the catalog's: each one's checker
+there tests its side conditions and returns the modulus exponent k and the
+two sides, built from the series and closed forms here.  They are pure
 rational-number congruences, decided exactly (p-adic Gamma products reduced
 to residues) by the p-adic valuation of the difference, in
 verify_classical.  The sides are truncated sums (a statement with two
@@ -48,23 +48,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, inf, prod
+from math import comb, factorial, inf, prod
 
 from .arith import BigRat, padic_valuation, prime_factors, residue_of_rational, split_power
 from .congruence import CongruenceResult
-from .errors import NotPIntegral, SideConditionViolated
+from .errors import NotPIntegral
 
 __all__ = [
     "bernoulli",
     "gamma_p",
     "verify_classical",
 ]
-
-# Gamma_p(1/4)^4 and Gamma_p(1/3)^9, the Gamma_p products of the quartic and
-# cubic statements.
-_GAMMA_QUARTER = ((Fraction(1, 4), 4),)
-_GAMMA_THIRD = ((Fraction(1, 3), 9),)
-
 
 # -- sides: fixed relative precision, and exact at R = inf ----------------------
 #
@@ -490,8 +484,9 @@ def _series_residues(series: _Series, ends, p: int, n) -> list[tuple[int, int, i
     The running term t_k is p^v u / w with v exact and u, w units modulo
     p^n (see the sides' comment), and the sum so far is s / w.  Every term of
     the statements' series, a power of (r/d)_k / k! = (-1)^k binom(-r/d, k)
-    with p not dividing d, which each checker ensures, is p-integral, so
-    v >= 0, the sum is known modulo p^n and a term with v >= n adds 0.
+    with p not dividing d, which the catalog's checkers ensure, is
+    p-integral, so v >= 0, the sum is known modulo p^n and a term with
+    v >= n adds 0.
     """
     d, r, power, sign = series.d, series.r, series.power, series.sign
     modulus = _modulus(p, n)
@@ -587,25 +582,6 @@ def _inner_double_bare(d: int, r: int, length: int, scale: int, cube: int) -> _C
     )
 
 
-# -- one checker per statement ------------------------------------------------
-#
-# The catalog registers each classical statement with its checker below and
-# checks p, s, d and r before calling it.  Each checker validates the side
-# conditions left, then returns
-#   (modulus exponent k, lhs, rhs)
-# where lhs is either _Truncations, one truncated series with an end per
-# truncation slot, of which verify_classical sums only the slots selected, or
-# the single slot's left side as a _Closed; rhs is a _Closed or a Fraction
-# (pure rational congruence) or a _GammaForm, which the catalog admits only
-# at a prime p, Gamma_p's domain.  Nothing is summed before verify_classical
-# picks the precision.  Each comment names the slots' ends.
-
-
-def _require(cond: bool, message: str):
-    if not cond:
-        raise SideConditionViolated(message)
-
-
 # The closed forms below write each quotient of shifted factorials
 # (a/b)_m / (c/d)_m with b = d as the _ratio prod (a + b i) / (c + b i).
 
@@ -641,112 +617,8 @@ def _double_closed(d: int, r: int, N: int) -> _Closed:
     return _ratio(2 * r, d, d, d, length) * _inner_double(d, r, length, N, N**3)
 
 
-def _check_cor_1_4(p: int, s: int):
-    P = p**s
-    rhs = (P if P % 4 == 1 else P**2) * _quartic_closed(P)
-    return s + 4, _Truncations(_QUARTIC, ((P - 1) // 2, P - 1)), rhs  # (p^s-1)/2, p^s-1
-
-
-def _check_cubic(p: int, s: int, t: int, scale: int):
-    """COR_1_5 (t = 1, scale 1) and COR_1_6 (t = 2, scale 10), mod p^(s+3+t)."""
-    P = p**s
-    _require(P % 3 == t, f"p^s must be {t} mod 3, got {P} = {P % 3} mod 3")
-    rhs = scale * P * _cubic_closed(P)
-    return s + 3 + t, _Truncations(_CUBIC, ((t * P - 1) // 3, P - 1)), rhs  # (tp^s-1)/3, p^s-1
-
-
-def _check_prop_1_7(p: int, s: int):
-    _require(p > 5, f"p must exceed 5, got {p}")
-    k, j, coef = (4, 0, Fraction(-1)) if p % 4 == 1 else (3, 1, Fraction(-1, 16))
-    return k, _quartic_closed(p), _GammaForm(j, coef, _GAMMA_QUARTER)
-
-
-def _check_prop_1_8(p: int, s: int):
-    _require(p != 3, "p = 3 makes 1/3 non-integral")
-    k, j, coef = (4, 0, Fraction(-1)) if p % 6 == 1 else (5, 3, Fraction(-1, 27))
-    return k, _cubic_closed(p), _GammaForm(j, coef, _GAMMA_THIRD)
-
-
-def _check_vh_a2(p: int, s: int):
-    rhs = _GammaForm(1, Fraction(-1), ((Fraction(3, 4), -4),)) if p % 4 == 1 else Fraction(0)
-    return 3, _Truncations(_QUARTIC, ((p - 1) // 2,)), rhs
-
-
-def _check_vh_d2(p: int, s: int):
-    _require(p % 6 == 1, f"p must be 1 mod 6, got {p}")
-    rhs = _GammaForm(1, Fraction(-1), _GAMMA_THIRD)
-    return 4, _Truncations(_CUBIC, ((p - 1) // 3,)), rhs
-
-
-def _check_liu(p: int, s: int):
-    _require(p > 5 and p % 4 == 3, f"p must be 3 mod 4 and exceed 5, got {p}")
-    rhs = _GammaForm(3, Fraction(-1, 16), _GAMMA_QUARTER)
-    return 4, _Truncations(_QUARTIC, ((p - 1) // 2,)), rhs
-
-
-def _check_lr(p: int, s: int):
-    _require(p != 3, "p = 3 makes 1/3 non-integral")
-    j, coef = (1, Fraction(-1)) if p % 6 == 1 else (4, Fraction(-10, 27))
-    return 6, _Truncations(_CUBIC, (p - 1,)), _GammaForm(j, coef, _GAMMA_THIRD)
-
-
-def _require_window(P: int, d: int, r: int):
-    _require(d >= 1, f"d must be positive, got {d}")
-    _require(gcd(P, d) == 1, f"gcd(p, d) must be 1, got d = {d}")
-    _require(
-        d + P - d * P <= r <= P,
-        f"r = {r} outside the window {d + P - d * P}..{P}",
-    )
-    _require(P % d == r % d, f"p^s = {P} and r = {r} disagree mod d = {d}")
-
-
-def _check_cor_5_e(p: int, s: int, d: int, r: int):
-    P = p**s
-    _require_window(P, d, r)
-    _require(
-        2 * r > 0 or 2 * r % d,
-        f"2r/d = {Fraction(2 * r, d)} is a non-positive integer, so (2r/d)_k vanishes in a denominator",
-    )
-    length = (P - r) // d
-    rhs = _double_closed(d, r, P)
-    return s + 4, _Truncations(_sixth_series(d, r), (length, P - 1)), rhs  # (p^s-r)/d, p^s-1
-
-
-def _check_cor_5_g(p: int, s: int, d: int, r: int):
-    P = p**s
-    _require_window(P, d, r)
-    length = (P - r) // d
-    sign = -1 if ((r - P) // d) % 2 else 1
-    rhs = sign * _inner_double_bare(d, r, length, P, P**3)
-    return s + 4, _Truncations(_fifth_alt_series(d, r), (length, P - 1)), rhs  # (p^s-r)/d, p^s-1
-
-
-def _check_cor_5_h(p: int, s: int, d: int, r: int):
-    _require(r in (1, -1), f"r must be +-1, got {r}")
-    P = p**s
-    _require(d >= 3, f"d must be at least 3, got {d}")
-    _require(P + r >= d, f"p^s + r = {P + r} is below d = {d}")
-    _require(gcd(P, d) == 1, f"gcd(p, d) must be 1, got d = {d}")
-    _require((P + r) % d == 0, f"p^s = {P} must be -r mod d = {d}")
-    length = (d * P - P - r) // d
-    rhs = _double_closed(d, r, (d - 1) * P)
-    # (dp^s-p^s-r)/d, p^s-1
-    return s + 5, _Truncations(_sixth_series(d, r), (length, P - 1)), rhs
-
-
-def _check_sun_h2(p: int, s: int, parts: int, coef: int):
-    """SUN_H2 (parts 1, coef 2) and SUN_H2HALF (parts 2, coef 7)."""
-    _require(p > 3, f"p must exceed 3, got {p}")
-    return 2, _harmonic((p - 1) // parts, 2), Fraction(coef * p, 3) * bernoulli(p - 3)
-
-
-def _check_sun_h3(p: int, s: int):
-    _require(p > 5, f"p must exceed 5, got {p}")
-    return 1, _harmonic(p // 4, 3), Fraction(-9) * bernoulli(p - 3)
-
-
 def verify_classical(p: int, k: int, lhs, rhs, ends) -> list[CongruenceResult]:
-    """A checker's lhs against rhs modulo p^k: one verdict per end.
+    """A catalog checker's lhs against rhs modulo p^k: one verdict per end.
 
     ends are the ends of the truncation slots to decide, in the order of
     lhs.ends; a closed left side is its one slot.  Side conditions are the

@@ -49,9 +49,9 @@ the leading coefficient does not divide the top one.
 
 Cyclotomic polynomials are built by the binomial passes of their Moebius
 form, Phi_n = prod_{e | n} (q^e - 1)^mu(n/e), over the primes of n from
-arith.prime_factors (as is Capelli's test), and memoized for the life of
-the process (the cache is only ever extended, so concurrent readers are
-safe).
+arith.prime_factors (which Capelli's test and _divisors, the split of [n]
+and 1 -+ q^e into Phi_d, read too), and memoized for the life of the
+process (the cache is only ever extended, so concurrent readers are safe).
 
 QFactored keeps a rational function as c * q^j * N * prod key^e_key, the
 form closed forms and partial sums are written in.  A key is an index d for
@@ -690,14 +690,10 @@ def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
 
 
 def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
+    """The divisors of n >= 1 in increasing order, read off its factorisation."""
+    out = [1]
+    for q, e in prime_factors(n):
+        out = [d * q**i for d in out for i in range(e + 1)]
     return sorted(out)
 
 

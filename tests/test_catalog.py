@@ -119,6 +119,24 @@ def test_a_b_where_the_templates_divide_by_zero_are_refused():
     assert [r.status for r in records] == ["verified", "verified"]
 
 
+def test_a_draw_refused_beside_a_given_value_is_drawn_again():
+    # With a = 1/2 given, the third trial draws b = 2, which makes 1 - ab
+    # vanish: that draw is made again at the resample stride, as an unlucky
+    # denominator's is, and the batch keeps its three trials.  Given values
+    # that are themselves refused still raise.
+    records = catalog.run_statement("PROP_2_1", {"n": 5, "a": Fraction(1, 2)}, seed=6, trials=3)
+    assert [r.status for r in records] == ["verified"] * 6
+    assert [r.seed for r in records[::2]] == [6, 7, 8 + catalog._RESAMPLE_STRIDE]
+    assert all(r.params["a"] == "1/2" and r.params["b"] != "2" for r in records)
+    for bindings, message in (
+        ({"n": 5, "a": 0}, "parameter 'a' must be nonzero"),
+        ({"n": 4, "a": Fraction(1, 2)}, "n must be a positive odd integer, got 4"),
+    ):
+        with pytest.raises(SideConditionViolated) as info:
+            catalog.run_statement("PROP_2_1", bindings, trials=2)
+        assert str(info.value) == message
+
+
 def test_classical_delegation():
     records = catalog.run_statement("COR_1_4", {"p": 5, "s": 1})
     assert [r.m_choice for r in records] == ["first", "second"]

@@ -380,8 +380,8 @@ def test_gamma_statements_refuse_composite_p():
 def test_gamma_congruent_negative_control():
     # Flipping the sign of the Gamma-product coefficient must be detected,
     # on the lhs's digits from the oracle and on its exact triple.
-    _, closed, form = padic._check_prop_1_7(13, 1)
-    lhs = closed_value(lambda: padic._check_prop_1_7(13, 1))[1]
+    _, closed, form = catalog._check_prop_1_7(13, 1)
+    lhs = closed_value(lambda: catalog._check_prop_1_7(13, 1))[1]
     x = residue_of_rational(lhs, 13, 4)
     good = padic._gamma_verdict(x, form, 13, 4)
     assert good.verified
@@ -413,6 +413,12 @@ def test_side_conditions_and_selection():
         (("LIU", 7), {"d": 3, "r": 1}, "LIU does not take d or r"),
         (("LIU", 4), {"d": 3, "r": 1}, "LIU does not take d or r"),
         (("COR_5_H", 7), {"d": 5, "r": 1}, "p^s = 7 must be -r mod d = 5"),
+        # The degree-d statements' windows are their q families' at n = p^s.
+        (("COR_5_E", 7), {"d": 0, "r": 1}, "n and d must be positive, got n=7, d=0"),
+        (("COR_5_E", 9), {"d": 3, "r": 0}, "gcd(n, d) must be 1, got gcd(9, 3)"),
+        (("COR_5_G", 5), {"s": 2, "d": 5, "r": 0}, "gcd(n, d) must be 1, got gcd(25, 5)"),
+        (("COR_5_H", 15), {"d": 3, "r": -1}, "gcd(n, d) must be 1, got gcd(15, 3)"),
+        (("COR_5_H", 7), {"d": 7, "r": 1}, "gcd(n, d) must be 1, got gcd(7, 7)"),
         (("LIU", 9), {}, "p must be 3 mod 4 and exceed 5, got 9"),
         (("LIU", 15), {}, "p must be an odd prime, got 15"),
         (("SUN_H2", 3), {"m_choice": "second"}, "p must exceed 3, got 3"),
@@ -426,6 +432,38 @@ def test_side_conditions_and_selection():
     assert len(only) == 1 and only[0]["m_choice"] == "second"
     with pytest.raises(UnknownKind):
         _records("COR_1_4", 5, m_choice="nope")
+
+
+def test_degree_d_statements_refuse_where_their_q_windows_do():
+    # COR_5_E and COR_5_G are THM_D's shadow at n = p^s, COR_5_H THM_E's:
+    # each refuses exactly where that window does, with its message, over
+    # every odd p <= 31, s <= 2, d in -1..6 and r in -6..6.  COR_5_E's own
+    # check that 2r/d is not a non-positive integer may refuse beside it.
+    windows = {
+        "COR_5_E": catalog._thm_d_window,
+        "COR_5_G": catalog._thm_d_window,
+        "COR_5_H": catalog._thm_e_window,
+    }
+
+    def refusal(check, *args, **kwargs):
+        try:
+            check(*args, **kwargs)
+        except SideConditionViolated as exc:
+            return str(exc)
+        return None
+
+    for p in range(3, 32, 2):
+        for s in (1, 2):
+            for d in range(-1, 7):
+                for r in range(-6, 7):
+                    for stmt_id, window in windows.items():
+                        want = refusal(window, p**s, d, r, label="p^s")
+                        got = refusal(_sides, stmt_id, p, s, d, r)
+                        extra = stmt_id == "COR_5_E" and want is None and got is not None
+                        if extra:
+                            assert got.startswith("2r/d = "), (stmt_id, p, s, d, r, got)
+                        else:
+                            assert got == want, (stmt_id, p, s, d, r)
 
 
 def test_d_and_r_must_be_integers():

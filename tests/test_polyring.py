@@ -23,6 +23,7 @@ from qcongruence.polyring import (
     poly_try_div,
     q_integer,
 )
+from qcongruence.polyring import _divisors
 
 
 def rand_poly(rng, degree, zero_ok=True):
@@ -626,6 +627,12 @@ def test_qrat_reduction_and_eval():
 def _same(factored, expected: QRat):
     got = factored.to_qrat() if isinstance(factored, QFactored) else factored
     assert (got.num, got.den) == (expected.num, expected.den), (factored, expected)
+
+
+def test_divisors_match_trial_division():
+    # _divisors reads the divisors off arith's cached factorisation.
+    for n in range(1, 2001):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
 
 def test_binomial_parts_of_binomials():

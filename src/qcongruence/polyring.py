@@ -689,12 +689,13 @@ def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
     return _gcd_cofactors(f, g)[0]
 
 
-def _divisors(n: int) -> list[int]:
+@lru_cache(maxsize=1024)
+def _divisors(n: int) -> tuple[int, ...]:
     """The divisors of n >= 1 in increasing order, read off its factorisation."""
     out = [1]
     for q, e in prime_factors(n):
         out = [d * q**i for d in out for i in range(e + 1)]
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def _rational_root(c: Fraction, p: int) -> bool:
@@ -813,7 +814,7 @@ def binomial_parts(c: Fraction, e: int) -> tuple[Fraction, int, tuple]:
         return 1 - c if e == 0 else 1, 0, ()
     f, j = abs(e), max(0, -e)
     if c == 1:
-        return (-1 if e > 0 else 1), j, tuple(_divisors(f))
+        return (-1 if e > 0 else 1), j, _divisors(f)
     if c == -1:
         return 1, j, tuple(d for d in _divisors(2 * f) if f % d)
     # q^f - u/v = (v q^f - u) / v from integer cores, with c' = 1/c for e > 0.

@@ -632,7 +632,7 @@ def _same(factored, expected: QRat):
 def test_divisors_match_trial_division():
     # _divisors reads the divisors off arith's cached factorisation.
     for n in range(1, 2001):
-        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+        assert _divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0), n
 
 
 def test_binomial_parts_of_binomials():

@@ -4,9 +4,10 @@ Each q-side entry binds one left side, a truncated-sum shape (a
 qseries.well_poised_spec) or an expression text; an expression text for its
 right side, built from its family's template where the paper's theorems come
 in families; a factored modulus, side conditions, and the truncation choices
-the statement offers.  An entry's kind is its Statement.kind alone.  A
-strengthened statement (THM_3_2, THM_3_3, THM_5_4) checks its own side
-conditions and ends in its general statement's build.
+the statement offers.  An entry's kind is its Statement.kind alone, and the
+integer parameters it reads are its Statement.axes alone: the runner refuses
+any other.  A strengthened statement (THM_3_2, THM_3_3, THM_5_4) checks its
+own side conditions and ends in its general statement's build.
 Classical (q -> 1) entries bind one checker each, here: it tests the
 statement's side conditions, the degree-d windows by its q family's at
 n = p^s, and builds its sides from padic's series and closed forms, which
@@ -142,6 +143,7 @@ class Statement:
     build: Callable
     symbols: tuple[str, ...] = ()
     desk: tuple[dict, ...] = ()
+    axes: tuple[str, ...] = ("n",)  # the integer parameters it reads, from _AXES
 
 
 STATEMENTS: dict[str, Statement] = {}
@@ -199,9 +201,19 @@ def _ab_params(bindings: dict) -> tuple[Fraction, Fraction]:
     return a, b
 
 
+_AXES = ("n", "t", "d", "r", "p", "s")
+
+
+def _refuse_untaken_axes(stmt: Statement, bindings: dict):
+    """Refuse a given axis that stmt does not read.  s = 1 passes: a statement
+    without s, such as a single-power classical one, is its own s = 1 case."""
+    untaken = [k for k in _AXES if k in bindings and k not in stmt.axes and (k, bindings[k]) != ("s", 1)]
+    _require(not untaken, f"{stmt.stmt_id} does not take {' or '.join(untaken)}")
+
+
 def _serialize_params(bindings: dict, symbols: tuple[str, ...]) -> dict:
     out = {}
-    for key in ("n", "t", "d", "r", "p", "s"):
+    for key in _AXES:
         if key in bindings and bindings[key] is not None:
             out[key] = bindings[key]
     for sym in symbols:
@@ -481,14 +493,8 @@ def _build_nw(b: dict, at_mu: bool) -> _Plan:
 
 
 def _build_nw_23(b: dict) -> _Plan:
-    n = _int_param(b, "n")
-    d = _int_param(b, "d")
-    r = _int_param(b, "r")
-    _require(r in (1, -1), f"r must be +-1, got {r}")
-    _require(n > 1 and d >= 3, f"need n > 1 and d >= 3, got n={n}, d={d}")
-    _require(n >= d - r, f"n = {n} is below d - r = {d - r}")
-    _require(gcd(n, d) == 1, f"gcd(n, d) must be 1, got gcd({n}, {d})")
-    _require((n + r) % d == 0, f"n = {n} must be -r mod d = {d}")
+    n, d, r = _int_param(b, "n"), _int_param(b, "d"), _int_param(b, "r")
+    _thm_e_window(n, d, r)
     a, bb = _frac_param(b, "a"), _frac_param(b, "b")
     return _Plan(
         build_modulus("QINT_PHI_POW", n, {"k": 1}),
@@ -720,6 +726,7 @@ _register(
         "gcd(n, d) = 1; truncation mu solves d*mu = -r mod n",
         "first: M=mu",
         symbols=("a", "b", "c"),
+        axes=("n", "d", "r"),
         build=partial(_build_nw, at_mu=True),
         desk=_NW_DESK,
     )
@@ -733,6 +740,7 @@ _register(
         "gcd(n, d) = 1",
         "first: M=n-1",
         symbols=("a", "b", "c"),
+        axes=("n", "d", "r"),
         build=partial(_build_nw, at_mu=False),
         desk=_NW_DESK,
     )
@@ -745,6 +753,7 @@ _register(
         "t: nonnegative integer",
         "t >= 0",
         "exact equality; no truncation",
+        axes=("t",),
         build=_build_lem_rel,
         desk=tuple({"t": t} for t in (0, 1, 2, 3, 5, 8, 12)),
     )
@@ -794,6 +803,7 @@ _register(
         "n = t mod 3, t in {1, 2}",
         "first: T=(tn-1)/3; second: T=n-1",
         symbols=("a", "b"),
+        axes=("n", "t"),
         build=_build_prop_3_1,
         desk=tuple({"n": n} for n in (2, 4, 5, 7, 8)),
     )
@@ -833,6 +843,7 @@ _register(
         "n >= d - r, gcd(n, d) = 1, n = -r mod d",
         "first: M=(dn-n-r)/d; second: M=n-1",
         symbols=("a", "b"),
+        axes=("n", "d", "r"),
         build=_build_nw_23,
         desk=(
             {"n": 2, "d": 3, "r": 1},
@@ -877,6 +888,7 @@ _register(
         "d + n - dn <= r <= n and n = r mod d",
         "first: M=(n-r)/d; second: M=n-1",
         symbols=("c",),
+        axes=("n", "d", "r"),
         build=_build_thm_d,
         desk=(
             {"n": 1, "d": 3, "r": 1},
@@ -901,6 +913,7 @@ _register(
         "n: positive integer; d >= 3; r = +-1",
         "n + r >= d, gcd(n, d) = 1, n = -r mod d",
         "first: M=(dn-n-r)/d; second: M=n-1",
+        axes=("n", "d", "r"),
         build=_build_thm_e,
         desk=(
             {"n": 2, "d": 3, "r": 1},
@@ -925,6 +938,7 @@ _register(
         "d + tn - dn <= r <= tn and tn = r mod d",
         "first: T=(tn-r)/d; second: T=n-1",
         symbols=("a", "b", "c"),
+        axes=("n", "d", "r", "t"),
         build=_build_prop_5_3,
         desk=(
             {"n": 4, "d": 3, "r": 1, "t": 1},
@@ -946,6 +960,7 @@ _register(
         "d + n - dn <= r <= n and n = r mod d",
         "first: M=(n-r)/d; second: M=n-1",
         symbols=("a", "b", "c"),
+        axes=("n", "d", "r"),
         build=_build_thm_5_4,
         desk=(
             {"n": 4, "d": 3, "r": 1},
@@ -964,6 +979,7 @@ _register(
         "n + r >= d, gcd(n, d) = 1, n = -r mod d",
         "first: M=(dn-n-r)/d; second: M=n-1",
         symbols=("a", "b"),
+        axes=("n", "d", "r"),
         build=_build_thm_5_5,
         desk=(
             {"n": 2, "d": 3, "r": 1},
@@ -990,8 +1006,9 @@ _register(
 # admitted only at a prime p, Gamma_p's domain.  Nothing is summed before
 # verify_classical picks the precision.  The checks come in this order, all
 # before a slot is selected, because the first that fails is a skipped
-# record's reason: d and r given exactly when the statement takes them, s and
-# an odd p, the checker's conditions, and a prime p for a Gamma_p right side.
+# record's reason: no axis the statement does not take (run_statement's), d
+# and r where it takes them, s and an odd p, the checker's conditions, and a
+# prime p for a Gamma_p right side.
 # Each checker's comment names the slots' ends.
 
 # Gamma_p(1/4)^4 and Gamma_p(1/3)^9, the Gamma_p products of the quartic and
@@ -1000,25 +1017,21 @@ _GAMMA_QUARTER = ((Fraction(1, 4), 4),)
 _GAMMA_THIRD = ((Fraction(1, 3), 9),)
 
 
-def _build_classical(b: dict, stmt_id: str, checker, takes_s: bool, takes_dr: bool):
+def _build_classical(b: dict, stmt_id: str, checker, axes: tuple[str, ...]):
     """(params, p, k, lhs, rhs) of a classical statement at (p, s[, d, r])."""
     p, s = _int_param(b, "p"), _int_param(b, "s", 1)
     d, r = b.get("d"), b.get("r")
-    if takes_dr:
+    if "d" in axes:
         _require(d is not None and r is not None, f"{stmt_id} needs both d and r")
         d, r = _int_param(b, "d"), _int_param(b, "r")
-    else:
-        _require(d is None and r is None, f"{stmt_id} does not take d or r")
-    if not takes_s:
-        _require(s == 1, f"{stmt_id} is a single-power statement; s must be 1, got {s}")
     _require(p >= 3 and p % 2 == 1, f"p must be an odd prime, got {p}")
     _require(s >= 1, f"s must be positive, got {s}")
-    k, lhs, rhs = checker(p, s, *((d, r) if takes_dr else ()))
+    k, lhs, rhs = checker(p, s, *((d, r) if "d" in axes else ()))
     _require(not isinstance(rhs, padic._GammaForm) or padic._is_prime(p), f"p must be an odd prime, got {p}")
     return _serialize_params({"p": p, "s": s, "d": d, "r": r}, ()), p, k, lhs, rhs
 
 
-def _classical(stmt_id, description, side_doc, checker, desk, takes_s=False, takes_dr=False):
+def _classical(stmt_id, description, side_doc, checker, desk, axes=("p",)):
     """Register a classical statement whose build runs checker."""
     _register(
         Statement(
@@ -1026,12 +1039,13 @@ def _classical(stmt_id, description, side_doc, checker, desk, takes_s=False, tak
             description,
             "classical",
             "p: odd prime"
-            + ("; s: power >= 1" if takes_s else "")
-            + ("; d, r: degree and offset" if takes_dr else ""),
+            + ("; s: power >= 1" if "s" in axes else "")
+            + ("; d, r: degree and offset" if "d" in axes else ""),
             side_doc,
             "first/second: statement truncation versus full range p^s-1",
-            partial(_build_classical, stmt_id=stmt_id, checker=checker, takes_s=takes_s, takes_dr=takes_dr),
+            partial(_build_classical, stmt_id=stmt_id, checker=checker, axes=axes),
             desk=desk,
+            axes=axes,
         )
     )
 
@@ -1132,7 +1146,7 @@ _classical(
     "p odd prime, s >= 1; branch by p^s mod 4",
     _check_cor_1_4,
     ({"p": 5, "s": 1}, {"p": 7, "s": 1}, {"p": 11, "s": 1}, {"p": 13, "s": 1}, {"p": 5, "s": 2}),
-    takes_s=True,
+    axes=("p", "s"),
 )
 _classical(
     "COR_1_5",
@@ -1140,7 +1154,7 @@ _classical(
     "p odd prime, s >= 1, p^s = 1 mod 3",
     partial(_check_cubic, t=1, scale=1),
     ({"p": 7, "s": 1}, {"p": 13, "s": 1}),
-    takes_s=True,
+    axes=("p", "s"),
 )
 _classical(
     "COR_1_6",
@@ -1148,7 +1162,7 @@ _classical(
     "p odd prime, s >= 1, p^s = 2 mod 3",
     partial(_check_cubic, t=2, scale=10),
     ({"p": 5, "s": 1}, {"p": 11, "s": 1}),
-    takes_s=True,
+    axes=("p", "s"),
 )
 _classical(
     "PROP_1_7",
@@ -1199,8 +1213,7 @@ _classical(
     "2r/d not a non-positive integer",
     _check_cor_5_e,
     ({"p": 7, "s": 1, "d": 3, "r": 1}, {"p": 5, "s": 1, "d": 4, "r": 1}),
-    takes_s=True,
-    takes_dr=True,
+    axes=("p", "s", "d", "r"),
 )
 _classical(
     "COR_5_G",
@@ -1208,8 +1221,7 @@ _classical(
     "p odd prime, s >= 1, gcd(p,d) = 1, p^s = r mod d, d+p^s-dp^s <= r <= p^s",
     _check_cor_5_g,
     ({"p": 7, "s": 1, "d": 3, "r": 1}, {"p": 5, "s": 1, "d": 4, "r": 1}),
-    takes_s=True,
-    takes_dr=True,
+    axes=("p", "s", "d", "r"),
 )
 _classical(
     "COR_5_H",
@@ -1222,8 +1234,7 @@ _classical(
         {"p": 7, "s": 1, "d": 4, "r": 1},
         {"p": 5, "s": 1, "d": 4, "r": -1},
     ),
-    takes_s=True,
-    takes_dr=True,
+    axes=("p", "s", "d", "r"),
 )
 _classical(
     "SUN_H2",
@@ -1278,11 +1289,7 @@ def _bind_symbols(stmt: Statement, bindings: dict, seed: int) -> dict:
     """bindings plus a draw at seed for every free symbol it does not give."""
     n = _int_param(bindings, "n")
     t_scale = bindings.get("t", 1) if isinstance(bindings.get("t", 1), int) else 1
-    sample = sample_params(stmt.symbols, n, t=t_scale, seed=seed)
-    merged = dict(bindings)
-    for sym, value in sample.assignments.items():
-        merged.setdefault(sym, value)
-    return merged
+    return {**sample_params(stmt.symbols, n, t=t_scale, seed=seed).assignments, **bindings}
 
 
 _PARSED: dict[str, Compiled] = {}
@@ -1452,6 +1459,7 @@ def run_statement(
         raise ValueError("trials must be at least 1")
     stmt = get_statement(stmt_id)
     bindings = dict(bindings or {})
+    _refuse_untaken_axes(stmt, bindings)
     if stmt.kind == "classical":
         return _run_classical(stmt, bindings, m_policy, seed, timestamps)
     missing = [sym for sym in stmt.symbols if sym not in bindings]
@@ -1477,6 +1485,7 @@ def instantiate(
         raise UnknownKind(
             f"{stmt_id} is a classical statement; use run_statement instead"
         )
+    _refuse_untaken_axes(stmt, bindings)
     if any(sym not in bindings for sym in stmt.symbols):
         bindings = _bind_symbols(stmt, bindings, seed)
     plan = stmt.build(bindings)

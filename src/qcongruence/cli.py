@@ -165,13 +165,11 @@ def _resolve_ids(spec_text: str, classical_only: bool) -> list[str]:
 
 
 def _cases_for(stmt: catalog.Statement, ranges: dict) -> list[dict]:
+    """The desk cases if no range is given, else the product of the ranges on stmt's axes."""
     if not ranges:
         return [dict(case) for case in stmt.desk]
-    keys = [k for k in RANGE_KEYS if k in ranges]
-    return [
-        dict(zip(keys, combo))
-        for combo in itertools.product(*[ranges[k] for k in keys])
-    ]
+    keys = [k for k in RANGE_KEYS if k in ranges and k in stmt.axes]
+    return [dict(zip(keys, combo)) for combo in itertools.product(*[ranges[k] for k in keys])]
 
 
 def _case_key(case: dict):
@@ -296,20 +294,14 @@ def _cmd_list(args) -> int:
 def _cmd_verify(args, classical_only: bool = False) -> int:
     settings = _settings(args)
     ids = _resolve_ids(settings["ids"], classical_only)
-    tasks = []
-    for stmt_id in ids:
-        stmt = catalog.get_statement(stmt_id)
-        for case in _cases_for(stmt, settings["ranges"]):
-            tasks.append(
-                (
-                    stmt_id,
-                    case,
-                    settings["m_choice"],
-                    settings["seed"],
-                    settings["trials"],
-                    settings["timestamps"],
-                )
-            )
+    stmts = [catalog.get_statement(stmt_id) for stmt_id in ids]
+    for key in settings["ranges"]:
+        if not any(key in stmt.axes for stmt in stmts):
+            raise UsageError(f"no selected statement takes --{key}")
+    options = (settings["m_choice"], settings["seed"], settings["trials"], settings["timestamps"])
+    tasks = [
+        (stmt.stmt_id, case, *options) for stmt in stmts for case in _cases_for(stmt, settings["ranges"])
+    ]
     tasks.sort(key=lambda task: (task[0], _case_key(task[1])))
     records = _run_tasks(tasks, settings["jobs"])
     _emit(records, settings["format"], settings["out"])
@@ -466,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--id", default=None, help="statement id, comma list, or 'all'")
     for key in RANGE_KEYS:
         verify.add_argument(
-            f"--{key}", default=None, help=f"values for {key}: '5', '3..15', or comma list"
+            f"--{key}", default=None, help=f"values for {key}: '5', '3..15', or comma list, for ids taking {key}"
         )
     _add_report_options(verify)
 
@@ -474,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     padic_cmd.add_argument("--id", default=None, help="classical statement id, comma list, or 'all'")
     for key in ("p", "s", "d", "r"):
         padic_cmd.add_argument(
-            f"--{key}", default=None, help=f"values for {key}: '7', '5..13', or comma list"
+            f"--{key}", default=None, help=f"values for {key}: '7', '5..13', or comma list, for ids taking {key}"
         )
     _add_report_options(padic_cmd)
 

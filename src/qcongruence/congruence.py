@@ -274,9 +274,8 @@ def congruent(lhs, rhs, m: Modulus | None) -> CongruenceResult:
 
 @dataclass(frozen=True)
 class ParamSample:
-    seed: int
     assignments: dict
-    rejection_count: int
+    rejection_count: int  # draws refused before this one, which perfbench's tracer counts
 
 
 def _power_collision(x: Fraction, y: Fraction, bound: int = 6) -> bool:
@@ -328,7 +327,7 @@ def sample_params(symbols, n: int, t: int = 1, seed=0) -> ParamSample:
                 break
             assignment[sym] = x
         if ok:
-            return ParamSample(seed=seed, assignments=assignment, rejection_count=rejections)
+            return ParamSample(assignment, rejections)
         rejections += 1
     raise SamplingExhausted(
         f"no admissible assignment for {symbols} after {rejections} rejections"

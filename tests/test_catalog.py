@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,56 @@ def test_classical_and_q_statements_share_the_slot_rule():
         assert str(info.value) == "statement offers a single truncation; no 'second' choice"
         with pytest.raises(UnknownKind):
             catalog.run_statement(stmt_id, bindings, m_policy="alternate")
+
+
+def test_a_statement_refuses_each_axis_it_does_not_take():
+    # One check, before any build and for both kinds: each statement's first
+    # desk point gives its records, and the same point with an axis that the
+    # statement does not read is refused by name, so no record reads as if
+    # the axis had been used.  s is given at 2, because s = 1 passes: a
+    # statement without s, such as a single-power one, is its own s = 1 case.
+    for stmt in catalog.list_statements():
+        desk = stmt.desk[0]
+        records = catalog.run_statement(stmt.stmt_id, desk, trials=1)
+        assert records and all(r.status == "verified" for r in records), stmt.stmt_id
+        untaken = [axis for axis in catalog._AXES if axis not in stmt.axes]
+        assert untaken and set(desk) <= set(stmt.axes), stmt.stmt_id
+        for axis in untaken:
+            point = {**desk, axis: 2}
+            message = f"^{stmt.stmt_id} does not take {axis}$"
+            with pytest.raises(SideConditionViolated, match=message):
+                catalog.run_statement(stmt.stmt_id, point, trials=1)
+            if stmt.kind != "classical":
+                with pytest.raises(SideConditionViolated, match=message):
+                    catalog.instantiate(stmt.stmt_id, point)
+    assert catalog.run_statement("SUN_H2", {"p": 7, "s": 1}) == catalog.run_statement("SUN_H2", {"p": 7})
+
+
+def test_nw_23_refuses_exactly_where_thm_e_window_does():
+    # NW_23's conditions r = +-1, n > 1, d >= 3, n >= d - r, gcd(n, d) = 1
+    # and n = -r mod d are THM_E's window: n >= d - r is n + r >= d, which
+    # already forces n > 1.  NW_23 refuses where the window does, with its
+    # message, on 16,830 points.
+    build = catalog.get_statement("NW_23").build
+    ab = {"a": Fraction(2, 3), "b": Fraction(-3, 5)}
+
+    def refusal(check, *args):
+        try:
+            check(*args)
+        except SideConditionViolated as exc:
+            return str(exc)
+        return None
+
+    admitted = 0
+    for n in range(-5, 80):
+        for d in range(-3, 15):
+            for r in range(-5, 6):
+                want = refusal(catalog._thm_e_window, n, d, r)
+                assert refusal(build, {"n": n, "d": d, "r": r, **ab}) == want, (n, d, r)
+                stated = r in (1, -1) and n > 1 and d >= 3 and n >= d - r and gcd(n, d) == 1 and (n + r) % d == 0
+                assert (want is None) == stated, (n, d, r)
+                admitted += want is None
+    assert admitted > 100
 
 
 def test_sampling_is_deterministic():

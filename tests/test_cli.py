@@ -150,6 +150,44 @@ def test_verify_desk_cases_when_no_ranges(capsys):
     assert all(rec["status"] == "verified" for rec in records)
 
 
+def _records(out: str) -> list[dict]:
+    return [json.loads(line) for line in out.strip().splitlines()]
+
+
+def test_verify_crosses_each_id_with_its_own_axes(capsys):
+    # LEM_OO does not read t: beside PROP_3_1, which does, it writes the two
+    # records of --n 5 once, not once per t, while PROP_3_1 runs at each t.
+    code, out, _ = run_cli(
+        capsys, "verify", "--id", "LEM_OO,PROP_3_1", "--n", "5", "--t=-1..3", "--trials", "1", "--jobs", "1"
+    )
+    assert code == 0
+    records = _records(out)
+    _, alone, _ = run_cli(capsys, "verify", "--id", "LEM_OO", "--n", "5", "--jobs", "1")
+    assert [rec for rec in records if rec["id"] == "LEM_OO"] == _records(alone)
+    assert len(_records(alone)) == 2
+    assert [rec["params"]["t"] for rec in records if rec["id"] == "PROP_3_1"] == [-1, 0, 1, 2, 2, 3]
+
+
+def test_a_range_flag_that_no_selected_id_takes_exits_two(capsys):
+    for argv, key in (
+        (["verify", "--id", "THM_A", "--n", "5", "--d", "3"], "d"),
+        (["verify", "--id", "LEM_OO", "--n", "5", "--t=-1..3"], "t"),
+        (["padic", "--id", "SUN_H2,LIU", "--p", "7", "--s", "1"], "s"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--jobs", "1")
+        assert (code, out) == (2, ""), argv
+        assert f"no selected statement takes --{key}" in err
+
+
+def test_padic_crosses_d_and_r_only_with_the_ids_that_take_them(capsys):
+    # SUN_H2 takes p alone: beside d and r it gets its verdict at p = 7.
+    code, out, _ = run_cli(capsys, "padic", "--id", "all", "--p", "7", "--d", "3", "--r", "1", "--jobs", "1")
+    assert code == 0
+    sun_h2 = [rec for rec in _records(out) if rec["id"] == "SUN_H2"]
+    assert sun_h2 == _records(run_cli(capsys, "padic", "--id", "SUN_H2", "--p", "7")[1])
+    assert [(rec["params"], rec["status"]) for rec in sun_h2] == [({"p": 7, "s": 1}, "verified")]
+
+
 def test_unexpected_task_exception_becomes_error_record(tmp_path, capsys, monkeypatch):
     real = catalog.run_statement
 

@@ -508,7 +508,7 @@ def test_sample_params_deterministic_and_guarded():
     assert a not in (0, 1, -1) and b not in (0, 1, -1)
     assert a != b and a * b != 1 and a not in (b + 1, b - 1)
     s3 = sample_params(["a", "b"], 2, 1, seed=43)
-    assert s3.assignments != s1.assignments or s3.seed != s1.seed
+    assert (s1.assignments["a"], s3.assignments["a"]) == (Fraction(-7, 8), Fraction(1, 2))
 
 
 def test_sample_params_empty():

@@ -143,7 +143,10 @@ CASES = [
     # The skip reasons of the cubic and degree-d families, each strengthened
     # statement beside its general one, over grids that cross every side
     # condition: three runs, as golden_padic_s2.jsonl.  Written before each
-    # family shared one build.
+    # family shared one build; rewritten when each id was crossed only with
+    # its own axes, so THM_B, THM_C, LEM_OO, THM_3_2, THM_3_3, THM_D and
+    # THM_5_4 run once per point without t, and SUN_H2 and SUN_H2HALF once per
+    # p without s (2,872 records became 1,348).
     (
         "golden_skips.jsonl",
         (
@@ -156,10 +159,11 @@ CASES = [
         ),
         0,
     ),
-    # Every classical statement at every odd prime up to 61, s = 1 and 2:
-    # each record is verified or skipped, and the Gamma_p statements carry
-    # their witness residues.  Written before gamma_p returned a plain int
-    # residue.
+    # Every classical statement at every odd prime up to 61, s = 1 and 2 where
+    # it takes s: each record is verified or skipped, and the Gamma_p
+    # statements carry their witness residues.  Written before gamma_p
+    # returned a plain int residue; rewritten when the single-power statements
+    # stopped being crossed with s (576 records became 423).
     (
         "golden_padic_primes.jsonl",
         ["padic", "--id", "all", "--p", "3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59,61",

@@ -52,9 +52,9 @@ def _sides(stmt_id, p, s=1, d=None, r=None):
     return catalog.get_statement(stmt_id).build(_bindings(p, s, d, r))[2:]
 
 
-def _takes(stmt, option):
-    """Whether a classical statement takes s ("takes_s") or d and r ("takes_dr")."""
-    return stmt.build.keywords[option]
+def _takes(stmt, axis):
+    """Whether a classical statement takes the axis s, or d (and with it r)."""
+    return axis in stmt.axes
 
 
 def _sum(series, m):
@@ -394,16 +394,16 @@ def test_gamma_congruent_negative_control():
 
 
 def test_side_conditions_and_selection():
-    # The checks come in one order, all before a slot is selected: d and r as
-    # the statement takes them, s and an odd p, the checker's own conditions,
-    # then a prime p for a Gamma_p right side.
+    # The checks come in one order, all before a slot is selected: no axis
+    # the statement does not take, d and r where it takes them, s and an odd
+    # p, the checker's own conditions, then a prime p for a Gamma_p right side.
     with pytest.raises(UnknownKind):
         _records("NOT_A_STATEMENT", 5)
     refused = [
         (("VH_D2", 11), {}, "p must be 1 mod 6, got 11"),
         (("COR_1_5", 5), {}, "p^s must be 1 mod 3, got 5 = 2 mod 3"),
-        (("SUN_H2", 7), {"s": 2}, "SUN_H2 is a single-power statement; s must be 1, got 2"),
-        (("SUN_H2", 4), {"s": 2}, "SUN_H2 is a single-power statement; s must be 1, got 2"),
+        (("SUN_H2", 7), {"s": 2}, "SUN_H2 does not take s"),
+        (("SUN_H2", 4), {"s": 2}, "SUN_H2 does not take s"),
         (("SUN_H2", 4), {}, "p must be an odd prime, got 4"),
         (("COR_1_4", 4), {"s": 0}, "p must be an odd prime, got 4"),
         (("COR_1_4", 5), {"s": 0}, "s must be positive, got 0"),
@@ -800,8 +800,8 @@ POOL_DR = {
 def _points(stmt, moduli, powers):
     """Every point of stmt at the given p and s (s = 1 only where it takes none)."""
     for p in moduli:
-        for s in powers if _takes(stmt, "takes_s") else (1,):
-            for dr in POOL_DR[stmt.stmt_id] if _takes(stmt, "takes_dr") else [()]:
+        for s in powers if _takes(stmt, "s") else (1,):
+            for dr in POOL_DR[stmt.stmt_id] if _takes(stmt, "d") else [()]:
                 yield dict(p=p, s=s, **dict(zip("dr", dr)))
 
 
@@ -822,7 +822,7 @@ def test_m_choice_records_match_both_slots():
     for stmt in CLASSICAL:
         for case in stmt.desk:
             _assert_slots_match(stmt.stmt_id, case, _records(stmt.stmt_id, **case))
-        if not _takes(stmt, "takes_s"):
+        if not _takes(stmt, "s"):
             continue
         for case in _points(stmt, (17, 19), (1, 2)):
             try:
@@ -915,7 +915,7 @@ def test_pair_verdicts_match_reduced_fraction_reference():
     compared = 0
     for stmt in CLASSICAL:
         points = list(_points(stmt, primes + composites, (1,)))
-        if _takes(stmt, "takes_s"):
+        if _takes(stmt, "s"):
             points += _points(stmt, (17, 23) + composites, (2,))
         for point in points:
             got = _outcome(_records, stmt.stmt_id, *point.values())
@@ -956,7 +956,7 @@ def _all_points(s1_primes, s2_primes, s3_primes=()):
     s, s = 2 at s2_primes and s = 3 at s3_primes."""
     for stmt in CLASSICAL:
         yield from ((stmt.stmt_id, pt) for pt in _points(stmt, s1_primes, (1,)))
-        if _takes(stmt, "takes_s"):
+        if _takes(stmt, "s"):
             yield from ((stmt.stmt_id, pt) for pt in _points(stmt, s2_primes, (2,)))
             yield from ((stmt.stmt_id, pt) for pt in _points(stmt, s3_primes, (3,)))
 
